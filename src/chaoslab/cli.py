@@ -10,7 +10,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,6 +68,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     model = _require(doc, "model", "")
     for key in ("theta", "sigma", "J"):
         _require(model, key, "model")
+    if model.get("dimension", 1) != 1:
+        raise ConfigError("model.dimension",
+                          "must be 1: every command computes one-dimensional quantities")
     n_grid = tuple(doc.get("n_grid", []))
     if command in ("chaos-scan", "jw", "constants") and not n_grid:
         raise ConfigError("n_grid", "required for this command")
@@ -98,10 +100,9 @@ def _build_model(block: dict) -> ModelSpec:
     theta = float(block["theta"])
     sigma = float(block["sigma"])
     J = float(block["J"])
-    d = int(block.get("dimension", 1))
     if theta == 0.0:
-        return gaussian_model(sigma, J, d)
-    return curie_weiss_model(theta, sigma, J, d)
+        return gaussian_model(sigma, J)
+    return curie_weiss_model(theta, sigma, J)
 
 
 def _fmt(x) -> str:
@@ -310,8 +311,6 @@ def main(argv=None) -> int:
                     "marginals, samplers and inequality verification.")
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--output-dir", default=None)
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("CHAOSLAB_THREADS", "1")))
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import GridResolution, NonConvergent, NonPositiveDefinite
-from .meanfield import TiltedMeasure
+from .meanfield import LogPartition, TiltedMeasure, tilt_window
 from .model import ModelSpec
 from .numerics import GridDensity, convolve
 
@@ -41,36 +41,6 @@ _LOG_CUT = 45.0
 _MAX_DOUBLINGS = 40
 
 
-def _tilt_window(model: ModelSpec, tilt: float):
-    """Doubling search for the effective support of exp(-V(x) + tilt*x)."""
-    lo, hi = -1.0, 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        xs = np.linspace(lo, hi, 257)
-        g = -model.potential(xs) + tilt * xs
-        peak = g.max()
-        if g[0] < peak - _LOG_CUT and g[-1] < peak - _LOG_CUT:
-            return lo, hi
-        lo *= 2.0
-        hi *= 2.0
-    raise NonConvergent("tilted density support search failed")
-
-
-def _trapezoid_log_weights(n: int, dx: float) -> np.ndarray:
-    w = np.full(n, np.log(dx))
-    w[0] += np.log(0.5)
-    w[-1] += np.log(0.5)
-    return w
-
-
-def _log_z1_batch(model: ModelSpec, zs: np.ndarray, xlo: float, xhi: float,
-                  nx: int = 4097) -> np.ndarray:
-    """log Z_1(z) = log int exp(-V(x) + z x) dx for an array of tilts."""
-    xs = np.linspace(xlo, xhi, nx)
-    logw = _trapezoid_log_weights(nx, xs[1] - xs[0])
-    g = -model.potential(xs)[None, :] + np.asarray(zs)[:, None] * xs[None, :]
-    return logsumexp(g + logw[None, :], axis=1)
-
-
 @dataclass(frozen=True)
 class MixtureLaw:
     """Auxiliary-field mixture representation of m^{N,k} for all k <= N."""
@@ -79,7 +49,6 @@ class MixtureLaw:
     n_particles: int
     z_nodes: np.ndarray = field(repr=False)
     z_log_weights: np.ndarray = field(repr=False)
-    per_node_tilt: np.ndarray = field(repr=False)
     log_z0: float = 0.0
     node_log_z1: np.ndarray = field(default=None, repr=False)
     x_window: tuple = (0.0, 0.0)
@@ -88,7 +57,7 @@ class MixtureLaw:
         """Matrix of log rho_{z_j}(x): shape (n_points, n_nodes)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return (-self.model.potential(x)[:, None]
-                + x[:, None] * self.per_node_tilt[None, :]
+                + x[:, None] * self.z_nodes[None, :]
                 - self.node_log_z1[None, :])
 
 
@@ -112,18 +81,18 @@ def build_mixture(model: ModelSpec, N: int, node_count: int = 257) -> MixtureLaw
 
     def log_weight_profile(zs):
         zlo, zhi = float(zs.min()), float(zs.max())
-        wlo = _tilt_window(model, zlo)
-        whi = _tilt_window(model, zhi)
-        xlo, xhi = min(wlo[0], whi[0]), max(wlo[1], whi[1])
-        logz1 = _log_z1_batch(model, zs, xlo, xhi)
-        return -N * zs**2 / (2.0 * J) + N * logz1, (xlo, xhi)
+        wlo = tilt_window(model, zlo)
+        whi = tilt_window(model, zhi)
+        window = (min(wlo[0], whi[0]), max(wlo[1], whi[1]))
+        logz1 = LogPartition(model, window)(zs)
+        return -N * zs**2 / (2.0 * J) + N * logz1, logz1, window
 
     # Locate the effective support of the mixing weight by doubling search
     # from [-1, 1], then shrink with two refinement passes.
     zlo, zhi = -1.0, 1.0
     for _ in range(_MAX_DOUBLINGS):
         zs = np.linspace(zlo, zhi, 801)
-        logw, _ = log_weight_profile(zs)
+        logw = log_weight_profile(zs)[0]
         peak = logw.max()
         if logw[0] < peak - _LOG_CUT and logw[-1] < peak - _LOG_CUT:
             break
@@ -133,7 +102,7 @@ def build_mixture(model: ModelSpec, N: int, node_count: int = 257) -> MixtureLaw
         raise NonConvergent("mixing-weight support search failed")
     for _ in range(3):
         zs = np.linspace(zlo, zhi, 801)
-        logw, _ = log_weight_profile(zs)
+        logw = log_weight_profile(zs)[0]
         above = np.nonzero(logw >= logw.max() - _LOG_CUT)[0]
         pad = zs[1] - zs[0]
         zlo, zhi = float(zs[above[0]] - pad), float(zs[above[-1]] + pad)
@@ -143,22 +112,20 @@ def build_mixture(model: ModelSpec, N: int, node_count: int = 257) -> MixtureLaw
     z_nodes = 0.5 * (zhi - zlo) * gl_x + 0.5 * (zhi + zlo)
     scale = 0.5 * (zhi - zlo)
 
-    logw_nodes, (xlo, xhi) = log_weight_profile(z_nodes)
+    logw_nodes, log_z1, x_window = log_weight_profile(z_nodes)
     raw = logw_nodes + np.log(gl_w * scale)
     log_weights = raw - logsumexp(raw)
 
-    log_z1 = _log_z1_batch(model, z_nodes, xlo, xhi)
-    log_z0 = float(_log_z1_batch(model, np.array([0.0]), *_tilt_window(model, 0.0))[0])
+    log_z0 = float(LogPartition(model, tilt_window(model, 0.0))(np.array([0.0]))[0])
 
     return MixtureLaw(
         model=model,
         n_particles=N,
         z_nodes=z_nodes,
         z_log_weights=log_weights,
-        per_node_tilt=z_nodes.copy(),
         log_z0=log_z0,
         node_log_z1=log_z1,
-        x_window=(xlo, xhi),
+        x_window=x_window,
     )
 
 
@@ -184,7 +151,7 @@ def marginal_log_density_batch(law: MixtureLaw, points: np.ndarray,
     for start in range(0, len(pts), chunk):
         sl = slice(start, start + chunk)
         inner = (law.z_log_weights[None, :]
-                 + s[sl, None] * law.per_node_tilt[None, :]
+                 + s[sl, None] * law.z_nodes[None, :]
                  - k * law.node_log_z1[None, :])
         out[sl] = logsumexp(inner, axis=1)
     return -vsum + out
@@ -222,7 +189,7 @@ def _node_grid_densities(law: MixtureLaw, grid_points: int):
 def _log_gk(law: MixtureLaw, k: int, s: np.ndarray) -> np.ndarray:
     """log of the density ratio m^{N,k}/m_*^{otimes k} as a function of s."""
     inner = (law.z_log_weights[None, :]
-             + s[:, None] * law.per_node_tilt[None, :]
+             + s[:, None] * law.z_nodes[None, :]
              + k * (law.log_z0 - law.node_log_z1)[None, :])
     return logsumexp(inner, axis=1)
 

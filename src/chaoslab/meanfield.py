@@ -9,13 +9,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
-from .errors import NoSignChange, NonConvergent
+from .errors import GridResolution, NoSignChange, NonConvergent
 from .model import ModelSpec
 from .numerics import DEFAULT_SPEC, QuadratureSpec, find_root, integrate, log_integrate_exp
 
 __all__ = [
     "TiltedMeasure",
+    "LogPartition",
+    "tilt_window",
     "FixedPointResult",
     "tilted_measure",
     "moment",
@@ -43,6 +46,108 @@ class TiltedMeasure:
 
     def density(self, x):
         return np.exp(self.log_density(x))
+
+
+_LOG_CUT = 45.0
+_MAX_DOUBLINGS = 40
+_GRID_POINTS = 4097
+_RESOLUTION_TOL = 1e-12
+
+
+def tilt_window(model: ModelSpec, tilt: float):
+    """Doubling search for the effective support of exp(-V(x) + tilt*x)."""
+    lo, hi = -1.0, 1.0
+    for _ in range(_MAX_DOUBLINGS):
+        xs = np.linspace(lo, hi, 257)
+        g = -model.potential(xs) + tilt * xs
+        peak = g.max()
+        if g[0] < peak - _LOG_CUT and g[-1] < peak - _LOG_CUT:
+            return lo, hi
+        lo *= 2.0
+        hi *= 2.0
+    raise NonConvergent("tilted density support search failed")
+
+
+def _trapezoid_log_weights(n: int, dx: float) -> np.ndarray:
+    w = np.full(n, np.log(dx))
+    w[0] += np.log(0.5)
+    w[-1] += np.log(0.5)
+    return w
+
+
+def _trapezoid_grid(model: ModelSpec, window):
+    """Nodes, -V at the nodes and log trapezoid weights on ``window``."""
+    xs = np.linspace(window[0], window[1], _GRID_POINTS)
+    return xs, -model.potential(xs), _trapezoid_log_weights(_GRID_POINTS, xs[1] - xs[0])
+
+
+class LogPartition:
+    """log Z_1(z) = log int exp(-V(x) + z x) dx for arrays of tilts z.
+
+    One log-trapezoid over a uniform grid of ``_GRID_POINTS`` nodes on an
+    x-window, evaluated for all queried tilts in one ``logsumexp``.
+
+    With a fixed ``window`` the grid never changes and no resolution check
+    runs.  Without one the grid starts on the window of z = 0 and grows:
+    whenever a query has |z| beyond the covered range z_max, the window
+    becomes the union of the current one and ``tilt_window`` at +-|z|.
+    Each growth compares the full trapezoid with the every-other-node
+    trapezoid at z = 0 and +-z_max and raises ``GridResolution`` if they
+    differ by more than ``_RESOLUTION_TOL``.
+    """
+
+    def __init__(self, model: ModelSpec, window=None):
+        self.model = model
+        self._log_z0 = None
+        if window is None:
+            self.window = (np.inf, -np.inf)
+            self._grow(0.0)
+        else:
+            self.window, self.z_max = (float(window[0]), float(window[1])), np.inf
+            self.xs, self._neg_v, self._logw = _trapezoid_grid(model, self.window)
+
+    def _grow(self, z_max: float) -> None:
+        lo, hi = self.window
+        for tilt in (-z_max, z_max):
+            wlo, whi = tilt_window(self.model, tilt)
+            lo, hi = min(lo, wlo), max(hi, whi)
+        xs, neg_v, logw = _trapezoid_grid(self.model, (lo, hi))
+        zs = np.array([0.0, -z_max, z_max])
+        g = neg_v[None, :] + zs[:, None] * xs[None, :]
+        full = logsumexp(g + logw[None, :], axis=1)
+        half_logw = _trapezoid_log_weights(len(xs[::2]), xs[2] - xs[0])
+        half = logsumexp(g[:, ::2] + half_logw[None, :], axis=1)
+        err = float(np.max(np.abs(full - half)))
+        if not err <= _RESOLUTION_TOL:
+            raise GridResolution(
+                f"log Z_1 trapezoid on [{lo}, {hi}] changes by {err:.3e} "
+                f"when the node count is halved")
+        # Commit only a checked grid, so a failed growth leaves the kernel as
+        # it was and the same query raises again.
+        self.window, self.z_max = (lo, hi), z_max
+        self.xs, self._neg_v, self._logw = xs, neg_v, logw
+        self._log_z0 = None
+
+    def __call__(self, zs):
+        """log Z_1 at each tilt in ``zs`` (any shape), on the current grid."""
+        zs = np.asarray(zs, dtype=float)
+        z_max = float(np.abs(zs).max(initial=0.0))
+        if z_max > self.z_max:
+            self._grow(z_max)
+        g = self._neg_v + zs[..., None] * self.xs
+        return logsumexp(g + self._logw, axis=-1)
+
+    def cgf(self, zs):
+        """log Z_1(z) - log Z_1(0), both on the same (current) grid.
+
+        This is the cumulant generating function of the untilted measure
+        exp(-V)/Z_1(0).  log Z_1(0) is cached per grid: evaluating ``zs``
+        first may grow the grid, which drops the cached value.
+        """
+        log_z1 = self(zs)
+        if self._log_z0 is None:
+            self._log_z0 = float(self(0.0))
+        return log_z1 - self._log_z0
 
 
 def tilted_measure(model: ModelSpec, tilt: float,

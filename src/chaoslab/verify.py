@@ -15,7 +15,8 @@ import numpy as np
 from .bounds import ConstantsBundle, t1_particle_constant
 from .errors import DivergentIntegral, NoSignChange, NonConvergent
 from .marginals import MixtureLaw, build_mixture, marginal_log_density_batch
-from .meanfield import TiltedMeasure, critical_coupling, magnetization, tilted_measure
+from .meanfield import (LogPartition, TiltedMeasure, critical_coupling, magnetization,
+                        tilt_window, tilted_measure)
 from .metrics import fisher_information_1d, quantile_from_density, wasserstein_1d
 from .model import ModelSpec
 from .numerics import DEFAULT_SPEC, QuadratureSpec, find_root, log_integrate_exp
@@ -195,6 +196,16 @@ def jw_log_mgf(model: ModelSpec, N: int,
 
     Gaussian linearization of the square gives
     log sqrt(N/2 pi J) + log int exp(-N z^2/2J + N (log Z_1(z) - log Z_0)) dz.
+
+    The outer integral over t = z sqrt(N/J) is adaptive quadrature
+    (``log_integrate_exp``, with its window search and error gate).  Each
+    of its nodes takes log Z_1(z) - log Z_0 from one growing
+    ``LogPartition``: a 4097-node log-trapezoid in x, both terms on the
+    same grid.  The x-window starts at the support of exp(-V) and widens to
+    cover the tilts +-|z| whenever a node leaves the covered range; at each
+    widening the trapezoid is compared with its every-other-node version
+    at z = 0 and +-|z|, and ``GridResolution`` is raised if they differ by
+    more than 1e-12.
     """
     J = model.coupling
     if J <= 0:
@@ -202,20 +213,16 @@ def jw_log_mgf(model: ModelSpec, N: int,
     j_c = critical_coupling(model, spec)
     if J >= j_c:
         raise NonConvergent(f"log-MGF diverges for J = {J} >= J_c = {j_c}")
-    log_z0 = tilted_measure(model, 0.0, spec).log_z
-
-    def log_z1(z: float) -> float:
-        return log_integrate_exp(lambda x: -model.potential(x) + z * x, spec)
+    log_z1 = LogPartition(model)
 
     # Substitute z = sqrt(J/N) t so the quadratic part is -t^2/2 and the
     # integrand width stays O(1) uniformly in J and N.
     scale = np.sqrt(J / N)
 
     def log_f(t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([-tt**2 / 2.0 + N * (log_z1(scale * tt) - log_z0)
-                        for tt in ts])
-        return out if np.ndim(t) else float(out[0])
+        t = np.asarray(t, dtype=float)
+        out = -t**2 / 2.0 + N * log_z1.cgf(scale * t)
+        return out if out.ndim else float(out)
 
     return -0.5 * np.log(2.0 * np.pi) + log_integrate_exp(log_f, spec)
 
@@ -247,9 +254,7 @@ def bolley_villani_moment_check(mu_quantile, rho: float, delta: float,
 def _entropy_against_marginal(model: ModelSpec, mu: TiltedMeasure,
                               law: MixtureLaw, grid_points: int = 8192) -> float:
     """H(mu | m^{N,1}) with the marginal density evaluated exactly."""
-    from .marginals import _tilt_window
-
-    lo, hi = _tilt_window(model, mu.tilt)
+    lo, hi = tilt_window(model, mu.tilt)
     xs = np.linspace(lo, hi, grid_points)
     log_mu = mu.log_density(xs)
     p = np.exp(log_mu)
@@ -262,7 +267,7 @@ def marginal_t1_ratio_scan(model: ModelSpec, N: int, bundle: ConstantsBundle,
                            grid_points: int = 8192,
                            spec: QuadratureSpec = DEFAULT_SPEC) -> ScanReport:
     """W_1^2(pi[l], m^{N,1}) <= 64 (1+delta_N)^2 / lambda_N * H(pi[l] | m^{N,1})."""
-    from .marginals import _tilt_window, marginal_grid_density
+    from .marginals import marginal_grid_density
 
     if law is None:
         law = build_mixture(model, N)
@@ -277,7 +282,7 @@ def marginal_t1_ratio_scan(model: ModelSpec, N: int, bundle: ConstantsBundle,
     rhs = np.empty_like(grid)
     for i, ell in enumerate(grid):
         mu = tilted_measure(model, J * ell, spec)
-        lo, hi = _tilt_window(model, mu.tilt)
+        lo, hi = tilt_window(model, mu.tilt)
         lo, hi = min(lo, m1.lo), max(hi, m1.hi)
         qn = quantile_from_density(mu.density, lo, hi, grid_points)
         w1 = wasserstein_1d(qn, qm, order=1)

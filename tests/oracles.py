@@ -1,10 +1,13 @@
-"""Independent brute-force oracles used by the marginal tests.
+"""Independent brute-force oracles used by the marginal and verify tests.
 
 Everything here works from the raw N-particle Gibbs definition by tensor
-quadrature, with no reference to the mixture representation under test.
+quadrature or nested adaptive quadrature, with no reference to the
+mixture representation or the log-partition kernel under test.
 """
 import numpy as np
 from scipy.integrate import simpson
+
+from chaoslab.numerics import log_integrate_exp
 
 
 def brute_marginal_log_density_n2(model, points, lo=-8.0, hi=8.0, n=2001):
@@ -60,3 +63,27 @@ def brute_marginal_log_density_n3(model, points, lo=-8.0, hi=8.0, n=801):
                          - model.potential(np.array([x2]))[0]) * simpson(row, x=xs)
         out.append(np.log(val) - np.log(z3))
     return np.array(out)
+
+
+def nested_quad_jw_log_mgf(model, N):
+    """log E[exp(J S_N^2 / 2N)] under exp(-V)^{otimes N} / Z_0^N.
+
+    Hubbard-Stratonovich with z = sqrt(J/N) t, and an adaptive
+    ``log_integrate_exp`` for log Z_1(z) at every node of the adaptive
+    outer integral over t (quadrature inside quadrature).
+    """
+    J = model.coupling
+
+    def log_z1(z):
+        return log_integrate_exp(lambda x: -model.potential(x) + z * x)
+
+    log_z0 = log_z1(0.0)
+    scale = np.sqrt(J / N)
+
+    def log_f(t):
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.array([-tt**2 / 2.0 + N * (log_z1(scale * tt) - log_z0)
+                        for tt in ts])
+        return out if np.ndim(t) else float(out[0])
+
+    return -0.5 * np.log(2.0 * np.pi) + log_integrate_exp(log_f)

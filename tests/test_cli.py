@@ -42,6 +42,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(p)
 
+    def test_dimension_other_than_one_rejected(self, tmp_path):
+        doc = _cfg(tmp_path)
+        doc["model"]["dimension"] = 2
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.field == "model.dimension"
+        doc["model"]["dimension"] = 1
+        assert parse_config(doc).model["dimension"] == 1
+
     def test_sample_requires_chain_block(self, tmp_path):
         doc = _cfg(tmp_path, command="sample")
         with pytest.raises(ConfigError) as err:
@@ -134,6 +143,14 @@ class TestMain:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(doc))
         assert main(["--config", str(p), "--seed", "7"]) == 0
+
+    def test_threads_flag_removed(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_cfg(tmp_path, command="fixed-point")))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(p), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from chaoslab.meanfield import (critical_coupling, ghs_concavity_check,
-                                magnetization, magnetization_derivative,
-                                moment, pi_map_mean, solve_fixed_point,
-                                tilted_measure)
+from chaoslab.errors import GridResolution
+from chaoslab.meanfield import (LogPartition, critical_coupling,
+                                ghs_concavity_check, magnetization,
+                                magnetization_derivative, moment, pi_map_mean,
+                                solve_fixed_point, tilted_measure)
 from chaoslab.model import curie_weiss_model, gaussian_model
 from conftest import F_AT_1, H_STAR_SUPER, J_CRIT, X2_MOMENT
 
@@ -28,6 +29,52 @@ class TestMoments:
     def test_power_range(self, quartic_model):
         with pytest.raises(ValueError):
             moment(tilted_measure(quartic_model, 0.0), 9)
+
+
+class TestLogPartition:
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 4.0])
+    def test_gaussian_closed_form(self, sigma):
+        zs = np.linspace(-20.0, 20.0, 81)
+        exact = zs**2 / (2.0 * sigma) + 0.5 * np.log(2.0 * np.pi / sigma)
+        got = LogPartition(gaussian_model(sigma, 0.1 * sigma))(zs)
+        assert np.all(np.abs(got - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact)))
+
+    def test_query_order_does_not_matter(self, quartic_model):
+        small_first = LogPartition(quartic_model)
+        a0 = small_first.cgf(0.0)
+        a20 = small_first.cgf(np.array([-20.0, 20.0]))
+        large_first = LogPartition(quartic_model)
+        b20 = large_first.cgf(np.array([-20.0, 20.0]))
+        b0 = large_first.cgf(0.0)
+        assert a0 == b0 == 0.0
+        np.testing.assert_allclose(a20, b20, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(
+            large_first(np.array([0.0, 20.0])),
+            LogPartition(quartic_model)(np.array([0.0, 20.0])), rtol=1e-14, atol=0.0)
+
+    def test_matches_adaptive_quadrature(self, quartic_model):
+        kernel = LogPartition(quartic_model)
+        for z in (0.0, 0.7, -3.0, 12.0):
+            assert kernel(z) == pytest.approx(tilted_measure(quartic_model, z).log_z,
+                                              abs=1e-10)
+
+    def test_fixed_window_does_not_grow(self, quartic_model):
+        kernel = LogPartition(quartic_model, (-8.0, 8.0))
+        kernel(np.array([-30.0, 30.0]))
+        assert kernel.window == (-8.0, 8.0)
+
+    def test_underresolved_window_raises(self):
+        with pytest.raises(GridResolution):
+            LogPartition(gaussian_model(1e8, 1.0))(0.0)
+
+    def test_failed_growth_keeps_raising(self):
+        # sd 0.01: resolved on the z = 0 window, not once z = 1e5 widens it.
+        kernel = LogPartition(gaussian_model(1e4, 1.0))
+        before = kernel(0.0)
+        for _ in range(2):
+            with pytest.raises(GridResolution):
+                kernel(1e5)
+        assert kernel(0.0) == before
 
 
 class TestMagnetization:

@@ -11,6 +11,7 @@ from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf,
                              marginal_t1_ratio_scan, nonlinear_lsi_scan,
                              phi_positivity_scan, psi_positivity_scan)
 from conftest import J_CRIT
+from oracles import nested_quad_jw_log_mgf
 
 GRID = np.concatenate([-np.geomspace(0.01, 5.0, 6)[::-1],
                        np.geomspace(0.01, 5.0, 6)])
@@ -105,6 +106,18 @@ class TestJwLogMgf:
             0.34236805701379813, abs=1e-9)
         assert jw_log_mgf(quartic_model, 64) == pytest.approx(
             0.34547721192367986, abs=1e-9)
+
+    @pytest.mark.parametrize("frac", [0.5, 0.9])
+    @pytest.mark.parametrize("n", [16, 1024])
+    def test_matches_nested_quadrature_oracle(self, frac, n):
+        m = curie_weiss_model(1.0, 1.0, frac * J_CRIT)
+        assert jw_log_mgf(m, n) == pytest.approx(nested_quad_jw_log_mgf(m, n),
+                                                 abs=1e-11)
+
+    @pytest.mark.parametrize("n", [16, 1024])
+    def test_gaussian_closed_form_tight(self, gauss_model, n):
+        assert jw_log_mgf(gauss_model, n) == pytest.approx(
+            -0.5 * np.log(1 - 0.5), abs=1e-12)
 
     def test_increasing_in_j(self):
         vals = []
