@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import GridResolution, NonConvergent, NonPositiveDefinite
-from .meanfield import LogPartition, TiltedMeasure, tilt_window
+from .errors import GridResolution, NonConvergent, NonPositiveDefinite, Supercritical
+from .meanfield import LogPartition, TiltedMeasure, critical_coupling, tilt_window
 from .model import ModelSpec
-from .numerics import GridDensity, convolve
+from .numerics import GridDensity, convolve, log_laplace
 
 __all__ = [
     "MixtureLaw",
@@ -66,6 +65,15 @@ def build_mixture(model: ModelSpec, N: int, node_count: int = 257) -> MixtureLaw
 
     Requires a rank-one interaction with J > 0: for J < 0 the Gaussian
     linearization would need an imaginary field.
+
+    log Z_1 at the field nodes comes from one fixed-window ``LogPartition``;
+    its every-other-node halving check runs at the first node, z = 0 and the
+    last node, and ``GridResolution`` is raised if the trapezoid moves by
+    more than ``meanfield._RESOLUTION_TOL``.  The check is conservative: the
+    Gaussian model with sigma = 1e6 (halving moves log Z_1 by 2.1e-9) raises
+    although its entropy levels are right to about 2e-9 relative.  That is
+    a typed error where a number would have been usable, never a wrong
+    number.
     """
     if not model.is_rank_one:
         raise TypeError("mixture representation requires a rank-one interaction")
@@ -80,12 +88,11 @@ def build_mixture(model: ModelSpec, N: int, node_count: int = 257) -> MixtureLaw
         raise NonConvergent("Gaussian model needs J < sigma for a normalizable mixture")
 
     def log_weight_profile(zs):
-        zlo, zhi = float(zs.min()), float(zs.max())
-        wlo = tilt_window(model, zlo)
-        whi = tilt_window(model, zhi)
-        window = (min(wlo[0], whi[0]), max(wlo[1], whi[1]))
-        logz1 = LogPartition(model, window)(zs)
-        return -N * zs**2 / (2.0 * J) + N * logz1, logz1, window
+        wlo = tilt_window(model, float(zs.min()))
+        whi = tilt_window(model, float(zs.max()))
+        kernel = LogPartition(model, (min(wlo[0], whi[0]), max(wlo[1], whi[1])))
+        logz1 = kernel(zs)
+        return -N * zs**2 / (2.0 * J) + N * logz1, logz1, kernel
 
     # Locate the effective support of the mixing weight by doubling search
     # from [-1, 1], then shrink with two refinement passes.
@@ -112,11 +119,13 @@ def build_mixture(model: ModelSpec, N: int, node_count: int = 257) -> MixtureLaw
     z_nodes = 0.5 * (zhi - zlo) * gl_x + 0.5 * (zhi + zlo)
     scale = 0.5 * (zhi - zlo)
 
-    logw_nodes, log_z1, x_window = log_weight_profile(z_nodes)
+    logw_nodes, log_z1, kernel = log_weight_profile(z_nodes)
+    kernel.check_resolution([z_nodes[0], 0.0, z_nodes[-1]])
     raw = logw_nodes + np.log(gl_w * scale)
-    log_weights = raw - logsumexp(raw)
+    # At t = 0 the Laplace sum is the plain log-sum-exp of ``raw``.
+    log_weights = raw - log_laplace(0.0, z_nodes, raw)
 
-    log_z0 = float(LogPartition(model, tilt_window(model, 0.0))(np.array([0.0]))[0])
+    log_z0 = float(LogPartition(model, tilt_window(model, 0.0))(0.0))
 
     return MixtureLaw(
         model=model,
@@ -125,7 +134,7 @@ def build_mixture(model: ModelSpec, N: int, node_count: int = 257) -> MixtureLaw
         z_log_weights=log_weights,
         log_z0=log_z0,
         node_log_z1=log_z1,
-        x_window=x_window,
+        x_window=kernel.window,
     )
 
 
@@ -137,9 +146,8 @@ def marginal_log_density(law: MixtureLaw, k: int, point) -> float:
     return float(marginal_log_density_batch(law, pts)[0])
 
 
-def marginal_log_density_batch(law: MixtureLaw, points: np.ndarray,
-                               chunk: int = 65536) -> np.ndarray:
-    """log m^{N,k} for an (n, k) array of points (chunked to bound memory)."""
+def marginal_log_density_batch(law: MixtureLaw, points: np.ndarray) -> np.ndarray:
+    """log m^{N,k} for an (n, k) array of points."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -147,14 +155,7 @@ def marginal_log_density_batch(law: MixtureLaw, points: np.ndarray,
     # sum_i log rho_z(x_i) = -sum V(x_i) + z * s - k log Z_1(z)
     s = pts.sum(axis=1)
     vsum = law.model.potential(pts).sum(axis=1)
-    out = np.empty(len(pts))
-    for start in range(0, len(pts), chunk):
-        sl = slice(start, start + chunk)
-        inner = (law.z_log_weights[None, :]
-                 + s[sl, None] * law.z_nodes[None, :]
-                 - k * law.node_log_z1[None, :])
-        out[sl] = logsumexp(inner, axis=1)
-    return -vsum + out
+    return -vsum + log_laplace(s, law.z_nodes, law.z_log_weights - k * law.node_log_z1)
 
 
 @dataclass(frozen=True)
@@ -188,10 +189,8 @@ def _node_grid_densities(law: MixtureLaw, grid_points: int):
 
 def _log_gk(law: MixtureLaw, k: int, s: np.ndarray) -> np.ndarray:
     """log of the density ratio m^{N,k}/m_*^{otimes k} as a function of s."""
-    inner = (law.z_log_weights[None, :]
-             + s[:, None] * law.z_nodes[None, :]
-             + k * (law.log_z0 - law.node_log_z1)[None, :])
-    return logsumexp(inner, axis=1)
+    return log_laplace(s, law.z_nodes,
+                       law.z_log_weights + k * (law.log_z0 - law.node_log_z1))
 
 
 def relative_entropy_levels(law: MixtureLaw, k_max: int,
@@ -207,9 +206,20 @@ def relative_entropy_levels(law: MixtureLaw, k_max: int,
 
     mc-with-exact-density: averages the exact log-ratio over exchangeable
     samples from the mixture and reports a standard error.
+
+    Both take m_* = pi[0], the untilted measure, which is the mean-field
+    limit only below the critical coupling; a non-Gaussian model with
+    J >= J_c raises ``Supercritical``.  (A Gaussian law already has
+    J < sigma = J_c, or ``build_mixture`` would have refused it.)
     """
     if not 1 <= k_max <= min(law.n_particles, 8):
         raise ValueError("k_max must satisfy 1 <= k_max <= min(N, 8)")
+    if not law.model.is_gaussian:
+        j_c = critical_coupling(law.model)
+        if law.model.coupling >= j_c:
+            raise Supercritical(
+                f"J = {law.model.coupling} >= J_c = {j_c}: the entropy levels "
+                f"are taken against pi[0], the limit below J_c only")
     if method == "exact-grid":
         if k_max > 4:
             raise ValueError("exact-grid path is capped at k_max = 4; use the mc path")
@@ -219,7 +229,24 @@ def relative_entropy_levels(law: MixtureLaw, k_max: int,
     raise ValueError(f"unknown method {method!r}")
 
 
+def _phi(x: np.ndarray) -> np.ndarray:
+    """phi(x) = x + expm1(-x) >= 0, by its Taylor series where |x| < 1e-3."""
+    small = np.abs(x) < 1e-3
+    return np.where(small,
+                    x * x * (0.5 - x / 6.0 + x * x / 24.0 - x**3 / 120.0),
+                    x + np.expm1(-x))
+
+
 def _entropy_exact(law: MixtureLaw, k_max: int, grid_points: int) -> EntropyLevels:
+    """Level k is int p log g ds, with p = sum_j w_j rho_j^{*k} the mixed
+    density of s = x_1 + ... + x_k and g = p / q its ratio to the reference
+    density q.
+
+    Adding int q - int p = 0 turns the integrand into p * phi(log g) with
+    phi(x) = x + expm1(-x) >= 0, so nothing cancels and the level keeps its
+    relative accuracy as H -> 0.  The plain per-node form
+    sum_j w_j int rho_j^{*k} log g cancels terms far larger than H.
+    """
     xs, dens = _node_grid_densities(law, grid_points)
     lo, hi = float(xs[0]), float(xs[-1])
     weights = np.exp(law.z_log_weights)
@@ -230,16 +257,14 @@ def _entropy_exact(law: MixtureLaw, k_max: int, grid_points: int) -> EntropyLeve
     for k in range(1, k_max + 1):
         if k > 1:
             current = [convolve(p, b) for p, b in zip(current, base)]
-        n_s = current[0].n_points
         s_grid = current[0].xs
         dx = current[0].dx
         for p in current:
             if max(p.values[0], p.values[-1]) > 1e-6 * p.values.max():
                 raise GridResolution("convolution grid underresolves the sum density")
-        log_g = _log_gk(law, k, s_grid)
-        vals = np.stack([p.values for p in current])  # (nodes, n_s)
-        per_node = np.trapezoid(vals * log_g[None, :], dx=dx, axis=1)
-        levels[k] = float(weights @ per_node)
+        p_mix = weights @ np.stack([p.values for p in current])
+        phi = _phi(_log_gk(law, k, s_grid))
+        levels[k] = float(np.trapezoid(p_mix * phi, dx=dx))
     return EntropyLevels(law.n_particles, levels, np.zeros(k_max + 1))
 
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import GridResolution, NoSignChange, NonConvergent
 from .model import ModelSpec
-from .numerics import DEFAULT_SPEC, QuadratureSpec, find_root, integrate, log_integrate_exp
+from .numerics import (DEFAULT_SPEC, QuadratureSpec, find_root, integrate,
+                       log_integrate_exp, log_laplace)
 
 __all__ = [
     "TiltedMeasure",
@@ -68,32 +68,43 @@ def tilt_window(model: ModelSpec, tilt: float):
     raise NonConvergent("tilted density support search failed")
 
 
-def _trapezoid_log_weights(n: int, dx: float) -> np.ndarray:
-    w = np.full(n, np.log(dx))
-    w[0] += np.log(0.5)
-    w[-1] += np.log(0.5)
-    return w
-
-
 def _trapezoid_grid(model: ModelSpec, window):
-    """Nodes, -V at the nodes and log trapezoid weights on ``window``."""
+    """Nodes and log(trapezoid weight * exp(-V)) on ``window``."""
     xs = np.linspace(window[0], window[1], _GRID_POINTS)
-    return xs, -model.potential(xs), _trapezoid_log_weights(_GRID_POINTS, xs[1] - xs[0])
+    logw = np.full(_GRID_POINTS, np.log(xs[1] - xs[0]))
+    logw[[0, -1]] += np.log(0.5)
+    return xs, logw - model.potential(xs)
+
+
+def _check_resolution(xs, logw, zs) -> None:
+    """Raise ``GridResolution`` if halving the node count moves log Z_1(zs).
+
+    The every-other-node trapezoid keeps both end nodes (the node count is
+    odd) and doubles the spacing, so its log weights are ``logw[::2]``
+    plus log 2.
+    """
+    full = log_laplace(zs, xs, logw)
+    half = log_laplace(zs, xs[::2], logw[::2]) + np.log(2.0)
+    err = float(np.max(np.abs(full - half)))
+    if not err <= _RESOLUTION_TOL:
+        raise GridResolution(
+            f"log Z_1 trapezoid on [{xs[0]}, {xs[-1]}] changes by {err:.3e} "
+            f"when the node count is halved")
 
 
 class LogPartition:
     """log Z_1(z) = log int exp(-V(x) + z x) dx for arrays of tilts z.
 
     One log-trapezoid over a uniform grid of ``_GRID_POINTS`` nodes on an
-    x-window, evaluated for all queried tilts in one ``logsumexp``.
+    x-window, evaluated for all queried tilts by ``numerics.log_laplace``.
 
     With a fixed ``window`` the grid never changes and no resolution check
-    runs.  Without one the grid starts on the window of z = 0 and grows:
-    whenever a query has |z| beyond the covered range z_max, the window
-    becomes the union of the current one and ``tilt_window`` at +-|z|.
-    Each growth compares the full trapezoid with the every-other-node
-    trapezoid at z = 0 and +-z_max and raises ``GridResolution`` if they
-    differ by more than ``_RESOLUTION_TOL``.
+    runs unless ``check_resolution`` is called.  Without one the grid starts
+    on the window of z = 0 and grows: whenever a query has |z| beyond the
+    covered range z_max, the window becomes the union of the current one
+    and ``tilt_window`` at +-|z|.  Each growth runs the halving check at
+    z = 0 and +-z_max and raises ``GridResolution`` if the full and the
+    every-other-node trapezoid differ by more than ``_RESOLUTION_TOL``.
     """
 
     def __init__(self, model: ModelSpec, window=None):
@@ -104,29 +115,24 @@ class LogPartition:
             self._grow(0.0)
         else:
             self.window, self.z_max = (float(window[0]), float(window[1])), np.inf
-            self.xs, self._neg_v, self._logw = _trapezoid_grid(model, self.window)
+            self.xs, self._logw = _trapezoid_grid(model, self.window)
 
     def _grow(self, z_max: float) -> None:
         lo, hi = self.window
         for tilt in (-z_max, z_max):
             wlo, whi = tilt_window(self.model, tilt)
             lo, hi = min(lo, wlo), max(hi, whi)
-        xs, neg_v, logw = _trapezoid_grid(self.model, (lo, hi))
-        zs = np.array([0.0, -z_max, z_max])
-        g = neg_v[None, :] + zs[:, None] * xs[None, :]
-        full = logsumexp(g + logw[None, :], axis=1)
-        half_logw = _trapezoid_log_weights(len(xs[::2]), xs[2] - xs[0])
-        half = logsumexp(g[:, ::2] + half_logw[None, :], axis=1)
-        err = float(np.max(np.abs(full - half)))
-        if not err <= _RESOLUTION_TOL:
-            raise GridResolution(
-                f"log Z_1 trapezoid on [{lo}, {hi}] changes by {err:.3e} "
-                f"when the node count is halved")
+        xs, logw = _trapezoid_grid(self.model, (lo, hi))
+        _check_resolution(xs, logw, [0.0, -z_max, z_max])
         # Commit only a checked grid, so a failed growth leaves the kernel as
         # it was and the same query raises again.
         self.window, self.z_max = (lo, hi), z_max
-        self.xs, self._neg_v, self._logw = xs, neg_v, logw
+        self.xs, self._logw = xs, logw
         self._log_z0 = None
+
+    def check_resolution(self, zs) -> None:
+        """The growth's halving check at ``zs``, on the current grid."""
+        _check_resolution(self.xs, self._logw, zs)
 
     def __call__(self, zs):
         """log Z_1 at each tilt in ``zs`` (any shape), on the current grid."""
@@ -134,8 +140,7 @@ class LogPartition:
         z_max = float(np.abs(zs).max(initial=0.0))
         if z_max > self.z_max:
             self._grow(z_max)
-        g = self._neg_v + zs[..., None] * self.xs
-        return logsumexp(g + self._logw, axis=-1)
+        return log_laplace(zs, self.xs, self._logw)
 
     def cgf(self, zs):
         """log Z_1(z) - log Z_1(0), both on the same (current) grid.

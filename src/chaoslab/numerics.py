@@ -1,8 +1,9 @@
 """Deterministic 1D numerical kernels.
 
 Adaptive quadrature on the real line with automatic window discovery,
-log-domain integration, grid-based density convolution and bracketed
-root finding.  Everything here is pure and reentrant.
+log-domain integration, the chunked log-Laplace reduction behind every
+field/grid sum, grid-based density convolution and bracketed root finding.
+Everything here is pure and reentrant.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ __all__ = [
     "GridDensity",
     "integrate",
     "log_integrate_exp",
+    "log_laplace",
     "convolve",
     "find_root",
 ]
@@ -140,6 +142,46 @@ def log_integrate_exp(log_f, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     if abserr > 100.0 * max(spec.abs_tol, spec.rel_tol * abs(value)):
         raise NonConvergent(f"quadrature error estimate {abserr:.3e} too large")
     return shift + float(np.log(value))
+
+
+# Workspace of one log_laplace chunk: about 1 MB of float64 rows.
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunk_rows(n_nodes: int) -> int:
+    """Rows of ``n_nodes`` float64 values that fit in one chunk."""
+    return max(1, _CHUNK_BYTES // (8 * n_nodes))
+
+
+def log_laplace(ts, nodes, log_weights) -> np.ndarray:
+    """log sum_j exp(log_weights[j] + t * nodes[j]) for each t in ``ts``.
+
+    ``ts`` may have any shape (0-d included) and the result has the same
+    shape.  The (t, node) matrix is never formed whole: rows go through one
+    reused buffer of about ``_CHUNK_BYTES``, where the max-shift, exp, sum
+    and log run in place.  If every term of a row is -inf the row gives
+    -inf.
+    """
+    ts = np.asarray(ts, dtype=float)
+    nodes = np.asarray(nodes, dtype=float)
+    log_weights = np.asarray(log_weights, dtype=float)
+    flat = ts.reshape(-1)
+    out = np.empty(flat.shape)
+    rows = _chunk_rows(nodes.size)
+    buf = np.empty((min(rows, flat.size), nodes.size))
+    with np.errstate(divide="ignore"):
+        for start in range(0, flat.size, rows):
+            t = flat[start:start + rows]
+            g = buf[:t.size]
+            np.multiply(t[:, None], nodes, out=g)
+            g += log_weights
+            shift = g.max(axis=1)
+            shift[~np.isfinite(shift)] = 0.0
+            g -= shift[:, None]
+            np.exp(g, out=g)
+            np.log(g.sum(axis=1), out=out[start:start + rows])
+            out[start:start + rows] += shift
+    return out.reshape(ts.shape)
 
 
 @dataclass(frozen=True)

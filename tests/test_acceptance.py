@@ -74,6 +74,23 @@ def test_gaussian_marginal_matches_closed_form():
             time.perf_counter() - t0, 10.0, f"max abs err {worst:.2e}")
 
 
+def test_entropy_levels_stay_accurate_at_large_n(quartic_model):
+    t0 = time.perf_counter()
+    model = gaussian_model(1.0, 0.5)
+    worst = 0.0
+    for n in (2**14, 2**18, 2**20):
+        levels = relative_entropy_levels(build_mixture(model, n), 2)
+        for k in (1, 2):
+            oracle = gaussian_entropy_oracle(1.0, 0.5, n, k)
+            worst = max(worst, abs(levels.levels[k] / oracle - 1.0))
+    scaled = [n * n * relative_entropy_levels(build_mixture(quartic_model, n), 1).levels[1]
+              for n in (2**14, 2**18)]
+    drift = abs(scaled[1] - scaled[0])
+    _report("large-n-entropy", worst <= 1e-8 and drift <= 1e-4,
+            time.perf_counter() - t0, 30.0,
+            f"max rel err {worst:.2e}, N^2 H_1 {scaled[0]:.6f} -> {scaled[1]:.6f}")
+
+
 def test_small_system_matches_brute_force(quartic_model):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20240824)

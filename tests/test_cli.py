@@ -158,3 +158,11 @@ class TestMain:
         doc["model"]["J"] = 3 * J_CRIT  # supercritical
         p.write_text(json.dumps(doc))
         assert main(["--config", str(p)]) == 2
+
+    def test_supercritical_chaos_scan_is_typed_error(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        doc = _cfg(tmp_path, n_grid=[64, 128, 256], k_max=1)
+        doc["model"]["J"] = 1.5 * J_CRIT
+        p.write_text(json.dumps(doc))
+        assert main(["--config", str(p)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "Supercritical"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chaoslab.errors import NonPositiveDefinite
+from chaoslab.errors import GridResolution, NonPositiveDefinite, Supercritical
 from chaoslab.marginals import (build_mixture, conditional_entropy_level,
                                 gaussian_entropy_oracle, marginal_grid_density,
                                 marginal_log_density,
@@ -36,6 +36,12 @@ class TestBuildMixture:
         mstar = tilted_measure(m, 0.0)
         tv = 0.5 * np.trapezoid(np.abs(g.values - mstar.density(g.xs)), dx=g.dx)
         assert tv <= 1e-4
+
+    def test_underresolved_grid_raises(self):
+        # The fixed x-window (-1, 1) under-resolves this model: unchecked, the
+        # mixture gives H_1 = 0.093 against the closed-form 0.00094.
+        with pytest.raises(GridResolution):
+            build_mixture(gaussian_model(1e8, 0.5e8), 16)
 
     def test_weights_normalized(self, quartic_model):
         from scipy.special import logsumexp
@@ -118,6 +124,13 @@ class TestEntropyLevels:
         lv = relative_entropy_levels(law, 4)
         total = sum(conditional_entropy_level(lv, k) for k in range(1, 5))
         assert total == pytest.approx(float(lv.levels[4]), abs=1e-14)
+
+    @pytest.mark.parametrize("method", ["exact-grid", "mc-with-exact-density"])
+    def test_supercritical_raises(self, method):
+        # m_* = pi[0] is the wrong limit above J_c: unguarded, H_1 reads 1.565.
+        law = build_mixture(curie_weiss_model(1.0, 1.0, 1.5 * J_CRIT), 64)
+        with pytest.raises(Supercritical):
+            relative_entropy_levels(law, 1, method=method, mc_samples=1000)
 
     def test_exact_grid_cap(self, quartic_model):
         law = build_mixture(quartic_model, 8)

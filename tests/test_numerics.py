@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from chaoslab.errors import GridMismatch, NoSignChange, NonFinite
+from chaoslab.marginals import (build_mixture, marginal_log_density,
+                                marginal_log_density_batch)
 from chaoslab.numerics import (DEFAULT_SPEC, GridDensity, QuadratureSpec,
-                               convolve, find_root, integrate,
-                               log_integrate_exp)
+                               _chunk_rows, convolve, find_root, integrate,
+                               log_integrate_exp, log_laplace)
 from conftest import LOG_QUARTIC_GAUSS, QUARTIC_NORM, TANH_ROOT
 
 
@@ -58,6 +61,61 @@ class TestLogIntegrateExp:
         base = log_integrate_exp(lambda x: -x**2 / 2)
         assert log_integrate_exp(lambda x: -x**2 / 2 + c) == pytest.approx(
             base + c, abs=1e-10)
+
+
+def _dense_log_laplace(ts, nodes, log_weights):
+    return logsumexp(log_weights + np.asarray(ts)[..., None] * nodes, axis=-1)
+
+
+class TestLogLaplace:
+    NODES = np.linspace(-6.0, 6.0, 4097)
+    LOG_WEIGHTS = -NODES**4 / 4 - NODES**2 / 2
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1],
+                             ids=["one-row", "chunk-1", "chunk", "chunk+1"])
+    def test_matches_scipy_across_chunk_boundaries(self, offset):
+        chunk = _chunk_rows(self.NODES.size)
+        rows = 1 if offset is None else chunk + offset
+        ts = np.linspace(-15.0, 15.0, rows)
+        got = log_laplace(ts, self.NODES, self.LOG_WEIGHTS)
+        want = _dense_log_laplace(ts, self.NODES, self.LOG_WEIGHTS)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_shape_is_kept(self):
+        scalar = log_laplace(0.5, self.NODES, self.LOG_WEIGHTS)
+        assert scalar.shape == ()
+        assert float(scalar) == pytest.approx(
+            float(_dense_log_laplace(0.5, self.NODES, self.LOG_WEIGHTS)), rel=1e-14)
+        ts = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        grid = log_laplace(ts, self.NODES, self.LOG_WEIGHTS)
+        assert grid.shape == (3, 4)
+        np.testing.assert_allclose(
+            grid, _dense_log_laplace(ts, self.NODES, self.LOG_WEIGHTS),
+            rtol=1e-14, atol=0.0)
+
+    def test_all_minus_inf_row_gives_minus_inf(self):
+        out = log_laplace(np.array([-1.0, 0.0, 2.0]), self.NODES,
+                          np.full(self.NODES.size, -np.inf))
+        assert np.all(out == -np.inf)
+
+    @pytest.mark.parametrize("level", [-700.0, 700.0])
+    def test_extreme_weights(self, level):
+        ts = np.array([-2.0, 0.0, 3.0])
+        base = log_laplace(ts, self.NODES, self.LOG_WEIGHTS)
+        shifted = log_laplace(ts, self.NODES, self.LOG_WEIGHTS + level)
+        assert np.all(np.isfinite(shifted))
+        np.testing.assert_allclose(shifted, base + level, rtol=1e-14, atol=0.0)
+
+    def test_batch_density_equals_row_by_row(self, quartic_model):
+        law = build_mixture(quartic_model, 16)
+        n = 70_000  # more rows than the old 65536-row chunk
+        pts = np.random.default_rng(5).uniform(-2.5, 2.5, size=(n, 2))
+        batch = marginal_log_density_batch(law, pts)
+        chunk = _chunk_rows(law.z_nodes.size)
+        rows = sorted({0, chunk - 1, chunk, chunk + 1, 65_535, 65_536, n - 1}
+                      | set(range(0, n, 997)))
+        single = [marginal_log_density(law, 2, pts[i]) for i in rows]
+        np.testing.assert_allclose(batch[rows], single, rtol=1e-14, atol=0.0)
 
 
 class TestQuadratureSpec:
