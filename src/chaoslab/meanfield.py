@@ -189,7 +189,11 @@ def magnetization_derivative(model: ModelSpec, h: float,
 
 def critical_coupling(model: ModelSpec,
                       spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """J_c = int exp(-V) / int x^2 exp(-V) = 1 / Var(m_*)."""
+    """J_c = int exp(-V) / int x^2 exp(-V) = 1 / <x^2> under pi[0].
+
+    This is 1 / Var(pi[0]) only when pi[0] has mean zero (an even V); for
+    an asymmetric confinement it is not the critical coupling.
+    """
     mu0 = tilted_measure(model, 0.0, spec)
     return 1.0 / moment(mu0, 2, spec)
 

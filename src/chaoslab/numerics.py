@@ -2,7 +2,9 @@
 
 Adaptive quadrature on the real line with automatic window discovery,
 log-domain integration, the chunked log-Laplace reduction behind every
-field/grid sum, grid-based density convolution and bracketed root finding.
+field/grid sum, grid-based density convolution (one pair, or the mixed
+k-fold self-convolutions of many rows in one spectral pass) and bracketed
+root finding.
 Everything here is pure and reentrant.
 """
 from __future__ import annotations
@@ -10,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as _fft
 from scipy import integrate as _sciint
 from scipy import optimize as _sciopt
-from scipy.signal import fftconvolve
 
-from .errors import GridMismatch, NoSignChange, NonConvergent, NonFinite
+from .errors import GridMismatch, GridResolution, NoSignChange, NonConvergent, NonFinite
 
 __all__ = [
     "QuadratureSpec",
@@ -23,11 +25,14 @@ __all__ = [
     "log_integrate_exp",
     "log_laplace",
     "convolve",
+    "mixed_convolution_powers",
     "find_root",
 ]
 
 # Direct O(n^2) convolution below this output size, FFT above.
 _FFT_THRESHOLD = 1024
+# A grid density whose edge value exceeds this fraction of its peak is cut off.
+_EDGE_FRACTION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -144,7 +149,8 @@ def log_integrate_exp(log_f, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     return shift + float(np.log(value))
 
 
-# Workspace of one log_laplace chunk: about 1 MB of float64 rows.
+# Workspace of one chunk of rows in log_laplace and mixed_convolution_powers:
+# about 1 MB of float64 values.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -237,9 +243,69 @@ def convolve(p: GridDensity, q: GridDensity) -> GridDensity:
     if n_out < _FFT_THRESHOLD:
         raw = np.convolve(p.values, q.values)
     else:
-        raw = fftconvolve(p.values, q.values)
+        n_fft = _fft.next_fast_len(n_out, real=True)
+        raw = _fft.irfft(_fft.rfft(p.values, n_fft) * _fft.rfft(q.values, n_fft),
+                         n_fft)[:n_out]
     vals = np.maximum(raw, 0.0) * p.dx
     return GridDensity(p.lo + q.lo, p.hi + q.hi, n_out, vals)
+
+
+def _row_masses(vals: np.ndarray, dx: float) -> np.ndarray:
+    """Trapezoid mass of each row of ``vals`` (non-negative densities).
+
+    The rows must be C-contiguous: then each row's sum runs in the same order
+    as ``GridDensity``'s on a 1D array.  Raises ``GridResolution`` if a row's
+    edge value exceeds ``_EDGE_FRACTION`` of its peak (the grid then cuts off
+    part of the density), and ``ValueError`` if a row has no mass.
+    """
+    edges = np.maximum(vals[:, 0], vals[:, -1])
+    if np.any(edges > _EDGE_FRACTION * vals.max(axis=1)):
+        raise GridResolution("grid underresolves the density: mass at its edge")
+    mass = np.trapezoid(vals, dx=dx, axis=1)
+    if not np.all(mass > 0.0):
+        raise ValueError("density has zero mass")
+    return mass
+
+
+def mixed_convolution_powers(rows, dx: float, weights, k_max: int) -> list:
+    """p_k = sum_j weights[j] * rho_j^{*k} for k = 1..k_max.
+
+    ``rows`` is a (nodes, n) array of densities rho_j on one uniform grid of
+    spacing ``dx``; rho_j^{*k}, the density of a sum of k independent draws
+    from rho_j, lives on the k-times wider grid with k*(n-1)+1 points and
+    the same spacing.  Every rho_j and rho_j^{*k} is clipped at zero, checked
+    for mass at its grid edge (``GridResolution``) and scaled to unit
+    trapezoid mass before it is mixed; that scaling also absorbs the Riemann
+    factor dx^(k-1) of the convolution sum.
+
+    p_1 is ``weights @ rows`` after scaling, as ``GridDensity`` rows would
+    give it.  For k >= 2 the scaled rows go through the FFT in chunks of
+    ``_chunk_rows(n_fft)`` rows, so the workspace stays near ``_CHUNK_BYTES``
+    whatever the node count: one ``rfft`` per chunk, then per level one
+    ``irfft`` of the spectrum's k-th power.  Each row's own spectrum is
+    raised to the power; nothing is tilted in Fourier space.  Returns the
+    list [p_1, ..., p_kmax].
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    base = np.maximum(np.asarray(rows, dtype=float), 0.0, order="C")
+    base /= _row_masses(base, dx)[:, None]
+    weights = np.asarray(weights, dtype=float)
+    n = base.shape[1]
+    mixed = [weights @ base] + [np.zeros(k * (n - 1) + 1) for k in range(2, k_max + 1)]
+    if k_max == 1:
+        return mixed
+    n_fft = _fft.next_fast_len(k_max * (n - 1) + 1, real=True)
+    step = _chunk_rows(n_fft)
+    for start in range(0, len(base), step):
+        spectrum = _fft.rfft(base[start:start + step], n_fft, axis=-1)
+        power = spectrum.copy()
+        for k in range(2, k_max + 1):
+            power *= spectrum
+            vals = np.maximum(_fft.irfft(power, n_fft, axis=-1)[:, :k * (n - 1) + 1], 0.0)
+            w = weights[start:start + step] / _row_masses(vals, dx)
+            mixed[k - 1] += w @ vals
+    return mixed
 
 
 def find_root(g, bracket, tol: float) -> float:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chaoslab
 from chaoslab.cli import fit_scaling, load_config, main, parse_config, run
 from chaoslab.errors import ConfigError, DegenerateInput
 from conftest import J_CRIT
@@ -166,3 +171,16 @@ class TestMain:
         p.write_text(json.dumps(doc))
         assert main(["--config", str(p)]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "Supercritical"
+
+
+def test_cli_import_leaves_heavy_scipy_modules_out():
+    # scipy.signal (and the scipy.stats it pulls in) cost about 0.8 s of a
+    # fresh `import chaoslab.cli`; nothing in the package needs them.
+    src = str(Path(chaoslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, chaoslab.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

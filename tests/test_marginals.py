@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
-from chaoslab.errors import GridResolution, NonPositiveDefinite, Supercritical
-from chaoslab.marginals import (build_mixture, conditional_entropy_level,
+from chaoslab.errors import (GridResolution, NonPositiveDefinite, RegimeViolation,
+                             Supercritical)
+from chaoslab.marginals import (_node_grid_densities, build_mixture,
+                                conditional_entropy_level,
                                 gaussian_entropy_oracle, marginal_grid_density,
                                 marginal_log_density,
                                 marginal_log_density_batch, marginal_moment,
                                 relative_entropy_levels, sample_marginal,
                                 wasserstein2_marginal)
 from chaoslab.meanfield import tilted_measure
-from chaoslab.model import curie_weiss_model, gaussian_model
+from chaoslab.model import (GeneralPotential, ModelSpec, RankOneInteraction,
+                            curie_weiss_model, gaussian_model)
 from conftest import GAUSS_JOINT_KL, J_CRIT, N2_KL_LIMIT_SAMPLE, W2_N32
 from oracles import brute_marginal_log_density_n2, brute_marginal_log_density_n3
 
@@ -132,6 +136,25 @@ class TestEntropyLevels:
         with pytest.raises(Supercritical):
             relative_entropy_levels(law, 1, method=method, mc_samples=1000)
 
+    @pytest.mark.parametrize("method", ["exact-grid", "mc-with-exact-density"])
+    def test_asymmetric_confinement_raises(self, method):
+        # pi[0] of V = x^4/4 + x^2/2 - x/2 has mean 0.231, so pi[0] is not the
+        # limit: unguarded, H_1 reads 0.0359, 0.0365, 0.0367 at N = 64, 256,
+        # 1024 instead of falling as 1/N^2.
+        v = GeneralPotential(v=lambda x: x**4 / 4 + x**2 / 2 - 0.5 * x,
+                             grad_v=lambda x: x**3 + x - 0.5)
+        law = build_mixture(ModelSpec(v, RankOneInteraction(1.0), lipschitz_minus=1.0), 64)
+        with pytest.raises(RegimeViolation):
+            relative_entropy_levels(law, 1, method=method, mc_samples=1000)
+
+    def test_even_general_potential_matches_quartic(self, quartic_model):
+        v = GeneralPotential(v=lambda x: x**4 / 4 + x**2 / 2, grad_v=lambda x: x**3 + x)
+        general = ModelSpec(v, quartic_model.interaction,
+                            lipschitz_minus=quartic_model.lipschitz_minus)
+        got = relative_entropy_levels(build_mixture(general, 16), 2).levels
+        want = relative_entropy_levels(build_mixture(quartic_model, 16), 2).levels
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
     def test_exact_grid_cap(self, quartic_model):
         law = build_mixture(quartic_model, 8)
         with pytest.raises(ValueError):
@@ -197,6 +220,24 @@ class TestSampling:
         a = sample_marginal(law, 500, seed=3, k=2)
         b = sample_marginal(law, 500, seed=3, k=2)
         assert np.array_equal(a, b)
+
+    def test_draws_match_the_per_node_loop(self, quartic_model):
+        # Every node's CDF is built in one batched pass; the draws must be
+        # those of the per-node construction, bit for bit.
+        law = build_mixture(quartic_model, 8)
+        got = sample_marginal(law, 3000, seed=4, k=3, grid_points=2048)
+
+        rng = np.random.Generator(np.random.Philox(key=4))
+        xs, dens = _node_grid_densities(law, 2048)
+        weights = np.exp(law.z_log_weights)
+        node_idx = rng.choice(len(weights), size=3000, p=weights / weights.sum())
+        want = np.empty((3000, 3))
+        for j in np.unique(node_idx):
+            mask = node_idx == j
+            cdf = cumulative_trapezoid(dens[j], dx=xs[1] - xs[0], initial=0.0)
+            cdf /= cdf[-1]
+            want[mask] = np.interp(rng.random((int(mask.sum()), 3)), cdf, xs)
+        assert np.array_equal(got, want)
 
     def test_moments_match_grid(self, quartic_model):
         law = build_mixture(quartic_model, 16)

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.special import logsumexp
 
-from chaoslab.errors import GridMismatch, NoSignChange, NonFinite
-from chaoslab.marginals import (build_mixture, marginal_log_density,
-                                marginal_log_density_batch)
+from chaoslab import numerics
+from chaoslab.errors import GridMismatch, GridResolution, NoSignChange, NonFinite
+from chaoslab.marginals import (_node_grid_densities, build_mixture,
+                                marginal_log_density, marginal_log_density_batch)
 from chaoslab.numerics import (DEFAULT_SPEC, GridDensity, QuadratureSpec,
                                _chunk_rows, convolve, find_root, integrate,
-                               log_integrate_exp, log_laplace)
+                               log_integrate_exp, log_laplace,
+                               mixed_convolution_powers)
 from conftest import LOG_QUARTIC_GAUSS, QUARTIC_NORM, TANH_ROOT
 
 
@@ -182,6 +185,77 @@ class TestConvolve:
         pq, qp = convolve(p, q), convolve(q, p)
         assert np.allclose(pq.values, qp.values, atol=1e-10)
         assert pq.mean() == pytest.approx(p.mean() + q.mean(), abs=1e-6)
+
+
+def _node_rows(model, n_points=1024):
+    """Node densities of the N = 16 mixture, their spacing and mixing weights."""
+    law = build_mixture(model, 16)
+    xs, dens = _node_grid_densities(law, n_points)
+    lo, hi = float(xs[0]), float(xs[-1])
+    return dens, lo, hi, np.exp(law.z_log_weights)
+
+
+def _repeated_convolve(rows, lo, hi, weights, k_max):
+    """sum_j w_j rho_j^{*k} for k = 1..k_max, one ``convolve`` at a time."""
+    base = [GridDensity(lo, hi, rows.shape[1], r) for r in rows]
+    current, out = base, []
+    for k in range(1, k_max + 1):
+        if k > 1:
+            current = [convolve(p, b) for p, b in zip(current, base)]
+        out.append(weights @ np.stack([p.values for p in current]))
+    return out
+
+
+def _assert_close_to_peak(got, want, tol):
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= tol * w.max()
+
+
+class TestMixedConvolutionPowers:
+    @pytest.mark.parametrize("family", ["gaussian", "quartic"])
+    def test_matches_repeated_convolve(self, family, gauss_model, quartic_model):
+        model = gauss_model if family == "gaussian" else quartic_model
+        rows, lo, hi, weights = _node_rows(model)
+        dx = (hi - lo) / (rows.shape[1] - 1)
+        got = mixed_convolution_powers(rows, dx, weights, 4)
+        want = _repeated_convolve(rows, lo, hi, weights, 4)
+        # Level 1 is the GridDensity mix itself, bit for bit.
+        assert np.array_equal(got[0], want[0])
+        _assert_close_to_peak(got[1:], want[1:], 1e-12)
+
+    @pytest.mark.parametrize("count", ["1", "chunk-1", "chunk", "chunk+1", "257"])
+    def test_row_counts_across_chunk_boundaries(self, count, quartic_model):
+        rows, lo, hi, weights = _node_rows(quartic_model)
+        n = rows.shape[1]
+        chunk = _chunk_rows(next_fast_len(3 * (n - 1) + 1, real=True))
+        assert len(rows) == 257 and chunk + 1 < 257
+        count = {"1": 1, "chunk-1": chunk - 1, "chunk": chunk,
+                 "chunk+1": chunk + 1, "257": 257}[count]
+        rows, weights = rows[:count], weights[:count]
+        got = mixed_convolution_powers(rows, (hi - lo) / (n - 1), weights, 3)
+        _assert_close_to_peak(got, _repeated_convolve(rows, lo, hi, weights, 3), 1e-12)
+
+    def test_chunk_size_does_not_change_the_result(self, quartic_model, monkeypatch):
+        rows, lo, hi, weights = _node_rows(quartic_model)
+        dx = (hi - lo) / (rows.shape[1] - 1)
+        reference = mixed_convolution_powers(rows, dx, weights, 3)
+        for chunk_bytes in (1, 100_000, 1 << 24):
+            monkeypatch.setattr(numerics, "_CHUNK_BYTES", chunk_bytes)
+            got = mixed_convolution_powers(rows, dx, weights, 3)
+            assert np.array_equal(got[0], reference[0])
+            _assert_close_to_peak(got[1:], reference[1:], 1e-14)
+
+    @pytest.mark.parametrize("k_max", [1, 3])
+    def test_row_reaching_the_edge_raises(self, k_max, quartic_model):
+        rows, lo, hi, weights = _node_rows(quartic_model)
+        xs = np.linspace(lo, hi, rows.shape[1])
+        # One row, past the first chunk, with a standard deviation of half
+        # the grid's width: its density is far from negligible at the edges.
+        rows = np.array(rows)
+        rows[200] = np.exp(-0.5 * (xs / (0.5 * (hi - lo))) ** 2)
+        with pytest.raises(GridResolution):
+            mixed_convolution_powers(rows, (hi - lo) / (len(xs) - 1), weights, k_max)
 
 
 class TestFindRoot:
