@@ -38,7 +38,6 @@ class ExperimentConfig:
     k_max: int = 1
     seed: int = 0
     output_dir: str = "."
-    tolerances: dict = field(default_factory=dict)
     chain: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict, repr=False)
 
@@ -71,6 +70,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if model.get("dimension", 1) != 1:
         raise ConfigError("model.dimension",
                           "must be 1: every command computes one-dimensional quantities")
+    if "tolerances" in doc:
+        raise ConfigError("tolerances",
+                          "not supported: the quadrature tolerances are fixed in the library")
     n_grid = tuple(doc.get("n_grid", []))
     if command in ("chaos-scan", "jw", "constants") and not n_grid:
         raise ConfigError("n_grid", "required for this command")
@@ -90,7 +92,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         k_max=k_max,
         seed=int(doc.get("seed", 0)),
         output_dir=str(doc.get("output_dir", ".")),
-        tolerances=dict(doc.get("tolerances", {})),
         chain=dict(chain),
         raw=doc,
     )

@@ -40,6 +40,8 @@ __all__ = [
 
 _LOG_CUT = 45.0
 _MAX_DOUBLINGS = 40
+# Gauss-Legendre nodes of the auxiliary field z.
+_NODE_COUNT = 257
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ class MixtureLaw:
         return np.exp(dens, out=dens).T
 
 
-def build_mixture(model: ModelSpec, N: int, node_count: int = 257) -> MixtureLaw:
+def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
     """Construct the z-mixture for the N-particle Gibbs measure.
 
     Requires a rank-one interaction with J > 0: for J < 0 the Gaussian
@@ -83,7 +85,9 @@ def build_mixture(model: ModelSpec, N: int, node_count: int = 257) -> MixtureLaw
     Gaussian model with sigma = 1e6 (halving moves log Z_1 by 2.1e-9) raises
     although its entropy levels are right to about 2e-9 relative.  That is
     a typed error where a number would have been usable, never a wrong
-    number.
+    number.  log Z_1(0), the normalizer of m_*, is
+    ``tilted_measure(model, 0.0).log_z``: the same grid and kernel, checked
+    at z = 0 on its own window.
     """
     if not model.is_rank_one:
         raise TypeError("mixture representation requires a rank-one interaction")
@@ -92,8 +96,6 @@ def build_mixture(model: ModelSpec, N: int, node_count: int = 257) -> MixtureLaw
         raise ValueError("mixture representation requires J > 0")
     if N < 1:
         raise ValueError("N must be >= 1")
-    if node_count < 32:
-        raise ValueError("need at least 32 auxiliary-field nodes")
     if model.is_gaussian and J >= model.confinement.sigma:
         raise NonConvergent("Gaussian model needs J < sigma for a normalizable mixture")
 
@@ -125,7 +127,7 @@ def build_mixture(model: ModelSpec, N: int, node_count: int = 257) -> MixtureLaw
         zlo, zhi = float(zs[above[0]] - pad), float(zs[above[-1]] + pad)
 
     # Gauss-Legendre nodes on the discovered support.
-    gl_x, gl_w = np.polynomial.legendre.leggauss(node_count)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(_NODE_COUNT)
     z_nodes = 0.5 * (zhi - zlo) * gl_x + 0.5 * (zhi + zlo)
     scale = 0.5 * (zhi - zlo)
 
@@ -135,7 +137,7 @@ def build_mixture(model: ModelSpec, N: int, node_count: int = 257) -> MixtureLaw
     # At t = 0 the Laplace sum is the plain log-sum-exp of ``raw``.
     log_weights = raw - log_laplace(0.0, z_nodes, raw)
 
-    log_z0 = float(LogPartition(model, tilt_window(model, 0.0))(0.0))
+    log_z0 = tilted_measure(model, 0.0).log_z
 
     return MixtureLaw(
         model=model,

@@ -1,6 +1,7 @@
 """One-body fixed-point machinery for rank-one interactions.
 
 Tilted measures pi[h] with density proportional to exp(-V(x) + t x),
+normalized and integrated on the one log-trapezoid behind ``LogPartition``,
 the magnetization map f = p o pi, its derivative, the critical coupling
 and the damped solver for the mean-field fixed point h = f(h).
 """
@@ -12,8 +13,7 @@ import numpy as np
 
 from .errors import GridResolution, NoSignChange, NonConvergent
 from .model import ModelSpec
-from .numerics import (DEFAULT_SPEC, QuadratureSpec, find_root, integrate,
-                       log_integrate_exp, log_laplace)
+from .numerics import find_root, log_laplace
 
 __all__ = [
     "TiltedMeasure",
@@ -76,8 +76,8 @@ def _trapezoid_grid(model: ModelSpec, window):
     return xs, logw - model.potential(xs)
 
 
-def _check_resolution(xs, logw, zs) -> None:
-    """Raise ``GridResolution`` if halving the node count moves log Z_1(zs).
+def _check_resolution(xs, logw, zs):
+    """log Z_1(zs) on the grid; ``GridResolution`` if halving the node count moves it.
 
     The every-other-node trapezoid keeps both end nodes (the node count is
     odd) and doubles the spacing, so its log weights are ``logw[::2]``
@@ -90,6 +90,7 @@ def _check_resolution(xs, logw, zs) -> None:
         raise GridResolution(
             f"log Z_1 trapezoid on [{xs[0]}, {xs[-1]}] changes by {err:.3e} "
             f"when the node count is halved")
+    return full
 
 
 class LogPartition:
@@ -155,47 +156,57 @@ class LogPartition:
         return log_z1 - self._log_z0
 
 
-def tilted_measure(model: ModelSpec, tilt: float,
-                   spec: QuadratureSpec = DEFAULT_SPEC) -> TiltedMeasure:
-    log_z = log_integrate_exp(lambda x: -model.potential(x) + tilt * x, spec)
-    return TiltedMeasure(model, tilt, log_z)
+def tilted_measure(model: ModelSpec, tilt: float) -> TiltedMeasure:
+    """pi[tilt], normalized by the log-trapezoid on ``tilt_window(model, tilt)``.
+
+    log Z comes from the ``_GRID_POINTS``-node grid and ``log_laplace``
+    kernel behind ``LogPartition``.  The halving check runs at ``tilt``:
+    ``GridResolution`` is raised if the every-other-node trapezoid moves
+    log Z by more than ``_RESOLUTION_TOL``.
+    """
+    tilt = float(tilt)
+    xs, logw = _trapezoid_grid(model, tilt_window(model, tilt))
+    log_z = _check_resolution(xs, logw, tilt)
+    return TiltedMeasure(model, tilt, float(log_z))
 
 
-def moment(mu: TiltedMeasure, power: int,
-           spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Return the raw moment of order ``power`` (0 <= power <= 8) of mu."""
+def moment(mu: TiltedMeasure, power: int) -> float:
+    """Return the raw moment of order ``power`` (0 <= power <= 8) of mu.
+
+    The trapezoid sum on the grid that normalized mu:
+    sum_i exp(log w_i + tilt * x_i - log_z) * x_i^power.
+    """
     if not 0 <= power <= 8:
         raise ValueError("power must lie in 0..8")
     if power == 0:
         return 1.0
-    return integrate(lambda x: np.asarray(x) ** power * mu.density(x), spec)
+    xs, logw = _trapezoid_grid(mu.model, tilt_window(mu.model, mu.tilt))
+    weights = np.exp(mu.tilt * xs + logw - mu.log_z)
+    return float(np.sum(weights * xs**power))
 
 
-def magnetization(model: ModelSpec, h: float,
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def magnetization(model: ModelSpec, h: float) -> float:
     """f(h): the mean of pi[h], the tilted measure at tilt J*h."""
-    mu = tilted_measure(model, model.coupling * h, spec)
-    return moment(mu, 1, spec)
+    mu = tilted_measure(model, model.coupling * h)
+    return moment(mu, 1)
 
 
-def magnetization_derivative(model: ModelSpec, h: float,
-                             spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def magnetization_derivative(model: ModelSpec, h: float) -> float:
     """f'(h) = J * Var(pi[h]); strictly positive."""
-    mu = tilted_measure(model, model.coupling * h, spec)
-    m1 = moment(mu, 1, spec)
-    m2 = moment(mu, 2, spec)
+    mu = tilted_measure(model, model.coupling * h)
+    m1 = moment(mu, 1)
+    m2 = moment(mu, 2)
     return model.coupling * (m2 - m1 * m1)
 
 
-def critical_coupling(model: ModelSpec,
-                      spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def critical_coupling(model: ModelSpec) -> float:
     """J_c = int exp(-V) / int x^2 exp(-V) = 1 / <x^2> under pi[0].
 
     This is 1 / Var(pi[0]) only when pi[0] has mean zero (an even V); for
     an asymmetric confinement it is not the critical coupling.
     """
-    mu0 = tilted_measure(model, 0.0, spec)
-    return 1.0 / moment(mu0, 2, spec)
+    mu0 = tilted_measure(model, 0.0)
+    return 1.0 / moment(mu0, 2)
 
 
 @dataclass(frozen=True)
@@ -207,8 +218,7 @@ class FixedPointResult:
 
 
 def solve_fixed_point(model: ModelSpec, tol: float = 1e-10,
-                      h0: float = 0.0, max_iter: int = 200,
-                      spec: QuadratureSpec = DEFAULT_SPEC) -> FixedPointResult:
+                      h0: float = 0.0, max_iter: int = 200) -> FixedPointResult:
     """Solve h = f(h) by damped iteration with a bracketed-root fallback.
 
     Damping factor 0.5; sub-critically f is a global contraction so the
@@ -217,33 +227,32 @@ def solve_fixed_point(model: ModelSpec, tol: float = 1e-10,
     """
     h = float(h0)
     for it in range(1, max_iter + 1):
-        fh = magnetization(model, h, spec)
+        fh = magnetization(model, h)
         residual = h - fh
         if abs(residual) <= tol:
-            return FixedPointResult(h, tilted_measure(model, model.coupling * h, spec),
+            return FixedPointResult(h, tilted_measure(model, model.coupling * h),
                                     it, residual)
         h = 0.5 * h + 0.5 * fh
 
     # Damped iteration stalled: bracket the root of h - f(h) around the
     # last iterate and polish.
-    g = lambda x: x - magnetization(model, x, spec)
+    g = lambda x: x - magnetization(model, x)
     width = max(1.0, abs(h))
     for _ in range(20):
         a, b = h - width, h + width
         try:
             root = find_root(g, (a, b), tol)
             return FixedPointResult(root,
-                                    tilted_measure(model, model.coupling * root, spec),
+                                    tilted_measure(model, model.coupling * root),
                                     max_iter, g(root))
         except NoSignChange:
             width *= 2.0
     raise NonConvergent("fixed-point solver failed to converge or bracket")
 
 
-def pi_map_mean(model: ModelSpec, input_mean: float,
-                spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def pi_map_mean(model: ModelSpec, input_mean: float) -> float:
     """Mean of Pi[m] for any m with the given mean: p(Pi[m]) = f(p(m))."""
-    return magnetization(model, input_mean, spec)
+    return magnetization(model, input_mean)
 
 
 @dataclass(frozen=True)
@@ -255,17 +264,16 @@ class GhsReport:
 
 
 def ghs_concavity_check(model: ModelSpec, h_grid, fd_step: float = 1e-2,
-                        tol: float = 1e-6,
-                        spec: QuadratureSpec = DEFAULT_SPEC) -> GhsReport:
+                        tol: float = 1e-6) -> GhsReport:
     """Scan f'' <= 0 on a grid of positive tilts via second central differences."""
     grid = np.asarray(h_grid, dtype=float)
     if np.any(grid <= fd_step):
         raise ValueError("grid points must exceed the finite-difference step")
     diffs = np.empty_like(grid)
     for i, h in enumerate(grid):
-        fm = magnetization(model, h - fd_step, spec)
-        f0 = magnetization(model, h, spec)
-        fp = magnetization(model, h + fd_step, spec)
+        fm = magnetization(model, h - fd_step)
+        f0 = magnetization(model, h)
+        fp = magnetization(model, h + fd_step)
         diffs[i] = (fp - 2.0 * f0 + fm) / fd_step**2
     worst = float(diffs.max())
     return GhsReport(grid, diffs, worst, worst <= tol)

@@ -8,7 +8,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateSample, NonFinite
-from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate
+from .numerics import integrate
 
 __all__ = [
     "DivergenceEstimate",
@@ -87,8 +87,7 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray,
     return DivergenceEstimate(value, se, "knn")
 
 
-def fisher_information_1d(density_log_grad_p, density_log_grad_q, p_density,
-                          spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def fisher_information_1d(density_log_grad_p, density_log_grad_q, p_density) -> float:
     """int |d/dx log p - d/dx log q|^2 p dx by adaptive quadrature."""
     def integrand(x):
         x = np.asarray(x, dtype=float)
@@ -96,7 +95,7 @@ def fisher_information_1d(density_log_grad_p, density_log_grad_q, p_density,
             - np.asarray(density_log_grad_q(x), dtype=float)
         return gap**2 * np.asarray(p_density(x), dtype=float)
 
-    return integrate(integrand, spec)
+    return integrate(integrand)
 
 
 def wasserstein_1d(quantile_p, quantile_q, order: int = 2,

@@ -19,7 +19,6 @@ from scipy import optimize as _sciopt
 from .errors import GridMismatch, GridResolution, NoSignChange, NonConvergent, NonFinite
 
 __all__ = [
-    "QuadratureSpec",
     "GridDensity",
     "integrate",
     "log_integrate_exp",
@@ -35,62 +34,66 @@ _FFT_THRESHOLD = 1024
 _EDGE_FRACTION = 1e-6
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 60
-    truncation_threshold: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if not 0 < self.truncation_threshold <= 1e-6:
-            raise ValueError("truncation_threshold must lie in (0, 1e-6]")
-
-
-DEFAULT_SPEC = QuadratureSpec()
+# Adaptive quadrature tolerances and window truncation of integrate and
+# log_integrate_exp.
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
+_MAX_SUBDIVISIONS = 60
+_LOG_TRUNCATION = np.log(1e-12)
 
 _MAX_DOUBLINGS = 40
 _SCAN_POINTS = 129
 
 
-def _find_window(f, threshold: float):
-    """Doubling search for a window outside which |f| is negligible.
+def _find_window(log_f):
+    """Doubling search for a window outside which exp(log_f) is negligible.
 
-    Starts from [-1, 1] and doubles until the endpoint magnitude drops
-    below ``threshold`` times the running peak of |f| on the scanned grid.
+    Starts from [-1, 1] and doubles until both endpoint values of ``log_f``
+    drop below its running peak on the scanned grids plus
+    ``_LOG_TRUNCATION``.  Returns (lo, hi, peak).  A ``log_f`` that is -inf
+    on every scanned point (an identically-zero integrand, e.g. a vanishing
+    score gap) ends the search at [-8, 8] with peak -inf.
     """
     lo, hi = -1.0, 1.0
-    peak = 0.0
+    peak = -np.inf
     for _ in range(_MAX_DOUBLINGS):
         xs = np.linspace(lo, hi, _SCAN_POINTS)
-        vals = np.abs(np.asarray(f(xs), dtype=float))
-        if not np.all(np.isfinite(vals)):
+        vals = np.asarray(log_f(xs), dtype=float)
+        if np.any(np.isnan(vals)) or np.any(vals == np.inf):
             raise NonFinite("integrand returned a non-finite value inside the window")
         peak = max(peak, float(vals.max()))
-        if peak > 0.0 and vals[0] <= threshold * peak and vals[-1] <= threshold * peak:
-            return lo, hi
-        if peak == 0.0 and hi >= 8.0:
-            # Identically-zero integrand (e.g. a vanishing score gap).
-            return lo, hi
+        if peak == -np.inf:
+            if hi >= 8.0:
+                return lo, hi, peak
+        elif vals[0] <= peak + _LOG_TRUNCATION and vals[-1] <= peak + _LOG_TRUNCATION:
+            return lo, hi, peak
         lo *= 2.0
         hi *= 2.0
     raise NonConvergent("doubling search did not find a decaying window")
 
 
-def integrate(f, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def _quad(g, lo: float, hi: float) -> float:
+    """Adaptive Gauss-Kronrod quadrature of ``g`` on [lo, hi], error-gated."""
+    value, abserr = _sciint.quad(g, lo, hi, epsabs=_ABS_TOL, epsrel=_REL_TOL,
+                                 limit=_MAX_SUBDIVISIONS)
+    if abserr > 100.0 * max(_ABS_TOL, _REL_TOL * abs(value)):
+        raise NonConvergent(
+            f"quadrature error estimate {abserr:.3e} exceeds tolerance on [{lo}, {hi}]"
+        )
+    return value
+
+
+def integrate(f) -> float:
     """Integrate ``f`` over the real line.
 
-    The effective support is discovered by doubling search; the window
-    integral is then delegated to adaptive Gauss-Kronrod quadrature.
+    The effective support is discovered by doubling search on log|f|; the
+    window integral is then delegated to adaptive Gauss-Kronrod quadrature.
     """
-    def fv(x):
-        return np.asarray(f(np.asarray(x)), dtype=float)
+    def log_abs_f(x):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(np.asarray(f(np.asarray(x)), dtype=float)))
 
-    lo, hi = _find_window(fv, spec.truncation_threshold)
+    lo, hi, _ = _find_window(log_abs_f)
 
     def f_checked(x: float) -> float:
         y = float(f(x))
@@ -98,38 +101,14 @@ def integrate(f, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
             raise NonFinite(f"integrand non-finite at x={x}")
         return y
 
-    value, abserr = _sciint.quad(
-        f_checked, lo, hi,
-        epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-    )
-    if abserr > 100.0 * max(spec.abs_tol, spec.rel_tol * abs(value)):
-        raise NonConvergent(
-            f"quadrature error estimate {abserr:.3e} exceeds tolerance on [{lo}, {hi}]"
-        )
-    return value
+    return _quad(f_checked, lo, hi)
 
 
-def log_integrate_exp(log_f, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def log_integrate_exp(log_f) -> float:
     """Return log of the integral of exp(log_f) with overflow-safe shifting."""
-    log_thresh = np.log(spec.truncation_threshold)
-
-    lo, hi = -1.0, 1.0
-    peak = -np.inf
-    for _ in range(_MAX_DOUBLINGS):
-        xs = np.linspace(lo, hi, _SCAN_POINTS)
-        vals = np.asarray(log_f(xs), dtype=float)
-        if np.any(np.isnan(vals)) or np.any(vals == np.inf):
-            raise NonFinite("log-integrand returned NaN or +inf")
-        peak = max(peak, float(vals.max()))
-        if vals[0] <= peak + log_thresh and vals[-1] <= peak + log_thresh:
-            break
-        lo *= 2.0
-        hi *= 2.0
-    else:
-        raise NonConvergent("doubling search did not find a decaying window")
-
-    shift = peak
+    lo, hi, shift = _find_window(log_f)
+    if shift == -np.inf:
+        raise NonConvergent("log-integrand is -inf on every scanned window")
 
     def g(x: float) -> float:
         v = float(log_f(x))
@@ -137,15 +116,9 @@ def log_integrate_exp(log_f, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
             raise NonFinite(f"log-integrand non-finite at x={x}")
         return float(np.exp(v - shift))
 
-    value, abserr = _sciint.quad(
-        g, lo, hi,
-        epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-    )
+    value = _quad(g, lo, hi)
     if value <= 0.0:
         raise NonConvergent("shifted integral evaluated to a non-positive value")
-    if abserr > 100.0 * max(spec.abs_tol, spec.rel_tol * abs(value)):
-        raise NonConvergent(f"quadrature error estimate {abserr:.3e} too large")
     return shift + float(np.log(value))
 
 

@@ -16,10 +16,10 @@ from .bounds import ConstantsBundle, t1_particle_constant
 from .errors import DivergentIntegral, NoSignChange, NonConvergent
 from .marginals import MixtureLaw, build_mixture, marginal_log_density_batch
 from .meanfield import (LogPartition, TiltedMeasure, critical_coupling, magnetization,
-                        tilt_window, tilted_measure)
+                        moment, tilt_window, tilted_measure)
 from .metrics import fisher_information_1d, quantile_from_density, wasserstein_1d
 from .model import ModelSpec
-from .numerics import DEFAULT_SPEC, QuadratureSpec, find_root, log_integrate_exp
+from .numerics import find_root, log_integrate_exp
 
 __all__ = [
     "ScanReport",
@@ -59,64 +59,57 @@ def _report(grid, lhs, rhs, tol: float = _TOL) -> ScanReport:
     return ScanReport(grid, lhs, rhs, margin, margin >= -tol)
 
 
-def _entropy_between_tilts(model: ModelSpec, mu: TiltedMeasure,
-                           nu: TiltedMeasure,
-                           spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def _entropy_between_tilts(mu: TiltedMeasure, nu: TiltedMeasure) -> float:
     """H(mu | nu) for two tilted measures: exact via means and normalizers."""
-    from .meanfield import moment
-
-    mean = moment(mu, 1, spec)
+    mean = moment(mu, 1)
     return (mu.tilt - nu.tilt) * mean - mu.log_z + nu.log_z
 
 
-def nonlinear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid,
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> ScanReport:
+def nonlinear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> ScanReport:
     """Check 2 rho H(pi[l] | m_*) <= I(pi[l] | Pi[pi[l]]) on a tilt grid.
 
     The score gap between pi[l] and Pi[pi[l]] = pi[f(l)] is the constant
     J(l - f(l)), so the non-linear Fisher information is J^2 (l - f(l))^2.
     """
     J = model.coupling
-    mstar = tilted_measure(model, 0.0, spec)
+    mstar = tilted_measure(model, 0.0)
     grid = np.asarray(tilt_grid, dtype=float)
     lhs = np.empty_like(grid)
     rhs = np.empty_like(grid)
     for i, ell in enumerate(grid):
-        mu = tilted_measure(model, J * ell, spec)
-        lhs[i] = 2.0 * bundle.rho * _entropy_between_tilts(model, mu, mstar, spec)
-        f_ell = magnetization(model, ell, spec)
+        mu = tilted_measure(model, J * ell)
+        lhs[i] = 2.0 * bundle.rho * _entropy_between_tilts(mu, mstar)
+        f_ell = magnetization(model, ell)
         rhs[i] = J**2 * (ell - f_ell) ** 2
     return _report(grid, lhs, rhs)
 
 
-def linear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid,
-                    spec: QuadratureSpec = DEFAULT_SPEC) -> ScanReport:
+def linear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> ScanReport:
     """Check 2 rho0 H(pi[l] | m_*) <= I(pi[l] | m_*).
 
     The Fisher side is quadrature of the squared score gap (not assumed
     constant, although it is for polynomial confinement).
     """
     J = model.coupling
-    mstar = tilted_measure(model, 0.0, spec)
+    mstar = tilted_measure(model, 0.0)
     grid = np.asarray(tilt_grid, dtype=float)
     lhs = np.empty_like(grid)
     rhs = np.empty_like(grid)
     for i, ell in enumerate(grid):
-        mu = tilted_measure(model, J * ell, spec)
-        lhs[i] = 2.0 * bundle.rho0 * _entropy_between_tilts(model, mu, mstar, spec)
+        mu = tilted_measure(model, J * ell)
+        lhs[i] = 2.0 * bundle.rho0 * _entropy_between_tilts(mu, mstar)
         rhs[i] = fisher_information_1d(
             lambda x: -model.grad_potential(x) + mu.tilt,
             lambda x: -model.grad_potential(x),
-            mu.density, spec)
+            mu.density)
     return _report(grid, lhs, rhs)
 
 
-def magnetization_inverse(model: ModelSpec, h: float, tol: float = 1e-12,
-                          spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def magnetization_inverse(model: ModelSpec, h: float, tol: float = 1e-12) -> float:
     """l = f^{-1}(h); f is strictly increasing and odd, so bracket by doubling."""
     if h == 0.0:
         return 0.0
-    g = lambda ell: magnetization(model, ell, spec) - h
+    g = lambda ell: magnetization(model, ell) - h
     width = max(1.0, abs(h))
     for _ in range(40):
         bracket = (0.0, width) if h > 0 else (-width, 0.0)
@@ -128,7 +121,7 @@ def magnetization_inverse(model: ModelSpec, h: float, tol: float = 1e-12,
 
 
 def phi_positivity_scan(model: ModelSpec, eps_override: float | None,
-                        h_grid, spec: QuadratureSpec = DEFAULT_SPEC) -> ScanReport:
+                        h_grid) -> ScanReport:
     """Positivity of the interpolation functional phi on a magnetization grid.
 
     phi(h) = (1-eps) J l h - (1-eps) log Z(J l) - J h^2 + log Z(J h)
@@ -138,28 +131,27 @@ def phi_positivity_scan(model: ModelSpec, eps_override: float | None,
     """
     J = model.coupling
     if eps_override is None:
-        eps = (1.0 - J / critical_coupling(model, spec)) ** 2
+        eps = (1.0 - J / critical_coupling(model)) ** 2
     else:
         eps = eps_override
-    log_z0 = tilted_measure(model, 0.0, spec).log_z
+    log_z0 = tilted_measure(model, 0.0).log_z
     grid = np.asarray(h_grid, dtype=float)
     phi = np.empty_like(grid)
     for i, h in enumerate(grid):
-        ell = magnetization_inverse(model, h, spec=spec)
-        log_z_ell = tilted_measure(model, J * ell, spec).log_z
-        log_z_h = tilted_measure(model, J * h, spec).log_z
+        ell = magnetization_inverse(model, h)
+        log_z_ell = tilted_measure(model, J * ell).log_z
+        log_z_h = tilted_measure(model, J * h).log_z
         phi[i] = ((1.0 - eps) * J * ell * h - (1.0 - eps) * log_z_ell
                   - J * h * h + log_z_h - eps * log_z0)
     return _report(grid, np.zeros_like(grid), phi)
 
 
 def solve_interpolated_fixed_point(model: ModelSpec, alpha: float,
-                                   h0: float, tol: float = 1e-12,
-                                   spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+                                   h0: float, tol: float = 1e-12) -> float:
     """h_* solving h = f(alpha h0 + (1 - alpha) h) by damped iteration."""
     h = h0
     for _ in range(500):
-        fh = magnetization(model, alpha * h0 + (1.0 - alpha) * h, spec)
+        fh = magnetization(model, alpha * h0 + (1.0 - alpha) * h)
         if abs(h - fh) <= tol:
             return h
         h = 0.5 * h + 0.5 * fh
@@ -167,7 +159,7 @@ def solve_interpolated_fixed_point(model: ModelSpec, alpha: float,
 
 
 def psi_positivity_scan(model: ModelSpec, alpha: float, m0_mean: float,
-                        ell_grid, spec: QuadratureSpec = DEFAULT_SPEC) -> ScanReport:
+                        ell_grid) -> ScanReport:
     """Positivity of psi around the interpolated fixed point h_*.
 
     psi(l) = -(J_c/2)(f(l) - f(h_*))^2 + J (l - h_*) f(l)
@@ -176,22 +168,21 @@ def psi_positivity_scan(model: ModelSpec, alpha: float, m0_mean: float,
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     J = model.coupling
-    j_c = critical_coupling(model, spec)
-    h_star = solve_interpolated_fixed_point(model, alpha, m0_mean, spec=spec)
-    f_star = magnetization(model, h_star, spec)
-    log_z_star = tilted_measure(model, J * h_star, spec).log_z
+    j_c = critical_coupling(model)
+    h_star = solve_interpolated_fixed_point(model, alpha, m0_mean)
+    f_star = magnetization(model, h_star)
+    log_z_star = tilted_measure(model, J * h_star).log_z
     grid = np.asarray(ell_grid, dtype=float)
     psi = np.empty_like(grid)
     for i, ell in enumerate(grid):
-        f_ell = magnetization(model, ell, spec)
-        log_z_ell = tilted_measure(model, J * ell, spec).log_z
+        f_ell = magnetization(model, ell)
+        log_z_ell = tilted_measure(model, J * ell).log_z
         psi[i] = (-(j_c / 2.0) * (f_ell - f_star) ** 2
                   + J * (ell - h_star) * f_ell - log_z_ell + log_z_star)
     return _report(grid, np.zeros_like(grid), psi)
 
 
-def jw_log_mgf(model: ModelSpec, N: int,
-               spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def jw_log_mgf(model: ModelSpec, N: int) -> float:
     """log E[exp(J S_N^2 / 2N)] under m_*^{otimes N}, exactly.
 
     Gaussian linearization of the square gives
@@ -210,7 +201,7 @@ def jw_log_mgf(model: ModelSpec, N: int,
     J = model.coupling
     if J <= 0:
         raise ValueError("requires J > 0")
-    j_c = critical_coupling(model, spec)
+    j_c = critical_coupling(model)
     if J >= j_c:
         raise NonConvergent(f"log-MGF diverges for J = {J} >= J_c = {j_c}")
     log_z1 = LogPartition(model)
@@ -224,7 +215,7 @@ def jw_log_mgf(model: ModelSpec, N: int,
         out = -t**2 / 2.0 + N * log_z1.cgf(scale * t)
         return out if out.ndim else float(out)
 
-    return -0.5 * np.log(2.0 * np.pi) + log_integrate_exp(log_f, spec)
+    return -0.5 * np.log(2.0 * np.pi) + log_integrate_exp(log_f)
 
 
 def bolley_villani_moment_check(mu_quantile, rho: float, delta: float,
@@ -264,8 +255,7 @@ def _entropy_against_marginal(model: ModelSpec, mu: TiltedMeasure,
 
 def marginal_t1_ratio_scan(model: ModelSpec, N: int, bundle: ConstantsBundle,
                            tilt_grid, law: MixtureLaw | None = None,
-                           grid_points: int = 8192,
-                           spec: QuadratureSpec = DEFAULT_SPEC) -> ScanReport:
+                           grid_points: int = 8192) -> ScanReport:
     """W_1^2(pi[l], m^{N,1}) <= 64 (1+delta_N)^2 / lambda_N * H(pi[l] | m^{N,1})."""
     from .marginals import marginal_grid_density
 
@@ -281,7 +271,7 @@ def marginal_t1_ratio_scan(model: ModelSpec, N: int, bundle: ConstantsBundle,
     lhs = np.empty_like(grid)
     rhs = np.empty_like(grid)
     for i, ell in enumerate(grid):
-        mu = tilted_measure(model, J * ell, spec)
+        mu = tilted_measure(model, J * ell)
         lo, hi = tilt_window(model, mu.tilt)
         lo, hi = min(lo, m1.lo), max(hi, m1.hi)
         qn = quantile_from_density(mu.density, lo, hi, grid_points)

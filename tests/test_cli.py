@@ -56,6 +56,13 @@ class TestConfigParsing:
         doc["model"]["dimension"] = 1
         assert parse_config(doc).model["dimension"] == 1
 
+    def test_tolerances_block_rejected(self, tmp_path):
+        doc = _cfg(tmp_path)
+        doc["tolerances"] = {"abs_tol": 1e-8}
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.field == "tolerances"
+
     def test_sample_requires_chain_block(self, tmp_path):
         doc = _cfg(tmp_path, command="sample")
         with pytest.raises(ConfigError) as err:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chaoslab import numerics
 from chaoslab.errors import GridResolution
 from chaoslab.meanfield import (LogPartition, critical_coupling,
                                 ghs_concavity_check, magnetization,
@@ -30,6 +31,36 @@ class TestMoments:
         with pytest.raises(ValueError):
             moment(tilted_measure(quartic_model, 0.0), 9)
 
+    @pytest.mark.parametrize("tilt", [0.0, 0.7, -0.7, -3.0, 12.0])
+    @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, 1.0),
+                                       curie_weiss_model(1.0, -1.0, 1.0),
+                                       gaussian_model(0.5, 0.1), gaussian_model(4.0, 0.1)],
+                             ids=["quartic", "double-well", "gauss-0.5", "gauss-4"])
+    def test_matches_adaptive_quadrature(self, model, tilt):
+        log_f = lambda x: -model.potential(x) + tilt * x
+        log_z = numerics.log_integrate_exp(log_f)
+        mu = tilted_measure(model, tilt)
+        assert mu.log_z == pytest.approx(log_z, rel=1e-11)
+        for p in range(1, 9):
+            exact = numerics.integrate(lambda x: np.asarray(x)**p * np.exp(log_f(x) - log_z))
+            # Odd moments vanish at tilt 0: the absolute floor covers them.
+            assert moment(mu, p) == pytest.approx(exact, rel=1e-11, abs=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 4.0])
+    def test_gaussian_closed_form(self, sigma):
+        for z in (-3.0, 0.0, 0.7, 12.0):
+            mu = tilted_measure(gaussian_model(sigma, 0.1), z)
+            exact = (z**2 / (2.0 * sigma) + 0.5 * np.log(2.0 * np.pi / sigma),
+                     z / sigma, 1.0 / sigma + z**2 / sigma**2)
+            got = (mu.log_z, moment(mu, 1), moment(mu, 2))
+            for g, e in zip(got, exact):
+                assert abs(g - e) <= 1e-12 * max(1.0, abs(e))
+
+    def test_underresolved_moment_raises(self):
+        # sd 1e-3 against a node spacing of 4.9e-4 on the window [-1, 1].
+        with pytest.raises(GridResolution):
+            moment(tilted_measure(gaussian_model(1e6, 1.0), 0.0), 2)
+
 
 class TestLogPartition:
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 4.0])
@@ -55,8 +86,8 @@ class TestLogPartition:
     def test_matches_adaptive_quadrature(self, quartic_model):
         kernel = LogPartition(quartic_model)
         for z in (0.0, 0.7, -3.0, 12.0):
-            assert kernel(z) == pytest.approx(tilted_measure(quartic_model, z).log_z,
-                                              abs=1e-10)
+            exact = numerics.log_integrate_exp(lambda x: -quartic_model.potential(x) + z * x)
+            assert kernel(z) == pytest.approx(exact, abs=1e-10)
 
     def test_fixed_window_does_not_grow(self, quartic_model):
         kernel = LogPartition(quartic_model, (-8.0, 8.0))
@@ -88,6 +119,12 @@ class TestMagnetization:
 
     def test_frozen_value(self, quartic_model):
         assert magnetization(quartic_model, 1.0) == pytest.approx(F_AT_1, abs=1e-10)
+
+    def test_underresolved_tilt_raises(self):
+        # The mean is about 17 and the sd 0.034, against a node spacing of
+        # 0.016 on the window [-32, 32].
+        with pytest.raises(GridResolution):
+            magnetization(curie_weiss_model(1.0, 1.0, 1.0), 5000.0)
 
     def test_strictly_increasing(self, quartic_model):
         hs = np.linspace(-2, 2, 9)
@@ -123,6 +160,9 @@ class TestCriticalCoupling:
 
     def test_pure_gaussian_scaled(self):
         assert critical_coupling(gaussian_model(2.5, 0.1)) == pytest.approx(2.5, abs=1e-8)
+
+    def test_narrow_gaussian(self):
+        assert critical_coupling(gaussian_model(1e5, 1.0)) == pytest.approx(1e5, rel=1e-12)
 
     def test_quartic_regression(self, quartic_model):
         assert critical_coupling(quartic_model) == pytest.approx(J_CRIT, abs=1e-9)
