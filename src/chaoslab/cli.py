@@ -72,7 +72,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
                           "must be 1: every command computes one-dimensional quantities")
     if "tolerances" in doc:
         raise ConfigError("tolerances",
-                          "not supported: the quadrature tolerances are fixed in the library")
+                          "not supported: the library has no quadrature tolerance")
     n_grid = tuple(doc.get("n_grid", []))
     if command in ("chaos-scan", "jw", "constants") and not n_grid:
         raise ConfigError("n_grid", "required for this command")
@@ -274,8 +274,7 @@ def run(config: ExperimentConfig) -> dict:
         j_c = critical_coupling(model)
         J = model.coupling
         eps = min(j_c / J - 1.0, 1.0) / 2.0
-        from .meanfield import moment
-        var = moment(tilted_measure(model, 0.0), 2)
+        var = tilted_measure(model, 0.0).second_moment
         for N in config.n_grid:
             lhs = _verify.jw_log_mgf(model, int(N))
             rhs = _bounds.jw_rhs(eps, J, var)

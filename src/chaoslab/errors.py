@@ -13,10 +13,6 @@ class NonFinite(ChaosLabError):
     """A function handle returned NaN or infinity where a finite value is required."""
 
 
-class GridMismatch(ChaosLabError):
-    """Two grid densities do not share a common spacing."""
-
-
 class GridResolution(ChaosLabError):
     """A grid is too coarse to resolve the requested quantity."""
 

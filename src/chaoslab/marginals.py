@@ -19,10 +19,11 @@ import numpy as np
 
 from .errors import (NonConvergent, NonPositiveDefinite, RegimeViolation,
                      Supercritical)
-from .meanfield import (LogPartition, TiltedMeasure, critical_coupling, moment,
-                        tilt_window, tilted_measure)
+from .meanfield import (LogPartition, TiltedMeasure, critical_coupling, tilt_window,
+                        tilted_measure)
 from .model import ModelSpec
-from .numerics import GridDensity, log_laplace, mixed_convolution_powers
+from .numerics import (LOG_CUT, GridDensity, log_laplace, mixed_convolution_powers,
+                       window_search)
 
 __all__ = [
     "MixtureLaw",
@@ -38,8 +39,6 @@ __all__ = [
     "sample_marginal",
 ]
 
-_LOG_CUT = 45.0
-_MAX_DOUBLINGS = 40
 # Gauss-Legendre nodes of the auxiliary field z.
 _NODE_COUNT = 257
 
@@ -81,7 +80,7 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
     log Z_1 at the field nodes comes from one fixed-window ``LogPartition``;
     its every-other-node halving check runs at the first node, z = 0 and the
     last node, and ``GridResolution`` is raised if the trapezoid moves by
-    more than ``meanfield._RESOLUTION_TOL``.  The check is conservative: the
+    more than ``numerics._RESOLUTION_TOL``.  The check is conservative: the
     Gaussian model with sigma = 1e6 (halving moves log Z_1 by 2.1e-9) raises
     although its entropy levels are right to about 2e-9 relative.  That is
     a typed error where a number would have been usable, never a wrong
@@ -106,23 +105,14 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
         logz1 = kernel(zs)
         return -N * zs**2 / (2.0 * J) + N * logz1, logz1, kernel
 
-    # Locate the effective support of the mixing weight by doubling search
-    # from [-1, 1], then shrink with two refinement passes.
-    zlo, zhi = -1.0, 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        zs = np.linspace(zlo, zhi, 801)
-        logw = log_weight_profile(zs)[0]
-        peak = logw.max()
-        if logw[0] < peak - _LOG_CUT and logw[-1] < peak - _LOG_CUT:
-            break
-        zlo *= 2.0
-        zhi *= 2.0
-    else:
-        raise NonConvergent("mixing-weight support search failed")
+    # Locate the effective support of the mixing weight by the doubling
+    # search, then shrink it with three refinement passes.
+    zs = window_search(lambda zs: log_weight_profile(zs)[0])[0]
+    zlo, zhi = float(zs[0]), float(zs[-1])
     for _ in range(3):
         zs = np.linspace(zlo, zhi, 801)
         logw = log_weight_profile(zs)[0]
-        above = np.nonzero(logw >= logw.max() - _LOG_CUT)[0]
+        above = np.nonzero(logw >= logw.max() - LOG_CUT)[0]
         pad = zs[1] - zs[0]
         zlo, zhi = float(zs[above[0]] - pad), float(zs[above[-1]] + pad)
 
@@ -240,8 +230,8 @@ def relative_entropy_levels(law: MixtureLaw, k_max: int,
         raise ValueError("k_max must satisfy 1 <= k_max <= min(N, 8)")
     if not law.model.is_quartic:
         mu0 = tilted_measure(law.model, 0.0)
-        mean = moment(mu0, 1)
-        sd = float(np.sqrt(moment(mu0, 2) - mean * mean))
+        mean = mu0.mean
+        sd = float(np.sqrt(mu0.second_moment - mean * mean))
         if abs(mean) > 1e-10 * sd:
             raise RegimeViolation(
                 f"pi[0] has mean {mean:.3e}: the entropy levels are taken "

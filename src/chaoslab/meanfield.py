@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridResolution, NoSignChange, NonConvergent
+from .errors import NoSignChange, NonConvergent
 from .model import ModelSpec
-from .numerics import find_root, log_laplace
+from .numerics import (find_root, log_laplace, log_trapezoid, trapezoid_log_weights,
+                       window_search)
 
 __all__ = [
     "TiltedMeasure",
@@ -21,7 +22,6 @@ __all__ = [
     "tilt_window",
     "FixedPointResult",
     "tilted_measure",
-    "moment",
     "magnetization",
     "magnetization_derivative",
     "critical_coupling",
@@ -34,11 +34,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TiltedMeasure:
-    """1D measure with density exp(-V(x) + tilt*x - log_z)."""
+    """1D measure with density exp(-V(x) + tilt*x - log_z).
+
+    ``mean`` and ``second_moment`` are its first two raw moments, summed on
+    the grid that normalized it.
+    """
 
     model: ModelSpec
     tilt: float
     log_z: float
+    mean: float
+    second_moment: float
 
     def log_density(self, x):
         x = np.asarray(x, dtype=float)
@@ -48,49 +54,19 @@ class TiltedMeasure:
         return np.exp(self.log_density(x))
 
 
-_LOG_CUT = 45.0
-_MAX_DOUBLINGS = 40
 _GRID_POINTS = 4097
-_RESOLUTION_TOL = 1e-12
 
 
 def tilt_window(model: ModelSpec, tilt: float):
-    """Doubling search for the effective support of exp(-V(x) + tilt*x)."""
-    lo, hi = -1.0, 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        xs = np.linspace(lo, hi, 257)
-        g = -model.potential(xs) + tilt * xs
-        peak = g.max()
-        if g[0] < peak - _LOG_CUT and g[-1] < peak - _LOG_CUT:
-            return lo, hi
-        lo *= 2.0
-        hi *= 2.0
-    raise NonConvergent("tilted density support search failed")
+    """``window_search`` for the effective support of exp(-V(x) + tilt*x)."""
+    xs = window_search(lambda x: -model.potential(x) + tilt * x)[0]
+    return float(xs[0]), float(xs[-1])
 
 
 def _trapezoid_grid(model: ModelSpec, window):
     """Nodes and log(trapezoid weight * exp(-V)) on ``window``."""
     xs = np.linspace(window[0], window[1], _GRID_POINTS)
-    logw = np.full(_GRID_POINTS, np.log(xs[1] - xs[0]))
-    logw[[0, -1]] += np.log(0.5)
-    return xs, logw - model.potential(xs)
-
-
-def _check_resolution(xs, logw, zs):
-    """log Z_1(zs) on the grid; ``GridResolution`` if halving the node count moves it.
-
-    The every-other-node trapezoid keeps both end nodes (the node count is
-    odd) and doubles the spacing, so its log weights are ``logw[::2]``
-    plus log 2.
-    """
-    full = log_laplace(zs, xs, logw)
-    half = log_laplace(zs, xs[::2], logw[::2]) + np.log(2.0)
-    err = float(np.max(np.abs(full - half)))
-    if not err <= _RESOLUTION_TOL:
-        raise GridResolution(
-            f"log Z_1 trapezoid on [{xs[0]}, {xs[-1]}] changes by {err:.3e} "
-            f"when the node count is halved")
-    return full
+    return xs, trapezoid_log_weights(xs) - model.potential(xs)
 
 
 class LogPartition:
@@ -105,7 +81,8 @@ class LogPartition:
     covered range z_max, the window becomes the union of the current one
     and ``tilt_window`` at +-|z|.  Each growth runs the halving check at
     z = 0 and +-z_max and raises ``GridResolution`` if the full and the
-    every-other-node trapezoid differ by more than ``_RESOLUTION_TOL``.
+    every-other-node trapezoid differ by more than
+    ``numerics._RESOLUTION_TOL`` (``numerics.log_trapezoid``).
     """
 
     def __init__(self, model: ModelSpec, window=None):
@@ -124,7 +101,7 @@ class LogPartition:
             wlo, whi = tilt_window(self.model, tilt)
             lo, hi = min(lo, wlo), max(hi, whi)
         xs, logw = _trapezoid_grid(self.model, (lo, hi))
-        _check_resolution(xs, logw, [0.0, -z_max, z_max])
+        log_trapezoid([0.0, -z_max, z_max], xs, logw)
         # Commit only a checked grid, so a failed growth leaves the kernel as
         # it was and the same query raises again.
         self.window, self.z_max = (lo, hi), z_max
@@ -133,7 +110,7 @@ class LogPartition:
 
     def check_resolution(self, zs) -> None:
         """The growth's halving check at ``zs``, on the current grid."""
-        _check_resolution(self.xs, self._logw, zs)
+        log_trapezoid(zs, self.xs, self._logw)
 
     def __call__(self, zs):
         """log Z_1 at each tilt in ``zs`` (any shape), on the current grid."""
@@ -162,41 +139,27 @@ def tilted_measure(model: ModelSpec, tilt: float) -> TiltedMeasure:
     log Z comes from the ``_GRID_POINTS``-node grid and ``log_laplace``
     kernel behind ``LogPartition``.  The halving check runs at ``tilt``:
     ``GridResolution`` is raised if the every-other-node trapezoid moves
-    log Z by more than ``_RESOLUTION_TOL``.
+    log Z by more than ``numerics._RESOLUTION_TOL``.  The mean and second
+    moment are the sums sum_i exp(log w_i + tilt * x_i - log_z) * x_i^p, on
+    the same grid.
     """
     tilt = float(tilt)
     xs, logw = _trapezoid_grid(model, tilt_window(model, tilt))
-    log_z = _check_resolution(xs, logw, tilt)
-    return TiltedMeasure(model, tilt, float(log_z))
-
-
-def moment(mu: TiltedMeasure, power: int) -> float:
-    """Return the raw moment of order ``power`` (0 <= power <= 8) of mu.
-
-    The trapezoid sum on the grid that normalized mu:
-    sum_i exp(log w_i + tilt * x_i - log_z) * x_i^power.
-    """
-    if not 0 <= power <= 8:
-        raise ValueError("power must lie in 0..8")
-    if power == 0:
-        return 1.0
-    xs, logw = _trapezoid_grid(mu.model, tilt_window(mu.model, mu.tilt))
-    weights = np.exp(mu.tilt * xs + logw - mu.log_z)
-    return float(np.sum(weights * xs**power))
+    log_z = float(log_trapezoid(tilt, xs, logw))
+    weights = np.exp(tilt * xs + logw - log_z)
+    return TiltedMeasure(model, tilt, log_z, float(np.sum(weights * xs)),
+                         float(np.sum(weights * xs**2)))
 
 
 def magnetization(model: ModelSpec, h: float) -> float:
     """f(h): the mean of pi[h], the tilted measure at tilt J*h."""
-    mu = tilted_measure(model, model.coupling * h)
-    return moment(mu, 1)
+    return tilted_measure(model, model.coupling * h).mean
 
 
 def magnetization_derivative(model: ModelSpec, h: float) -> float:
     """f'(h) = J * Var(pi[h]); strictly positive."""
     mu = tilted_measure(model, model.coupling * h)
-    m1 = moment(mu, 1)
-    m2 = moment(mu, 2)
-    return model.coupling * (m2 - m1 * m1)
+    return model.coupling * (mu.second_moment - mu.mean * mu.mean)
 
 
 def critical_coupling(model: ModelSpec) -> float:
@@ -205,8 +168,7 @@ def critical_coupling(model: ModelSpec) -> float:
     This is 1 / Var(pi[0]) only when pi[0] has mean zero (an even V); for
     an asymmetric confinement it is not the critical coupling.
     """
-    mu0 = tilted_measure(model, 0.0)
-    return 1.0 / moment(mu0, 2)
+    return 1.0 / tilted_measure(model, 0.0).second_moment
 
 
 @dataclass(frozen=True)

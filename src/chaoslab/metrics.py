@@ -1,4 +1,4 @@
-"""Divergence estimators: relative entropy, Fisher information, 1D transport."""
+"""Divergence estimators: relative entropy and 1D transport."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,13 +8,11 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateSample, NonFinite
-from .numerics import integrate
 
 __all__ = [
     "DivergenceEstimate",
     "kl_plug_in",
     "kl_knn",
-    "fisher_information_1d",
     "wasserstein_1d",
     "quantile_from_density",
 ]
@@ -85,17 +83,6 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray,
         folds.append(estimate(xp[ip], xq[iq]))
     se = float(np.std(folds, ddof=1) / np.sqrt(n_folds))
     return DivergenceEstimate(value, se, "knn")
-
-
-def fisher_information_1d(density_log_grad_p, density_log_grad_q, p_density) -> float:
-    """int |d/dx log p - d/dx log q|^2 p dx by adaptive quadrature."""
-    def integrand(x):
-        x = np.asarray(x, dtype=float)
-        gap = np.asarray(density_log_grad_p(x), dtype=float) \
-            - np.asarray(density_log_grad_q(x), dtype=float)
-        return gap**2 * np.asarray(p_density(x), dtype=float)
-
-    return integrate(integrand)
 
 
 def wasserstein_1d(quantile_p, quantile_q, order: int = 2,

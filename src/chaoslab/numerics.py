@@ -1,10 +1,12 @@
 """Deterministic 1D numerical kernels.
 
-Adaptive quadrature on the real line with automatic window discovery,
-log-domain integration, the chunked log-Laplace reduction behind every
-field/grid sum, grid-based density convolution (one pair, or the mixed
-k-fold self-convolutions of many rows in one spectral pass) and bracketed
-root finding.
+The one doubling window search and the one checked log-trapezoid behind
+every integral of the library, the chunked log-Laplace reduction behind
+every field/grid sum, the mixed k-fold self-convolutions of many density
+rows in one spectral pass, and bracketed root finding.  There is no
+adaptive quadrature: the integrands are analytic and decay fast, so the
+uniform trapezoid converges exponentially, and halving its node count
+checks it.
 Everything here is pure and reentrant.
 """
 from __future__ import annotations
@@ -13,113 +15,78 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as _fft
-from scipy import integrate as _sciint
 from scipy import optimize as _sciopt
 
-from .errors import GridMismatch, GridResolution, NoSignChange, NonConvergent, NonFinite
+from .errors import GridResolution, NoSignChange, NonConvergent
 
 __all__ = [
     "GridDensity",
-    "integrate",
-    "log_integrate_exp",
+    "LOG_CUT",
+    "window_search",
+    "trapezoid_log_weights",
+    "log_trapezoid",
     "log_laplace",
-    "convolve",
     "mixed_convolution_powers",
     "find_root",
 ]
 
-# Direct O(n^2) convolution below this output size, FFT above.
-_FFT_THRESHOLD = 1024
 # A grid density whose edge value exceeds this fraction of its peak is cut off.
 _EDGE_FRACTION = 1e-6
 
-
-# Adaptive quadrature tolerances and window truncation of integrate and
-# log_integrate_exp.
-_ABS_TOL = 1e-12
-_REL_TOL = 1e-10
-_MAX_SUBDIVISIONS = 60
-_LOG_TRUNCATION = np.log(1e-12)
-
+# A window ends where its log-integrand lies LOG_CUT nats below the peak.
+LOG_CUT = 45.0
+_SCAN_POINTS = 257
 _MAX_DOUBLINGS = 40
-_SCAN_POINTS = 129
+# Largest change of a log-trapezoid allowed when its node count is halved.
+_RESOLUTION_TOL = 1e-12
 
 
-def _find_window(log_f):
+def window_search(log_f):
     """Doubling search for a window outside which exp(log_f) is negligible.
 
-    Starts from [-1, 1] and doubles until both endpoint values of ``log_f``
-    drop below its running peak on the scanned grids plus
-    ``_LOG_TRUNCATION``.  Returns (lo, hi, peak).  A ``log_f`` that is -inf
-    on every scanned point (an identically-zero integrand, e.g. a vanishing
-    score gap) ends the search at [-8, 8] with peak -inf.
+    Scans ``log_f`` on ``_SCAN_POINTS`` uniform points over [-1, 1], then
+    [-2, 2], [-4, 4], ..., and stops at the first scan whose two end values
+    both lie more than ``LOG_CUT`` below that scan's peak.  Returns the
+    scan's points and values; raises ``NonConvergent`` after
+    ``_MAX_DOUBLINGS`` doublings.
     """
     lo, hi = -1.0, 1.0
-    peak = -np.inf
     for _ in range(_MAX_DOUBLINGS):
         xs = np.linspace(lo, hi, _SCAN_POINTS)
         vals = np.asarray(log_f(xs), dtype=float)
-        if np.any(np.isnan(vals)) or np.any(vals == np.inf):
-            raise NonFinite("integrand returned a non-finite value inside the window")
-        peak = max(peak, float(vals.max()))
-        if peak == -np.inf:
-            if hi >= 8.0:
-                return lo, hi, peak
-        elif vals[0] <= peak + _LOG_TRUNCATION and vals[-1] <= peak + _LOG_TRUNCATION:
-            return lo, hi, peak
+        cut = vals.max() - LOG_CUT
+        if vals[0] < cut and vals[-1] < cut:
+            return xs, vals
         lo *= 2.0
         hi *= 2.0
     raise NonConvergent("doubling search did not find a decaying window")
 
 
-def _quad(g, lo: float, hi: float) -> float:
-    """Adaptive Gauss-Kronrod quadrature of ``g`` on [lo, hi], error-gated."""
-    value, abserr = _sciint.quad(g, lo, hi, epsabs=_ABS_TOL, epsrel=_REL_TOL,
-                                 limit=_MAX_SUBDIVISIONS)
-    if abserr > 100.0 * max(_ABS_TOL, _REL_TOL * abs(value)):
-        raise NonConvergent(
-            f"quadrature error estimate {abserr:.3e} exceeds tolerance on [{lo}, {hi}]"
-        )
-    return value
+def trapezoid_log_weights(xs) -> np.ndarray:
+    """log of the trapezoid weights on the uniform grid ``xs``."""
+    logw = np.full(xs.size, np.log(xs[1] - xs[0]))
+    logw[[0, -1]] += np.log(0.5)
+    return logw
 
 
-def integrate(f) -> float:
-    """Integrate ``f`` over the real line.
+def log_trapezoid(ts, nodes, log_weights):
+    """``log_laplace(ts, nodes, log_weights)``, checked by halving the node count.
 
-    The effective support is discovered by doubling search on log|f|; the
-    window integral is then delegated to adaptive Gauss-Kronrod quadrature.
+    ``log_weights`` holds the trapezoid log weights on the uniform grid
+    ``nodes`` plus the log-integrand there.  The node count is odd, so the
+    every-other-node trapezoid keeps both end nodes and doubles the
+    spacing: its log weights are ``log_weights[::2]`` plus log 2.  Raises
+    ``GridResolution`` if the two differ by more than ``_RESOLUTION_TOL``
+    at any t.
     """
-    def log_abs_f(x):
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(np.asarray(f(np.asarray(x)), dtype=float)))
-
-    lo, hi, _ = _find_window(log_abs_f)
-
-    def f_checked(x: float) -> float:
-        y = float(f(x))
-        if not np.isfinite(y):
-            raise NonFinite(f"integrand non-finite at x={x}")
-        return y
-
-    return _quad(f_checked, lo, hi)
-
-
-def log_integrate_exp(log_f) -> float:
-    """Return log of the integral of exp(log_f) with overflow-safe shifting."""
-    lo, hi, shift = _find_window(log_f)
-    if shift == -np.inf:
-        raise NonConvergent("log-integrand is -inf on every scanned window")
-
-    def g(x: float) -> float:
-        v = float(log_f(x))
-        if np.isnan(v) or v == np.inf:
-            raise NonFinite(f"log-integrand non-finite at x={x}")
-        return float(np.exp(v - shift))
-
-    value = _quad(g, lo, hi)
-    if value <= 0.0:
-        raise NonConvergent("shifted integral evaluated to a non-positive value")
-    return shift + float(np.log(value))
+    full = log_laplace(ts, nodes, log_weights)
+    half = log_laplace(ts, nodes[::2], log_weights[::2]) + np.log(2.0)
+    err = float(np.max(np.abs(full - half)))
+    if not err <= _RESOLUTION_TOL:
+        raise GridResolution(
+            f"log-trapezoid on [{nodes[0]}, {nodes[-1]}] changes by {err:.3e} "
+            f"when the node count is halved")
+    return full
 
 
 # Workspace of one chunk of rows in log_laplace and mixed_convolution_powers:
@@ -206,21 +173,6 @@ class GridDensity:
     def variance(self) -> float:
         m = self.mean()
         return float(np.trapezoid((self.xs - m) ** 2 * self.values, dx=self.dx))
-
-
-def convolve(p: GridDensity, q: GridDensity) -> GridDensity:
-    """Density of the sum of independent variables with densities p and q."""
-    if abs(p.dx - q.dx) > 1e-12 * max(p.dx, q.dx):
-        raise GridMismatch(f"grid spacings differ: {p.dx} vs {q.dx}")
-    n_out = p.n_points + q.n_points - 1
-    if n_out < _FFT_THRESHOLD:
-        raw = np.convolve(p.values, q.values)
-    else:
-        n_fft = _fft.next_fast_len(n_out, real=True)
-        raw = _fft.irfft(_fft.rfft(p.values, n_fft) * _fft.rfft(q.values, n_fft),
-                         n_fft)[:n_out]
-    vals = np.maximum(raw, 0.0) * p.dx
-    return GridDensity(p.lo + q.lo, p.hi + q.hi, n_out, vals)
 
 
 def _row_masses(vals: np.ndarray, dx: float) -> np.ndarray:

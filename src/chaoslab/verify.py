@@ -16,10 +16,10 @@ from .bounds import ConstantsBundle, t1_particle_constant
 from .errors import DivergentIntegral, NoSignChange, NonConvergent
 from .marginals import MixtureLaw, build_mixture, marginal_log_density_batch
 from .meanfield import (LogPartition, TiltedMeasure, critical_coupling, magnetization,
-                        moment, tilt_window, tilted_measure)
-from .metrics import fisher_information_1d, quantile_from_density, wasserstein_1d
+                        tilt_window, tilted_measure)
+from .metrics import quantile_from_density, wasserstein_1d
 from .model import ModelSpec
-from .numerics import find_root, log_integrate_exp
+from .numerics import find_root, log_trapezoid, trapezoid_log_weights, window_search
 
 __all__ = [
     "ScanReport",
@@ -61,8 +61,7 @@ def _report(grid, lhs, rhs, tol: float = _TOL) -> ScanReport:
 
 def _entropy_between_tilts(mu: TiltedMeasure, nu: TiltedMeasure) -> float:
     """H(mu | nu) for two tilted measures: exact via means and normalizers."""
-    mean = moment(mu, 1)
-    return (mu.tilt - nu.tilt) * mean - mu.log_z + nu.log_z
+    return (mu.tilt - nu.tilt) * mu.mean - mu.log_z + nu.log_z
 
 
 def nonlinear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> ScanReport:
@@ -87,8 +86,8 @@ def nonlinear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> 
 def linear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> ScanReport:
     """Check 2 rho0 H(pi[l] | m_*) <= I(pi[l] | m_*).
 
-    The Fisher side is quadrature of the squared score gap (not assumed
-    constant, although it is for polynomial confinement).
+    The score gap between pi[l] and m_* = pi[0] is the constant J l for
+    every confinement V, so the Fisher side is exactly (J l)^2.
     """
     J = model.coupling
     mstar = tilted_measure(model, 0.0)
@@ -98,10 +97,7 @@ def linear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> Sca
     for i, ell in enumerate(grid):
         mu = tilted_measure(model, J * ell)
         lhs[i] = 2.0 * bundle.rho0 * _entropy_between_tilts(mu, mstar)
-        rhs[i] = fisher_information_1d(
-            lambda x: -model.grad_potential(x) + mu.tilt,
-            lambda x: -model.grad_potential(x),
-            mu.density)
+        rhs[i] = (J * ell) ** 2
     return _report(grid, lhs, rhs)
 
 
@@ -188,15 +184,16 @@ def jw_log_mgf(model: ModelSpec, N: int) -> float:
     Gaussian linearization of the square gives
     log sqrt(N/2 pi J) + log int exp(-N z^2/2J + N (log Z_1(z) - log Z_0)) dz.
 
-    The outer integral over t = z sqrt(N/J) is adaptive quadrature
-    (``log_integrate_exp``, with its window search and error gate).  Each
-    of its nodes takes log Z_1(z) - log Z_0 from one growing
-    ``LogPartition``: a 4097-node log-trapezoid in x, both terms on the
-    same grid.  The x-window starts at the support of exp(-V) and widens to
-    cover the tilts +-|z| whenever a node leaves the covered range; at each
-    widening the trapezoid is compared with its every-other-node version
-    at z = 0 and +-|z|, and ``GridResolution`` is raised if they differ by
-    more than 1e-12.
+    The outer integral over t = z sqrt(N/J) is the log-trapezoid
+    (``numerics.log_trapezoid``) on the final scan of ``window_search`` on
+    the t-integrand, with its halving check.  Each scan point takes
+    log Z_1(z) - log Z_0 from one growing ``LogPartition``: a 4097-node
+    log-trapezoid in x, both terms on the same grid.  The x-window starts
+    at the support of exp(-V) and widens to cover the tilts +-|z| whenever
+    a scan leaves the covered range; at each widening the trapezoid is
+    compared with its every-other-node version at z = 0 and +-|z|.  Either
+    check raises ``GridResolution`` if the two trapezoids differ by more
+    than 1e-12.
     """
     J = model.coupling
     if J <= 0:
@@ -209,13 +206,9 @@ def jw_log_mgf(model: ModelSpec, N: int) -> float:
     # Substitute z = sqrt(J/N) t so the quadratic part is -t^2/2 and the
     # integrand width stays O(1) uniformly in J and N.
     scale = np.sqrt(J / N)
-
-    def log_f(t):
-        t = np.asarray(t, dtype=float)
-        out = -t**2 / 2.0 + N * log_z1.cgf(scale * t)
-        return out if out.ndim else float(out)
-
-    return -0.5 * np.log(2.0 * np.pi) + log_integrate_exp(log_f)
+    ts, log_f = window_search(lambda t: -t**2 / 2.0 + N * log_z1.cgf(scale * t))
+    log_int = log_trapezoid(0.0, ts, trapezoid_log_weights(ts) + log_f)
+    return -0.5 * np.log(2.0 * np.pi) + float(log_int)
 
 
 def bolley_villani_moment_check(mu_quantile, rho: float, delta: float,

@@ -1,13 +1,133 @@
-"""Independent brute-force oracles used by the marginal and verify tests.
+"""Independent brute-force oracles used by the library's tests.
 
-Everything here works from the raw N-particle Gibbs definition by tensor
-quadrature or nested adaptive quadrature, with no reference to the
-mixture representation or the log-partition kernel under test.
+Everything here works from raw definitions: tensor quadrature, adaptive
+Gauss-Kronrod quadrature on the real line (``integrate``,
+``log_integrate_exp``), a pairwise grid-density convolution and the
+relative Fisher information by quadrature, with no reference to the
+mixture representation or the log-trapezoid kernels under test.
 """
 import numpy as np
+from scipy import fft as _fft
+from scipy import integrate as _sciint
 from scipy.integrate import simpson
 
-from chaoslab.numerics import log_integrate_exp
+from chaoslab.errors import NonConvergent, NonFinite
+from chaoslab.numerics import GridDensity
+
+# Adaptive quadrature tolerances and window truncation of integrate and
+# log_integrate_exp.
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
+_MAX_SUBDIVISIONS = 60
+_LOG_TRUNCATION = np.log(1e-12)
+
+_MAX_DOUBLINGS = 40
+_SCAN_POINTS = 129
+
+
+def _find_window(log_f):
+    """Doubling search for a window outside which exp(log_f) is negligible.
+
+    Starts from [-1, 1] and doubles until both endpoint values of ``log_f``
+    drop below its running peak on the scanned grids plus
+    ``_LOG_TRUNCATION``.  Returns (lo, hi, peak).  A ``log_f`` that is -inf
+    on every scanned point (an identically-zero integrand, e.g. a vanishing
+    score gap) ends the search at [-8, 8] with peak -inf.
+    """
+    lo, hi = -1.0, 1.0
+    peak = -np.inf
+    for _ in range(_MAX_DOUBLINGS):
+        xs = np.linspace(lo, hi, _SCAN_POINTS)
+        vals = np.asarray(log_f(xs), dtype=float)
+        if np.any(np.isnan(vals)) or np.any(vals == np.inf):
+            raise NonFinite("integrand returned a non-finite value inside the window")
+        peak = max(peak, float(vals.max()))
+        if peak == -np.inf:
+            if hi >= 8.0:
+                return lo, hi, peak
+        elif vals[0] <= peak + _LOG_TRUNCATION and vals[-1] <= peak + _LOG_TRUNCATION:
+            return lo, hi, peak
+        lo *= 2.0
+        hi *= 2.0
+    raise NonConvergent("doubling search did not find a decaying window")
+
+
+def _quad(g, lo: float, hi: float) -> float:
+    """Adaptive Gauss-Kronrod quadrature of ``g`` on [lo, hi], error-gated."""
+    value, abserr = _sciint.quad(g, lo, hi, epsabs=_ABS_TOL, epsrel=_REL_TOL,
+                                 limit=_MAX_SUBDIVISIONS)
+    if abserr > 100.0 * max(_ABS_TOL, _REL_TOL * abs(value)):
+        raise NonConvergent(
+            f"quadrature error estimate {abserr:.3e} exceeds tolerance on [{lo}, {hi}]"
+        )
+    return value
+
+
+def integrate(f) -> float:
+    """Integrate ``f`` over the real line.
+
+    The effective support is discovered by doubling search on log|f|; the
+    window integral is then delegated to adaptive Gauss-Kronrod quadrature.
+    """
+    def log_abs_f(x):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(np.asarray(f(np.asarray(x)), dtype=float)))
+
+    lo, hi, _ = _find_window(log_abs_f)
+
+    def f_checked(x: float) -> float:
+        y = float(f(x))
+        if not np.isfinite(y):
+            raise NonFinite(f"integrand non-finite at x={x}")
+        return y
+
+    return _quad(f_checked, lo, hi)
+
+
+def log_integrate_exp(log_f) -> float:
+    """Return log of the integral of exp(log_f) with overflow-safe shifting."""
+    lo, hi, shift = _find_window(log_f)
+    if shift == -np.inf:
+        raise NonConvergent("log-integrand is -inf on every scanned window")
+
+    def g(x: float) -> float:
+        v = float(log_f(x))
+        if np.isnan(v) or v == np.inf:
+            raise NonFinite(f"log-integrand non-finite at x={x}")
+        return float(np.exp(v - shift))
+
+    value = _quad(g, lo, hi)
+    if value <= 0.0:
+        raise NonConvergent("shifted integral evaluated to a non-positive value")
+    return shift + float(np.log(value))
+
+
+def fisher_information_1d(density_log_grad_p, density_log_grad_q, p_density) -> float:
+    """int |d/dx log p - d/dx log q|^2 p dx by adaptive quadrature."""
+    def integrand(x):
+        x = np.asarray(x, dtype=float)
+        gap = np.asarray(density_log_grad_p(x), dtype=float) \
+            - np.asarray(density_log_grad_q(x), dtype=float)
+        return gap**2 * np.asarray(p_density(x), dtype=float)
+
+    return integrate(integrand)
+
+
+def convolve(p: GridDensity, q: GridDensity) -> GridDensity:
+    """Density of the sum of independent variables with densities p and q.
+
+    One FFT product per pair: the reference that
+    ``numerics.mixed_convolution_powers`` is checked against.  Raises
+    ``ValueError`` if the two grid spacings differ.
+    """
+    if abs(p.dx - q.dx) > 1e-12 * max(p.dx, q.dx):
+        raise ValueError(f"grid spacings differ: {p.dx} vs {q.dx}")
+    n_out = p.n_points + q.n_points - 1
+    n_fft = _fft.next_fast_len(n_out, real=True)
+    raw = _fft.irfft(_fft.rfft(p.values, n_fft) * _fft.rfft(q.values, n_fft),
+                     n_fft)[:n_out]
+    vals = np.maximum(raw, 0.0) * p.dx
+    return GridDensity(p.lo + q.lo, p.hi + q.hi, n_out, vals)
 
 
 def brute_marginal_log_density_n2(model, points, lo=-8.0, hi=8.0, n=2001):

@@ -20,7 +20,7 @@ from chaoslab.marginals import (build_mixture, conditional_entropy_level,
                                 gaussian_entropy_oracle, marginal_grid_density,
                                 marginal_log_density_batch, marginal_moment,
                                 relative_entropy_levels, sample_marginal)
-from chaoslab.meanfield import moment, tilted_measure
+from chaoslab.meanfield import tilted_measure
 from chaoslab.metrics import kl_knn, quantile_from_density
 from chaoslab.model import curie_weiss_model, gaussian_model
 from chaoslab.sampler import ChainConfig, run_chain
@@ -151,7 +151,7 @@ def test_interaction_log_mgf_bound(quartic_model, gauss_model):
     t0 = time.perf_counter()
     J = quartic_model.coupling
     eps = min(J_CRIT / J - 1.0, 1.0) / 2.0
-    var = moment(tilted_measure(quartic_model, 0.0), 2)
+    var = tilted_measure(quartic_model, 0.0).second_moment
     rhs = jw_rhs(eps, J, var)
     ok = all(jw_log_mgf(quartic_model, n) <= rhs + 1e-9
              for n in (16, 64, 256))

@@ -191,3 +191,15 @@ def test_cli_import_leaves_heavy_scipy_modules_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_numerics_import_leaves_scipy_integrate_out():
+    # The library's integrals are log-trapezoids; adaptive quadrature lives
+    # only in the test oracles.
+    src = str(Path(chaoslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, chaoslab.numerics; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -15,7 +15,8 @@ from chaoslab.meanfield import tilted_measure
 from chaoslab.model import (GeneralPotential, ModelSpec, RankOneInteraction,
                             curie_weiss_model, gaussian_model)
 from conftest import GAUSS_JOINT_KL, J_CRIT, N2_KL_LIMIT_SAMPLE, W2_N32
-from oracles import brute_marginal_log_density_n2, brute_marginal_log_density_n3
+from oracles import (brute_marginal_log_density_n2, brute_marginal_log_density_n3,
+                     integrate)
 
 
 class TestBuildMixture:
@@ -24,7 +25,6 @@ class TestBuildMixture:
             build_mixture(curie_weiss_model(1.0, 1.0, -0.5), 4)
 
     def test_n1_density_matches_direct(self, quartic_model):
-        from chaoslab.numerics import integrate
         law = build_mixture(quartic_model, 1)
         J = quartic_model.coupling
         z = integrate(lambda x: np.exp(-quartic_model.potential(x) + J * x**2 / 2))

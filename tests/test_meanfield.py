@@ -1,35 +1,29 @@
 import numpy as np
 import pytest
 
-from chaoslab import numerics
 from chaoslab.errors import GridResolution
 from chaoslab.meanfield import (LogPartition, critical_coupling,
                                 ghs_concavity_check, magnetization,
-                                magnetization_derivative, moment, pi_map_mean,
+                                magnetization_derivative, pi_map_mean,
                                 solve_fixed_point, tilted_measure)
-from chaoslab.model import curie_weiss_model, gaussian_model
+from chaoslab.model import (GeneralPotential, ModelSpec, RankOneInteraction,
+                            curie_weiss_model, gaussian_model)
 from conftest import F_AT_1, H_STAR_SUPER, J_CRIT, X2_MOMENT
+from oracles import integrate, log_integrate_exp
 
 
 class TestMoments:
-    def test_zeroth_moment(self, quartic_model):
-        assert moment(tilted_measure(quartic_model, 0.0), 0) == 1.0
-
     def test_odd_moment_vanishes(self, quartic_model):
-        assert abs(moment(tilted_measure(quartic_model, 0.0), 1)) < 1e-10
+        assert abs(tilted_measure(quartic_model, 0.0).mean) < 1e-10
 
     def test_second_moment_regression(self, quartic_model):
-        assert moment(tilted_measure(quartic_model, 0.0), 2) == pytest.approx(
+        assert tilted_measure(quartic_model, 0.0).second_moment == pytest.approx(
             X2_MOMENT, abs=1e-10)
 
     def test_variance_positive(self, quartic_model, rng):
         for t in rng.uniform(-3, 3, size=5):
             mu = tilted_measure(quartic_model, t)
-            assert moment(mu, 2) - moment(mu, 1) ** 2 > 0
-
-    def test_power_range(self, quartic_model):
-        with pytest.raises(ValueError):
-            moment(tilted_measure(quartic_model, 0.0), 9)
+            assert mu.second_moment - mu.mean ** 2 > 0
 
     @pytest.mark.parametrize("tilt", [0.0, 0.7, -0.7, -3.0, 12.0])
     @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, 1.0),
@@ -38,13 +32,13 @@ class TestMoments:
                              ids=["quartic", "double-well", "gauss-0.5", "gauss-4"])
     def test_matches_adaptive_quadrature(self, model, tilt):
         log_f = lambda x: -model.potential(x) + tilt * x
-        log_z = numerics.log_integrate_exp(log_f)
+        log_z = log_integrate_exp(log_f)
         mu = tilted_measure(model, tilt)
         assert mu.log_z == pytest.approx(log_z, rel=1e-11)
-        for p in range(1, 9):
-            exact = numerics.integrate(lambda x: np.asarray(x)**p * np.exp(log_f(x) - log_z))
-            # Odd moments vanish at tilt 0: the absolute floor covers them.
-            assert moment(mu, p) == pytest.approx(exact, rel=1e-11, abs=1e-12)
+        for p, got in ((1, mu.mean), (2, mu.second_moment)):
+            exact = integrate(lambda x: np.asarray(x)**p * np.exp(log_f(x) - log_z))
+            # The mean vanishes at tilt 0: the absolute floor covers it.
+            assert got == pytest.approx(exact, rel=1e-11, abs=1e-12)
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 4.0])
     def test_gaussian_closed_form(self, sigma):
@@ -52,14 +46,14 @@ class TestMoments:
             mu = tilted_measure(gaussian_model(sigma, 0.1), z)
             exact = (z**2 / (2.0 * sigma) + 0.5 * np.log(2.0 * np.pi / sigma),
                      z / sigma, 1.0 / sigma + z**2 / sigma**2)
-            got = (mu.log_z, moment(mu, 1), moment(mu, 2))
+            got = (mu.log_z, mu.mean, mu.second_moment)
             for g, e in zip(got, exact):
                 assert abs(g - e) <= 1e-12 * max(1.0, abs(e))
 
     def test_underresolved_moment_raises(self):
         # sd 1e-3 against a node spacing of 4.9e-4 on the window [-1, 1].
         with pytest.raises(GridResolution):
-            moment(tilted_measure(gaussian_model(1e6, 1.0), 0.0), 2)
+            tilted_measure(gaussian_model(1e6, 1.0), 0.0)
 
 
 class TestLogPartition:
@@ -86,7 +80,7 @@ class TestLogPartition:
     def test_matches_adaptive_quadrature(self, quartic_model):
         kernel = LogPartition(quartic_model)
         for z in (0.0, 0.7, -3.0, 12.0):
-            exact = numerics.log_integrate_exp(lambda x: -quartic_model.potential(x) + z * x)
+            exact = log_integrate_exp(lambda x: -quartic_model.potential(x) + z * x)
             assert kernel(z) == pytest.approx(exact, abs=1e-10)
 
     def test_fixed_window_does_not_grow(self, quartic_model):
@@ -147,6 +141,21 @@ class TestMagnetizationDerivative:
     def test_positive_on_grid(self, quartic_model):
         for h in np.linspace(-5, 5, 11):
             assert magnetization_derivative(quartic_model, h) > 0
+
+    def test_one_grid_per_tilt(self):
+        # V is evaluated on the window search's 257-point scans and on one
+        # 4097-node grid, from which log Z, the mean and the variance all come.
+        sizes = []
+
+        def v(x):
+            sizes.append(np.size(x))
+            return x**4 / 4 + x**2 / 2
+
+        model = ModelSpec(GeneralPotential(v=v, grad_v=lambda x: x**3 + x),
+                          RankOneInteraction(0.5 * J_CRIT))
+        magnetization_derivative(model, 0.7)
+        assert sizes[-1] == 4097
+        assert sizes[:-1] and set(sizes[:-1]) == {257}
 
     def test_maximal_at_zero(self, quartic_model):
         f0 = magnetization_derivative(quartic_model, 0.0)

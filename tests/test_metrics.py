@@ -4,9 +4,9 @@ import pytest
 from chaoslab.errors import DegenerateSample, NonFinite
 from chaoslab.marginals import build_mixture, marginal_log_density_batch, relative_entropy_levels, sample_marginal
 from chaoslab.meanfield import tilted_measure
-from chaoslab.metrics import (DivergenceEstimate, fisher_information_1d,
-                              kl_knn, kl_plug_in, quantile_from_density,
-                              wasserstein_1d)
+from chaoslab.metrics import (DivergenceEstimate, kl_knn, kl_plug_in,
+                              quantile_from_density, wasserstein_1d)
+from oracles import fisher_information_1d
 
 
 def _gauss_log(mu):
@@ -80,6 +80,7 @@ class TestKlKnn:
             kl_knn(rng.normal(size=(10, 1)), rng.normal(size=(2000, 1)))
 
 
+# Self-tests of the Fisher-information oracle in ``oracles``.
 class TestFisherInformation:
     def test_identical(self):
         p = lambda x: np.exp(-np.asarray(x) ** 2 / 2) / np.sqrt(2 * np.pi)

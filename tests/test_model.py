@@ -65,7 +65,7 @@ class TestReducedKernelForce:
         assert reduced_kernel_force(m, lambda x: 0.0, 0.1, 3.0) == pytest.approx(-6.0)
 
     def test_general_kernel_vs_quadrature(self):
-        from chaoslab.numerics import integrate
+        from oracles import integrate
         kern = GeneralKernel(w=lambda x, y: np.cos(x) * np.sin(y),
                              grad1_w=lambda x, y: -np.sin(x) * np.sin(y),
                              symmetric=False)

@@ -3,7 +3,7 @@ import pytest
 
 from chaoslab.bounds import curie_weiss_constants, jw_rhs
 from chaoslab.errors import DivergentIntegral
-from chaoslab.meanfield import critical_coupling, magnetization, moment, tilted_measure
+from chaoslab.meanfield import critical_coupling, magnetization, tilted_measure
 from chaoslab.metrics import quantile_from_density
 from chaoslab.model import curie_weiss_model, gaussian_model
 from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf,
@@ -11,7 +11,7 @@ from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf,
                              marginal_t1_ratio_scan, nonlinear_lsi_scan,
                              phi_positivity_scan, psi_positivity_scan)
 from conftest import J_CRIT
-from oracles import nested_quad_jw_log_mgf
+from oracles import fisher_information_1d, nested_quad_jw_log_mgf
 
 GRID = np.concatenate([-np.geomspace(0.01, 5.0, 6)[::-1],
                        np.geomspace(0.01, 5.0, 6)])
@@ -48,6 +48,20 @@ class TestLinearLsi:
 
     def test_quartic_passes(self, quartic_model, bundle128):
         assert linear_lsi_scan(quartic_model, bundle128, GRID).passed
+
+    @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
+                                       curie_weiss_model(1.0, -1.0, 1.0),
+                                       gaussian_model(1.0, 0.5)],
+                             ids=["quartic", "double-well", "gaussian"])
+    def test_fisher_side_matches_quadrature(self, model):
+        b = type("B", (), {"rho0": 1.0})
+        rep = linear_lsi_scan(model, b, GRID)
+        for ell, rhs in zip(GRID, rep.rhs):
+            mu = tilted_measure(model, model.coupling * ell)
+            exact = fisher_information_1d(
+                lambda x: -model.grad_potential(x) + mu.tilt,
+                lambda x: -model.grad_potential(x), mu.density)
+            assert rhs == pytest.approx(exact, rel=1e-12)
 
 
 class TestMagnetizationInverse:
@@ -107,14 +121,14 @@ class TestJwLogMgf:
         assert jw_log_mgf(quartic_model, 64) == pytest.approx(
             0.34547721192367986, abs=1e-9)
 
-    @pytest.mark.parametrize("frac", [0.5, 0.9])
+    @pytest.mark.parametrize("frac", [0.5, 0.9, 0.99])
     @pytest.mark.parametrize("n", [16, 1024])
     def test_matches_nested_quadrature_oracle(self, frac, n):
         m = curie_weiss_model(1.0, 1.0, frac * J_CRIT)
         assert jw_log_mgf(m, n) == pytest.approx(nested_quad_jw_log_mgf(m, n),
                                                  abs=1e-11)
 
-    @pytest.mark.parametrize("n", [16, 1024])
+    @pytest.mark.parametrize("n", [16, 1024, 65536])
     def test_gaussian_closed_form_tight(self, gauss_model, n):
         assert jw_log_mgf(gauss_model, n) == pytest.approx(
             -0.5 * np.log(1 - 0.5), abs=1e-12)
@@ -129,7 +143,7 @@ class TestJwLogMgf:
     def test_bound_holds(self, quartic_model):
         J = quartic_model.coupling
         eps = min(J_CRIT / J - 1.0, 1.0) / 2.0
-        var = moment(tilted_measure(quartic_model, 0.0), 2)
+        var = tilted_measure(quartic_model, 0.0).second_moment
         assert jw_log_mgf(quartic_model, 64) <= jw_rhs(eps, J, var) + 1e-9
 
 
