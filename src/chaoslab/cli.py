@@ -240,6 +240,26 @@ def _run_verify(cfg: ExperimentConfig, outdir: Path) -> dict:
         k: v["passed"] for k, v in payload.items()}}
 
 
+_CHAIN_FIELDS = (("n_particles", int), ("step_size", float), ("n_steps", int),
+                 ("burn_in", int), ("thinning", int), ("algorithm", str))
+
+
+def _chain_config(config: ExperimentConfig) -> ChainConfig:
+    """The ``chain`` block and the seed as a ChainConfig; a bad value is a ConfigError."""
+    kwargs = {}
+    for name, cast in _CHAIN_FIELDS:
+        if name in config.chain:
+            try:
+                kwargs[name] = cast(config.chain[name])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"chain.{name}", str(exc)) from exc
+    try:
+        return ChainConfig(seed=config.seed, **kwargs)
+    except ValueError as exc:
+        name = str(exc).split()[0]
+        raise ConfigError(name if name == "seed" else f"chain.{name}", str(exc)) from exc
+
+
 def run(config: ExperimentConfig) -> dict:
     """Execute the configured pipeline; returns a machine-readable summary."""
     outdir = Path(config.output_dir)
@@ -286,15 +306,7 @@ def run(config: ExperimentConfig) -> dict:
         return {"command": "jw", "passed": bool(all_pass)}
 
     if config.command == "sample":
-        chain = ChainConfig(
-            n_particles=int(config.chain["n_particles"]),
-            step_size=float(config.chain["step_size"]),
-            n_steps=int(config.chain["n_steps"]),
-            burn_in=int(config.chain.get("burn_in", 0)),
-            thinning=int(config.chain.get("thinning", 1)),
-            seed=config.seed,
-            algorithm=str(config.chain.get("algorithm", "mala")),
-        )
+        chain = _chain_config(config)
         batch = run_chain(model, chain)
         save_batch(batch, chain, outdir / "samples.bin")
         return {"command": "sample", "passed": True,

@@ -40,13 +40,16 @@ class QuarticConfinement:
         if self.theta == 0 and self.sigma <= 0:
             raise ValueError("theta = 0 requires sigma > 0 (Gaussian oracle model)")
 
+    # Horner forms in x2 = x*x: no libm pow, and with theta = 0 they are
+    # bitwise sigma/2 x^2 and sigma x.
     def v(self, x):
         x = np.asarray(x, dtype=float)
-        return self.theta / 4.0 * x**4 + self.sigma / 2.0 * x**2
+        x2 = x * x
+        return x2 * (self.theta / 4.0 * x2 + self.sigma / 2.0)
 
     def grad_v(self, x):
         x = np.asarray(x, dtype=float)
-        return self.theta * x**3 + self.sigma * x
+        return x * (self.theta * (x * x) + self.sigma)
 
 
 @dataclass(frozen=True)

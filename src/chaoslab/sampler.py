@@ -3,10 +3,17 @@
 MALA is the default (exact stationary law via the Metropolis correction);
 ULA is opt-in with the usual O(step_size) bias.  RNG is numpy's Philox
 counter-based generator so seeds are portable and streams splittable.
+
+The order of draws is part of what a seed reproduces.  A chain takes one
+``normal(size=N)`` for its initial state; then each step takes one
+``normal(size=N)`` for the proposal's noise and, only for a MALA proposal
+whose log-density and gradient are finite, one ``random()`` for the
+accept/reject test.  ULA takes no ``random()``.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,16 +49,25 @@ class ChainConfig:
     energy_ceiling: float = 1e10
 
     def __post_init__(self) -> None:
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if not 0 <= self.burn_in < self.n_steps:
-            raise ValueError("need 0 <= burn_in < n_steps")
-        if self.thinning < 1:
-            raise ValueError("thinning must be >= 1")
-        if self.algorithm not in ("mala", "ula"):
-            raise ValueError("algorithm must be 'mala' or 'ula'")
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
+        # Each message starts with the offending field's name, which
+        # cli.run reports as the config path.
+        checks = (
+            ("n_particles", self.n_particles >= 1, "must be >= 1"),
+            ("step_size", math.isfinite(self.step_size) and self.step_size > 0,
+             "must be positive and finite"),
+            ("burn_in", 0 <= self.burn_in < self.n_steps,
+             "must satisfy 0 <= burn_in < n_steps"),
+            ("thinning", self.thinning >= 1, "must be >= 1"),
+            ("seed", self.seed >= 0, "must be non-negative"),
+            ("algorithm", self.algorithm in ("mala", "ula"),
+             "must be 'mala' or 'ula'"),
+            ("energy_ceiling",
+             math.isfinite(self.energy_ceiling) and self.energy_ceiling > 0,
+             "must be positive and finite"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise ValueError(f"{name} {rule}")
 
     @property
     def n_kept(self) -> int:
@@ -67,66 +83,90 @@ class SampleBatch:
 
 
 def _log_target_and_grad(model: ModelSpec, x: np.ndarray):
-    """Gibbs exponent -sum V - (1/2N) sum W and its gradient, vectorized."""
+    """Gibbs exponent -sum V - (1/2N) sum W and its gradient, vectorized.
+
+    The exponent is a Python float and the gradient a fresh array: the
+    array ``grad_potential`` returns is never written to, because a general
+    handle may return its argument or an array it keeps.
+    """
     n = x.size
     v = model.potential(x)
     gv = model.grad_potential(x)
     if model.is_rank_one:
-        s = x.sum()
-        logp = -v.sum() + model.coupling * s * s / (2.0 * n)
-        grad = -gv + model.coupling * s / n
+        j = model.coupling
+        s = float(np.add.reduce(x))
+        logp = -float(np.add.reduce(v)) + j * s * s / (2.0 * n)
+        grad = j * s / n - gv
     else:
         wmat = model.kernel(x[:, None], x[None, :])
-        logp = -v.sum() - wmat.sum() / (2.0 * n)
-        grad = -gv - model.kernel_force(x[:, None], x[None, :]).sum(axis=1) / n
+        logp = (-float(np.add.reduce(v))
+                - float(np.add.reduce(wmat, axis=None)) / (2.0 * n))
+        grad = np.add.reduce(model.kernel_force(x[:, None], x[None, :]), axis=1) / n
+        grad += gv
+        np.negative(grad, out=grad)
     return logp, grad
 
 
 def run_chain(model: ModelSpec, cfg: ChainConfig) -> SampleBatch:
-    """Sample m^N_* with MALA (exact) or ULA (biased, documented)."""
+    """Sample m^N_* with MALA (exact) or ULA (biased, documented).
+
+    The state x carries the mean x + eps grad(x) of its Langevin proposal,
+    so a step evaluates the target once, at the proposal y.
+    """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    normal, uniform = rng.normal, rng.random
     n = cfg.n_particles
     eps = cfg.step_size
-    x = rng.normal(size=n) * 0.1
+    x = normal(size=n) * 0.1
 
     logp, grad = _log_target_and_grad(model, x)
-    if not np.isfinite(logp) or not np.all(np.isfinite(grad)):
+    if not (math.isfinite(logp) and np.isfinite(grad).all()):
         raise NonFinite("non-finite target at the initial state")
+    mean = x + eps * grad
 
     draws = np.empty((cfg.n_kept, n))
     kept = 0
+    next_kept = cfg.burn_in
     accepted = 0
-    proposed = 0
     mala = cfg.algorithm == "mala"
-    sqrt2e = np.sqrt(2.0 * eps)
+    sqrt2e = math.sqrt(2.0 * eps)
 
     for step in range(cfg.n_steps):
-        xi = rng.normal(size=n)
-        y = x + eps * grad + sqrt2e * xi
+        xi = normal(size=n)
+        half_xi2 = 0.5 * float(xi.dot(xi))
+        xi *= sqrt2e
+        y = mean + xi
         logp_y, grad_y = _log_target_and_grad(model, y)
+        mean_y = eps * grad_y
+        mean_y += y
         if mala:
-            proposed += 1
-            if np.isfinite(logp_y) and np.all(np.isfinite(grad_y)):
-                # log q(x | y) - log q(y | x) for the Langevin proposal.
-                fwd = y - x - eps * grad
-                bwd = x - y - eps * grad_y
-                log_alpha = (logp_y - logp
-                             + (fwd @ fwd - bwd @ bwd) / (4.0 * eps))
-                if np.log(rng.random()) < log_alpha:
-                    x, logp, grad = y, logp_y, grad_y
+            # log q(x | y) - log q(y | x) for the Langevin proposal.  The
+            # forward residual y - mean is sqrt(2 eps) xi; the backward one
+            # is x - mean_y.  A finite |x - mean_y|^2 implies a finite
+            # gradient at y, so the element-wise test runs only after it
+            # overflows.
+            bwd = np.subtract(x, mean_y, out=xi)
+            bwd2 = float(bwd.dot(bwd))
+            if math.isfinite(logp_y) and (math.isfinite(bwd2)
+                                          or np.isfinite(grad_y).all()):
+                log_alpha = logp_y - logp + half_xi2 - bwd2 / (4.0 * eps)
+                u = uniform()  # in [0, 1): math.log(0.0) would raise
+                if (math.log(u) if u > 0.0 else -math.inf) < log_alpha:
+                    x, mean, logp = y, mean_y, logp_y
                     accepted += 1
+        elif math.isfinite(logp_y) and np.isfinite(grad_y).all():
+            x, mean, logp = y, mean_y, logp_y
         else:
-            if not np.isfinite(logp_y) or not np.all(np.isfinite(grad_y)):
-                raise NonFinite(f"ULA left the finite-energy region at step {step}")
-            x, logp, grad = y, logp_y, grad_y
+            raise NonFinite(f"ULA left the finite-energy region at step {step}")
         if -logp > cfg.energy_ceiling:
             raise DivergentChain(f"energy {-logp:.3e} exceeded ceiling at step {step}")
-        if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thinning == 0:
+        if step == next_kept and kept < cfg.n_kept:
             draws[kept] = x
             kept += 1
+            next_kept += cfg.thinning
 
-    rate = accepted / proposed if mala else None
-    return SampleBatch(draws=draws[:kept], acceptance_rate=rate,
+    rate = accepted / cfg.n_steps if mala else None
+    return SampleBatch(draws=draws, acceptance_rate=rate,
                        seed=cfg.seed, model_fingerprint=model.fingerprint())
 
 

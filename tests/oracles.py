@@ -4,15 +4,18 @@ Everything here works from raw definitions: tensor quadrature, adaptive
 Gauss-Kronrod quadrature on the real line (``integrate``,
 ``log_integrate_exp``), a pairwise grid-density convolution and the
 relative Fisher information by quadrature, with no reference to the
-mixture representation or the log-trapezoid kernels under test.
+mixture representation or the log-trapezoid kernels under test; and the
+Langevin chain loop as first written, one step at a time with nothing
+cached between steps.
 """
 import numpy as np
 from scipy import fft as _fft
 from scipy import integrate as _sciint
 from scipy.integrate import simpson
 
-from chaoslab.errors import NonConvergent, NonFinite
+from chaoslab.errors import DivergentChain, NonConvergent, NonFinite
 from chaoslab.numerics import GridDensity
+from chaoslab.sampler import SampleBatch
 
 # Adaptive quadrature tolerances and window truncation of integrate and
 # log_integrate_exp.
@@ -207,3 +210,71 @@ def nested_quad_jw_log_mgf(model, N):
         return out if np.ndim(t) else float(out[0])
 
     return -0.5 * np.log(2.0 * np.pi) + log_integrate_exp(log_f)
+
+
+def _reference_log_target_and_grad(model, x):
+    """Gibbs exponent -sum V - (1/2N) sum W and its gradient, vectorized."""
+    n = x.size
+    v = model.potential(x)
+    gv = model.grad_potential(x)
+    if model.is_rank_one:
+        s = x.sum()
+        logp = -v.sum() + model.coupling * s * s / (2.0 * n)
+        grad = -gv + model.coupling * s / n
+    else:
+        wmat = model.kernel(x[:, None], x[None, :])
+        logp = -v.sum() - wmat.sum() / (2.0 * n)
+        grad = -gv - model.kernel_force(x[:, None], x[None, :]).sum(axis=1) / n
+    return logp, grad
+
+
+def reference_run_chain(model, cfg):
+    """The MALA/ULA loop as first written: the reference for ``run_chain``.
+
+    It recomputes eps * grad and the forward residual every step, and asks
+    the generator for the same draws in the same order as ``run_chain``.
+    """
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    n = cfg.n_particles
+    eps = cfg.step_size
+    x = rng.normal(size=n) * 0.1
+
+    logp, grad = _reference_log_target_and_grad(model, x)
+    if not np.isfinite(logp) or not np.all(np.isfinite(grad)):
+        raise NonFinite("non-finite target at the initial state")
+
+    draws = np.empty((cfg.n_kept, n))
+    kept = 0
+    accepted = 0
+    proposed = 0
+    mala = cfg.algorithm == "mala"
+    sqrt2e = np.sqrt(2.0 * eps)
+
+    for step in range(cfg.n_steps):
+        xi = rng.normal(size=n)
+        y = x + eps * grad + sqrt2e * xi
+        logp_y, grad_y = _reference_log_target_and_grad(model, y)
+        if mala:
+            proposed += 1
+            if np.isfinite(logp_y) and np.all(np.isfinite(grad_y)):
+                # log q(x | y) - log q(y | x) for the Langevin proposal.
+                fwd = y - x - eps * grad
+                bwd = x - y - eps * grad_y
+                log_alpha = (logp_y - logp
+                             + (fwd @ fwd - bwd @ bwd) / (4.0 * eps))
+                if np.log(rng.random()) < log_alpha:
+                    x, logp, grad = y, logp_y, grad_y
+                    accepted += 1
+        else:
+            if not np.isfinite(logp_y) or not np.all(np.isfinite(grad_y)):
+                raise NonFinite(f"ULA left the finite-energy region at step {step}")
+            x, logp, grad = y, logp_y, grad_y
+        if -logp > cfg.energy_ceiling:
+            raise DivergentChain(f"energy {-logp:.3e} exceeded ceiling at step {step}")
+        if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thinning == 0:
+            draws[kept] = x
+            kept += 1
+
+    rate = accepted / proposed if mala else None
+    return SampleBatch(draws=draws[:kept], acceptance_rate=rate,
+                       seed=cfg.seed, model_fingerprint=model.fingerprint())

@@ -127,6 +127,27 @@ class TestRun:
         assert summary["n_kept"] == 400
         assert (tmp_path / "out" / "samples.bin").exists()
 
+    @pytest.mark.parametrize("chain, seed, field", [
+        ({"step_size": float("nan")}, 1, "chain.step_size"),
+        ({"step_size": float("inf")}, 1, "chain.step_size"),
+        ({"step_size": 0}, 1, "chain.step_size"),
+        ({"thinning": 0}, 1, "chain.thinning"),
+        ({"n_steps": float("nan")}, 1, "chain.n_steps"),
+        ({}, -1, "seed"),
+    ])
+    def test_bad_chain_setting_is_config_error(self, tmp_path, capsys, chain, seed, field):
+        doc = _cfg(tmp_path, command="sample", n_grid=[], seed=seed)
+        doc["chain"] = {"n_particles": 4, "step_size": 0.3, "n_steps": 200, **chain}
+        with pytest.raises(ConfigError) as err:
+            run(parse_config(doc))
+        assert err.value.field == field
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        assert main(["--config", str(p)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "ConfigError" and f"'{field}'" in out["message"]
+        assert not (tmp_path / "out" / "samples.bin").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_a = parse_config(_cfg(tmp_path, output_dir=str(tmp_path / "a")))
         cfg_b = parse_config(_cfg(tmp_path, output_dir=str(tmp_path / "b")))

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -90,6 +91,59 @@ class TestGradients:
         h = 1e-5
         fd = (cw.kernel(1.0 + h, -0.7) - cw.kernel(1.0 - h, -0.7)) / (2 * h)
         assert cw.kernel_force(1.0, -0.7) == pytest.approx(fd, rel=1e-6)
+
+
+_THETA_SIGMA = [(1.0, 1.0), (1.0, -1.0), (0.0, 2.0)]
+_XS = np.concatenate([-np.geomspace(1e-8, 1e30, 191), np.geomspace(1e-8, 1e30, 191)])
+
+
+class TestQuarticConfinement:
+    """V = theta/4 x^4 + sigma/2 x^2 and V' against 50-digit mpmath.
+
+    The error is measured in ulps of the larger term, because V itself
+    vanishes at the double well's root, where a relative error is
+    meaningless.
+    """
+
+    @pytest.mark.parametrize("theta, sigma", _THETA_SIGMA)
+    def test_v_against_mpmath(self, theta, sigma):
+        conf = QuarticConfinement(theta, sigma)
+        got = conf.v(_XS)
+        with mpmath.workdps(50):
+            for x, g in zip(_XS, got):
+                mx = mpmath.mpf(float(x))
+                quartic = mpmath.mpf(theta) / 4 * mx**4
+                quadratic = mpmath.mpf(sigma) / 2 * mx**2
+                scale = float(max(abs(quartic), abs(quadratic)))
+                assert abs(mpmath.mpf(float(g)) - (quartic + quadratic)) \
+                    <= 4 * np.spacing(scale), x
+
+    @pytest.mark.parametrize("theta, sigma", _THETA_SIGMA)
+    def test_grad_v_against_mpmath(self, theta, sigma):
+        conf = QuarticConfinement(theta, sigma)
+        got = conf.grad_v(_XS)
+        with mpmath.workdps(50):
+            for x, g in zip(_XS, got):
+                mx = mpmath.mpf(float(x))
+                cubic = mpmath.mpf(theta) * mx**3
+                linear = mpmath.mpf(sigma) * mx
+                scale = float(max(abs(cubic), abs(linear)))
+                assert abs(mpmath.mpf(float(g)) - (cubic + linear)) \
+                    <= 4 * np.spacing(scale), x
+
+    @pytest.mark.parametrize("theta, sigma", _THETA_SIGMA)
+    def test_grad_v_central_difference(self, theta, sigma):
+        conf = QuarticConfinement(theta, sigma)
+        xs = np.linspace(-3.0, 3.0, 61)
+        h = 1e-5
+        fd = (conf.v(xs + h) - conf.v(xs - h)) / (2 * h)
+        assert np.allclose(conf.grad_v(xs), fd, rtol=1e-8, atol=1e-8)
+
+    def test_theta_zero_is_bitwise_gaussian(self, rng):
+        conf = QuarticConfinement(0.0, 1.7)
+        xs = np.concatenate([rng.normal(size=1000), np.geomspace(1e-150, 1e150, 301)])
+        assert np.array_equal(conf.v(xs), 1.7 / 2.0 * xs**2)
+        assert np.array_equal(conf.grad_v(xs), 1.7 * xs)
 
 
 class TestModelSpec:

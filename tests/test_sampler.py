@@ -1,12 +1,35 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from chaoslab.errors import DivergentChain, NonFinite
 from chaoslab.marginals import build_mixture, marginal_moment
-from chaoslab.model import curie_weiss_model, gaussian_model
+from chaoslab.model import (GeneralPotential, ModelSpec, QuarticConfinement,
+                            RankOneInteraction, curie_weiss_model,
+                            gaussian_model)
 from chaoslab.sampler import (ChainConfig, SampleBatch, load_batch,
                               regularized_coulomb_kernel, run_chain,
                               save_batch, tune_step_size)
+from conftest import J_CRIT
+from oracles import reference_run_chain
+
+WALL = 1.5
+
+
+def _walled_model(where):
+    """x^2/2 inside |x| <= WALL; outside, V (where="v") or V' (where="grad") is inf."""
+    def v(x):
+        x = np.asarray(x, dtype=float)
+        out = 0.5 * x * x
+        return np.where(np.abs(x) > WALL, np.inf, out) if where == "v" else out
+
+    def grad_v(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) > WALL, np.inf, x) if where == "grad" else x
+
+    return ModelSpec(GeneralPotential(v=v, grad_v=grad_v), RankOneInteraction(0.5))
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +53,25 @@ class TestChainConfig:
     def test_n_kept(self):
         cfg = ChainConfig(4, 0.1, 1000, burn_in=200, thinning=4)
         assert cfg.n_kept == 200
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
+    def test_non_finite_step_size(self, step):
+        with pytest.raises(ValueError, match="^step_size"):
+            ChainConfig(4, step, 100)
+
+    @pytest.mark.parametrize("ceiling", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_energy_ceiling(self, ceiling):
+        with pytest.raises(ValueError, match="^energy_ceiling"):
+            ChainConfig(4, 0.1, 100, energy_ceiling=ceiling)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed"):
+            ChainConfig(4, 0.1, 100, seed=-1)
+
+    def test_thinning_that_does_not_divide_the_kept_steps(self, quartic_model):
+        # Steps 0, 3, 6 are kept; step 9 would overrun the n_kept rows.
+        cfg = ChainConfig(2, 0.1, 10, thinning=3, seed=3)
+        assert run_chain(quartic_model, cfg).draws.shape == (cfg.n_kept, 2) == (3, 2)
 
 
 class TestRunChain:
@@ -73,6 +115,76 @@ class TestRunChain:
         batch = run_chain(quartic_model, cfg)
         assert batch.acceptance_rate is None
         assert batch.draws.shape == (1900, 8)
+
+
+_COULOMB = ModelSpec(QuarticConfinement(1.0, 1.0), regularized_coulomb_kernel(0.1))
+
+
+class TestAgainstReferenceLoop:
+    """run_chain against ``reference_run_chain`` on the same Philox stream.
+
+    The cached proposal mean and the rearranged acceptance ratio move the
+    draws only at round-off, so every accept/reject decision, and with it
+    the number of ``random()`` calls, must be the same.
+    """
+
+    @pytest.mark.parametrize("model, cfg", [
+        pytest.param(curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
+                     ChainConfig(3, 0.3, 4000, burn_in=500, seed=1), id="quartic-n3"),
+        pytest.param(curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
+                     ChainConfig(32, 0.12, 4000, burn_in=500, thinning=5, seed=2),
+                     id="quartic-n32"),
+        pytest.param(curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
+                     ChainConfig(512, 0.04, 1500, burn_in=200, seed=3), id="quartic-n512"),
+        pytest.param(gaussian_model(1.0, 0.5),
+                     ChainConfig(32, 0.3, 4000, burn_in=500, seed=4), id="gaussian"),
+        pytest.param(_COULOMB, ChainConfig(16, 0.1, 1500, burn_in=200, seed=5),
+                     id="coulomb-kernel"),
+        pytest.param(curie_weiss_model(1.0, -1.0, 0.5),
+                     ChainConfig(32, 0.05, 3000, burn_in=500, seed=6, algorithm="ula"),
+                     id="quartic-ula"),
+        pytest.param(_walled_model("v"), ChainConfig(8, 0.5, 3000, burn_in=100, seed=7),
+                     id="infinite-potential"),
+        pytest.param(_walled_model("grad"), ChainConfig(8, 0.5, 3000, burn_in=100, seed=8),
+                     id="infinite-gradient"),
+    ])
+    def test_same_chain(self, model, cfg):
+        new = run_chain(model, cfg)
+        ref = reference_run_chain(model, cfg)
+        assert new.acceptance_rate == ref.acceptance_rate
+        assert new.draws.shape == ref.draws.shape
+        assert np.max(np.abs(new.draws - ref.draws)) <= 1e-12
+        if model.is_gaussian:
+            assert np.array_equal(new.draws, ref.draws)
+
+
+class TestErrorPaths:
+    def test_non_finite_initial_state(self):
+        model = ModelSpec(GeneralPotential(v=lambda x: np.full(np.shape(x), np.nan),
+                                           grad_v=lambda x: np.zeros(np.shape(x))),
+                          RankOneInteraction(0.5))
+        with pytest.raises(NonFinite, match="initial state"):
+            run_chain(model, ChainConfig(4, 0.1, 10))
+
+    @pytest.mark.parametrize("where", ["v", "grad"])
+    def test_mala_never_accepts_a_non_finite_proposal(self, where):
+        batch = run_chain(_walled_model(where), ChainConfig(8, 0.5, 5000, seed=9))
+        assert 0.0 < batch.acceptance_rate < 1.0
+        assert np.all(np.isfinite(batch.draws))
+        assert np.max(np.abs(batch.draws)) <= WALL
+        # The wall is reached: without it the chain would leave |x| <= 1.5.
+        assert np.max(np.abs(batch.draws)) > 0.5 * WALL
+
+    def test_ula_raises_when_it_leaves_the_finite_region(self):
+        cfg = ChainConfig(8, 0.5, 5000, algorithm="ula", seed=9)
+        with pytest.raises(NonFinite, match="ULA left"):
+            run_chain(_walled_model("v"), cfg)
+
+    def test_energy_ceiling_raises_divergent_chain(self, quartic_model):
+        # The stationary energy of 32 particles is about 10, far above 2.
+        cfg = ChainConfig(32, 0.12, 5000, seed=1, energy_ceiling=2.0)
+        with pytest.raises(DivergentChain, match="exceeded ceiling"):
+            run_chain(quartic_model, cfg)
 
 
 class TestTuneStepSize:
