@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssertionFailure, InvalidConstants, RegimeViolation, Supercritical
-from .meanfield import critical_coupling, tilted_measure
+from .meanfield import tilted_measure
 from .model import ModelSpec, curie_weiss_model
 
 __all__ = [
@@ -182,7 +182,8 @@ def curie_weiss_constants(theta: float, sigma: float, J: float, N: int,
     """Full constant bundle for the sub-critical quartic rank-one model."""
     if model is None:
         model = curie_weiss_model(theta, sigma, J)
-    j_c = critical_coupling(model)
+    var_mstar = tilted_measure(model, 0.0).second_moment
+    j_c = 1.0 / var_mstar  # critical_coupling(model)
     if J >= j_c:
         raise Supercritical(f"J = {J} >= J_c = {j_c}")
     if J <= 0:
@@ -201,7 +202,6 @@ def curie_weiss_constants(theta: float, sigma: float, J: float, N: int,
         raise RegimeViolation(f"lambda_N = {lambda_n} <= 0 at N = {N}")
     gamma = 64.0 * (1.0 + delta_n) ** 2 * J * J / lambda_n
     big_m = 4.0 * J * J * (delta_n / (lambda_n * N) + d / rho0)
-    var_mstar = tilted_measure(model, 0.0).second_moment
     return ConstantsBundle(rho, gamma, big_m, rho0, lambda_n, delta_n,
                            j_c, var_mstar, "curie-weiss")
 

@@ -21,7 +21,7 @@ from . import verify as _verify
 from .errors import ChaosLabError, ConfigError, DegenerateInput, RegimeViolation
 from .marginals import (build_mixture, conditional_entropy_level,
                         relative_entropy_levels, wasserstein2_marginal)
-from .meanfield import critical_coupling, solve_fixed_point, tilted_measure
+from .meanfield import solve_fixed_point, tilted_measure
 from .model import ModelSpec, curie_weiss_model, gaussian_model
 from .sampler import ChainConfig, run_chain, save_batch
 
@@ -52,6 +52,20 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _integer(value, path: str) -> int:
+    """A JSON integer (or an integral float) as an int; anything else is a ConfigError."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise ConfigError(path, f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite(value, path: str) -> float:
+    """A finite JSON number as a float; anything else is a ConfigError."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(path, f"must be a finite number, got {value!r}")
+    return float(value)
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         doc = json.loads(Path(path).read_text())
@@ -65,32 +79,43 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if command not in _COMMANDS:
         raise ConfigError("command", f"must be one of {_COMMANDS}")
     model = _require(doc, "model", "")
-    for key in ("theta", "sigma", "J"):
-        _require(model, key, "model")
+    theta, sigma, J = (_finite(_require(model, key, "model"), f"model.{key}")
+                       for key in ("theta", "sigma", "J"))
+    if theta < 0:
+        raise ConfigError("model.theta", "must be >= 0")
+    if theta == 0 and sigma <= 0:
+        raise ConfigError("model.sigma", "must be > 0 when theta = 0")
+    if command in ("chaos-scan", "jw") and J <= 0:
+        raise ConfigError("model.J", "must be > 0: the auxiliary field needs J > 0")
     if model.get("dimension", 1) != 1:
         raise ConfigError("model.dimension",
                           "must be 1: every command computes one-dimensional quantities")
     if "tolerances" in doc:
         raise ConfigError("tolerances",
                           "not supported: the library has no quadrature tolerance")
-    n_grid = tuple(doc.get("n_grid", []))
+    n_grid = doc.get("n_grid", [])
+    if not isinstance(n_grid, (list, tuple)):
+        raise ConfigError("n_grid", f"must be a list of integers, got {n_grid!r}")
+    n_grid = tuple(_integer(N, "n_grid") for N in n_grid)
     if command in ("chaos-scan", "jw", "constants") and not n_grid:
         raise ConfigError("n_grid", "required for this command")
-    if list(n_grid) != sorted(n_grid):
-        raise ConfigError("n_grid", "must be sorted ascending")
-    k_max = int(doc.get("k_max", 1))
+    if list(n_grid) != sorted(n_grid) or n_grid and n_grid[0] < 1:
+        raise ConfigError("n_grid", "must be sorted ascending, every N >= 1")
+    k_max = _integer(doc.get("k_max", 1), "k_max")
     if k_max < 1:
         raise ConfigError("k_max", "must be >= 1")
+    if command == "chaos-scan" and k_max > min(4, n_grid[0]):
+        raise ConfigError("k_max", "chaos-scan needs k_max <= min(4, min(n_grid))")
     chain = doc.get("chain", {})
     if command == "sample":
         for key in ("n_particles", "step_size", "n_steps"):
             _require(chain, key, "chain")
     return ExperimentConfig(
         command=command,
-        model=dict(model),
+        model=dict(model, theta=theta, sigma=sigma, J=J),
         n_grid=n_grid,
         k_max=k_max,
-        seed=int(doc.get("seed", 0)),
+        seed=_integer(doc.get("seed", 0), "seed"),
         output_dir=str(doc.get("output_dir", ".")),
         chain=dict(chain),
         raw=doc,
@@ -98,12 +123,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 
 def _build_model(block: dict) -> ModelSpec:
-    theta = float(block["theta"])
-    sigma = float(block["sigma"])
-    J = float(block["J"])
-    if theta == 0.0:
-        return gaussian_model(sigma, J)
-    return curie_weiss_model(theta, sigma, J)
+    if block["theta"] == 0.0:
+        return gaussian_model(block["sigma"], block["J"])
+    return curie_weiss_model(block["theta"], block["sigma"], block["J"])
 
 
 def _fmt(x) -> str:
@@ -165,15 +187,14 @@ def _run_chaos_scan(cfg: ExperimentConfig, outdir: Path) -> dict:
     rows = []
     all_pass = True
     k1_points = []
+    mstar = tilted_measure(model, 0.0)
     for N in cfg.n_grid:
         law = build_mixture(model, int(N))
         levels = relative_entropy_levels(law, cfg.k_max)
-        mstar = tilted_measure(model, 0.0)
         w2 = wasserstein2_marginal(law, mstar)
         try:
             bundle = _bounds.curie_weiss_constants(
-                float(cfg.model["theta"]), float(cfg.model["sigma"]),
-                float(cfg.model["J"]), int(N), model=model)
+                cfg.model["theta"], cfg.model["sigma"], cfg.model["J"], N, model=model)
         except RegimeViolation:
             bundle = None
         cond_sum = 0.0
@@ -213,11 +234,9 @@ def _run_chaos_scan(cfg: ExperimentConfig, outdir: Path) -> dict:
 def _run_verify(cfg: ExperimentConfig, outdir: Path) -> dict:
     model = _build_model(cfg.model)
     chash = cfg.config_hash()
-    theta = float(cfg.model["theta"])
-    sigma = float(cfg.model["sigma"])
-    J = float(cfg.model["J"])
-    N = int(cfg.n_grid[-1]) if cfg.n_grid else 64
-    bundle = _bounds.curie_weiss_constants(theta, sigma, J, N, model=model)
+    N = cfg.n_grid[-1] if cfg.n_grid else 64
+    bundle = _bounds.curie_weiss_constants(cfg.model["theta"], cfg.model["sigma"],
+                                           cfg.model["J"], N, model=model)
     grid = np.concatenate([-np.geomspace(0.01, 3.0, 8)[::-1],
                            np.geomspace(0.01, 3.0, 8)])
     reports = {
@@ -269,8 +288,8 @@ def run(config: ExperimentConfig) -> dict:
 
     if config.command == "constants":
         bundle = _bounds.curie_weiss_constants(
-            float(config.model["theta"]), float(config.model["sigma"]),
-            float(config.model["J"]), int(config.n_grid[-1]), model=model)
+            config.model["theta"], config.model["sigma"], config.model["J"],
+            config.n_grid[-1], model=model)
         _write_json(outdir / "constants.json", json.loads(bundle.to_json()), chash)
         return {"command": "constants", "passed": True}
 
@@ -291,13 +310,11 @@ def run(config: ExperimentConfig) -> dict:
     if config.command == "jw":
         rows = []
         all_pass = True
-        j_c = critical_coupling(model)
         J = model.coupling
-        eps = min(j_c / J - 1.0, 1.0) / 2.0
-        var = tilted_measure(model, 0.0).second_moment
+        var = tilted_measure(model, 0.0).second_moment  # J_c = 1 / var
+        rhs = _bounds.jw_rhs(min(1.0 / var / J - 1.0, 1.0) / 2.0, J, var)
         for N in config.n_grid:
             lhs = _verify.jw_log_mgf(model, int(N))
-            rhs = _bounds.jw_rhs(eps, J, var)
             ok = lhs <= rhs + 1e-9
             all_pass &= ok
             rows.append([int(N), float(lhs), float(rhs), int(ok)])

@@ -13,14 +13,15 @@ reference depends on the point only through s = sum x_i.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .errors import (NonConvergent, NonPositiveDefinite, RegimeViolation,
                      Supercritical)
-from .meanfield import (LogPartition, TiltedMeasure, critical_coupling, tilt_window,
-                        tilted_measure)
+from .meanfield import LogPartition, TiltedMeasure, tilt_window, tilted_measure
+from .metrics import wasserstein_1d
 from .model import ModelSpec
 from .numerics import (LOG_CUT, GridDensity, log_laplace, mixed_convolution_powers,
                        window_search)
@@ -39,13 +40,16 @@ __all__ = [
     "sample_marginal",
 ]
 
-# Gauss-Legendre nodes of the auxiliary field z.
-_NODE_COUNT = 257
+# Gauss-Legendre nodes and weights of the auxiliary field z on [-1, 1].
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(257)
 
 
 @dataclass(frozen=True)
 class MixtureLaw:
-    """Auxiliary-field mixture representation of m^{N,k} for all k <= N."""
+    """Auxiliary-field mixture representation of m^{N,k} for all k <= N.
+
+    ``x_window`` carries every node density (``_node_density_window``).
+    """
 
     model: ModelSpec
     n_particles: int
@@ -77,16 +81,13 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
     Requires a rank-one interaction with J > 0: for J < 0 the Gaussian
     linearization would need an imaginary field.
 
-    log Z_1 at the field nodes comes from one fixed-window ``LogPartition``;
-    its every-other-node halving check runs at the first node, z = 0 and the
-    last node, and ``GridResolution`` is raised if the trapezoid moves by
-    more than ``numerics._RESOLUTION_TOL``.  The check is conservative: the
-    Gaussian model with sigma = 1e6 (halving moves log Z_1 by 2.1e-9) raises
-    although its entropy levels are right to about 2e-9 relative.  That is
-    a typed error where a number would have been usable, never a wrong
-    number.  log Z_1(0), the normalizer of m_*, is
-    ``tilted_measure(model, 0.0).log_z``: the same grid and kernel, checked
-    at z = 0 on its own window.
+    Every log Z_1 (field search, Gauss-Legendre nodes, and log Z_1(0), the
+    normalizer of m_*) comes from one growing ``LogPartition``, the kernel
+    ``verify.jw_log_mgf`` uses: each growth runs the halving check at z = 0
+    and +-z_max and raises ``GridResolution`` above 1e-12.  The check is
+    conservative: the Gaussian model with sigma = 1e6 raises although its
+    entropy levels are right to about 2e-9 relative, a typed error where a
+    number would have been usable, never a wrong number.
     """
     if not model.is_rank_one:
         raise TypeError("mixture representation requires a rank-one interaction")
@@ -98,12 +99,11 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
     if model.is_gaussian and J >= model.confinement.sigma:
         raise NonConvergent("Gaussian model needs J < sigma for a normalizable mixture")
 
+    kernel = LogPartition(model)
+
     def log_weight_profile(zs):
-        wlo = tilt_window(model, float(zs.min()))
-        whi = tilt_window(model, float(zs.max()))
-        kernel = LogPartition(model, (min(wlo[0], whi[0]), max(wlo[1], whi[1])))
         logz1 = kernel(zs)
-        return -N * zs**2 / (2.0 * J) + N * logz1, logz1, kernel
+        return -N * zs**2 / (2.0 * J) + N * logz1, logz1
 
     # Locate the effective support of the mixing weight by the doubling
     # search, then shrink it with three refinement passes.
@@ -117,27 +117,29 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
         zlo, zhi = float(zs[above[0]] - pad), float(zs[above[-1]] + pad)
 
     # Gauss-Legendre nodes on the discovered support.
-    gl_x, gl_w = np.polynomial.legendre.leggauss(_NODE_COUNT)
-    z_nodes = 0.5 * (zhi - zlo) * gl_x + 0.5 * (zhi + zlo)
     scale = 0.5 * (zhi - zlo)
+    z_nodes = scale * _GL_NODES + 0.5 * (zhi + zlo)
 
-    logw_nodes, log_z1, kernel = log_weight_profile(z_nodes)
-    kernel.check_resolution([z_nodes[0], 0.0, z_nodes[-1]])
-    raw = logw_nodes + np.log(gl_w * scale)
+    logw_nodes, log_z1 = log_weight_profile(z_nodes)
+    raw = logw_nodes + np.log(_GL_WEIGHTS * scale)
     # At t = 0 the Laplace sum is the plain log-sum-exp of ``raw``.
     log_weights = raw - log_laplace(0.0, z_nodes, raw)
 
-    log_z0 = tilted_measure(model, 0.0).log_z
-
-    return MixtureLaw(
+    # The node densities are sized on the tilt windows of the end nodes, not
+    # on the kernel's window: that one can end a doubling wider, and a wider
+    # sizing pass coarsens the node grid.
+    wlo = tilt_window(model, float(z_nodes[0]))
+    whi = tilt_window(model, float(z_nodes[-1]))
+    law = MixtureLaw(
         model=model,
         n_particles=N,
         z_nodes=z_nodes,
         z_log_weights=log_weights,
-        log_z0=log_z0,
+        log_z0=float(kernel(0.0)),
         node_log_z1=log_z1,
-        x_window=kernel.window,
+        x_window=(min(wlo[0], whi[0]), max(wlo[1], whi[1])),
     )
+    return replace(law, x_window=_node_density_window(law))
 
 
 def marginal_log_density(law: MixtureLaw, k: int, point) -> float:
@@ -176,12 +178,10 @@ class EntropyLevels:
 _SIZING_POINTS = 513
 
 
-def _node_grid_densities(law: MixtureLaw, grid_points: int):
-    """Per-node tilted densities on a shared grid covering +-12 std.
+def _node_density_window(law: MixtureLaw):
+    """+-12 std of the widest node around the node means, and ``law.x_window``.
 
-    The node means and the largest std that size the grid come from a
-    coarse ``_SIZING_POINTS`` pass on the mixture's x-window; the densities
-    on the final grid are evaluated once, one row per node.
+    The means and std come from a coarse ``_SIZING_POINTS`` pass on it.
     """
     xlo, xhi = law.x_window
     xs = np.linspace(xlo, xhi, _SIZING_POINTS)
@@ -190,9 +190,13 @@ def _node_grid_densities(law: MixtureLaw, grid_points: int):
     means = np.trapezoid(xs * dens, dx=dx, axis=1)
     variances = np.trapezoid((xs - means[:, None]) ** 2 * dens, dx=dx, axis=1)
     sig = float(np.sqrt(variances.max()))
-    lo = min(float(means.min()) - 12.0 * sig, xlo)
-    hi = max(float(means.max()) + 12.0 * sig, xhi)
-    xs = np.linspace(lo, hi, grid_points)
+    return (min(float(means.min()) - 12.0 * sig, xlo),
+            max(float(means.max()) + 12.0 * sig, xhi))
+
+
+def _node_grid_densities(law: MixtureLaw, grid_points: int):
+    """Per-node tilted densities on ``grid_points`` points over ``law.x_window``."""
+    xs = np.linspace(law.x_window[0], law.x_window[1], grid_points)
     return xs, law.node_densities(xs)
 
 
@@ -228,16 +232,16 @@ def relative_entropy_levels(law: MixtureLaw, k_max: int,
     """
     if not 1 <= k_max <= min(law.n_particles, 8):
         raise ValueError("k_max must satisfy 1 <= k_max <= min(N, 8)")
-    if not law.model.is_quartic:
-        mu0 = tilted_measure(law.model, 0.0)
-        mean = mu0.mean
-        sd = float(np.sqrt(mu0.second_moment - mean * mean))
-        if abs(mean) > 1e-10 * sd:
-            raise RegimeViolation(
-                f"pi[0] has mean {mean:.3e}: the entropy levels are taken "
-                f"against pi[0], the limit for an even confinement only")
     if not law.model.is_gaussian:
-        j_c = critical_coupling(law.model)
+        mu0 = tilted_measure(law.model, 0.0)
+        if not law.model.is_quartic:
+            mean = mu0.mean
+            sd = float(np.sqrt(mu0.second_moment - mean * mean))
+            if abs(mean) > 1e-10 * sd:
+                raise RegimeViolation(
+                    f"pi[0] has mean {mean:.3e}: the entropy levels are taken "
+                    f"against pi[0], the limit for an even confinement only")
+        j_c = 1.0 / mu0.second_moment  # critical_coupling(law.model)
         if law.model.coupling >= j_c:
             raise Supercritical(
                 f"J = {law.model.coupling} >= J_c = {j_c}: the entropy levels "
@@ -336,8 +340,6 @@ def marginal_moment(law: MixtureLaw, power: int, grid_points: int = 8192) -> flo
 
 
 def _grid_quantile(g: GridDensity):
-    from scipy.integrate import cumulative_trapezoid
-
     cdf = cumulative_trapezoid(g.values, dx=g.dx, initial=0.0)
     cdf /= cdf[-1]
     xs = g.xs
@@ -351,14 +353,15 @@ def _grid_quantile(g: GridDensity):
 def wasserstein2_marginal(law: MixtureLaw, k1_reference: TiltedMeasure,
                           quantile_points: int = 8192,
                           grid_points: int = 8192) -> float:
-    """W_2(m^{N,1}, reference) by inverse-CDF coupling on a quantile grid."""
+    """W_2(m^{N,1}, reference) by inverse-CDF coupling, ``metrics.wasserstein_1d``.
+
+    Not exact: the cost is a trapezoid in u on [1e-8, 1 - 1e-8], which puts
+    W_2^2 about 1.8e-3 (relative) above the Gaussian closed form.
+    """
     gm = marginal_grid_density(law, grid_points)
     ref = GridDensity.from_callable(k1_reference.density, gm.lo, gm.hi, grid_points)
-    qp = _grid_quantile(gm)
-    qq = _grid_quantile(ref)
-    us = np.linspace(1e-8, 1.0 - 1e-8, quantile_points)
-    diff2 = (qp(us) - qq(us)) ** 2
-    return float(np.sqrt(np.trapezoid(diff2, us)))
+    return float(np.sqrt(wasserstein_1d(_grid_quantile(gm), _grid_quantile(ref),
+                                        order=2, grid_points=quantile_points)))
 
 
 def sample_marginal(law: MixtureLaw, n: int, seed: int = 0, k: int = 1,
@@ -370,8 +373,6 @@ def sample_marginal(law: MixtureLaw, n: int, seed: int = 0, k: int = 1,
     xs, dens = _node_grid_densities(law, grid_points)
     weights = np.exp(law.z_log_weights)
     weights = weights / weights.sum()
-    from scipy.integrate import cumulative_trapezoid
-
     node_idx = rng.choice(len(weights), size=n, p=weights)
     cdfs = cumulative_trapezoid(dens, dx=xs[1] - xs[0], axis=1, initial=0.0)
     cdfs /= cdfs[:, -1:]

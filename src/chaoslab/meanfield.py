@@ -36,8 +36,9 @@ __all__ = [
 class TiltedMeasure:
     """1D measure with density exp(-V(x) + tilt*x - log_z).
 
-    ``mean`` and ``second_moment`` are its first two raw moments, summed on
-    the grid that normalized it.
+    ``window`` is the x-window it was normalized on, ``tilt_window(model,
+    tilt)``; ``mean`` and ``second_moment`` are its first two raw moments,
+    summed on that grid.
     """
 
     model: ModelSpec
@@ -45,6 +46,7 @@ class TiltedMeasure:
     log_z: float
     mean: float
     second_moment: float
+    window: tuple
 
     def log_density(self, x):
         x = np.asarray(x, dtype=float)
@@ -74,43 +76,31 @@ class LogPartition:
 
     One log-trapezoid over a uniform grid of ``_GRID_POINTS`` nodes on an
     x-window, evaluated for all queried tilts by ``numerics.log_laplace``.
-
-    With a fixed ``window`` the grid never changes and no resolution check
-    runs unless ``check_resolution`` is called.  Without one the grid starts
-    on the window of z = 0 and grows: whenever a query has |z| beyond the
-    covered range z_max, the window becomes the union of the current one
-    and ``tilt_window`` at +-|z|.  Each growth runs the halving check at
-    z = 0 and +-z_max and raises ``GridResolution`` if the full and the
-    every-other-node trapezoid differ by more than
-    ``numerics._RESOLUTION_TOL`` (``numerics.log_trapezoid``).
+    The grid starts on the window of z = 0 and grows: whenever a query has
+    |z| beyond the covered range z_max, the window becomes the union of the
+    current one and ``tilt_window`` at +-|z|, rebuilt only if that is wider.
+    Each growth runs the halving check at z = 0 and +-z_max and raises
+    ``GridResolution`` if the full and the every-other-node trapezoid differ
+    by more than ``numerics._RESOLUTION_TOL`` (``numerics.log_trapezoid``).
     """
 
-    def __init__(self, model: ModelSpec, window=None):
+    def __init__(self, model: ModelSpec):
         self.model = model
-        self._log_z0 = None
-        if window is None:
-            self.window = (np.inf, -np.inf)
-            self._grow(0.0)
-        else:
-            self.window, self.z_max = (float(window[0]), float(window[1])), np.inf
-            self.xs, self._logw = _trapezoid_grid(model, self.window)
+        self.window = (np.inf, -np.inf)
+        self._grow(0.0)
 
     def _grow(self, z_max: float) -> None:
         lo, hi = self.window
-        for tilt in (-z_max, z_max):
+        for tilt in {-z_max, z_max}:  # one search when z_max = 0
             wlo, whi = tilt_window(self.model, tilt)
             lo, hi = min(lo, wlo), max(hi, whi)
-        xs, logw = _trapezoid_grid(self.model, (lo, hi))
+        xs, logw = ((self.xs, self._logw) if (lo, hi) == self.window
+                    else _trapezoid_grid(self.model, (lo, hi)))
         log_trapezoid([0.0, -z_max, z_max], xs, logw)
         # Commit only a checked grid, so a failed growth leaves the kernel as
         # it was and the same query raises again.
         self.window, self.z_max = (lo, hi), z_max
         self.xs, self._logw = xs, logw
-        self._log_z0 = None
-
-    def check_resolution(self, zs) -> None:
-        """The growth's halving check at ``zs``, on the current grid."""
-        log_trapezoid(zs, self.xs, self._logw)
 
     def __call__(self, zs):
         """log Z_1 at each tilt in ``zs`` (any shape), on the current grid."""
@@ -121,16 +111,11 @@ class LogPartition:
         return log_laplace(zs, self.xs, self._logw)
 
     def cgf(self, zs):
-        """log Z_1(z) - log Z_1(0), both on the same (current) grid.
-
-        This is the cumulant generating function of the untilted measure
-        exp(-V)/Z_1(0).  log Z_1(0) is cached per grid: evaluating ``zs``
-        first may grow the grid, which drops the cached value.
+        """log Z_1(z) - log Z_1(0) on one grid, the cumulant generating function
+        of exp(-V)/Z_1(0).  ``zs`` goes first, since it may grow the grid.
         """
         log_z1 = self(zs)
-        if self._log_z0 is None:
-            self._log_z0 = float(self(0.0))
-        return log_z1 - self._log_z0
+        return log_z1 - self(0.0)
 
 
 def tilted_measure(model: ModelSpec, tilt: float) -> TiltedMeasure:
@@ -144,11 +129,12 @@ def tilted_measure(model: ModelSpec, tilt: float) -> TiltedMeasure:
     the same grid.
     """
     tilt = float(tilt)
-    xs, logw = _trapezoid_grid(model, tilt_window(model, tilt))
+    window = tilt_window(model, tilt)
+    xs, logw = _trapezoid_grid(model, window)
     log_z = float(log_trapezoid(tilt, xs, logw))
     weights = np.exp(tilt * xs + logw - log_z)
     return TiltedMeasure(model, tilt, log_z, float(np.sum(weights * xs)),
-                         float(np.sum(weights * xs**2)))
+                         float(np.sum(weights * xs**2)), window)
 
 
 def magnetization(model: ModelSpec, h: float) -> float:

@@ -14,9 +14,10 @@ import numpy as np
 
 from .bounds import ConstantsBundle, t1_particle_constant
 from .errors import DivergentIntegral, NoSignChange, NonConvergent
-from .marginals import MixtureLaw, build_mixture, marginal_log_density_batch
+from .marginals import (MixtureLaw, build_mixture, marginal_grid_density,
+                        marginal_log_density_batch)
 from .meanfield import (LogPartition, TiltedMeasure, critical_coupling, magnetization,
-                        tilt_window, tilted_measure)
+                        tilted_measure)
 from .metrics import quantile_from_density, wasserstein_1d
 from .model import ModelSpec
 from .numerics import find_root, log_trapezoid, trapezoid_log_weights, window_search
@@ -126,11 +127,9 @@ def phi_positivity_scan(model: ModelSpec, eps_override: float | None,
     The report's lhs is 0, rhs is phi, so margin = min phi.
     """
     J = model.coupling
-    if eps_override is None:
-        eps = (1.0 - J / critical_coupling(model)) ** 2
-    else:
-        eps = eps_override
-    log_z0 = tilted_measure(model, 0.0).log_z
+    mstar = tilted_measure(model, 0.0)
+    j_c = 1.0 / mstar.second_moment  # critical_coupling(model)
+    eps = (1.0 - J / j_c) ** 2 if eps_override is None else eps_override
     grid = np.asarray(h_grid, dtype=float)
     phi = np.empty_like(grid)
     for i, h in enumerate(grid):
@@ -138,7 +137,7 @@ def phi_positivity_scan(model: ModelSpec, eps_override: float | None,
         log_z_ell = tilted_measure(model, J * ell).log_z
         log_z_h = tilted_measure(model, J * h).log_z
         phi[i] = ((1.0 - eps) * J * ell * h - (1.0 - eps) * log_z_ell
-                  - J * h * h + log_z_h - eps * log_z0)
+                  - J * h * h + log_z_h - eps * mstar.log_z)
     return _report(grid, np.zeros_like(grid), phi)
 
 
@@ -235,11 +234,10 @@ def bolley_villani_moment_check(mu_quantile, rho: float, delta: float,
     return float(np.trapezoid(vals, us))
 
 
-def _entropy_against_marginal(model: ModelSpec, mu: TiltedMeasure,
-                              law: MixtureLaw, grid_points: int = 8192) -> float:
-    """H(mu | m^{N,1}) with the marginal density evaluated exactly."""
-    lo, hi = tilt_window(model, mu.tilt)
-    xs = np.linspace(lo, hi, grid_points)
+def _entropy_against_marginal(mu: TiltedMeasure, law: MixtureLaw,
+                              grid_points: int = 8192) -> float:
+    """H(mu | m^{N,1}) on ``mu.window``, the marginal density evaluated exactly."""
+    xs = np.linspace(mu.window[0], mu.window[1], grid_points)
     log_mu = mu.log_density(xs)
     p = np.exp(log_mu)
     log_m1 = marginal_log_density_batch(law, xs[:, None])
@@ -250,8 +248,6 @@ def marginal_t1_ratio_scan(model: ModelSpec, N: int, bundle: ConstantsBundle,
                            tilt_grid, law: MixtureLaw | None = None,
                            grid_points: int = 8192) -> ScanReport:
     """W_1^2(pi[l], m^{N,1}) <= 64 (1+delta_N)^2 / lambda_N * H(pi[l] | m^{N,1})."""
-    from .marginals import marginal_grid_density
-
     if law is None:
         law = build_mixture(model, N)
     const = t1_particle_constant(bundle.lambda_n, bundle.delta_n)
@@ -265,10 +261,9 @@ def marginal_t1_ratio_scan(model: ModelSpec, N: int, bundle: ConstantsBundle,
     rhs = np.empty_like(grid)
     for i, ell in enumerate(grid):
         mu = tilted_measure(model, J * ell)
-        lo, hi = tilt_window(model, mu.tilt)
-        lo, hi = min(lo, m1.lo), max(hi, m1.hi)
+        lo, hi = min(mu.window[0], m1.lo), max(mu.window[1], m1.hi)
         qn = quantile_from_density(mu.density, lo, hi, grid_points)
         w1 = wasserstein_1d(qn, qm, order=1)
         lhs[i] = w1 * w1
-        rhs[i] = const * _entropy_against_marginal(model, mu, law, grid_points)
+        rhs[i] = const * _entropy_against_marginal(mu, law, grid_points)
     return _report(grid, lhs, rhs)

@@ -192,6 +192,30 @@ class TestMain:
         p.write_text(json.dumps(doc))
         assert main(["--config", str(p)]) == 2
 
+    @pytest.mark.parametrize("command, over, field", [
+        ("chaos-scan", {"n_grid": [0, 8, 16]}, "n_grid"),
+        ("chaos-scan", {"n_grid": "abc"}, "n_grid"),
+        ("jw", {"n_grid": [8.5]}, "n_grid"),
+        ("chaos-scan", {"k_max": "two"}, "k_max"),
+        ("chaos-scan", {"k_max": 5}, "k_max"),
+        ("chaos-scan", {"n_grid": [2, 4], "k_max": 3}, "k_max"),
+        ("fixed-point", {"seed": 1.5}, "seed"),
+        ("chaos-scan", {"model": dict(MODEL, J="x")}, "model.J"),
+        ("constants", {"model": dict(MODEL, sigma=float("nan"))}, "model.sigma"),
+        ("fixed-point", {"model": dict(MODEL, theta=-1)}, "model.theta"),
+        ("fixed-point", {"model": dict(MODEL, theta=0, sigma=0)}, "model.sigma"),
+        ("chaos-scan", {"model": dict(MODEL, J=-1)}, "model.J"),
+        ("jw", {"model": dict(MODEL, J=-1)}, "model.J"),
+    ])
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, command, over,
+                                              field):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_cfg(tmp_path, command=command, **over)))
+        assert main(["--config", str(p)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "ConfigError" and f"'{field}'" in out["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_supercritical_chaos_scan_is_typed_error(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         doc = _cfg(tmp_path, n_grid=[64, 128, 256], k_max=1)

@@ -53,6 +53,29 @@ class TestBuildMixture:
         assert abs(logsumexp(law.z_log_weights)) < 1e-10
         assert len(law.z_nodes) >= 32
 
+    @pytest.mark.parametrize("n, grids", [(32, 4), (1024, 2)])
+    def test_one_growing_kernel(self, n, grids):
+        # Every log Z_1, log Z_1(0) included, comes from one kernel whose
+        # 4097-node grid grows with the field search; a fresh grid per z-scan
+        # would make 8 at N = 32 and 6 at N = 1024.
+        sizes = []
+
+        def v(x):
+            sizes.append(np.size(x))
+            return x**4 / 4 + x**2 / 2
+
+        model = ModelSpec(GeneralPotential(v=v, grad_v=lambda x: x**3 + x),
+                          RankOneInteraction(0.5 * J_CRIT))
+        build_mixture(model, n)
+        assert 1 <= sizes.count(4097) <= grids
+        assert set(sizes) <= {257, 513, 4097}
+
+    def test_node_grid_spans_x_window(self, quartic_model):
+        law = build_mixture(quartic_model, 32)
+        xs, dens = _node_grid_densities(law, 1001)
+        assert (xs[0], xs[-1]) == law.x_window
+        assert dens.shape == (len(law.z_nodes), 1001)
+
 
 class TestMarginalLogDensity:
     def test_evenness(self, quartic_model):
@@ -154,6 +177,20 @@ class TestEntropyLevels:
         got = relative_entropy_levels(build_mixture(general, 16), 2).levels
         want = relative_entropy_levels(build_mixture(quartic_model, 16), 2).levels
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 4, 1024, 2**16])
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("sigma", [1e-3, 1e-2, 0.1, 1.0, 100.0])
+    def test_gaussian_oracle_over_scales(self, sigma, frac, n):
+        # Narrow and wide Gaussians at small and large N: the node densities
+        # must be sized on the end nodes' tilt windows, not on a wider one.
+        J = frac * sigma
+        k_max = min(2, n)
+        levels = relative_entropy_levels(build_mixture(gaussian_model(sigma, J), n),
+                                         k_max).levels
+        for k in range(1, k_max + 1):
+            assert levels[k] == pytest.approx(
+                gaussian_entropy_oracle(sigma, J, n, k), rel=1e-9, abs=0.0)
 
     def test_exact_grid_cap(self, quartic_model):
         law = build_mixture(quartic_model, 8)

@@ -5,7 +5,7 @@ from chaoslab.errors import GridResolution
 from chaoslab.meanfield import (LogPartition, critical_coupling,
                                 ghs_concavity_check, magnetization,
                                 magnetization_derivative, pi_map_mean,
-                                solve_fixed_point, tilted_measure)
+                                solve_fixed_point, tilt_window, tilted_measure)
 from chaoslab.model import (GeneralPotential, ModelSpec, RankOneInteraction,
                             curie_weiss_model, gaussian_model)
 from conftest import F_AT_1, H_STAR_SUPER, J_CRIT, X2_MOMENT
@@ -50,6 +50,10 @@ class TestMoments:
             for g, e in zip(got, exact):
                 assert abs(g - e) <= 1e-12 * max(1.0, abs(e))
 
+    @pytest.mark.parametrize("tilt", [0.0, 0.7, -3.0, 12.0])
+    def test_window_is_the_tilt_window(self, quartic_model, tilt):
+        assert tilted_measure(quartic_model, tilt).window == tilt_window(quartic_model, tilt)
+
     def test_underresolved_moment_raises(self):
         # sd 1e-3 against a node spacing of 4.9e-4 on the window [-1, 1].
         with pytest.raises(GridResolution):
@@ -83,14 +87,26 @@ class TestLogPartition:
             exact = log_integrate_exp(lambda x: -quartic_model.potential(x) + z * x)
             assert kernel(z) == pytest.approx(exact, abs=1e-10)
 
-    def test_fixed_window_does_not_grow(self, quartic_model):
-        kernel = LogPartition(quartic_model, (-8.0, 8.0))
-        kernel(np.array([-30.0, 30.0]))
-        assert kernel.window == (-8.0, 8.0)
-
     def test_underresolved_window_raises(self):
         with pytest.raises(GridResolution):
             LogPartition(gaussian_model(1e8, 1.0))(0.0)
+
+    def test_growth_inside_the_window_keeps_the_grid(self):
+        # The quartic window stays [-4, 4] up to z = 2: the growth reruns the
+        # halving check but evaluates V on no new grid.
+        sizes = []
+
+        def v(x):
+            sizes.append(np.size(x))
+            return x**4 / 4 + x**2 / 2
+
+        model = ModelSpec(GeneralPotential(v=v, grad_v=lambda x: x**3 + x),
+                          RankOneInteraction(0.5 * J_CRIT))
+        kernel = LogPartition(model)
+        window = kernel.window
+        kernel(np.array([-1.0, 2.0]))
+        assert kernel.z_max == 2.0 and kernel.window == window == (-4.0, 4.0)
+        assert sizes.count(4097) == 1
 
     def test_failed_growth_keeps_raising(self):
         # sd 0.01: resolved on the z = 0 window, not once z = 1e5 widens it.
