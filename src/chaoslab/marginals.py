@@ -14,6 +14,7 @@ reference depends on the point only through s = sum x_i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -21,14 +22,15 @@ from scipy.integrate import cumulative_trapezoid
 from .errors import (NonConvergent, NonPositiveDefinite, RegimeViolation,
                      Supercritical)
 from .meanfield import LogPartition, TiltedMeasure, tilt_window, tilted_measure
-from .metrics import wasserstein_1d
-from .model import ModelSpec
-from .numerics import (LOG_CUT, GridDensity, log_laplace, mixed_convolution_powers,
-                       window_search)
+from .metrics import quantile_from_density, wasserstein_1d
+from .model import MAX_PARTICLES, ModelSpec
+from .numerics import (FINE_POINTS, LOG_CUT, GridDensity, log_laplace,
+                       mixed_convolution_powers, window_search)
 
 __all__ = [
     "MixtureLaw",
     "EntropyLevels",
+    "MAX_LEVEL",
     "build_mixture",
     "marginal_log_density",
     "relative_entropy_levels",
@@ -40,8 +42,24 @@ __all__ = [
     "sample_marginal",
 ]
 
-# Gauss-Legendre nodes and weights of the auxiliary field z on [-1, 1].
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(257)
+# Highest entropy level k: tests gate the levels on the Gaussian oracle up to
+# k = 8, and the s-grid of level k has k times the x-grid's points.
+MAX_LEVEL = 8
+# Points of the x-grid behind the entropy levels.
+_LEVEL_POINTS = 4096
+
+
+@cache
+def _gauss_legendre():
+    """Gauss-Legendre nodes and weights of the auxiliary field z on [-1, 1].
+
+    Built on the first mixture, not at import: ``leggauss`` costs about
+    15 ms.  The arrays are shared, so they are read-only.
+    """
+    rule = np.polynomial.legendre.leggauss(257)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 @dataclass(frozen=True)
@@ -94,8 +112,8 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
     J = model.coupling
     if J <= 0:
         raise ValueError("mixture representation requires J > 0")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    if not 1 <= N <= MAX_PARTICLES:
+        raise ValueError(f"N must satisfy 1 <= N <= {MAX_PARTICLES}")
     if model.is_gaussian and J >= model.confinement.sigma:
         raise NonConvergent("Gaussian model needs J < sigma for a normalizable mixture")
 
@@ -117,11 +135,12 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
         zlo, zhi = float(zs[above[0]] - pad), float(zs[above[-1]] + pad)
 
     # Gauss-Legendre nodes on the discovered support.
+    gl_nodes, gl_weights = _gauss_legendre()
     scale = 0.5 * (zhi - zlo)
-    z_nodes = scale * _GL_NODES + 0.5 * (zhi + zlo)
+    z_nodes = scale * gl_nodes + 0.5 * (zhi + zlo)
 
     logw_nodes, log_z1 = log_weight_profile(z_nodes)
-    raw = logw_nodes + np.log(_GL_WEIGHTS * scale)
+    raw = logw_nodes + np.log(gl_weights * scale)
     # At t = 0 the Laplace sum is the plain log-sum-exp of ``raw``.
     log_weights = raw - log_laplace(0.0, z_nodes, raw)
 
@@ -168,7 +187,6 @@ class EntropyLevels:
 
     n_particles: int
     levels: np.ndarray
-    std_errors: np.ndarray
 
     def __post_init__(self) -> None:
         if self.levels[0] != 0.0:
@@ -194,9 +212,9 @@ def _node_density_window(law: MixtureLaw):
             max(float(means.max()) + 12.0 * sig, xhi))
 
 
-def _node_grid_densities(law: MixtureLaw, grid_points: int):
-    """Per-node tilted densities on ``grid_points`` points over ``law.x_window``."""
-    xs = np.linspace(law.x_window[0], law.x_window[1], grid_points)
+def _node_grid_densities(law: MixtureLaw, n_points: int):
+    """Per-node tilted densities on ``n_points`` points over ``law.x_window``."""
+    xs = np.linspace(law.x_window[0], law.x_window[1], n_points)
     return xs, law.node_densities(xs)
 
 
@@ -206,21 +224,14 @@ def _log_gk(law: MixtureLaw, k: int, s: np.ndarray) -> np.ndarray:
                        law.z_log_weights + k * (law.log_z0 - law.node_log_z1))
 
 
-def relative_entropy_levels(law: MixtureLaw, k_max: int,
-                            method: str = "exact-grid",
-                            grid_points: int = 4096,
-                            mc_samples: int = 200_000,
-                            seed: int = 0) -> EntropyLevels:
-    """Entropy levels H(m^{N,k}|m_*^{otimes k}) for k = 1..k_max.
+def relative_entropy_levels(law: MixtureLaw, k_max: int) -> EntropyLevels:
+    """Entropy levels H(m^{N,k}|m_*^{otimes k}) for k = 1..k_max, k_max <= MAX_LEVEL.
 
-    exact-grid: deterministic; the level-k entropy is a double integral
-    over the auxiliary field and the sum s = x_1 + ... + x_k whose density
-    per node is a k-fold grid convolution.  Capped at k = 4.
+    Deterministic: the level-k entropy is a double integral over the
+    auxiliary field and the sum s = x_1 + ... + x_k whose density per node
+    is a k-fold grid convolution (``_entropy_exact``).
 
-    mc-with-exact-density: averages the exact log-ratio over exchangeable
-    samples from the mixture and reports a standard error.
-
-    Both take m_* = pi[0], the untilted measure, which is the mean-field
+    It takes m_* = pi[0], the untilted measure, which is the mean-field
     limit only for an even confinement below the critical coupling.  A
     non-quartic confinement whose pi[0] has a non-zero mean
     (|<x>| > 1e-10 sd) raises ``RegimeViolation``: the fixed point is then
@@ -230,8 +241,8 @@ def relative_entropy_levels(law: MixtureLaw, k_max: int,
     law already has J < sigma = J_c, or ``build_mixture`` would have
     refused it.)
     """
-    if not 1 <= k_max <= min(law.n_particles, 8):
-        raise ValueError("k_max must satisfy 1 <= k_max <= min(N, 8)")
+    if not 1 <= k_max <= min(law.n_particles, MAX_LEVEL):
+        raise ValueError(f"k_max must satisfy 1 <= k_max <= min(N, {MAX_LEVEL})")
     if not law.model.is_gaussian:
         mu0 = tilted_measure(law.model, 0.0)
         if not law.model.is_quartic:
@@ -246,13 +257,7 @@ def relative_entropy_levels(law: MixtureLaw, k_max: int,
             raise Supercritical(
                 f"J = {law.model.coupling} >= J_c = {j_c}: the entropy levels "
                 f"are taken against pi[0], the limit below J_c only")
-    if method == "exact-grid":
-        if k_max > 4:
-            raise ValueError("exact-grid path is capped at k_max = 4; use the mc path")
-        return _entropy_exact(law, k_max, grid_points)
-    if method == "mc-with-exact-density":
-        return _entropy_mc(law, k_max, mc_samples, seed)
-    raise ValueError(f"unknown method {method!r}")
+    return _entropy_exact(law, k_max)
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
@@ -263,7 +268,7 @@ def _phi(x: np.ndarray) -> np.ndarray:
                     x + np.expm1(-x))
 
 
-def _entropy_exact(law: MixtureLaw, k_max: int, grid_points: int) -> EntropyLevels:
+def _entropy_exact(law: MixtureLaw, k_max: int) -> EntropyLevels:
     """Level k is int p log g ds, with p = sum_j w_j rho_j^{*k} the mixed
     density of s = x_1 + ... + x_k and g = p / q its ratio to the reference
     density q.
@@ -273,10 +278,10 @@ def _entropy_exact(law: MixtureLaw, k_max: int, grid_points: int) -> EntropyLeve
     relative accuracy as H -> 0.  The plain per-node form
     sum_j w_j int rho_j^{*k} log g cancels terms far larger than H.
     """
-    xs, dens = _node_grid_densities(law, grid_points)
+    xs, dens = _node_grid_densities(law, _LEVEL_POINTS)
     lo, hi = float(xs[0]), float(xs[-1])
     # GridDensity's spacing, not xs[1] - xs[0]: level 1 keeps its last bits.
-    dx = (hi - lo) / (grid_points - 1)
+    dx = (hi - lo) / (_LEVEL_POINTS - 1)
     mixed = mixed_convolution_powers(dens, dx, np.exp(law.z_log_weights), k_max)
 
     levels = np.zeros(k_max + 1)
@@ -284,22 +289,7 @@ def _entropy_exact(law: MixtureLaw, k_max: int, grid_points: int) -> EntropyLeve
         s_grid = np.linspace(k * lo, k * hi, p_mix.size)
         phi = _phi(_log_gk(law, k, s_grid))
         levels[k] = float(np.trapezoid(p_mix * phi, dx=dx))
-    return EntropyLevels(law.n_particles, levels, np.zeros(k_max + 1))
-
-
-def _entropy_mc(law: MixtureLaw, k_max: int, mc_samples: int, seed: int) -> EntropyLevels:
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    levels = np.zeros(k_max + 1)
-    errors = np.zeros(k_max + 1)
-    log_mstar_z = law.log_z0
-    for k in range(1, k_max + 1):
-        pts = sample_marginal(law, mc_samples, rng=rng, k=k)
-        log_num = marginal_log_density_batch(law, pts)
-        log_den = (-law.model.potential(pts) - log_mstar_z).sum(axis=1)
-        vals = log_num - log_den
-        levels[k] = float(vals.mean())
-        errors[k] = float(vals.std(ddof=1) / np.sqrt(mc_samples))
-    return EntropyLevels(law.n_particles, levels, errors)
+    return EntropyLevels(law.n_particles, levels)
 
 
 def conditional_entropy_level(levels: EntropyLevels, k: int) -> float:
@@ -327,50 +317,34 @@ def gaussian_entropy_oracle(sigma: float, J: float, N: int, k: int) -> float:
     return 0.5 * (u - np.log1p(u))
 
 
-def marginal_grid_density(law: MixtureLaw, grid_points: int = 8192) -> GridDensity:
-    """The one-particle marginal density m^{N,1} on a grid."""
-    xs, dens = _node_grid_densities(law, grid_points)
+def marginal_grid_density(law: MixtureLaw) -> GridDensity:
+    """The one-particle marginal density m^{N,1} on ``FINE_POINTS`` points."""
+    xs, dens = _node_grid_densities(law, FINE_POINTS)
     weights = np.exp(law.z_log_weights)
-    return GridDensity(float(xs[0]), float(xs[-1]), grid_points, weights @ dens)
+    return GridDensity(float(xs[0]), float(xs[-1]), FINE_POINTS, weights @ dens)
 
 
-def marginal_moment(law: MixtureLaw, power: int, grid_points: int = 8192) -> float:
-    g = marginal_grid_density(law, grid_points)
+def marginal_moment(law: MixtureLaw, power: int) -> float:
+    g = marginal_grid_density(law)
     return float(np.trapezoid(g.xs**power * g.values, dx=g.dx))
 
 
-def _grid_quantile(g: GridDensity):
-    cdf = cumulative_trapezoid(g.values, dx=g.dx, initial=0.0)
-    cdf /= cdf[-1]
-    xs = g.xs
-
-    def quantile(u):
-        return np.interp(np.asarray(u, dtype=float), cdf, xs)
-
-    return quantile
-
-
-def wasserstein2_marginal(law: MixtureLaw, k1_reference: TiltedMeasure,
-                          quantile_points: int = 8192,
-                          grid_points: int = 8192) -> float:
+def wasserstein2_marginal(law: MixtureLaw, k1_reference: TiltedMeasure) -> float:
     """W_2(m^{N,1}, reference) by inverse-CDF coupling, ``metrics.wasserstein_1d``.
 
     Not exact: the cost is a trapezoid in u on [1e-8, 1 - 1e-8], which puts
     W_2^2 about 1.8e-3 (relative) above the Gaussian closed form.
     """
-    gm = marginal_grid_density(law, grid_points)
-    ref = GridDensity.from_callable(k1_reference.density, gm.lo, gm.hi, grid_points)
-    return float(np.sqrt(wasserstein_1d(_grid_quantile(gm), _grid_quantile(ref),
-                                        order=2, grid_points=quantile_points)))
+    gm = marginal_grid_density(law)
+    ref = GridDensity.from_callable(k1_reference.density, gm.lo, gm.hi, FINE_POINTS)
+    return float(np.sqrt(wasserstein_1d(quantile_from_density(gm),
+                                        quantile_from_density(ref), order=2)))
 
 
-def sample_marginal(law: MixtureLaw, n: int, seed: int = 0, k: int = 1,
-                    rng: np.random.Generator | None = None,
-                    grid_points: int = 8192) -> np.ndarray:
+def sample_marginal(law: MixtureLaw, n: int, seed: int = 0, k: int = 1) -> np.ndarray:
     """Exchangeable draws from m^{N,k}: pick a field node, then IID tilts."""
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-    xs, dens = _node_grid_densities(law, grid_points)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    xs, dens = _node_grid_densities(law, FINE_POINTS)
     weights = np.exp(law.z_log_weights)
     weights = weights / weights.sum()
     node_idx = rng.choice(len(weights), size=n, p=weights)

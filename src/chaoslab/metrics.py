@@ -8,6 +8,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateSample, NonFinite
+from .numerics import FINE_POINTS, GridDensity
 
 __all__ = [
     "DivergenceEstimate",
@@ -85,30 +86,26 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray,
     return DivergenceEstimate(value, se, "knn")
 
 
-def wasserstein_1d(quantile_p, quantile_q, order: int = 2,
-                   grid_points: int = 8192) -> float:
+def wasserstein_1d(quantile_p, quantile_q, order: int = 2) -> float:
     """1D transport cost int_0^1 |F^-1 - G^-1|^order du, by the trapezoid in u.
 
-    Not exact: on the standard normal the rule's ``grid_points`` uniform u in
+    Not exact: on the standard normal the rule's ``FINE_POINTS`` uniform u in
     [1e-8, 1 - 1e-8] give int q^2 du = 1.00178.  No root is taken.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    us = np.linspace(1e-8, 1.0 - 1e-8, grid_points)
+    us = np.linspace(1e-8, 1.0 - 1e-8, FINE_POINTS)
     diff = np.abs(np.asarray(quantile_p(us), dtype=float)
                   - np.asarray(quantile_q(us), dtype=float))
     return float(np.trapezoid(diff**order, us))
 
 
-def quantile_from_density(density, lo: float, hi: float,
-                          grid_points: int = 8192):
-    """Monotone-inverse quantile function of a 1D density on [lo, hi]."""
-    xs = np.linspace(lo, hi, grid_points)
-    vals = np.maximum(np.asarray(density(xs), dtype=float), 0.0)
-    cdf = cumulative_trapezoid(vals, xs, initial=0.0)
-    if cdf[-1] <= 0:
-        raise ValueError("density has zero mass on the window")
+def quantile_from_density(g: GridDensity):
+    """Quantile function of the grid density ``g``: the inverse of its
+    trapezoid CDF (scaled to end at 1), interpolated linearly."""
+    cdf = cumulative_trapezoid(g.values, dx=g.dx, initial=0.0)
     cdf /= cdf[-1]
+    xs = g.xs
 
     def quantile(u):
         return np.interp(np.asarray(u, dtype=float), cdf, xs)

@@ -21,6 +21,7 @@ from .errors import GridResolution, NoSignChange, NonConvergent
 
 __all__ = [
     "GridDensity",
+    "FINE_POINTS",
     "LOG_CUT",
     "window_search",
     "trapezoid_log_weights",
@@ -29,6 +30,12 @@ __all__ = [
     "mixed_convolution_powers",
     "find_root",
 ]
+
+# Points of every fine uniform grid: the one-particle marginal density and
+# its draws, the densities whose quantile functions enter W_1 and W_2, the
+# entropy against the marginal in the T1 scan, and the integrals in u of W_1,
+# W_2 and the Bolley-Villani moment.
+FINE_POINTS = 8192
 
 # A grid density whose edge value exceeds this fraction of its peak is cut off.
 _EDGE_FRACTION = 1e-6

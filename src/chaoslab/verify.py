@@ -19,8 +19,9 @@ from .marginals import (MixtureLaw, build_mixture, marginal_grid_density,
 from .meanfield import (LogPartition, TiltedMeasure, critical_coupling, magnetization,
                         tilted_measure)
 from .metrics import quantile_from_density, wasserstein_1d
-from .model import ModelSpec
-from .numerics import find_root, log_trapezoid, trapezoid_log_weights, window_search
+from .model import MAX_PARTICLES, ModelSpec
+from .numerics import (FINE_POINTS, GridDensity, find_root, log_trapezoid,
+                       trapezoid_log_weights, window_search)
 
 __all__ = [
     "ScanReport",
@@ -77,10 +78,9 @@ def nonlinear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> 
     lhs = np.empty_like(grid)
     rhs = np.empty_like(grid)
     for i, ell in enumerate(grid):
-        mu = tilted_measure(model, J * ell)
+        mu = tilted_measure(model, J * ell)  # its mean is f(l)
         lhs[i] = 2.0 * bundle.rho * _entropy_between_tilts(mu, mstar)
-        f_ell = magnetization(model, ell)
-        rhs[i] = J**2 * (ell - f_ell) ** 2
+        rhs[i] = J**2 * (ell - mu.mean) ** 2
     return _report(grid, lhs, rhs)
 
 
@@ -165,15 +165,13 @@ def psi_positivity_scan(model: ModelSpec, alpha: float, m0_mean: float,
     J = model.coupling
     j_c = critical_coupling(model)
     h_star = solve_interpolated_fixed_point(model, alpha, m0_mean)
-    f_star = magnetization(model, h_star)
-    log_z_star = tilted_measure(model, J * h_star).log_z
+    star = tilted_measure(model, J * h_star)  # its mean is f(h_*)
     grid = np.asarray(ell_grid, dtype=float)
     psi = np.empty_like(grid)
     for i, ell in enumerate(grid):
-        f_ell = magnetization(model, ell)
-        log_z_ell = tilted_measure(model, J * ell).log_z
-        psi[i] = (-(j_c / 2.0) * (f_ell - f_star) ** 2
-                  + J * (ell - h_star) * f_ell - log_z_ell + log_z_star)
+        mu = tilted_measure(model, J * ell)
+        psi[i] = (-(j_c / 2.0) * (mu.mean - star.mean) ** 2
+                  + J * (ell - h_star) * mu.mean - mu.log_z + star.log_z)
     return _report(grid, np.zeros_like(grid), psi)
 
 
@@ -197,6 +195,8 @@ def jw_log_mgf(model: ModelSpec, N: int) -> float:
     J = model.coupling
     if J <= 0:
         raise ValueError("requires J > 0")
+    if not 1 <= N <= MAX_PARTICLES:
+        raise ValueError(f"N must satisfy 1 <= N <= {MAX_PARTICLES}")
     j_c = critical_coupling(model)
     if J >= j_c:
         raise NonConvergent(f"log-MGF diverges for J = {J} >= J_c = {j_c}")
@@ -210,8 +210,7 @@ def jw_log_mgf(model: ModelSpec, N: int) -> float:
     return -0.5 * np.log(2.0 * np.pi) + float(log_int)
 
 
-def bolley_villani_moment_check(mu_quantile, rho: float, delta: float,
-                                grid_points: int = 8192) -> float:
+def bolley_villani_moment_check(mu_quantile, rho: float, delta: float) -> float:
     """int exp(rho (x - mean)^2 / 4) dmu via the quantile representation.
 
     The caller compares the return value against sqrt(2) exp(delta).
@@ -220,7 +219,7 @@ def bolley_villani_moment_check(mu_quantile, rho: float, delta: float,
         raise ValueError("rho must be positive")
     # Graded grid clustering at both endpoints: the integrand can have an
     # integrable (1-u)^{-1/2}-type singularity in the boundary-equality case.
-    s = np.linspace(-1.0, 1.0, grid_points)
+    s = np.linspace(-1.0, 1.0, FINE_POINTS)
     us = 0.5 + 0.5 * np.sign(s) * (1.0 - (1.0 - np.abs(s)) ** 4)
     us = np.clip(us, 1e-12, 1.0 - 1e-12)
     q = np.asarray(mu_quantile(us), dtype=float)
@@ -234,10 +233,9 @@ def bolley_villani_moment_check(mu_quantile, rho: float, delta: float,
     return float(np.trapezoid(vals, us))
 
 
-def _entropy_against_marginal(mu: TiltedMeasure, law: MixtureLaw,
-                              grid_points: int = 8192) -> float:
+def _entropy_against_marginal(mu: TiltedMeasure, law: MixtureLaw) -> float:
     """H(mu | m^{N,1}) on ``mu.window``, the marginal density evaluated exactly."""
-    xs = np.linspace(mu.window[0], mu.window[1], grid_points)
+    xs = np.linspace(mu.window[0], mu.window[1], FINE_POINTS)
     log_mu = mu.log_density(xs)
     p = np.exp(log_mu)
     log_m1 = marginal_log_density_batch(law, xs[:, None])
@@ -245,16 +243,13 @@ def _entropy_against_marginal(mu: TiltedMeasure, law: MixtureLaw,
 
 
 def marginal_t1_ratio_scan(model: ModelSpec, N: int, bundle: ConstantsBundle,
-                           tilt_grid, law: MixtureLaw | None = None,
-                           grid_points: int = 8192) -> ScanReport:
+                           tilt_grid, law: MixtureLaw | None = None) -> ScanReport:
     """W_1^2(pi[l], m^{N,1}) <= 64 (1+delta_N)^2 / lambda_N * H(pi[l] | m^{N,1})."""
     if law is None:
         law = build_mixture(model, N)
     const = t1_particle_constant(bundle.lambda_n, bundle.delta_n)
-    m1 = marginal_grid_density(law, grid_points)
-    qm = quantile_from_density(lambda x: np.interp(x, m1.xs, m1.values,
-                                                   left=0.0, right=0.0),
-                               m1.lo, m1.hi, grid_points)
+    m1 = marginal_grid_density(law)
+    qm = quantile_from_density(m1)
     J = model.coupling
     grid = np.asarray(tilt_grid, dtype=float)
     lhs = np.empty_like(grid)
@@ -262,8 +257,9 @@ def marginal_t1_ratio_scan(model: ModelSpec, N: int, bundle: ConstantsBundle,
     for i, ell in enumerate(grid):
         mu = tilted_measure(model, J * ell)
         lo, hi = min(mu.window[0], m1.lo), max(mu.window[1], m1.hi)
-        qn = quantile_from_density(mu.density, lo, hi, grid_points)
+        qn = quantile_from_density(GridDensity.from_callable(mu.density, lo, hi,
+                                                             FINE_POINTS))
         w1 = wasserstein_1d(qn, qm, order=1)
         lhs[i] = w1 * w1
-        rhs[i] = const * _entropy_against_marginal(mu, law, grid_points)
+        rhs[i] = const * _entropy_against_marginal(mu, law)
     return _report(grid, lhs, rhs)

@@ -196,9 +196,7 @@ def test_inequality_scans_across_couplings():
                 model, n, bundle, np.linspace(-0.5, 0.5, 5), law=law).passed,
         }
         g = marginal_grid_density(law)
-        q = quantile_from_density(
-            lambda x: np.interp(x, g.xs, g.values, left=0.0, right=0.0),
-            g.lo, g.hi)
+        q = quantile_from_density(g)
         val = bolley_villani_moment_check(q, bundle.lambda_n / 2.0,
                                           2.0 * bundle.delta_n)
         scans["bv"] = val <= np.sqrt(2.0) * np.exp(2.0 * bundle.delta_n)

@@ -197,7 +197,7 @@ class TestMain:
         ("chaos-scan", {"n_grid": "abc"}, "n_grid"),
         ("jw", {"n_grid": [8.5]}, "n_grid"),
         ("chaos-scan", {"k_max": "two"}, "k_max"),
-        ("chaos-scan", {"k_max": 5}, "k_max"),
+        ("chaos-scan", {"k_max": 9}, "k_max"),
         ("chaos-scan", {"n_grid": [2, 4], "k_max": 3}, "k_max"),
         ("fixed-point", {"seed": 1.5}, "seed"),
         ("chaos-scan", {"model": dict(MODEL, J="x")}, "model.J"),
@@ -206,6 +206,7 @@ class TestMain:
         ("fixed-point", {"model": dict(MODEL, theta=0, sigma=0)}, "model.sigma"),
         ("chaos-scan", {"model": dict(MODEL, J=-1)}, "model.J"),
         ("jw", {"model": dict(MODEL, J=-1)}, "model.J"),
+        ("jw", {"n_grid": [2**20 + 1]}, "n_grid"),
     ])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, command, over,
                                               field):

@@ -12,8 +12,10 @@ from chaoslab.marginals import (_node_grid_densities, build_mixture,
                                 relative_entropy_levels, sample_marginal,
                                 wasserstein2_marginal)
 from chaoslab.meanfield import tilted_measure
-from chaoslab.model import (GeneralPotential, ModelSpec, RankOneInteraction,
-                            curie_weiss_model, gaussian_model)
+from chaoslab.model import (MAX_PARTICLES, GeneralPotential, ModelSpec,
+                            RankOneInteraction, curie_weiss_model, gaussian_model)
+from chaoslab.numerics import FINE_POINTS
+from chaoslab.verify import jw_log_mgf
 from conftest import GAUSS_JOINT_KL, J_CRIT, N2_KL_LIMIT_SAMPLE, W2_N32
 from oracles import (brute_marginal_log_density_n2, brute_marginal_log_density_n3,
                      integrate)
@@ -23,6 +25,12 @@ class TestBuildMixture:
     def test_rejects_nonpositive_coupling(self):
         with pytest.raises(ValueError):
             build_mixture(curie_weiss_model(1.0, 1.0, -0.5), 4)
+
+    def test_rejects_n_above_range(self, quartic_model):
+        # Above 2^20 the levels drift with no typed error (N^2 H_1 reads 5.11
+        # at 2^28 against 0.138 at 2^20).
+        with pytest.raises(ValueError):
+            build_mixture(quartic_model, MAX_PARTICLES + 1)
 
     def test_n1_density_matches_direct(self, quartic_model):
         law = build_mixture(quartic_model, 1)
@@ -36,7 +44,7 @@ class TestBuildMixture:
     def test_weak_coupling_collapses_to_mstar(self):
         m = curie_weiss_model(1.0, 1.0, 1e-6)
         law = build_mixture(m, 8)
-        g = marginal_grid_density(law, 8192)
+        g = marginal_grid_density(law)
         mstar = tilted_measure(m, 0.0)
         tv = 0.5 * np.trapezoid(np.abs(g.values - mstar.density(g.xs)), dx=g.dx)
         assert tv <= 1e-4
@@ -130,14 +138,6 @@ class TestEntropyLevels:
             assert lv.levels[k] == pytest.approx(
                 gaussian_entropy_oracle(1.0, 0.5, 16, k), abs=1e-6)
 
-    def test_mc_cross_check(self, quartic_model):
-        law = build_mixture(quartic_model, 8)
-        exact = relative_entropy_levels(law, 1)
-        mc = relative_entropy_levels(law, 1, method="mc-with-exact-density",
-                                     mc_samples=1_000_000, seed=11)
-        assert abs(mc.levels[1] - exact.levels[1]) <= 3 * mc.std_errors[1]
-        assert mc.std_errors[1] > 0
-
     def test_levels_positive_and_monotone(self, quartic_model):
         law = build_mixture(quartic_model, 16)
         lv = relative_entropy_levels(law, 4)
@@ -152,15 +152,13 @@ class TestEntropyLevels:
         total = sum(conditional_entropy_level(lv, k) for k in range(1, 5))
         assert total == pytest.approx(float(lv.levels[4]), abs=1e-14)
 
-    @pytest.mark.parametrize("method", ["exact-grid", "mc-with-exact-density"])
-    def test_supercritical_raises(self, method):
+    def test_supercritical_raises(self):
         # m_* = pi[0] is the wrong limit above J_c: unguarded, H_1 reads 1.565.
         law = build_mixture(curie_weiss_model(1.0, 1.0, 1.5 * J_CRIT), 64)
         with pytest.raises(Supercritical):
-            relative_entropy_levels(law, 1, method=method, mc_samples=1000)
+            relative_entropy_levels(law, 1)
 
-    @pytest.mark.parametrize("method", ["exact-grid", "mc-with-exact-density"])
-    def test_asymmetric_confinement_raises(self, method):
+    def test_asymmetric_confinement_raises(self):
         # pi[0] of V = x^4/4 + x^2/2 - x/2 has mean 0.231, so pi[0] is not the
         # limit: unguarded, H_1 reads 0.0359, 0.0365, 0.0367 at N = 64, 256,
         # 1024 instead of falling as 1/N^2.
@@ -168,7 +166,7 @@ class TestEntropyLevels:
                              grad_v=lambda x: x**3 + x - 0.5)
         law = build_mixture(ModelSpec(v, RankOneInteraction(1.0), lipschitz_minus=1.0), 64)
         with pytest.raises(RegimeViolation):
-            relative_entropy_levels(law, 1, method=method, mc_samples=1000)
+            relative_entropy_levels(law, 1)
 
     def test_even_general_potential_matches_quartic(self, quartic_model):
         v = GeneralPotential(v=lambda x: x**4 / 4 + x**2 / 2, grad_v=lambda x: x**3 + x)
@@ -192,15 +190,32 @@ class TestEntropyLevels:
             assert levels[k] == pytest.approx(
                 gaussian_entropy_oracle(sigma, J, n, k), rel=1e-9, abs=0.0)
 
-    def test_exact_grid_cap(self, quartic_model):
-        law = build_mixture(quartic_model, 8)
-        with pytest.raises(ValueError):
-            relative_entropy_levels(law, 5, method="exact-grid")
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_gaussian_oracle_high_levels(self, gauss_model, n):
+        levels = relative_entropy_levels(build_mixture(gauss_model, n), 8).levels
+        for k in range(5, 9):
+            assert levels[k] == pytest.approx(
+                gaussian_entropy_oracle(1.0, 0.5, n, k), rel=1e-9, abs=0.0)
+
+    def test_quartic_level_n_closed_form(self, quartic_model):
+        # H(m^N | m_*^N) = (J/2N) E[S_N^2] - log E_{m_*^N}[exp(J S_N^2/2N)], with
+        # E[S_N^2] = sum_j w_j (N Var_j + N^2 mean_j^2) over the field nodes.
+        n, J = 8, quartic_model.coupling
+        law = build_mixture(quartic_model, n)
+        second = 0.0
+        for z, logw in zip(law.z_nodes, law.z_log_weights):
+            mu = tilted_measure(quartic_model, z)
+            var = mu.second_moment - mu.mean**2
+            second += np.exp(logw) * (n * var + n * n * mu.mean**2)
+        closed = J / (2 * n) * second - jw_log_mgf(quartic_model, n)
+        got = relative_entropy_levels(law, n).levels[n]
+        assert got == pytest.approx(closed, rel=1e-10, abs=0.0)
 
     def test_k_max_bounds(self, quartic_model):
-        law = build_mixture(quartic_model, 4)
         with pytest.raises(ValueError):
-            relative_entropy_levels(law, 5)
+            relative_entropy_levels(build_mixture(quartic_model, 4), 5)
+        with pytest.raises(ValueError):  # above MAX_LEVEL = 8
+            relative_entropy_levels(build_mixture(quartic_model, 16), 9)
 
 
 class TestGaussianOracle:
@@ -262,10 +277,10 @@ class TestSampling:
         # Every node's CDF is built in one batched pass; the draws must be
         # those of the per-node construction, bit for bit.
         law = build_mixture(quartic_model, 8)
-        got = sample_marginal(law, 3000, seed=4, k=3, grid_points=2048)
+        got = sample_marginal(law, 3000, seed=4, k=3)
 
         rng = np.random.Generator(np.random.Philox(key=4))
-        xs, dens = _node_grid_densities(law, 2048)
+        xs, dens = _node_grid_densities(law, FINE_POINTS)
         weights = np.exp(law.z_log_weights)
         node_idx = rng.choice(len(weights), size=3000, p=weights / weights.sum())
         want = np.empty((3000, 3))

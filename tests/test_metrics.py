@@ -6,6 +6,7 @@ from chaoslab.marginals import build_mixture, marginal_log_density_batch, relati
 from chaoslab.meanfield import tilted_measure
 from chaoslab.metrics import (DivergenceEstimate, kl_knn, kl_plug_in,
                               quantile_from_density, wasserstein_1d)
+from chaoslab.numerics import FINE_POINTS, GridDensity
 from oracles import fisher_information_1d
 
 
@@ -133,7 +134,8 @@ class TestWasserstein1d:
         qs = []
         for t in tilts:
             mu = tilted_measure(quartic_model, J * t)
-            qs.append(quantile_from_density(mu.density, -6, 6, 8192))
+            qs.append(quantile_from_density(
+                GridDensity.from_callable(mu.density, -6, 6, FINE_POINTS)))
         w = lambda a, b: wasserstein_1d(qs[a], qs[b], order=1)
         assert w(0, 2) <= w(0, 1) + w(1, 2) + 1e-8
         w2 = lambda a, b: np.sqrt(wasserstein_1d(qs[a], qs[b], order=2))

@@ -5,7 +5,7 @@ from chaoslab.bounds import curie_weiss_constants, jw_rhs
 from chaoslab.errors import DivergentIntegral
 from chaoslab.meanfield import critical_coupling, magnetization, tilted_measure
 from chaoslab.metrics import quantile_from_density
-from chaoslab.model import curie_weiss_model, gaussian_model
+from chaoslab.model import MAX_PARTICLES, curie_weiss_model, gaussian_model
 from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf,
                              linear_lsi_scan, magnetization_inverse,
                              marginal_t1_ratio_scan, nonlinear_lsi_scan,
@@ -128,6 +128,10 @@ class TestJwLogMgf:
         assert jw_log_mgf(m, n) == pytest.approx(nested_quad_jw_log_mgf(m, n),
                                                  abs=1e-11)
 
+    def test_rejects_n_above_range(self, gauss_model):
+        with pytest.raises(ValueError):
+            jw_log_mgf(gauss_model, MAX_PARTICLES + 1)
+
     @pytest.mark.parametrize("n", [16, 1024, 65536])
     def test_gaussian_closed_form_tight(self, gauss_model, n):
         assert jw_log_mgf(gauss_model, n) == pytest.approx(
@@ -166,9 +170,7 @@ class TestBolleyVillani:
         from chaoslab.marginals import build_mixture, marginal_grid_density
         law = build_mixture(quartic_model, 32)
         g = marginal_grid_density(law)
-        q = quantile_from_density(
-            lambda x: np.interp(x, g.xs, g.values, left=0.0, right=0.0),
-            g.lo, g.hi)
+        q = quantile_from_density(g)
         val = bolley_villani_moment_check(q, bundle128.lambda_n / 2.0,
                                           2.0 * bundle128.delta_n)
         assert val <= np.sqrt(2) * np.exp(2.0 * bundle128.delta_n)
