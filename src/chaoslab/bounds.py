@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssertionFailure, InvalidConstants, RegimeViolation, Supercritical
-from .meanfield import tilted_measure
-from .model import ModelSpec, curie_weiss_model
+from .errors import AssertionFailure, InvalidConstants, RegimeViolation
+from .meanfield import critical_coupling, subcritical_reference
+from .model import ModelSpec
 
 __all__ = [
     "ConstantsBundle",
@@ -176,20 +176,27 @@ def prop25_constants(regime: str, *, rho0: float = 0.0,
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def curie_weiss_constants(theta: float, sigma: float, J: float, N: int,
-                          d: int = 1,
-                          model: ModelSpec | None = None) -> ConstantsBundle:
-    """Full constant bundle for the sub-critical quartic rank-one model."""
-    if model is None:
-        model = curie_weiss_model(theta, sigma, J)
-    var_mstar = tilted_measure(model, 0.0).second_moment
-    j_c = 1.0 / var_mstar  # critical_coupling(model)
-    if J >= j_c:
-        raise Supercritical(f"J = {J} >= J_c = {j_c}")
+def curie_weiss_constants(model: ModelSpec, N: int) -> ConstantsBundle:
+    """Full constant bundle for the sub-critical quartic rank-one model.
+
+    theta, sigma and J are read off ``model``, which must pass
+    ``meanfield.subcritical_reference`` (``Supercritical`` for J >= J_c).
+    The small-sigma rho0 = exp(-7 (1 - sigma)^2 / (36 theta)) tends to 0 as
+    theta -> 0+, and rho0 = 0 gives lambda_N < 0, so the Gaussian model
+    with sigma < 1 raises ``RegimeViolation``, like every lambda_N <= 0.
+    """
+    if not model.is_quartic:
+        raise RegimeViolation("the Curie-Weiss bundle needs a quartic confinement")
+    mstar = subcritical_reference(model)
+    var_mstar = mstar.second_moment
+    j_c = critical_coupling(mstar)
+    theta, sigma, J = model.confinement.theta, model.confinement.sigma, model.coupling
     if J <= 0:
         raise RegimeViolation("bundle requires 0 < J < J_c")
     if sigma >= 1.0:
         rho0 = sigma
+    elif theta == 0.0:
+        raise RegimeViolation("theta = 0 with sigma < 1 gives rho0 = 0 and lambda_N < 0")
     else:
         rho0 = math.exp(-7.0 * (1.0 - sigma) ** 2 / (36.0 * theta))
     r = 1.0 - J / j_c
@@ -197,11 +204,11 @@ def curie_weiss_constants(theta: float, sigma: float, J: float, N: int,
     q = min(j_c / J - 1.0, 1.0)
     coeff = 3.0 * (1.0 / math.sqrt(q) + 3.0)
     lambda_n = r * rho0 / 2.0 - coeff * J / N
-    delta_n = coeff * d * J / rho0
+    delta_n = coeff * J / rho0
     if lambda_n <= 0:
         raise RegimeViolation(f"lambda_N = {lambda_n} <= 0 at N = {N}")
     gamma = 64.0 * (1.0 + delta_n) ** 2 * J * J / lambda_n
-    big_m = 4.0 * J * J * (delta_n / (lambda_n * N) + d / rho0)
+    big_m = 4.0 * J * J * (delta_n / (lambda_n * N) + 1.0 / rho0)
     return ConstantsBundle(rho, gamma, big_m, rho0, lambda_n, delta_n,
                            j_c, var_mstar, "curie-weiss")
 

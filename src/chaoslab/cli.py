@@ -21,7 +21,7 @@ from . import verify as _verify
 from .errors import ChaosLabError, ConfigError, DegenerateInput, RegimeViolation
 from .marginals import (MAX_LEVEL, build_mixture, conditional_entropy_level,
                         relative_entropy_levels, wasserstein2_marginal)
-from .meanfield import solve_fixed_point, tilted_measure
+from .meanfield import critical_coupling, solve_fixed_point, subcritical_reference
 from .model import MAX_PARTICLES, ModelSpec, curie_weiss_model, gaussian_model
 from .sampler import ChainConfig, run_chain, save_batch
 
@@ -189,14 +189,13 @@ def _run_chaos_scan(cfg: ExperimentConfig, outdir: Path) -> dict:
     rows = []
     all_pass = True
     k1_points = []
-    mstar = tilted_measure(model, 0.0)
+    mstar = subcritical_reference(model)
     for N in cfg.n_grid:
         law = build_mixture(model, int(N))
         levels = relative_entropy_levels(law, cfg.k_max)
         w2 = wasserstein2_marginal(law, mstar)
         try:
-            bundle = _bounds.curie_weiss_constants(
-                cfg.model["theta"], cfg.model["sigma"], cfg.model["J"], N, model=model)
+            bundle = _bounds.curie_weiss_constants(model, N)
         except RegimeViolation:
             bundle = None
         cond_sum = 0.0
@@ -237,8 +236,7 @@ def _run_verify(cfg: ExperimentConfig, outdir: Path) -> dict:
     model = _build_model(cfg.model)
     chash = cfg.config_hash()
     N = cfg.n_grid[-1] if cfg.n_grid else 64
-    bundle = _bounds.curie_weiss_constants(cfg.model["theta"], cfg.model["sigma"],
-                                           cfg.model["J"], N, model=model)
+    bundle = _bounds.curie_weiss_constants(model, N)
     grid = np.concatenate([-np.geomspace(0.01, 3.0, 8)[::-1],
                            np.geomspace(0.01, 3.0, 8)])
     reports = {
@@ -289,9 +287,7 @@ def run(config: ExperimentConfig) -> dict:
     model = _build_model(config.model)
 
     if config.command == "constants":
-        bundle = _bounds.curie_weiss_constants(
-            config.model["theta"], config.model["sigma"], config.model["J"],
-            config.n_grid[-1], model=model)
+        bundle = _bounds.curie_weiss_constants(model, config.n_grid[-1])
         _write_json(outdir / "constants.json", json.loads(bundle.to_json()), chash)
         return {"command": "constants", "passed": True}
 
@@ -313,8 +309,9 @@ def run(config: ExperimentConfig) -> dict:
         rows = []
         all_pass = True
         J = model.coupling
-        var = tilted_measure(model, 0.0).second_moment  # J_c = 1 / var
-        rhs = _bounds.jw_rhs(min(1.0 / var / J - 1.0, 1.0) / 2.0, J, var)
+        mstar = subcritical_reference(model)
+        rhs = _bounds.jw_rhs(min(critical_coupling(mstar) / J - 1.0, 1.0) / 2.0, J,
+                             mstar.second_moment)
         for N in config.n_grid:
             lhs = _verify.jw_log_mgf(model, int(N))
             ok = lhs <= rhs + 1e-9

@@ -19,9 +19,8 @@ from functools import cache
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .errors import (NonConvergent, NonPositiveDefinite, RegimeViolation,
-                     Supercritical)
-from .meanfield import LogPartition, TiltedMeasure, tilt_window, tilted_measure
+from .errors import NonConvergent, NonPositiveDefinite
+from .meanfield import LogPartition, TiltedMeasure, subcritical_reference, tilt_window
 from .metrics import quantile_from_density, wasserstein_1d
 from .model import MAX_PARTICLES, ModelSpec
 from .numerics import (FINE_POINTS, LOG_CUT, GridDensity, log_laplace,
@@ -231,32 +230,14 @@ def relative_entropy_levels(law: MixtureLaw, k_max: int) -> EntropyLevels:
     auxiliary field and the sum s = x_1 + ... + x_k whose density per node
     is a k-fold grid convolution (``_entropy_exact``).
 
-    It takes m_* = pi[0], the untilted measure, which is the mean-field
-    limit only for an even confinement below the critical coupling.  A
-    non-quartic confinement whose pi[0] has a non-zero mean
-    (|<x>| > 1e-10 sd) raises ``RegimeViolation``: the fixed point is then
-    not h = 0, and the levels would tend to a positive constant.  (Quartic
-    confinements are even, so the check is skipped for them.)  A
-    non-Gaussian model with J >= J_c raises ``Supercritical``.  (A Gaussian
-    law already has J < sigma = J_c, or ``build_mixture`` would have
-    refused it.)
+    It takes m_* = pi[0], the untilted measure, so the model must pass
+    ``meanfield.subcritical_reference``: ``RegimeViolation`` for a
+    non-quartic confinement whose pi[0] has a non-zero mean (the levels
+    would tend to a positive constant), ``Supercritical`` for J >= J_c.
     """
     if not 1 <= k_max <= min(law.n_particles, MAX_LEVEL):
         raise ValueError(f"k_max must satisfy 1 <= k_max <= min(N, {MAX_LEVEL})")
-    if not law.model.is_gaussian:
-        mu0 = tilted_measure(law.model, 0.0)
-        if not law.model.is_quartic:
-            mean = mu0.mean
-            sd = float(np.sqrt(mu0.second_moment - mean * mean))
-            if abs(mean) > 1e-10 * sd:
-                raise RegimeViolation(
-                    f"pi[0] has mean {mean:.3e}: the entropy levels are taken "
-                    f"against pi[0], the limit for an even confinement only")
-        j_c = 1.0 / mu0.second_moment  # critical_coupling(law.model)
-        if law.model.coupling >= j_c:
-            raise Supercritical(
-                f"J = {law.model.coupling} >= J_c = {j_c}: the entropy levels "
-                f"are taken against pi[0], the limit below J_c only")
+    subcritical_reference(law.model)
     return _entropy_exact(law, k_max)
 
 

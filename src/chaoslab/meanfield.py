@@ -2,8 +2,9 @@
 
 Tilted measures pi[h] with density proportional to exp(-V(x) + t x),
 normalized and integrated on the one log-trapezoid behind ``LogPartition``,
-the magnetization map f = p o pi, its derivative, the critical coupling
-and the damped solver for the mean-field fixed point h = f(h).
+the magnetization map f = p o pi, its derivative, the critical coupling,
+the one sub-critical guard on m_* = pi[0] and the damped solver for the
+mean-field fixed point h = f(h).
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSignChange, NonConvergent
+from .errors import NoSignChange, NonConvergent, RegimeViolation, Supercritical
 from .model import ModelSpec
 from .numerics import (find_root, log_laplace, log_trapezoid, trapezoid_log_weights,
                        window_search)
@@ -25,8 +26,8 @@ __all__ = [
     "magnetization",
     "magnetization_derivative",
     "critical_coupling",
+    "subcritical_reference",
     "solve_fixed_point",
-    "pi_map_mean",
     "ghs_concavity_check",
     "GhsReport",
 ]
@@ -148,13 +149,42 @@ def magnetization_derivative(model: ModelSpec, h: float) -> float:
     return model.coupling * (mu.second_moment - mu.mean * mu.mean)
 
 
-def critical_coupling(model: ModelSpec) -> float:
+def critical_coupling(model: ModelSpec | TiltedMeasure) -> float:
     """J_c = int exp(-V) / int x^2 exp(-V) = 1 / <x^2> under pi[0].
 
-    This is 1 / Var(pi[0]) only when pi[0] has mean zero (an even V); for
-    an asymmetric confinement it is not the critical coupling.
+    ``model`` is a ModelSpec, or its pi[0] (a TiltedMeasure at tilt 0),
+    which is then not built again.  This is 1 / Var(pi[0]) only when pi[0]
+    has mean zero (an even V); for an asymmetric confinement it is not the
+    critical coupling.
     """
-    return 1.0 / tilted_measure(model, 0.0).second_moment
+    mstar = model if isinstance(model, TiltedMeasure) else tilted_measure(model, 0.0)
+    return 1.0 / mstar.second_moment
+
+
+def subcritical_reference(model: ModelSpec) -> TiltedMeasure:
+    """m_* = pi[0], built once, for a model inside the sub-critical regime.
+
+    Every quantity taken against m_* = pi[0] (the entropy levels, the
+    Curie-Weiss constants, the log-MGF) needs pi[0] to be the mean-field
+    limit, which holds for an even confinement below the critical coupling.
+    Raises ``Supercritical`` for J >= ``critical_coupling(model)``, and
+    ``RegimeViolation`` for a non-quartic confinement whose pi[0] has
+    |mean| > 1e-10 sd: the fixed point is then not h = 0.  (Quartic
+    confinements are even, so the mean is not checked for them.)
+    """
+    mstar = tilted_measure(model, 0.0)
+    if not model.is_quartic:
+        mean = mstar.mean
+        sd = float(np.sqrt(mstar.second_moment - mean * mean))
+        if abs(mean) > 1e-10 * sd:
+            raise RegimeViolation(
+                f"pi[0] has mean {mean:.3e}: m_* = pi[0] is the mean-field "
+                f"limit for an even confinement only")
+    j_c = critical_coupling(mstar)
+    if model.coupling >= j_c:
+        raise Supercritical(f"J = {model.coupling} >= J_c = {j_c}: m_* = pi[0] is "
+                            f"the mean-field limit below J_c only")
+    return mstar
 
 
 @dataclass(frozen=True)
@@ -196,11 +226,6 @@ def solve_fixed_point(model: ModelSpec, tol: float = 1e-10,
         except NoSignChange:
             width *= 2.0
     raise NonConvergent("fixed-point solver failed to converge or bracket")
-
-
-def pi_map_mean(model: ModelSpec, input_mean: float) -> float:
-    """Mean of Pi[m] for any m with the given mean: p(Pi[m]) = f(p(m))."""
-    return magnetization(model, input_mean)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Model zoo: confinement and interaction potentials with bound metadata.
+"""Model zoo: confinement and interaction potentials.
 
 Potential handles are expected to be numpy-vectorized (accept arrays).
 """
@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -91,30 +91,10 @@ Interaction = Union[RankOneInteraction, GeneralKernel]
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A mean-field model with sign-decomposition metadata.
-
-    The Lipschitz/force bounds are user supplied; for a rank-one
-    interaction with J > 0 the concave part is W_- = J x y, so
-    lipschitz_minus = J and lipschitz_plus = 0 (and symmetrically
-    for J < 0).
-    """
+    """A mean-field model: the confinement V and the interaction W, nothing else."""
 
     confinement: Confinement
     interaction: Interaction
-    dimension: int = 1
-    lipschitz_plus: float = 0.0
-    lipschitz_minus: float = 0.0
-    force_bound: float = 0.0
-    force_bound_minus: float = 0.0
-    convexity_kappa: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        for name in ("lipschitz_plus", "lipschitz_minus", "force_bound",
-                     "force_bound_minus", "convexity_kappa"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
     @property
     def is_rank_one(self) -> bool:
@@ -155,7 +135,7 @@ class ModelSpec:
                 "theta": self.confinement.theta,
                 "sigma": self.confinement.sigma,
                 "J": self.interaction.J,
-                "d": self.dimension,
+                "d": 1,  # models are one-dimensional; kept so fingerprints stay put
             }
         else:
             payload = {"family": "general", "repr": repr(self)}
@@ -163,28 +143,16 @@ class ModelSpec:
         return hashlib.sha256(blob).hexdigest()
 
 
-def curie_weiss_model(theta: float, sigma: float, J: float, dimension: int = 1) -> ModelSpec:
-    """Quartic confinement with rank-one coupling, bound metadata filled in."""
+def curie_weiss_model(theta: float, sigma: float, J: float) -> ModelSpec:
+    """Quartic confinement with rank-one coupling."""
     if theta <= 0:
         raise ValueError("Curie-Weiss model requires theta > 0")
-    return ModelSpec(
-        confinement=QuarticConfinement(theta, sigma),
-        interaction=RankOneInteraction(J),
-        dimension=dimension,
-        lipschitz_plus=max(-J, 0.0),
-        lipschitz_minus=max(J, 0.0),
-    )
+    return ModelSpec(QuarticConfinement(theta, sigma), RankOneInteraction(J))
 
 
-def gaussian_model(sigma: float, J: float, dimension: int = 1) -> ModelSpec:
+def gaussian_model(sigma: float, J: float) -> ModelSpec:
     """Pure Gaussian oracle model: theta = 0, closed forms available downstream."""
-    return ModelSpec(
-        confinement=QuarticConfinement(0.0, sigma),
-        interaction=RankOneInteraction(J),
-        dimension=dimension,
-        lipschitz_plus=max(-J, 0.0),
-        lipschitz_minus=max(J, 0.0),
-    )
+    return ModelSpec(QuarticConfinement(0.0, sigma), RankOneInteraction(J))
 
 
 def energy_per_particle(model: ModelSpec, config) -> float:

@@ -241,7 +241,10 @@ def mixed_convolution_powers(rows, dx: float, weights, k_max: int) -> list:
 
 
 def find_root(g, bracket, tol: float) -> float:
-    """Root of ``g`` on a sign-changing bracket (Brent: bisection + secant/IQI)."""
+    """Root of ``g`` on a sign-changing bracket (Brent: bisection + secant/IQI).
+
+    ``g`` is evaluated once at each end: Brent reads the sign check's values.
+    """
     a, b = bracket
     ga, gb = float(g(a)), float(g(b))
     if ga == 0.0:
@@ -250,4 +253,6 @@ def find_root(g, bracket, tol: float) -> float:
         return float(b)
     if np.sign(ga) == np.sign(gb):
         raise NoSignChange(f"g({a})={ga} and g({b})={gb} have the same sign")
-    return float(_sciopt.brentq(g, a, b, xtol=tol))
+    ends = {a: ga, b: gb}
+    return float(_sciopt.brentq(lambda x: ends[x] if x in ends else g(x), a, b,
+                                xtol=tol))

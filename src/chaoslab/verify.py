@@ -17,7 +17,7 @@ from .errors import DivergentIntegral, NoSignChange, NonConvergent
 from .marginals import (MixtureLaw, build_mixture, marginal_grid_density,
                         marginal_log_density_batch)
 from .meanfield import (LogPartition, TiltedMeasure, critical_coupling, magnetization,
-                        tilted_measure)
+                        subcritical_reference, tilted_measure)
 from .metrics import quantile_from_density, wasserstein_1d
 from .model import MAX_PARTICLES, ModelSpec
 from .numerics import (FINE_POINTS, GridDensity, find_root, log_trapezoid,
@@ -106,7 +106,9 @@ def magnetization_inverse(model: ModelSpec, h: float, tol: float = 1e-12) -> flo
     """l = f^{-1}(h); f is strictly increasing and odd, so bracket by doubling."""
     if h == 0.0:
         return 0.0
-    g = lambda ell: magnetization(model, ell) - h
+    # Every bracket starts at 0: evaluate f(0), a build of pi[0], only once.
+    f0 = magnetization(model, 0.0)
+    g = lambda ell: (f0 if ell == 0.0 else magnetization(model, ell)) - h
     width = max(1.0, abs(h))
     for _ in range(40):
         bracket = (0.0, width) if h > 0 else (-width, 0.0)
@@ -128,7 +130,7 @@ def phi_positivity_scan(model: ModelSpec, eps_override: float | None,
     """
     J = model.coupling
     mstar = tilted_measure(model, 0.0)
-    j_c = 1.0 / mstar.second_moment  # critical_coupling(model)
+    j_c = critical_coupling(mstar)
     eps = (1.0 - J / j_c) ** 2 if eps_override is None else eps_override
     grid = np.asarray(h_grid, dtype=float)
     phi = np.empty_like(grid)
@@ -190,16 +192,15 @@ def jw_log_mgf(model: ModelSpec, N: int) -> float:
     a scan leaves the covered range; at each widening the trapezoid is
     compared with its every-other-node version at z = 0 and +-|z|.  Either
     check raises ``GridResolution`` if the two trapezoids differ by more
-    than 1e-12.
+    than 1e-12.  The model must pass ``meanfield.subcritical_reference``:
+    for J >= J_c the log-MGF diverges (``Supercritical``).
     """
     J = model.coupling
     if J <= 0:
         raise ValueError("requires J > 0")
     if not 1 <= N <= MAX_PARTICLES:
         raise ValueError(f"N must satisfy 1 <= N <= {MAX_PARTICLES}")
-    j_c = critical_coupling(model)
-    if J >= j_c:
-        raise NonConvergent(f"log-MGF diverges for J = {J} >= J_c = {j_c}")
+    subcritical_reference(model)
     log_z1 = LogPartition(model)
 
     # Substitute z = sqrt(J/N) t so the quadratic part is -t^2/2 and the

@@ -53,7 +53,7 @@ def chaos_scan(quartic_model):
         law = build_mixture(quartic_model, n)
         levels = relative_entropy_levels(law, 4)
         try:
-            bundle = curie_weiss_constants(1.0, 1.0, 0.5 * J_CRIT, n)
+            bundle = curie_weiss_constants(quartic_model, n)
         except RegimeViolation:
             bundle = None
         out[n] = (law, levels, bundle)
@@ -183,7 +183,7 @@ def test_inequality_scans_across_couplings():
     detail = []
     for frac, n in ((0.3, 128), (0.6, 128), (0.9, 1024)):
         model = curie_weiss_model(1.0, 1.0, frac * J_CRIT)
-        bundle = curie_weiss_constants(1.0, 1.0, frac * J_CRIT, n)
+        bundle = curie_weiss_constants(model, n)
         law = build_mixture(model, n)
         scans = {
             "nlsi": nonlinear_lsi_scan(model, bundle, tilt_grid).passed,

@@ -13,6 +13,7 @@ from chaoslab.errors import ConfigError, DegenerateInput
 from conftest import J_CRIT
 
 MODEL = {"theta": 1.0, "sigma": 1.0, "J": 0.5 * J_CRIT}
+GAUSS_NARROW = {"theta": 0.0, "sigma": 0.5, "J": 0.25}
 
 
 def _cfg(tmp_path, **over):
@@ -217,13 +218,35 @@ class TestMain:
         assert out["error"] == "ConfigError" and f"'{field}'" in out["message"]
         assert not (tmp_path / "out").exists()
 
-    def test_supercritical_chaos_scan_is_typed_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["chaos-scan", "jw", "constants", "verify"])
+    def test_supercritical_is_typed_error(self, tmp_path, capsys, command):
         p = tmp_path / "cfg.json"
-        doc = _cfg(tmp_path, n_grid=[64, 128, 256], k_max=1)
-        doc["model"]["J"] = 1.5 * J_CRIT
-        p.write_text(json.dumps(doc))
+        gaussian = {"theta": 0.0, "sigma": 1.0, "J": 1.5}
+        for model in (dict(MODEL, J=1.5 * J_CRIT), gaussian):
+            doc = _cfg(tmp_path, command=command, model=model, n_grid=[64, 128, 256],
+                       k_max=1)
+            p.write_text(json.dumps(doc))
+            assert main(["--config", str(p)]) == 2
+            assert json.loads(capsys.readouterr().out)["error"] == "Supercritical"
+
+    def test_gaussian_sigma_below_one_chaos_scan_has_no_bound(self, tmp_path):
+        # rho0 of the Curie-Weiss bundle tends to 0 as theta -> 0+, so there
+        # is no bound: NaN columns, and the levels alone decide the pass.
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_cfg(tmp_path, model=GAUSS_NARROW)))
+        assert main(["--config", str(p)]) == 0
+        rows = (tmp_path / "out" / "chaos_scan.csv").read_text().splitlines()[1:-1]
+        assert len(rows) == 3 * 2
+        for row in rows:
+            assert row.split(",")[5:8] == ["nan", "nan", "nan"]
+
+    @pytest.mark.parametrize("command", ["constants", "verify"])
+    def test_gaussian_sigma_below_one_is_typed_error(self, tmp_path, capsys, command):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_cfg(tmp_path, command=command, model=GAUSS_NARROW,
+                                     n_grid=[128])))
         assert main(["--config", str(p)]) == 2
-        assert json.loads(capsys.readouterr().out)["error"] == "Supercritical"
+        assert json.loads(capsys.readouterr().out)["error"] == "RegimeViolation"
 
 
 def test_cli_import_leaves_heavy_scipy_modules_out():

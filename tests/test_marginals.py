@@ -164,14 +164,13 @@ class TestEntropyLevels:
         # 1024 instead of falling as 1/N^2.
         v = GeneralPotential(v=lambda x: x**4 / 4 + x**2 / 2 - 0.5 * x,
                              grad_v=lambda x: x**3 + x - 0.5)
-        law = build_mixture(ModelSpec(v, RankOneInteraction(1.0), lipschitz_minus=1.0), 64)
+        law = build_mixture(ModelSpec(v, RankOneInteraction(1.0)), 64)
         with pytest.raises(RegimeViolation):
             relative_entropy_levels(law, 1)
 
     def test_even_general_potential_matches_quartic(self, quartic_model):
         v = GeneralPotential(v=lambda x: x**4 / 4 + x**2 / 2, grad_v=lambda x: x**3 + x)
-        general = ModelSpec(v, quartic_model.interaction,
-                            lipschitz_minus=quartic_model.lipschitz_minus)
+        general = ModelSpec(v, quartic_model.interaction)
         got = relative_entropy_levels(build_mixture(general, 16), 2).levels
         want = relative_entropy_levels(build_mixture(quartic_model, 16), 2).levels
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

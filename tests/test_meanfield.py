@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from chaoslab.errors import GridResolution
+import chaoslab.meanfield as meanfield
+from chaoslab.errors import GridResolution, Supercritical
 from chaoslab.meanfield import (LogPartition, critical_coupling,
                                 ghs_concavity_check, magnetization,
-                                magnetization_derivative, pi_map_mean,
-                                solve_fixed_point, tilt_window, tilted_measure)
+                                magnetization_derivative, solve_fixed_point,
+                                subcritical_reference, tilt_window, tilted_measure)
 from chaoslab.model import (GeneralPotential, ModelSpec, RankOneInteraction,
                             curie_weiss_model, gaussian_model)
 from conftest import F_AT_1, H_STAR_SUPER, J_CRIT, X2_MOMENT
@@ -141,6 +142,11 @@ class TestMagnetization:
         vals = [magnetization(quartic_model, h) for h in hs]
         assert np.all(np.diff(vals) > 0)
 
+    def test_idempotent_at_fixed_point(self, quartic_model):
+        res = solve_fixed_point(quartic_model, tol=1e-10)
+        assert magnetization(quartic_model, res.h_star) == pytest.approx(
+            res.h_star, abs=1e-9)
+
 
 class TestMagnetizationDerivative:
     def test_value_at_zero(self, quartic_model, quartic_jc):
@@ -192,6 +198,30 @@ class TestCriticalCoupling:
     def test_quartic_regression(self, quartic_model):
         assert critical_coupling(quartic_model) == pytest.approx(J_CRIT, abs=1e-9)
 
+    def test_reads_a_built_reference(self, quartic_model):
+        mstar = tilted_measure(quartic_model, 0.0)
+        assert critical_coupling(mstar) == critical_coupling(quartic_model)
+
+
+class TestSubcriticalReference:
+    def test_is_pi_zero_built_once(self, quartic_model, monkeypatch):
+        built = []
+
+        def counting(model, tilt):
+            built.append(tilt)
+            return tilted_measure(model, tilt)
+
+        monkeypatch.setattr(meanfield, "tilted_measure", counting)
+        mstar = subcritical_reference(quartic_model)
+        assert built == [0.0]
+        assert mstar == tilted_measure(quartic_model, 0.0)
+
+    @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, J_CRIT),
+                                       gaussian_model(1.0, 1.5)])
+    def test_at_or_above_critical_raises(self, model):
+        with pytest.raises(Supercritical):
+            subcritical_reference(model)
+
 
 class TestFixedPoint:
     def test_subcritical_is_centered(self, quartic_model):
@@ -209,19 +239,6 @@ class TestFixedPoint:
         m = curie_weiss_model(1.0, 1.0, 1.5 * J_CRIT)
         res = solve_fixed_point(m, tol=1e-10, h0=1.0)
         assert res.h_star == pytest.approx(H_STAR_SUPER, abs=1e-8)
-
-
-class TestPiMap:
-    def test_zero(self, quartic_model):
-        assert abs(pi_map_mean(quartic_model, 0.0)) < 1e-12
-
-    def test_idempotent_at_fixed_point(self, quartic_model):
-        res = solve_fixed_point(quartic_model, tol=1e-10)
-        assert pi_map_mean(quartic_model, res.h_star) == pytest.approx(
-            res.h_star, abs=1e-9)
-
-    def test_equals_magnetization(self, quartic_model):
-        assert pi_map_mean(quartic_model, 0.8) == magnetization(quartic_model, 0.8)
 
 
 class TestGhsConcavity:

@@ -159,14 +159,6 @@ class TestModelSpec:
         assert gaussian_model(1.0, 0.5).is_gaussian
         assert not curie_weiss_model(1.0, 1.0, 0.5).is_gaussian
 
-    def test_sign_decomposition_metadata(self):
-        attractive = curie_weiss_model(1.0, 1.0, 0.7)
-        assert attractive.lipschitz_minus == 0.7
-        assert attractive.lipschitz_plus == 0.0
-        repulsive = curie_weiss_model(1.0, 1.0, -0.7)
-        assert repulsive.lipschitz_minus == 0.0
-        assert repulsive.lipschitz_plus == 0.7
-
     def test_fingerprint_distinguishes_models(self):
         a = curie_weiss_model(1.0, 1.0, 0.5)
         b = curie_weiss_model(1.0, 1.0, 0.6)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import chaoslab.meanfield as meanfield
 from chaoslab.bounds import curie_weiss_constants, jw_rhs
-from chaoslab.errors import DivergentIntegral
+from chaoslab.errors import DivergentIntegral, Supercritical
 from chaoslab.meanfield import critical_coupling, magnetization, tilted_measure
 from chaoslab.metrics import quantile_from_density
 from chaoslab.model import MAX_PARTICLES, curie_weiss_model, gaussian_model
@@ -19,7 +20,7 @@ GRID = np.concatenate([-np.geomspace(0.01, 5.0, 6)[::-1],
 
 @pytest.fixture(scope="module")
 def bundle128(quartic_model):
-    return curie_weiss_constants(1.0, 1.0, 0.5 * J_CRIT, 128)
+    return curie_weiss_constants(quartic_model, 128)
 
 
 class TestNonlinearLsi:
@@ -69,6 +70,20 @@ class TestMagnetizationInverse:
         for h in (0.0, 0.4, -1.2, 2.5):
             ell = magnetization_inverse(quartic_model, h)
             assert magnetization(quartic_model, ell) == pytest.approx(h, abs=1e-10)
+
+    @pytest.mark.parametrize("h", [0.01, 2.5, -3.0])
+    def test_builds_pi_zero_at_most_once(self, quartic_model, monkeypatch, h):
+        # Every bracket starts at 0: f(0) must not be rebuilt per bracket
+        # tried, nor per end evaluation in the root finder.
+        built = []
+
+        def counting(model, tilt):
+            built.append(tilt)
+            return tilted_measure(model, tilt)
+
+        monkeypatch.setattr(meanfield, "tilted_measure", counting)
+        magnetization_inverse(quartic_model, h)
+        assert built.count(0.0) <= 1
 
 
 class TestPhiPositivity:
@@ -131,6 +146,10 @@ class TestJwLogMgf:
     def test_rejects_n_above_range(self, gauss_model):
         with pytest.raises(ValueError):
             jw_log_mgf(gauss_model, MAX_PARTICLES + 1)
+
+    def test_supercritical_raises(self):
+        with pytest.raises(Supercritical):
+            jw_log_mgf(curie_weiss_model(1.0, 1.0, 1.5 * J_CRIT), 16)
 
     @pytest.mark.parametrize("n", [16, 1024, 65536])
     def test_gaussian_closed_form_tight(self, gauss_model, n):
