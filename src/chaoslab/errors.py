@@ -21,10 +21,6 @@ class NoSignChange(ChaosLabError):
     """Root bracketing failed: the function has the same sign at both ends."""
 
 
-class DegenerateSample(ChaosLabError):
-    """A sample set contains (near-)duplicate points that break an estimator."""
-
-
 class DegenerateInput(ChaosLabError):
     """Input data violates a structural precondition (e.g. non-positive values)."""
 

@@ -17,14 +17,13 @@ from dataclasses import dataclass, field, replace
 from functools import cache
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .errors import NonConvergent, NonPositiveDefinite
+from .errors import NonPositiveDefinite, Supercritical
 from .meanfield import LogPartition, TiltedMeasure, subcritical_reference, tilt_window
 from .metrics import quantile_from_density, wasserstein_1d
 from .model import MAX_PARTICLES, ModelSpec
-from .numerics import (FINE_POINTS, LOG_CUT, GridDensity, log_laplace,
-                       mixed_convolution_powers, window_search)
+from .numerics import (FINE_POINTS, LOG_CUT, GridDensity, cumulative_trapezoid,
+                       log_laplace, mixed_convolution_powers, window_search)
 
 __all__ = [
     "MixtureLaw",
@@ -96,7 +95,9 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
     """Construct the z-mixture for the N-particle Gibbs measure.
 
     Requires a rank-one interaction with J > 0: for J < 0 the Gaussian
-    linearization would need an imaginary field.
+    linearization would need an imaginary field.  A Gaussian model at
+    J >= sigma = J_c raises ``Supercritical``: its mixing weight is not
+    normalizable.
 
     Every log Z_1 (field search, Gauss-Legendre nodes, and log Z_1(0), the
     normalizer of m_*) comes from one growing ``LogPartition``, the kernel
@@ -114,7 +115,8 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
     if not 1 <= N <= MAX_PARTICLES:
         raise ValueError(f"N must satisfy 1 <= N <= {MAX_PARTICLES}")
     if model.is_gaussian and J >= model.confinement.sigma:
-        raise NonConvergent("Gaussian model needs J < sigma for a normalizable mixture")
+        raise Supercritical(f"J = {J} >= J_c = sigma = {model.confinement.sigma}: "
+                            f"the Gaussian mixture is not normalizable")
 
     kernel = LogPartition(model)
 
@@ -329,7 +331,7 @@ def sample_marginal(law: MixtureLaw, n: int, seed: int = 0, k: int = 1) -> np.nd
     weights = np.exp(law.z_log_weights)
     weights = weights / weights.sum()
     node_idx = rng.choice(len(weights), size=n, p=weights)
-    cdfs = cumulative_trapezoid(dens, dx=xs[1] - xs[0], axis=1, initial=0.0)
+    cdfs = cumulative_trapezoid(dens, xs[1] - xs[0])
     cdfs /= cdfs[:, -1:]
     out = np.empty((n, k))
     for j in np.unique(node_idx):

@@ -127,18 +127,19 @@ class ModelSpec:
     def kernel_force(self, x, y):
         return self.interaction.grad1_w(x, y)
 
-    def fingerprint(self) -> str:
-        """Stable hash of the model parameters (best effort for general handles)."""
-        if self.is_quartic and self.is_rank_one:
-            payload = {
-                "family": "quartic-rank-one",
-                "theta": self.confinement.theta,
-                "sigma": self.confinement.sigma,
-                "J": self.interaction.J,
-                "d": 1,  # models are one-dimensional; kept so fingerprints stay put
-            }
-        else:
-            payload = {"family": "general", "repr": repr(self)}
+    def fingerprint(self) -> str | None:
+        """Stable hash of the model parameters, or None for a model that is
+        not quartic rank-one: a general handle is a function, which has no
+        value to hash that stays the same from one process to the next."""
+        if not (self.is_quartic and self.is_rank_one):
+            return None
+        payload = {
+            "family": "quartic-rank-one",
+            "theta": self.confinement.theta,
+            "sigma": self.confinement.sigma,
+            "J": self.interaction.J,
+            "d": 1,  # models are one-dimensional; kept so fingerprints stay put
+        }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 

@@ -3,19 +3,20 @@
 The one doubling window search and the one checked log-trapezoid behind
 every integral of the library, the chunked log-Laplace reduction behind
 every field/grid sum, the mixed k-fold self-convolutions of many density
-rows in one spectral pass, and bracketed root finding.  There is no
-adaptive quadrature: the integrands are analytic and decay fast, so the
-uniform trapezoid converges exponentially, and halving its node count
-checks it.
+rows in one spectral pass, the cumulative trapezoid, and bracketed root
+finding by Brent's method.  There is no adaptive quadrature: the
+integrands are analytic and decay fast, so the uniform trapezoid converges
+exponentially, and halving its node count checks it.  Nothing here imports
+scipy: the FFT is numpy's, and Brent and the cumulative trapezoid are
+ports that give scipy's bits.
 Everything here is pure and reentrant.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as _fft
-from scipy import optimize as _sciopt
 
 from .errors import GridResolution, NoSignChange, NonConvergent
 
@@ -28,6 +29,7 @@ __all__ = [
     "log_trapezoid",
     "log_laplace",
     "mixed_convolution_powers",
+    "cumulative_trapezoid",
     "find_root",
 ]
 
@@ -199,6 +201,22 @@ def _row_masses(vals: np.ndarray, dx: float) -> np.ndarray:
     return mass
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n: a real FFT length pocketfft factors into
+    radices 2, 3 and 5 (``scipy.fft.next_fast_len(n, real=True)``)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # The smallest p35 * 2^j >= n.
+            cand = p35 << (-(-n // p35) - 1).bit_length()
+            best = min(best, cand)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def mixed_convolution_powers(rows, dx: float, weights, k_max: int) -> list:
     """p_k = sum_j weights[j] * rho_j^{*k} for k = 1..k_max.
 
@@ -227,32 +245,106 @@ def mixed_convolution_powers(rows, dx: float, weights, k_max: int) -> list:
     mixed = [weights @ base] + [np.zeros(k * (n - 1) + 1) for k in range(2, k_max + 1)]
     if k_max == 1:
         return mixed
-    n_fft = _fft.next_fast_len(k_max * (n - 1) + 1, real=True)
+    n_fft = _next_fast_len(k_max * (n - 1) + 1)
     step = _chunk_rows(n_fft)
     for start in range(0, len(base), step):
-        spectrum = _fft.rfft(base[start:start + step], n_fft, axis=-1)
+        spectrum = np.fft.rfft(base[start:start + step], n_fft, axis=-1)
         power = spectrum.copy()
         for k in range(2, k_max + 1):
             power *= spectrum
-            vals = np.maximum(_fft.irfft(power, n_fft, axis=-1)[:, :k * (n - 1) + 1], 0.0)
+            vals = np.maximum(np.fft.irfft(power, n_fft, axis=-1)[:, :k * (n - 1) + 1], 0.0)
             w = weights[start:start + step] / _row_masses(vals, dx)
             mixed[k - 1] += w @ vals
     return mixed
+
+
+def cumulative_trapezoid(y, dx: float) -> np.ndarray:
+    """Running trapezoid integral of ``y`` along its last axis, from 0.
+
+    The formula of ``scipy.integrate.cumulative_trapezoid(y, dx=dx,
+    initial=0)``, cumsum(dx * (y[1:] + y[:-1]) / 2) after a leading 0, so the
+    sums come out in the same order and give the same bits.
+    """
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(y.shape)
+    np.cumsum(dx * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
+    return out
+
+
+# Brent's relative tolerance and iteration cap: scipy brentq's defaults.
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAX_ITER = 100
 
 
 def find_root(g, bracket, tol: float) -> float:
     """Root of ``g`` on a sign-changing bracket (Brent: bisection + secant/IQI).
 
     ``g`` is evaluated once at each end: Brent reads the sign check's values.
+    The iterates are those of scipy's ``brentq`` with ``xtol=tol`` (see
+    ``_brent``).  Raises ``NoSignChange`` for a bracket without a sign
+    change, and ``NonConvergent`` if ``g`` returns NaN or the iteration cap
+    is reached.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     a, b = bracket
     ga, gb = float(g(a)), float(g(b))
+    if math.isnan(ga) or math.isnan(gb):
+        raise NonConvergent(f"g({a})={ga} and g({b})={gb}: NaN at a bracket end")
     if ga == 0.0:
         return float(a)
     if gb == 0.0:
         return float(b)
     if np.sign(ga) == np.sign(gb):
         raise NoSignChange(f"g({a})={ga} and g({b})={gb} have the same sign")
-    ends = {a: ga, b: gb}
-    return float(_sciopt.brentq(lambda x: ends[x] if x in ends else g(x), a, b,
-                                xtol=tol))
+    return _brent(g, float(a), float(b), ga, gb, tol)
+
+
+def _brent(g, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float) -> float:
+    """Brent's method (Brent 1973, ch. 4) in the form of scipy's ``brentq.c``.
+
+    The same arithmetic in the same order, so the iterates and the root are
+    bitwise scipy's: xblk is the contrapoint, spre and scur the steps before
+    and at the current iterate, and a step is accepted only while it shrinks
+    fast enough, otherwise it bisects.  ``fpre`` and ``fcur`` are non-zero
+    with opposite signs.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # Secant step.
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # Inverse quadratic interpolation.
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(g(xcur))
+        if math.isnan(fcur):
+            raise NonConvergent(f"Brent iterate g({xcur}) is NaN")
+    raise NonConvergent(f"Brent did not converge in {_BRENT_MAX_ITER} iterations")

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DivergentChain, NonConvergent, NonFinite
 from .model import GeneralKernel, ModelSpec, QuarticConfinement
@@ -79,7 +78,7 @@ class SampleBatch:
     draws: np.ndarray = field(repr=False)
     acceptance_rate: float | None
     seed: int
-    model_fingerprint: str
+    model_fingerprint: str | None
 
 
 def _log_target_and_grad(model: ModelSpec, x: np.ndarray):
@@ -215,6 +214,10 @@ def regularized_coulomb_kernel(epsilon: float) -> GeneralKernel:
     w(r) = -(r erf(r/(2 sqrt(eps))) + 2 sqrt(eps/pi) exp(-r^2/(4 eps)))
     whose r-derivative is -erf(r / (2 sqrt(eps))).
     """
+    # Imported here: scipy.special is the one scipy module the library
+    # uses, and only this kernel needs it.
+    from scipy.special import erf
+
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     c = 2.0 * np.sqrt(epsilon)

@@ -4,7 +4,8 @@ Everything here works from raw definitions: tensor quadrature, adaptive
 Gauss-Kronrod quadrature on the real line (``integrate``,
 ``log_integrate_exp``), a pairwise grid-density convolution and the
 relative Fisher information by quadrature, with no reference to the
-mixture representation or the log-trapezoid kernels under test; and the
+mixture representation or the log-trapezoid kernels under test; the
+nearest-neighbor KL estimator, which needs only samples; and the
 Langevin chain loop as first written, one step at a time with nothing
 cached between steps.
 """
@@ -12,8 +13,10 @@ import numpy as np
 from scipy import fft as _fft
 from scipy import integrate as _sciint
 from scipy.integrate import simpson
+from scipy.spatial import cKDTree
 
-from chaoslab.errors import DivergentChain, NonConvergent, NonFinite
+from chaoslab.errors import ChaosLabError, DivergentChain, NonConvergent, NonFinite
+from chaoslab.metrics import DivergenceEstimate
 from chaoslab.numerics import GridDensity
 from chaoslab.sampler import SampleBatch
 
@@ -131,6 +134,48 @@ def convolve(p: GridDensity, q: GridDensity) -> GridDensity:
                      n_fft)[:n_out]
     vals = np.maximum(raw, 0.0) * p.dx
     return GridDensity(p.lo + q.lo, p.hi + q.hi, n_out, vals)
+
+
+class DegenerateSample(ChaosLabError):
+    """A sample set contains duplicate points that break the kNN estimator."""
+
+
+def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray,
+           k_neighbors: int = 5, n_folds: int = 10) -> DivergenceEstimate:
+    """Nearest-neighbor ratio estimator of KL(p | q) from two sample sets.
+
+    Consistent but not unbiased; the standard error comes from disjoint
+    subsample estimates.  Euclidean metric.
+    """
+    xp = np.atleast_2d(np.asarray(samples_p, dtype=float))
+    xq = np.atleast_2d(np.asarray(samples_q, dtype=float))
+    if xp.ndim == 2 and xp.shape[0] == 1 and xp.shape[1] > 1:
+        xp, xq = xp.T, xq.T
+    if xp.shape[1] != xq.shape[1]:
+        raise ValueError("sample sets must share dimension")
+    if len(xp) < 1000 or len(xq) < 1000:
+        raise ValueError("need at least 1000 points in each sample set")
+
+    def estimate(a: np.ndarray, b: np.ndarray) -> float:
+        n, d = a.shape
+        m = len(b)
+        tree_a = cKDTree(a)
+        tree_b = cKDTree(b)
+        # k+1 within p (self is distance 0), k within q.
+        rho = tree_a.query(a, k=k_neighbors + 1)[0][:, -1]
+        nu = tree_b.query(a, k=k_neighbors)[0][:, -1]
+        if np.any(rho <= 0) or np.any(nu <= 0):
+            raise DegenerateSample("duplicate points break the kNN distance ratio")
+        return float(d * np.mean(np.log(nu / rho)) + np.log(m / (n - 1)))
+
+    value = estimate(xp, xq)
+    folds = []
+    idx_p = np.array_split(np.arange(len(xp)), n_folds)
+    idx_q = np.array_split(np.arange(len(xq)), n_folds)
+    for ip, iq in zip(idx_p, idx_q):
+        folds.append(estimate(xp[ip], xq[iq]))
+    se = float(np.std(folds, ddof=1) / np.sqrt(n_folds))
+    return DivergenceEstimate(value, se, "knn")
 
 
 def brute_marginal_log_density_n2(model, points, lo=-8.0, hi=8.0, n=2001):

@@ -21,7 +21,7 @@ from chaoslab.marginals import (build_mixture, conditional_entropy_level,
                                 marginal_log_density_batch, marginal_moment,
                                 relative_entropy_levels, sample_marginal)
 from chaoslab.meanfield import tilted_measure
-from chaoslab.metrics import kl_knn, quantile_from_density
+from chaoslab.metrics import quantile_from_density
 from chaoslab.model import curie_weiss_model, gaussian_model
 from chaoslab.sampler import ChainConfig, run_chain
 from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf,
@@ -30,7 +30,7 @@ from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf,
                              psi_positivity_scan)
 from conftest import J_CRIT
 from oracles import (brute_marginal_log_density_n2,
-                     brute_marginal_log_density_n3)
+                     brute_marginal_log_density_n3, kl_knn)
 
 SCAN_NS = (8, 16, 32, 64, 128)
 

@@ -272,3 +272,15 @@ def test_numerics_import_leaves_scipy_integrate_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_scipy_module():
+    # numerics carries its own Brent, FFT length and cumulative trapezoid;
+    # scipy.special is imported only inside regularized_coulomb_kernel.
+    src = str(Path(chaoslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, chaoslab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -26,6 +26,13 @@ class TestBuildMixture:
         with pytest.raises(ValueError):
             build_mixture(curie_weiss_model(1.0, 1.0, -0.5), 4)
 
+    @pytest.mark.parametrize("J", [1.0, 1.5])
+    def test_supercritical_gaussian_raises(self, J):
+        # J_c = sigma for the Gaussian model; the mixing weight
+        # exp(-N z^2 (1/J - 1/sigma) / 2) is not normalizable there.
+        with pytest.raises(Supercritical):
+            build_mixture(gaussian_model(1.0, J), 16)
+
     def test_rejects_n_above_range(self, quartic_model):
         # Above 2^20 the levels drift with no typed error (N^2 H_1 reads 5.11
         # at 2^28 against 0.138 at 2^20).

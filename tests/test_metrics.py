@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from chaoslab.errors import DegenerateSample, NonFinite
+from chaoslab.errors import NonFinite
 from chaoslab.marginals import build_mixture, marginal_log_density_batch, relative_entropy_levels, sample_marginal
 from chaoslab.meanfield import tilted_measure
-from chaoslab.metrics import (DivergenceEstimate, kl_knn, kl_plug_in,
-                              quantile_from_density, wasserstein_1d)
+from chaoslab.metrics import (DivergenceEstimate, kl_plug_in, quantile_from_density,
+                              wasserstein_1d)
 from chaoslab.numerics import FINE_POINTS, GridDensity
-from oracles import fisher_information_1d
+from oracles import DegenerateSample, fisher_information_1d, kl_knn
 
 
 def _gauss_log(mu):
@@ -47,6 +47,7 @@ class TestKlPlugIn:
             kl_plug_in(s, _gauss_log(0.0), lambda x: np.full_like(np.asarray(x), -np.inf))
 
 
+# Self-tests of the nearest-neighbor KL oracle in ``oracles``.
 class TestKlKnn:
     def test_same_distribution(self, rng):
         a = rng.normal(size=(20_000, 1))

@@ -1,15 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate as sciint
 from scipy.fft import next_fast_len
+from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from chaoslab import numerics
 from chaoslab.errors import GridResolution, NoSignChange, NonConvergent, NonFinite
 from chaoslab.marginals import (_node_grid_densities, build_mixture,
                                 marginal_log_density, marginal_log_density_batch)
-from chaoslab.numerics import (GridDensity, _chunk_rows, find_root, log_laplace,
+from chaoslab.numerics import (GridDensity, _chunk_rows, _next_fast_len,
+                               cumulative_trapezoid, find_root, log_laplace,
                                mixed_convolution_powers)
 from conftest import LOG_QUARTIC_GAUSS, QUARTIC_NORM, TANH_ROOT
 from oracles import convolve, integrate, log_integrate_exp
@@ -273,3 +278,61 @@ class TestFindRoot:
     def test_no_sign_change(self):
         with pytest.raises(NoSignChange):
             find_root(lambda x: x**2 + 1, (-1, 1), 1e-10)
+
+    # scipy's brentq is the oracle: the same root to the bit, from the same
+    # sequence of evaluation points (both evaluate the two ends first).
+    _FAMILIES = (
+        lambda p: lambda x: math.tanh(p[0] * x) - p[1] * x + p[2],
+        lambda p: lambda x: x**3 - p[0] * x + p[1],
+        lambda p: lambda x: math.atan(p[0] * (x - p[1])),
+        lambda p: lambda x: p[1] * (x - p[0]) ** 5 + 1e-3 * (x - p[0]),
+        lambda p: lambda x: -1.0 if x < p[0] else 1.0,
+    )
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-3])
+    def test_bitwise_brentq_on_random_brackets(self, tol):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for trial in range(500):
+            f = self._FAMILIES[trial % len(self._FAMILIES)](2.0 * rng.normal(size=3))
+            a, b = sorted(3.0 * rng.normal(size=2))
+            if not f(a) * f(b) < 0:
+                continue
+            ours, theirs = [], []
+            root = find_root(lambda x: ours.append(x) or f(x), (a, b), tol)
+            want = brentq(lambda x: theirs.append(x) or f(x), a, b, xtol=tol)
+            assert root == want and ours == theirs
+            checked += 1
+        assert checked >= 100
+
+    @pytest.mark.parametrize("nan_at", [0, 1, 4])
+    def test_nan_raises(self, nan_at):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return math.nan if len(calls) > nan_at else math.tanh(2 * x) - x
+
+        with pytest.raises(NonConvergent):
+            find_root(g, (0.1, 3), 1e-12)
+
+    def test_iteration_cap_raises(self):
+        # A step has no slope to interpolate: each step halves a bracket of
+        # width 2e200 at best, so 100 iterations cannot reach 1e-300.
+        step = lambda x: -1.0 if x < 1 / 3 else 1.0
+        with pytest.raises(RuntimeError):
+            brentq(step, -1e200, 1e200, xtol=1e-300)
+        with pytest.raises(NonConvergent):
+            find_root(step, (-1e200, 1e200), 1e-300)
+
+
+def test_next_fast_len_is_scipys():
+    ours = [_next_fast_len(n) for n in range(1, 2**17 + 1)]
+    assert ours == [next_fast_len(n, real=True) for n in range(1, 2**17 + 1)]
+
+
+@pytest.mark.parametrize("shape", [(1001,), (7, 513)])
+def test_cumulative_trapezoid_is_scipys(shape):
+    y = np.random.default_rng(3).lognormal(size=shape)
+    want = sciint.cumulative_trapezoid(y, dx=0.0137, axis=-1, initial=0.0)
+    assert np.array_equal(cumulative_trapezoid(y, 0.0137), want)

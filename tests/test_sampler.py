@@ -1,9 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import chaoslab
 from chaoslab.errors import DivergentChain, NonFinite
 from chaoslab.marginals import build_mixture, marginal_moment
 from chaoslab.model import (GeneralPotential, ModelSpec, QuarticConfinement,
@@ -251,6 +257,29 @@ class TestPersistence:
         version, n = np.frombuffer(raw[8:16], dtype="<u4")
         assert (version, n) == (1, 3)
         assert len(raw) == 16 + batch.draws.size * 8
+
+    def test_general_model_sidecar_repeats_across_processes(self, tmp_path):
+        # A general handle is a function with no hash that survives the
+        # process, so the sidecar holds a null fingerprint in every run.
+        code = ("import sys\n"
+                "from chaoslab.model import GeneralPotential, ModelSpec, RankOneInteraction\n"
+                "from chaoslab.sampler import ChainConfig, run_chain, save_batch\n"
+                "v = GeneralPotential(v=lambda x: x**4 / 4, grad_v=lambda x: x**3)\n"
+                "cfg = ChainConfig(4, 0.2, 200, burn_in=50, seed=3)\n"
+                "save_batch(run_chain(ModelSpec(v, RankOneInteraction(0.5)), cfg), cfg,\n"
+                "           sys.argv[1])\n")
+        src = str(Path(chaoslab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        sidecars = []
+        for run in ("a", "b"):
+            path = tmp_path / run / "samples.bin"
+            path.parent.mkdir()
+            subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True,
+                           timeout=120)
+            sidecars.append(path.with_name("samples.bin.json").read_bytes())
+        assert sidecars[0] == sidecars[1]
+        assert json.loads(sidecars[0])["model_fingerprint"] is None
 
 
 def _ess(series: np.ndarray, max_lag: int = 200) -> float:
