@@ -18,12 +18,13 @@ from functools import cache
 
 import numpy as np
 
-from .errors import NonPositiveDefinite, Supercritical
+from .errors import GridResolution, NonPositiveDefinite, Supercritical
 from .meanfield import LogPartition, TiltedMeasure, subcritical_reference, tilt_window
 from .metrics import quantile_from_density, wasserstein_1d
 from .model import MAX_PARTICLES, ModelSpec
-from .numerics import (FINE_POINTS, LOG_CUT, GridDensity, cumulative_trapezoid,
-                       log_laplace, mixed_convolution_powers, window_search)
+from .numerics import (FINE_POINTS, LOG_CUT, GridDensity, convolution_powers,
+                       cumulative_trapezoid, log_laplace, unit_mass_rows,
+                       window_search)
 
 __all__ = [
     "MixtureLaw",
@@ -45,6 +46,14 @@ __all__ = [
 MAX_LEVEL = 8
 # Points of the x-grid behind the entropy levels.
 _LEVEL_POINTS = 4096
+# The tilted reference rows behind the levels k >= 2 (``_reference_tilts``,
+# ``_log_reference_powers``): a point of level k's s-grid is dropped where
+# the best row's k-fold power lies below _ROW_CUT of its peak; adjacent rows'
+# k_max-fold sums have means within _ROW_SPACING standard deviations; at most
+# _MAX_ROWS rows.
+_ROW_CUT = 1e-14
+_ROW_SPACING = 3.0
+_MAX_ROWS = 257
 
 
 @cache
@@ -229,8 +238,9 @@ def relative_entropy_levels(law: MixtureLaw, k_max: int) -> EntropyLevels:
     """Entropy levels H(m^{N,k}|m_*^{otimes k}) for k = 1..k_max, k_max <= MAX_LEVEL.
 
     Deterministic: the level-k entropy is a double integral over the
-    auxiliary field and the sum s = x_1 + ... + x_k whose density per node
-    is a k-fold grid convolution (``_entropy_exact``).
+    auxiliary field and the sum s = x_1 + ... + x_k, whose density is a
+    k-fold grid convolution, untilted from a few tilted reference rows
+    (``_entropy_exact``).
 
     It takes m_* = pi[0], the untilted measure, so the model must pass
     ``meanfield.subcritical_reference``: ``RegimeViolation`` for a
@@ -260,19 +270,88 @@ def _entropy_exact(law: MixtureLaw, k_max: int) -> EntropyLevels:
     phi(x) = x + expm1(-x) >= 0, so nothing cancels and the level keeps its
     relative accuracy as H -> 0.  The plain per-node form
     sum_j w_j int rho_j^{*k} log g cancels terms far larger than H.
+
+    Level 1 mixes the node densities: p = weights @ ``unit_mass_rows``.
+    Every level k >= 2 is p = q * g, the exact Esscher tilt identity
+    rho_j^{*k}(s) = q(s) exp(z_j s - k Lambda(z_j)): q = pi[0]^{*k} comes
+    from a few tilted rows (``_log_reference_powers``) and g is the exact
+    ratio of ``_log_gk``, evaluated only where q was kept.
     """
     xs, dens = _node_grid_densities(law, _LEVEL_POINTS)
     lo, hi = float(xs[0]), float(xs[-1])
     # GridDensity's spacing, not xs[1] - xs[0]: level 1 keeps its last bits.
     dx = (hi - lo) / (_LEVEL_POINTS - 1)
-    mixed = mixed_convolution_powers(dens, dx, np.exp(law.z_log_weights), k_max)
 
     levels = np.zeros(k_max + 1)
-    for k, p_mix in enumerate(mixed, start=1):
-        s_grid = np.linspace(k * lo, k * hi, p_mix.size)
-        phi = _phi(_log_gk(law, k, s_grid))
-        levels[k] = float(np.trapezoid(p_mix * phi, dx=dx))
+    p_1 = np.exp(law.z_log_weights) @ unit_mass_rows(dens, dx)
+    levels[1] = float(np.trapezoid(p_1 * _phi(_log_gk(law, 1, xs)), dx=dx))
+    for k, log_q in _log_reference_powers(law, xs, dx, k_max):
+        live = np.flatnonzero(log_q > -np.inf)
+        first, last = int(live[0]), int(live[-1]) + 1
+        s_grid = k * lo + dx * np.arange(first, last)
+        log_g = _log_gk(law, k, s_grid)
+        log_p = log_q[first:last] + log_g
+        p_k = np.exp(log_p - log_p.max())
+        p_k /= np.trapezoid(p_k, dx=dx)
+        levels[k] = float(np.trapezoid(p_k * _phi(log_g), dx=dx))
     return EntropyLevels(law.n_particles, levels)
+
+
+def _tilted_rows(law: MixtureLaw, xs: np.ndarray, n_rows: int):
+    """``n_rows`` tilts z_m evenly spaced on [z_nodes[0], z_nodes[-1]], and the
+    rows exp(z_m x - V(x) - shift_m) on ``xs``, each with peak 1."""
+    zs = np.linspace(law.z_nodes[0], law.z_nodes[-1], n_rows)
+    log_rows = np.multiply.outer(zs, xs) - law.model.potential(xs)
+    shifts = log_rows.max(axis=1)
+    return zs, np.exp(log_rows - shifts[:, None]), shifts
+
+
+def _reference_tilts(law: MixtureLaw, xs: np.ndarray, k_max: int):
+    """``_tilted_rows`` with M rows, M doubled nested (3, 5, 9, 17, ...) until
+    the k_max-fold sums of adjacent rows have means within ``_ROW_SPACING``
+    standard deviations.  A model that needs more than ``_MAX_ROWS`` rows
+    raises ``GridResolution``.
+    """
+    n_rows = 3
+    while n_rows <= _MAX_ROWS:
+        zs, rows, shifts = _tilted_rows(law, xs, n_rows)
+        mass = rows.sum(axis=1)
+        means = rows @ xs / mass
+        sds = np.sqrt(((xs - means[:, None]) ** 2 * rows).sum(axis=1) / mass)
+        gaps = np.sqrt(k_max) * np.diff(means)
+        if np.all(gaps <= _ROW_SPACING * np.minimum(sds[:-1], sds[1:])):
+            return zs, rows, shifts
+        n_rows = 2 * n_rows - 1
+    raise GridResolution(f"the levels need more than {_MAX_ROWS} tilted reference rows")
+
+
+def _log_reference_powers(law: MixtureLaw, xs: np.ndarray, dx: float, k_max: int):
+    """[(k, log q_k)] for k = 2..k_max on the s-grids k*xs[0] + l*dx.
+
+    q_k = pi[0]^{*k}, up to a factor shared by all s, is read off the k-fold
+    power of each tilted row (``_reference_tilts``), untilted:
+    log q_k(s) = log row_m^{*k}(s) + k shift_m - z_m s.  At each s it is taken
+    from the row that is largest relative to its own peak, and it is -inf
+    where even that row lies below ``_ROW_CUT`` of its peak: a truncation of
+    q_k's far tails, not a noise floor.  Untilting one row everywhere would
+    amplify its FFT noise by exp(z s).
+    """
+    if k_max < 2:
+        return []
+    zs, rows, shifts = _reference_tilts(law, xs, k_max)
+    sizes = {k: k * (xs.size - 1) + 1 for k in range(2, k_max + 1)}
+    best = {k: np.full(size, np.log(_ROW_CUT)) for k, size in sizes.items()}
+    log_q = {k: np.full(size, -np.inf) for k, size in sizes.items()}
+    for z, row, shift in zip(zs, rows, shifts):
+        for k, power in convolution_powers(row, k_max):
+            with np.errstate(divide="ignore"):
+                log_power = np.log(power)
+            rel = log_power - log_power.max()
+            take = np.flatnonzero(rel >= best[k])
+            best[k][take] = rel[take]
+            s = k * xs[0] + dx * take
+            log_q[k][take] = log_power[take] + k * shift - z * s
+    return list(log_q.items())
 
 
 def conditional_entropy_level(levels: EntropyLevels, k: int) -> float:

@@ -2,8 +2,8 @@
 
 The one doubling window search and the one checked log-trapezoid behind
 every integral of the library, the chunked log-Laplace reduction behind
-every field/grid sum, the mixed k-fold self-convolutions of many density
-rows in one spectral pass, the cumulative trapezoid, and bracketed root
+every field/grid sum, the k-fold self-convolutions of one density row in
+one spectral pass, the cumulative trapezoid, and bracketed root
 finding by Brent's method.  There is no adaptive quadrature: the
 integrands are analytic and decay fast, so the uniform trapezoid converges
 exponentially, and halving its node count checks it.  Nothing here imports
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridResolution, NoSignChange, NonConvergent
+from .errors import GridResolution, NoSignChange, NonConvergent, NonFinite
 
 __all__ = [
     "GridDensity",
@@ -28,7 +28,8 @@ __all__ = [
     "trapezoid_log_weights",
     "log_trapezoid",
     "log_laplace",
-    "mixed_convolution_powers",
+    "unit_mass_rows",
+    "convolution_powers",
     "cumulative_trapezoid",
     "find_root",
 ]
@@ -56,13 +57,17 @@ def window_search(log_f):
     Scans ``log_f`` on ``_SCAN_POINTS`` uniform points over [-1, 1], then
     [-2, 2], [-4, 4], ..., and stops at the first scan whose two end values
     both lie more than ``LOG_CUT`` below that scan's peak.  Returns the
-    scan's points and values; raises ``NonConvergent`` after
+    scan's points and values.  Raises ``NonFinite`` for a NaN or +inf scan
+    value (no window can be read from it), and ``NonConvergent`` after
     ``_MAX_DOUBLINGS`` doublings.
     """
     lo, hi = -1.0, 1.0
     for _ in range(_MAX_DOUBLINGS):
         xs = np.linspace(lo, hi, _SCAN_POINTS)
         vals = np.asarray(log_f(xs), dtype=float)
+        bad = np.isnan(vals) | (vals == np.inf)
+        if bad.any():
+            raise NonFinite(f"log-integrand is {vals[bad][0]} at x = {xs[bad][0]}")
         cut = vals.max() - LOG_CUT
         if vals[0] < cut and vals[-1] < cut:
             return xs, vals
@@ -98,8 +103,7 @@ def log_trapezoid(ts, nodes, log_weights):
     return full
 
 
-# Workspace of one chunk of rows in log_laplace and mixed_convolution_powers:
-# about 1 MB of float64 values.
+# Workspace of one chunk of rows in log_laplace: about 1 MB of float64 values.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -184,21 +188,30 @@ class GridDensity:
         return float(np.trapezoid((self.xs - m) ** 2 * self.values, dx=self.dx))
 
 
-def _row_masses(vals: np.ndarray, dx: float) -> np.ndarray:
-    """Trapezoid mass of each row of ``vals`` (non-negative densities).
-
-    The rows must be C-contiguous: then each row's sum runs in the same order
-    as ``GridDensity``'s on a 1D array.  Raises ``GridResolution`` if a row's
-    edge value exceeds ``_EDGE_FRACTION`` of its peak (the grid then cuts off
-    part of the density), and ``ValueError`` if a row has no mass.
-    """
-    edges = np.maximum(vals[:, 0], vals[:, -1])
-    if np.any(edges > _EDGE_FRACTION * vals.max(axis=1)):
+def _check_edges(vals: np.ndarray) -> None:
+    """Raise ``GridResolution`` if a row's edge value exceeds ``_EDGE_FRACTION``
+    of its peak: the grid then cuts off part of the density."""
+    edges = np.maximum(vals[..., 0], vals[..., -1])
+    if np.any(edges > _EDGE_FRACTION * vals.max(axis=-1)):
         raise GridResolution("grid underresolves the density: mass at its edge")
-    mass = np.trapezoid(vals, dx=dx, axis=1)
+
+
+def unit_mass_rows(rows, dx: float) -> np.ndarray:
+    """Density rows clipped at zero, edge-checked and scaled to unit trapezoid
+    mass, as a C-ordered copy.
+
+    In C order each row's sum runs in the same order as ``GridDensity``'s on
+    a 1D array, so ``weights @ unit_mass_rows(rows, dx)`` is the mix of the
+    rows' ``GridDensity`` values.  Raises ``GridResolution`` for mass at a
+    row's edge (``_check_edges``) and ``ValueError`` for a row with no mass.
+    """
+    base = np.maximum(np.asarray(rows, dtype=float), 0.0, order="C")
+    _check_edges(base)
+    mass = np.trapezoid(base, dx=dx, axis=1)
     if not np.all(mass > 0.0):
         raise ValueError("density has zero mass")
-    return mass
+    base /= mass[:, None]
+    return base
 
 
 def _next_fast_len(n: int) -> int:
@@ -217,45 +230,28 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def mixed_convolution_powers(rows, dx: float, weights, k_max: int) -> list:
-    """p_k = sum_j weights[j] * rho_j^{*k} for k = 1..k_max.
+def convolution_powers(row, k_max: int):
+    """Yield (k, row^{*k}) for k = 2..k_max, the k-fold self-convolution sums.
 
-    ``rows`` is a (nodes, n) array of densities rho_j on one uniform grid of
-    spacing ``dx``; rho_j^{*k}, the density of a sum of k independent draws
-    from rho_j, lives on the k-times wider grid with k*(n-1)+1 points and
-    the same spacing.  Every rho_j and rho_j^{*k} is clipped at zero, checked
-    for mass at its grid edge (``GridResolution``) and scaled to unit
-    trapezoid mass before it is mixed; that scaling also absorbs the Riemann
-    factor dx^(k-1) of the convolution sum.
-
-    p_1 is ``weights @ rows`` after scaling, as ``GridDensity`` rows would
-    give it.  For k >= 2 the scaled rows go through the FFT in chunks of
-    ``_chunk_rows(n_fft)`` rows, so the workspace stays near ``_CHUNK_BYTES``
-    whatever the node count: one ``rfft`` per chunk, then per level one
-    ``irfft`` of the spectrum's k-th power.  Each row's own spectrum is
-    raised to the power; nothing is tilted in Fourier space.  Returns the
-    list [p_1, ..., p_kmax].
+    row^{*k}[l] is the sum of row[i_1] * ... * row[i_k] over i_1 + ... + i_k
+    = l, on k*(n-1)+1 points: for a density sampled on a uniform grid of
+    spacing dx it is dx^(1-k) times the density of a sum of k independent
+    draws, on the k-times wider grid.  One ``rfft`` of the row at a 5-smooth
+    length, then per level one ``irfft`` of the spectrum's k-th power.  The
+    row and every power are clipped at zero and raise ``GridResolution`` for
+    mass at their edge (``_check_edges``).
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    base = np.maximum(np.asarray(rows, dtype=float), 0.0, order="C")
-    base /= _row_masses(base, dx)[:, None]
-    weights = np.asarray(weights, dtype=float)
-    n = base.shape[1]
-    mixed = [weights @ base] + [np.zeros(k * (n - 1) + 1) for k in range(2, k_max + 1)]
-    if k_max == 1:
-        return mixed
+    row = np.maximum(np.asarray(row, dtype=float), 0.0)
+    _check_edges(row)
+    n = row.size
     n_fft = _next_fast_len(k_max * (n - 1) + 1)
-    step = _chunk_rows(n_fft)
-    for start in range(0, len(base), step):
-        spectrum = np.fft.rfft(base[start:start + step], n_fft, axis=-1)
-        power = spectrum.copy()
-        for k in range(2, k_max + 1):
-            power *= spectrum
-            vals = np.maximum(np.fft.irfft(power, n_fft, axis=-1)[:, :k * (n - 1) + 1], 0.0)
-            w = weights[start:start + step] / _row_masses(vals, dx)
-            mixed[k - 1] += w @ vals
-    return mixed
+    spectrum = np.fft.rfft(row, n_fft)
+    power = spectrum.copy()
+    for k in range(2, k_max + 1):
+        power *= spectrum
+        vals = np.maximum(np.fft.irfft(power, n_fft)[:k * (n - 1) + 1], 0.0)
+        _check_edges(vals)
+        yield k, vals
 
 
 def cumulative_trapezoid(y, dx: float) -> np.ndarray:

@@ -5,6 +5,8 @@ Gauss-Kronrod quadrature on the real line (``integrate``,
 ``log_integrate_exp``), a pairwise grid-density convolution and the
 relative Fisher information by quadrature, with no reference to the
 mixture representation or the log-trapezoid kernels under test; the
+entropy levels by the route the library's tilted reference rows replaced,
+every node density convolved (``node_row_entropy_levels``); the
 nearest-neighbor KL estimator, which needs only samples; and the
 Langevin chain loop as first written, one step at a time with nothing
 cached between steps.
@@ -15,7 +17,9 @@ from scipy import integrate as _sciint
 from scipy.integrate import simpson
 from scipy.spatial import cKDTree
 
-from chaoslab.errors import ChaosLabError, DivergentChain, NonConvergent, NonFinite
+from chaoslab.errors import (ChaosLabError, DivergentChain, GridResolution,
+                             NonConvergent, NonFinite)
+from chaoslab.marginals import _LEVEL_POINTS, _log_gk, _node_grid_densities, _phi
 from chaoslab.metrics import DivergenceEstimate
 from chaoslab.numerics import GridDensity
 from chaoslab.sampler import SampleBatch
@@ -122,8 +126,8 @@ def fisher_information_1d(density_log_grad_p, density_log_grad_q, p_density) -> 
 def convolve(p: GridDensity, q: GridDensity) -> GridDensity:
     """Density of the sum of independent variables with densities p and q.
 
-    One FFT product per pair: the reference that
-    ``numerics.mixed_convolution_powers`` is checked against.  Raises
+    One FFT product per pair: the reference that ``mixed_convolution_powers``
+    is checked against.  Raises
     ``ValueError`` if the two grid spacings differ.
     """
     if abs(p.dx - q.dx) > 1e-12 * max(p.dx, q.dx):
@@ -134,6 +138,79 @@ def convolve(p: GridDensity, q: GridDensity) -> GridDensity:
                      n_fft)[:n_out]
     vals = np.maximum(raw, 0.0) * p.dx
     return GridDensity(p.lo + q.lo, p.hi + q.hi, n_out, vals)
+
+
+# Workspace of one chunk of rows in mixed_convolution_powers: about 1 MB of
+# float64 values.
+_CHUNK_BYTES = 1 << 20
+_EDGE_FRACTION = 1e-6
+
+
+def _chunk_rows(n_points: int) -> int:
+    """Rows of ``n_points`` float64 values that fit in one chunk."""
+    return max(1, _CHUNK_BYTES // (8 * n_points))
+
+
+def _row_masses(vals: np.ndarray, dx: float) -> np.ndarray:
+    """Trapezoid mass of each (C-contiguous) row; ``GridResolution`` for a row
+    whose edge value exceeds ``_EDGE_FRACTION`` of its peak."""
+    edges = np.maximum(vals[:, 0], vals[:, -1])
+    if np.any(edges > _EDGE_FRACTION * vals.max(axis=1)):
+        raise GridResolution("grid underresolves the density: mass at its edge")
+    mass = np.trapezoid(vals, dx=dx, axis=1)
+    if not np.all(mass > 0.0):
+        raise ValueError("density has zero mass")
+    return mass
+
+
+def mixed_convolution_powers(rows, dx: float, weights, k_max: int) -> list:
+    """p_k = sum_j weights[j] * rho_j^{*k} for k = 1..k_max, every row convolved.
+
+    ``rows`` is a (nodes, n) array of densities rho_j on one uniform grid of
+    spacing ``dx``; rho_j^{*k} lives on the k-times wider grid with
+    k*(n-1)+1 points.  Every rho_j and rho_j^{*k} is clipped at zero,
+    checked for mass at its grid edge (``GridResolution``) and scaled to unit
+    trapezoid mass before it is mixed.  The rows go through the FFT in
+    chunks of ``_chunk_rows(n_fft)``: one ``rfft`` per chunk, then per level
+    one ``irfft`` of the spectrum's k-th power.
+    """
+    base = np.maximum(np.asarray(rows, dtype=float), 0.0, order="C")
+    base /= _row_masses(base, dx)[:, None]
+    weights = np.asarray(weights, dtype=float)
+    n = base.shape[1]
+    mixed = [weights @ base] + [np.zeros(k * (n - 1) + 1) for k in range(2, k_max + 1)]
+    if k_max == 1:
+        return mixed
+    n_fft = _fft.next_fast_len(k_max * (n - 1) + 1, real=True)
+    step = _chunk_rows(n_fft)
+    for start in range(0, len(base), step):
+        spectrum = _fft.rfft(base[start:start + step], n_fft, axis=-1)
+        power = spectrum.copy()
+        for k in range(2, k_max + 1):
+            power *= spectrum
+            vals = np.maximum(_fft.irfft(power, n_fft, axis=-1)[:, :k * (n - 1) + 1], 0.0)
+            w = weights[start:start + step] / _row_masses(vals, dx)
+            mixed[k - 1] += w @ vals
+    return mixed
+
+
+def node_row_entropy_levels(law, k_max: int) -> np.ndarray:
+    """Levels 0..k_max with every node's k-fold sum density convolved.
+
+    The route that the tilted reference rows of ``marginals._entropy_exact``
+    replace: all node densities on the 4096-point level grid go through
+    ``mixed_convolution_powers``, and level k is int p * phi(log g) over the
+    whole s-grid.  Its Gaussian-oracle error is about 2e-10.
+    """
+    xs, dens = _node_grid_densities(law, _LEVEL_POINTS)
+    lo, hi = float(xs[0]), float(xs[-1])
+    dx = (hi - lo) / (_LEVEL_POINTS - 1)
+    mixed = mixed_convolution_powers(dens, dx, np.exp(law.z_log_weights), k_max)
+    levels = np.zeros(k_max + 1)
+    for k, p_mix in enumerate(mixed, start=1):
+        s_grid = np.linspace(k * lo, k * hi, p_mix.size)
+        levels[k] = float(np.trapezoid(p_mix * _phi(_log_gk(law, k, s_grid)), dx=dx))
+    return levels
 
 
 class DegenerateSample(ChaosLabError):

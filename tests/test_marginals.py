@@ -2,23 +2,24 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from chaoslab import marginals
 from chaoslab.errors import (GridResolution, NonPositiveDefinite, RegimeViolation,
                              Supercritical)
-from chaoslab.marginals import (_node_grid_densities, build_mixture,
+from chaoslab.marginals import (MixtureLaw, _node_grid_densities, build_mixture,
                                 conditional_entropy_level,
                                 gaussian_entropy_oracle, marginal_grid_density,
                                 marginal_log_density,
                                 marginal_log_density_batch, marginal_moment,
                                 relative_entropy_levels, sample_marginal,
                                 wasserstein2_marginal)
-from chaoslab.meanfield import tilted_measure
+from chaoslab.meanfield import critical_coupling, tilted_measure
 from chaoslab.model import (MAX_PARTICLES, GeneralPotential, ModelSpec,
                             RankOneInteraction, curie_weiss_model, gaussian_model)
 from chaoslab.numerics import FINE_POINTS
 from chaoslab.verify import jw_log_mgf
 from conftest import GAUSS_JOINT_KL, J_CRIT, N2_KL_LIMIT_SAMPLE, W2_N32
 from oracles import (brute_marginal_log_density_n2, brute_marginal_log_density_n3,
-                     integrate)
+                     integrate, node_row_entropy_levels)
 
 
 class TestBuildMixture:
@@ -196,7 +197,7 @@ class TestEntropyLevels:
             assert levels[k] == pytest.approx(
                 gaussian_entropy_oracle(sigma, J, n, k), rel=1e-9, abs=0.0)
 
-    @pytest.mark.parametrize("n", [8, 64, 1024])
+    @pytest.mark.parametrize("n", [8, 64, 1024, 2**16])
     def test_gaussian_oracle_high_levels(self, gauss_model, n):
         levels = relative_entropy_levels(build_mixture(gauss_model, n), 8).levels
         for k in range(5, 9):
@@ -204,24 +205,84 @@ class TestEntropyLevels:
                 gaussian_entropy_oracle(1.0, 0.5, n, k), rel=1e-9, abs=0.0)
 
     def test_quartic_level_n_closed_form(self, quartic_model):
-        # H(m^N | m_*^N) = (J/2N) E[S_N^2] - log E_{m_*^N}[exp(J S_N^2/2N)], with
-        # E[S_N^2] = sum_j w_j (N Var_j + N^2 mean_j^2) over the field nodes.
-        n, J = 8, quartic_model.coupling
+        n = 8
         law = build_mixture(quartic_model, n)
-        second = 0.0
-        for z, logw in zip(law.z_nodes, law.z_log_weights):
-            mu = tilted_measure(quartic_model, z)
-            var = mu.second_moment - mu.mean**2
-            second += np.exp(logw) * (n * var + n * n * mu.mean**2)
-        closed = J / (2 * n) * second - jw_log_mgf(quartic_model, n)
         got = relative_entropy_levels(law, n).levels[n]
-        assert got == pytest.approx(closed, rel=1e-10, abs=0.0)
+        assert got == pytest.approx(_level_n_closed_form(law), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("theta, sigma, frac",
+                             [(1.0, 1.0, 0.5), (1.0, -1.0, 0.5), (1.0, -1.0, 0.9),
+                              (10.0, 1.0, 0.9), (1.0, 0.0, 0.5)])
+    def test_quartic_level_n_closed_form_family(self, theta, sigma, frac, n):
+        # Single and double wells, a stiff quartic and the pure quartic, up to
+        # 0.9 J_c.  The node-row route met these only to 1.4e-12.
+        j_c = critical_coupling(curie_weiss_model(theta, sigma, 1.0))
+        law = build_mixture(curie_weiss_model(theta, sigma, frac * j_c), n)
+        got = relative_entropy_levels(law, n).levels[n]
+        assert got == pytest.approx(_level_n_closed_form(law), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("frac, n, k_max",
+                             [(0.5, 32, 3), (0.5, 128, 3), (0.5, 512, 3), (0.9, 1024, 8)])
+    def test_matches_node_row_oracle(self, frac, n, k_max):
+        # Every node's k-fold density convolved: the oracle is itself within
+        # about 2e-10 of the Gaussian closed form.  Level 1 is the same sum.
+        law = build_mixture(curie_weiss_model(1.0, 1.0, frac * J_CRIT), n)
+        got = relative_entropy_levels(law, k_max).levels
+        want = node_row_entropy_levels(law, k_max)
+        assert got[1] == want[1]
+        np.testing.assert_allclose(got[2:], want[2:], rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("model, n, k_max",
+                             [("quartic", 32, 3), ("quartic", 8, 8),
+                              ("double-well", 8, 8), ("gaussian", 1024, 8)])
+    def test_more_reference_rows_agree(self, model, n, k_max, monkeypatch):
+        model = {"quartic": curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
+                 "double-well": curie_weiss_model(
+                     1.0, -1.0, 0.9 * critical_coupling(curie_weiss_model(1.0, -1.0, 1.0))),
+                 "gaussian": gaussian_model(1.0, 0.5)}[model]
+        law = build_mixture(model, n)
+        used = []
+        chosen = marginals._reference_tilts
+
+        def spy(law, xs, k_max):
+            rows = chosen(law, xs, k_max)
+            used.append(len(rows[0]))
+            return rows
+
+        monkeypatch.setattr(marginals, "_reference_tilts", spy)
+        base = relative_entropy_levels(law, k_max).levels
+        (m,) = used
+        monkeypatch.setattr(marginals, "_reference_tilts",
+                            lambda law, xs, k_max: marginals._tilted_rows(law, xs, 2 * m - 1))
+        more = relative_entropy_levels(law, k_max).levels
+        np.testing.assert_allclose(more[1:], base[1:], rtol=1e-12, atol=0.0)
+
+    def test_too_many_reference_rows_raise(self, quartic_model, monkeypatch):
+        # N = 8 at k_max = 8 needs 9 rows; with a cap of 5 it must raise, not
+        # return levels from rows spaced too far apart.
+        law = build_mixture(quartic_model, 8)
+        monkeypatch.setattr(marginals, "_MAX_ROWS", 5)
+        with pytest.raises(GridResolution):
+            relative_entropy_levels(law, 8)
 
     def test_k_max_bounds(self, quartic_model):
         with pytest.raises(ValueError):
             relative_entropy_levels(build_mixture(quartic_model, 4), 5)
         with pytest.raises(ValueError):  # above MAX_LEVEL = 8
             relative_entropy_levels(build_mixture(quartic_model, 16), 9)
+
+
+def _level_n_closed_form(law: MixtureLaw) -> float:
+    """H(m^N | m_*^N) = (J/2N) E[S_N^2] - log E_{m_*^N}[exp(J S_N^2/2N)], with
+    E[S_N^2] = sum_j w_j (N Var_j + N^2 mean_j^2) over the field nodes."""
+    model, n = law.model, law.n_particles
+    second = 0.0
+    for z, logw in zip(law.z_nodes, law.z_log_weights):
+        mu = tilted_measure(model, z)
+        var = mu.second_moment - mu.mean**2
+        second += np.exp(logw) * (n * var + n * n * mu.mean**2)
+    return model.coupling / (2 * n) * second - jw_log_mgf(model, n)
 
 
 class TestGaussianOracle:

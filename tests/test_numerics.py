@@ -9,20 +9,23 @@ from scipy.fft import next_fast_len
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from chaoslab import numerics
+import oracles
 from chaoslab.errors import GridResolution, NoSignChange, NonConvergent, NonFinite
 from chaoslab.marginals import (_node_grid_densities, build_mixture,
                                 marginal_log_density, marginal_log_density_batch)
+from chaoslab.meanfield import tilted_measure
+from chaoslab.model import GeneralPotential, ModelSpec, RankOneInteraction
 from chaoslab.numerics import (GridDensity, _chunk_rows, _next_fast_len,
-                               cumulative_trapezoid, find_root, log_laplace,
-                               mixed_convolution_powers)
+                               convolution_powers, cumulative_trapezoid, find_root,
+                               log_laplace, unit_mass_rows, window_search)
 from conftest import LOG_QUARTIC_GAUSS, QUARTIC_NORM, TANH_ROOT
-from oracles import convolve, integrate, log_integrate_exp
+from oracles import convolve, integrate, log_integrate_exp, mixed_convolution_powers
 
 
-# TestIntegrate, TestLogIntegrateExp and TestConvolve are self-tests of the
-# quadrature and convolution oracles in ``oracles``, which the library
-# tests compare against.
+# TestIntegrate, TestLogIntegrateExp, TestConvolve and
+# TestMixedConvolutionPowers are self-tests of the quadrature and
+# convolution oracles in ``oracles``, which the library tests compare
+# against.
 class TestIntegrate:
     def test_gaussian_normalization(self):
         val = integrate(lambda x: np.exp(-x**2 / 2))
@@ -234,7 +237,7 @@ class TestMixedConvolutionPowers:
     def test_row_counts_across_chunk_boundaries(self, count, quartic_model):
         rows, lo, hi, weights = _node_rows(quartic_model)
         n = rows.shape[1]
-        chunk = _chunk_rows(next_fast_len(3 * (n - 1) + 1, real=True))
+        chunk = oracles._chunk_rows(next_fast_len(3 * (n - 1) + 1, real=True))
         assert len(rows) == 257 and chunk + 1 < 257
         count = {"1": 1, "chunk-1": chunk - 1, "chunk": chunk,
                  "chunk+1": chunk + 1, "257": 257}[count]
@@ -247,7 +250,7 @@ class TestMixedConvolutionPowers:
         dx = (hi - lo) / (rows.shape[1] - 1)
         reference = mixed_convolution_powers(rows, dx, weights, 3)
         for chunk_bytes in (1, 100_000, 1 << 24):
-            monkeypatch.setattr(numerics, "_CHUNK_BYTES", chunk_bytes)
+            monkeypatch.setattr(oracles, "_CHUNK_BYTES", chunk_bytes)
             got = mixed_convolution_powers(rows, dx, weights, 3)
             assert np.array_equal(got[0], reference[0])
             _assert_close_to_peak(got[1:], reference[1:], 1e-14)
@@ -262,6 +265,63 @@ class TestMixedConvolutionPowers:
         rows[200] = np.exp(-0.5 * (xs / (0.5 * (hi - lo))) ** 2)
         with pytest.raises(GridResolution):
             mixed_convolution_powers(rows, (hi - lo) / (len(xs) - 1), weights, k_max)
+
+
+class TestConvolutionPowers:
+    def test_matches_repeated_convolve(self, quartic_model):
+        rows, lo, hi, _ = _node_rows(quartic_model)
+        dx = (hi - lo) / (rows.shape[1] - 1)
+        row = rows[200]
+        want = _repeated_convolve(row[None, :], lo, hi, np.ones(1), 4)
+        powers = list(convolution_powers(row, 4))
+        assert [k for k, _ in powers] == [2, 3, 4]
+        # Scaled to unit mass, the k-fold sums are the k-fold densities.
+        got = [vals / np.trapezoid(vals, dx=dx) for _, vals in powers]
+        _assert_close_to_peak(got, want[1:], 1e-12)
+
+    def test_unit_mass_rows_mix_is_the_grid_density_mix(self, quartic_model):
+        rows, lo, hi, weights = _node_rows(quartic_model)
+        base = unit_mass_rows(rows, (hi - lo) / (rows.shape[1] - 1))
+        want = weights @ np.stack([GridDensity(lo, hi, rows.shape[1], r).values
+                                   for r in rows])
+        assert np.array_equal(weights @ base, want)
+
+    def test_row_reaching_the_edge_raises(self):
+        xs = np.linspace(-1.0, 1.0, 513)
+        with pytest.raises(GridResolution):
+            next(convolution_powers(np.exp(-xs**2), 3))
+        with pytest.raises(GridResolution):
+            unit_mass_rows(np.exp(-xs**2)[None, :], xs[1] - xs[0])
+
+
+class TestWindowSearch:
+    def test_gaussian_window(self):
+        xs, vals = window_search(lambda x: -x**2 / 2)
+        assert -xs[0] == xs[-1] == 16.0
+        assert vals.max() == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_scan_value_raises(self, bad):
+        def log_f(x):
+            out = -x**2 / 2
+            out[100] = bad
+            return out
+
+        with pytest.raises(NonFinite):
+            window_search(log_f)
+
+    def test_minus_inf_is_a_zero_integrand(self):
+        xs, _ = window_search(lambda x: np.where(np.abs(x) < 3, -x**2, -np.inf))
+        assert xs[-1] == 4.0
+
+    def test_nan_potential_raises_non_finite(self):
+        # V = x^3 / (2x) is x^2 / 2 with 0/0 at the scan point x = 0.  Its
+        # window search used to double 40 times and raise NonConvergent.
+        model = ModelSpec(GeneralPotential(v=lambda x: x**3 / (2 * x),
+                                           grad_v=lambda x: x),
+                          RankOneInteraction(0.5))
+        with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
+            tilted_measure(model, 0.0)
 
 
 class TestFindRoot:
