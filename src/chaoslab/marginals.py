@@ -18,13 +18,13 @@ from functools import cache
 
 import numpy as np
 
-from .errors import GridResolution, NonPositiveDefinite, Supercritical
+from .errors import GridResolution, NonFinite, NonPositiveDefinite, Supercritical
 from .meanfield import LogPartition, TiltedMeasure, subcritical_reference, tilt_window
 from .metrics import quantile_from_density, wasserstein_1d
 from .model import MAX_PARTICLES, ModelSpec
-from .numerics import (FINE_POINTS, LOG_CUT, GridDensity, convolution_powers,
-                       cumulative_trapezoid, log_laplace, unit_mass_rows,
-                       window_search)
+from .numerics import (EXP_UNDERFLOW, FINE_POINTS, LOG_CUT, GridDensity,
+                       _check_edges, _chunk_rows, convolution_powers,
+                       cumulative_trapezoid, log_laplace, window_search)
 
 __all__ = [
     "MixtureLaw",
@@ -54,6 +54,20 @@ _LEVEL_POINTS = 4096
 _ROW_CUT = 1e-14
 _ROW_SPACING = 3.0
 _MAX_ROWS = 257
+# The refinement passes of the field support (``_refine_support``): each scans
+# _REFINE_POINTS points and evaluates log Z_1 on every _REFINE_STRIDE-th of
+# them, and on a gap between two of those only where a chord bound, with a
+# rounding margin of _CHORD_MARGIN relative, does not rule the gap out.
+_REFINE_PASSES = 3
+_REFINE_POINTS = 801
+_REFINE_STRIDE = 16
+_CHORD_MARGIN = 1e-9
+# The point chunks of ``marginal_grid_density`` hold a multiple of this many
+# points.  OpenBLAS's matrix-vector kernel sums each group of 4 points in one
+# order and a leftover point in another, so 4-aligned chunks give the bits of
+# one product over all FINE_POINTS points whenever that product's own thread
+# shares are 4-aligned (8192 points on 1, 2 or 4 threads).
+_BLAS_ROW_BLOCK = 8
 
 
 @cache
@@ -83,21 +97,6 @@ class MixtureLaw:
     log_z0: float = 0.0
     node_log_z1: np.ndarray = field(default=None, repr=False)
     x_window: tuple = (0.0, 0.0)
-
-    def node_densities(self, x):
-        """Matrix of rho_{z_j}(x), one row per node: shape (n_nodes, n_points).
-
-        It is built in place in one (n_points, n_nodes) buffer and returned
-        as that buffer's transpose.  ``weights @ rows`` then sums each
-        point's node values from contiguous memory, the summation order the
-        W_2 outputs were produced with; C-ordered rows would move the
-        Gaussian W_2^2 at N = 2^16 by 2e-7 relative.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        dens = np.multiply.outer(x, self.z_nodes)
-        dens += -self.model.potential(x)[:, None]
-        dens -= self.node_log_z1
-        return np.exp(dens, out=dens).T
 
 
 def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
@@ -134,15 +133,9 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
         return -N * zs**2 / (2.0 * J) + N * logz1, logz1
 
     # Locate the effective support of the mixing weight by the doubling
-    # search, then shrink it with three refinement passes.
+    # search, then shrink it with the refinement passes.
     zs = window_search(lambda zs: log_weight_profile(zs)[0])[0]
-    zlo, zhi = float(zs[0]), float(zs[-1])
-    for _ in range(3):
-        zs = np.linspace(zlo, zhi, 801)
-        logw = log_weight_profile(zs)[0]
-        above = np.nonzero(logw >= logw.max() - LOG_CUT)[0]
-        pad = zs[1] - zs[0]
-        zlo, zhi = float(zs[above[0]] - pad), float(zs[above[-1]] + pad)
+    zlo, zhi = _refine_support(kernel, N, J, float(zs[0]), float(zs[-1]))
 
     # Gauss-Legendre nodes on the discovered support.
     gl_nodes, gl_weights = _gauss_legendre()
@@ -169,6 +162,77 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
         x_window=(min(wlo[0], whi[0]), max(wlo[1], whi[1])),
     )
     return replace(law, x_window=_node_density_window(law))
+
+
+def _refine_support(kernel: LogPartition, N: int, J: float, zlo: float, zhi: float):
+    """Shrink the field support [zlo, zhi] of the mixing weight
+    log w(z) = -N z^2 / 2J + N log Z_1(z) by ``_REFINE_PASSES`` passes.
+
+    Each pass scans ``_REFINE_POINTS`` points on the support, finds the first
+    and last point where log w lies within ``LOG_CUT`` of its maximum
+    (``_cut_range``), and pads them by one step.
+    """
+    for _ in range(_REFINE_PASSES):
+        zs = np.linspace(zlo, zhi, _REFINE_POINTS)
+        first, last = _cut_range(kernel, N, J, zs)
+        pad = zs[1] - zs[0]
+        zlo, zhi = float(zs[first] - pad), float(zs[last] + pad)
+    return zlo, zhi
+
+
+def _cut_range(kernel: LogPartition, N: int, J: float, zs: np.ndarray):
+    """First and last index where log w(zs) >= max log w(zs) - ``LOG_CUT``,
+    evaluating log Z_1 only where the answer can depend on it.
+
+    log Z_1 is evaluated at every ``_REFINE_STRIDE``-th point and the last.
+    It is convex in z: on the kernel's grid it is a log-sum-exp of affine
+    functions of z.  So on each gap between two evaluated points log w lies
+    below the same quadratic with log Z_1 replaced by its chord, and the
+    gap's bound is that quadratic's maximum on the gap plus a rounding
+    margin of ``_CHORD_MARGIN`` times N (1 + |log Z_1|) + |N z^2 / 2J|.  A
+    gap is evaluated in full only if its bound reaches the maximum of the
+    evaluated points, or reaches the cut while scanning in from either end.
+    Every value that decides the result is computed as a scan of all points
+    computes it, so the maximum, the cut and both indices are that scan's,
+    bit for bit (``tests/oracles.refine_support_by_full_scans``).
+    """
+    n = zs.size
+    log_z1 = np.full(n, np.nan)
+    ends = np.r_[np.arange(0, n - 1, _REFINE_STRIDE), n - 1]
+    log_z1[ends] = kernel(zs[ends])
+    quad = -N * zs**2 / (2.0 * J)
+    a, b = ends[:-1], ends[1:]
+    slope = (log_z1[b] - log_z1[a]) / (zs[b] - zs[a])
+    top = np.clip(J * slope, zs[a], zs[b])
+    margin = _CHORD_MARGIN * (
+        N * (1.0 + np.maximum(np.abs(log_z1[a]), np.abs(log_z1[b])))
+        + np.maximum(np.abs(quad[a]), np.abs(quad[b])))
+    bound = -N * top**2 / (2.0 * J) + N * (log_z1[a] + slope * (top - zs[a])) + margin
+    bound[np.isnan(bound)] = np.inf
+    filled = np.zeros(a.size, dtype=bool)
+
+    def fill(gaps):
+        gaps = gaps[~filled[gaps]]
+        if gaps.size:
+            inner = np.concatenate([np.arange(a[g] + 1, b[g]) for g in gaps])
+            log_z1[inner] = kernel(zs[inner])
+            filled[gaps] = True
+
+    # Unevaluated points are NaN: no maximum or comparison counts them.
+    fill(np.flatnonzero(bound >= np.nanmax(quad + N * log_z1)))
+    cut = np.nanmax(quad + N * log_z1) - LOG_CUT
+
+    def scan(gaps, pick):
+        for g in gaps:
+            if bound[g] >= cut:
+                fill(np.array([g]))
+            seg = slice(a[g], b[g] + 1)
+            hits = np.flatnonzero(quad[seg] + N * log_z1[seg] >= cut)
+            if hits.size:
+                return int(a[g] + pick(hits))
+        raise NonFinite("log w is NaN on every point of a refinement scan")
+
+    return scan(range(a.size), min), scan(reversed(range(a.size)), max)
 
 
 def marginal_log_density(law: MixtureLaw, k: int, point) -> float:
@@ -209,11 +273,17 @@ _SIZING_POINTS = 513
 def _node_density_window(law: MixtureLaw):
     """+-12 std of the widest node around the node means, and ``law.x_window``.
 
-    The means and std come from a coarse ``_SIZING_POINTS`` pass on it.
+    The means and std come from a coarse ``_SIZING_POINTS`` pass on it.  Its
+    node densities are the transpose of one (points, nodes) buffer, so the
+    trapezoid sums run across that buffer's rows: the order that fixed the
+    bits of every ``x_window``, and so of every node-density grid.
     """
     xlo, xhi = law.x_window
     xs = np.linspace(xlo, xhi, _SIZING_POINTS)
-    dens = law.node_densities(xs)
+    dens = np.multiply.outer(xs, law.z_nodes)
+    dens += -law.model.potential(xs)[:, None]
+    dens -= law.node_log_z1
+    dens = np.exp(dens, out=dens).T
     dx = xs[1] - xs[0]
     means = np.trapezoid(xs * dens, dx=dx, axis=1)
     variances = np.trapezoid((xs - means[:, None]) ** 2 * dens, dx=dx, axis=1)
@@ -222,10 +292,54 @@ def _node_density_window(law: MixtureLaw):
             max(float(means.max()) + 12.0 * sig, xhi))
 
 
-def _node_grid_densities(law: MixtureLaw, n_points: int):
-    """Per-node tilted densities on ``n_points`` points over ``law.x_window``."""
-    xs = np.linspace(law.x_window[0], law.x_window[1], n_points)
-    return xs, law.node_densities(xs)
+def _node_grid(law: MixtureLaw, n_points: int) -> np.ndarray:
+    """``n_points`` uniform points over ``law.x_window``, the node-density grid."""
+    return np.linspace(law.x_window[0], law.x_window[1], n_points)
+
+
+def _node_rows(law: MixtureLaw, nodes, xs: np.ndarray, neg_v: np.ndarray,
+               out=None) -> np.ndarray:
+    """rho_{z_j}(xs) = exp(z_j x - V(x) - log Z_1(z_j)) for the nodes ``nodes``,
+    one C-ordered row each (in ``out`` if given); ``neg_v`` is -V(xs).
+
+    exp runs only from each row's first to its last exponent at or above
+    ``EXP_UNDERFLOW``.  The tails outside are set to 0.0, which is what exp
+    returns there, so the rows are exp of the whole rows, bit for bit, without
+    the cost of exp's underflow path.
+    """
+    rows = np.multiply.outer(law.z_nodes[nodes], xs, out=out)
+    rows += neg_v
+    rows -= law.node_log_z1[nodes, None]
+    for row in rows:
+        live = np.flatnonzero(~(row < EXP_UNDERFLOW))  # NaN is live: exp keeps it
+        i, j = (live[0], live[-1] + 1) if live.size else (0, 0)
+        row[:i] = 0.0
+        row[j:] = 0.0
+        np.exp(row[i:j], out=row[i:j])
+    return rows
+
+
+def _level_one_density(law: MixtureLaw, xs: np.ndarray, dx: float) -> np.ndarray:
+    """p_1 = weights @ rows, the rows ``_node_rows`` scaled to unit trapezoid mass.
+
+    The rows are built in chunks of about ``numerics._CHUNK_BYTES``, each
+    edge-checked and scaled to its trapezoid mass on its own; each row's sums
+    run as ``GridDensity``'s on one 1D array, so p_1 is the mix of the rows'
+    ``GridDensity`` values.  Raises ``GridResolution`` for mass at a row's
+    edge and ``ValueError`` for a row with no mass.
+    """
+    neg_v = -law.model.potential(xs)
+    rows = np.empty((law.z_nodes.size, xs.size))
+    step = _chunk_rows(xs.size)
+    for start in range(0, rows.shape[0], step):
+        block = rows[start:start + step]
+        _node_rows(law, slice(start, start + step), xs, neg_v, out=block)
+        _check_edges(block)
+        mass = np.trapezoid(block, dx=dx, axis=1)
+        if not np.all(mass > 0.0):
+            raise ValueError("density has zero mass")
+        block /= mass[:, None]
+    return np.exp(law.z_log_weights) @ rows
 
 
 def _log_gk(law: MixtureLaw, k: int, s: np.ndarray) -> np.ndarray:
@@ -271,19 +385,19 @@ def _entropy_exact(law: MixtureLaw, k_max: int) -> EntropyLevels:
     relative accuracy as H -> 0.  The plain per-node form
     sum_j w_j int rho_j^{*k} log g cancels terms far larger than H.
 
-    Level 1 mixes the node densities: p = weights @ ``unit_mass_rows``.
+    Level 1 mixes the node densities (``_level_one_density``).
     Every level k >= 2 is p = q * g, the exact Esscher tilt identity
     rho_j^{*k}(s) = q(s) exp(z_j s - k Lambda(z_j)): q = pi[0]^{*k} comes
     from a few tilted rows (``_log_reference_powers``) and g is the exact
     ratio of ``_log_gk``, evaluated only where q was kept.
     """
-    xs, dens = _node_grid_densities(law, _LEVEL_POINTS)
+    xs = _node_grid(law, _LEVEL_POINTS)
     lo, hi = float(xs[0]), float(xs[-1])
     # GridDensity's spacing, not xs[1] - xs[0]: level 1 keeps its last bits.
     dx = (hi - lo) / (_LEVEL_POINTS - 1)
 
     levels = np.zeros(k_max + 1)
-    p_1 = np.exp(law.z_log_weights) @ unit_mass_rows(dens, dx)
+    p_1 = _level_one_density(law, xs, dx)
     levels[1] = float(np.trapezoid(p_1 * _phi(_log_gk(law, 1, xs)), dx=dx))
     for k, log_q in _log_reference_powers(law, xs, dx, k_max):
         live = np.flatnonzero(log_q > -np.inf)
@@ -380,10 +494,31 @@ def gaussian_entropy_oracle(sigma: float, J: float, N: int, k: int) -> float:
 
 
 def marginal_grid_density(law: MixtureLaw) -> GridDensity:
-    """The one-particle marginal density m^{N,1} on ``FINE_POINTS`` points."""
-    xs, dens = _node_grid_densities(law, FINE_POINTS)
+    """The one-particle marginal density m^{N,1} on ``FINE_POINTS`` points.
+
+    sum_j w_j rho_{z_j}(x), one chunk of points at a time: each chunk's
+    exponents fill a (points, nodes) buffer of about ``numerics._CHUNK_BYTES``
+    and the mix is ``weights @ buffer.T``.  A chunk whose exponents all lie
+    below ``EXP_UNDERFLOW`` is 0.0 with no exp and no product.
+    """
+    xs = _node_grid(law, FINE_POINTS)
+    neg_v = -law.model.potential(xs)
     weights = np.exp(law.z_log_weights)
-    return GridDensity(float(xs[0]), float(xs[-1]), FINE_POINTS, weights @ dens)
+    values = np.zeros(FINE_POINTS)
+    step = max(_BLAS_ROW_BLOCK,
+               _chunk_rows(weights.size) // _BLAS_ROW_BLOCK * _BLAS_ROW_BLOCK)
+    buf = np.empty((min(step, FINE_POINTS), weights.size))
+    for start in range(0, FINE_POINTS, step):
+        part = slice(start, start + step)
+        g = buf[:xs[part].size]
+        np.multiply.outer(xs[part], law.z_nodes, out=g)
+        g += neg_v[part, None]
+        g -= law.node_log_z1
+        if g.max() < EXP_UNDERFLOW:
+            continue
+        np.exp(g, out=g)
+        values[part] = weights @ g.T
+    return GridDensity(float(xs[0]), float(xs[-1]), FINE_POINTS, values)
 
 
 def marginal_moment(law: MixtureLaw, power: int) -> float:
@@ -406,15 +541,18 @@ def wasserstein2_marginal(law: MixtureLaw, k1_reference: TiltedMeasure) -> float
 def sample_marginal(law: MixtureLaw, n: int, seed: int = 0, k: int = 1) -> np.ndarray:
     """Exchangeable draws from m^{N,k}: pick a field node, then IID tilts."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    xs, dens = _node_grid_densities(law, FINE_POINTS)
+    xs = _node_grid(law, FINE_POINTS)
     weights = np.exp(law.z_log_weights)
     weights = weights / weights.sum()
     node_idx = rng.choice(len(weights), size=n, p=weights)
-    cdfs = cumulative_trapezoid(dens, xs[1] - xs[0])
+    # CDFs of the drawn nodes only.
+    drawn = np.unique(node_idx)
+    cdfs = cumulative_trapezoid(_node_rows(law, drawn, xs, -law.model.potential(xs)),
+                                xs[1] - xs[0])
     cdfs /= cdfs[:, -1:]
     out = np.empty((n, k))
-    for j in np.unique(node_idx):
+    for j, cdf in zip(drawn, cdfs):
         mask = node_idx == j
         us = rng.random((int(mask.sum()), k))
-        out[mask] = np.interp(us, cdfs[j], xs)
+        out[mask] = np.interp(us, cdf, xs)
     return out

@@ -6,10 +6,13 @@ Gauss-Kronrod quadrature on the real line (``integrate``,
 relative Fisher information by quadrature, with no reference to the
 mixture representation or the log-trapezoid kernels under test; the
 entropy levels by the route the library's tilted reference rows replaced,
-every node density convolved (``node_row_entropy_levels``); the
-nearest-neighbor KL estimator, which needs only samples; and the
-Langevin chain loop as first written, one step at a time with nothing
-cached between steps.
+every node density convolved (``node_row_entropy_levels``); the node
+densities as one full (points, nodes) matrix (``node_grid_densities``,
+``unit_mass_rows``) and the field-support refinement that scans every point
+(``refine_support_by_full_scans``), the bitwise references of the mixture
+kernels that compute only what they keep; the nearest-neighbor KL
+estimator, which needs only samples; and the Langevin chain loop as first
+written, one step at a time with nothing cached between steps.
 """
 import numpy as np
 from scipy import fft as _fft
@@ -19,9 +22,9 @@ from scipy.spatial import cKDTree
 
 from chaoslab.errors import (ChaosLabError, DivergentChain, GridResolution,
                              NonConvergent, NonFinite)
-from chaoslab.marginals import _LEVEL_POINTS, _log_gk, _node_grid_densities, _phi
+from chaoslab.marginals import _LEVEL_POINTS, _log_gk, _phi
 from chaoslab.metrics import DivergenceEstimate
-from chaoslab.numerics import GridDensity
+from chaoslab.numerics import LOG_CUT, GridDensity
 from chaoslab.sampler import SampleBatch
 
 # Adaptive quadrature tolerances and window truncation of integrate and
@@ -163,6 +166,47 @@ def _row_masses(vals: np.ndarray, dx: float) -> np.ndarray:
     return mass
 
 
+def unit_mass_rows(rows, dx: float) -> np.ndarray:
+    """Density rows clipped at zero, edge-checked and scaled to unit trapezoid
+    mass, as a C-ordered copy of the whole matrix.
+
+    In C order each row's sum runs in the same order as ``GridDensity``'s on
+    a 1D array, so ``weights @ unit_mass_rows(rows, dx)`` is the mix of the
+    rows' ``GridDensity`` values: the reference of the level-1 density.
+    """
+    base = np.maximum(np.asarray(rows, dtype=float), 0.0, order="C")
+    base /= _row_masses(base, dx)[:, None]
+    return base
+
+
+def node_grid_densities(law, n_points: int):
+    """The points and the node densities rho_{z_j}(x) on ``n_points`` points
+    over ``law.x_window``, one row per node: shape (n_nodes, n_points).
+
+    Built in one (n_points, n_nodes) buffer, exp of the whole of it, and
+    returned as its transpose: the reference of the marginal's node
+    densities.  ``weights @ rows`` then sums each point's node values from
+    contiguous memory.
+    """
+    xs = np.linspace(law.x_window[0], law.x_window[1], n_points)
+    dens = np.multiply.outer(xs, law.z_nodes)
+    dens += -law.model.potential(xs)[:, None]
+    dens -= law.node_log_z1
+    return xs, np.exp(dens, out=dens).T
+
+
+def refine_support_by_full_scans(kernel, N, J, zlo, zhi):
+    """The field-support refinement of ``build_mixture`` as first written:
+    three passes, each evaluating log Z_1 at all 801 points of its scan."""
+    for _ in range(3):
+        zs = np.linspace(zlo, zhi, 801)
+        logw = -N * zs**2 / (2.0 * J) + N * kernel(zs)
+        above = np.nonzero(logw >= logw.max() - LOG_CUT)[0]
+        pad = zs[1] - zs[0]
+        zlo, zhi = float(zs[above[0]] - pad), float(zs[above[-1]] + pad)
+    return zlo, zhi
+
+
 def mixed_convolution_powers(rows, dx: float, weights, k_max: int) -> list:
     """p_k = sum_j weights[j] * rho_j^{*k} for k = 1..k_max, every row convolved.
 
@@ -202,7 +246,7 @@ def node_row_entropy_levels(law, k_max: int) -> np.ndarray:
     ``mixed_convolution_powers``, and level k is int p * phi(log g) over the
     whole s-grid.  Its Gaussian-oracle error is about 2e-10.
     """
-    xs, dens = _node_grid_densities(law, _LEVEL_POINTS)
+    xs, dens = node_grid_densities(law, _LEVEL_POINTS)
     lo, hi = float(xs[0]), float(xs[-1])
     dx = (hi - lo) / (_LEVEL_POINTS - 1)
     mixed = mixed_convolution_powers(dens, dx, np.exp(law.z_log_weights), k_max)

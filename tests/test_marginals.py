@@ -1,25 +1,28 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from chaoslab import marginals
+from chaoslab import marginals, numerics
 from chaoslab.errors import (GridResolution, NonPositiveDefinite, RegimeViolation,
                              Supercritical)
-from chaoslab.marginals import (MixtureLaw, _node_grid_densities, build_mixture,
+from chaoslab.marginals import (MixtureLaw, build_mixture,
                                 conditional_entropy_level,
                                 gaussian_entropy_oracle, marginal_grid_density,
                                 marginal_log_density,
                                 marginal_log_density_batch, marginal_moment,
                                 relative_entropy_levels, sample_marginal,
                                 wasserstein2_marginal)
-from chaoslab.meanfield import critical_coupling, tilted_measure
+from chaoslab.meanfield import LogPartition, critical_coupling, tilted_measure
 from chaoslab.model import (MAX_PARTICLES, GeneralPotential, ModelSpec,
                             RankOneInteraction, curie_weiss_model, gaussian_model)
-from chaoslab.numerics import FINE_POINTS
+from chaoslab.numerics import EXP_UNDERFLOW, FINE_POINTS, GridDensity
 from chaoslab.verify import jw_log_mgf
 from conftest import GAUSS_JOINT_KL, J_CRIT, N2_KL_LIMIT_SAMPLE, W2_N32
 from oracles import (brute_marginal_log_density_n2, brute_marginal_log_density_n3,
-                     integrate, node_row_entropy_levels)
+                     integrate, node_grid_densities, node_row_entropy_levels,
+                     refine_support_by_full_scans, unit_mass_rows)
 
 
 class TestBuildMixture:
@@ -88,9 +91,106 @@ class TestBuildMixture:
 
     def test_node_grid_spans_x_window(self, quartic_model):
         law = build_mixture(quartic_model, 32)
-        xs, dens = _node_grid_densities(law, 1001)
+        g = marginal_grid_density(law)
+        assert (g.lo, g.hi) == law.x_window
+        xs = marginals._node_grid(law, 1001)
         assert (xs[0], xs[-1]) == law.x_window
-        assert dens.shape == (len(law.z_nodes), 1001)
+        rows = marginals._node_rows(law, slice(None), xs, -quartic_model.potential(xs))
+        assert rows.shape == (len(law.z_nodes), 1001)
+
+
+def _refinement_cases():
+    j_c = critical_coupling(curie_weiss_model(1.0, 1.0, 1.0))
+    cases = [(f"quartic-{frac}Jc", curie_weiss_model(1.0, 1.0, frac * j_c), n)
+             for frac in (0.1, 0.5, 0.9, 0.99, 1.5) for n in (2, 32, 1024, 2**16, 2**20)]
+    cases += [("double-well", curie_weiss_model(1.0, -1.0, 1.0), n) for n in (8, 64)]
+    cases += [("deep-double-well", curie_weiss_model(0.1, -5.0, 0.3), n)
+              for n in (4, 64, 4096)]
+    cases += [("gaussian", gaussian_model(1.0, 0.5), n) for n in (1, 1024, 65536)]
+    return [pytest.param(model, n, id=f"{name}-N{n}") for name, model, n in cases]
+
+
+class TestMixtureKernels:
+    """The mixture kernels that compute only what they keep, against the full
+    computations in ``oracles``, bit for bit."""
+
+    @pytest.mark.parametrize("model, n", _refinement_cases())
+    def test_refinement_matches_full_scans(self, model, n, monkeypatch):
+        got = build_mixture(model, n)
+        monkeypatch.setattr(marginals, "_refine_support", refine_support_by_full_scans)
+        want = build_mixture(model, n)
+        for name in ("z_nodes", "z_log_weights", "node_log_z1"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.log_z0 == want.log_z0
+        assert got.x_window == want.x_window
+
+    def test_log_z1_work(self, monkeypatch):
+        # The parent scanned all 801 points of each refinement pass: 3432 log
+        # Z_1 rows in all, 2403 of them in the refinement.
+        rows, refinement = [], []
+        call, refine = LogPartition.__call__, marginals._refine_support
+
+        def counted_call(self, zs):
+            rows.append(np.size(zs))
+            return call(self, zs)
+
+        def counted_refine(*args):
+            before = sum(rows)
+            out = refine(*args)
+            refinement.append(sum(rows) - before)
+            return out
+
+        monkeypatch.setattr(LogPartition, "__call__", counted_call)
+        monkeypatch.setattr(marginals, "_refine_support", counted_refine)
+        build_mixture(curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT), 32)
+        assert sum(rows) <= 1500
+        assert refinement[0] <= 800
+
+    def test_exp_underflow_constant(self):
+        assert np.exp(EXP_UNDERFLOW) == 0.0
+        assert np.exp(np.full(9, EXP_UNDERFLOW)).max() == 0.0
+
+    @pytest.mark.parametrize("n_points, chunk_rows",
+                             [(marginals._LEVEL_POINTS, None), (1001, 7), (4097, 40)])
+    @pytest.mark.parametrize("n", [8, 1024])
+    def test_level_one_density_matches_full_rows(self, n, n_points, chunk_rows,
+                                                 quartic_model, monkeypatch):
+        law = build_mixture(quartic_model, n)
+        xs, dens = node_grid_densities(law, n_points)
+        dx = (xs[-1] - xs[0]) / (n_points - 1)
+        # The quartic's node densities underflow in their tails.
+        exponents = np.multiply.outer(xs, law.z_nodes) - quartic_model.potential(xs)[:, None]
+        assert np.any(exponents - law.node_log_z1 < EXP_UNDERFLOW)
+        want = np.exp(law.z_log_weights) @ unit_mass_rows(dens, dx)
+        if chunk_rows is not None:
+            monkeypatch.setattr(numerics, "_CHUNK_BYTES", 8 * n_points * chunk_rows)
+            assert 257 % chunk_rows
+        got = marginals._level_one_density(law, xs, dx)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_points, chunk_rows",
+                             [(FINE_POINTS, None), (1001, 48), (1000, 8)])
+    @pytest.mark.parametrize("n", [8, 1024])
+    def test_marginal_grid_density_matches_full_matrix(self, n, n_points, chunk_rows,
+                                                      quartic_model, monkeypatch):
+        # The oracle's product is one BLAS call over all points; the kernel's
+        # chunks hold a multiple of 8 points, and the sizes here are not a
+        # multiple of the chunk.
+        law = build_mixture(quartic_model, n)
+        xs, dens = node_grid_densities(law, n_points)
+        want = np.exp(law.z_log_weights) @ dens
+        monkeypatch.setattr(marginals, "FINE_POINTS", n_points)
+        if chunk_rows is not None:
+            monkeypatch.setattr(numerics, "_CHUNK_BYTES", 8 * 257 * chunk_rows)
+        got = marginal_grid_density(law)
+        assert np.array_equal(got.values, GridDensity(xs[0], xs[-1], n_points, want).values)
+        # The quartic's tails underflow: some points are exactly 0.0.
+        assert np.any(want == 0.0)
+
+    def test_level_one_rows_reaching_the_edge_raise(self, quartic_model):
+        law = build_mixture(quartic_model, 32)
+        with pytest.raises(GridResolution):
+            relative_entropy_levels(replace(law, x_window=(-1.0, 1.0)), 1)
 
 
 class TestMarginalLogDensity:
@@ -347,7 +447,7 @@ class TestSampling:
         got = sample_marginal(law, 3000, seed=4, k=3)
 
         rng = np.random.Generator(np.random.Philox(key=4))
-        xs, dens = _node_grid_densities(law, FINE_POINTS)
+        xs, dens = node_grid_densities(law, FINE_POINTS)
         weights = np.exp(law.z_log_weights)
         node_idx = rng.choice(len(weights), size=3000, p=weights / weights.sum())
         want = np.empty((3000, 3))

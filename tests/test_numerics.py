@@ -11,15 +11,16 @@ from scipy.special import logsumexp
 
 import oracles
 from chaoslab.errors import GridResolution, NoSignChange, NonConvergent, NonFinite
-from chaoslab.marginals import (_node_grid_densities, build_mixture,
-                                marginal_log_density, marginal_log_density_batch)
+from chaoslab.marginals import (build_mixture, marginal_log_density,
+                                marginal_log_density_batch)
 from chaoslab.meanfield import tilted_measure
 from chaoslab.model import GeneralPotential, ModelSpec, RankOneInteraction
 from chaoslab.numerics import (GridDensity, _chunk_rows, _next_fast_len,
                                convolution_powers, cumulative_trapezoid, find_root,
-                               log_laplace, unit_mass_rows, window_search)
+                               log_laplace, window_search)
 from conftest import LOG_QUARTIC_GAUSS, QUARTIC_NORM, TANH_ROOT
-from oracles import convolve, integrate, log_integrate_exp, mixed_convolution_powers
+from oracles import (convolve, integrate, log_integrate_exp, mixed_convolution_powers,
+                     node_grid_densities, unit_mass_rows)
 
 
 # TestIntegrate, TestLogIntegrateExp, TestConvolve and
@@ -199,7 +200,7 @@ class TestConvolve:
 def _node_rows(model, n_points=1024):
     """Node densities of the N = 16 mixture, their spacing and mixing weights."""
     law = build_mixture(model, 16)
-    xs, dens = _node_grid_densities(law, n_points)
+    xs, dens = node_grid_densities(law, n_points)
     lo, hi = float(xs[0]), float(xs[-1])
     return dens, lo, hi, np.exp(law.z_log_weights)
 
