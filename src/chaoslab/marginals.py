@@ -14,15 +14,15 @@ reference depends on the point only through s = sum x_i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
-from .errors import GridResolution, NonFinite, NonPositiveDefinite, Supercritical
+from .errors import GridResolution, NonPositiveDefinite, Supercritical
 from .meanfield import LogPartition, TiltedMeasure, subcritical_reference, tilt_window
 from .metrics import quantile_from_density, wasserstein_1d
 from .model import MAX_PARTICLES, ModelSpec
-from .numerics import (EXP_UNDERFLOW, FINE_POINTS, LOG_CUT, GridDensity,
+from .numerics import (EXP_UNDERFLOW, FINE_POINTS, LOG_CUT, ChordScan, GridDensity,
                        _check_edges, _chunk_rows, convolution_powers,
                        cumulative_trapezoid, log_laplace, window_search)
 
@@ -54,14 +54,10 @@ _LEVEL_POINTS = 4096
 _ROW_CUT = 1e-14
 _ROW_SPACING = 3.0
 _MAX_ROWS = 257
-# The refinement passes of the field support (``_refine_support``): each scans
-# _REFINE_POINTS points and evaluates log Z_1 on every _REFINE_STRIDE-th of
-# them, and on a gap between two of those only where a chord bound, with a
-# rounding margin of _CHORD_MARGIN relative, does not rule the gap out.
+# The refinement passes of the field support (``_refine_support``): each is
+# a ``numerics.ChordScan`` of _REFINE_POINTS points.
 _REFINE_PASSES = 3
 _REFINE_POINTS = 801
-_REFINE_STRIDE = 16
-_CHORD_MARGIN = 1e-9
 # The point chunks of ``marginal_grid_density`` hold a multiple of this many
 # points.  OpenBLAS's matrix-vector kernel sums each group of 4 points in one
 # order and a leftover point in another, so 4-aligned chunks give the bits of
@@ -114,6 +110,12 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
     conservative: the Gaussian model with sigma = 1e6 raises although its
     entropy levels are right to about 2e-9 relative, a typed error where a
     number would have been usable, never a wrong number.
+
+    The field search and the refinement read log Z_1 only where it decides
+    their windows (``numerics.ChordScan``), and raise ``NonFinite`` where a
+    value they read is NaN or +inf.  The points they skip need no check:
+    log Z_1 is convex, and a convex function that is finite at both ends of
+    a gap is finite inside it.
     """
     if not model.is_rank_one:
         raise TypeError("mixture representation requires a rank-one interaction")
@@ -127,14 +129,13 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
                             f"the Gaussian mixture is not normalizable")
 
     kernel = LogPartition(model)
-
-    def log_weight_profile(zs):
-        logz1 = kernel(zs)
-        return -N * zs**2 / (2.0 * J) + N * logz1, logz1
+    log_weight_profile = partial(_log_weight_profile, kernel, N, J)
 
     # Locate the effective support of the mixing weight by the doubling
-    # search, then shrink it with the refinement passes.
-    zs = window_search(lambda zs: log_weight_profile(zs)[0])[0]
+    # search, then shrink it with the refinement passes.  log Z_1 is convex,
+    # so the search reads only what decides its stops (``window_search``
+    # with ``convex``), and only its final window is kept.
+    zs = window_search(log_weight_profile, convex=(N / (2.0 * J), N), fill=False)[0]
     zlo, zhi = _refine_support(kernel, N, J, float(zs[0]), float(zs[-1]))
 
     # Gauss-Legendre nodes on the discovered support.
@@ -164,6 +165,12 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
     return replace(law, x_window=_node_density_window(law))
 
 
+def _log_weight_profile(kernel: LogPartition, N: int, J: float, zs):
+    """log w(z) = -N z^2 / 2J + N log Z_1(z) of the mixing weight, and log Z_1."""
+    logz1 = kernel(zs)
+    return -N * zs**2 / (2.0 * J) + N * logz1, logz1
+
+
 def _refine_support(kernel: LogPartition, N: int, J: float, zlo: float, zhi: float):
     """Shrink the field support [zlo, zhi] of the mixing weight
     log w(z) = -N z^2 / 2J + N log Z_1(z) by ``_REFINE_PASSES`` passes.
@@ -184,55 +191,18 @@ def _cut_range(kernel: LogPartition, N: int, J: float, zs: np.ndarray):
     """First and last index where log w(zs) >= max log w(zs) - ``LOG_CUT``,
     evaluating log Z_1 only where the answer can depend on it.
 
-    log Z_1 is evaluated at every ``_REFINE_STRIDE``-th point and the last.
-    It is convex in z: on the kernel's grid it is a log-sum-exp of affine
-    functions of z.  So on each gap between two evaluated points log w lies
-    below the same quadratic with log Z_1 replaced by its chord, and the
-    gap's bound is that quadratic's maximum on the gap plus a rounding
-    margin of ``_CHORD_MARGIN`` times N (1 + |log Z_1|) + |N z^2 / 2J|.  A
-    gap is evaluated in full only if its bound reaches the maximum of the
-    evaluated points, or reaches the cut while scanning in from either end.
-    Every value that decides the result is computed as a scan of all points
-    computes it, so the maximum, the cut and both indices are that scan's,
-    bit for bit (``tests/oracles.refine_support_by_full_scans``).
+    log w = -N z^2 / 2J + N log Z_1(z), and log Z_1 is convex in z: on the
+    kernel's grid it is a log-sum-exp of affine functions of z.  So the scan
+    is a ``numerics.ChordScan``, which reads a gap between two of its read
+    points only if the gap's chord bound reaches the maximum, or reaches the
+    cut while the scan comes in from either end.  The maximum, the cut and
+    both indices are those of a scan of all points, bit for bit
+    (``tests/oracles.refine_support_by_full_scans``).
     """
-    n = zs.size
-    log_z1 = np.full(n, np.nan)
-    ends = np.r_[np.arange(0, n - 1, _REFINE_STRIDE), n - 1]
-    log_z1[ends] = kernel(zs[ends])
-    quad = -N * zs**2 / (2.0 * J)
-    a, b = ends[:-1], ends[1:]
-    slope = (log_z1[b] - log_z1[a]) / (zs[b] - zs[a])
-    top = np.clip(J * slope, zs[a], zs[b])
-    margin = _CHORD_MARGIN * (
-        N * (1.0 + np.maximum(np.abs(log_z1[a]), np.abs(log_z1[b])))
-        + np.maximum(np.abs(quad[a]), np.abs(quad[b])))
-    bound = -N * top**2 / (2.0 * J) + N * (log_z1[a] + slope * (top - zs[a])) + margin
-    bound[np.isnan(bound)] = np.inf
-    filled = np.zeros(a.size, dtype=bool)
-
-    def fill(gaps):
-        gaps = gaps[~filled[gaps]]
-        if gaps.size:
-            inner = np.concatenate([np.arange(a[g] + 1, b[g]) for g in gaps])
-            log_z1[inner] = kernel(zs[inner])
-            filled[gaps] = True
-
-    # Unevaluated points are NaN: no maximum or comparison counts them.
-    fill(np.flatnonzero(bound >= np.nanmax(quad + N * log_z1)))
-    cut = np.nanmax(quad + N * log_z1) - LOG_CUT
-
-    def scan(gaps, pick):
-        for g in gaps:
-            if bound[g] >= cut:
-                fill(np.array([g]))
-            seg = slice(a[g], b[g] + 1)
-            hits = np.flatnonzero(quad[seg] + N * log_z1[seg] >= cut)
-            if hits.size:
-                return int(a[g] + pick(hits))
-        raise NonFinite("log w is NaN on every point of a refinement scan")
-
-    return scan(range(a.size), min), scan(reversed(range(a.size)), max)
+    scan = ChordScan(partial(_log_weight_profile, kernel, N, J), zs,
+                     N / (2.0 * J), N)
+    cut = scan.peak() - LOG_CUT
+    return scan.first_at_least(cut), scan.last_at_least(cut)
 
 
 def marginal_log_density(law: MixtureLaw, k: int, point) -> float:

@@ -1,7 +1,9 @@
 """Deterministic 1D numerical kernels.
 
 The one doubling window search and the one checked log-trapezoid behind
-every integral of the library, the chunked log-Laplace reduction behind
+every integral of the library, the chord-bounded scan of a concave
+quadratic plus a convex function (``ChordScan``: the field searches read
+log Z_1 only where it decides them), the chunked log-Laplace reduction behind
 every field/grid sum, the k-fold self-convolutions of one density row in
 one spectral pass, the cumulative trapezoid, and bracketed root
 finding by Brent's method.  There is no adaptive quadrature: the
@@ -24,6 +26,7 @@ __all__ = [
     "GridDensity",
     "FINE_POINTS",
     "LOG_CUT",
+    "ChordScan",
     "window_search",
     "trapezoid_log_weights",
     "log_trapezoid",
@@ -36,8 +39,8 @@ __all__ = [
 
 # Points of every fine uniform grid: the one-particle marginal density and
 # its draws, the densities whose quantile functions enter W_1 and W_2, the
-# entropy against the marginal in the T1 scan, and the integrals in u of W_1,
-# W_2 and the Bolley-Villani moment.
+# one grid of the T1 scan, and the integrals in u of W_1, W_2 and the
+# Bolley-Villani moment.
 FINE_POINTS = 8192
 
 # A grid density whose edge value exceeds this fraction of its peak is cut off.
@@ -54,9 +57,105 @@ _SCAN_POINTS = 257
 _MAX_DOUBLINGS = 40
 # Largest change of a log-trapezoid allowed when its node count is halved.
 _RESOLUTION_TOL = 1e-12
+# A ``ChordScan`` reads every _CHORD_STRIDE-th point and the last, and bounds
+# each gap between two of those with a rounding margin of _CHORD_MARGIN
+# relative.
+_CHORD_STRIDE = 16
+_CHORD_MARGIN = 1e-9
 
 
-def window_search(log_f):
+def _checked(xs, vals) -> np.ndarray:
+    """``vals`` as floats; ``NonFinite`` for a NaN or +inf value."""
+    vals = np.asarray(vals, dtype=float)
+    bad = np.isnan(vals) | (vals == np.inf)
+    if bad.any():
+        raise NonFinite(f"log-integrand is {vals[bad][0]} at x = {xs[bad][0]}")
+    return vals
+
+
+class ChordScan:
+    """A profile log f(u) = -c u^2 + n g(u), g convex, on the uniform points
+    ``us``, read only where a question about it needs the values.
+
+    ``profile(us)`` returns log f and g at ``us``, point by point, so a
+    value does not depend on which other points are read with it.  The scan
+    first reads every ``_CHORD_STRIDE``-th point and the last in one call,
+    the two ends among them, so a kernel that grows with the largest |u| it
+    is asked for grows as on a read of all points.  On each gap between two
+    read points g lies below its chord, so log f lies below a concave
+    quadratic; ``bound`` holds that quadratic's maximum on the gap plus a
+    rounding margin of ``_CHORD_MARGIN`` times n (1 + |g|) + c u^2 at the
+    gap's ends.  A gap's inner points are read (``fill``) only where its
+    bound can change an answer, and every value read is the one a read of
+    all points gives, bit for bit.  ``values`` is NaN where nothing was
+    read.
+
+    ``NonFinite`` is raised for a NaN or +inf log f at a point read.  The
+    points of a gap left unread need no check: a convex g that is finite at
+    both ends of a gap is finite inside it (it lies below its chord), and
+    so is -c u^2.
+    """
+
+    def __init__(self, profile, us: np.ndarray, c: float, n: float):
+        self.us = us
+        self._profile = profile
+        self.values = np.full(us.size, np.nan)
+        g = np.full(us.size, np.nan)
+        read = np.r_[np.arange(0, us.size - 1, _CHORD_STRIDE), us.size - 1]
+        self.values[read], g[read] = self._read(read)
+        a, b = read[:-1], read[1:]
+        slope = (g[b] - g[a]) / (us[b] - us[a])
+        top = np.clip(n * slope / (2.0 * c), us[a], us[b])
+        margin = _CHORD_MARGIN * (
+            n * (1.0 + np.maximum(np.abs(g[a]), np.abs(g[b])))
+            + c * np.maximum(us[a] ** 2, us[b] ** 2))
+        bound = -c * top**2 + n * (g[a] + slope * (top - us[a])) + margin
+        bound[np.isnan(bound)] = np.inf
+        self.bound = bound
+        self._gaps = a, b
+        self._filled = np.zeros(a.size, dtype=bool)
+
+    def _read(self, idx):
+        vals, g = self._profile(self.us[idx])
+        return _checked(self.us[idx], vals), g
+
+    def fill(self, gaps) -> None:
+        """Read the inner points of ``gaps`` (indices or a mask), in one call."""
+        a, b = self._gaps
+        gaps = np.arange(a.size)[gaps]
+        gaps = gaps[~self._filled[gaps]]
+        if gaps.size:
+            inner = np.concatenate([np.arange(a[i] + 1, b[i]) for i in gaps])
+            self.values[inner] = self._read(inner)[0]
+            self._filled[gaps] = True
+
+    def peak(self) -> float:
+        """The maximum of log f over all points: only a gap whose bound reaches
+        the maximum of the points read can hold a larger value."""
+        self.fill(self.bound >= np.nanmax(self.values))
+        return float(np.nanmax(self.values))
+
+    def first_at_least(self, level: float) -> int:
+        """The first index where log f >= ``level``."""
+        return self._crossing(level, range(self.bound.size), min)
+
+    def last_at_least(self, level: float) -> int:
+        """The last index where log f >= ``level``."""
+        return self._crossing(level, reversed(range(self.bound.size)), max)
+
+    def _crossing(self, level, order, pick) -> int:
+        # Gaps in scan order, each read only if its bound reaches the level.
+        a, b = self._gaps
+        for i in order:
+            if self.bound[i] >= level:
+                self.fill([i])
+            hits = np.flatnonzero(self.values[a[i]:b[i] + 1] >= level)
+            if hits.size:
+                return int(a[i] + pick(hits))
+        raise ValueError(f"log f lies below {level} on every point")
+
+
+def window_search(log_f, convex=None, fill: bool = True):
     """Doubling search for a window outside which exp(log_f) is negligible.
 
     Scans ``log_f`` on ``_SCAN_POINTS`` uniform points over [-1, 1], then
@@ -65,16 +164,31 @@ def window_search(log_f):
     scan's points and values.  Raises ``NonFinite`` for a NaN or +inf scan
     value (no window can be read from it), and ``NonConvergent`` after
     ``_MAX_DOUBLINGS`` doublings.
+
+    ``convex=(c, n)`` declares log_f(u) = -c u^2 + n g(u) with g convex;
+    ``log_f`` then returns log f and g, and each scan is a ``ChordScan``
+    that reads the rest of its points only where a gap's bound could lift
+    the peak LOG_CUT above both ends.  The stops, the window and every value
+    read are those of full scans, bit for bit.  With ``fill=False`` the
+    final scan is not completed: its values are NaN where they were not
+    needed.
     """
     lo, hi = -1.0, 1.0
     for _ in range(_MAX_DOUBLINGS):
         xs = np.linspace(lo, hi, _SCAN_POINTS)
-        vals = np.asarray(log_f(xs), dtype=float)
-        bad = np.isnan(vals) | (vals == np.inf)
-        if bad.any():
-            raise NonFinite(f"log-integrand is {vals[bad][0]} at x = {xs[bad][0]}")
-        cut = vals.max() - LOG_CUT
-        if vals[0] < cut and vals[-1] < cut:
+        if convex is None:
+            vals = _checked(xs, log_f(xs))
+        else:
+            scan = ChordScan(log_f, xs, *convex)
+            vals = scan.values
+            ends = max(vals[0], vals[-1])
+            if not ends < np.nanmax(vals) - LOG_CUT:
+                # x - LOG_CUT is monotone in x, so a gap whose bound minus
+                # LOG_CUT does not clear the ends cannot stop the search.
+                scan.fill(scan.bound - LOG_CUT > ends)
+        if max(vals[0], vals[-1]) < np.nanmax(vals) - LOG_CUT:
+            if convex is not None and fill:
+                scan.fill(slice(None))
             return xs, vals
         lo *= 2.0
         hi *= 2.0

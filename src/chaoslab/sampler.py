@@ -123,7 +123,8 @@ def run_chain(model: ModelSpec, cfg: ChainConfig) -> SampleBatch:
         raise NonFinite("non-finite target at the initial state")
     mean = x + eps * grad
 
-    draws = np.empty((cfg.n_kept, n))
+    n_kept = cfg.n_kept
+    draws = np.empty((n_kept, n))
     kept = 0
     next_kept = cfg.burn_in
     accepted = 0
@@ -159,7 +160,7 @@ def run_chain(model: ModelSpec, cfg: ChainConfig) -> SampleBatch:
             raise NonFinite(f"ULA left the finite-energy region at step {step}")
         if -logp > cfg.energy_ceiling:
             raise DivergentChain(f"energy {-logp:.3e} exceeded ceiling at step {step}")
-        if step == next_kept and kept < cfg.n_kept:
+        if step == next_kept and kept < n_kept:
             draws[kept] = x
             kept += 1
             next_kept += cfg.thinning
@@ -234,13 +235,17 @@ def regularized_coulomb_kernel(epsilon: float) -> GeneralKernel:
 
 
 def save_batch(batch: SampleBatch, cfg: ChainConfig, path) -> None:
-    """Binary dump: 16-byte header, row-major float64 LE, JSON sidecar."""
+    """Binary dump: 16-byte header, row-major float64 LE, JSON sidecar.
+
+    The draws are written through a memoryview of their buffer, with no
+    copy when they already are C-ordered little-endian float64.
+    """
     path = Path(path)
     n_kept, n = batch.draws.shape
     header = _MAGIC + np.array([_FORMAT_VERSION, n], dtype="<u4").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(batch.draws, dtype="<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(batch.draws, dtype="<f8")))
     sidecar = {
         "n_particles": cfg.n_particles,
         "step_size": cfg.step_size,
@@ -258,14 +263,17 @@ def save_batch(batch: SampleBatch, cfg: ChainConfig, path) -> None:
 
 
 def load_batch(path) -> SampleBatch:
+    """Read a ``save_batch`` file: the draws are read once, straight into
+    their array, after the 16-byte header."""
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:8] != _MAGIC:
-        raise ValueError("bad magic; not a chaoslab sample file")
-    version, n = np.frombuffer(raw[8:16], dtype="<u4")
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {version}")
-    draws = np.frombuffer(raw[16:], dtype="<f8").reshape(-1, int(n)).copy()
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if header[:8] != _MAGIC:
+            raise ValueError("bad magic; not a chaoslab sample file")
+        version, n = np.frombuffer(header[8:16], dtype="<u4")
+        if version != _FORMAT_VERSION:
+            raise ValueError(f"unsupported format version {version}")
+        draws = np.fromfile(fh, dtype="<f8").reshape(-1, int(n))
     meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     return SampleBatch(draws=draws,
                        acceptance_rate=meta.get("acceptance_rate"),

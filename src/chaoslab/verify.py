@@ -14,8 +14,7 @@ import numpy as np
 
 from .bounds import ConstantsBundle, t1_particle_constant
 from .errors import DivergentIntegral, NoSignChange, NonConvergent
-from .marginals import (MixtureLaw, build_mixture, marginal_grid_density,
-                        marginal_log_density_batch)
+from .marginals import MixtureLaw, build_mixture, marginal_log_density_batch
 from .meanfield import (LogPartition, TiltedMeasure, critical_coupling, magnetization,
                         subcritical_reference, tilted_measure)
 from .metrics import quantile_from_density, wasserstein_1d
@@ -194,6 +193,14 @@ def jw_log_mgf(model: ModelSpec, N: int) -> float:
     check raises ``GridResolution`` if the two trapezoids differ by more
     than 1e-12.  The model must pass ``meanfield.subcritical_reference``:
     for J >= J_c the log-MGF diverges (``Supercritical``).
+
+    The t-integrand is -t^2/2 + N g(t) with g(t) = log Z_1(z) - log Z_0
+    convex, so the scans before the last read g only where it decides
+    their stops (``window_search`` with ``convex``); the final scan, which
+    is integrated, is read in full, and its values are those of full scans
+    bit for bit.  A NaN or +inf value read raises ``NonFinite``; the points
+    skipped need no check, since a convex g that is finite at both ends of
+    a gap is finite inside it.
     """
     J = model.coupling
     if J <= 0:
@@ -206,7 +213,12 @@ def jw_log_mgf(model: ModelSpec, N: int) -> float:
     # Substitute z = sqrt(J/N) t so the quadratic part is -t^2/2 and the
     # integrand width stays O(1) uniformly in J and N.
     scale = np.sqrt(J / N)
-    ts, log_f = window_search(lambda t: -t**2 / 2.0 + N * log_z1.cgf(scale * t))
+
+    def profile(t):
+        g = log_z1.cgf(scale * t)
+        return -t**2 / 2.0 + N * g, g
+
+    ts, log_f = window_search(profile, convex=(0.5, N))
     log_int = log_trapezoid(0.0, ts, trapezoid_log_weights(ts) + log_f)
     return -0.5 * np.log(2.0 * np.pi) + float(log_int)
 
@@ -234,33 +246,34 @@ def bolley_villani_moment_check(mu_quantile, rho: float, delta: float) -> float:
     return float(np.trapezoid(vals, us))
 
 
-def _entropy_against_marginal(mu: TiltedMeasure, law: MixtureLaw) -> float:
-    """H(mu | m^{N,1}) on ``mu.window``, the marginal density evaluated exactly."""
-    xs = np.linspace(mu.window[0], mu.window[1], FINE_POINTS)
-    log_mu = mu.log_density(xs)
-    p = np.exp(log_mu)
-    log_m1 = marginal_log_density_batch(law, xs[:, None])
-    return float(np.trapezoid(p * (log_mu - log_m1), xs))
-
-
 def marginal_t1_ratio_scan(model: ModelSpec, N: int, bundle: ConstantsBundle,
                            tilt_grid, law: MixtureLaw | None = None) -> ScanReport:
-    """W_1^2(pi[l], m^{N,1}) <= 64 (1+delta_N)^2 / lambda_N * H(pi[l] | m^{N,1})."""
+    """W_1^2(pi[l], m^{N,1}) <= 64 (1+delta_N)^2 / lambda_N * H(pi[l] | m^{N,1}).
+
+    Every tilt uses one grid of ``FINE_POINTS`` points over the union of
+    ``law.x_window`` and every pi[l]'s window.  log m^{N,1} is evaluated on
+    it once, exactly (``marginal_log_density_batch``), and gives both the
+    quantile function of m^{N,1} and the log-ratio in H.  Each pi[l] is
+    evaluated on it once, for its quantile function and for H.
+    """
     if law is None:
         law = build_mixture(model, N)
     const = t1_particle_constant(bundle.lambda_n, bundle.delta_n)
-    m1 = marginal_grid_density(law)
-    qm = quantile_from_density(m1)
     J = model.coupling
     grid = np.asarray(tilt_grid, dtype=float)
+    tilts = [tilted_measure(model, J * ell) for ell in grid]
+    lo = min([law.x_window[0]] + [mu.window[0] for mu in tilts])
+    hi = max([law.x_window[1]] + [mu.window[1] for mu in tilts])
+    xs = np.linspace(lo, hi, FINE_POINTS)
+    log_m1 = marginal_log_density_batch(law, xs[:, None])
+    qm = quantile_from_density(GridDensity(lo, hi, FINE_POINTS, np.exp(log_m1)))
     lhs = np.empty_like(grid)
     rhs = np.empty_like(grid)
-    for i, ell in enumerate(grid):
-        mu = tilted_measure(model, J * ell)
-        lo, hi = min(mu.window[0], m1.lo), max(mu.window[1], m1.hi)
-        qn = quantile_from_density(GridDensity.from_callable(mu.density, lo, hi,
-                                                             FINE_POINTS))
-        w1 = wasserstein_1d(qn, qm, order=1)
+    for i, mu in enumerate(tilts):
+        log_mu = mu.log_density(xs)
+        p = np.exp(log_mu)
+        w1 = wasserstein_1d(quantile_from_density(GridDensity(lo, hi, FINE_POINTS, p)),
+                            qm, order=1)
         lhs[i] = w1 * w1
-        rhs[i] = const * _entropy_against_marginal(mu, law)
+        rhs[i] = const * float(np.trapezoid(p * (log_mu - log_m1), xs))
     return _report(grid, lhs, rhs)

@@ -8,11 +8,14 @@ mixture representation or the log-trapezoid kernels under test; the
 entropy levels by the route the library's tilted reference rows replaced,
 every node density convolved (``node_row_entropy_levels``); the node
 densities as one full (points, nodes) matrix (``node_grid_densities``,
-``unit_mass_rows``) and the field-support refinement that scans every point
-(``refine_support_by_full_scans``), the bitwise references of the mixture
-kernels that compute only what they keep; the nearest-neighbor KL
-estimator, which needs only samples; and the Langevin chain loop as first
-written, one step at a time with nothing cached between steps.
+``unit_mass_rows``), the field-support refinement and the doubling window
+search that scan every point (``refine_support_by_full_scans``,
+``window_search_by_full_scans``), the bitwise references of the kernels that
+compute only what they keep; the T1 scan with each tilt on its own grids
+(``t1_ratio_scan_per_tilt``), the reference of the one-grid scan; the
+nearest-neighbor KL estimator, which needs only samples; and the Langevin
+chain loop as first written, one step at a time with nothing cached between
+steps.
 """
 import numpy as np
 from scipy import fft as _fft
@@ -22,9 +25,12 @@ from scipy.spatial import cKDTree
 
 from chaoslab.errors import (ChaosLabError, DivergentChain, GridResolution,
                              NonConvergent, NonFinite)
-from chaoslab.marginals import _LEVEL_POINTS, _log_gk, _phi
-from chaoslab.metrics import DivergenceEstimate
-from chaoslab.numerics import LOG_CUT, GridDensity
+from chaoslab.bounds import t1_particle_constant
+from chaoslab.marginals import (_LEVEL_POINTS, _log_gk, _phi, marginal_grid_density,
+                                marginal_log_density_batch)
+from chaoslab.meanfield import tilted_measure
+from chaoslab.metrics import DivergenceEstimate, quantile_from_density, wasserstein_1d
+from chaoslab.numerics import FINE_POINTS, LOG_CUT, GridDensity
 from chaoslab.sampler import SampleBatch
 
 # Adaptive quadrature tolerances and window truncation of integrate and
@@ -205,6 +211,51 @@ def refine_support_by_full_scans(kernel, N, J, zlo, zhi):
         pad = zs[1] - zs[0]
         zlo, zhi = float(zs[above[0]] - pad), float(zs[above[-1]] + pad)
     return zlo, zhi
+
+
+def window_search_by_full_scans(log_f, convex=None, fill=True):
+    """``numerics.window_search`` as first written: every scan reads all 257
+    of its points.  With ``convex`` given, ``log_f`` returns the profile and
+    g, and only the profile is kept; ``fill`` has nothing left to do."""
+    lo, hi = -1.0, 1.0
+    for _ in range(40):
+        xs = np.linspace(lo, hi, 257)
+        vals = log_f(xs) if convex is None else log_f(xs)[0]
+        vals = np.asarray(vals, dtype=float)
+        bad = np.isnan(vals) | (vals == np.inf)
+        if bad.any():
+            raise NonFinite(f"log-integrand is {vals[bad][0]} at x = {xs[bad][0]}")
+        cut = vals.max() - LOG_CUT
+        if vals[0] < cut and vals[-1] < cut:
+            return xs, vals
+        lo *= 2.0
+        hi *= 2.0
+    raise NonConvergent("doubling search did not find a decaying window")
+
+
+def t1_ratio_scan_per_tilt(model, bundle, tilt_grid, law):
+    """(lhs, rhs) of ``verify.marginal_t1_ratio_scan`` as first written: each
+    tilt on its own grids.  m^{N,1} is ``marginal_grid_density`` on its node
+    window; W_1 takes pi[l] on the union of that window and pi[l]'s, and H
+    evaluates log m^{N,1} afresh on ``FINE_POINTS`` points of pi[l]'s window."""
+    const = t1_particle_constant(bundle.lambda_n, bundle.delta_n)
+    m1 = marginal_grid_density(law)
+    qm = quantile_from_density(m1)
+    grid = np.asarray(tilt_grid, dtype=float)
+    lhs = np.empty_like(grid)
+    rhs = np.empty_like(grid)
+    for i, ell in enumerate(grid):
+        mu = tilted_measure(model, model.coupling * ell)
+        lo, hi = min(mu.window[0], m1.lo), max(mu.window[1], m1.hi)
+        qn = quantile_from_density(GridDensity.from_callable(mu.density, lo, hi,
+                                                             FINE_POINTS))
+        w1 = wasserstein_1d(qn, qm, order=1)
+        lhs[i] = w1 * w1
+        xs = np.linspace(mu.window[0], mu.window[1], FINE_POINTS)
+        log_mu = mu.log_density(xs)
+        log_m1 = marginal_log_density_batch(law, xs[:, None])
+        rhs[i] = const * float(np.trapezoid(np.exp(log_mu) * (log_mu - log_m1), xs))
+    return lhs, rhs
 
 
 def mixed_convolution_powers(rows, dx: float, weights, k_max: int) -> list:

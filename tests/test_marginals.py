@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from chaoslab import marginals, numerics
-from chaoslab.errors import (GridResolution, NonPositiveDefinite, RegimeViolation,
-                             Supercritical)
+from chaoslab import marginals, numerics, verify
+from chaoslab.errors import (GridResolution, NonFinite, NonPositiveDefinite,
+                             RegimeViolation, Supercritical)
 from chaoslab.marginals import (MixtureLaw, build_mixture,
                                 conditional_entropy_level,
                                 gaussian_entropy_oracle, marginal_grid_density,
@@ -22,7 +22,8 @@ from chaoslab.verify import jw_log_mgf
 from conftest import GAUSS_JOINT_KL, J_CRIT, N2_KL_LIMIT_SAMPLE, W2_N32
 from oracles import (brute_marginal_log_density_n2, brute_marginal_log_density_n3,
                      integrate, node_grid_densities, node_row_entropy_levels,
-                     refine_support_by_full_scans, unit_mass_rows)
+                     refine_support_by_full_scans, unit_mass_rows,
+                     window_search_by_full_scans)
 
 
 class TestBuildMixture:
@@ -116,7 +117,10 @@ class TestMixtureKernels:
 
     @pytest.mark.parametrize("model, n", _refinement_cases())
     def test_refinement_matches_full_scans(self, model, n, monkeypatch):
+        # Both field searches of build_mixture, the doubling search and the
+        # refinement, against versions that read log Z_1 on every point.
         got = build_mixture(model, n)
+        monkeypatch.setattr(marginals, "window_search", window_search_by_full_scans)
         monkeypatch.setattr(marginals, "_refine_support", refine_support_by_full_scans)
         want = build_mixture(model, n)
         for name in ("z_nodes", "z_log_weights", "node_log_z1"):
@@ -124,9 +128,33 @@ class TestMixtureKernels:
         assert got.log_z0 == want.log_z0
         assert got.x_window == want.x_window
 
+    @pytest.mark.parametrize("search", ["build_mixture", "jw_log_mgf"])
+    @pytest.mark.parametrize("n", [2, 1024])
+    def test_kernel_grows_as_with_full_scans(self, search, n, monkeypatch):
+        # Each scan reads its two ends in its first call, so the kernel grows
+        # at the same tilts, and to the same windows, as on full scans.
+        grown = []
+        grow = LogPartition._grow
+
+        def recorded(self, z_max):
+            grow(self, z_max)
+            grown.append((z_max, self.window))
+
+        monkeypatch.setattr(LogPartition, "_grow", recorded)
+        quartic = curie_weiss_model(1.0, 1.0, 0.9 * J_CRIT)
+        run = {"build_mixture": lambda: build_mixture(quartic, n),
+               "jw_log_mgf": lambda: jw_log_mgf(quartic, n)}[search]
+        run()
+        got = list(grown)
+        grown.clear()
+        module = marginals if search == "build_mixture" else verify
+        monkeypatch.setattr(module, "window_search", window_search_by_full_scans)
+        run()
+        assert got == grown and len(got) >= 3
+
     def test_log_z1_work(self, monkeypatch):
-        # The parent scanned all 801 points of each refinement pass: 3432 log
-        # Z_1 rows in all, 2403 of them in the refinement.
+        # Full scans read 3432 log Z_1 rows here (2403 in the refinement, 771
+        # in the doubling search); the chord-bounded refinement alone, 1362.
         rows, refinement = [], []
         call, refine = LogPartition.__call__, marginals._refine_support
 
@@ -143,8 +171,28 @@ class TestMixtureKernels:
         monkeypatch.setattr(LogPartition, "__call__", counted_call)
         monkeypatch.setattr(marginals, "_refine_support", counted_refine)
         build_mixture(curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT), 32)
-        assert sum(rows) <= 1500
+        assert sum(rows) <= 700
         assert refinement[0] <= 800
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("beyond", [0.5, 3.0])
+    def test_non_finite_log_z1_raises(self, bad, beyond, monkeypatch):
+        # log Z_1 is NaN or +inf for |z| >= beyond: at points of the first
+        # doubling scan (0.5), or of a later one (3.0).  Points skipped
+        # inside a gap need no check (a convex log Z_1 finite at both ends
+        # of a gap is finite inside it), but every point read is checked.
+        call = LogPartition.__call__
+
+        def broken(self, zs):
+            out = call(self, zs)
+            return np.where(np.abs(zs) >= beyond, bad, out)
+
+        monkeypatch.setattr(LogPartition, "__call__", broken)
+        model = curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT)
+        with pytest.raises(NonFinite):
+            build_mixture(model, 2)
+        with pytest.raises(NonFinite):
+            jw_log_mgf(model, 2)
 
     def test_exp_underflow_constant(self):
         assert np.exp(EXP_UNDERFLOW) == 0.0

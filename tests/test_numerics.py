@@ -15,9 +15,9 @@ from chaoslab.marginals import (build_mixture, marginal_log_density,
                                 marginal_log_density_batch)
 from chaoslab.meanfield import tilted_measure
 from chaoslab.model import GeneralPotential, ModelSpec, RankOneInteraction
-from chaoslab.numerics import (GridDensity, _chunk_rows, _next_fast_len,
-                               convolution_powers, cumulative_trapezoid, find_root,
-                               log_laplace, window_search)
+from chaoslab.numerics import (LOG_CUT, ChordScan, GridDensity, _chunk_rows,
+                               _next_fast_len, convolution_powers, cumulative_trapezoid,
+                               find_root, log_laplace, window_search)
 from conftest import LOG_QUARTIC_GAUSS, QUARTIC_NORM, TANH_ROOT
 from oracles import (convolve, integrate, log_integrate_exp, mixed_convolution_powers,
                      node_grid_densities, unit_mass_rows)
@@ -323,6 +323,75 @@ class TestWindowSearch:
                           RankOneInteraction(0.5))
         with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
             tilted_measure(model, 0.0)
+
+
+def _convex_profile(c, n, shift):
+    """log f(u) = -c u^2 + n g(u) with g(u) = log cosh(u - shift) convex, and
+    the number of points of each call."""
+    asked = []
+
+    def profile(us):
+        asked.append(np.size(us))
+        g = np.logaddexp(us - shift, shift - us) - np.log(2.0)
+        return -c * us**2 + n * g, g
+
+    return profile, asked
+
+
+class TestChordScan:
+    @pytest.mark.parametrize("c, n, shift", [(0.5, 1.0, 0.0), (0.5, 100.0, 3.0),
+                                             (1e-3, 1.0, -40.0), (2.0, 8.0, 0.7)])
+    def test_window_search_matches_full_scans(self, c, n, shift):
+        profile, asked = _convex_profile(c, n, shift)
+        want = oracles.window_search_by_full_scans(profile, convex=(c, n))
+        xs, vals = window_search(profile, convex=(c, n))
+        assert np.array_equal(xs, want[0]) and np.array_equal(vals, want[1])
+        asked.clear()
+        xs, vals = window_search(profile, convex=(c, n), fill=False)
+        assert np.array_equal(xs, want[0])
+        read = ~np.isnan(vals)
+        assert np.array_equal(vals[read], want[1][read])
+        assert sum(asked) < 257 * len(asked)
+
+    def test_narrow_peak_between_read_points_stops_the_search(self):
+        # log f = -c min((u - p)^2, r^2): a peak at p = 0.06, between the read
+        # points 0 and 0.125 of the first scan, 50 nats above a plateau that
+        # holds every read point.  Only the gap around p can stop the search
+        # at [-1, 1]; g = (c/n)(2 p u - p^2 + max(0, (u - p)^2 - r^2)) is convex.
+        c, n, p, r = 2e4, 3.0, 0.06, 0.05
+
+        def profile(us):
+            g = c / n * (2 * p * us - p * p + np.maximum(0.0, (us - p) ** 2 - r * r))
+            return -c * np.minimum((us - p) ** 2, r * r), g
+
+        xs, vals = window_search(profile, convex=(c, n), fill=False)
+        assert (xs[0], xs[-1]) == (-1.0, 1.0)
+        assert np.nanmax(vals) > vals[0] + LOG_CUT
+
+    @pytest.mark.parametrize("shift", [0.0, 2.5, -7.0])
+    def test_peak_and_crossings_match_full_scan(self, shift):
+        profile, _ = _convex_profile(30.0, 50.0, shift)
+        us = np.linspace(-12.0, 12.0, 801)
+        full = profile(us)[0]
+        scan = ChordScan(profile, us, 30.0, 50.0)
+        level = scan.peak() - LOG_CUT
+        assert level == full.max() - LOG_CUT
+        hits = np.flatnonzero(full >= level)
+        assert scan.first_at_least(level) == hits[0]
+        assert scan.last_at_least(level) == hits[-1]
+        assert np.isnan(scan.values).any()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_read_raises(self, bad):
+        profile, _ = _convex_profile(0.5, 1.0, 0.0)
+
+        def broken(us):
+            vals, g = profile(us)
+            return np.where(us == 0.0, bad, vals), g
+
+        # u = 0 is the 128th point of every scan, which is read.
+        with pytest.raises(NonFinite):
+            window_search(broken, convex=(0.5, 1.0))
 
 
 class TestFindRoot:

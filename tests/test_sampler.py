@@ -258,6 +258,33 @@ class TestPersistence:
         assert (version, n) == (1, 3)
         assert len(raw) == 16 + batch.draws.size * 8
 
+    @pytest.mark.parametrize("layout", ["c", "strided", "fortran", "big-endian", "empty"])
+    def test_file_is_header_and_draws(self, layout, tmp_path):
+        draws = np.random.default_rng(7).normal(size=(40, 6))
+        view = {"c": draws, "strided": draws[::2, ::-1],
+                "fortran": np.asfortranarray(draws),
+                "big-endian": draws.astype(">f8"), "empty": draws[:0]}[layout]
+        cfg = ChainConfig(view.shape[1], 0.2, 100, seed=1)
+        path = tmp_path / "s.bin"
+        save_batch(SampleBatch(view, None, 1, None), cfg, path)
+        header = b"CHAOSLAB" + np.array([1, view.shape[1]], dtype="<u4").tobytes()
+        assert path.read_bytes() == header + np.asarray(view, dtype="<f8").tobytes()
+        assert np.array_equal(load_batch(path).draws, view)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda raw: b"NOTCHAOS" + raw[8:], "bad magic"),
+        (lambda raw: raw[:8] + np.array([2], dtype="<u4").tobytes() + raw[12:],
+         "unsupported format version"),
+        (lambda raw: raw[:-8], "reshape"),
+    ], ids=["magic", "version", "truncated"])
+    def test_load_rejects_damaged_file(self, damage, message, quartic_model, tmp_path):
+        cfg = ChainConfig(3, 0.2, 50, burn_in=10, seed=4)
+        path = tmp_path / "s.bin"
+        save_batch(run_chain(quartic_model, cfg), cfg, path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=message):
+            load_batch(path)
+
     def test_general_model_sidecar_repeats_across_processes(self, tmp_path):
         # A general handle is a function with no hash that survives the
         # process, so the sidecar holds a null fingerprint in every run.

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+import chaoslab.marginals as marginals
 import chaoslab.meanfield as meanfield
+import chaoslab.verify as verify
 from chaoslab.bounds import curie_weiss_constants, jw_rhs
-from chaoslab.errors import DivergentIntegral, Supercritical
-from chaoslab.meanfield import critical_coupling, magnetization, tilted_measure
+from chaoslab.errors import DivergentIntegral, GridResolution, Supercritical
+from chaoslab.marginals import build_mixture
+from chaoslab.meanfield import (LogPartition, critical_coupling, magnetization,
+                                tilted_measure)
 from chaoslab.metrics import quantile_from_density
 from chaoslab.model import MAX_PARTICLES, curie_weiss_model, gaussian_model
 from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf,
@@ -12,7 +16,8 @@ from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf,
                              marginal_t1_ratio_scan, nonlinear_lsi_scan,
                              phi_positivity_scan, psi_positivity_scan)
 from conftest import J_CRIT
-from oracles import fisher_information_1d, nested_quad_jw_log_mgf
+from oracles import (fisher_information_1d, nested_quad_jw_log_mgf,
+                     t1_ratio_scan_per_tilt, window_search_by_full_scans)
 
 GRID = np.concatenate([-np.geomspace(0.01, 5.0, 6)[::-1],
                        np.geomspace(0.01, 5.0, 6)])
@@ -163,6 +168,41 @@ class TestJwLogMgf:
             vals.append(jw_log_mgf(m, 32))
         assert np.all(np.diff(vals) > 0)
 
+    @pytest.mark.parametrize("n", [1, 16, 1024, MAX_PARTICLES])
+    @pytest.mark.parametrize("model", [gaussian_model(1.0, 0.5)]
+                             + [curie_weiss_model(1.0, 1.0, f * J_CRIT)
+                                for f in (0.5, 0.9, 0.99)],
+                             ids=["gaussian", "quartic-0.5Jc", "quartic-0.9Jc",
+                                  "quartic-0.99Jc"])
+    def test_matches_full_scans(self, model, n, monkeypatch):
+        # The chord-bounded doubling search reads the same final scan, bit
+        # for bit, as one that reads every point of every scan.  At N = 2^20
+        # the quartic's halving check fails on rounding noise (about 1e-11),
+        # so there the two must raise the same error.
+        def outcome():
+            try:
+                return jw_log_mgf(model, n)
+            except GridResolution as exc:
+                return str(exc)
+
+        got = outcome()
+        monkeypatch.setattr(verify, "window_search", window_search_by_full_scans)
+        assert got == outcome()
+
+    def test_log_z1_work(self, monkeypatch):
+        # Full scans read 1548 log Z_1 rows here: six scans of 257 points,
+        # each with the row of log Z_1(0).
+        rows = []
+        call = LogPartition.__call__
+
+        def counted(self, zs):
+            rows.append(np.size(zs))
+            return call(self, zs)
+
+        monkeypatch.setattr(LogPartition, "__call__", counted)
+        jw_log_mgf(curie_weiss_model(1.0, 1.0, 0.9 * J_CRIT), 1024)
+        assert sum(rows) <= 400
+
     def test_bound_holds(self, quartic_model):
         J = quartic_model.coupling
         eps = min(J_CRIT / J - 1.0, 1.0) / 2.0
@@ -216,3 +256,38 @@ class TestMarginalT1:
         rep = marginal_t1_ratio_scan(quartic_model, 128, bundle128, [0.0])
         assert len(rep.grid) == 1
         assert rep.passed
+
+    @pytest.mark.parametrize("n", [128, 512, 1024, 2**16])
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.75, 0.9])
+    def test_one_grid_matches_per_tilt_grids(self, frac, n):
+        # The constant is 64 (lambda_N = 1, delta_N = 0), so rhs is 64 H.  The
+        # verbatim lambda_N is not positive at 0.75 J_c, N = 128, and elsewhere
+        # scales rhs by up to 5e4: H at l = 0 is about 1e-11 there, and its
+        # rounding noise, about 5e-18, would then exceed atol.
+        model = curie_weiss_model(1.0, 1.0, frac * J_CRIT)
+        bundle = type("B", (), {"lambda_n": 1.0, "delta_n": 0.0})
+        law = build_mixture(model, n)
+        grid = np.linspace(-0.5, 0.5, 5)
+        rep = marginal_t1_ratio_scan(model, n, bundle, grid, law=law)
+        lhs, rhs = t1_ratio_scan_per_tilt(model, bundle, grid, law)
+        np.testing.assert_allclose(rep.lhs, lhs, rtol=1e-9, atol=1e-13)
+        np.testing.assert_allclose(rep.rhs, rhs, rtol=1e-9, atol=1e-13)
+
+    def test_marginal_evaluated_once(self, quartic_model, bundle128, monkeypatch):
+        # One scan evaluates log m^{N,1} on its grid once, for every tilt,
+        # and builds no marginal grid density of its own.
+        law = build_mixture(quartic_model, 128)
+        calls = {"marginal_log_density_batch": 0, "marginal_grid_density": 0}
+        for name in calls:
+            fn = getattr(marginals, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            for module in (marginals, verify):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        marginal_t1_ratio_scan(quartic_model, 128, bundle128,
+                               np.linspace(-0.5, 0.5, 5), law=law)
+        assert calls == {"marginal_log_density_batch": 1, "marginal_grid_density": 0}
