@@ -1,10 +1,9 @@
 """One-body fixed-point machinery for rank-one interactions.
 
-Tilted measures pi[h] with density proportional to exp(-V(x) + t x),
-normalized and integrated on the one log-trapezoid behind ``LogPartition``,
-the magnetization map f = p o pi, its derivative, the critical coupling,
-the one sub-critical guard on m_* = pi[0] and the damped solver for the
-mean-field fixed point h = f(h).
+Tilted measures pi[h] with density proportional to exp(-V(x) + t x), each
+normalized by ``LogPartition.measure``, the magnetization map f = p o pi,
+its derivative, the critical coupling, the one sub-critical guard on
+m_* = pi[0] and the damped solver for the mean-field fixed point h = f(h).
 """
 from __future__ import annotations
 
@@ -14,8 +13,8 @@ import numpy as np
 
 from .errors import NoSignChange, NonConvergent, RegimeViolation, Supercritical
 from .model import ModelSpec
-from .numerics import (find_root, log_laplace, log_trapezoid, trapezoid_log_weights,
-                       window_search)
+from .numerics import (find_root, log_laplace, log_mgf, log_trapezoid,
+                       trapezoid_log_weights, window_search)
 
 __all__ = [
     "TiltedMeasure",
@@ -35,19 +34,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TiltedMeasure:
-    """1D measure with density exp(-V(x) + tilt*x - log_z).
-
-    ``window`` is the x-window it was normalized on, ``tilt_window(model,
-    tilt)``; ``mean`` and ``second_moment`` are its first two raw moments,
-    summed on that grid.
-    """
+    """1D measure with density exp(-V(x) + tilt*x - log_z), and its first two
+    raw moments, summed on the grid of the ``LogPartition`` that normalized it."""
 
     model: ModelSpec
     tilt: float
     log_z: float
     mean: float
     second_moment: float
-    window: tuple
 
     def log_density(self, x):
         x = np.asarray(x, dtype=float)
@@ -73,7 +67,8 @@ def _trapezoid_grid(model: ModelSpec, window):
 
 
 class LogPartition:
-    """log Z_1(z) = log int exp(-V(x) + z x) dx for arrays of tilts z.
+    """log Z_1(z) = log int exp(-V(x) + z x) dx for arrays of tilts z, and the
+    tilted measures pi[z] (``measure``).
 
     One log-trapezoid over a uniform grid of ``_GRID_POINTS`` nodes on an
     x-window, evaluated for all queried tilts by ``numerics.log_laplace``.
@@ -83,6 +78,7 @@ class LogPartition:
     Each growth runs the halving check at z = 0 and +-z_max and raises
     ``GridResolution`` if the full and the every-other-node trapezoid differ
     by more than ``numerics._RESOLUTION_TOL`` (``numerics.log_trapezoid``).
+    Its values depend on the queries that grew it: it serves one call.
     """
 
     def __init__(self, model: ModelSpec):
@@ -103,39 +99,44 @@ class LogPartition:
         self.window, self.z_max = (lo, hi), z_max
         self.xs, self._logw = xs, logw
 
-    def __call__(self, zs):
-        """log Z_1 at each tilt in ``zs`` (any shape), on the current grid."""
-        zs = np.asarray(zs, dtype=float)
+    def _cover(self, zs) -> None:
         z_max = float(np.abs(zs).max(initial=0.0))
         if z_max > self.z_max:
             self._grow(z_max)
+
+    def __call__(self, zs):
+        """log Z_1 at each tilt in ``zs`` (any shape), on the current grid."""
+        zs = np.asarray(zs, dtype=float)
+        self._cover(zs)
         return log_laplace(zs, self.xs, self._logw)
 
     def cgf(self, zs):
         """log Z_1(z) - log Z_1(0) on one grid, the cumulant generating function
         of exp(-V)/Z_1(0).  ``zs`` goes first, since it may grow the grid.
+
+        It is ``numerics.log_mgf`` of pi[0]'s grid weights, whose rounding
+        vanishes as z -> 0; that of log Z_1(z) - log Z_1(0) does not, and
+        ``verify.jw_log_mgf`` multiplies it by N.
         """
-        log_z1 = self(zs)
-        return log_z1 - self(0.0)
+        self._cover(zs)
+        return log_mgf(zs, self.xs, self._logw - self(0.0))
+
+    def measure(self, tilt: float) -> TiltedMeasure:
+        """pi[tilt] on the grid grown as ``__call__`` grows it, with the halving
+        check at ``tilt`` (``GridResolution`` above 1e-12); the
+        moments are sums sum_i exp(log w_i + tilt x_i - log_z) x_i^p on it.
+        """
+        tilt = float(tilt)
+        self._cover(tilt)
+        log_z = float(log_trapezoid(tilt, self.xs, self._logw))
+        weights = np.exp(tilt * self.xs + self._logw - log_z)
+        return TiltedMeasure(self.model, tilt, log_z, float(np.sum(weights * self.xs)),
+                             float(np.sum(weights * self.xs**2)))
 
 
 def tilted_measure(model: ModelSpec, tilt: float) -> TiltedMeasure:
-    """pi[tilt], normalized by the log-trapezoid on ``tilt_window(model, tilt)``.
-
-    log Z comes from the ``_GRID_POINTS``-node grid and ``log_laplace``
-    kernel behind ``LogPartition``.  The halving check runs at ``tilt``:
-    ``GridResolution`` is raised if the every-other-node trapezoid moves
-    log Z by more than ``numerics._RESOLUTION_TOL``.  The mean and second
-    moment are the sums sum_i exp(log w_i + tilt * x_i - log_z) * x_i^p, on
-    the same grid.
-    """
-    tilt = float(tilt)
-    window = tilt_window(model, tilt)
-    xs, logw = _trapezoid_grid(model, window)
-    log_z = float(log_trapezoid(tilt, xs, logw))
-    weights = np.exp(tilt * xs + logw - log_z)
-    return TiltedMeasure(model, tilt, log_z, float(np.sum(weights * xs)),
-                         float(np.sum(weights * xs**2)), window)
+    """pi[tilt] on a kernel of its own; several tilts share one kernel."""
+    return LogPartition(model).measure(tilt)
 
 
 def magnetization(model: ModelSpec, h: float) -> float:
@@ -197,32 +198,37 @@ class FixedPointResult:
 
 def solve_fixed_point(model: ModelSpec, tol: float = 1e-10,
                       h0: float = 0.0, max_iter: int = 200) -> FixedPointResult:
-    """Solve h = f(h) by damped iteration with a bracketed-root fallback.
+    """Solve h = f(h) by damped iteration with a bracketed-root fallback,
+    every pi[J h] read from one kernel.
 
     Damping factor 0.5; sub-critically f is a global contraction so the
-    iteration converges from any start.  The fallback bisects h - f(h),
-    which is needed on the supercritical branch.
+    iteration converges from any start.  It never leaves an unstable fixed
+    point (f'(h) > 1, as h = 0 above J_c for an even V), so from one it
+    moves one standard deviation of pi[J h] up, towards the stable h_*.
     """
+    kernel = LogPartition(model)
+    J = model.coupling
     h = float(h0)
     for it in range(1, max_iter + 1):
-        fh = magnetization(model, h)
-        residual = h - fh
-        if abs(residual) <= tol:
-            return FixedPointResult(h, tilted_measure(model, model.coupling * h),
-                                    it, residual)
-        h = 0.5 * h + 0.5 * fh
+        mu = kernel.measure(J * h)
+        residual = h - mu.mean
+        var = mu.second_moment - mu.mean * mu.mean
+        if abs(residual) > tol:
+            h = 0.5 * h + 0.5 * mu.mean
+        elif J * var > 1.0:
+            h += np.sqrt(var)
+        else:
+            return FixedPointResult(h, mu, it, residual)
 
     # Damped iteration stalled: bracket the root of h - f(h) around the
     # last iterate and polish.
-    g = lambda x: x - magnetization(model, x)
+    g = lambda x: x - kernel.measure(J * x).mean
     width = max(1.0, abs(h))
     for _ in range(20):
         a, b = h - width, h + width
         try:
             root = find_root(g, (a, b), tol)
-            return FixedPointResult(root,
-                                    tilted_measure(model, model.coupling * root),
-                                    max_iter, g(root))
+            return FixedPointResult(root, kernel.measure(J * root), max_iter, g(root))
         except NoSignChange:
             width *= 2.0
     raise NonConvergent("fixed-point solver failed to converge or bracket")
@@ -238,15 +244,14 @@ class GhsReport:
 
 def ghs_concavity_check(model: ModelSpec, h_grid, fd_step: float = 1e-2,
                         tol: float = 1e-6) -> GhsReport:
-    """Scan f'' <= 0 on a grid of positive tilts via second central differences."""
+    """Scan f'' <= 0 on a grid of positive tilts via second central differences,
+    every f(h) read from one kernel."""
     grid = np.asarray(h_grid, dtype=float)
     if np.any(grid <= fd_step):
         raise ValueError("grid points must exceed the finite-difference step")
-    diffs = np.empty_like(grid)
-    for i, h in enumerate(grid):
-        fm = magnetization(model, h - fd_step)
-        f0 = magnetization(model, h)
-        fp = magnetization(model, h + fd_step)
-        diffs[i] = (fp - 2.0 * f0 + fm) / fd_step**2
+    kernel = LogPartition(model)
+    f = lambda h: kernel.measure(model.coupling * h).mean
+    diffs = np.array([(f(h + fd_step) - 2.0 * f(h) + f(h - fd_step)) / fd_step**2
+                      for h in grid])
     worst = float(diffs.max())
     return GhsReport(grid, diffs, worst, worst <= tol)

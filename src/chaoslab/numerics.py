@@ -4,7 +4,8 @@ The one doubling window search and the one checked log-trapezoid behind
 every integral of the library, the chord-bounded scan of a concave
 quadratic plus a convex function (``ChordScan``: the field searches read
 log Z_1 only where it decides them), the chunked log-Laplace reduction behind
-every field/grid sum, the k-fold self-convolutions of one density row in
+every field/grid sum and its expm1 form for a log moment generating function
+(``log_mgf``), the k-fold self-convolutions of one density row in
 one spectral pass, the cumulative trapezoid, and bracketed root
 finding by Brent's method.  There is no adaptive quadrature: the
 integrands are analytic and decay fast, so the uniform trapezoid converges
@@ -31,6 +32,7 @@ __all__ = [
     "trapezoid_log_weights",
     "log_trapezoid",
     "log_laplace",
+    "log_mgf",
     "EXP_UNDERFLOW",
     "convolution_powers",
     "cumulative_trapezoid",
@@ -57,6 +59,8 @@ _SCAN_POINTS = 257
 _MAX_DOUBLINGS = 40
 # Largest change of a log-trapezoid allowed when its node count is halved.
 _RESOLUTION_TOL = 1e-12
+# Largest |t x| of the expm1 form of ``log_mgf``: expm1 overflows above 709.78.
+_EXPM1_MAX = 700.0
 # A ``ChordScan`` reads every _CHORD_STRIDE-th point and the last, and bounds
 # each gap between two of those with a rounding margin of _CHORD_MARGIN
 # relative.
@@ -260,6 +264,40 @@ def log_laplace(ts, nodes, log_weights) -> np.ndarray:
             np.exp(g, out=g)
             np.log(g.sum(axis=1), out=out[start:start + rows])
             out[start:start + rows] += shift
+    return out.reshape(ts.shape)
+
+
+def log_mgf(ts, nodes, log_probs) -> np.ndarray:
+    """log sum_j exp(log_probs[j] + t * nodes[j]) for each t in ``ts``: the log
+    moment generating function of the grid distribution exp(log_probs).
+
+    Where no |t * nodes[j]| exceeds ``_EXPM1_MAX`` it is computed as
+    log1p(sum_j p_j expm1(t * nodes[j])): exactly 0 at t = 0, with a rounding
+    of a few eps times sum_j p_j |expm1(t * nodes[j])|, which vanishes with
+    t, where ``log_laplace`` rounds to about eps times its terms.  Where expm1
+    could overflow, or the expm1 sum lies below -1/2 so that log1p would
+    cancel, it is ``log_laplace``.  Rows go through one reused buffer of
+    about ``_CHUNK_BYTES``, as in ``log_laplace``, and each value depends on
+    its own t only.
+    """
+    ts = np.asarray(ts, dtype=float)
+    nodes = np.asarray(nodes, dtype=float)
+    log_probs = np.asarray(log_probs, dtype=float)
+    flat = ts.reshape(-1)
+    out = np.full(flat.shape, np.nan)
+    near = np.flatnonzero(np.abs(flat) * np.abs(nodes).max(initial=0.0) <= _EXPM1_MAX)
+    probs = np.exp(log_probs)
+    rows = _chunk_rows(nodes.size)
+    buf = np.empty((min(rows, near.size), nodes.size))
+    for start in range(0, near.size, rows):
+        idx = near[start:start + rows]
+        g = buf[:idx.size]
+        np.multiply(flat[idx, None], nodes, out=g)
+        np.expm1(g, out=g)
+        g *= probs
+        out[idx] = np.log1p(g.sum(axis=1))
+    far = ~(out > -np.log(2.0))  # NaN where not near
+    out[far] = log_laplace(flat[far], nodes, log_probs)
     return out.reshape(ts.shape)
 
 

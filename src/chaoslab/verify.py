@@ -15,8 +15,8 @@ import numpy as np
 from .bounds import ConstantsBundle, t1_particle_constant
 from .errors import DivergentIntegral, NoSignChange, NonConvergent
 from .marginals import MixtureLaw, build_mixture, marginal_log_density_batch
-from .meanfield import (LogPartition, TiltedMeasure, critical_coupling, magnetization,
-                        subcritical_reference, tilted_measure)
+from .meanfield import (LogPartition, TiltedMeasure, critical_coupling,
+                        subcritical_reference)
 from .metrics import quantile_from_density, wasserstein_1d
 from .model import MAX_PARTICLES, ModelSpec
 from .numerics import (FINE_POINTS, GridDensity, find_root, log_trapezoid,
@@ -72,15 +72,12 @@ def nonlinear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> 
     J(l - f(l)), so the non-linear Fisher information is J^2 (l - f(l))^2.
     """
     J = model.coupling
-    mstar = tilted_measure(model, 0.0)
     grid = np.asarray(tilt_grid, dtype=float)
-    lhs = np.empty_like(grid)
-    rhs = np.empty_like(grid)
-    for i, ell in enumerate(grid):
-        mu = tilted_measure(model, J * ell)  # its mean is f(l)
-        lhs[i] = 2.0 * bundle.rho * _entropy_between_tilts(mu, mstar)
-        rhs[i] = J**2 * (ell - mu.mean) ** 2
-    return _report(grid, lhs, rhs)
+    kernel = LogPartition(model)
+    mstar = kernel.measure(0.0)
+    family = [kernel.measure(J * ell) for ell in grid]  # each mean is f(l)
+    lhs = [2.0 * bundle.rho * _entropy_between_tilts(mu, mstar) for mu in family]
+    return _report(grid, lhs, J**2 * (grid - [mu.mean for mu in family]) ** 2)
 
 
 def linear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> ScanReport:
@@ -90,24 +87,22 @@ def linear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> Sca
     every confinement V, so the Fisher side is exactly (J l)^2.
     """
     J = model.coupling
-    mstar = tilted_measure(model, 0.0)
     grid = np.asarray(tilt_grid, dtype=float)
-    lhs = np.empty_like(grid)
-    rhs = np.empty_like(grid)
-    for i, ell in enumerate(grid):
-        mu = tilted_measure(model, J * ell)
-        lhs[i] = 2.0 * bundle.rho0 * _entropy_between_tilts(mu, mstar)
-        rhs[i] = (J * ell) ** 2
-    return _report(grid, lhs, rhs)
+    kernel = LogPartition(model)
+    mstar = kernel.measure(0.0)
+    family = [kernel.measure(J * ell) for ell in grid]
+    lhs = [2.0 * bundle.rho0 * _entropy_between_tilts(mu, mstar) for mu in family]
+    return _report(grid, lhs, (J * grid) ** 2)
 
 
-def magnetization_inverse(model: ModelSpec, h: float, tol: float = 1e-12) -> float:
-    """l = f^{-1}(h); f is strictly increasing and odd, so bracket by doubling."""
+def magnetization_inverse(model: ModelSpec | LogPartition, h: float,
+                          tol: float = 1e-12) -> float:
+    """l = f^{-1}(h); f is strictly increasing and odd, so bracket by doubling.
+    ``model`` may be the ``LogPartition`` to read every f(l) from."""
     if h == 0.0:
         return 0.0
-    # Every bracket starts at 0: evaluate f(0), a build of pi[0], only once.
-    f0 = magnetization(model, 0.0)
-    g = lambda ell: (f0 if ell == 0.0 else magnetization(model, ell)) - h
+    kernel = model if isinstance(model, LogPartition) else LogPartition(model)
+    g = lambda ell: kernel.measure(kernel.model.coupling * ell).mean - h
     width = max(1.0, abs(h))
     for _ in range(40):
         bracket = (0.0, width) if h > 0 else (-width, 0.0)
@@ -128,26 +123,29 @@ def phi_positivity_scan(model: ModelSpec, eps_override: float | None,
     The report's lhs is 0, rhs is phi, so margin = min phi.
     """
     J = model.coupling
-    mstar = tilted_measure(model, 0.0)
+    kernel = LogPartition(model)
+    mstar = kernel.measure(0.0)
     j_c = critical_coupling(mstar)
     eps = (1.0 - J / j_c) ** 2 if eps_override is None else eps_override
     grid = np.asarray(h_grid, dtype=float)
     phi = np.empty_like(grid)
     for i, h in enumerate(grid):
-        ell = magnetization_inverse(model, h)
-        log_z_ell = tilted_measure(model, J * ell).log_z
-        log_z_h = tilted_measure(model, J * h).log_z
+        ell = magnetization_inverse(kernel, h)
+        log_z_ell = kernel.measure(J * ell).log_z
+        log_z_h = kernel.measure(J * h).log_z
         phi[i] = ((1.0 - eps) * J * ell * h - (1.0 - eps) * log_z_ell
                   - J * h * h + log_z_h - eps * mstar.log_z)
     return _report(grid, np.zeros_like(grid), phi)
 
 
-def solve_interpolated_fixed_point(model: ModelSpec, alpha: float,
+def solve_interpolated_fixed_point(model: ModelSpec | LogPartition, alpha: float,
                                    h0: float, tol: float = 1e-12) -> float:
-    """h_* solving h = f(alpha h0 + (1 - alpha) h) by damped iteration."""
+    """h_* solving h = f(alpha h0 + (1 - alpha) h) by damped iteration, every
+    f read from one kernel (``model`` may be that ``LogPartition``)."""
+    kernel = model if isinstance(model, LogPartition) else LogPartition(model)
     h = h0
     for _ in range(500):
-        fh = magnetization(model, alpha * h0 + (1.0 - alpha) * h)
+        fh = kernel.measure(kernel.model.coupling * (alpha * h0 + (1.0 - alpha) * h)).mean
         if abs(h - fh) <= tol:
             return h
         h = 0.5 * h + 0.5 * fh
@@ -164,13 +162,14 @@ def psi_positivity_scan(model: ModelSpec, alpha: float, m0_mean: float,
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     J = model.coupling
-    j_c = critical_coupling(model)
-    h_star = solve_interpolated_fixed_point(model, alpha, m0_mean)
-    star = tilted_measure(model, J * h_star)  # its mean is f(h_*)
+    kernel = LogPartition(model)
+    j_c = critical_coupling(kernel.measure(0.0))
+    h_star = solve_interpolated_fixed_point(kernel, alpha, m0_mean)
+    star = kernel.measure(J * h_star)  # its mean is f(h_*)
     grid = np.asarray(ell_grid, dtype=float)
     psi = np.empty_like(grid)
     for i, ell in enumerate(grid):
-        mu = tilted_measure(model, J * ell)
+        mu = kernel.measure(J * ell)
         psi[i] = (-(j_c / 2.0) * (mu.mean - star.mean) ** 2
                   + J * (ell - h_star) * mu.mean - mu.log_z + star.log_z)
     return _report(grid, np.zeros_like(grid), psi)
@@ -183,24 +182,19 @@ def jw_log_mgf(model: ModelSpec, N: int) -> float:
     log sqrt(N/2 pi J) + log int exp(-N z^2/2J + N (log Z_1(z) - log Z_0)) dz.
 
     The outer integral over t = z sqrt(N/J) is the log-trapezoid
-    (``numerics.log_trapezoid``) on the final scan of ``window_search`` on
-    the t-integrand, with its halving check.  Each scan point takes
-    log Z_1(z) - log Z_0 from one growing ``LogPartition``: a 4097-node
-    log-trapezoid in x, both terms on the same grid.  The x-window starts
-    at the support of exp(-V) and widens to cover the tilts +-|z| whenever
-    a scan leaves the covered range; at each widening the trapezoid is
-    compared with its every-other-node version at z = 0 and +-|z|.  Either
-    check raises ``GridResolution`` if the two trapezoids differ by more
-    than 1e-12.  The model must pass ``meanfield.subcritical_reference``:
-    for J >= J_c the log-MGF diverges (``Supercritical``).
+    (``numerics.log_trapezoid``, halving check at 1e-12) on the final scan
+    of ``window_search`` on the t-integrand.  Each scan point takes
+    g = log Z_1(z) - log Z_0 from ``LogPartition.cgf`` of one fresh kernel,
+    whose rounding vanishes with z, so N g keeps its digits up to N = 2^20.
+    The model must pass ``meanfield.subcritical_reference``: for J >= J_c
+    the log-MGF diverges (``Supercritical``).
 
-    The t-integrand is -t^2/2 + N g(t) with g(t) = log Z_1(z) - log Z_0
-    convex, so the scans before the last read g only where it decides
-    their stops (``window_search`` with ``convex``); the final scan, which
-    is integrated, is read in full, and its values are those of full scans
-    bit for bit.  A NaN or +inf value read raises ``NonFinite``; the points
-    skipped need no check, since a convex g that is finite at both ends of
-    a gap is finite inside it.
+    The t-integrand is -t^2/2 + N g with g convex, so the scans before the
+    last read g only where it decides their stops (``window_search`` with
+    ``convex``); the final scan, which is integrated, is read in full, and
+    its values are those of full scans bit for bit.  A NaN or +inf value
+    read raises ``NonFinite``; the points skipped need no check, since a
+    convex g that is finite at both ends of a gap is finite inside it.
     """
     J = model.coupling
     if J <= 0:
@@ -250,20 +244,21 @@ def marginal_t1_ratio_scan(model: ModelSpec, N: int, bundle: ConstantsBundle,
                            tilt_grid, law: MixtureLaw | None = None) -> ScanReport:
     """W_1^2(pi[l], m^{N,1}) <= 64 (1+delta_N)^2 / lambda_N * H(pi[l] | m^{N,1}).
 
-    Every tilt uses one grid of ``FINE_POINTS`` points over the union of
-    ``law.x_window`` and every pi[l]'s window.  log m^{N,1} is evaluated on
-    it once, exactly (``marginal_log_density_batch``), and gives both the
-    quantile function of m^{N,1} and the log-ratio in H.  Each pi[l] is
-    evaluated on it once, for its quantile function and for H.
+    Every pi[l] comes from one ``LogPartition``, and every tilt uses one
+    grid of ``FINE_POINTS`` points over the union of ``law.x_window`` and
+    that kernel's window.  log m^{N,1} is evaluated on it once, exactly
+    (``marginal_log_density_batch``), and gives both the quantile function
+    of m^{N,1} and the log-ratio in H.  Each pi[l] is evaluated on it once,
+    for its quantile function and for H.
     """
     if law is None:
         law = build_mixture(model, N)
     const = t1_particle_constant(bundle.lambda_n, bundle.delta_n)
     J = model.coupling
     grid = np.asarray(tilt_grid, dtype=float)
-    tilts = [tilted_measure(model, J * ell) for ell in grid]
-    lo = min([law.x_window[0]] + [mu.window[0] for mu in tilts])
-    hi = max([law.x_window[1]] + [mu.window[1] for mu in tilts])
+    kernel = LogPartition(model)
+    tilts = [kernel.measure(J * ell) for ell in grid]
+    lo, hi = min(law.x_window[0], kernel.window[0]), max(law.x_window[1], kernel.window[1])
     xs = np.linspace(lo, hi, FINE_POINTS)
     log_m1 = marginal_log_density_batch(law, xs[:, None])
     qm = quantile_from_density(GridDensity(lo, hi, FINE_POINTS, np.exp(log_m1)))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from chaoslab.meanfield import critical_coupling
-from chaoslab.model import curie_weiss_model, gaussian_model
+from chaoslab.model import (GeneralPotential, ModelSpec, RankOneInteraction,
+                            curie_weiss_model, gaussian_model)
 
 # Frozen regression constants, all produced by independent oracles
 # (composite Simpson with 1e6+1 points on [-10, 10] unless noted) and
@@ -17,6 +18,19 @@ H_STAR_SUPER = 1.3145644300027486         # h = f(h) root at J = 1.5 * J_CRIT
 GAUSS_JOINT_KL = 0.15342640972002736      # 4x4 matrix oracle, N=4, J=0.5, k=4
 N2_KL_LIMIT_SAMPLE = 0.24983735869955126  # N^2 * KL(k=1) at N = 2^10
 W2_N32 = 0.007580132839907034             # W2(m^{32,1}, m_*) at J = 0.5 * J_CRIT
+
+
+def counting_quartic(coupling):
+    """The quartic theta = sigma = 1 model as a GeneralPotential, and the list
+    of the sizes of the arrays its V is evaluated on."""
+    sizes = []
+
+    def v(x):
+        sizes.append(np.size(x))
+        return x**4 / 4 + x**2 / 2
+
+    return ModelSpec(GeneralPotential(v=v, grad_v=lambda x: x**3 + x),
+                     RankOneInteraction(coupling)), sizes
 
 
 @pytest.fixture(scope="session")

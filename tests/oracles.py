@@ -11,8 +11,11 @@ densities as one full (points, nodes) matrix (``node_grid_densities``,
 ``unit_mass_rows``), the field-support refinement and the doubling window
 search that scan every point (``refine_support_by_full_scans``,
 ``window_search_by_full_scans``), the bitwise references of the kernels that
-compute only what they keep; the T1 scan with each tilt on its own grids
+compute only what they keep; each tilted measure on its own window and
+grid (``tilted_measure_per_tilt``), the reference of the tilted measures read
+from one ``LogPartition``; the T1 scan with each tilt on its own grids
 (``t1_ratio_scan_per_tilt``), the reference of the one-grid scan; the
+log-MGF summed in long double (``longdouble_jw_log_mgf``); the
 nearest-neighbor KL estimator, which needs only samples; and the Langevin
 chain loop as first written, one step at a time with nothing cached between
 steps.
@@ -28,9 +31,9 @@ from chaoslab.errors import (ChaosLabError, DivergentChain, GridResolution,
 from chaoslab.bounds import t1_particle_constant
 from chaoslab.marginals import (_LEVEL_POINTS, _log_gk, _phi, marginal_grid_density,
                                 marginal_log_density_batch)
-from chaoslab.meanfield import tilted_measure
+from chaoslab.meanfield import TiltedMeasure, _trapezoid_grid, tilt_window
 from chaoslab.metrics import DivergenceEstimate, quantile_from_density, wasserstein_1d
-from chaoslab.numerics import FINE_POINTS, LOG_CUT, GridDensity
+from chaoslab.numerics import FINE_POINTS, LOG_CUT, GridDensity, log_trapezoid
 from chaoslab.sampler import SampleBatch
 
 # Adaptive quadrature tolerances and window truncation of integrate and
@@ -233,6 +236,20 @@ def window_search_by_full_scans(log_f, convex=None, fill=True):
     raise NonConvergent("doubling search did not find a decaying window")
 
 
+def tilted_measure_per_tilt(model, tilt):
+    """``meanfield.tilted_measure`` as first written: pi[tilt] on its own
+    4097-node grid over ``tilt_window(model, tilt)``, found by its own window
+    search, with the halving check at ``tilt``.  Returns the measure and
+    that window."""
+    tilt = float(tilt)
+    window = tilt_window(model, tilt)
+    xs, logw = _trapezoid_grid(model, window)
+    log_z = float(log_trapezoid(tilt, xs, logw))
+    weights = np.exp(tilt * xs + logw - log_z)
+    return TiltedMeasure(model, tilt, log_z, float(np.sum(weights * xs)),
+                         float(np.sum(weights * xs**2))), window
+
+
 def t1_ratio_scan_per_tilt(model, bundle, tilt_grid, law):
     """(lhs, rhs) of ``verify.marginal_t1_ratio_scan`` as first written: each
     tilt on its own grids.  m^{N,1} is ``marginal_grid_density`` on its node
@@ -245,13 +262,13 @@ def t1_ratio_scan_per_tilt(model, bundle, tilt_grid, law):
     lhs = np.empty_like(grid)
     rhs = np.empty_like(grid)
     for i, ell in enumerate(grid):
-        mu = tilted_measure(model, model.coupling * ell)
-        lo, hi = min(mu.window[0], m1.lo), max(mu.window[1], m1.hi)
+        mu, window = tilted_measure_per_tilt(model, model.coupling * ell)
+        lo, hi = min(window[0], m1.lo), max(window[1], m1.hi)
         qn = quantile_from_density(GridDensity.from_callable(mu.density, lo, hi,
                                                              FINE_POINTS))
         w1 = wasserstein_1d(qn, qm, order=1)
         lhs[i] = w1 * w1
-        xs = np.linspace(mu.window[0], mu.window[1], FINE_POINTS)
+        xs = np.linspace(window[0], window[1], FINE_POINTS)
         log_mu = mu.log_density(xs)
         log_m1 = marginal_log_density_batch(law, xs[:, None])
         rhs[i] = const * float(np.trapezoid(np.exp(log_mu) * (log_mu - log_m1), xs))
@@ -427,6 +444,32 @@ def nested_quad_jw_log_mgf(model, N):
         return out if np.ndim(t) else float(out[0])
 
     return -0.5 * np.log(2.0 * np.pi) + log_integrate_exp(log_f)
+
+
+def longdouble_jw_log_mgf(model, N):
+    """``verify.jw_log_mgf`` of a quartic model summed in numpy long double (a
+    64-bit mantissa on x86-64), so the rounding of log Z_1(z) - log Z_1(0) is
+    far below float64's, which the integrand multiplies by N: about N 1e-19
+    absolute, below 1e-11 relative at N <= 2^20 and 0.1 J_c or more.  Fixed
+    trapezoids: 513 nodes in x on [-8, 8], 1025 nodes in t on [-64, 64],
+    wide enough for N >= 2^10 below 0.99 J_c, where |z| <= 64 sqrt(J/N)."""
+    ld = np.longdouble
+    theta, sigma = ld(model.confinement.theta), ld(model.confinement.sigma)
+    J = ld(model.coupling)
+    xs = np.linspace(ld(-8), ld(8), 513)
+    logw = -xs * xs * (theta / 4 * xs * xs + sigma / 2)
+
+    def log_sum_exp(a):
+        peak = a.max(axis=-1)
+        return peak + np.log(np.exp(a - peak[..., None]).sum(axis=-1))
+
+    log_z0 = log_sum_exp(logw)
+    ts = np.linspace(ld(-64), ld(64), 1025)
+    zs = np.sqrt(J / N) * ts
+    g = np.concatenate([log_sum_exp(zc[:, None] * xs + logw) - log_z0
+                        for zc in np.array_split(zs, 8)])
+    log_int = log_sum_exp(-ts * ts / 2 + N * g) + np.log(ts[1] - ts[0])
+    return float(log_int - np.log(2 * np.pi * ld(1)) / 2)
 
 
 def _reference_log_target_and_grad(model, x):

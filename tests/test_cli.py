@@ -10,7 +10,7 @@ import pytest
 import chaoslab
 from chaoslab.cli import fit_scaling, load_config, main, parse_config, run
 from chaoslab.errors import ConfigError, DegenerateInput
-from conftest import J_CRIT
+from conftest import H_STAR_SUPER, J_CRIT
 
 MODEL = {"theta": 1.0, "sigma": 1.0, "J": 0.5 * J_CRIT}
 GAUSS_NARROW = {"theta": 0.0, "sigma": 0.5, "J": 0.25}
@@ -106,6 +106,17 @@ class TestRun:
         summary = run(cfg)
         assert abs(summary["h_star"]) < 1e-9
 
+    def test_fixed_point_command_supercritical(self, tmp_path):
+        # Above J_c, h = 0 is an unstable fixed point: the command reports
+        # the stable h_* > 0.
+        doc = _cfg(tmp_path, command="fixed-point",
+                   model=dict(MODEL, J=1.5 * J_CRIT))
+        summary = run(parse_config(doc))
+        assert summary["passed"]
+        assert summary["h_star"] == pytest.approx(H_STAR_SUPER, abs=1e-8)
+        out = json.loads((tmp_path / "out" / "fixed_point.json").read_text())
+        assert out["h_star"] == summary["h_star"]
+
     def test_chaos_scan_outputs(self, tmp_path):
         cfg = parse_config(_cfg(tmp_path))
         summary = run(cfg)
@@ -119,6 +130,13 @@ class TestRun:
     def test_jw_command(self, tmp_path):
         cfg = parse_config(_cfg(tmp_path, command="jw", n_grid=[16]))
         assert run(cfg)["passed"]
+
+    def test_jw_command_large_n(self, tmp_path):
+        # The quartic log-MGF at N = 2^16, 0.9 J_c used to raise GridResolution.
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_cfg(tmp_path, command="jw", n_grid=[65536],
+                                     model=dict(MODEL, J=0.9 * J_CRIT))))
+        assert main(["--config", str(p)]) == 0
 
     def test_sample_command(self, tmp_path):
         doc = _cfg(tmp_path, command="sample", n_grid=[])

@@ -181,13 +181,14 @@ class TestMixtureKernels:
         # doubling scan (0.5), or of a later one (3.0).  Points skipped
         # inside a gap need no check (a convex log Z_1 finite at both ends
         # of a gap is finite inside it), but every point read is checked.
-        call = LogPartition.__call__
+        # build_mixture reads log Z_1 (__call__), jw_log_mgf its cgf.
+        def broken(method):
+            def values(self, zs):
+                return np.where(np.abs(zs) >= beyond, bad, method(self, zs))
+            return values
 
-        def broken(self, zs):
-            out = call(self, zs)
-            return np.where(np.abs(zs) >= beyond, bad, out)
-
-        monkeypatch.setattr(LogPartition, "__call__", broken)
+        for name in ("__call__", "cgf"):
+            monkeypatch.setattr(LogPartition, name, broken(getattr(LogPartition, name)))
         model = curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT)
         with pytest.raises(NonFinite):
             build_mixture(model, 2)

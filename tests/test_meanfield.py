@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-import chaoslab.meanfield as meanfield
 from chaoslab.errors import GridResolution, Supercritical
 from chaoslab.meanfield import (LogPartition, critical_coupling,
                                 ghs_concavity_check, magnetization,
                                 magnetization_derivative, solve_fixed_point,
-                                subcritical_reference, tilt_window, tilted_measure)
-from chaoslab.model import (GeneralPotential, ModelSpec, RankOneInteraction,
-                            curie_weiss_model, gaussian_model)
-from conftest import F_AT_1, H_STAR_SUPER, J_CRIT, X2_MOMENT
-from oracles import integrate, log_integrate_exp
+                                subcritical_reference, tilted_measure)
+from chaoslab.model import curie_weiss_model, gaussian_model
+from conftest import F_AT_1, H_STAR_SUPER, J_CRIT, X2_MOMENT, counting_quartic
+from oracles import integrate, log_integrate_exp, tilted_measure_per_tilt
 
 
 class TestMoments:
@@ -50,10 +48,6 @@ class TestMoments:
             got = (mu.log_z, mu.mean, mu.second_moment)
             for g, e in zip(got, exact):
                 assert abs(g - e) <= 1e-12 * max(1.0, abs(e))
-
-    @pytest.mark.parametrize("tilt", [0.0, 0.7, -3.0, 12.0])
-    def test_window_is_the_tilt_window(self, quartic_model, tilt):
-        assert tilted_measure(quartic_model, tilt).window == tilt_window(quartic_model, tilt)
 
     def test_underresolved_moment_raises(self):
         # sd 1e-3 against a node spacing of 4.9e-4 on the window [-1, 1].
@@ -95,14 +89,7 @@ class TestLogPartition:
     def test_growth_inside_the_window_keeps_the_grid(self):
         # The quartic window stays [-4, 4] up to z = 2: the growth reruns the
         # halving check but evaluates V on no new grid.
-        sizes = []
-
-        def v(x):
-            sizes.append(np.size(x))
-            return x**4 / 4 + x**2 / 2
-
-        model = ModelSpec(GeneralPotential(v=v, grad_v=lambda x: x**3 + x),
-                          RankOneInteraction(0.5 * J_CRIT))
+        model, sizes = counting_quartic(0.5 * J_CRIT)
         kernel = LogPartition(model)
         window = kernel.window
         kernel(np.array([-1.0, 2.0]))
@@ -117,6 +104,63 @@ class TestLogPartition:
             with pytest.raises(GridResolution):
                 kernel(1e5)
         assert kernel(0.0) == before
+
+
+# Models of the one-kernel oracle test; each kernel is grown to +-60 J before
+# its measures are read.
+MEASURE_MODELS = {
+    "quartic": curie_weiss_model(1.0, 1.0, 1.0),
+    "double-well": curie_weiss_model(1.0, -1.0, 1.0),
+    "theta-10": curie_weiss_model(10.0, 1.0, 1.0),
+    "gauss-1e-3": gaussian_model(1e-3, 5e-4),
+    "gauss-1": gaussian_model(1.0, 0.5),
+    "gauss-100": gaussian_model(100.0, 50.0),
+}
+MEASURE_ELLS = np.concatenate([-np.geomspace(0.01, 60.0, 25)[::-1], [0.0],
+                               np.geomspace(0.01, 60.0, 25)])
+
+
+class TestMeasure:
+    @pytest.mark.parametrize("name", list(MEASURE_MODELS))
+    def test_grown_kernel_matches_per_tilt_grids(self, name):
+        # Each pi[t] read from one kernel grown to +-60 J agrees with pi[t] on
+        # its own window and grid, and raises GridResolution exactly where
+        # that does (gauss-100 at |t| >= 2088 on both: |log Z| >= 2.2e4 puts
+        # the halving check's rounding above 1e-12).  The gate is 1e-13
+        # relative, or eps |log Z| where that is larger: V and t x, and so
+        # every node weight's exponent, carry that absolute rounding on both
+        # grids (gauss-100 above |t| = 300 only).
+        model = MEASURE_MODELS[name]
+        J = model.coupling
+        kernel = LogPartition(model)
+        kernel(np.array([-60.0 * J, 60.0 * J]))
+        for ell in MEASURE_ELLS:
+            try:
+                want, _ = tilted_measure_per_tilt(model, J * ell)
+            except GridResolution:
+                with pytest.raises(GridResolution):
+                    kernel.measure(J * ell)
+                continue
+            got = kernel.measure(J * ell)
+            tol = max(1e-13, np.finfo(float).eps * abs(want.log_z))
+            sd = np.sqrt(want.second_moment - want.mean**2)
+            assert got.tilt == want.tilt
+            assert abs(got.log_z - want.log_z) <= tol * max(1.0, abs(want.log_z))
+            assert abs(got.mean - want.mean) <= tol * max(abs(want.mean), sd)
+            assert abs(got.second_moment - want.second_moment) <= tol * want.second_moment
+
+    def test_raising_tilts_exist(self):
+        # The parity above is exercised: gauss-100 raises at l = -+41.76.
+        model = MEASURE_MODELS["gauss-100"]
+        for ell in MEASURE_ELLS[[1, -2]]:
+            with pytest.raises(GridResolution):
+                tilted_measure_per_tilt(model, model.coupling * ell)
+
+    def test_pi_zero_of_a_fresh_kernel_is_the_per_tilt_one(self, quartic_model):
+        # The kernel starts on the window of z = 0, so pi[0] is bit for bit
+        # the measure on its own grid.
+        want, _ = tilted_measure_per_tilt(quartic_model, 0.0)
+        assert LogPartition(quartic_model).measure(0.0) == want
 
 
 class TestMagnetization:
@@ -165,19 +209,12 @@ class TestMagnetizationDerivative:
             assert magnetization_derivative(quartic_model, h) > 0
 
     def test_one_grid_per_tilt(self):
-        # V is evaluated on the window search's 257-point scans and on one
-        # 4097-node grid, from which log Z, the mean and the variance all come.
-        sizes = []
-
-        def v(x):
-            sizes.append(np.size(x))
-            return x**4 / 4 + x**2 / 2
-
-        model = ModelSpec(GeneralPotential(v=v, grad_v=lambda x: x**3 + x),
-                          RankOneInteraction(0.5 * J_CRIT))
+        # log Z, the mean and the variance all come from one 4097-node grid:
+        # the tilt's window is the window of z = 0, so growing the kernel to
+        # it evaluates V on no second grid.
+        model, sizes = counting_quartic(0.5 * J_CRIT)
         magnetization_derivative(model, 0.7)
-        assert sizes[-1] == 4097
-        assert sizes[:-1] and set(sizes[:-1]) == {257}
+        assert sizes.count(4097) == 1
 
     def test_maximal_at_zero(self, quartic_model):
         f0 = magnetization_derivative(quartic_model, 0.0)
@@ -205,15 +242,21 @@ class TestCriticalCoupling:
 
 class TestSubcriticalReference:
     def test_is_pi_zero_built_once(self, quartic_model, monkeypatch):
-        built = []
+        kernels, measured = [], []
+        init, measure = LogPartition.__init__, LogPartition.measure
 
-        def counting(model, tilt):
-            built.append(tilt)
-            return tilted_measure(model, tilt)
+        def counting_init(self, model):
+            kernels.append(model)
+            init(self, model)
 
-        monkeypatch.setattr(meanfield, "tilted_measure", counting)
+        def counting_measure(self, tilt):
+            measured.append(tilt)
+            return measure(self, tilt)
+
+        monkeypatch.setattr(LogPartition, "__init__", counting_init)
+        monkeypatch.setattr(LogPartition, "measure", counting_measure)
         mstar = subcritical_reference(quartic_model)
-        assert built == [0.0]
+        assert kernels == [quartic_model] and measured == [0.0]
         assert mstar == tilted_measure(quartic_model, 0.0)
 
     @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, J_CRIT),
@@ -239,6 +282,25 @@ class TestFixedPoint:
         m = curie_weiss_model(1.0, 1.0, 1.5 * J_CRIT)
         res = solve_fixed_point(m, tol=1e-10, h0=1.0)
         assert res.h_star == pytest.approx(H_STAR_SUPER, abs=1e-8)
+
+    def test_supercritical_start_at_zero_leaves_it(self):
+        # h = 0 solves h = f(h) above J_c too, but f'(0) = J/J_c > 1 there:
+        # the solver must not stop on it.
+        m = curie_weiss_model(1.0, 1.0, 1.5 * J_CRIT)
+        res = solve_fixed_point(m, tol=1e-10)
+        assert res.h_star == pytest.approx(H_STAR_SUPER, abs=1e-8)
+        assert abs(res.residual) <= 1e-10
+
+    def test_subcritical_start_at_zero_is_unchanged(self, quartic_model):
+        res = solve_fixed_point(quartic_model, tol=1e-10)
+        mstar = tilted_measure(quartic_model, 0.0)
+        assert (res.h_star, res.iterations, res.residual) == (0.0, 1, -mstar.mean)
+        assert res.m_star == mstar
+
+    def test_one_grid(self):
+        model, sizes = counting_quartic(0.5 * J_CRIT)
+        solve_fixed_point(model, tol=1e-10, h0=1.0)
+        assert sizes.count(4097) <= 1
 
 
 class TestGhsConcavity:

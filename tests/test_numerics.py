@@ -17,7 +17,7 @@ from chaoslab.meanfield import tilted_measure
 from chaoslab.model import GeneralPotential, ModelSpec, RankOneInteraction
 from chaoslab.numerics import (LOG_CUT, ChordScan, GridDensity, _chunk_rows,
                                _next_fast_len, convolution_powers, cumulative_trapezoid,
-                               find_root, log_laplace, window_search)
+                               find_root, log_laplace, log_mgf, window_search)
 from conftest import LOG_QUARTIC_GAUSS, QUARTIC_NORM, TANH_ROOT
 from oracles import (convolve, integrate, log_integrate_exp, mixed_convolution_powers,
                      node_grid_densities, unit_mass_rows)
@@ -137,6 +137,65 @@ class TestLogLaplace:
                       | set(range(0, n, 997)))
         single = [marginal_log_density(law, 2, pts[i]) for i in rows]
         np.testing.assert_allclose(batch[rows], single, rtol=1e-14, atol=0.0)
+
+
+class TestLogMgf:
+    NODES = np.linspace(-4.0, 4.0, 4097)
+    LOG_W = -NODES**4 / 4 - NODES**2 / 2
+
+    @classmethod
+    def log_probs(cls, log_w=None):
+        log_w = cls.LOG_W if log_w is None else log_w
+        return log_w - logsumexp(log_w)
+
+    @classmethod
+    def long_double(cls, ts, log_probs):
+        """log(sum_j p_j exp(t x_j) / sum_j p_j) in long double."""
+        x = cls.NODES.astype(np.longdouble)
+        p = np.exp(np.asarray(log_probs, dtype=np.longdouble))
+        return np.array([float(np.log1p((p * np.expm1(t * x)).sum() / p.sum()))
+                         for t in np.atleast_1d(ts).astype(np.longdouble)])
+
+    def test_zero_at_zero(self):
+        assert log_mgf(0.0, self.NODES, self.log_probs()) == 0.0
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1],
+                             ids=["one-row", "chunk-1", "chunk", "chunk+1"])
+    def test_rows_are_independent(self, offset):
+        # Every value is its t's alone, bit for bit, across chunk boundaries.
+        chunk = _chunk_rows(self.NODES.size)
+        ts = np.linspace(-15.0, 15.0, 1 if offset is None else chunk + offset)
+        got = log_mgf(ts, self.NODES, self.log_probs())
+        single = [float(log_mgf(t, self.NODES, self.log_probs())) for t in ts]
+        assert np.array_equal(got, single)
+
+    def test_rounding_vanishes_near_zero(self):
+        # A difference of two log_laplace sums carries about 1e-16 absolute;
+        # the expm1 form's rounding is a few eps times sum_j p_j |expm1(t x_j)|,
+        # which vanishes with t.
+        ts = np.array([-1e-3, -1e-6, 1e-9, 1e-6, 1e-3, 0.5, 3.0])
+        lp = self.log_probs()
+        got = log_mgf(ts, self.NODES, lp)
+        scale = np.abs(np.expm1(ts[:, None] * self.NODES)) @ np.exp(lp)
+        err = np.abs(got - self.long_double(ts, lp))
+        assert np.all(err <= 8 * np.finfo(float).eps * scale)
+        assert err[2] < 1e-24
+
+    def test_overflow_and_cancellation_fall_back(self):
+        # |t x| > 700 would overflow expm1, and for exp(-V + 6 x) normalized
+        # the value at t = -10 is below -2, where log1p would cancel: both
+        # are log_laplace's values.
+        lp = self.log_probs(self.LOG_W + 6.0 * self.NODES)
+        ts = np.array([-300.0, -10.0, 200.0])
+        got = log_mgf(ts, self.NODES, lp)
+        assert np.array_equal(got, log_laplace(ts, self.NODES, lp))
+        assert got[1] < -2
+        np.testing.assert_allclose(got, self.long_double(ts, lp), rtol=1e-13)
+
+    def test_shape_is_kept(self):
+        ts = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        got = log_mgf(ts, self.NODES, self.log_probs())
+        assert got.shape == (3, 4) and log_mgf(0.5, self.NODES, self.log_probs()).shape == ()
 
 
 class TestGridDensity:

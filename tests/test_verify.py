@@ -2,22 +2,22 @@ import numpy as np
 import pytest
 
 import chaoslab.marginals as marginals
-import chaoslab.meanfield as meanfield
 import chaoslab.verify as verify
 from chaoslab.bounds import curie_weiss_constants, jw_rhs
 from chaoslab.errors import DivergentIntegral, GridResolution, Supercritical
 from chaoslab.marginals import build_mixture
 from chaoslab.meanfield import (LogPartition, critical_coupling, magnetization,
-                                tilted_measure)
+                                solve_fixed_point, tilted_measure)
 from chaoslab.metrics import quantile_from_density
 from chaoslab.model import MAX_PARTICLES, curie_weiss_model, gaussian_model
 from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf,
                              linear_lsi_scan, magnetization_inverse,
                              marginal_t1_ratio_scan, nonlinear_lsi_scan,
                              phi_positivity_scan, psi_positivity_scan)
-from conftest import J_CRIT
-from oracles import (fisher_information_1d, nested_quad_jw_log_mgf,
-                     t1_ratio_scan_per_tilt, window_search_by_full_scans)
+from conftest import J_CRIT, counting_quartic
+from oracles import (fisher_information_1d, longdouble_jw_log_mgf,
+                     nested_quad_jw_log_mgf, t1_ratio_scan_per_tilt,
+                     window_search_by_full_scans)
 
 GRID = np.concatenate([-np.geomspace(0.01, 5.0, 6)[::-1],
                        np.geomspace(0.01, 5.0, 6)])
@@ -78,17 +78,18 @@ class TestMagnetizationInverse:
 
     @pytest.mark.parametrize("h", [0.01, 2.5, -3.0])
     def test_builds_pi_zero_at_most_once(self, quartic_model, monkeypatch, h):
-        # Every bracket starts at 0: f(0) must not be rebuilt per bracket
-        # tried, nor per end evaluation in the root finder.
-        built = []
+        # Every bracket starts at 0: f(0) is read from the one kernel of the
+        # call, whose first grid, pi[0]'s, is built once.
+        kernels = []
+        init = LogPartition.__init__
 
-        def counting(model, tilt):
-            built.append(tilt)
-            return tilted_measure(model, tilt)
+        def counting(self, model):
+            kernels.append(model)
+            init(self, model)
 
-        monkeypatch.setattr(meanfield, "tilted_measure", counting)
+        monkeypatch.setattr(LogPartition, "__init__", counting)
         magnetization_inverse(quartic_model, h)
-        assert built.count(0.0) <= 1
+        assert kernels == [quartic_model]
 
 
 class TestPhiPositivity:
@@ -176,30 +177,37 @@ class TestJwLogMgf:
                                   "quartic-0.99Jc"])
     def test_matches_full_scans(self, model, n, monkeypatch):
         # The chord-bounded doubling search reads the same final scan, bit
-        # for bit, as one that reads every point of every scan.  At N = 2^20
-        # the quartic's halving check fails on rounding noise (about 1e-11),
-        # so there the two must raise the same error.
-        def outcome():
-            try:
-                return jw_log_mgf(model, n)
-            except GridResolution as exc:
-                return str(exc)
-
-        got = outcome()
+        # for bit, as one that reads every point of every scan.
+        got = jw_log_mgf(model, n)
         monkeypatch.setattr(verify, "window_search", window_search_by_full_scans)
-        assert got == outcome()
+        assert got == jw_log_mgf(model, n)
+
+    @pytest.mark.parametrize("n", [2**p for p in range(14, 21)])
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+    def test_quartic_large_n_matches_long_double(self, frac, n):
+        # N (log Z_1(z) - log Z_1(0)) in float64 carried N eps of rounding
+        # and failed the halving check from N = 2^14 on; the expm1 form of
+        # LogPartition.cgf keeps its rounding relative.
+        m = curie_weiss_model(1.0, 1.0, frac * J_CRIT)
+        assert jw_log_mgf(m, n) == pytest.approx(longdouble_jw_log_mgf(m, n), rel=1e-10)
+
+    def test_quartic_limit_at_max_particles(self):
+        # N = 2^20 is close to the N -> infinity limit -log(1 - J/J_c)/2.
+        for frac, want in ((0.1, 0.0526802570), (0.5, 0.3465735223), (0.9, 1.1512870443)):
+            m = curie_weiss_model(1.0, 1.0, frac * J_CRIT)
+            assert jw_log_mgf(m, MAX_PARTICLES) == pytest.approx(want, abs=1e-10)
 
     def test_log_z1_work(self, monkeypatch):
         # Full scans read 1548 log Z_1 rows here: six scans of 257 points,
         # each with the row of log Z_1(0).
         rows = []
-        call = LogPartition.__call__
+        cgf = LogPartition.cgf
 
         def counted(self, zs):
-            rows.append(np.size(zs))
-            return call(self, zs)
+            rows.append(np.size(zs) + 1)
+            return cgf(self, zs)
 
-        monkeypatch.setattr(LogPartition, "__call__", counted)
+        monkeypatch.setattr(LogPartition, "cgf", counted)
         jw_log_mgf(curie_weiss_model(1.0, 1.0, 0.9 * J_CRIT), 1024)
         assert sum(rows) <= 400
 
@@ -291,3 +299,53 @@ class TestMarginalT1:
         marginal_t1_ratio_scan(quartic_model, 128, bundle128,
                                np.linspace(-0.5, 0.5, 5), law=law)
         assert calls == {"marginal_log_density_batch": 1, "marginal_grid_density": 0}
+
+
+class TestOneKernelPerScan:
+    @staticmethod
+    def scans(model, bundle, law, h_max):
+        """The five scans of the CLI ``verify`` command, by name, with the
+        phi scan's magnetizations up to ``h_max``."""
+        grid = np.concatenate([-np.geomspace(0.01, 3.0, 8)[::-1],
+                               np.geomspace(0.01, 3.0, 8)])
+        return {
+            "nonlinear_lsi": lambda: nonlinear_lsi_scan(model, bundle, grid),
+            "linear_lsi": lambda: linear_lsi_scan(model, bundle, grid),
+            "phi_positivity": lambda: phi_positivity_scan(
+                model, None, np.geomspace(0.01, h_max, 4)),
+            "psi_positivity": lambda: psi_positivity_scan(
+                model, 0.0, 0.0, np.geomspace(0.01, 3.0, 4)),
+            "marginal_t1": lambda: marginal_t1_ratio_scan(
+                model, law.n_particles, bundle, np.linspace(-0.5, 0.5, 5), law=law),
+        }
+
+    def test_at_most_one_grid_per_scan(self):
+        # Every tilt of a scan is read from one kernel, and here no tilt
+        # widens its window beyond that of z = 0, so a scan evaluates V on
+        # one 4097-node grid (one per tilt before, each on its own window).
+        model, sizes = counting_quartic(0.5 * J_CRIT)
+        bundle = type("B", (), {"rho": 0.1, "rho0": 1.0, "lambda_n": 1.0, "delta_n": 0.0})
+        law = build_mixture(model, 128)
+        for name, scan in self.scans(model, bundle, law, 1.0).items():
+            sizes.clear()
+            scan()
+            assert sizes.count(4097) <= 1, name
+        sizes.clear()
+        solve_fixed_point(model, tol=1e-10, h0=1.0)
+        assert sizes.count(4097) <= 1
+
+    def test_scan_order_does_not_matter(self, bundle128):
+        # No kernel outlives its scan: the five scans in reverse order give
+        # the same reports, bit for bit.  The phi scan's kernel grows from
+        # [-4, 4] to [-8, 8] (f^-1(3) is a tilt near 30), so a kernel shared
+        # between runs would change the bits of a later scan.
+        model = curie_weiss_model(1.0, 1.0, 0.9 * J_CRIT)
+        law = build_mixture(model, 128)
+        scans = self.scans(model, bundle128, law, 3.0)
+        forward = {name: scan() for name, scan in scans.items()}
+        backward = {name: scan() for name, scan in reversed(scans.items())}
+        for name, rep in forward.items():
+            other = backward[name]
+            assert rep.min_margin == other.min_margin, name
+            for field in ("grid", "lhs", "rhs"):
+                assert np.array_equal(getattr(rep, field), getattr(other, field)), name
