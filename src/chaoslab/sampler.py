@@ -5,10 +5,17 @@ ULA is opt-in with the usual O(step_size) bias.  RNG is numpy's Philox
 counter-based generator so seeds are portable and streams splittable.
 
 The order of draws is part of what a seed reproduces.  A chain takes one
-``normal(size=N)`` for its initial state; then each step takes one
-``normal(size=N)`` for the proposal's noise and, only for a MALA proposal
-whose log-density and gradient are finite, one ``random()`` for the
-accept/reject test.  ULA takes no ``random()``.
+``standard_normal(N)`` (the same draws as ``normal(size=N)``) for its initial
+state; then each step takes one ``standard_normal(N)`` for the proposal's
+noise and, only for a MALA proposal whose log-density and gradient are
+finite, one ``random()`` for the accept/reject test.  ULA takes no
+``random()``.
+
+The target, y -> (log-density, gradient), is built once per chain.  For
+the quartic rank-one model it forms y*y once and takes sum V as two dot
+products (``QuarticConfinement.fused_v_and_grad_v``), with the gradient
+bitwise that of the general ``_log_target_and_grad``, which every other
+model calls at each step.
 """
 from __future__ import annotations
 
@@ -106,6 +113,28 @@ def _log_target_and_grad(model: ModelSpec, x: np.ndarray):
     return logp, grad
 
 
+def _target(model: ModelSpec, n: int):
+    """The chain's target, y -> (log-density, gradient), built once per chain.
+
+    A quartic rank-one model takes sum V and grad V from one y*y
+    (``QuarticConfinement.fused_v_and_grad_v``) and adds the field J s / N,
+    s = sum y; its gradient is bitwise ``_log_target_and_grad``'s.  Any
+    other model takes ``_log_target_and_grad``.
+    """
+    if not (model.is_quartic and model.is_rank_one):
+        return lambda y: _log_target_and_grad(model, y)
+    sum_v_and_grad_v = model.confinement.fused_v_and_grad_v()
+    j = model.coupling
+    add_reduce = np.add.reduce
+
+    def target(y):
+        sum_v, grad_v = sum_v_and_grad_v(y)
+        s = float(add_reduce(y))
+        return j * s * s / (2.0 * n) - sum_v, j * s / n - grad_v
+
+    return target
+
+
 def run_chain(model: ModelSpec, cfg: ChainConfig) -> SampleBatch:
     """Sample m^N_* with MALA (exact) or ULA (biased, documented).
 
@@ -113,31 +142,35 @@ def run_chain(model: ModelSpec, cfg: ChainConfig) -> SampleBatch:
     so a step evaluates the target once, at the proposal y.
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    normal, uniform = rng.normal, rng.random
+    normal, uniform = rng.standard_normal, rng.random
     n = cfg.n_particles
     eps = cfg.step_size
-    x = normal(size=n) * 0.1
+    target = _target(model, n)
+    x = normal(n) * 0.1
 
-    logp, grad = _log_target_and_grad(model, x)
+    logp, grad = target(x)
     if not (math.isfinite(logp) and np.isfinite(grad).all()):
         raise NonFinite("non-finite target at the initial state")
     mean = x + eps * grad
 
-    n_kept = cfg.n_kept
+    n_kept, thinning, ceiling = cfg.n_kept, cfg.thinning, cfg.energy_ceiling
     draws = np.empty((n_kept, n))
     kept = 0
     next_kept = cfg.burn_in
     accepted = 0
     mala = cfg.algorithm == "mala"
-    sqrt2e = math.sqrt(2.0 * eps)
+    # 0-d arrays: a ufunc takes them faster than Python floats.
+    sqrt2e, eps_array = np.array(math.sqrt(2.0 * eps)), np.array(eps)
+    four_eps = 4.0 * eps
+    isfinite, log, inf = math.isfinite, math.log, math.inf
 
     for step in range(cfg.n_steps):
-        xi = normal(size=n)
+        xi = normal(n)
         half_xi2 = 0.5 * float(xi.dot(xi))
         xi *= sqrt2e
         y = mean + xi
-        logp_y, grad_y = _log_target_and_grad(model, y)
-        mean_y = eps * grad_y
+        logp_y, grad_y = target(y)
+        mean_y = eps_array * grad_y
         mean_y += y
         if mala:
             # log q(x | y) - log q(y | x) for the Langevin proposal.  The
@@ -145,25 +178,24 @@ def run_chain(model: ModelSpec, cfg: ChainConfig) -> SampleBatch:
             # is x - mean_y.  A finite |x - mean_y|^2 implies a finite
             # gradient at y, so the element-wise test runs only after it
             # overflows.
-            bwd = np.subtract(x, mean_y, out=xi)
+            bwd = x - mean_y
             bwd2 = float(bwd.dot(bwd))
-            if math.isfinite(logp_y) and (math.isfinite(bwd2)
-                                          or np.isfinite(grad_y).all()):
-                log_alpha = logp_y - logp + half_xi2 - bwd2 / (4.0 * eps)
+            if isfinite(logp_y) and (isfinite(bwd2) or np.isfinite(grad_y).all()):
+                log_alpha = logp_y - logp + half_xi2 - bwd2 / four_eps
                 u = uniform()  # in [0, 1): math.log(0.0) would raise
-                if (math.log(u) if u > 0.0 else -math.inf) < log_alpha:
+                if (log(u) if u > 0.0 else -inf) < log_alpha:
                     x, mean, logp = y, mean_y, logp_y
                     accepted += 1
-        elif math.isfinite(logp_y) and np.isfinite(grad_y).all():
+        elif isfinite(logp_y) and np.isfinite(grad_y).all():
             x, mean, logp = y, mean_y, logp_y
         else:
             raise NonFinite(f"ULA left the finite-energy region at step {step}")
-        if -logp > cfg.energy_ceiling:
+        if -logp > ceiling:
             raise DivergentChain(f"energy {-logp:.3e} exceeded ceiling at step {step}")
         if step == next_kept and kept < n_kept:
             draws[kept] = x
             kept += 1
-            next_kept += cfg.thinning
+            next_kept += thinning
 
     rate = accepted / cfg.n_steps if mala else None
     return SampleBatch(draws=draws, acceptance_rate=rate,

@@ -178,3 +178,47 @@ class TestModelSpec:
         h = 1e-5
         fd = (m.potential(xs + h) - m.potential(xs - h)) / (2 * h)
         assert np.allclose(m.grad_potential(xs), fd, rtol=1e-6)
+
+
+def _fused_states(n):
+    """Random states of n particles and states holding |x| in {1e60, 1e100,
+    1e160}, in every entry or in one; 1.3e77 is where theta x^4 overflows
+    while theta/4 x^4 does not."""
+    rng = np.random.default_rng(n)
+    states = [rng.normal(size=n), 3.0 * rng.normal(size=n), rng.normal(size=n) * 1e-3]
+    for big in (1e60, 1.3e77, 1e100, 1e160):
+        signs = rng.choice([-1.0, 1.0], size=n)
+        states.append(big * signs)
+        one = rng.normal(size=n)
+        one[n // 2] = big * signs[0]
+        states.append(one)
+    return states
+
+
+class TestFusedSumAndGradient:
+    """``fused_v_and_grad_v`` against ``np.add.reduce(v(x))`` and ``grad_v(x)``.
+
+    The gradient must be bitwise; the sum is two dot products, so it may
+    differ from the pairwise sum of ``v`` by a few ulp of sum |terms|, the
+    sum of |theta/4 x^4| and |sigma/2 x^2| over the particles, and it must
+    be finite exactly where the sum of ``v`` is.
+    """
+
+    @pytest.mark.parametrize("theta, sigma", [(0.0, 1.0), (1.0, 1.0), (1.0, -1.0)])
+    @pytest.mark.parametrize("n", [1, 3, 32, 512])
+    def test_matches_v_and_grad_v(self, theta, sigma, n):
+        conf = QuarticConfinement(theta, sigma)
+        fused = conf.fused_v_and_grad_v()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in _fused_states(n):
+                total, grad = fused(x)
+                ref_total = float(np.add.reduce(conf.v(x)))
+                ref_grad = conf.grad_v(x)
+                assert grad.tobytes() == ref_grad.tobytes()
+                assert np.isfinite(total) == np.isfinite(ref_total), x
+                if np.isfinite(total):
+                    x2 = x * x
+                    terms = float(np.add.reduce(theta / 4 * x2 * x2 + abs(sigma) / 2 * x2))
+                    assert abs(total - ref_total) <= 4 * np.spacing(terms), x
+                else:
+                    assert total == ref_total or (np.isnan(total) and np.isnan(ref_total))

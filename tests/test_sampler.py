@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -15,9 +16,9 @@ from chaoslab.marginals import build_mixture, marginal_moment
 from chaoslab.model import (GeneralPotential, ModelSpec, QuarticConfinement,
                             RankOneInteraction, curie_weiss_model,
                             gaussian_model)
-from chaoslab.sampler import (ChainConfig, SampleBatch, load_batch,
-                              regularized_coulomb_kernel, run_chain,
-                              save_batch, tune_step_size)
+from chaoslab.sampler import (ChainConfig, SampleBatch, _log_target_and_grad,
+                              _target, load_batch, regularized_coulomb_kernel,
+                              run_chain, save_batch, tune_step_size)
 from conftest import J_CRIT
 from oracles import reference_run_chain
 
@@ -162,6 +163,78 @@ class TestAgainstReferenceLoop:
         assert np.max(np.abs(new.draws - ref.draws)) <= 1e-12
         if model.is_gaussian:
             assert np.array_equal(new.draws, ref.draws)
+
+
+class TestStreamPins:
+    """sha256 of the draws (little-endian float64) of short versions of the
+    benchmark's two chains, a Gaussian chain, a ULA chain and a general-kernel
+    chain, all at seed 1.
+
+    The digests and acceptance rates were computed at commit 682f54a, with
+    the loop that called ``_log_target_and_grad`` at every step, before the
+    target was built once per chain.  They pin what a seed reproduces:
+    the draws to the bit, not only to the 1e-12 of ``TestAgainstReferenceLoop``.
+    """
+
+    @pytest.mark.parametrize("model, cfg, digest, rate", [
+        pytest.param(curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
+                     ChainConfig(32, 0.12, 4000, burn_in=500, seed=1),
+                     "4a9f67ab88db3732f288608a4086dcace028e16e25963d9f7579dda3a03316b7",
+                     0.58475, id="quartic-n32"),
+        pytest.param(curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
+                     ChainConfig(512, 0.04, 2000, burn_in=200, seed=1),
+                     "84aba12df17e8d7fbecb6fdd13b1e188233cea72f45cd55210ba5e1e938d8b03",
+                     0.619, id="quartic-n512"),
+        pytest.param(gaussian_model(1.0, 0.5),
+                     ChainConfig(32, 0.3, 4000, burn_in=500, seed=1),
+                     "8dd54b54987c105633bd8349b6a5b3324abd94b6f475b2cfc3037540d5d92955",
+                     0.74125, id="gaussian-n32"),
+        pytest.param(curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
+                     ChainConfig(32, 0.05, 3000, burn_in=500, seed=1, algorithm="ula"),
+                     "a74b856786f0dae4440f6cd43fc3391d1a33cb1eb6b57dc719ed99092ea354c3",
+                     None, id="quartic-ula-n32"),
+        pytest.param(_COULOMB, ChainConfig(16, 0.1, 1500, burn_in=200, seed=1),
+                     "9c997b826740ff0bb7c62e14790fbe83f55eb7faeb04dac4910244840d2e47a9",
+                     0.728, id="coulomb-n16"),
+    ])
+    def test_draws_are_pinned(self, model, cfg, digest, rate):
+        batch = run_chain(model, cfg)
+        raw = np.ascontiguousarray(batch.draws, dtype="<f8").tobytes()
+        assert hashlib.sha256(raw).hexdigest() == digest
+        assert batch.acceptance_rate == rate
+
+
+class TestTarget:
+    """The per-chain target against ``_log_target_and_grad``: the gradient
+    bitwise, the log-density to a few ulp of its terms."""
+
+    @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
+                                       curie_weiss_model(1.0, -1.0, 0.5),
+                                       gaussian_model(1.0, 0.5)],
+                             ids=["quartic", "double-well", "gaussian"])
+    @pytest.mark.parametrize("n", [1, 32, 512])
+    def test_matches_log_target_and_grad(self, model, n, rng):
+        target = _target(model, n)
+        for scale in (0.1, 1.0, 5.0):
+            y = scale * rng.normal(size=n)
+            logp, grad = target(y)
+            ref_logp, ref_grad = _log_target_and_grad(model, y)
+            assert grad.tobytes() == ref_grad.tobytes()
+            x2 = y * y
+            terms = (float(np.add.reduce(x2 * x2)) + float(np.add.reduce(x2))
+                     + model.coupling * float(np.add.reduce(y)) ** 2 / n)
+            assert abs(logp - ref_logp) <= 8 * np.spacing(terms)
+
+    def test_gaussian_far_out_is_finite(self):
+        # y^4 overflows at |y| = 1e100 but y^2 does not: the theta = 0 target
+        # is finite there, as -sum V from the terms of v is.
+        model = gaussian_model(1.0, 0.5)
+        y = np.full(32, 1e100)
+        logp, grad = _target(model, 32)(y)
+        ref_logp, ref_grad = _log_target_and_grad(model, y)
+        assert logp == pytest.approx(ref_logp, rel=1e-15)
+        assert logp == pytest.approx(-8e200, rel=1e-15)
+        assert np.array_equal(grad, ref_grad)
 
 
 class TestErrorPaths:
