@@ -17,10 +17,6 @@ class GridResolution(ChaosLabError):
     """A grid is too coarse to resolve the requested quantity."""
 
 
-class NoSignChange(ChaosLabError):
-    """Root bracketing failed: the function has the same sign at both ends."""
-
-
 class DegenerateInput(ChaosLabError):
     """Input data violates a structural precondition (e.g. non-positive values)."""
 

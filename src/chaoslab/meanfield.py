@@ -3,7 +3,8 @@
 Tilted measures pi[h] with density proportional to exp(-V(x) + t x), each
 normalized by ``LogPartition.measure``, the magnetization map f = p o pi,
 its derivative, the critical coupling, the one sub-critical guard on
-m_* = pi[0] and the damped solver for the mean-field fixed point h = f(h).
+m_* = pi[0] and the safeguarded Newton solver for the mean-field fixed point
+h = f(h).
 """
 from __future__ import annotations
 
@@ -11,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSignChange, NonConvergent, RegimeViolation, Supercritical
+from .errors import NonConvergent, RegimeViolation, Supercritical
 from .model import ModelSpec
-from .numerics import (find_root, log_laplace, log_mgf, log_trapezoid,
+from .numerics import (log_laplace, log_mgf, log_trapezoid, newton_root,
                        trapezoid_log_weights, window_search)
 
 __all__ = [
@@ -42,6 +43,10 @@ class TiltedMeasure:
     log_z: float
     mean: float
     second_moment: float
+
+    @property
+    def variance(self) -> float:
+        return self.second_moment - self.mean * self.mean
 
     def log_density(self, x):
         x = np.asarray(x, dtype=float)
@@ -146,8 +151,7 @@ def magnetization(model: ModelSpec, h: float) -> float:
 
 def magnetization_derivative(model: ModelSpec, h: float) -> float:
     """f'(h) = J * Var(pi[h]); strictly positive."""
-    mu = tilted_measure(model, model.coupling * h)
-    return model.coupling * (mu.second_moment - mu.mean * mu.mean)
+    return model.coupling * tilted_measure(model, model.coupling * h).variance
 
 
 def critical_coupling(model: ModelSpec | TiltedMeasure) -> float:
@@ -176,8 +180,7 @@ def subcritical_reference(model: ModelSpec) -> TiltedMeasure:
     mstar = tilted_measure(model, 0.0)
     if not model.is_quartic:
         mean = mstar.mean
-        sd = float(np.sqrt(mstar.second_moment - mean * mean))
-        if abs(mean) > 1e-10 * sd:
+        if abs(mean) > 1e-10 * np.sqrt(mstar.variance):
             raise RegimeViolation(
                 f"pi[0] has mean {mean:.3e}: m_* = pi[0] is the mean-field "
                 f"limit for an even confinement only")
@@ -197,41 +200,33 @@ class FixedPointResult:
 
 
 def solve_fixed_point(model: ModelSpec, tol: float = 1e-10,
-                      h0: float = 0.0, max_iter: int = 200) -> FixedPointResult:
-    """Solve h = f(h) by damped iteration with a bracketed-root fallback,
-    every pi[J h] read from one kernel.
+                      h0: float = 0.0) -> FixedPointResult:
+    """Solve h = f(h) from ``h0`` by ``numerics.newton_root`` on
+    g(h) = h - f(h), g'(h) = 1 - J Var(pi[J h]), every pi[J h] read from one
+    kernel; ``iterations`` counts them.
 
-    Damping factor 0.5; sub-critically f is a global contraction so the
-    iteration converges from any start.  It never leaves an unstable fixed
-    point (f'(h) > 1, as h = 0 above J_c for an even V), so from one it
-    moves one standard deviation of pi[J h] up, towards the stable h_*.
+    Sub-critically g is increasing, so the solve converges from any start.
+    A root with f'(h) > 1 (as h = 0 above J_c for an even V) is unstable:
+    the solve restarts one standard deviation of pi[J h] up, towards the
+    stable h_*, and raises ``NonConvergent`` if it comes back no higher.
     """
     kernel = LogPartition(model)
     J = model.coupling
-    h = float(h0)
-    for it in range(1, max_iter + 1):
-        mu = kernel.measure(J * h)
-        residual = h - mu.mean
-        var = mu.second_moment - mu.mean * mu.mean
-        if abs(residual) > tol:
-            h = 0.5 * h + 0.5 * mu.mean
-        elif J * var > 1.0:
-            h += np.sqrt(var)
-        else:
-            return FixedPointResult(h, mu, it, residual)
+    measured = []
 
-    # Damped iteration stalled: bracket the root of h - f(h) around the
-    # last iterate and polish.
-    g = lambda x: x - kernel.measure(J * x).mean
-    width = max(1.0, abs(h))
-    for _ in range(20):
-        a, b = h - width, h + width
-        try:
-            root = find_root(g, (a, b), tol)
-            return FixedPointResult(root, kernel.measure(J * root), max_iter, g(root))
-        except NoSignChange:
-            width *= 2.0
-    raise NonConvergent("fixed-point solver failed to converge or bracket")
+    def gd(h):
+        mu = kernel.measure(J * h)
+        measured.append(mu)
+        return h - mu.mean, 1.0 - J * mu.variance
+
+    h, unstable = newton_root(gd, h0, tol), -np.inf
+    while J * measured[-1].variance > 1.0:
+        if not h > unstable:
+            raise NonConvergent(f"fixed-point solver came back to the unstable h = {h}")
+        unstable = h
+        h = newton_root(gd, h + np.sqrt(measured[-1].variance), tol)
+    mu = measured[-1]
+    return FixedPointResult(h, mu, len(measured), h - mu.mean)
 
 
 @dataclass(frozen=True)

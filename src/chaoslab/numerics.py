@@ -6,12 +6,12 @@ quadratic plus a convex function (``ChordScan``: the field searches read
 log Z_1 only where it decides them), the chunked log-Laplace reduction behind
 every field/grid sum and its expm1 form for a log moment generating function
 (``log_mgf``), the k-fold self-convolutions of one density row in
-one spectral pass, the cumulative trapezoid, and bracketed root
-finding by Brent's method.  There is no adaptive quadrature: the
+one spectral pass, the cumulative trapezoid, and safeguarded Newton
+root finding.  There is no adaptive quadrature: the
 integrands are analytic and decay fast, so the uniform trapezoid converges
 exponentially, and halving its node count checks it.  Nothing here imports
-scipy: the FFT is numpy's, and Brent and the cumulative trapezoid are
-ports that give scipy's bits.
+scipy: the FFT is numpy's, and the cumulative trapezoid is a port that
+gives scipy's bits.
 Everything here is pure and reentrant.
 """
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridResolution, NoSignChange, NonConvergent, NonFinite
+from .errors import GridResolution, NonConvergent, NonFinite
 
 __all__ = [
     "GridDensity",
@@ -36,7 +36,7 @@ __all__ = [
     "EXP_UNDERFLOW",
     "convolution_powers",
     "cumulative_trapezoid",
-    "find_root",
+    "newton_root",
 ]
 
 # Points of every fine uniform grid: the one-particle marginal density and
@@ -411,80 +411,41 @@ def cumulative_trapezoid(y, dx: float) -> np.ndarray:
     return out
 
 
-# Brent's relative tolerance and iteration cap: scipy brentq's defaults.
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
-_BRENT_MAX_ITER = 100
+# Evaluations of ``newton_root`` before it raises ``NonConvergent``.
+_NEWTON_MAX_EVALS = 100
 
 
-def find_root(g, bracket, tol: float) -> float:
-    """Root of ``g`` on a sign-changing bracket (Brent: bisection + secant/IQI).
+def newton_root(gd, x0: float, tol: float) -> float:
+    """Root of g by safeguarded Newton (``rtsafe``, Press et al., Numerical
+    Recipes, 3rd ed., 2007), for a g negative far left and positive far right.
 
-    ``g`` is evaluated once at each end: Brent reads the sign check's values.
-    The iterates are those of scipy's ``brentq`` with ``xtol=tol`` (see
-    ``_brent``).  Raises ``NoSignChange`` for a bracket without a sign
-    change, and ``NonConvergent`` if ``g`` returns NaN or the iteration cap
-    is reached.
+    ``gd(x)`` returns g(x) and g'(x).  From ``x0`` the iterates only move
+    towards -sign(g), each point evaluated becoming the lower (g < 0) or
+    upper (g > 0) end of the bracket.  Before a sign change a step goes at
+    most ``cap`` = max(1, |x0|), doubled at every step; after it, the bracket
+    bounds it.  A Newton step x - g/g' outside those limits bisects them.
+    Returns the first point evaluated whose Newton step is at most ``tol``:
+    a converged start costs one evaluation and comes back bit for bit.
+    Raises ``NonConvergent`` for a NaN g or g', or after
+    ``_NEWTON_MAX_EVALS`` evaluations.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    a, b = bracket
-    ga, gb = float(g(a)), float(g(b))
-    if math.isnan(ga) or math.isnan(gb):
-        raise NonConvergent(f"g({a})={ga} and g({b})={gb}: NaN at a bracket end")
-    if ga == 0.0:
-        return float(a)
-    if gb == 0.0:
-        return float(b)
-    if np.sign(ga) == np.sign(gb):
-        raise NoSignChange(f"g({a})={ga} and g({b})={gb} have the same sign")
-    return _brent(g, float(a), float(b), ga, gb, tol)
-
-
-def _brent(g, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float) -> float:
-    """Brent's method (Brent 1973, ch. 4) in the form of scipy's ``brentq.c``.
-
-    The same arithmetic in the same order, so the iterates and the root are
-    bitwise scipy's: xblk is the contrapoint, spre and scur the steps before
-    and at the current iterate, and a step is accepted only while it shrinks
-    fast enough, otherwise it bisects.  ``fpre`` and ``fcur`` are non-zero
-    with opposite signs.
-    """
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAX_ITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # Secant step.
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # Inverse quadratic interpolation.
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    x = float(x0)
+    lo, hi = -math.inf, math.inf
+    cap = max(1.0, abs(x))
+    for _ in range(_NEWTON_MAX_EVALS):
+        g, dg = map(float, gd(x))
+        if math.isnan(g) or math.isnan(dg):
+            raise NonConvergent(f"g({x}) = {g}, g'({x}) = {dg}: NaN")
+        if abs(g) <= tol * abs(dg):
+            return x
+        if g < 0.0:
+            lo = x
         else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(g(xcur))
-        if math.isnan(fcur):
-            raise NonConvergent(f"Brent iterate g({xcur}) is NaN")
-    raise NonConvergent(f"Brent did not converge in {_BRENT_MAX_ITER} iterations")
+            hi = x
+        a, b = max(lo, x - cap), min(hi, x + cap)
+        cap *= 2.0
+        step = x - g / dg if dg != 0.0 else math.nan
+        x = step if a < step < b else 0.5 * (a + b)
+    raise NonConvergent(f"no root within {_NEWTON_MAX_EVALS} evaluations")

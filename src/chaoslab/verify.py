@@ -13,13 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ConstantsBundle, t1_particle_constant
-from .errors import DivergentIntegral, NoSignChange, NonConvergent
+from .errors import DivergentIntegral
 from .marginals import MixtureLaw, build_mixture, marginal_log_density_batch
 from .meanfield import (LogPartition, TiltedMeasure, critical_coupling,
                         subcritical_reference)
 from .metrics import quantile_from_density, wasserstein_1d
 from .model import MAX_PARTICLES, ModelSpec
-from .numerics import (FINE_POINTS, GridDensity, find_root, log_trapezoid,
+from .numerics import (FINE_POINTS, GridDensity, log_trapezoid, newton_root,
                        trapezoid_log_weights, window_search)
 
 __all__ = [
@@ -97,20 +97,17 @@ def linear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> Sca
 
 def magnetization_inverse(model: ModelSpec | LogPartition, h: float,
                           tol: float = 1e-12) -> float:
-    """l = f^{-1}(h); f is strictly increasing and odd, so bracket by doubling.
+    """l = f^{-1}(h): the root of f(l) - h, whose derivative f'(l) =
+    J Var(pi[J l]) is positive, by ``numerics.newton_root`` from l = h.
     ``model`` may be the ``LogPartition`` to read every f(l) from."""
-    if h == 0.0:
-        return 0.0
     kernel = model if isinstance(model, LogPartition) else LogPartition(model)
-    g = lambda ell: kernel.measure(kernel.model.coupling * ell).mean - h
-    width = max(1.0, abs(h))
-    for _ in range(40):
-        bracket = (0.0, width) if h > 0 else (-width, 0.0)
-        try:
-            return find_root(g, bracket, tol)
-        except NoSignChange:
-            width *= 2.0
-    raise NonConvergent(f"could not bracket f^-1({h})")
+    J = kernel.model.coupling
+
+    def gd(ell):
+        mu = kernel.measure(J * ell)
+        return mu.mean - h, J * mu.variance
+
+    return newton_root(gd, h, tol)
 
 
 def phi_positivity_scan(model: ModelSpec, eps_override: float | None,
@@ -129,7 +126,11 @@ def phi_positivity_scan(model: ModelSpec, eps_override: float | None,
     eps = (1.0 - J / j_c) ** 2 if eps_override is None else eps_override
     grid = np.asarray(h_grid, dtype=float)
     phi = np.empty_like(grid)
-    for i, h in enumerate(grid):
+    # Largest |h| first: its solve grows the kernel to the largest tilt of the
+    # scan once.  Sub-critically, for an even V, every later solve stays
+    # between h and f^{-1}(h), inside that range, and grows it no further.
+    for i in np.argsort(-np.abs(grid), kind="stable"):
+        h = grid[i]
         ell = magnetization_inverse(kernel, h)
         log_z_ell = kernel.measure(J * ell).log_z
         log_z_h = kernel.measure(J * h).log_z
@@ -140,16 +141,18 @@ def phi_positivity_scan(model: ModelSpec, eps_override: float | None,
 
 def solve_interpolated_fixed_point(model: ModelSpec | LogPartition, alpha: float,
                                    h0: float, tol: float = 1e-12) -> float:
-    """h_* solving h = f(alpha h0 + (1 - alpha) h) by damped iteration, every
-    f read from one kernel (``model`` may be that ``LogPartition``)."""
+    """h_* solving h = f(alpha h0 + (1 - alpha) h), by ``numerics.newton_root``
+    from h0 on g(h) = h - f(t), g'(h) = 1 - (1 - alpha) J Var(pi[J t]) with
+    t = alpha h0 + (1 - alpha) h, every f read from one kernel (``model`` may
+    be that ``LogPartition``)."""
     kernel = model if isinstance(model, LogPartition) else LogPartition(model)
-    h = h0
-    for _ in range(500):
-        fh = kernel.measure(kernel.model.coupling * (alpha * h0 + (1.0 - alpha) * h)).mean
-        if abs(h - fh) <= tol:
-            return h
-        h = 0.5 * h + 0.5 * fh
-    raise NonConvergent("interpolated fixed point did not converge")
+    J = kernel.model.coupling
+
+    def gd(h):
+        mu = kernel.measure(J * (alpha * h0 + (1.0 - alpha) * h))
+        return h - mu.mean, 1.0 - (1.0 - alpha) * J * mu.variance
+
+    return newton_root(gd, h0, tol)
 
 
 def psi_positivity_scan(model: ModelSpec, alpha: float, m0_mean: float,

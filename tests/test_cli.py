@@ -10,6 +10,8 @@ import pytest
 import chaoslab
 from chaoslab.cli import fit_scaling, load_config, main, parse_config, run
 from chaoslab.errors import ConfigError, DegenerateInput
+from chaoslab.meanfield import magnetization
+from chaoslab.model import curie_weiss_model
 from conftest import H_STAR_SUPER, J_CRIT
 
 MODEL = {"theta": 1.0, "sigma": 1.0, "J": 0.5 * J_CRIT}
@@ -116,6 +118,16 @@ class TestRun:
         assert summary["h_star"] == pytest.approx(H_STAR_SUPER, abs=1e-8)
         out = json.loads((tmp_path / "out" / "fixed_point.json").read_text())
         assert out["h_star"] == summary["h_star"]
+
+    def test_fixed_point_command_just_above_critical(self, tmp_path):
+        # At 1.05 J_c the stable root is h_* = 0.4835: the command reports it
+        # with a positive sign, as it does further above J_c.
+        model = dict(MODEL, J=1.05 * J_CRIT)
+        summary = run(parse_config(_cfg(tmp_path, command="fixed-point", model=model)))
+        h_star = summary["h_star"]
+        assert h_star == pytest.approx(0.4835, abs=1e-4)
+        m = curie_weiss_model(MODEL["theta"], MODEL["sigma"], model["J"])
+        assert magnetization(m, h_star) == pytest.approx(h_star, abs=1e-10)
 
     def test_chaos_scan_outputs(self, tmp_path):
         cfg = parse_config(_cfg(tmp_path))

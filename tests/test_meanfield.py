@@ -302,6 +302,32 @@ class TestFixedPoint:
         solve_fixed_point(model, tol=1e-10, h0=1.0)
         assert sizes.count(4097) <= 1
 
+    def test_supercritical_root_to_1e10(self):
+        m = curie_weiss_model(1.0, 1.0, 1.5 * J_CRIT)
+        assert solve_fixed_point(m, tol=1e-10).h_star == pytest.approx(
+            H_STAR_SUPER, abs=1e-10)
+
+    @pytest.mark.parametrize("ratio", [1.01, 1.05, 1.1, 1.5])
+    def test_supercritical_start_at_zero_finds_positive_root(self, ratio):
+        # From the unstable h = 0 the solver steps up, so the root it reports
+        # is the stable h_* > 0 at every J above J_c, not -h_*.
+        res = solve_fixed_point(curie_weiss_model(1.0, 1.0, ratio * J_CRIT), tol=1e-10)
+        assert res.h_star > 0
+        assert abs(res.residual) <= 1e-10
+
+    @pytest.mark.parametrize("ratio, h0, budget", [
+        (1.5, 0.0, 10),
+        *[(r, h0, 12) for r in (0.5, 0.9, 0.99) for h0 in (1.0, -2.0)]])
+    def test_iterations_count_measure_calls(self, monkeypatch, ratio, h0, budget):
+        calls = []
+        measure = LogPartition.measure
+        monkeypatch.setattr(LogPartition, "measure",
+                            lambda self, tilt: calls.append(tilt) or measure(self, tilt))
+        res = solve_fixed_point(curie_weiss_model(1.0, 1.0, ratio * J_CRIT),
+                                tol=1e-10, h0=h0)
+        assert res.iterations == len(calls) <= budget
+        assert abs(res.residual) <= 1e-10
+
 
 class TestGhsConcavity:
     def test_subcritical_quartic(self, quartic_model):

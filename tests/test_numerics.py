@@ -6,18 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sciint
 from scipy.fft import next_fast_len
-from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 import oracles
-from chaoslab.errors import GridResolution, NoSignChange, NonConvergent, NonFinite
+from chaoslab.errors import GridResolution, NonConvergent, NonFinite
 from chaoslab.marginals import (build_mixture, marginal_log_density,
                                 marginal_log_density_batch)
 from chaoslab.meanfield import tilted_measure
 from chaoslab.model import GeneralPotential, ModelSpec, RankOneInteraction
 from chaoslab.numerics import (LOG_CUT, ChordScan, GridDensity, _chunk_rows,
                                _next_fast_len, convolution_powers, cumulative_trapezoid,
-                               find_root, log_laplace, log_mgf, window_search)
+                               log_laplace, log_mgf, newton_root, window_search)
 from conftest import LOG_QUARTIC_GAUSS, QUARTIC_NORM, TANH_ROOT
 from oracles import (convolve, integrate, log_integrate_exp, mixed_convolution_powers,
                      node_grid_densities, unit_mass_rows)
@@ -453,66 +452,70 @@ class TestChordScan:
             window_search(broken, convex=(0.5, 1.0))
 
 
+def _tanh_gd(x):
+    """g(x) = x - tanh(2x) and g'(x): roots at 0 and +-TANH_ROOT."""
+    return x - math.tanh(2 * x), 1 - 2 / math.cosh(2 * x) ** 2
+
+
 class TestFindRoot:
     def test_linear(self):
-        assert find_root(lambda x: x - 1, (0, 2), 1e-12) == pytest.approx(1.0, abs=1e-10)
+        assert newton_root(lambda x: (x - 1, 1.0), 0.0, 1e-12) == pytest.approx(1.0, abs=1e-10)
 
     def test_tanh_fixed_point(self):
-        root = find_root(lambda x: np.tanh(2 * x) - x, (0.1, 3), 1e-12)
-        assert root == pytest.approx(TANH_ROOT, abs=1e-10)
+        assert newton_root(_tanh_gd, 3.0, 1e-12) == pytest.approx(TANH_ROOT, abs=1e-10)
 
     def test_origin(self):
-        assert find_root(lambda x: x, (-1, 1), 1e-12) == pytest.approx(0.0, abs=1e-10)
+        assert newton_root(lambda x: (x, 1.0), -1.0, 1e-12) == pytest.approx(0.0, abs=1e-10)
 
-    def test_no_sign_change(self):
-        with pytest.raises(NoSignChange):
-            find_root(lambda x: x**2 + 1, (-1, 1), 1e-10)
+    def test_converged_start_costs_one_call(self):
+        calls = []
+        x0 = 0.1 + 0.2
+        root = newton_root(lambda x: calls.append(x) or (x - 0.3, 1.0), x0, 1e-12)
+        assert root == x0 and calls == [x0]
 
-    # scipy's brentq is the oracle: the same root to the bit, from the same
-    # sequence of evaluation points (both evaluate the two ends first).
-    _FAMILIES = (
-        lambda p: lambda x: math.tanh(p[0] * x) - p[1] * x + p[2],
-        lambda p: lambda x: x**3 - p[0] * x + p[1],
-        lambda p: lambda x: math.atan(p[0] * (x - p[1])),
-        lambda p: lambda x: p[1] * (x - p[0]) ** 5 + 1e-3 * (x - p[0]),
-        lambda p: lambda x: -1.0 if x < p[0] else 1.0,
-    )
-
-    @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-3])
-    def test_bitwise_brentq_on_random_brackets(self, tol):
-        rng = np.random.default_rng(11)
-        checked = 0
-        for trial in range(500):
-            f = self._FAMILIES[trial % len(self._FAMILIES)](2.0 * rng.normal(size=3))
-            a, b = sorted(3.0 * rng.normal(size=2))
-            if not f(a) * f(b) < 0:
-                continue
-            ours, theirs = [], []
-            root = find_root(lambda x: ours.append(x) or f(x), (a, b), tol)
-            want = brentq(lambda x: theirs.append(x) or f(x), a, b, xtol=tol)
-            assert root == want and ours == theirs
-            checked += 1
-        assert checked >= 100
+    @pytest.mark.parametrize("gd, x0, want", [
+        # Newton from 0 on atan(x - 5) overshoots further on every step.
+        (lambda x: (math.atan(x - 5), 1 / (1 + (x - 5) ** 2)), 0.0, 5.0),
+        # g' < 0 between the roots: no Newton direction there.
+        (_tanh_gd, 0.3, TANH_ROOT),
+        (_tanh_gd, -0.3, -TANH_ROOT),
+        # g' is 1e-9: every Newton step before the sign change is too long.
+        (lambda x: (1e-9 * (x - 1000.0), 1e-9), 0.0, 1000.0),
+    ])
+    def test_steps_downhill_within_cap_then_bracket(self, gd, x0, want):
+        seen = []
+        root = newton_root(lambda x: seen.append((x, gd(x)[0])) or gd(x), x0, 1e-12)
+        assert root == pytest.approx(want, abs=1e-10)
+        lo, hi, cap = -math.inf, math.inf, max(1.0, abs(x0))
+        for (x, g), (x_next, _) in zip(seen, seen[1:]):
+            lo, hi = (x, hi) if g < 0 else (lo, x)
+            assert lo < x_next < hi
+            assert abs(x_next - x) <= cap
+            cap *= 2
 
     @pytest.mark.parametrize("nan_at", [0, 1, 4])
     def test_nan_raises(self, nan_at):
         calls = []
 
-        def g(x):
+        def gd(x):
             calls.append(x)
-            return math.nan if len(calls) > nan_at else math.tanh(2 * x) - x
+            return (math.nan, 1.0) if len(calls) > nan_at else _tanh_gd(x)
 
         with pytest.raises(NonConvergent):
-            find_root(g, (0.1, 3), 1e-12)
+            newton_root(gd, 3.0, 1e-12)
+        assert len(calls) == nan_at + 1
+
+    def test_nan_derivative_raises(self):
+        with pytest.raises(NonConvergent):
+            newton_root(lambda x: (x - 1, math.nan), 0.0, 1e-12)
 
     def test_iteration_cap_raises(self):
-        # A step has no slope to interpolate: each step halves a bracket of
-        # width 2e200 at best, so 100 iterations cannot reach 1e-300.
-        step = lambda x: -1.0 if x < 1 / 3 else 1.0
-        with pytest.raises(RuntimeError):
-            brentq(step, -1e200, 1e200, xtol=1e-300)
+        # A step has no slope: every step bisects, the bracket closes on two
+        # adjacent floats around 1/3 within 60 steps, and no Newton step there
+        # is ever as short as tol.
+        step = lambda x: (-1.0 if x < 1 / 3 else 1.0, 0.0)
         with pytest.raises(NonConvergent):
-            find_root(step, (-1e200, 1e200), 1e-300)
+            newton_root(step, 0.0, 1e-300)
 
 
 def test_next_fast_len_is_scipys():

@@ -9,11 +9,13 @@ from chaoslab.marginals import build_mixture
 from chaoslab.meanfield import (LogPartition, critical_coupling, magnetization,
                                 solve_fixed_point, tilted_measure)
 from chaoslab.metrics import quantile_from_density
-from chaoslab.model import MAX_PARTICLES, curie_weiss_model, gaussian_model
+from chaoslab.model import (MAX_PARTICLES, GeneralPotential, ModelSpec,
+                            RankOneInteraction, curie_weiss_model, gaussian_model)
 from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf,
                              linear_lsi_scan, magnetization_inverse,
                              marginal_t1_ratio_scan, nonlinear_lsi_scan,
-                             phi_positivity_scan, psi_positivity_scan)
+                             phi_positivity_scan, psi_positivity_scan,
+                             solve_interpolated_fixed_point)
 from conftest import J_CRIT, counting_quartic
 from oracles import (fisher_information_1d, longdouble_jw_log_mgf,
                      nested_quad_jw_log_mgf, t1_ratio_scan_per_tilt,
@@ -76,10 +78,20 @@ class TestMagnetizationInverse:
             ell = magnetization_inverse(quartic_model, h)
             assert magnetization(quartic_model, ell) == pytest.approx(h, abs=1e-10)
 
+    @pytest.mark.parametrize("h", [0.0, 0.1, -0.5])
+    def test_roundtrip_without_even_potential(self, h):
+        # V = x^4/4 + x^2/2 - x/2 is not even: f(0) = 0.2314, so f^-1(0) != 0,
+        # and f^-1(h) for small h > 0 lies at a negative l.
+        m = ModelSpec(GeneralPotential(v=lambda x: x**4 / 4 + x**2 / 2 - x / 2,
+                                       grad_v=lambda x: x**3 + x - 0.5),
+                      RankOneInteraction(0.5))
+        assert magnetization(m, 0.0) == pytest.approx(0.2314, abs=1e-4)
+        assert magnetization(m, magnetization_inverse(m, h)) == pytest.approx(h, abs=1e-10)
+
     @pytest.mark.parametrize("h", [0.01, 2.5, -3.0])
     def test_builds_pi_zero_at_most_once(self, quartic_model, monkeypatch, h):
-        # Every bracket starts at 0: f(0) is read from the one kernel of the
-        # call, whose first grid, pi[0]'s, is built once.
+        # Every f(l) is read from the one kernel of the call, whose first
+        # grid, pi[0]'s, is built once.
         kernels = []
         init = LogPartition.__init__
 
@@ -110,7 +122,6 @@ class TestPhiPositivity:
 
 class TestPsiPositivity:
     def test_anchor_zero(self, quartic_model):
-        from chaoslab.verify import solve_interpolated_fixed_point
         m = curie_weiss_model(1.0, 1.0, 0.8 * J_CRIT)
         h_star = solve_interpolated_fixed_point(m, 0.0, 0.0)
         rep = psi_positivity_scan(m, 0.0, 0.0, [h_star])
@@ -121,6 +132,14 @@ class TestPsiPositivity:
         grid = np.concatenate([-np.geomspace(0.01, 3, 6)[::-1],
                                np.geomspace(0.01, 3, 6)])
         assert psi_positivity_scan(m, 0.0, 0.0, grid).passed
+
+    @pytest.mark.parametrize("ratio", [0.9, 0.95, 0.99])
+    def test_subcritical_from_one_reaches_zero(self, ratio):
+        # h = f(h) has the one root h = 0 below J_c, where f'(0) = J/J_c
+        # approaches 1.
+        m = curie_weiss_model(1.0, 1.0, ratio * J_CRIT)
+        assert abs(solve_interpolated_fixed_point(m, 0.0, 1.0)) <= 1e-12
+        assert psi_positivity_scan(m, 0.0, 1.0, np.geomspace(0.01, 3, 8)).passed
 
     def test_alpha_half_passes(self):
         m = curie_weiss_model(1.0, 1.0, 0.8 * J_CRIT)
