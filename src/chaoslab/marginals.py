@@ -24,7 +24,8 @@ from .metrics import quantile_from_density, wasserstein_1d
 from .model import MAX_PARTICLES, ModelSpec
 from .numerics import (EXP_UNDERFLOW, FINE_POINTS, LOG_CUT, ChordScan, GridDensity,
                        _check_edges, _chunk_rows, convolution_powers,
-                       cumulative_trapezoid, log_laplace, window_search)
+                       cumulative_trapezoid, log_laplace, log_laplace_grid,
+                       window_search)
 
 __all__ = [
     "MixtureLaw",
@@ -37,6 +38,7 @@ __all__ = [
     "gaussian_entropy_oracle",
     "wasserstein2_marginal",
     "marginal_grid_density",
+    "marginal_log_grid",
     "marginal_moment",
     "sample_marginal",
 ]
@@ -58,12 +60,6 @@ _MAX_ROWS = 257
 # a ``numerics.ChordScan`` of _REFINE_POINTS points.
 _REFINE_PASSES = 3
 _REFINE_POINTS = 801
-# The point chunks of ``marginal_grid_density`` hold a multiple of this many
-# points.  OpenBLAS's matrix-vector kernel sums each group of 4 points in one
-# order and a leftover point in another, so 4-aligned chunks give the bits of
-# one product over all FINE_POINTS points whenever that product's own thread
-# shares are 4-aligned (8192 points on 1, 2 or 4 threads).
-_BLAS_ROW_BLOCK = 8
 
 
 @cache
@@ -312,10 +308,15 @@ def _level_one_density(law: MixtureLaw, xs: np.ndarray, dx: float) -> np.ndarray
     return np.exp(law.z_log_weights) @ rows
 
 
+def _gk_log_weights(law: MixtureLaw, k: int) -> np.ndarray:
+    """log w_j + k (log Z_1(0) - log Z_1(z_j)): their Laplace sum at s is the
+    log of the density ratio m^{N,k}/m_*^{otimes k} at x_1 + ... + x_k = s."""
+    return law.z_log_weights + k * (law.log_z0 - law.node_log_z1)
+
+
 def _log_gk(law: MixtureLaw, k: int, s: np.ndarray) -> np.ndarray:
     """log of the density ratio m^{N,k}/m_*^{otimes k} as a function of s."""
-    return log_laplace(s, law.z_nodes,
-                       law.z_log_weights + k * (law.log_z0 - law.node_log_z1))
+    return log_laplace(s, law.z_nodes, _gk_log_weights(law, k))
 
 
 def relative_entropy_levels(law: MixtureLaw, k_max: int) -> EntropyLevels:
@@ -358,8 +359,9 @@ def _entropy_exact(law: MixtureLaw, k_max: int) -> EntropyLevels:
     Level 1 mixes the node densities (``_level_one_density``).
     Every level k >= 2 is p = q * g, the exact Esscher tilt identity
     rho_j^{*k}(s) = q(s) exp(z_j s - k Lambda(z_j)): q = pi[0]^{*k} comes
-    from a few tilted rows (``_log_reference_powers``) and g is the exact
-    ratio of ``_log_gk``, evaluated only where q was kept.
+    from a few tilted rows (``_log_reference_powers``) and log g is the
+    exact ratio on the uniform s-points where q was kept, summed by
+    ``numerics.log_laplace_grid``.
     """
     xs = _node_grid(law, _LEVEL_POINTS)
     lo, hi = float(xs[0]), float(xs[-1])
@@ -367,13 +369,17 @@ def _entropy_exact(law: MixtureLaw, k_max: int) -> EntropyLevels:
     dx = (hi - lo) / (_LEVEL_POINTS - 1)
 
     levels = np.zeros(k_max + 1)
+    # Level 1 keeps its per-point exps and its gemv: the Gaussian H_1
+    # accuracy probes read its last bits, and those bits sit at the rounding
+    # floor of the probes' own reference, so they may move only once an
+    # exact reference for H at large N can tell a better sum from noise.
     p_1 = _level_one_density(law, xs, dx)
     levels[1] = float(np.trapezoid(p_1 * _phi(_log_gk(law, 1, xs)), dx=dx))
     for k, log_q in _log_reference_powers(law, xs, dx, k_max):
         live = np.flatnonzero(log_q > -np.inf)
         first, last = int(live[0]), int(live[-1]) + 1
-        s_grid = k * lo + dx * np.arange(first, last)
-        log_g = _log_gk(law, k, s_grid)
+        log_g = log_laplace_grid(k * lo + dx * first, dx, last - first,
+                                 law.z_nodes, _gk_log_weights(law, k))
         log_p = log_q[first:last] + log_g
         p_k = np.exp(log_p - log_p.max())
         p_k /= np.trapezoid(p_k, dx=dx)
@@ -463,32 +469,21 @@ def gaussian_entropy_oracle(sigma: float, J: float, N: int, k: int) -> float:
     return 0.5 * (u - np.log1p(u))
 
 
-def marginal_grid_density(law: MixtureLaw) -> GridDensity:
-    """The one-particle marginal density m^{N,1} on ``FINE_POINTS`` points.
+def marginal_log_grid(law: MixtureLaw, lo: float, hi: float, n_points: int):
+    """The points np.linspace(lo, hi, n_points) and log m^{N,1} there:
+    -V(x) + log sum_j w_j exp(z_j x - log Z_1(z_j)), the sum by
+    ``numerics.log_laplace_grid``."""
+    xs = np.linspace(lo, hi, n_points)
+    log_mix = log_laplace_grid(lo, (hi - lo) / (n_points - 1), n_points,
+                               law.z_nodes, law.z_log_weights - law.node_log_z1)
+    return xs, log_mix - law.model.potential(xs)
 
-    sum_j w_j rho_{z_j}(x), one chunk of points at a time: each chunk's
-    exponents fill a (points, nodes) buffer of about ``numerics._CHUNK_BYTES``
-    and the mix is ``weights @ buffer.T``.  A chunk whose exponents all lie
-    below ``EXP_UNDERFLOW`` is 0.0 with no exp and no product.
-    """
-    xs = _node_grid(law, FINE_POINTS)
-    neg_v = -law.model.potential(xs)
-    weights = np.exp(law.z_log_weights)
-    values = np.zeros(FINE_POINTS)
-    step = max(_BLAS_ROW_BLOCK,
-               _chunk_rows(weights.size) // _BLAS_ROW_BLOCK * _BLAS_ROW_BLOCK)
-    buf = np.empty((min(step, FINE_POINTS), weights.size))
-    for start in range(0, FINE_POINTS, step):
-        part = slice(start, start + step)
-        g = buf[:xs[part].size]
-        np.multiply.outer(xs[part], law.z_nodes, out=g)
-        g += neg_v[part, None]
-        g -= law.node_log_z1
-        if g.max() < EXP_UNDERFLOW:
-            continue
-        np.exp(g, out=g)
-        values[part] = weights @ g.T
-    return GridDensity(float(xs[0]), float(xs[-1]), FINE_POINTS, values)
+
+def marginal_grid_density(law: MixtureLaw) -> GridDensity:
+    """The one-particle marginal density m^{N,1} on ``FINE_POINTS`` points over
+    ``law.x_window``, exp of ``marginal_log_grid``."""
+    xs, log_m = marginal_log_grid(law, *law.x_window, FINE_POINTS)
+    return GridDensity(float(xs[0]), float(xs[-1]), FINE_POINTS, np.exp(log_m))
 
 
 def marginal_moment(law: MixtureLaw, power: int) -> float:

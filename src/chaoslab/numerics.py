@@ -4,14 +4,15 @@ The one doubling window search and the one checked log-trapezoid behind
 every integral of the library, the chord-bounded scan of a concave
 quadratic plus a convex function (``ChordScan``: the field searches read
 log Z_1 only where it decides them), the chunked log-Laplace reduction behind
-every field/grid sum and its expm1 form for a log moment generating function
-(``log_mgf``), the k-fold self-convolutions of one density row in
-one spectral pass, the cumulative trapezoid, and safeguarded Newton
-root finding.  There is no adaptive quadrature: the
-integrands are analytic and decay fast, so the uniform trapezoid converges
-exponentially, and halving its node count checks it.  Nothing here imports
-scipy: the FFT is numpy's, and the cumulative trapezoid is a port that
-gives scipy's bits.
+every field/grid sum, its separable form on a uniform grid of points
+(``log_laplace_grid``: one matrix product, few exps) and its expm1 form for
+a log moment generating function (``log_mgf``), the k-fold
+self-convolutions of one density row in one spectral pass, the cumulative
+trapezoid, and safeguarded Newton root finding.  There is no adaptive
+quadrature: the integrands are analytic and decay fast, so the uniform
+trapezoid converges exponentially, and halving its node count checks it.
+Nothing here imports scipy: the FFT is numpy's, and the cumulative
+trapezoid is a port that gives scipy's bits.
 Everything here is pure and reentrant.
 """
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "trapezoid_log_weights",
     "log_trapezoid",
     "log_laplace",
+    "log_laplace_grid",
     "log_mgf",
     "EXP_UNDERFLOW",
     "convolution_powers",
@@ -212,18 +214,30 @@ def log_trapezoid(ts, nodes, log_weights):
     ``log_weights`` holds the trapezoid log weights on the uniform grid
     ``nodes`` plus the log-integrand there.  The node count is odd, so the
     every-other-node trapezoid keeps both end nodes and doubles the
-    spacing: its log weights are ``log_weights[::2]`` plus log 2.  Raises
-    ``GridResolution`` if the two differ by more than ``_RESOLUTION_TOL``
-    at any t.
+    spacing: its sum is twice the full sum's terms at the even nodes, taken
+    from the same exp'd row under the same max-shift.  Raises
+    ``GridResolution`` if the relative change of the sum,
+    |log1p((half - full) / full)|, exceeds ``_RESOLUTION_TOL`` at any t:
+    the change of log Z without the rounding of log Z itself, which is
+    about eps |log Z| and would exceed the tolerance once |log Z| ~ 1e4.
     """
-    full = log_laplace(ts, nodes, log_weights)
-    half = log_laplace(ts, nodes[::2], log_weights[::2]) + np.log(2.0)
-    err = float(np.max(np.abs(full - half)))
+    ts = np.asarray(ts, dtype=float)
+    flat = ts.reshape(-1)
+    full = np.empty(flat.shape)
+    change = np.empty(flat.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for part, terms, shift in _shifted_exps(flat, nodes, log_weights):
+            total = terms.sum(axis=1)
+            half = 2.0 * terms[:, ::2].sum(axis=1)
+            np.log(total, out=full[part])
+            full[part] += shift
+            change[part] = np.log1p((half - total) / total)
+    err = float(np.max(np.abs(change)))
     if not err <= _RESOLUTION_TOL:
         raise GridResolution(
             f"log-trapezoid on [{nodes[0]}, {nodes[-1]}] changes by {err:.3e} "
             f"when the node count is halved")
-    return full
+    return full.reshape(ts.shape)
 
 
 # Workspace of one chunk of rows in log_laplace and in the node-density
@@ -236,6 +250,28 @@ def _chunk_rows(n_nodes: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * n_nodes))
 
 
+def _shifted_exps(flat, nodes, log_weights):
+    """Yield (part, terms, shift) for the t of ``flat`` one chunk of rows at a
+    time: terms[i, j] = exp(log_weights[j] + t_i nodes[j] - shift[i]), with
+    shift[i] the row's largest exponent (0 where that is not finite), in one
+    reused buffer of about ``_CHUNK_BYTES``, and ``part`` the rows' slice of
+    ``flat``."""
+    nodes = np.asarray(nodes, dtype=float)
+    log_weights = np.asarray(log_weights, dtype=float)
+    rows = _chunk_rows(nodes.size)
+    buf = np.empty((min(rows, flat.size), nodes.size))
+    for start in range(0, flat.size, rows):
+        t = flat[start:start + rows]
+        g = buf[:t.size]
+        np.multiply(t[:, None], nodes, out=g)
+        g += log_weights
+        shift = g.max(axis=1)
+        shift[~np.isfinite(shift)] = 0.0
+        g -= shift[:, None]
+        np.exp(g, out=g)
+        yield slice(start, start + rows), g, shift
+
+
 def log_laplace(ts, nodes, log_weights) -> np.ndarray:
     """log sum_j exp(log_weights[j] + t * nodes[j]) for each t in ``ts``.
 
@@ -243,28 +279,76 @@ def log_laplace(ts, nodes, log_weights) -> np.ndarray:
     shape.  The (t, node) matrix is never formed whole: rows go through one
     reused buffer of about ``_CHUNK_BYTES``, where the max-shift, exp, sum
     and log run in place.  If every term of a row is -inf the row gives
-    -inf.
+    -inf.  For ts on a uniform grid, ``log_laplace_grid`` needs far fewer
+    exps.
     """
     ts = np.asarray(ts, dtype=float)
-    nodes = np.asarray(nodes, dtype=float)
-    log_weights = np.asarray(log_weights, dtype=float)
     flat = ts.reshape(-1)
     out = np.empty(flat.shape)
-    rows = _chunk_rows(nodes.size)
-    buf = np.empty((min(rows, flat.size), nodes.size))
     with np.errstate(divide="ignore"):
-        for start in range(0, flat.size, rows):
-            t = flat[start:start + rows]
-            g = buf[:t.size]
-            np.multiply(t[:, None], nodes, out=g)
-            g += log_weights
-            shift = g.max(axis=1)
-            shift[~np.isfinite(shift)] = 0.0
-            g -= shift[:, None]
-            np.exp(g, out=g)
-            np.log(g.sum(axis=1), out=out[start:start + rows])
-            out[start:start + rows] += shift
+        for part, terms, shift in _shifted_exps(flat, nodes, log_weights):
+            np.log(terms.sum(axis=1), out=out[part])
+            out[part] += shift
     return out.reshape(ts.shape)
+
+
+# Points per block of ``log_laplace_grid``: near sqrt(FINE_POINTS), which
+# makes its (n / B + B) exps per node smallest on the fine grids.
+_GRID_BLOCK = 64
+# Largest max|z| * B * step of one block of ``log_laplace_grid``, in nats.
+_GRID_BLOCK_NATS = 40.0
+
+
+def log_laplace_grid(lo: float, step: float, n: int, nodes, log_weights) -> np.ndarray:
+    """``log_laplace`` at the n uniform points t_i = lo + i * step.
+
+    On a uniform grid the exponentials separate: with t = t_b + r * step,
+    t_b the start of block b and 0 <= r < B, exp(t z) = exp(t_b z) *
+    exp(r * step * z).  So the sum over the nodes z is one matrix product of
+    the (blocks, nodes) exps at the block starts and the (B, nodes) exps of
+    the offsets r * step * z; then one log.  That is about (n / B + B) exps
+    per node, not n.  Each start's row is shifted by its own log-sum,
+    ``log_laplace`` at the block starts: its terms then sum to 1, the
+    product stays near 1 and its log rounds at its own small size, and the
+    float shift is exact, since the row's exps are taken against it.  Each
+    offset row is shifted by its largest exponent.
+
+    B is ``_GRID_BLOCK``, made smaller where max|z| * B * step would exceed
+    ``_GRID_BLOCK_NATS``.  Within a block no exponent then moves by more
+    than that against the block start, so at every point the largest term
+    of the product is at least exp(-2 * _GRID_BLOCK_NATS) / len(nodes):
+    nothing that counts underflows.  A point whose terms are all -inf gives
+    -inf.
+
+    The block starts are rounded as ``np.linspace`` rounds its points, and
+    t_b + r * step differs from that rounding of t_i by up to an ulp of
+    i * step.  The product sums each point's terms one node after the
+    other, so the nodes go in order of increasing log weight: the small
+    terms of the bulk are added first, and the sums round about as
+    ``log_laplace``'s pairwise sums do.
+    """
+    order = np.argsort(log_weights, kind="stable")
+    nodes = np.asarray(nodes, dtype=float)[order]
+    log_weights = np.asarray(log_weights, dtype=float)[order]
+    reach = float(np.abs(nodes).max(initial=0.0)) * abs(step)
+    block = max(1, min(n, _GRID_BLOCK if reach * _GRID_BLOCK <= _GRID_BLOCK_NATS
+                       else int(_GRID_BLOCK_NATS / reach)))
+    starts = np.arange(0, n, block) * step + lo
+    heads = np.multiply.outer(starts, nodes)
+    heads += log_weights
+    shift = log_laplace(starts, nodes, log_weights)
+    shift[~np.isfinite(shift)] = 0.0
+    heads -= shift[:, None]
+    np.exp(heads, out=heads)
+    offsets = np.multiply.outer(step * np.arange(block), nodes)
+    offset_shift = offsets.max(axis=1)
+    offsets -= offset_shift[:, None]
+    np.exp(offsets, out=offsets)
+    with np.errstate(divide="ignore"):
+        out = np.log(heads @ offsets.T)
+    out += shift[:, None]
+    out += offset_shift
+    return out.reshape(-1)[:n]
 
 
 def log_mgf(ts, nodes, log_probs) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bounds import ConstantsBundle, t1_particle_constant
 from .errors import DivergentIntegral
-from .marginals import MixtureLaw, build_mixture, marginal_log_density_batch
+from .marginals import MixtureLaw, build_mixture, marginal_log_grid
 from .meanfield import (LogPartition, TiltedMeasure, critical_coupling,
                         subcritical_reference)
 from .metrics import quantile_from_density, wasserstein_1d
@@ -250,7 +250,7 @@ def marginal_t1_ratio_scan(model: ModelSpec, N: int, bundle: ConstantsBundle,
     Every pi[l] comes from one ``LogPartition``, and every tilt uses one
     grid of ``FINE_POINTS`` points over the union of ``law.x_window`` and
     that kernel's window.  log m^{N,1} is evaluated on it once, exactly
-    (``marginal_log_density_batch``), and gives both the quantile function
+    (``marginal_log_grid``), and gives both the quantile function
     of m^{N,1} and the log-ratio in H.  Each pi[l] is evaluated on it once,
     for its quantile function and for H.
     """
@@ -262,8 +262,7 @@ def marginal_t1_ratio_scan(model: ModelSpec, N: int, bundle: ConstantsBundle,
     kernel = LogPartition(model)
     tilts = [kernel.measure(J * ell) for ell in grid]
     lo, hi = min(law.x_window[0], kernel.window[0]), max(law.x_window[1], kernel.window[1])
-    xs = np.linspace(lo, hi, FINE_POINTS)
-    log_m1 = marginal_log_density_batch(law, xs[:, None])
+    xs, log_m1 = marginal_log_grid(law, lo, hi, FINE_POINTS)
     qm = quantile_from_density(GridDensity(lo, hi, FINE_POINTS, np.exp(log_m1)))
     lhs = np.empty_like(grid)
     rhs = np.empty_like(grid)

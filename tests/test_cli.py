@@ -279,6 +279,27 @@ class TestMain:
         assert json.loads(capsys.readouterr().out)["error"] == "RegimeViolation"
 
 
+@pytest.mark.parametrize("command, n_grid", [("chaos-scan", [8, 32, 128]),
+                                              ("verify", [64])])
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, command, n_grid):
+    # The same run on 1 and on 3 BLAS/OpenMP threads writes the same bytes:
+    # no output may depend on how a BLAS product splits its work.
+    src = str(Path(chaoslab.__file__).resolve().parents[1])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_cfg(tmp_path, command=command, n_grid=n_grid)))
+    outputs = []
+    for threads in ("1", "3"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                                if p]))
+        subprocess.run([sys.executable, "-m", "chaoslab.cli", "--config", str(cfg)],
+                       env=env, capture_output=True, check=True, timeout=300)
+        outdir = tmp_path / "out"
+        outputs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 def test_cli_import_leaves_heavy_scipy_modules_out():
     # scipy.signal (and the scipy.stats it pulls in) cost about 0.8 s of a
     # fresh `import chaoslab.cli`; nothing in the package needs them.

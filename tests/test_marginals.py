@@ -217,24 +217,40 @@ class TestMixtureKernels:
         got = marginals._level_one_density(law, xs, dx)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("n_points, chunk_rows",
+    @staticmethod
+    def assert_grid_density_matches_full_matrix(law, n_points):
+        # The oracle mixes the node densities of one full (points, nodes)
+        # matrix with one BLAS product; the kernel sums in the log domain,
+        # in blocks of points.  Returns the oracle's mix.
+        xs, dens = node_grid_densities(law, n_points)
+        want = GridDensity(xs[0], xs[-1], n_points, np.exp(law.z_log_weights) @ dens)
+        got = marginal_grid_density(law)
+        assert (got.lo, got.hi, got.n_points) == (want.lo, want.hi, want.n_points)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-14 * want.values.max()
+        return got.values, want.values
+
+    @pytest.mark.parametrize("n_points, block",
                              [(FINE_POINTS, None), (1001, 48), (1000, 8)])
     @pytest.mark.parametrize("n", [8, 1024])
-    def test_marginal_grid_density_matches_full_matrix(self, n, n_points, chunk_rows,
+    def test_marginal_grid_density_matches_full_matrix(self, n, n_points, block,
                                                       quartic_model, monkeypatch):
-        # The oracle's product is one BLAS call over all points; the kernel's
-        # chunks hold a multiple of 8 points, and the sizes here are not a
-        # multiple of the chunk.
+        # 1001 points are not a multiple of a 48-point block; 1000 are of 8.
         law = build_mixture(quartic_model, n)
-        xs, dens = node_grid_densities(law, n_points)
-        want = np.exp(law.z_log_weights) @ dens
         monkeypatch.setattr(marginals, "FINE_POINTS", n_points)
-        if chunk_rows is not None:
-            monkeypatch.setattr(numerics, "_CHUNK_BYTES", 8 * 257 * chunk_rows)
-        got = marginal_grid_density(law)
-        assert np.array_equal(got.values, GridDensity(xs[0], xs[-1], n_points, want).values)
-        # The quartic's tails underflow: some points are exactly 0.0.
-        assert np.any(want == 0.0)
+        if block is not None:
+            monkeypatch.setattr(numerics, "_GRID_BLOCK", block)
+        got, want = self.assert_grid_density_matches_full_matrix(law, n_points)
+        # The quartic's tails underflow: points there are exactly 0.0.
+        assert want[0] == want[-1] == got[0] == got[-1] == 0.0
+
+    @pytest.mark.parametrize("model", [gaussian_model(4.0, 0.99 * 4.0),
+                                       curie_weiss_model(1.0, -1.0, 1.0)],
+                             ids=["gauss-0.99Jc", "double-well"])
+    @pytest.mark.parametrize("n", [8, 1024])
+    def test_marginal_grid_density_matches_full_matrix_off_quartic(self, n, model):
+        # Wide field supports (the Gaussian's nodes reach +-67 at N = 8) and
+        # a two-humped marginal.
+        self.assert_grid_density_matches_full_matrix(build_mixture(model, n), FINE_POINTS)
 
     def test_level_one_rows_reaching_the_edge_raise(self, quartic_model):
         law = build_mixture(quartic_model, 32)

@@ -125,8 +125,7 @@ class TestMeasure:
     def test_grown_kernel_matches_per_tilt_grids(self, name):
         # Each pi[t] read from one kernel grown to +-60 J agrees with pi[t] on
         # its own window and grid, and raises GridResolution exactly where
-        # that does (gauss-100 at |t| >= 2088 on both: |log Z| >= 2.2e4 puts
-        # the halving check's rounding above 1e-12).  The gate is 1e-13
+        # that does.  The gate is 1e-13
         # relative, or eps |log Z| where that is larger: V and t x, and so
         # every node weight's exponent, carry that absolute rounding on both
         # grids (gauss-100 above |t| = 300 only).
@@ -149,12 +148,34 @@ class TestMeasure:
             assert abs(got.mean - want.mean) <= tol * max(abs(want.mean), sd)
             assert abs(got.second_moment - want.second_moment) <= tol * want.second_moment
 
-    def test_raising_tilts_exist(self):
-        # The parity above is exercised: gauss-100 raises at l = -+41.76.
-        model = MEASURE_MODELS["gauss-100"]
-        for ell in MEASURE_ELLS[[1, -2]]:
-            with pytest.raises(GridResolution):
-                tilted_measure_per_tilt(model, model.coupling * ell)
+    @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, 1.0),
+                                       gaussian_model(100.0, 50.0),
+                                       gaussian_model(1e4, 1.0)],
+                             ids=["quartic", "gauss-100", "gauss-1e4"])
+    def test_halving_verdict_is_monotone_in_the_tilt(self, model):
+        # The halving check compares the two trapezoid sums under one shift,
+        # so it reads the relative change of Z, not the rounding of log Z
+        # (eps |log Z|, 3.6e-12 for gauss-100 at |t| = 2087.8, where
+        # log Z = 2.2e4).  Along either side of a sweep the verdict flips from
+        # resolved to GridResolution at most once, and each model here flips
+        # before |t| = 1e5.
+        tilts = np.geomspace(1.0, 1e5, 41)
+        for sign in (1.0, -1.0):
+            raised = []
+            for t in sign * tilts:
+                try:
+                    tilted_measure_per_tilt(model, t)
+                    raised.append(False)
+                except GridResolution:
+                    raised.append(True)
+            assert raised[-1] and raised == sorted(raised)
+
+    @pytest.mark.parametrize("tilt", [-2087.8, 2087.8])
+    def test_large_log_z_is_resolved(self, tilt):
+        # log Z = t^2 / 2 sigma + log(2 pi / sigma) / 2 for V = sigma x^2 / 2.
+        mu = LogPartition(MEASURE_MODELS["gauss-100"]).measure(tilt)
+        exact = tilt**2 / 200.0 + 0.5 * np.log(2.0 * np.pi / 100.0)
+        assert mu.log_z == pytest.approx(exact, rel=1e-14)
 
     def test_pi_zero_of_a_fresh_kernel_is_the_per_tilt_one(self, quartic_model):
         # The kernel starts on the window of z = 0, so pi[0] is bit for bit

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from scipy.fft import next_fast_len
 from scipy.special import logsumexp
 
 import oracles
+from chaoslab import numerics
 from chaoslab.errors import GridResolution, NonConvergent, NonFinite
 from chaoslab.marginals import (build_mixture, marginal_log_density,
                                 marginal_log_density_batch)
@@ -16,7 +18,8 @@ from chaoslab.meanfield import tilted_measure
 from chaoslab.model import GeneralPotential, ModelSpec, RankOneInteraction
 from chaoslab.numerics import (LOG_CUT, ChordScan, GridDensity, _chunk_rows,
                                _next_fast_len, convolution_powers, cumulative_trapezoid,
-                               log_laplace, log_mgf, newton_root, window_search)
+                               log_laplace, log_laplace_grid, log_mgf, newton_root,
+                               window_search)
 from conftest import LOG_QUARTIC_GAUSS, QUARTIC_NORM, TANH_ROOT
 from oracles import (convolve, integrate, log_integrate_exp, mixed_convolution_powers,
                      node_grid_densities, unit_mass_rows)
@@ -136,6 +139,69 @@ class TestLogLaplace:
                       | set(range(0, n, 997)))
         single = [marginal_log_density(law, 2, pts[i]) for i in rows]
         np.testing.assert_allclose(batch[rows], single, rtol=1e-14, atol=0.0)
+
+
+class TestLogLaplaceGrid:
+    # |log_weights + t * nodes| stays below about 20 on every grid here, where
+    # one ulp is 3.6e-15: the gate of 1e-14 absolute is a few ulps.
+    NODES = np.linspace(-2.5, 2.5, 257)
+    LOG_WEIGHTS = -2.0 * NODES**2
+    B = numerics._GRID_BLOCK
+
+    def assert_matches_log_laplace(self, lo, step, n, nodes, log_weights):
+        got = log_laplace_grid(lo, step, n, nodes, log_weights)
+        # The points lo + i * step, rounded as np.linspace rounds them.
+        want = log_laplace(np.arange(n) * step + lo, nodes, log_weights)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 8192])
+    def test_matches_log_laplace(self, n):
+        self.assert_matches_log_laplace(-4.0, 8.0 / 8191, n, self.NODES, self.LOG_WEIGHTS)
+
+    @given(data=st.data(), n=st.integers(1, 300), m=st.integers(1, 60),
+           lo=st.floats(-4.0, 0.0), span=st.floats(0.01, 6.0))
+    @settings(max_examples=50, deadline=None)
+    def test_random_nodes_and_weights(self, data, n, m, lo, span):
+        unit = st.floats(-1.0, 1.0)
+        nodes = 2.0 * np.array(data.draw(st.lists(unit, min_size=m, max_size=m)))
+        log_weights = 5.0 * np.array(data.draw(st.lists(unit, min_size=m, max_size=m)))
+        self.assert_matches_log_laplace(lo, span / max(n - 1, 1), n, nodes, log_weights)
+
+    def test_minus_inf_weights(self):
+        log_weights = self.LOG_WEIGHTS.copy()
+        log_weights[::3] = -np.inf
+        self.assert_matches_log_laplace(-4.0, 0.01, 300, self.NODES, log_weights)
+        out = log_laplace_grid(-4.0, 0.01, 300, self.NODES, np.full(self.NODES.size, -np.inf))
+        assert np.all(out == -np.inf)
+
+    def test_wide_nodes_force_a_smaller_block(self):
+        # max|z| * B * step = 60 * 64 * 0.02 nats exceeds the block's limit,
+        # so the 101 points go in blocks of 33.  The weights keep the
+        # exponents that count small: z x - 1.5 |z| <= -|z| / 2.
+        nodes = np.linspace(-60.0, 60.0, 257)
+        assert 60.0 * self.B * 0.02 > numerics._GRID_BLOCK_NATS
+        self.assert_matches_log_laplace(-1.0, 0.02, 101, nodes, -1.5 * np.abs(nodes))
+
+    @pytest.mark.parametrize("case", ["gaussian", "minus-inf", "wide"])
+    def test_against_mpmath(self, case):
+        # log sum_j exp(log_weights[j] + t_i nodes[j]) at 50 digits, at the
+        # exact points lo + i * step.
+        nodes, log_weights, lo, step, n = {
+            "gaussian": (self.NODES[::8], self.LOG_WEIGHTS[::8], -4.0, 0.05, self.B + 9),
+            "minus-inf": (self.NODES[::8], np.where(np.arange(33) % 4, self.LOG_WEIGHTS[::8],
+                                                    -np.inf), -1.0, 0.03, 2 * self.B),
+            "wide": (np.linspace(-60.0, 60.0, 33), -1.5 * np.abs(np.linspace(-60.0, 60.0, 33)),
+                     -1.0, 0.02, 101),
+        }[case]
+        got = log_laplace_grid(lo, step, n, nodes, log_weights)
+        live = np.isfinite(log_weights)
+        with mpmath.workdps(50):
+            for i in range(n):
+                t = mpmath.mpf(lo) + i * mpmath.mpf(step)
+                want = mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(w) + t * mpmath.mpf(z))
+                                              for z, w in zip(nodes[live], log_weights[live])))
+                assert abs(mpmath.mpf(float(got[i])) - want) <= 1e-14
 
 
 class TestLogMgf:

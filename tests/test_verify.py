@@ -304,7 +304,7 @@ class TestMarginalT1:
         # One scan evaluates log m^{N,1} on its grid once, for every tilt,
         # and builds no marginal grid density of its own.
         law = build_mixture(quartic_model, 128)
-        calls = {"marginal_log_density_batch": 0, "marginal_grid_density": 0}
+        calls = {"marginal_log_grid": 0, "marginal_grid_density": 0}
         for name in calls:
             fn = getattr(marginals, name)
 
@@ -317,7 +317,7 @@ class TestMarginalT1:
                     monkeypatch.setattr(module, name, counted)
         marginal_t1_ratio_scan(quartic_model, 128, bundle128,
                                np.linspace(-0.5, 0.5, 5), law=law)
-        assert calls == {"marginal_log_density_batch": 1, "marginal_grid_density": 0}
+        assert calls == {"marginal_log_grid": 1, "marginal_grid_density": 0}
 
 
 class TestOneKernelPerScan:
