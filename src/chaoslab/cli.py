@@ -74,11 +74,19 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(doc)
 
 
+def _object(value, path: str) -> dict:
+    """A JSON object as a dict; anything else is a ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"must be a JSON object, got {value!r}")
+    return value
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
+    _object(doc, "<document>")
     command = _require(doc, "command", "")
     if command not in _COMMANDS:
         raise ConfigError("command", f"must be one of {_COMMANDS}")
-    model = _require(doc, "model", "")
+    model = _object(_require(doc, "model", ""), "model")
     theta, sigma, J = (_finite(_require(model, key, "model"), f"model.{key}")
                        for key in ("theta", "sigma", "J"))
     if theta < 0:
@@ -108,7 +116,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if command == "chaos-scan" and k_max > min(MAX_LEVEL, n_grid[0]):
         raise ConfigError("k_max",
                           f"chaos-scan needs k_max <= min({MAX_LEVEL}, min(n_grid))")
-    chain = doc.get("chain", {})
+    chain = _object(doc.get("chain", {}), "chain")
+    output_dir = doc.get("output_dir", ".")
+    if not isinstance(output_dir, str):
+        raise ConfigError("output_dir", f"must be a string, got {output_dir!r}")
     if command == "sample":
         for key in ("n_particles", "step_size", "n_steps"):
             _require(chain, key, "chain")
@@ -118,7 +129,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         n_grid=n_grid,
         k_max=k_max,
         seed=_integer(doc.get("seed", 0), "seed"),
-        output_dir=str(doc.get("output_dir", ".")),
+        output_dir=output_dir,
         chain=dict(chain),
         raw=doc,
     )

@@ -240,9 +240,12 @@ def _node_density_window(law: MixtureLaw):
     """+-12 std of the widest node around the node means, and ``law.x_window``.
 
     The means and std come from a coarse ``_SIZING_POINTS`` pass on it.  Its
-    node densities are the transpose of one (points, nodes) buffer, so the
-    trapezoid sums run across that buffer's rows: the order that fixed the
-    bits of every ``x_window``, and so of every node-density grid.
+    node densities are the transpose of one (points, nodes) buffer.  The
+    weighted densities and their trapezoid terms go to two raw buffers,
+    viewed F-ordered for the means and C-ordered for the variances: the
+    layouts of the temporaries ``np.trapezoid`` made for them, so each sum
+    runs in the order that fixed the bits of every ``x_window``, and so of
+    every node-density grid.
     """
     xlo, xhi = law.x_window
     xs = np.linspace(xlo, xhi, _SIZING_POINTS)
@@ -251,11 +254,27 @@ def _node_density_window(law: MixtureLaw):
     dens -= law.node_log_z1
     dens = np.exp(dens, out=dens).T
     dx = xs[1] - xs[0]
-    means = np.trapezoid(xs * dens, dx=dx, axis=1)
-    variances = np.trapezoid((xs - means[:, None]) ** 2 * dens, dx=dx, axis=1)
+    n_nodes, n_points = dens.shape
+    weighted, terms = np.empty(n_nodes * n_points), np.empty(n_nodes * (n_points - 1))
+    moment = np.multiply(xs, dens, out=weighted.reshape(dens.shape, order="F"))
+    means = _trapezoid_rows(moment, dx, terms.reshape((n_nodes, -1), order="F"))
+    moment = np.subtract(xs, means[:, None], out=weighted.reshape(dens.shape))
+    np.square(moment, out=moment)
+    moment *= dens
+    variances = _trapezoid_rows(moment, dx, terms.reshape((n_nodes, -1)))
     sig = float(np.sqrt(variances.max()))
     return (min(float(means.min()) - 12.0 * sig, xlo),
             max(float(means.max()) + 12.0 * sig, xhi))
+
+
+def _trapezoid_rows(rows: np.ndarray, dx: float, terms: np.ndarray) -> np.ndarray:
+    """np.trapezoid(rows, dx=dx, axis=1) bit for bit, its terms
+    dx * (a + b) / 2.0 in ``terms``: each row's sum runs in the order that
+    ``terms``' layout gives it."""
+    np.add(rows[:, 1:], rows[:, :-1], out=terms)
+    terms *= dx
+    terms /= 2.0
+    return terms.sum(axis=1)
 
 
 def _node_grid(law: MixtureLaw, n_points: int) -> np.ndarray:
@@ -268,20 +287,17 @@ def _node_rows(law: MixtureLaw, nodes, xs: np.ndarray, neg_v: np.ndarray,
     """rho_{z_j}(xs) = exp(z_j x - V(x) - log Z_1(z_j)) for the nodes ``nodes``,
     one C-ordered row each (in ``out`` if given); ``neg_v`` is -V(xs).
 
-    exp runs only from each row's first to its last exponent at or above
-    ``EXP_UNDERFLOW``.  The tails outside are set to 0.0, which is what exp
-    returns there, so the rows are exp of the whole rows, bit for bit, without
-    the cost of exp's underflow path.
+    exp runs only on the exponents at or above ``EXP_UNDERFLOW``, and NaN (exp
+    keeps it); the others are set to 0.0, which is what exp returns there.
+    So the rows are exp of the whole rows, bit for bit, without the cost of
+    exp's underflow path.
     """
     rows = np.multiply.outer(law.z_nodes[nodes], xs, out=out)
     rows += neg_v
     rows -= law.node_log_z1[nodes, None]
-    for row in rows:
-        live = np.flatnonzero(~(row < EXP_UNDERFLOW))  # NaN is live: exp keeps it
-        i, j = (live[0], live[-1] + 1) if live.size else (0, 0)
-        row[:i] = 0.0
-        row[j:] = 0.0
-        np.exp(row[i:j], out=row[i:j])
+    dead = rows < EXP_UNDERFLOW
+    np.exp(rows, out=rows, where=~dead)
+    np.copyto(rows, 0.0, where=dead)
     return rows
 
 
@@ -289,19 +305,21 @@ def _level_one_density(law: MixtureLaw, xs: np.ndarray, dx: float) -> np.ndarray
     """p_1 = weights @ rows, the rows ``_node_rows`` scaled to unit trapezoid mass.
 
     The rows are built in chunks of about ``numerics._CHUNK_BYTES``, each
-    edge-checked and scaled to its trapezoid mass on its own; each row's sums
-    run as ``GridDensity``'s on one 1D array, so p_1 is the mix of the rows'
-    ``GridDensity`` values.  Raises ``GridResolution`` for mass at a row's
-    edge and ``ValueError`` for a row with no mass.
+    edge-checked and scaled to its trapezoid mass on its own, with the
+    trapezoid terms in one buffer all chunks reuse (``_trapezoid_rows``);
+    each row's sums run as ``GridDensity``'s on one 1D array, so p_1 is the
+    mix of the rows' ``GridDensity`` values.  Raises ``GridResolution`` for
+    mass at a row's edge and ``ValueError`` for a row with no mass.
     """
     neg_v = -law.model.potential(xs)
     rows = np.empty((law.z_nodes.size, xs.size))
     step = _chunk_rows(xs.size)
+    terms = np.empty((min(step, rows.shape[0]), xs.size - 1))
     for start in range(0, rows.shape[0], step):
         block = rows[start:start + step]
         _node_rows(law, slice(start, start + step), xs, neg_v, out=block)
         _check_edges(block)
-        mass = np.trapezoid(block, dx=dx, axis=1)
+        mass = _trapezoid_rows(block, dx, terms[:block.shape[0]])
         if not np.all(mass > 0.0):
             raise ValueError("density has zero mass")
         block /= mass[:, None]
@@ -356,7 +374,9 @@ def _entropy_exact(law: MixtureLaw, k_max: int) -> EntropyLevels:
     relative accuracy as H -> 0.  The plain per-node form
     sum_j w_j int rho_j^{*k} log g cancels terms far larger than H.
 
-    Level 1 mixes the node densities (``_level_one_density``).
+    Level 1 mixes the node densities (``_level_one_density``) and reads
+    log g_1 only on the span where that mix is nonzero: outside it the
+    integrand is exactly 0.0 either way.
     Every level k >= 2 is p = q * g, the exact Esscher tilt identity
     rho_j^{*k}(s) = q(s) exp(z_j s - k Lambda(z_j)): q = pi[0]^{*k} comes
     from a few tilted rows (``_log_reference_powers``) and log g is the
@@ -374,7 +394,12 @@ def _entropy_exact(law: MixtureLaw, k_max: int) -> EntropyLevels:
     # floor of the probes' own reference, so they may move only once an
     # exact reference for H at large N can tell a better sum from noise.
     p_1 = _level_one_density(law, xs, dx)
-    levels[1] = float(np.trapezoid(p_1 * _phi(_log_gk(law, 1, xs)), dx=dx))
+    # Where p_1 is 0.0, so is p_1 phi(log g_1): log g_1 is read on p_1's span.
+    live = np.flatnonzero(p_1)
+    span = slice(int(live[0]), int(live[-1]) + 1)
+    integrand = np.zeros_like(p_1)
+    integrand[span] = p_1[span] * _phi(_log_gk(law, 1, xs[span]))
+    levels[1] = float(np.trapezoid(integrand, dx=dx))
     for k, log_q in _log_reference_powers(law, xs, dx, k_max):
         live = np.flatnonzero(log_q > -np.inf)
         first, last = int(live[0]), int(live[-1]) + 1

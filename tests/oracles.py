@@ -8,8 +8,10 @@ mixture representation or the log-trapezoid kernels under test; the
 entropy levels by the route the library's tilted reference rows replaced,
 every node density convolved (``node_row_entropy_levels``); the node
 densities as one full (points, nodes) matrix (``node_grid_densities``,
-``unit_mass_rows``), the field-support refinement and the doubling window
-search that scan every point (``refine_support_by_full_scans``,
+``unit_mass_rows``), each node row's exp taken one row at a time
+(``node_rows_per_row``), the sizing pass by ``np.trapezoid``
+(``node_density_window_by_trapezoid``), the field-support refinement and the
+doubling window search that scan every point (``refine_support_by_full_scans``,
 ``window_search_by_full_scans``), the bitwise references of the kernels that
 compute only what they keep; each tilted measure on its own window and
 grid (``tilted_measure_per_tilt``), the reference of the tilted measures read
@@ -33,7 +35,8 @@ from chaoslab.marginals import (_LEVEL_POINTS, _log_gk, _phi, marginal_grid_dens
                                 marginal_log_density_batch)
 from chaoslab.meanfield import TiltedMeasure, _trapezoid_grid, tilt_window
 from chaoslab.metrics import DivergenceEstimate, quantile_from_density, wasserstein_1d
-from chaoslab.numerics import FINE_POINTS, LOG_CUT, GridDensity, log_trapezoid
+from chaoslab.numerics import (EXP_UNDERFLOW, FINE_POINTS, LOG_CUT, GridDensity,
+                               log_trapezoid)
 from chaoslab.sampler import SampleBatch
 
 # Adaptive quadrature tolerances and window truncation of integrate and
@@ -202,6 +205,41 @@ def node_grid_densities(law, n_points: int):
     dens += -law.model.potential(xs)[:, None]
     dens -= law.node_log_z1
     return xs, np.exp(dens, out=dens).T
+
+
+def node_rows_per_row(law, nodes, xs: np.ndarray, neg_v: np.ndarray) -> np.ndarray:
+    """``marginals._node_rows`` as first written: each row's exp runs from its
+    first to its last exponent at or above ``EXP_UNDERFLOW`` (NaN counts as
+    above), one row at a time, and the tails outside are set to 0.0."""
+    rows = np.multiply.outer(law.z_nodes[nodes], xs)
+    rows += neg_v
+    rows -= law.node_log_z1[nodes, None]
+    for row in rows:
+        live = np.flatnonzero(~(row < EXP_UNDERFLOW))
+        i, j = (live[0], live[-1] + 1) if live.size else (0, 0)
+        row[:i] = 0.0
+        row[j:] = 0.0
+        np.exp(row[i:j], out=row[i:j])
+    return rows
+
+
+def node_density_window_by_trapezoid(law):
+    """``marginals._node_density_window`` as first written: the node means and
+    variances of the 513-point sizing pass by ``np.trapezoid`` on the
+    transposed (points, nodes) buffer, whose temporaries set the order of
+    each sum."""
+    xlo, xhi = law.x_window
+    xs = np.linspace(xlo, xhi, 513)
+    dens = np.multiply.outer(xs, law.z_nodes)
+    dens += -law.model.potential(xs)[:, None]
+    dens -= law.node_log_z1
+    dens = np.exp(dens, out=dens).T
+    dx = xs[1] - xs[0]
+    means = np.trapezoid(xs * dens, dx=dx, axis=1)
+    variances = np.trapezoid((xs - means[:, None]) ** 2 * dens, dx=dx, axis=1)
+    sig = float(np.sqrt(variances.max()))
+    return (min(float(means.min()) - 12.0 * sig, xlo),
+            max(float(means.max()) + 12.0 * sig, xhi))
 
 
 def refine_support_by_full_scans(kernel, N, J, zlo, zhi):

@@ -238,6 +238,9 @@ class TestMain:
         ("chaos-scan", {"model": dict(MODEL, J=-1)}, "model.J"),
         ("jw", {"model": dict(MODEL, J=-1)}, "model.J"),
         ("jw", {"n_grid": [2**20 + 1]}, "n_grid"),
+        ("chaos-scan", {"model": "theta sigma J"}, "model"),
+        ("sample", {"n_grid": [], "chain": "n_particles step_size n_steps"}, "chain"),
+        ("fixed-point", {"output_dir": 5}, "output_dir"),
     ])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, command, over,
                                               field):
@@ -247,6 +250,13 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "ConfigError" and f"'{field}'" in out["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_document_not_an_object_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(["command"]))
+        assert main(["--config", str(p)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "ConfigError" and "'<document>'" in out["message"]
 
     @pytest.mark.parametrize("command", ["chaos-scan", "jw", "constants", "verify"])
     def test_supercritical_is_typed_error(self, tmp_path, capsys, command):

@@ -21,7 +21,8 @@ from chaoslab.numerics import EXP_UNDERFLOW, FINE_POINTS, GridDensity
 from chaoslab.verify import jw_log_mgf
 from conftest import GAUSS_JOINT_KL, J_CRIT, N2_KL_LIMIT_SAMPLE, W2_N32
 from oracles import (brute_marginal_log_density_n2, brute_marginal_log_density_n3,
-                     integrate, node_grid_densities, node_row_entropy_levels,
+                     integrate, node_density_window_by_trapezoid, node_grid_densities,
+                     node_row_entropy_levels, node_rows_per_row,
                      refine_support_by_full_scans, unit_mass_rows,
                      window_search_by_full_scans)
 
@@ -216,6 +217,64 @@ class TestMixtureKernels:
             assert 257 % chunk_rows
         got = marginals._level_one_density(law, xs, dx)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", ["quartic-tails", "all-dead-row",
+                                       "dead-inside-span", "nan-row"])
+    def test_node_rows_match_per_row_loop(self, block, quartic_model):
+        # One dead mask per block against each row's exp between its first
+        # and last live exponent: dead entries inside a row's span are 0.0
+        # either way, and NaN is live on both routes.
+        law = build_mixture(quartic_model, 32)
+        xs = marginals._node_grid(law, 1001)
+        neg_v = -quartic_model.potential(xs)
+        log_z1 = law.node_log_z1.copy()
+        if block == "all-dead-row":
+            log_z1[3] = 1e4
+        elif block == "nan-row":
+            log_z1[5] = np.nan
+        elif block == "dead-inside-span":
+            neg_v[480:520] = -1e4
+        law = replace(law, node_log_z1=log_z1)
+        want = node_rows_per_row(law, slice(None), xs, neg_v)
+        got = marginals._node_rows(law, slice(None), xs, neg_v)
+        assert got.tobytes() == want.tobytes()
+        exponents = np.multiply.outer(law.z_nodes, xs) + neg_v - log_z1[:, None]
+        dead = exponents < EXP_UNDERFLOW
+        assert (dead | np.isnan(exponents))[:, [0, -1]].all() and not dead.all()
+        assert {"all-dead-row": dead[3].all(), "nan-row": np.isnan(got[5]).all(),
+                "dead-inside-span": dead[:, 480:520].all() and not dead[:, 470].any(),
+                "quartic-tails": True}[block]
+
+    @pytest.mark.parametrize("model, n", _refinement_cases())
+    def test_node_density_window_matches_trapezoid(self, model, n, monkeypatch):
+        # The sizing pass's sums in raw buffers against np.trapezoid's
+        # temporaries, on the window build_mixture hands it.
+        calls = []
+        window = marginals._node_density_window
+
+        def recorded(law):
+            calls.append((law, window(law)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(marginals, "_node_density_window", recorded)
+        build_mixture(model, n)
+        (law, got), = calls
+        assert got == node_density_window_by_trapezoid(law)
+
+    @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
+                                       gaussian_model(1.0, 0.5)],
+                             ids=["quartic", "gaussian"])
+    def test_level_one_on_live_span_matches_full_grid(self, model):
+        # Outside p_1's nonzero span p_1 phi(log g_1) is exactly 0.0, so
+        # reading log g_1 on the span only leaves level 1 unchanged.
+        law = build_mixture(model, 1024)
+        xs = marginals._node_grid(law, marginals._LEVEL_POINTS)
+        dx = (xs[-1] - xs[0]) / (marginals._LEVEL_POINTS - 1)
+        p_1 = marginals._level_one_density(law, xs, dx)
+        if not model.is_gaussian:
+            assert p_1[0] == p_1[-1] == 0.0
+        full = np.trapezoid(p_1 * marginals._phi(marginals._log_gk(law, 1, xs)), dx=dx)
+        assert relative_entropy_levels(law, 1).levels[1] == float(full)
 
     @staticmethod
     def assert_grid_density_matches_full_matrix(law, n_points):

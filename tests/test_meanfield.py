@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -125,10 +127,11 @@ class TestMeasure:
     def test_grown_kernel_matches_per_tilt_grids(self, name):
         # Each pi[t] read from one kernel grown to +-60 J agrees with pi[t] on
         # its own window and grid, and raises GridResolution exactly where
-        # that does.  The gate is 1e-13
-        # relative, or eps |log Z| where that is larger: V and t x, and so
-        # every node weight's exponent, carry that absolute rounding on both
-        # grids (gauss-100 above |t| = 300 only).
+        # that does (no tilt of this sweep raises; the sweeps past the
+        # resolved range are in test_halving_verdict_is_monotone_in_the_tilt).
+        # The gate is 1e-13 relative, or eps |log Z| where that is larger: V
+        # and t x, and so every node weight's exponent, carry that absolute
+        # rounding on both grids (gauss-100 above |t| = 300 only).
         model = MEASURE_MODELS[name]
         J = model.coupling
         kernel = LogPartition(model)
@@ -158,17 +161,24 @@ class TestMeasure:
         # (eps |log Z|, 3.6e-12 for gauss-100 at |t| = 2087.8, where
         # log Z = 2.2e4).  Along either side of a sweep the verdict flips from
         # resolved to GridResolution at most once, and each model here flips
-        # before |t| = 1e5.
+        # before |t| = 1e5.  A fresh kernel swept along one side, growing as
+        # it goes, first raises at the same tilt as the per-tilt grids (index
+        # 29 of 41 for quartic and gauss-100, 37 for gauss-1e4), and at every
+        # tilt after it.
         tilts = np.geomspace(1.0, 1e5, 41)
         for sign in (1.0, -1.0):
-            raised = []
+            kernel = LogPartition(model)
+            per_tilt, grown = [], []
             for t in sign * tilts:
-                try:
-                    tilted_measure_per_tilt(model, t)
-                    raised.append(False)
-                except GridResolution:
-                    raised.append(True)
-            assert raised[-1] and raised == sorted(raised)
+                for raised, measure in ((per_tilt, partial(tilted_measure_per_tilt, model)),
+                                        (grown, kernel.measure)):
+                    try:
+                        measure(t)
+                        raised.append(False)
+                    except GridResolution:
+                        raised.append(True)
+            assert per_tilt[-1] and per_tilt == sorted(per_tilt)
+            assert grown == per_tilt
 
     @pytest.mark.parametrize("tilt", [-2087.8, 2087.8])
     def test_large_log_z_is_resolved(self, tilt):
