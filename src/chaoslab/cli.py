@@ -23,7 +23,7 @@ from .marginals import (MAX_LEVEL, build_mixture, conditional_entropy_level,
                         relative_entropy_levels, wasserstein2_marginal)
 from .meanfield import critical_coupling, solve_fixed_point, subcritical_reference
 from .model import MAX_PARTICLES, ModelSpec, curie_weiss_model, gaussian_model
-from .sampler import ChainConfig, run_chain, save_batch
+from .sampler import ChainConfig, run_chain
 
 __all__ = ["ExperimentConfig", "ScalingFit", "load_config", "run", "fit_scaling", "main"]
 
@@ -270,19 +270,16 @@ def _run_verify(cfg: ExperimentConfig, outdir: Path) -> dict:
         k: v["passed"] for k, v in payload.items()}}
 
 
-_CHAIN_FIELDS = (("n_particles", int), ("step_size", float), ("n_steps", int),
-                 ("burn_in", int), ("thinning", int), ("algorithm", str))
+_CHAIN_FIELDS = (("n_particles", _integer), ("step_size", _finite), ("n_steps", _integer),
+                 ("burn_in", _integer), ("thinning", _integer))
 
 
 def _chain_config(config: ExperimentConfig) -> ChainConfig:
     """The ``chain`` block and the seed as a ChainConfig; a bad value is a ConfigError."""
-    kwargs = {}
-    for name, cast in _CHAIN_FIELDS:
-        if name in config.chain:
-            try:
-                kwargs[name] = cast(config.chain[name])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"chain.{name}", str(exc)) from exc
+    kwargs = {name: read(config.chain[name], f"chain.{name}")
+              for name, read in _CHAIN_FIELDS if name in config.chain}
+    if "algorithm" in config.chain:
+        kwargs["algorithm"] = config.chain["algorithm"]
     try:
         return ChainConfig(seed=config.seed, **kwargs)
     except ValueError as exc:
@@ -334,8 +331,7 @@ def run(config: ExperimentConfig) -> dict:
 
     if config.command == "sample":
         chain = _chain_config(config)
-        batch = run_chain(model, chain)
-        save_batch(batch, chain, outdir / "samples.bin")
+        batch = run_chain(model, chain, outdir / "samples.bin")
         return {"command": "sample", "passed": True,
                 "n_kept": int(batch.draws.shape[0]),
                 "acceptance_rate": batch.acceptance_rate}

@@ -476,6 +476,10 @@ def conditional_entropy_level(levels: EntropyLevels, k: int) -> float:
     return float(levels.levels[k] - levels.levels[k - 1])
 
 
+_SERIES_U = 0.25
+_SERIES_TERMS = 30
+
+
 def gaussian_entropy_oracle(sigma: float, J: float, N: int, k: int) -> float:
     """Closed-form KL(m^{N,k} | m_*^{otimes k}) for the theta = 0 model.
 
@@ -483,6 +487,8 @@ def gaussian_entropy_oracle(sigma: float, J: float, N: int, k: int) -> float:
     Sherman-Morrison gives the k x k marginal covariance
     (1/sigma) I + c ones with c = J / (N sigma (sigma - J)), and the KL
     against N(0, 1/sigma)^k reduces to (u - log(1+u))/2, u = k sigma c.
+    For |u| < 1/4 that difference would cancel (to 4.9e-12 relative at
+    u = 2^-16), so there it is summed as (1/2) sum_{n>=2} (-u)^n / n.
     """
     if sigma <= 0 or not 1 <= k <= N:
         raise ValueError("need sigma > 0 and 1 <= k <= N")
@@ -491,6 +497,13 @@ def gaussian_entropy_oracle(sigma: float, J: float, N: int, k: int) -> float:
     u = k * J / (N * (sigma - J))
     if 1.0 + u <= 0:
         raise NonPositiveDefinite("marginal covariance not PD")
+    if abs(u) < _SERIES_U:
+        # Horner in -u for sum_{n>=2} (-u)^(n-2) / n; at |u| < 1/4 the
+        # terms past n = _SERIES_TERMS are below 2^-56 of the first.
+        s = 0.0
+        for n in range(_SERIES_TERMS, 1, -1):
+            s = 1.0 / n - u * s
+        return 0.5 * u * u * s
     return 0.5 * (u - np.log1p(u))
 
 

@@ -16,11 +16,19 @@ the quartic rank-one model it forms y*y once and takes sum V as two dot
 products (``QuarticConfinement.fused_v_and_grad_v``), with the gradient
 bitwise that of the general ``_log_target_and_grad``, which every other
 model calls at each step.
+
+A sample file is a 16-byte header (magic, format version, N) and the kept
+draws as row-major little-endian float64, with a JSON sidecar.  It is
+written through one buffer of about 1 MB of rows (``run_chain`` with a
+path, ``save_batch``) and read as a copy-on-write memory map
+(``load_batch``), so neither side holds the draws in memory.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +36,7 @@ import numpy as np
 
 from .errors import DivergentChain, NonConvergent, NonFinite
 from .model import GeneralKernel, ModelSpec, QuarticConfinement
+from .numerics import _chunk_rows
 
 __all__ = [
     "ChainConfig",
@@ -64,6 +73,9 @@ class ChainConfig:
             ("burn_in", 0 <= self.burn_in < self.n_steps,
              "must satisfy 0 <= burn_in < n_steps"),
             ("thinning", self.thinning >= 1, "must be >= 1"),
+            ("thinning", self.thinning < 1 or self.n_kept >= 1,
+             f"{self.thinning} keeps no draws of the "
+             f"{self.n_steps - self.burn_in} steps after burn_in"),
             ("seed", self.seed >= 0, "must be non-negative"),
             ("algorithm", self.algorithm in ("mala", "ula"),
              "must be 'mala' or 'ula'"),
@@ -135,8 +147,31 @@ def _target(model: ModelSpec, n: int):
     return target
 
 
-def run_chain(model: ModelSpec, cfg: ChainConfig) -> SampleBatch:
+def run_chain(model: ModelSpec, cfg: ChainConfig, path=None) -> SampleBatch:
     """Sample m^N_* with MALA (exact) or ULA (biased, documented).
+
+    Without ``path`` the kept draws are returned in memory, as one
+    (n_kept, N) array.  With ``path`` they are streamed to a sample file
+    there (``save_batch``'s bytes) through one buffer of about 1 MB, and the
+    batch returned is ``load_batch(path)``; a chain that raises leaves no
+    file behind.
+    """
+    n = cfg.n_particles
+    if path is None:
+        draws = np.empty((cfg.n_kept, n))
+        rate = _run(model, cfg, draws, lambda block: None)
+        return SampleBatch(draws=draws, acceptance_rate=rate,
+                           seed=cfg.seed, model_fingerprint=model.fingerprint())
+    with _sample_file(path, n) as write:
+        rate = _run(model, cfg, np.empty((min(cfg.n_kept, _chunk_rows(n)), n)), write)
+    _write_sidecar(path, cfg, cfg.n_kept, rate, model.fingerprint())
+    return load_batch(path)
+
+
+def _run(model: ModelSpec, cfg: ChainConfig, buf: np.ndarray, flush) -> float | None:
+    """Run the chain, keeping its draws in the rows of ``buf``, which go to
+    ``flush`` each time they are all filled and, at the end, the filled
+    rows that are left; returns the MALA acceptance rate (None for ULA).
 
     The state x carries the mean x + eps grad(x) of its Langevin proposal,
     so a step evaluates the target once, at the proposal y.
@@ -154,8 +189,8 @@ def run_chain(model: ModelSpec, cfg: ChainConfig) -> SampleBatch:
     mean = x + eps * grad
 
     n_kept, thinning, ceiling = cfg.n_kept, cfg.thinning, cfg.energy_ceiling
-    draws = np.empty((n_kept, n))
-    kept = 0
+    rows = buf.shape[0]
+    kept = filled = 0
     next_kept = cfg.burn_in
     accepted = 0
     mala = cfg.algorithm == "mala"
@@ -193,13 +228,17 @@ def run_chain(model: ModelSpec, cfg: ChainConfig) -> SampleBatch:
         if -logp > ceiling:
             raise DivergentChain(f"energy {-logp:.3e} exceeded ceiling at step {step}")
         if step == next_kept and kept < n_kept:
-            draws[kept] = x
+            buf[filled] = x
             kept += 1
+            filled += 1
             next_kept += thinning
+            if filled == rows:
+                flush(buf)
+                filled = 0
+    if filled:
+        flush(buf[:filled])
 
-    rate = accepted / cfg.n_steps if mala else None
-    return SampleBatch(draws=draws, acceptance_rate=rate,
-                       seed=cfg.seed, model_fingerprint=model.fingerprint())
+    return accepted / cfg.n_steps if mala else None
 
 
 def tune_step_size(model: ModelSpec, cfg: ChainConfig,
@@ -266,18 +305,34 @@ def regularized_coulomb_kernel(epsilon: float) -> GeneralKernel:
     return GeneralKernel(w=w, grad1_w=grad1_w, symmetric=True)
 
 
-def save_batch(batch: SampleBatch, cfg: ChainConfig, path) -> None:
-    """Binary dump: 16-byte header, row-major float64 LE, JSON sidecar.
+@contextmanager
+def _sample_file(path, n: int):
+    """Yield write(rows), which appends rows of ``n`` draws to a new sample
+    file at ``path`` after its 16-byte header.
 
-    The draws are written through a memoryview of their buffer, with no
-    copy when they already are C-ordered little-endian float64.
+    The file is built beside ``path`` under a temporary name and moved onto
+    ``path`` only when the block ends without an exception; otherwise it is
+    deleted.  So a failed write leaves ``path`` as it was, and a batch that
+    ``load_batch`` mapped from ``path`` keeps its bytes while ``path`` is
+    rewritten.
     """
+    if n < 1:
+        raise ValueError("a sample file needs at least one particle")
     path = Path(path)
-    n_kept, n = batch.draws.shape
-    header = _MAGIC + np.array([_FORMAT_VERSION, n], dtype="<u4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(memoryview(np.ascontiguousarray(batch.draws, dtype="<f8")))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC + np.array([_FORMAT_VERSION, n], dtype="<u4").tobytes())
+            yield lambda rows: fh.write(
+                memoryview(np.ascontiguousarray(rows, dtype="<f8")))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_sidecar(path, cfg: ChainConfig, n_kept: int, acceptance_rate,
+                   model_fingerprint) -> None:
     sidecar = {
         "n_particles": cfg.n_particles,
         "step_size": cfg.step_size,
@@ -287,25 +342,53 @@ def save_batch(batch: SampleBatch, cfg: ChainConfig, path) -> None:
         "seed": cfg.seed,
         "algorithm": cfg.algorithm,
         "n_kept": n_kept,
-        "acceptance_rate": batch.acceptance_rate,
-        "model_fingerprint": batch.model_fingerprint,
+        "acceptance_rate": acceptance_rate,
+        "model_fingerprint": model_fingerprint,
     }
+    path = Path(path)
     path.with_suffix(path.suffix + ".json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
+def save_batch(batch: SampleBatch, cfg: ChainConfig, path) -> None:
+    """Binary dump: 16-byte header, row-major float64 LE, JSON sidecar.
+
+    The draws go out about 1 MB of rows at a time, each block through a
+    memoryview (no copy when the draws already are C-ordered little-endian
+    float64).  The file replaces ``path`` atomically, so saving a batch
+    that ``load_batch`` mapped from ``path`` back to ``path`` is safe.
+    """
+    n_kept, n = batch.draws.shape
+    with _sample_file(path, n) as write:
+        rows = _chunk_rows(n)
+        for start in range(0, n_kept, rows):
+            write(batch.draws[start:start + rows])
+    _write_sidecar(path, cfg, n_kept, batch.acceptance_rate, batch.model_fingerprint)
+
+
 def load_batch(path) -> SampleBatch:
-    """Read a ``save_batch`` file: the draws are read once, straight into
-    their array, after the 16-byte header."""
+    """Read a sample file: the draws are a writable, copy-on-write memory
+    map of the file's body, so nothing is read until it is used, and
+    writing to the draws leaves the file as it is."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = fh.read(16)
-        if header[:8] != _MAGIC:
-            raise ValueError("bad magic; not a chaoslab sample file")
-        version, n = np.frombuffer(header[8:16], dtype="<u4")
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {version}")
-        draws = np.fromfile(fh, dtype="<f8").reshape(-1, int(n))
+    if header[:8] != _MAGIC:
+        raise ValueError("bad magic; not a chaoslab sample file")
+    version, n = (int(v) for v in np.frombuffer(header[8:16], dtype="<u4"))
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"unsupported format version {version}")
+    if n == 0:
+        raise ValueError("header gives N = 0 particles")
+    body = path.stat().st_size - 16
+    if body % (8 * n):
+        raise ValueError(f"cannot reshape a body of {body} bytes into rows of "
+                         f"{n} float64 draws")
+    if body:
+        draws = np.memmap(path, dtype="<f8", mode="c", offset=16,
+                          shape=(body // (8 * n), n)).view(np.ndarray)
+    else:  # mmap cannot map zero bytes
+        draws = np.empty((0, n))
     meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     return SampleBatch(draws=draws,
                        acceptance_rate=meta.get("acceptance_rate"),

@@ -156,7 +156,8 @@ class TestRun:
                         "burn_in": 100}
         summary = run(parse_config(doc))
         assert summary["n_kept"] == 400
-        assert (tmp_path / "out" / "samples.bin").exists()
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "samples.bin", "samples.bin.json"]
 
     @pytest.mark.parametrize("chain, seed, field", [
         ({"step_size": float("nan")}, 1, "chain.step_size"),
@@ -165,6 +166,15 @@ class TestRun:
         ({"thinning": 0}, 1, "chain.thinning"),
         ({"n_steps": float("nan")}, 1, "chain.n_steps"),
         ({}, -1, "seed"),
+        ({"n_particles": 8.7}, 1, "chain.n_particles"),
+        ({"n_particles": True}, 1, "chain.n_particles"),
+        ({"n_steps": 20.9}, 1, "chain.n_steps"),
+        ({"burn_in": "10"}, 1, "chain.burn_in"),
+        ({"step_size": "0.1"}, 1, "chain.step_size"),
+        ({"step_size": True}, 1, "chain.step_size"),
+        ({"thinning": 2.5}, 1, "chain.thinning"),
+        ({"n_steps": 20, "thinning": 50}, 1, "chain.thinning"),
+        ({"algorithm": 5}, 1, "chain.algorithm"),
     ])
     def test_bad_chain_setting_is_config_error(self, tmp_path, capsys, chain, seed, field):
         doc = _cfg(tmp_path, command="sample", n_grid=[], seed=seed)

@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -530,6 +531,21 @@ class TestGaussianOracle:
     def test_not_positive_definite(self):
         with pytest.raises(NonPositiveDefinite):
             gaussian_entropy_oracle(1.0, 1.0, 8, 1)
+
+    @pytest.mark.parametrize("sigma, J, n, k", [
+        *[(1.0, u / (1.0 + u), 1, 1) for u in np.logspace(-12, 1, 27)],
+        *[(1.0, -u / (1.0 - u), 1, 1) for u in (1e-12, 1e-6, 0.01, 0.2, 0.3, 0.9)],
+        (1.0, 0.5, 2**10, 1), (1.0, 0.5, 2**16, 1), (1.0, 0.5, 2**20, 1),
+        (4.0, 1.0, 2**20, 1), (1.0, 0.5, 2**16, 8), (4.0, 3.96, 8, 8),
+    ])
+    def test_against_mpmath(self, sigma, J, n, k):
+        # u = kJ / (N (sigma - J)) from 1e-12 to 10 (and a few negative u);
+        # (u - log1p u)/2 cancels for small u, to 4.9e-12 at N = 2^16.
+        with mpmath.workdps(50):
+            u = mpmath.mpf(k) * J / (mpmath.mpf(n) * (mpmath.mpf(sigma) - J))
+            exact = (u - mpmath.log1p(u)) / 2
+            got = gaussian_entropy_oracle(sigma, J, n, k)
+            assert abs(got - exact) <= 1e-14 * exact
 
     def test_subadditivity(self):
         # H(m^{N,k}|m_*^k) <= H(m^N|m_*^N) / floor(N/k) in the Gaussian family.

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from chaoslab.marginals import build_mixture, marginal_moment
 from chaoslab.model import (GeneralPotential, ModelSpec, QuarticConfinement,
                             RankOneInteraction, curie_weiss_model,
                             gaussian_model)
+from chaoslab.numerics import _chunk_rows
 from chaoslab.sampler import (ChainConfig, SampleBatch, _log_target_and_grad,
                               _target, load_batch, regularized_coulomb_kernel,
                               run_chain, save_batch, tune_step_size)
@@ -79,6 +81,11 @@ class TestChainConfig:
         # Steps 0, 3, 6 are kept; step 9 would overrun the n_kept rows.
         cfg = ChainConfig(2, 0.1, 10, thinning=3, seed=3)
         assert run_chain(quartic_model, cfg).draws.shape == (cfg.n_kept, 2) == (3, 2)
+
+
+    def test_thinning_that_keeps_no_draws(self):
+        with pytest.raises(ValueError, match="^thinning 50 keeps no draws"):
+            ChainConfig(4, 0.1, 20, thinning=50)
 
 
 class TestRunChain:
@@ -266,6 +273,125 @@ class TestErrorPaths:
             run_chain(quartic_model, cfg)
 
 
+def _failing_model(after, value):
+    """x^2/2, until V has been called ``after`` times; then every V is ``value``."""
+    calls = []
+
+    def v(x):
+        calls.append(None)
+        x = np.asarray(x, dtype=float)
+        return np.full_like(x, value) if len(calls) > after else 0.5 * x * x
+
+    return ModelSpec(GeneralPotential(v=v, grad_v=lambda x: np.asarray(x, dtype=float)),
+                     RankOneInteraction(0.5))
+
+
+_QUARTIC = curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT)
+
+
+class TestStreamedChain:
+    """``run_chain(model, cfg, path)`` against ``save_batch(run_chain(model, cfg))``."""
+
+    @pytest.mark.parametrize("model, cfg", [
+        # The TestStreamPins chains: one partial buffer (n <= 32), and seven
+        # full buffers of 256 rows and one of 8 (n = 512).
+        pytest.param(_QUARTIC, ChainConfig(32, 0.12, 4000, burn_in=500, seed=1),
+                     id="quartic-n32"),
+        pytest.param(_QUARTIC, ChainConfig(512, 0.04, 2000, burn_in=200, seed=1),
+                     id="quartic-n512"),
+        pytest.param(gaussian_model(1.0, 0.5),
+                     ChainConfig(32, 0.3, 4000, burn_in=500, seed=1), id="gaussian-n32"),
+        pytest.param(_QUARTIC, ChainConfig(32, 0.05, 3000, burn_in=500, seed=1,
+                                           algorithm="ula"), id="quartic-ula-n32"),
+        pytest.param(_COULOMB, ChainConfig(16, 0.1, 1500, burn_in=200, seed=1),
+                     id="coulomb-n16"),
+        # Thinned: 1833 draws, three full buffers of 512 rows and one of 297.
+        pytest.param(_QUARTIC, ChainConfig(256, 0.05, 6000, burn_in=500, thinning=3,
+                                           seed=2), id="thinned-n256"),
+        # Exactly two full buffers, no partial one.
+        pytest.param(_QUARTIC, ChainConfig(512, 0.04, 612, burn_in=100, seed=3),
+                     id="whole-buffers-n512"),
+    ])
+    def test_streamed_file_equals_saved_batch(self, model, cfg, tmp_path):
+        saved, streamed = tmp_path / "saved.bin", tmp_path / "streamed.bin"
+        save_batch(run_chain(model, cfg), cfg, saved)
+        batch = run_chain(model, cfg, streamed)
+        assert streamed.read_bytes() == saved.read_bytes()
+        assert (streamed.with_name("streamed.bin.json").read_bytes()
+                == saved.with_name("saved.bin.json").read_bytes())
+        assert batch.draws.shape == (cfg.n_kept, cfg.n_particles)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "saved.bin", "saved.bin.json", "streamed.bin", "streamed.bin.json"]
+
+    def test_buffer_sizes_of_the_cases(self):
+        assert _chunk_rows(32) > 3500 and _chunk_rows(16) > 1300
+        assert _chunk_rows(512) == 256 and _chunk_rows(256) == 512
+
+    @pytest.mark.parametrize("value, algorithm, error", [
+        (np.nan, "ula", NonFinite),
+        (1e11, "ula", DivergentChain),
+    ], ids=["non-finite", "divergent"])
+    @pytest.mark.parametrize("existing", [None, b"an older file"], ids=["new", "existing"])
+    def test_failed_chain_leaves_no_file(self, value, algorithm, error, existing,
+                                         tmp_path):
+        # The chain fails at step 1000, after three full buffers of 256 rows.
+        path = tmp_path / "samples.bin"
+        if existing is not None:
+            path.write_bytes(existing)
+        cfg = ChainConfig(512, 0.05, 2000, seed=1, algorithm=algorithm)
+        with pytest.raises(error):
+            run_chain(_failing_model(1000, value), cfg, path)
+        if existing is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert list(tmp_path.iterdir()) == [path]
+            assert path.read_bytes() == existing
+
+    def test_save_over_the_loaded_file(self, quartic_model, tmp_path):
+        cfg = ChainConfig(512, 0.04, 1000, burn_in=100, seed=5)
+        path = tmp_path / "samples.bin"
+        run_chain(quartic_model, cfg, path)
+        raw = path.read_bytes()
+        loaded = load_batch(path)
+        save_batch(loaded, cfg, path)
+        assert path.read_bytes() == raw
+        assert loaded.draws.tobytes() == raw[16:]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "samples.bin", "samples.bin.json"]
+
+    def test_loaded_draws_are_a_private_copy(self, quartic_model, tmp_path):
+        cfg = ChainConfig(8, 0.2, 500, seed=6)
+        path = tmp_path / "samples.bin"
+        run_chain(quartic_model, cfg, path)
+        raw = path.read_bytes()
+        draws = load_batch(path).draws
+        assert type(draws) is np.ndarray and draws.flags.writeable
+        draws[:] = 0.0
+        assert not draws.any()
+        assert path.read_bytes() == raw
+        assert load_batch(path).draws.tobytes() == raw[16:]
+
+    def test_memory_stays_at_the_buffer(self, quartic_model, tmp_path):
+        # 2048 kept draws of 512 particles are 8 MiB; the buffer is 1 MiB.
+        cfg = ChainConfig(512, 0.04, 2048, seed=7)
+        path = tmp_path / "samples.bin"
+        # A first chain imports numpy.random's lazy submodules (0.7 MB).
+        run_chain(quartic_model, ChainConfig(512, 0.04, 2, seed=7), path)
+        tracemalloc.start()
+        try:
+            run_chain(quartic_model, cfg, path)
+            _, chain_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            batch = load_batch(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert batch.draws.nbytes == 8 << 20
+        assert chain_peak < 2e6
+        assert load_peak < 1e6
+
+
 class TestTuneStepSize:
     def test_quadratic_model_hits_target(self, gauss_model):
         cfg = ChainConfig(8, 0.5, 1000, burn_in=100, seed=11)
@@ -349,7 +475,10 @@ class TestPersistence:
         (lambda raw: raw[:8] + np.array([2], dtype="<u4").tobytes() + raw[12:],
          "unsupported format version"),
         (lambda raw: raw[:-8], "reshape"),
-    ], ids=["magic", "version", "truncated"])
+        (lambda raw: raw[:-3], "reshape"),
+        (lambda raw: raw[:12] + np.array([0], dtype="<u4").tobytes() + raw[16:],
+         "N = 0"),
+    ], ids=["magic", "version", "truncated", "ragged", "no-particles"])
     def test_load_rejects_damaged_file(self, damage, message, quartic_model, tmp_path):
         cfg = ChainConfig(3, 0.2, 50, burn_in=10, seed=4)
         path = tmp_path / "s.bin"
