@@ -5,7 +5,6 @@ throughout); no tightening or re-derivation, even where slack is visible.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -51,12 +50,6 @@ class ConstantsBundle:
             raise ValueError("gamma and big_m must be non-negative")
         if not math.isnan(self.delta_n) and self.delta_n < 0:
             raise ValueError("delta_n must be non-negative")
-
-    def to_json(self) -> str:
-        payload = {k: getattr(self, k) for k in
-                   ("rho", "gamma", "big_m", "rho0", "lambda_n", "delta_n",
-                    "j_c", "var_mstar", "regime")}
-        return json.dumps(payload, sort_keys=True)
 
 
 def chaos_bound_marginal(c: ConstantsBundle, N: int, k: int) -> float:

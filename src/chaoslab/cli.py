@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,20 +25,21 @@ from .meanfield import critical_coupling, solve_fixed_point, subcritical_referen
 from .model import MAX_PARTICLES, ModelSpec, curie_weiss_model, gaussian_model
 from .sampler import ChainConfig, run_chain
 
-__all__ = ["ExperimentConfig", "ScalingFit", "load_config", "run", "fit_scaling", "main"]
-
-_COMMANDS = ("constants", "fixed-point", "chaos-scan", "verify", "sample", "jw")
+__all__ = ["ExperimentConfig", "ScalingFit", "load_config", "parse_config", "run",
+           "fit_scaling", "main"]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A checked config: the model and, for ``sample`` only, the chain it runs."""
+
     command: str
-    model: dict
+    model: ModelSpec
     n_grid: tuple
     k_max: int = 1
     seed: int = 0
     output_dir: str = "."
-    chain: dict = field(default_factory=dict)
+    chain: ChainConfig | None = None
     raw: dict = field(default_factory=dict, repr=False)
 
     def config_hash(self) -> str:
@@ -66,12 +67,15 @@ def _finite(value, path: str) -> float:
     return float(value)
 
 
-def load_config(path) -> ExperimentConfig:
+def _read_document(path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
+        return _object(json.loads(Path(path).read_text()), "<document>")
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>", f"invalid JSON: {exc}") from exc
-    return parse_config(doc)
+
+
+def load_config(path) -> ExperimentConfig:
+    return parse_config(_read_document(path))
 
 
 def _object(value, path: str) -> dict:
@@ -81,11 +85,32 @@ def _object(value, path: str) -> dict:
     return value
 
 
+_CHAIN_FIELDS = (("n_particles", _integer), ("step_size", _finite), ("n_steps", _integer),
+                 ("burn_in", _integer), ("thinning", _integer))
+
+
+def _chain_config(block: dict, seed: int) -> ChainConfig:
+    """The ``chain`` block and the seed as a ChainConfig; a bad value is a ConfigError."""
+    for key in ("n_particles", "step_size", "n_steps"):
+        _require(block, key, "chain")
+    kwargs = {name: read(block[name], f"chain.{name}")
+              for name, read in _CHAIN_FIELDS if name in block}
+    if "algorithm" in block:
+        kwargs["algorithm"] = block["algorithm"]
+    try:
+        return ChainConfig(seed=seed, **kwargs)
+    except ValueError as exc:
+        name = str(exc).split()[0]
+        raise ConfigError(name if name == "seed" else f"chain.{name}", str(exc)) from exc
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
+    """Check a whole config and build what its command runs on: every
+    ConfigError is raised here, before ``run`` touches the disk."""
     _object(doc, "<document>")
     command = _require(doc, "command", "")
-    if command not in _COMMANDS:
-        raise ConfigError("command", f"must be one of {_COMMANDS}")
+    if command not in _RUNNERS:
+        raise ConfigError("command", f"must be one of {tuple(_RUNNERS)}")
     model = _object(_require(doc, "model", ""), "model")
     theta, sigma, J = (_finite(_require(model, key, "model"), f"model.{key}")
                        for key in ("theta", "sigma", "J"))
@@ -120,25 +145,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
     output_dir = doc.get("output_dir", ".")
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir", f"must be a string, got {output_dir!r}")
-    if command == "sample":
-        for key in ("n_particles", "step_size", "n_steps"):
-            _require(chain, key, "chain")
+    seed = _integer(doc.get("seed", 0), "seed")
     return ExperimentConfig(
         command=command,
-        model=dict(model, theta=theta, sigma=sigma, J=J),
+        model=gaussian_model(sigma, J) if theta == 0.0 else curie_weiss_model(theta, sigma, J),
         n_grid=n_grid,
         k_max=k_max,
-        seed=_integer(doc.get("seed", 0), "seed"),
+        seed=seed,
         output_dir=output_dir,
-        chain=dict(chain),
+        chain=_chain_config(chain, seed) if command == "sample" else None,
         raw=doc,
     )
-
-
-def _build_model(block: dict) -> ModelSpec:
-    if block["theta"] == 0.0:
-        return gaussian_model(block["sigma"], block["J"])
-    return curie_weiss_model(block["theta"], block["sigma"], block["J"])
 
 
 def _fmt(x) -> str:
@@ -168,11 +185,6 @@ class ScalingFit:
     slope: float
     intercept: float
     r_squared: float
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.points) < 3:
-            raise ValueError("need at least 3 points")
 
 
 def fit_scaling(points) -> ScalingFit:
@@ -188,13 +200,28 @@ def fit_scaling(points) -> ScalingFit:
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return ScalingFit(float(slope), float(intercept), r2,
-                      np.column_stack([x, y]))
+    return ScalingFit(float(slope), float(intercept), r2)
 
 
-def _run_chaos_scan(cfg: ExperimentConfig, outdir: Path) -> dict:
-    model = _build_model(cfg.model)
-    chash = cfg.config_hash()
+# Each runner takes (config, outdir, config_hash), writes its outputs into
+# outdir and returns the command's summary.
+
+def _run_constants(cfg: ExperimentConfig, outdir: Path, chash: str) -> dict:
+    bundle = _bounds.curie_weiss_constants(cfg.model, cfg.n_grid[-1])
+    _write_json(outdir / "constants.json", asdict(bundle), chash)
+    return {"command": "constants", "passed": True}
+
+
+def _run_fixed_point(cfg: ExperimentConfig, outdir: Path, chash: str) -> dict:
+    res = solve_fixed_point(cfg.model)
+    _write_json(outdir / "fixed_point.json",
+                {"h_star": res.h_star, "iterations": res.iterations,
+                 "residual": res.residual}, chash)
+    return {"command": "fixed-point", "passed": True, "h_star": res.h_star}
+
+
+def _run_chaos_scan(cfg: ExperimentConfig, outdir: Path, chash: str) -> dict:
+    model = cfg.model
     header = ["N", "k", "H_exact", "H_se", "W2_sq", "bound_marginal",
               "bound_conditional_sum", "lambda_n", "pass"]
     rows = []
@@ -243,9 +270,8 @@ def _run_chaos_scan(cfg: ExperimentConfig, outdir: Path) -> dict:
     return summary
 
 
-def _run_verify(cfg: ExperimentConfig, outdir: Path) -> dict:
-    model = _build_model(cfg.model)
-    chash = cfg.config_hash()
+def _run_verify(cfg: ExperimentConfig, outdir: Path, chash: str) -> dict:
+    model = cfg.model
     N = cfg.n_grid[-1] if cfg.n_grid else 64
     bundle = _bounds.curie_weiss_constants(model, N)
     grid = np.concatenate([-np.geomspace(0.01, 3.0, 8)[::-1],
@@ -270,73 +296,40 @@ def _run_verify(cfg: ExperimentConfig, outdir: Path) -> dict:
         k: v["passed"] for k, v in payload.items()}}
 
 
-_CHAIN_FIELDS = (("n_particles", _integer), ("step_size", _finite), ("n_steps", _integer),
-                 ("burn_in", _integer), ("thinning", _integer))
+def _run_jw(cfg: ExperimentConfig, outdir: Path, chash: str) -> dict:
+    rows = []
+    all_pass = True
+    J = cfg.model.coupling
+    mstar = subcritical_reference(cfg.model)
+    rhs = _bounds.jw_rhs(min(critical_coupling(mstar) / J - 1.0, 1.0) / 2.0, J,
+                         mstar.second_moment)
+    for N in cfg.n_grid:
+        lhs = _verify.jw_log_mgf(cfg.model, int(N))
+        ok = lhs <= rhs + 1e-9
+        all_pass &= ok
+        rows.append([int(N), float(lhs), float(rhs), int(ok)])
+    _write_csv(outdir / "jw.csv", ["N", "log_mgf", "rhs", "pass"], rows, chash)
+    return {"command": "jw", "passed": bool(all_pass)}
 
 
-def _chain_config(config: ExperimentConfig) -> ChainConfig:
-    """The ``chain`` block and the seed as a ChainConfig; a bad value is a ConfigError."""
-    kwargs = {name: read(config.chain[name], f"chain.{name}")
-              for name, read in _CHAIN_FIELDS if name in config.chain}
-    if "algorithm" in config.chain:
-        kwargs["algorithm"] = config.chain["algorithm"]
-    try:
-        return ChainConfig(seed=config.seed, **kwargs)
-    except ValueError as exc:
-        name = str(exc).split()[0]
-        raise ConfigError(name if name == "seed" else f"chain.{name}", str(exc)) from exc
+def _run_sample(cfg: ExperimentConfig, outdir: Path, chash: str) -> dict:
+    batch = run_chain(cfg.model, cfg.chain, outdir / "samples.bin")
+    return {"command": "sample", "passed": True,
+            "n_kept": int(batch.draws.shape[0]),
+            "acceptance_rate": batch.acceptance_rate}
+
+
+# The commands, in the order the unknown-command message lists them.
+_RUNNERS = {"constants": _run_constants, "fixed-point": _run_fixed_point,
+            "chaos-scan": _run_chaos_scan, "verify": _run_verify,
+            "sample": _run_sample, "jw": _run_jw}
 
 
 def run(config: ExperimentConfig) -> dict:
     """Execute the configured pipeline; returns a machine-readable summary."""
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    chash = config.config_hash()
-    model = _build_model(config.model)
-
-    if config.command == "constants":
-        bundle = _bounds.curie_weiss_constants(model, config.n_grid[-1])
-        _write_json(outdir / "constants.json", json.loads(bundle.to_json()), chash)
-        return {"command": "constants", "passed": True}
-
-    if config.command == "fixed-point":
-        res = solve_fixed_point(model)
-        _write_json(outdir / "fixed_point.json",
-                    {"h_star": res.h_star, "iterations": res.iterations,
-                     "residual": res.residual}, chash)
-        return {"command": "fixed-point", "passed": True,
-                "h_star": res.h_star}
-
-    if config.command == "chaos-scan":
-        return _run_chaos_scan(config, outdir)
-
-    if config.command == "verify":
-        return _run_verify(config, outdir)
-
-    if config.command == "jw":
-        rows = []
-        all_pass = True
-        J = model.coupling
-        mstar = subcritical_reference(model)
-        rhs = _bounds.jw_rhs(min(critical_coupling(mstar) / J - 1.0, 1.0) / 2.0, J,
-                             mstar.second_moment)
-        for N in config.n_grid:
-            lhs = _verify.jw_log_mgf(model, int(N))
-            ok = lhs <= rhs + 1e-9
-            all_pass &= ok
-            rows.append([int(N), float(lhs), float(rhs), int(ok)])
-        _write_csv(outdir / "jw.csv", ["N", "log_mgf", "rhs", "pass"],
-                   rows, chash)
-        return {"command": "jw", "passed": bool(all_pass)}
-
-    if config.command == "sample":
-        chain = _chain_config(config)
-        batch = run_chain(model, chain, outdir / "samples.bin")
-        return {"command": "sample", "passed": True,
-                "n_kept": int(batch.draws.shape[0]),
-                "acceptance_rate": batch.acceptance_rate}
-
-    raise ConfigError("command", f"unhandled command {config.command!r}")
+    return _RUNNERS[config.command](config, outdir, config.config_hash())
 
 
 def main(argv=None) -> int:
@@ -350,14 +343,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        doc = dict(cfg.raw)
+        doc = _read_document(args.config)
         if args.output_dir is not None:
             doc["output_dir"] = args.output_dir
         if args.seed is not None:
             doc["seed"] = args.seed
-        cfg = parse_config(doc)
-        summary = run(cfg)
+        summary = run(parse_config(doc))
     except ChaosLabError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 2

@@ -112,9 +112,15 @@ class GeneralPotential:
 
 @dataclass(frozen=True)
 class GeneralKernel:
+    """An interaction W(x, y) and its first-argument gradient.
+
+    W must be symmetric, W(x, y) = W(y, x): only then is the sampler's
+    interaction drift -(1/N) sum_j grad1 W(x_i, x_j) the gradient of the
+    Gibbs exponent's interaction part.
+    """
+
     w: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad1_w: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    symmetric: bool = True
 
 
 Confinement = Union[QuarticConfinement, GeneralPotential]

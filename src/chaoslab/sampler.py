@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergentChain, NonConvergent, NonFinite
-from .model import GeneralKernel, ModelSpec, QuarticConfinement
+from .model import MAX_PARTICLES, GeneralKernel, ModelSpec, QuarticConfinement
 from .numerics import _chunk_rows
 
 __all__ = [
@@ -65,9 +65,10 @@ class ChainConfig:
 
     def __post_init__(self) -> None:
         # Each message starts with the offending field's name, which
-        # cli.run reports as the config path.
+        # cli.parse_config reports as the config path.
         checks = (
-            ("n_particles", self.n_particles >= 1, "must be >= 1"),
+            ("n_particles", 1 <= self.n_particles <= MAX_PARTICLES,
+             f"must be in [1, {MAX_PARTICLES}]"),
             ("step_size", math.isfinite(self.step_size) and self.step_size > 0,
              "must be positive and finite"),
             ("burn_in", 0 <= self.burn_in < self.n_steps,
@@ -302,7 +303,7 @@ def regularized_coulomb_kernel(epsilon: float) -> GeneralKernel:
         r = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
         return -erf(r / c)
 
-    return GeneralKernel(w=w, grad1_w=grad1_w, symmetric=True)
+    return GeneralKernel(w=w, grad1_w=grad1_w)
 
 
 @contextmanager

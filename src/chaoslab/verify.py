@@ -65,18 +65,25 @@ def _entropy_between_tilts(mu: TiltedMeasure, nu: TiltedMeasure) -> float:
     return (mu.tilt - nu.tilt) * mu.mean - mu.log_z + nu.log_z
 
 
+def _tilted_family(model: ModelSpec, tilt_grid):
+    """(J, grid, [pi[J l] for l in grid], [H(pi[J l] | m_*) for l in grid]),
+    every measure from one ``LogPartition``; the mean of pi[J l] is f(l)."""
+    J = model.coupling
+    grid = np.asarray(tilt_grid, dtype=float)
+    kernel = LogPartition(model)
+    mstar = kernel.measure(0.0)
+    family = [kernel.measure(J * ell) for ell in grid]
+    return J, grid, family, [_entropy_between_tilts(mu, mstar) for mu in family]
+
+
 def nonlinear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> ScanReport:
     """Check 2 rho H(pi[l] | m_*) <= I(pi[l] | Pi[pi[l]]) on a tilt grid.
 
     The score gap between pi[l] and Pi[pi[l]] = pi[f(l)] is the constant
     J(l - f(l)), so the non-linear Fisher information is J^2 (l - f(l))^2.
     """
-    J = model.coupling
-    grid = np.asarray(tilt_grid, dtype=float)
-    kernel = LogPartition(model)
-    mstar = kernel.measure(0.0)
-    family = [kernel.measure(J * ell) for ell in grid]  # each mean is f(l)
-    lhs = [2.0 * bundle.rho * _entropy_between_tilts(mu, mstar) for mu in family]
+    J, grid, family, entropy = _tilted_family(model, tilt_grid)
+    lhs = [2.0 * bundle.rho * h for h in entropy]
     return _report(grid, lhs, J**2 * (grid - [mu.mean for mu in family]) ** 2)
 
 
@@ -86,13 +93,8 @@ def linear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> Sca
     The score gap between pi[l] and m_* = pi[0] is the constant J l for
     every confinement V, so the Fisher side is exactly (J l)^2.
     """
-    J = model.coupling
-    grid = np.asarray(tilt_grid, dtype=float)
-    kernel = LogPartition(model)
-    mstar = kernel.measure(0.0)
-    family = [kernel.measure(J * ell) for ell in grid]
-    lhs = [2.0 * bundle.rho0 * _entropy_between_tilts(mu, mstar) for mu in family]
-    return _report(grid, lhs, (J * grid) ** 2)
+    J, grid, _, entropy = _tilted_family(model, tilt_grid)
+    return _report(grid, [2.0 * bundle.rho0 * h for h in entropy], (J * grid) ** 2)
 
 
 def magnetization_inverse(model: ModelSpec | LogPartition, h: float,

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -57,7 +58,7 @@ class TestConfigParsing:
             parse_config(doc)
         assert err.value.field == "model.dimension"
         doc["model"]["dimension"] = 1
-        assert parse_config(doc).model["dimension"] == 1
+        assert parse_config(doc).model.is_quartic
 
     def test_tolerances_block_rejected(self, tmp_path):
         doc = _cfg(tmp_path)
@@ -175,19 +176,22 @@ class TestRun:
         ({"thinning": 2.5}, 1, "chain.thinning"),
         ({"n_steps": 20, "thinning": 50}, 1, "chain.thinning"),
         ({"algorithm": 5}, 1, "chain.algorithm"),
+        ({"n_particles": 2**20 + 1}, 1, "chain.n_particles"),
+        ({"n_particles": 1e13}, 1, "chain.n_particles"),
     ])
     def test_bad_chain_setting_is_config_error(self, tmp_path, capsys, chain, seed, field):
+        # parse_config alone rejects the chain, so no output directory is made.
         doc = _cfg(tmp_path, command="sample", n_grid=[], seed=seed)
         doc["chain"] = {"n_particles": 4, "step_size": 0.3, "n_steps": 200, **chain}
         with pytest.raises(ConfigError) as err:
-            run(parse_config(doc))
+            parse_config(doc)
         assert err.value.field == field
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(doc))
         assert main(["--config", str(p)]) == 2
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "ConfigError" and f"'{field}'" in out["message"]
-        assert not (tmp_path / "out" / "samples.bin").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_a = parse_config(_cfg(tmp_path, output_dir=str(tmp_path / "a")))
@@ -217,6 +221,18 @@ class TestMain:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(doc))
         assert main(["--config", str(p), "--seed", "7"]) == 0
+
+    @pytest.mark.parametrize("over, flag", [({"seed": -1}, "--seed"), ({"seed": 1.5}, "--seed"),
+                                            ({"output_dir": 5}, "--output-dir")])
+    def test_overrides_are_checked_after_they_apply(self, tmp_path, capsys, over, flag):
+        # A bad value in the file that a flag replaces is never read.
+        doc = _cfg(tmp_path, command="sample", n_grid=[], **over)
+        doc["chain"] = {"n_particles": 4, "step_size": 0.3, "n_steps": 200}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        value = "3" if flag == "--seed" else str(tmp_path / "out")
+        assert main(["--config", str(p), flag, value]) == 0
+        assert (tmp_path / "out" / "samples.bin").exists()
 
     def test_threads_flag_removed(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
@@ -355,3 +371,13 @@ def test_cli_import_loads_no_scipy_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", ["chaoslab"] + [
+    f"chaoslab.{m}" for m in ("bounds", "cli", "marginals", "meanfield", "metrics", "model",
+                              "numerics", "sampler", "verify")])
+def test_every_public_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+    if name == "chaoslab.cli":
+        assert "parse_config" in module.__all__

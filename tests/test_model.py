@@ -68,8 +68,7 @@ class TestReducedKernelForce:
     def test_general_kernel_vs_quadrature(self):
         from oracles import integrate
         kern = GeneralKernel(w=lambda x, y: np.cos(x) * np.sin(y),
-                             grad1_w=lambda x, y: -np.sin(x) * np.sin(y),
-                             symmetric=False)
+                             grad1_w=lambda x, y: -np.sin(x) * np.sin(y))
         m = ModelSpec(QuarticConfinement(1.0, 1.0), kern)
         z = integrate(lambda t: np.exp(-t**4 / 4 - t**2 / 2))
         def mean_force(x):

@@ -14,8 +14,8 @@ from scipy.stats import ks_2samp
 import chaoslab
 from chaoslab.errors import DivergentChain, NonFinite
 from chaoslab.marginals import build_mixture, marginal_moment
-from chaoslab.model import (GeneralPotential, ModelSpec, QuarticConfinement,
-                            RankOneInteraction, curie_weiss_model,
+from chaoslab.model import (MAX_PARTICLES, GeneralPotential, ModelSpec,
+                            QuarticConfinement, RankOneInteraction, curie_weiss_model,
                             gaussian_model)
 from chaoslab.numerics import _chunk_rows
 from chaoslab.sampler import (ChainConfig, SampleBatch, _log_target_and_grad,
@@ -76,6 +76,12 @@ class TestChainConfig:
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="^seed"):
             ChainConfig(4, 0.1, 100, seed=-1)
+
+    def test_n_particles_above_max_particles(self):
+        # Only the config is built: a chain this size is never run.
+        assert ChainConfig(MAX_PARTICLES, 0.1, 100).n_particles == MAX_PARTICLES
+        with pytest.raises(ValueError, match="^n_particles"):
+            ChainConfig(MAX_PARTICLES + 1, 0.1, 100)
 
     def test_thinning_that_does_not_divide_the_kept_steps(self, quartic_model):
         # Steps 0, 3, 6 are kept; step 9 would overrun the n_kept rows.
