@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite
+from .errors import DegenerateInput, NonFinite
 from .numerics import FINE_POINTS, GridDensity, cumulative_trapezoid
 
 __all__ = [
@@ -30,15 +30,18 @@ class DivergenceEstimate:
 def kl_plug_in(samples: np.ndarray, log_p, log_q) -> DivergenceEstimate:
     """MC relative entropy with both densities known: mean of log p - log q.
 
-    Samples must come from p.  Standard error by leave-one-out jackknife
-    (coincides with the usual sigma/sqrt(n) for a plain mean).
+    Samples must come from p, at least two of them.  Standard error by
+    leave-one-out jackknife (coincides with the usual sigma/sqrt(n) for a
+    plain mean).
     """
     samples = np.asarray(samples, dtype=float)
     vals = np.asarray(log_p(samples), dtype=float) - np.asarray(log_q(samples), dtype=float)
     vals = vals.reshape(-1)
+    n = vals.size
+    if n < 2:
+        raise DegenerateInput("need at least 2 samples for a standard error")
     if not np.all(np.isfinite(vals)):
         raise NonFinite("log-density non-finite at a sample point")
-    n = vals.size
     total = vals.sum()
     loo = (total - vals) / (n - 1)
     se = float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))

@@ -24,6 +24,7 @@ __all__ = [
     "curie_weiss_model",
     "gaussian_model",
     "energy_per_particle",
+    "gibbs_target",
     "gibbs_log_density_unnormalized",
     "reduced_kernel_force",
 ]
@@ -194,32 +195,65 @@ def gaussian_model(sigma: float, J: float) -> ModelSpec:
     return ModelSpec(QuarticConfinement(0.0, sigma), RankOneInteraction(J))
 
 
-def energy_per_particle(model: ModelSpec, config) -> float:
-    """Potential free energy per particle, diagonal terms included.
+def gibbs_target(model: ModelSpec, n: int):
+    """x -> (log p(x), grad log p(x)) for a float array x of n particles,
+    log p = -sum_i V(x_i) - (1/2n) sum_{i,j} W(x_i, x_j); built once, called
+    many times.  The one place that splits the exponent by model family.
 
-    (1/N) sum_i V(x_i) + (1/2N^2) sum_{i,j} W(x_i, x_j).
+    A rank-one W adds the field J s^2 / 2n and J s / n, s = sum_i x_i, to
+    -sum V and -grad V, which a quartic V takes from one x*x
+    (``fused_v_and_grad_v``) and any other V from ``potential`` and then
+    ``grad_potential``.  Any other W forms the n x n matrices of ``kernel``
+    and ``kernel_force``.  The exponent is a Python float and the gradient
+    a fresh array: the one ``grad_potential`` returns is never written to,
+    because a general handle may return its argument or an array it keeps.
     """
-    x = np.asarray(config, dtype=float)
-    n = x.size
-    v_part = float(np.sum(model.potential(x))) / n
-    if model.is_rank_one:
-        s = float(np.sum(x))
-        w_part = -model.coupling * s * s / (2.0 * n * n)
+    if n < 1:
+        raise ValueError("the Gibbs measure needs at least one particle")
+    add_reduce = np.add.reduce
+    if not model.is_rank_one:
+        def kernel_target(x):
+            v, gv = model.potential(x), model.grad_potential(x)
+            wmat = model.kernel(x[:, None], x[None, :])
+            logp = (-float(add_reduce(v))
+                    - float(add_reduce(wmat, axis=None)) / (2.0 * n))
+            grad = add_reduce(model.kernel_force(x[:, None], x[None, :]), axis=1) / n
+            grad += gv
+            return logp, np.negative(grad, out=grad)
+
+        return kernel_target
+    if model.is_quartic:
+        sum_v_and_grad_v = model.confinement.fused_v_and_grad_v()
     else:
-        w_part = float(np.sum(model.kernel(x[:, None], x[None, :]))) / (2.0 * n * n)
-    total = v_part + w_part
-    if not np.isfinite(total):
-        raise NonFinite("energy overflowed")
-    return total
+        def sum_v_and_grad_v(x):
+            return float(add_reduce(model.potential(x))), model.grad_potential(x)
+    j = model.coupling
+
+    def rank_one_target(x):
+        sum_v, grad_v = sum_v_and_grad_v(x)
+        s = float(add_reduce(x))
+        return j * s * s / (2.0 * n) - sum_v, j * s / n - grad_v
+
+    return rank_one_target
 
 
 def gibbs_log_density_unnormalized(model: ModelSpec, config) -> float:
     """Exponent of the N-particle Gibbs density: -sum V - (1/2N) sum W."""
-    x = np.asarray(config, dtype=float)
-    value = -x.size * energy_per_particle(model, x)
-    if not np.isfinite(value):
+    x = np.asarray(config, dtype=float).reshape(-1)
+    value = gibbs_target(model, x.size)(x)[0]
+    if not math.isfinite(value):
         raise NonFinite("Gibbs exponent overflowed")
     return value
+
+
+def energy_per_particle(model: ModelSpec, config) -> float:
+    """Potential free energy per particle, diagonal terms included.
+
+    (1/N) sum_i V(x_i) + (1/2N^2) sum_{i,j} W(x_i, x_j), minus the Gibbs
+    exponent over N.
+    """
+    x = np.asarray(config, dtype=float).reshape(-1)
+    return -gibbs_log_density_unnormalized(model, x) / x.size
 
 
 def reduced_kernel_force(model: ModelSpec, mstar_mean_force, x, y):

@@ -2,7 +2,8 @@
 
 MALA is the default (exact stationary law via the Metropolis correction);
 ULA is opt-in with the usual O(step_size) bias.  RNG is numpy's Philox
-counter-based generator so seeds are portable and streams splittable.
+counter-based generator, keyed by the seed, an integer in [0, 2**128), so
+seeds are portable and streams splittable.
 
 The order of draws is part of what a seed reproduces.  A chain takes one
 ``standard_normal(N)`` (the same draws as ``normal(size=N)``) for its initial
@@ -11,11 +12,9 @@ noise and, only for a MALA proposal whose log-density and gradient are
 finite, one ``random()`` for the accept/reject test.  ULA takes no
 ``random()``.
 
-The target, y -> (log-density, gradient), is built once per chain.  For
-the quartic rank-one model it forms y*y once and takes sum V as two dot
-products (``QuarticConfinement.fused_v_and_grad_v``), with the gradient
-bitwise that of the general ``_log_target_and_grad``, which every other
-model calls at each step.
+The target, y -> (log-density, gradient), is ``model.gibbs_target``,
+built once per chain.  Only ``model`` decides how a model family splits
+the Gibbs exponent; the chain never looks at the model's parts.
 
 A sample file is a 16-byte header (magic, format version, N) and the kept
 draws as row-major little-endian float64, with a JSON sidecar.  It is
@@ -35,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergentChain, NonConvergent, NonFinite
-from .model import MAX_PARTICLES, GeneralKernel, ModelSpec, QuarticConfinement
+from .model import MAX_PARTICLES, GeneralKernel, ModelSpec, gibbs_target
 from .numerics import _chunk_rows
 
 __all__ = [
@@ -77,7 +76,7 @@ class ChainConfig:
             ("thinning", self.thinning < 1 or self.n_kept >= 1,
              f"{self.thinning} keeps no draws of the "
              f"{self.n_steps - self.burn_in} steps after burn_in"),
-            ("seed", self.seed >= 0, "must be non-negative"),
+            ("seed", 0 <= self.seed < 2**128, "must be in [0, 2**128)"),
             ("algorithm", self.algorithm in ("mala", "ula"),
              "must be 'mala' or 'ula'"),
             ("energy_ceiling",
@@ -99,53 +98,6 @@ class SampleBatch:
     acceptance_rate: float | None
     seed: int
     model_fingerprint: str | None
-
-
-def _log_target_and_grad(model: ModelSpec, x: np.ndarray):
-    """Gibbs exponent -sum V - (1/2N) sum W and its gradient, vectorized.
-
-    The exponent is a Python float and the gradient a fresh array: the
-    array ``grad_potential`` returns is never written to, because a general
-    handle may return its argument or an array it keeps.
-    """
-    n = x.size
-    v = model.potential(x)
-    gv = model.grad_potential(x)
-    if model.is_rank_one:
-        j = model.coupling
-        s = float(np.add.reduce(x))
-        logp = -float(np.add.reduce(v)) + j * s * s / (2.0 * n)
-        grad = j * s / n - gv
-    else:
-        wmat = model.kernel(x[:, None], x[None, :])
-        logp = (-float(np.add.reduce(v))
-                - float(np.add.reduce(wmat, axis=None)) / (2.0 * n))
-        grad = np.add.reduce(model.kernel_force(x[:, None], x[None, :]), axis=1) / n
-        grad += gv
-        np.negative(grad, out=grad)
-    return logp, grad
-
-
-def _target(model: ModelSpec, n: int):
-    """The chain's target, y -> (log-density, gradient), built once per chain.
-
-    A quartic rank-one model takes sum V and grad V from one y*y
-    (``QuarticConfinement.fused_v_and_grad_v``) and adds the field J s / N,
-    s = sum y; its gradient is bitwise ``_log_target_and_grad``'s.  Any
-    other model takes ``_log_target_and_grad``.
-    """
-    if not (model.is_quartic and model.is_rank_one):
-        return lambda y: _log_target_and_grad(model, y)
-    sum_v_and_grad_v = model.confinement.fused_v_and_grad_v()
-    j = model.coupling
-    add_reduce = np.add.reduce
-
-    def target(y):
-        sum_v, grad_v = sum_v_and_grad_v(y)
-        s = float(add_reduce(y))
-        return j * s * s / (2.0 * n) - sum_v, j * s / n - grad_v
-
-    return target
 
 
 def run_chain(model: ModelSpec, cfg: ChainConfig, path=None) -> SampleBatch:
@@ -181,7 +133,7 @@ def _run(model: ModelSpec, cfg: ChainConfig, buf: np.ndarray, flush) -> float | 
     normal, uniform = rng.standard_normal, rng.random
     n = cfg.n_particles
     eps = cfg.step_size
-    target = _target(model, n)
+    target = gibbs_target(model, n)
     x = normal(n) * 0.1
 
     logp, grad = target(x)

@@ -222,10 +222,11 @@ def jw_log_mgf(model: ModelSpec, N: int) -> float:
     return -0.5 * np.log(2.0 * np.pi) + float(log_int)
 
 
-def bolley_villani_moment_check(mu_quantile, rho: float, delta: float) -> float:
+def bolley_villani_moment_check(mu_quantile, rho: float) -> float:
     """int exp(rho (x - mean)^2 / 4) dmu via the quantile representation.
 
-    The caller compares the return value against sqrt(2) exp(delta).
+    The caller compares the return value against sqrt(2) exp(delta), with
+    the delta of its own bound.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")

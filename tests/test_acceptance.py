@@ -197,8 +197,7 @@ def test_inequality_scans_across_couplings():
         }
         g = marginal_grid_density(law)
         q = quantile_from_density(g)
-        val = bolley_villani_moment_check(q, bundle.lambda_n / 2.0,
-                                          2.0 * bundle.delta_n)
+        val = bolley_villani_moment_check(q, bundle.lambda_n / 2.0)
         scans["bv"] = val <= np.sqrt(2.0) * np.exp(2.0 * bundle.delta_n)
         ok &= all(scans.values())
         detail.append(f"{frac:.1f}Jc:" + ("ok" if all(scans.values()) else

@@ -178,6 +178,8 @@ class TestRun:
         ({"algorithm": 5}, 1, "chain.algorithm"),
         ({"n_particles": 2**20 + 1}, 1, "chain.n_particles"),
         ({"n_particles": 1e13}, 1, "chain.n_particles"),
+        pytest.param({}, 2**128, "seed", id="seed-2**128"),
+        pytest.param({}, 1e40, "seed", id="seed-1e40"),
     ])
     def test_bad_chain_setting_is_config_error(self, tmp_path, capsys, chain, seed, field):
         # parse_config alone rejects the chain, so no output directory is made.
@@ -192,6 +194,11 @@ class TestRun:
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "ConfigError" and f"'{field}'" in out["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_builds_the_chain(self, tmp_path):
+        doc = _cfg(tmp_path, command="sample", n_grid=[], seed=2**128 - 1)
+        doc["chain"] = {"n_particles": 4, "step_size": 0.3, "n_steps": 200}
+        assert parse_config(doc).chain.seed == 2**128 - 1
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_a = parse_config(_cfg(tmp_path, output_dir=str(tmp_path / "a")))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chaoslab.errors import NonFinite
+from chaoslab.errors import DegenerateInput, NonFinite
 from chaoslab.marginals import build_mixture, marginal_log_density_batch, relative_entropy_levels, sample_marginal
 from chaoslab.meanfield import tilted_measure
 from chaoslab.metrics import (DivergenceEstimate, kl_plug_in, quantile_from_density,
@@ -45,6 +45,18 @@ class TestKlPlugIn:
         s = rng.normal(size=1000)
         with pytest.raises(NonFinite):
             kl_plug_in(s, _gauss_log(0.0), lambda x: np.full_like(np.asarray(x), -np.inf))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_samples_raise(self, n):
+        # The jackknife divides by n - 1: one sample would give a NaN error.
+        with pytest.raises(DegenerateInput, match="at least 2"):
+            kl_plug_in(np.zeros(n), _gauss_log(0.0), _gauss_log(1.0))
+
+    def test_two_samples(self):
+        est = kl_plug_in(np.array([0.0, 1.0]), _gauss_log(0.0), _gauss_log(1.0))
+        # log p - log q = x - 1/2 is -1/2 and 1/2: mean 0, jackknife error 1/2.
+        assert est.value == 0.0
+        assert est.standard_error == pytest.approx(0.5, rel=1e-15)
 
 
 # Self-tests of the nearest-neighbor KL oracle in ``oracles``.

@@ -14,6 +14,12 @@ def cw():
     return curie_weiss_model(1.0, 1.0, 1.0)
 
 
+# Quartic confinement with the pair kernel W(x, y) = (x - y)^2 / 2.
+_PAIR_KERNEL = ModelSpec(QuarticConfinement(1.0, 1.0),
+                         GeneralKernel(w=lambda x, y: 0.5 * (x - y) ** 2,
+                                       grad1_w=lambda x, y: x - y))
+
+
 class TestEnergyPerParticle:
     def test_origin(self, cw):
         assert energy_per_particle(cw, np.zeros(2)) == 0.0
@@ -27,6 +33,12 @@ class TestEnergyPerParticle:
         naive = sum(cw.potential(xi) for xi in x) / 5
         naive += sum(cw.kernel(xi, xj) for xi in x for xj in x) / (2 * 25)
         assert energy_per_particle(cw, x) == pytest.approx(naive, abs=1e-12)
+
+    def test_kernel_matches_naive_double_loop(self, rng):
+        x = rng.normal(size=5)
+        naive = sum(_PAIR_KERNEL.potential(xi) for xi in x) / 5
+        naive += sum(_PAIR_KERNEL.kernel(xi, xj) for xi in x for xj in x) / (2 * 25)
+        assert energy_per_particle(_PAIR_KERNEL, x) == pytest.approx(naive, abs=1e-12)
 
 
 class TestGibbsLogDensity:
@@ -221,3 +233,20 @@ class TestFusedSumAndGradient:
                     assert abs(total - ref_total) <= 4 * np.spacing(terms), x
                 else:
                     assert total == ref_total or (np.isnan(total) and np.isnan(ref_total))
+
+
+class TestEmptyConfiguration:
+    """Zero particles is a ValueError; a 0-d configuration is one particle."""
+
+    @pytest.mark.parametrize("kernel", [False, True], ids=["rank-one", "kernel"])
+    @pytest.mark.parametrize("f", [energy_per_particle, gibbs_log_density_unnormalized])
+    def test_zero_particles_raise(self, cw, kernel, f):
+        with pytest.raises(ValueError, match="at least one particle"):
+            f(_PAIR_KERNEL if kernel else cw, [])
+
+    @pytest.mark.parametrize("kernel", [False, True], ids=["rank-one", "kernel"])
+    def test_scalar_is_one_particle(self, cw, kernel):
+        model = _PAIR_KERNEL if kernel else cw
+        assert (gibbs_log_density_unnormalized(model, 0.7)
+                == gibbs_log_density_unnormalized(model, [0.7]))
+        assert energy_per_particle(model, 0.7) == energy_per_particle(model, [0.7])

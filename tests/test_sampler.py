@@ -16,13 +16,13 @@ from chaoslab.errors import DivergentChain, NonFinite
 from chaoslab.marginals import build_mixture, marginal_moment
 from chaoslab.model import (MAX_PARTICLES, GeneralPotential, ModelSpec,
                             QuarticConfinement, RankOneInteraction, curie_weiss_model,
-                            gaussian_model)
+                            gaussian_model, gibbs_target)
 from chaoslab.numerics import _chunk_rows
-from chaoslab.sampler import (ChainConfig, SampleBatch, _log_target_and_grad,
-                              _target, load_batch, regularized_coulomb_kernel,
-                              run_chain, save_batch, tune_step_size)
+from chaoslab.sampler import (ChainConfig, SampleBatch, load_batch,
+                              regularized_coulomb_kernel, run_chain, save_batch,
+                              tune_step_size)
 from conftest import J_CRIT
-from oracles import reference_run_chain
+from oracles import _reference_log_target_and_grad, reference_run_chain
 
 WALL = 1.5
 
@@ -218,8 +218,11 @@ class TestStreamPins:
 
 
 class TestTarget:
-    """The per-chain target against ``_log_target_and_grad``: the gradient
-    bitwise, the log-density to a few ulp of its terms."""
+    """``gibbs_target`` against the chain's oracle,
+    ``oracles._reference_log_target_and_grad``.  A quartic rank-one model
+    takes sum V as two dot products: its gradient is bitwise the oracle's
+    and its log-density within a few ulp of its terms.  Every other model
+    evaluates the oracle's expressions: both outputs are bitwise."""
 
     @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
                                        curie_weiss_model(1.0, -1.0, 0.5),
@@ -227,24 +230,39 @@ class TestTarget:
                              ids=["quartic", "double-well", "gaussian"])
     @pytest.mark.parametrize("n", [1, 32, 512])
     def test_matches_log_target_and_grad(self, model, n, rng):
-        target = _target(model, n)
+        target = gibbs_target(model, n)
         for scale in (0.1, 1.0, 5.0):
             y = scale * rng.normal(size=n)
             logp, grad = target(y)
-            ref_logp, ref_grad = _log_target_and_grad(model, y)
+            ref_logp, ref_grad = _reference_log_target_and_grad(model, y)
             assert grad.tobytes() == ref_grad.tobytes()
             x2 = y * y
             terms = (float(np.add.reduce(x2 * x2)) + float(np.add.reduce(x2))
                      + model.coupling * float(np.add.reduce(y)) ** 2 / n)
             assert abs(logp - ref_logp) <= 8 * np.spacing(terms)
 
+    @pytest.mark.parametrize("model", [
+        _COULOMB,
+        ModelSpec(GeneralPotential(v=np.cosh, grad_v=np.sinh), RankOneInteraction(0.7)),
+    ], ids=["coulomb-kernel", "general-rank-one"])
+    @pytest.mark.parametrize("n", [1, 16, 64])
+    def test_other_models_are_bitwise(self, model, n, rng):
+        target = gibbs_target(model, n)
+        for scale in (0.1, 1.0, 5.0):
+            y = scale * rng.normal(size=n)
+            logp, grad = target(y)
+            ref_logp, ref_grad = _reference_log_target_and_grad(model, y)
+            assert type(logp) is float
+            assert np.float64(logp).tobytes() == np.float64(ref_logp).tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+
     def test_gaussian_far_out_is_finite(self):
         # y^4 overflows at |y| = 1e100 but y^2 does not: the theta = 0 target
         # is finite there, as -sum V from the terms of v is.
         model = gaussian_model(1.0, 0.5)
         y = np.full(32, 1e100)
-        logp, grad = _target(model, 32)(y)
-        ref_logp, ref_grad = _log_target_and_grad(model, y)
+        logp, grad = gibbs_target(model, 32)(y)
+        ref_logp, ref_grad = _reference_log_target_and_grad(model, y)
         assert logp == pytest.approx(ref_logp, rel=1e-15)
         assert logp == pytest.approx(-8e200, rel=1e-15)
         assert np.array_equal(grad, ref_grad)

@@ -242,7 +242,7 @@ class TestBolleyVillani:
         from scipy.stats import norm
         rho0 = 1.7
         q = lambda u: norm.ppf(u, scale=1.0 / np.sqrt(rho0))
-        val = bolley_villani_moment_check(q, rho0, 0.0)
+        val = bolley_villani_moment_check(q, rho0)
         assert val == pytest.approx(np.sqrt(2), abs=5e-4)
         assert val <= np.sqrt(2) * 1.0 + 5e-4
 
@@ -250,21 +250,20 @@ class TestBolleyVillani:
         from scipy.stats import norm
         rho = 1.0
         q = lambda u: norm.ppf(u, scale=np.sqrt(1.0 / (2 * rho)))
-        assert bolley_villani_moment_check(q, rho, 0.0) < np.sqrt(2) - 0.1
+        assert bolley_villani_moment_check(q, rho) < np.sqrt(2) - 0.1
 
     def test_marginal_with_pipeline_constants(self, quartic_model, bundle128):
         from chaoslab.marginals import build_mixture, marginal_grid_density
         law = build_mixture(quartic_model, 32)
         g = marginal_grid_density(law)
         q = quantile_from_density(g)
-        val = bolley_villani_moment_check(q, bundle128.lambda_n / 2.0,
-                                          2.0 * bundle128.delta_n)
+        val = bolley_villani_moment_check(q, bundle128.lambda_n / 2.0)
         assert val <= np.sqrt(2) * np.exp(2.0 * bundle128.delta_n)
 
     def test_heavy_tail_rejected(self):
         q = lambda u: np.tan(np.pi * (np.asarray(u) - 0.5))  # Cauchy
         with pytest.raises(DivergentIntegral):
-            bolley_villani_moment_check(q, 4.0, 0.0)
+            bolley_villani_moment_check(q, 4.0)
 
 
 class TestMarginalT1:
