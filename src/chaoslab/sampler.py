@@ -5,12 +5,16 @@ ULA is opt-in with the usual O(step_size) bias.  RNG is numpy's Philox
 counter-based generator, keyed by the seed, an integer in [0, 2**128), so
 seeds are portable and streams splittable.
 
-The order of draws is part of what a seed reproduces.  A chain takes one
-``standard_normal(N)`` (the same draws as ``normal(size=N)``) for its initial
-state; then each step takes one ``standard_normal(N)`` for the proposal's
-noise and, only for a MALA proposal whose log-density and gradient are
-finite, one ``random()`` for the accept/reject test.  ULA takes no
-``random()``.
+The order of draws is part of what a seed reproduces.  A chain reads two
+streams of its key.  The noise comes from ``Philox(key=seed)``: one
+``standard_normal(N)`` (the same draws as ``normal(size=N)``) for the initial
+state, then one row of N per step.  The accept uniforms come from
+``Philox(key=seed).jumped()``, jumped before any draw: one ``random()`` per
+MALA step, at every step, so step t reads uniform t whether or not its
+proposal is finite.  ULA reads no uniforms.  Both are drawn a block of
+max(1, 8192 // N) steps at a time, outside the step loop; a block of b
+steps holds the same draws as b single calls, so no draw depends on the
+block size.
 
 The target, y -> (log-density, gradient), is ``model.gibbs_target``,
 built once per chain.  Only ``model`` decides how a model family splits
@@ -49,6 +53,10 @@ __all__ = [
 
 _MAGIC = b"CHAOSLAB"
 _FORMAT_VERSION = 1
+# A chain draws its noise max(1, _BLOCK_DRAWS // N) steps at a time: 64 KiB
+# of float64, which spreads the generator's per-call cost over many steps
+# and adds little to the memory of a chain streamed to a file.
+_BLOCK_DRAWS = 8192
 
 
 @dataclass(frozen=True)
@@ -127,77 +135,90 @@ def _run(model: ModelSpec, cfg: ChainConfig, buf: np.ndarray, flush) -> float | 
     rows that are left; returns the MALA acceptance rate (None for ULA).
 
     The state x carries the mean x + eps grad(x) of its Langevin proposal,
-    so a step evaluates the target once, at the proposal y.
+    so a step evaluates the target once, at the proposal y.  The noise and
+    the accept uniforms are drawn a block of steps at a time, before the
+    steps that use them.
     """
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    normal, uniform = rng.standard_normal, rng.random
+    key = np.random.Philox(key=cfg.seed)
+    uniform = np.random.Generator(key.jumped()).random
+    noise = np.random.Generator(key).standard_normal
     n = cfg.n_particles
     eps = cfg.step_size
     target = gibbs_target(model, n)
-    x = normal(n) * 0.1
+    x = noise(n) * 0.1
 
     logp, grad = target(x)
     if not (math.isfinite(logp) and np.isfinite(grad).all()):
         raise NonFinite("non-finite target at the initial state")
     mean = x + eps * grad
 
-    n_kept, thinning, ceiling = cfg.n_kept, cfg.thinning, cfg.energy_ceiling
+    n_steps, n_kept, thinning = cfg.n_steps, cfg.n_kept, cfg.thinning
+    ceiling = cfg.energy_ceiling
     rows = buf.shape[0]
     kept = filled = 0
     next_kept = cfg.burn_in
     accepted = 0
     mala = cfg.algorithm == "mala"
-    # 0-d arrays: a ufunc takes them faster than Python floats.
-    sqrt2e, eps_array = np.array(math.sqrt(2.0 * eps)), np.array(eps)
+    sqrt2e, eps_array = math.sqrt(2.0 * eps), np.array(eps)
     four_eps = 4.0 * eps
-    isfinite, log, inf = math.isfinite, math.log, math.inf
+    isfinite = math.isfinite
+    block = max(1, _BLOCK_DRAWS // n)
+    half_xi2 = log_u = [None] * block  # ULA reads neither
 
-    for step in range(cfg.n_steps):
-        xi = normal(n)
-        half_xi2 = 0.5 * float(xi.dot(xi))
-        xi *= sqrt2e
-        y = mean + xi
-        logp_y, grad_y = target(y)
-        mean_y = eps_array * grad_y
-        mean_y += y
+    for start in range(0, n_steps, block):
+        xis = noise((min(block, n_steps - start), n))
         if mala:
-            # log q(x | y) - log q(y | x) for the Langevin proposal.  The
-            # forward residual y - mean is sqrt(2 eps) xi; the backward one
-            # is x - mean_y.  A finite |x - mean_y|^2 implies a finite
-            # gradient at y, so the element-wise test runs only after it
-            # overflows.
-            bwd = x - mean_y
-            bwd2 = float(bwd.dot(bwd))
-            if isfinite(logp_y) and (isfinite(bwd2) or np.isfinite(grad_y).all()):
-                log_alpha = logp_y - logp + half_xi2 - bwd2 / four_eps
-                u = uniform()  # in [0, 1): math.log(0.0) would raise
-                if (log(u) if u > 0.0 else -inf) < log_alpha:
-                    x, mean, logp = y, mean_y, logp_y
-                    accepted += 1
-        elif isfinite(logp_y) and np.isfinite(grad_y).all():
-            x, mean, logp = y, mean_y, logp_y
-        else:
-            raise NonFinite(f"ULA left the finite-energy region at step {step}")
-        if -logp > ceiling:
-            raise DivergentChain(f"energy {-logp:.3e} exceeded ceiling at step {step}")
-        if step == next_kept and kept < n_kept:
-            buf[filled] = x
-            kept += 1
-            filled += 1
-            next_kept += thinning
-            if filled == rows:
-                flush(buf)
-                filled = 0
+            half_xi2 = (0.5 * np.einsum("ij,ij->i", xis, xis)).tolist()
+            with np.errstate(divide="ignore"):  # u = 0 gives log u = -inf
+                log_u = np.log(uniform(len(xis))).tolist()
+        xis *= sqrt2e
+        for step, xi, half_xi2_t, log_u_t in zip(range(start, n_steps), xis,
+                                                 half_xi2, log_u):
+            y = mean + xi
+            logp_y, grad_y = target(y)
+            mean_y = eps_array * grad_y
+            mean_y += y
+            if mala:
+                # log q(x | y) - log q(y | x) for the Langevin proposal.  The
+                # forward residual y - mean is sqrt(2 eps) xi; the backward
+                # one is x - mean_y.  A finite |x - mean_y|^2 implies a finite
+                # gradient at y, so the element-wise test runs only after it
+                # overflows.
+                bwd = x - mean_y
+                bwd2 = float(bwd.dot(bwd))
+                if isfinite(logp_y) and (isfinite(bwd2) or np.isfinite(grad_y).all()):
+                    if log_u_t < logp_y - logp + half_xi2_t - bwd2 / four_eps:
+                        x, mean, logp = y, mean_y, logp_y
+                        accepted += 1
+            elif isfinite(logp_y) and np.isfinite(grad_y).all():
+                x, mean, logp = y, mean_y, logp_y
+            else:
+                raise NonFinite(f"ULA left the finite-energy region at step {step}")
+            if -logp > ceiling:
+                raise DivergentChain(f"energy {-logp:.3e} exceeded ceiling at step {step}")
+            if step == next_kept and kept < n_kept:
+                buf[filled] = x
+                kept += 1
+                filled += 1
+                next_kept += thinning
+                if filled == rows:
+                    flush(buf)
+                    filled = 0
     if filled:
         flush(buf[:filled])
 
-    return accepted / cfg.n_steps if mala else None
+    return accepted / n_steps if mala else None
 
 
 def tune_step_size(model: ModelSpec, cfg: ChainConfig,
                    target_acceptance: float = 0.574,
                    pilot_steps: int = 2000, rounds: int = 30) -> float:
-    """Dual-averaging step-size search for a MALA acceptance target."""
+    """Dual-averaging step-size search for a MALA acceptance target.
+
+    Round t runs a pilot chain at seed (cfg.seed + t) mod 2**128, and the
+    tuned step is checked on one more chain at the next seed; each keeps
+    one row of draws at a time, since only its acceptance rate is read.
+    """
     if cfg.algorithm == "ula":
         return cfg.step_size
     if not 0.3 < target_acceptance < 0.8:
@@ -211,9 +232,9 @@ def tune_step_size(model: ModelSpec, cfg: ChainConfig,
     for t in range(1, rounds + 1):
         pilot = ChainConfig(cfg.n_particles, float(np.exp(log_eps)), pilot_steps,
                             burn_in=pilot_steps // 4, thinning=1,
-                            seed=cfg.seed + t, algorithm="mala",
+                            seed=(cfg.seed + t) % 2**128, algorithm="mala",
                             energy_ceiling=cfg.energy_ceiling)
-        rate = run_chain(model, pilot).acceptance_rate
+        rate = _acceptance_rate(model, pilot)
         h_bar = (1 - 1 / (t + t0)) * h_bar + (target_acceptance - rate) / (t + t0)
         log_eps = mu - np.sqrt(t) / gamma * h_bar
         eta = t ** (-kappa)
@@ -222,14 +243,19 @@ def tune_step_size(model: ModelSpec, cfg: ChainConfig,
     step = float(np.exp(log_eps_bar))
     check = ChainConfig(cfg.n_particles, step, 4 * pilot_steps,
                         burn_in=pilot_steps, thinning=1,
-                        seed=cfg.seed + rounds + 1, algorithm="mala",
+                        seed=(cfg.seed + rounds + 1) % 2**128, algorithm="mala",
                         energy_ceiling=cfg.energy_ceiling)
-    rate = run_chain(model, check).acceptance_rate
+    rate = _acceptance_rate(model, check)
     if abs(rate - target_acceptance) > 0.05:
         raise NonConvergent(
             f"tuned step {step:.3e} achieves acceptance {rate:.3f}, "
             f"target {target_acceptance:.3f} +- 0.05")
     return step
+
+
+def _acceptance_rate(model: ModelSpec, cfg: ChainConfig) -> float:
+    """``run_chain(model, cfg).acceptance_rate``, holding one row of draws."""
+    return _run(model, cfg, np.empty((1, cfg.n_particles)), lambda rows: None)
 
 
 def regularized_coulomb_kernel(epsilon: float) -> GeneralKernel:

@@ -529,10 +529,14 @@ def _reference_log_target_and_grad(model, x):
 def reference_run_chain(model, cfg):
     """The MALA/ULA loop as first written: the reference for ``run_chain``.
 
-    It recomputes eps * grad and the forward residual every step, and asks
-    the generator for the same draws in the same order as ``run_chain``.
+    It recomputes eps * grad and the forward residual every step, and reads
+    the same two Philox streams of the seed one draw at a time: the noise,
+    a ``normal(size=n)`` for the initial state and one per step, from the
+    key; the accept uniforms, one ``random()`` per MALA step whether or not
+    its proposal is finite, from the key jumped before any draw.
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    accept_rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped())
     n = cfg.n_particles
     eps = cfg.step_size
     x = rng.normal(size=n) * 0.1
@@ -554,13 +558,14 @@ def reference_run_chain(model, cfg):
         logp_y, grad_y = _reference_log_target_and_grad(model, y)
         if mala:
             proposed += 1
+            u = accept_rng.random()
             if np.isfinite(logp_y) and np.all(np.isfinite(grad_y)):
                 # log q(x | y) - log q(y | x) for the Langevin proposal.
                 fwd = y - x - eps * grad
                 bwd = x - y - eps * grad_y
                 log_alpha = (logp_y - logp
                              + (fwd @ fwd - bwd @ bwd) / (4.0 * eps))
-                if np.log(rng.random()) < log_alpha:
+                if np.log(u) < log_alpha:
                     x, logp, grad = y, logp_y, grad_y
                     accepted += 1
         else:

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -12,7 +13,8 @@ import pytest
 from scipy.stats import ks_2samp
 
 import chaoslab
-from chaoslab.errors import DivergentChain, NonFinite
+from chaoslab import sampler
+from chaoslab.errors import DivergentChain, NonConvergent, NonFinite
 from chaoslab.marginals import build_mixture, marginal_moment
 from chaoslab.model import (MAX_PARTICLES, GeneralPotential, ModelSpec,
                             QuarticConfinement, RankOneInteraction, curie_weiss_model,
@@ -141,11 +143,14 @@ _COULOMB = ModelSpec(QuarticConfinement(1.0, 1.0), regularized_coulomb_kernel(0.
 
 
 class TestAgainstReferenceLoop:
-    """run_chain against ``reference_run_chain`` on the same Philox stream.
+    """run_chain against ``reference_run_chain`` on the same Philox streams.
 
-    The cached proposal mean and the rearranged acceptance ratio move the
-    draws only at round-off, so every accept/reject decision, and with it
-    the number of ``random()`` calls, must be the same.
+    The cached proposal mean, the rearranged acceptance ratio and the block
+    draws move the draws only at round-off, so every accept/reject decision
+    must be the same.  The reference draws one uniform per MALA step, so
+    the walled cases, whose proposals are often non-finite (more than 2000
+    of the 3000), check that uniform t stays with step t across rejected
+    non-finite proposals.
     """
 
     @pytest.mark.parametrize("model, cfg", [
@@ -183,32 +188,36 @@ class TestStreamPins:
     benchmark's two chains, a Gaussian chain, a ULA chain and a general-kernel
     chain, all at seed 1.
 
-    The digests and acceptance rates were computed at commit 682f54a, with
-    the loop that called ``_log_target_and_grad`` at every step, before the
-    target was built once per chain.  They pin what a seed reproduces:
-    the draws to the bit, not only to the 1e-12 of ``TestAgainstReferenceLoop``.
+    They pin what a seed reproduces: the draws to the bit, not only to the
+    1e-12 of ``TestAgainstReferenceLoop``.  The ULA digest dates from commit
+    682f54a, with the loop that called ``_log_target_and_grad`` at every
+    step; it still holds, so the noise stream is the same.  The four MALA
+    digests and rates were recomputed when the accept uniforms moved to
+    their own stream (the key jumped), one per step whether or not the
+    proposal is finite, where they had been drawn from the noise stream
+    after each finite proposal's noise.
     """
 
     @pytest.mark.parametrize("model, cfg, digest, rate", [
         pytest.param(curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
                      ChainConfig(32, 0.12, 4000, burn_in=500, seed=1),
-                     "4a9f67ab88db3732f288608a4086dcace028e16e25963d9f7579dda3a03316b7",
-                     0.58475, id="quartic-n32"),
+                     "5891c41599e7816af335132fea86a3de4f97e71cd11103142fffb3032f4d4ec7",
+                     0.5885, id="quartic-n32"),
         pytest.param(curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
                      ChainConfig(512, 0.04, 2000, burn_in=200, seed=1),
-                     "84aba12df17e8d7fbecb6fdd13b1e188233cea72f45cd55210ba5e1e938d8b03",
-                     0.619, id="quartic-n512"),
+                     "c000ce0c5fa1432565f81c2641a0af2bc6dc86d51061b7f7c1c4855970a23400",
+                     0.606, id="quartic-n512"),
         pytest.param(gaussian_model(1.0, 0.5),
                      ChainConfig(32, 0.3, 4000, burn_in=500, seed=1),
-                     "8dd54b54987c105633bd8349b6a5b3324abd94b6f475b2cfc3037540d5d92955",
-                     0.74125, id="gaussian-n32"),
+                     "2eb6c21f98d9baef51a0ff4aee276683750ce4a0c92458fcf67ccce091bf9b37",
+                     0.757, id="gaussian-n32"),
         pytest.param(curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
                      ChainConfig(32, 0.05, 3000, burn_in=500, seed=1, algorithm="ula"),
                      "a74b856786f0dae4440f6cd43fc3391d1a33cb1eb6b57dc719ed99092ea354c3",
                      None, id="quartic-ula-n32"),
         pytest.param(_COULOMB, ChainConfig(16, 0.1, 1500, burn_in=200, seed=1),
-                     "9c997b826740ff0bb7c62e14790fbe83f55eb7faeb04dac4910244840d2e47a9",
-                     0.728, id="coulomb-n16"),
+                     "988da21574542300017baeb04ee48e724b993c9c27bed057597cb2469ac666b9",
+                     1096 / 1500, id="coulomb-n16"),
     ])
     def test_draws_are_pinned(self, model, cfg, digest, rate):
         batch = run_chain(model, cfg)
@@ -416,6 +425,34 @@ class TestStreamedChain:
         assert load_peak < 1e6
 
 
+class TestBlockDraws:
+    """A block of b steps draws what b single steps draw, so a chain's draws
+    and rate do not depend on how many steps share a block: one, or seven,
+    which divides neither n_steps nor n_kept here."""
+
+    @pytest.mark.parametrize("model, cfg, streamed", [
+        pytest.param(_QUARTIC, ChainConfig(32, 0.12, 3000, burn_in=500, seed=4), False,
+                     id="quartic-mala"),
+        pytest.param(_QUARTIC, ChainConfig(32, 0.05, 3000, burn_in=500, seed=4,
+                                           algorithm="ula"), False, id="quartic-ula"),
+        pytest.param(_QUARTIC, ChainConfig(64, 0.08, 2500, burn_in=300, thinning=3,
+                                           seed=4), True, id="thinned-path"),
+    ])
+    @pytest.mark.parametrize("steps_per_block", [1, 7])
+    def test_block_size_moves_no_draw(self, model, cfg, streamed, steps_per_block,
+                                      monkeypatch, tmp_path):
+        assert cfg.n_steps % 7 and cfg.n_kept % 7
+
+        def digest_and_rate(name):
+            batch = run_chain(model, cfg, tmp_path / name if streamed else None)
+            raw = np.ascontiguousarray(batch.draws, dtype="<f8").tobytes()
+            return hashlib.sha256(raw).hexdigest(), batch.acceptance_rate
+
+        default = digest_and_rate("default.bin")
+        monkeypatch.setattr(sampler, "_BLOCK_DRAWS", steps_per_block * cfg.n_particles)
+        assert digest_and_rate("blocked.bin") == default
+
+
 class TestTuneStepSize:
     def test_quadratic_model_hits_target(self, gauss_model):
         cfg = ChainConfig(8, 0.5, 1000, burn_in=100, seed=11)
@@ -434,6 +471,35 @@ class TestTuneStepSize:
         s8 = tune_step_size(gauss_model, cfg8)
         s64 = tune_step_size(gauss_model, cfg64)
         assert s64 < s8
+
+    def test_largest_seed(self):
+        # The pilot and check seeds wrap past 2**128 - 1 to 0, 1 and 2.
+        cfg = ChainConfig(4, 0.1, 100, seed=2**128 - 1)
+        try:
+            step = tune_step_size(curie_weiss_model(1.0, 1.0, 1.0), cfg,
+                                  pilot_steps=40, rounds=2)
+        except NonConvergent:
+            return
+        assert math.isfinite(step) and step > 0
+
+    def test_rates_are_run_chain_rates(self, gauss_model, monkeypatch):
+        calls = []
+        run = sampler._run
+
+        def spy(model, cfg, buf, flush):
+            rate = run(model, cfg, buf, flush)
+            calls.append((cfg, buf.shape, rate))
+            return rate
+
+        monkeypatch.setattr(sampler, "_run", spy)
+        with contextlib.suppress(NonConvergent):
+            tune_step_size(gauss_model, ChainConfig(8, 0.5, 1000, seed=3),
+                           pilot_steps=200, rounds=3)
+        monkeypatch.undo()
+        assert len(calls) == 4
+        for cfg, shape, rate in calls:
+            assert shape == (1, 8)
+            assert run_chain(gauss_model, cfg).acceptance_rate == rate
 
     def test_invalid_target(self, gauss_model):
         cfg = ChainConfig(8, 0.5, 1000, burn_in=100)
