@@ -132,9 +132,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     n_grid = tuple(_integer(N, "n_grid") for N in n_grid)
     if command in ("chaos-scan", "jw", "constants") and not n_grid:
         raise ConfigError("n_grid", "required for this command")
-    if list(n_grid) != sorted(n_grid) or not all(1 <= N <= MAX_PARTICLES for N in n_grid):
+    if (any(a >= b for a, b in zip(n_grid, n_grid[1:]))
+            or not all(1 <= N <= MAX_PARTICLES for N in n_grid)):
         raise ConfigError("n_grid",
-                          f"must be sorted ascending, every N in [1, {MAX_PARTICLES}]")
+                          f"must be strictly ascending, every N in [1, {MAX_PARTICLES}]")
     k_max = _integer(doc.get("k_max", 1), "k_max")
     if k_max < 1:
         raise ConfigError("k_max", "must be >= 1")
@@ -190,8 +191,8 @@ class ScalingFit:
 def fit_scaling(points) -> ScalingFit:
     """Least-squares log-log fit; the slope estimates the N-exponent of H."""
     pts = np.asarray(points, dtype=float)
-    if len(pts) < 3:
-        raise DegenerateInput("need at least 3 (N, H) points")
+    if len(pts) < 3 or len(np.unique(pts[:, 0])) < 3:
+        raise DegenerateInput("need (N, H) points at 3 or more distinct N")
     if np.any(pts[:, 1] <= 0):
         raise DegenerateInput("all H values must be positive")
     x = np.log(pts[:, 0])

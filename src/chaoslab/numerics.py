@@ -2,13 +2,13 @@
 
 The one doubling window search and the one checked log-trapezoid behind
 every integral of the library, the chord-bounded scan of a concave
-quadratic plus a convex function (``ChordScan``: the field searches read
-log Z_1 only where it decides them), the chunked log-Laplace reduction behind
-every field/grid sum, its separable form on a uniform grid of points
-(``log_laplace_grid``: one matrix product, few exps) and its expm1 form for
-a log moment generating function (``log_mgf``), the k-fold
-self-convolutions of one density row in one spectral pass, the cumulative
-trapezoid, and safeguarded Newton root finding.  There is no adaptive
+quadratic plus a convex function (``_ChordScan``: the doubling searches of
+the field read log Z_1 only where it decides their stops), the chunked
+log-Laplace reduction behind every field/grid sum, its separable form on a
+uniform grid of points (``log_laplace_grid``: one matrix product, few exps)
+and its expm1 form for a log moment generating function (``log_mgf``), the
+k-fold self-convolutions of one density row in one spectral pass, the
+cumulative trapezoid, and safeguarded Newton root finding.  There is no adaptive
 quadrature: the integrands are analytic and decay fast, so the uniform
 trapezoid converges exponentially, and halving its node count checks it.
 Nothing here imports scipy: the FFT is numpy's, and the cumulative
@@ -28,7 +28,6 @@ __all__ = [
     "GridDensity",
     "FINE_POINTS",
     "LOG_CUT",
-    "ChordScan",
     "window_search",
     "trapezoid_log_weights",
     "log_trapezoid",
@@ -63,7 +62,7 @@ _MAX_DOUBLINGS = 40
 _RESOLUTION_TOL = 1e-12
 # Largest |t x| of the expm1 form of ``log_mgf``: expm1 overflows above 709.78.
 _EXPM1_MAX = 700.0
-# A ``ChordScan`` reads every _CHORD_STRIDE-th point and the last, and bounds
+# A ``_ChordScan`` reads every _CHORD_STRIDE-th point and the last, and bounds
 # each gap between two of those with a rounding margin of _CHORD_MARGIN
 # relative.
 _CHORD_STRIDE = 16
@@ -79,7 +78,7 @@ def _checked(xs, vals) -> np.ndarray:
     return vals
 
 
-class ChordScan:
+class _ChordScan:
     """A profile log f(u) = -c u^2 + n g(u), g convex, on the uniform points
     ``us``, read only where a question about it needs the values.
 
@@ -135,31 +134,6 @@ class ChordScan:
             self.values[inner] = self._read(inner)[0]
             self._filled[gaps] = True
 
-    def peak(self) -> float:
-        """The maximum of log f over all points: only a gap whose bound reaches
-        the maximum of the points read can hold a larger value."""
-        self.fill(self.bound >= np.nanmax(self.values))
-        return float(np.nanmax(self.values))
-
-    def first_at_least(self, level: float) -> int:
-        """The first index where log f >= ``level``."""
-        return self._crossing(level, range(self.bound.size), min)
-
-    def last_at_least(self, level: float) -> int:
-        """The last index where log f >= ``level``."""
-        return self._crossing(level, reversed(range(self.bound.size)), max)
-
-    def _crossing(self, level, order, pick) -> int:
-        # Gaps in scan order, each read only if its bound reaches the level.
-        a, b = self._gaps
-        for i in order:
-            if self.bound[i] >= level:
-                self.fill([i])
-            hits = np.flatnonzero(self.values[a[i]:b[i] + 1] >= level)
-            if hits.size:
-                return int(a[i] + pick(hits))
-        raise ValueError(f"log f lies below {level} on every point")
-
 
 def window_search(log_f, convex=None, fill: bool = True):
     """Doubling search for a window outside which exp(log_f) is negligible.
@@ -172,7 +146,7 @@ def window_search(log_f, convex=None, fill: bool = True):
     ``_MAX_DOUBLINGS`` doublings.
 
     ``convex=(c, n)`` declares log_f(u) = -c u^2 + n g(u) with g convex;
-    ``log_f`` then returns log f and g, and each scan is a ``ChordScan``
+    ``log_f`` then returns log f and g, and each scan is a ``_ChordScan``
     that reads the rest of its points only where a gap's bound could lift
     the peak LOG_CUT above both ends.  The stops, the window and every value
     read are those of full scans, bit for bit.  With ``fill=False`` the
@@ -185,7 +159,7 @@ def window_search(log_f, convex=None, fill: bool = True):
         if convex is None:
             vals = _checked(xs, log_f(xs))
         else:
-            scan = ChordScan(log_f, xs, *convex)
+            scan = _ChordScan(log_f, xs, *convex)
             vals = scan.values
             ends = max(vals[0], vals[-1])
             if not ends < np.nanmax(vals) - LOG_CUT:

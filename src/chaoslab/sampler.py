@@ -12,9 +12,9 @@ state, then one row of N per step.  The accept uniforms come from
 ``Philox(key=seed).jumped()``, jumped before any draw: one ``random()`` per
 MALA step, at every step, so step t reads uniform t whether or not its
 proposal is finite.  ULA reads no uniforms.  Both are drawn a block of
-max(1, 8192 // N) steps at a time, outside the step loop; a block of b
-steps holds the same draws as b single calls, so no draw depends on the
-block size.
+min(1024, max(1, 8192 // N)) steps at a time, outside the step loop; a
+block of b steps holds the same draws as b single calls, so no draw
+depends on the block size.
 
 The target, y -> (log-density, gradient), is ``model.gibbs_target``,
 built once per chain.  Only ``model`` decides how a model family splits
@@ -53,10 +53,12 @@ __all__ = [
 
 _MAGIC = b"CHAOSLAB"
 _FORMAT_VERSION = 1
-# A chain draws its noise max(1, _BLOCK_DRAWS // N) steps at a time: 64 KiB
-# of float64, which spreads the generator's per-call cost over many steps
-# and adds little to the memory of a chain streamed to a file.
+# A chain draws its noise min(_BLOCK_STEPS, max(1, _BLOCK_DRAWS // N)) steps
+# at a time: at most 64 KiB of float64, which spreads the generator's
+# per-call cost over many steps and adds little to the memory of a chain
+# streamed to a file.  The cap keeps a block's per-step lists small at N < 8.
 _BLOCK_DRAWS = 8192
+_BLOCK_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ def _run(model: ModelSpec, cfg: ChainConfig, buf: np.ndarray, flush) -> float | 
     sqrt2e, eps_array = math.sqrt(2.0 * eps), np.array(eps)
     four_eps = 4.0 * eps
     isfinite = math.isfinite
-    block = max(1, _BLOCK_DRAWS // n)
+    block = min(_BLOCK_STEPS, max(1, _BLOCK_DRAWS // n))
     half_xi2 = log_u = [None] * block  # ULA reads neither
 
     for start in range(0, n_steps, block):

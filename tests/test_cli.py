@@ -45,6 +45,13 @@ class TestConfigParsing:
             parse_config(_cfg(tmp_path, n_grid=[16, 8]))
         assert err.value.field == "n_grid"
 
+    @pytest.mark.parametrize("n_grid", [[32, 32, 32], [8, 16, 16, 32]])
+    def test_repeated_n_grid(self, tmp_path, n_grid):
+        # A repeated N would feed the scaling fit one N twice.
+        with pytest.raises(ConfigError) as err:
+            parse_config(_cfg(tmp_path, n_grid=n_grid))
+        assert err.value.field == "n_grid"
+
     def test_malformed_json_file(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -93,6 +100,13 @@ class TestFitScaling:
     def test_rejects_too_few(self):
         with pytest.raises(DegenerateInput):
             fit_scaling([(8, 1.0), (16, 0.5)])
+
+    def test_rejects_too_few_distinct_n(self):
+        # At one N the slope is undetermined, yet polyfit returns one.
+        with pytest.raises(DegenerateInput):
+            fit_scaling([(32, 1e-3), (32, 1.1e-3), (32, 0.9e-3)])
+        with pytest.raises(DegenerateInput):
+            fit_scaling([(8, 1e-2), (32, 1e-3), (32, 1.1e-3)])
 
 
 class TestRun:

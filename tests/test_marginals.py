@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -102,6 +103,15 @@ class TestBuildMixture:
         assert rows.shape == (len(law.z_nodes), 1001)
 
 
+def _broken_log_z1(method, beyond, bad):
+    """``method``, a log Z_1 read of ``LogPartition``, with the value ``bad``
+    at every tilt of magnitude ``beyond`` or more."""
+    def values(self, *args):
+        zs = np.linspace(*args) if len(args) == 3 else args[0]
+        return np.where(np.abs(zs) >= beyond, bad, method(self, *args))
+    return values
+
+
 def _refinement_cases():
     j_c = critical_coupling(curie_weiss_model(1.0, 1.0, 1.0))
     cases = [(f"quartic-{frac}Jc", curie_weiss_model(1.0, 1.0, frac * j_c), n)
@@ -130,6 +140,24 @@ class TestMixtureKernels:
         assert got.log_z0 == want.log_z0
         assert got.x_window == want.x_window
 
+    @pytest.mark.parametrize("model, n", [
+        pytest.param(gaussian_model(0.2, 0.1), 2, id="gaussian-0.2-N2"),
+        pytest.param(gaussian_model(0.2, 0.1), 32, id="gaussian-0.2-N32"),
+        pytest.param(gaussian_model(10.0, 5.0), 1024, id="gaussian-10-N1024")])
+    def test_refinement_matches_full_scans_at_ties(self, model, n, monkeypatch):
+        # A point of the first refinement pass lies on the cut to the last
+        # bit.  A grid read alone lands a rounding away and moves the window
+        # by one step; the refinement reads such points again one by one.
+        J = model.coupling
+        profile = partial(marginals._log_weight_profile, LogPartition(model), n, J)
+        zs = numerics.window_search(profile, convex=(n / (2.0 * J), n))[0]
+        logw = profile(np.linspace(zs[0], zs[-1], marginals._REFINE_POINTS))[0]
+        assert (logw == logw.max() - numerics.LOG_CUT).any()
+        got = build_mixture(model, n)
+        monkeypatch.setattr(marginals, "_refine_support", refine_support_by_full_scans)
+        want = build_mixture(model, n)
+        assert np.array_equal(got.z_nodes, want.z_nodes)
+
     @pytest.mark.parametrize("search", ["build_mixture", "jw_log_mgf"])
     @pytest.mark.parametrize("n", [2, 1024])
     def test_kernel_grows_as_with_full_scans(self, search, n, monkeypatch):
@@ -155,14 +183,23 @@ class TestMixtureKernels:
         assert got == grown and len(got) >= 3
 
     def test_log_z1_work(self, monkeypatch):
-        # Full scans read 3432 log Z_1 rows here (2403 in the refinement, 771
-        # in the doubling search); the chord-bounded refinement alone, 1362.
-        rows, refinement = [], []
-        call, refine = LogPartition.__call__, marginals._refine_support
+        # Full scans read 3432 log Z_1 rows here: 2403 in the refinement, 771
+        # in the doubling search.  Each refinement pass is one grid read of
+        # its 801 points, and reads per point only its maximum again (3 rows
+        # in all).  The per-point rows are 312: 51 in the doubling search
+        # (three scans of 17 read points, no gap filled), those 3, the 257
+        # nodes and log Z_1(0).
+        rows, grids, refinement = [], [], []
+        call, linspace = LogPartition.__call__, LogPartition.linspace
+        refine = marginals._refine_support
 
         def counted_call(self, zs):
             rows.append(np.size(zs))
             return call(self, zs)
+
+        def counted_linspace(self, lo, hi, n):
+            grids.append(n)
+            return linspace(self, lo, hi, n)
 
         def counted_refine(*args):
             before = sum(rows)
@@ -171,10 +208,12 @@ class TestMixtureKernels:
             return out
 
         monkeypatch.setattr(LogPartition, "__call__", counted_call)
+        monkeypatch.setattr(LogPartition, "linspace", counted_linspace)
         monkeypatch.setattr(marginals, "_refine_support", counted_refine)
         build_mixture(curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT), 32)
-        assert sum(rows) <= 700
-        assert refinement[0] <= 800
+        assert grids == [801, 801, 801]
+        assert refinement[0] <= 6
+        assert sum(rows) <= 320
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("beyond", [0.5, 3.0])
@@ -183,19 +222,25 @@ class TestMixtureKernels:
         # doubling scan (0.5), or of a later one (3.0).  Points skipped
         # inside a gap need no check (a convex log Z_1 finite at both ends
         # of a gap is finite inside it), but every point read is checked.
-        # build_mixture reads log Z_1 (__call__), jw_log_mgf its cgf.
-        def broken(method):
-            def values(self, zs):
-                return np.where(np.abs(zs) >= beyond, bad, method(self, zs))
-            return values
-
-        for name in ("__call__", "cgf"):
-            monkeypatch.setattr(LogPartition, name, broken(getattr(LogPartition, name)))
+        # build_mixture reads log Z_1 (__call__ in the doubling search,
+        # linspace in the refinement), jw_log_mgf its cgf.
+        for name in ("__call__", "cgf", "linspace"):
+            monkeypatch.setattr(LogPartition, name,
+                                _broken_log_z1(getattr(LogPartition, name), beyond, bad))
         model = curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT)
         with pytest.raises(NonFinite):
             build_mixture(model, 2)
         with pytest.raises(NonFinite):
             jw_log_mgf(model, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_refinement_read_raises(self, bad, monkeypatch):
+        # Only the refinement's grid reads are broken, so the doubling search
+        # passes and the refinement's own check must raise.
+        monkeypatch.setattr(LogPartition, "linspace",
+                            _broken_log_z1(LogPartition.linspace, 0.5, bad))
+        with pytest.raises(NonFinite):
+            build_mixture(curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT), 2)
 
     def test_exp_underflow_constant(self):
         assert np.exp(EXP_UNDERFLOW) == 0.0
@@ -355,6 +400,15 @@ class TestMarginalLogDensity:
         law = build_mixture(quartic_model, 4)
         with pytest.raises(ValueError):
             marginal_log_density(law, 2, [0.0])
+
+    @pytest.mark.parametrize("k", [0, 3, 5])
+    def test_batch_k_outside_one_to_n_raises(self, k):
+        # m^{2,k} exists for k = 1, 2 only; k = 5 read -3.858 and k = 0 read 0.0.
+        law = build_mixture(curie_weiss_model(1.0, 1.0, 1.0), 2)
+        with pytest.raises(ValueError):
+            marginal_log_density_batch(law, np.zeros((1, k)))
+        with pytest.raises(ValueError):
+            marginal_log_density(law, k, np.zeros(k))
 
 
 class TestEntropyLevels:
@@ -574,6 +628,12 @@ class TestWasserstein2:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("k", [0, 3, 5])
+    def test_k_outside_one_to_n_raises(self, k):
+        law = build_mixture(curie_weiss_model(1.0, 1.0, 1.0), 2)
+        with pytest.raises(ValueError):
+            sample_marginal(law, 3, k=k)
+
     def test_seed_determinism(self, quartic_model):
         law = build_mixture(quartic_model, 8)
         a = sample_marginal(law, 500, seed=3, k=2)

@@ -16,7 +16,7 @@ from chaoslab.marginals import (build_mixture, marginal_log_density,
                                 marginal_log_density_batch)
 from chaoslab.meanfield import tilted_measure
 from chaoslab.model import GeneralPotential, ModelSpec, RankOneInteraction
-from chaoslab.numerics import (LOG_CUT, ChordScan, GridDensity, _chunk_rows,
+from chaoslab.numerics import (LOG_CUT, GridDensity, _chunk_rows,
                                _next_fast_len, convolution_powers, cumulative_trapezoid,
                                log_laplace, log_laplace_grid, log_mgf, newton_root,
                                window_search)
@@ -491,19 +491,6 @@ class TestChordScan:
         xs, vals = window_search(profile, convex=(c, n), fill=False)
         assert (xs[0], xs[-1]) == (-1.0, 1.0)
         assert np.nanmax(vals) > vals[0] + LOG_CUT
-
-    @pytest.mark.parametrize("shift", [0.0, 2.5, -7.0])
-    def test_peak_and_crossings_match_full_scan(self, shift):
-        profile, _ = _convex_profile(30.0, 50.0, shift)
-        us = np.linspace(-12.0, 12.0, 801)
-        full = profile(us)[0]
-        scan = ChordScan(profile, us, 30.0, 50.0)
-        level = scan.peak() - LOG_CUT
-        assert level == full.max() - LOG_CUT
-        hits = np.flatnonzero(full >= level)
-        assert scan.first_at_least(level) == hits[0]
-        assert scan.last_at_least(level) == hits[-1]
-        assert np.isnan(scan.values).any()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_read_raises(self, bad):

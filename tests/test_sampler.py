@@ -424,6 +424,20 @@ class TestStreamedChain:
         assert chain_peak < 2e6
         assert load_peak < 1e6
 
+    def test_small_n_block_memory(self, quartic_model):
+        # At N = 1, 8192 steps per block held two 8192-float lists, a peak
+        # of 0.99 MB; the block is capped at 1024 steps (0.13 MB).
+        buf = np.empty((1, 1))
+        sampler._run(quartic_model, ChainConfig(1, 0.5, 2, seed=7), buf, lambda rows: None)
+        tracemalloc.start()
+        try:
+            sampler._run(quartic_model, ChainConfig(1, 0.5, 20000, seed=7), buf,
+                         lambda rows: None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e5
+
 
 class TestBlockDraws:
     """A block of b steps draws what b single steps draw, so a chain's draws
