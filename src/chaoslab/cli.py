@@ -25,8 +25,8 @@ from .meanfield import critical_coupling, solve_fixed_point, subcritical_referen
 from .model import MAX_PARTICLES, ModelSpec, curie_weiss_model, gaussian_model
 from .sampler import ChainConfig, run_chain
 
-__all__ = ["ExperimentConfig", "ScalingFit", "load_config", "parse_config", "run",
-           "fit_scaling", "main"]
+__all__ = ["ExperimentConfig", "ScalingFit", "parse_config", "run", "fit_scaling",
+           "main"]
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,6 @@ def _read_document(path) -> dict:
         raise ConfigError("<document>", f"invalid JSON: {exc}") from exc
 
 
-def load_config(path) -> ExperimentConfig:
-    return parse_config(_read_document(path))
-
-
 def _object(value, path: str) -> dict:
     """A JSON object as a dict; anything else is a ConfigError."""
     if not isinstance(value, dict):
@@ -120,7 +116,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("model.sigma", "must be > 0 when theta = 0")
     if command in ("chaos-scan", "jw") and J <= 0:
         raise ConfigError("model.J", "must be > 0: the auxiliary field needs J > 0")
-    if model.get("dimension", 1) != 1:
+    if _integer(model.get("dimension", 1), "model.dimension") != 1:
         raise ConfigError("model.dimension",
                           "must be 1: every command computes one-dimensional quantities")
     if "tolerances" in doc:

@@ -2,7 +2,7 @@
 
 Tilted measures pi[h] with density proportional to exp(-V(x) + t x), each
 normalized by ``LogPartition.measure``, the magnetization map f = p o pi,
-its derivative, the critical coupling, the one sub-critical guard on
+the critical coupling, the one sub-critical guard on
 m_* = pi[0] and the safeguarded Newton solver for the mean-field fixed point
 h = f(h).
 """
@@ -24,12 +24,9 @@ __all__ = [
     "FixedPointResult",
     "tilted_measure",
     "magnetization",
-    "magnetization_derivative",
     "critical_coupling",
     "subcritical_reference",
     "solve_fixed_point",
-    "ghs_concavity_check",
-    "GhsReport",
 ]
 
 
@@ -157,11 +154,6 @@ def magnetization(model: ModelSpec, h: float) -> float:
     return tilted_measure(model, model.coupling * h).mean
 
 
-def magnetization_derivative(model: ModelSpec, h: float) -> float:
-    """f'(h) = J * Var(pi[h]); strictly positive."""
-    return model.coupling * tilted_measure(model, model.coupling * h).variance
-
-
 def critical_coupling(model: ModelSpec | TiltedMeasure) -> float:
     """J_c = int exp(-V) / int x^2 exp(-V) = 1 / <x^2> under pi[0].
 
@@ -236,25 +228,3 @@ def solve_fixed_point(model: ModelSpec, tol: float = 1e-10,
     mu = measured[-1]
     return FixedPointResult(h, mu, len(measured), h - mu.mean)
 
-
-@dataclass(frozen=True)
-class GhsReport:
-    grid: np.ndarray
-    second_differences: np.ndarray
-    max_second_difference: float
-    passed: bool
-
-
-def ghs_concavity_check(model: ModelSpec, h_grid, fd_step: float = 1e-2,
-                        tol: float = 1e-6) -> GhsReport:
-    """Scan f'' <= 0 on a grid of positive tilts via second central differences,
-    every f(h) read from one kernel."""
-    grid = np.asarray(h_grid, dtype=float)
-    if np.any(grid <= fd_step):
-        raise ValueError("grid points must exceed the finite-difference step")
-    kernel = LogPartition(model)
-    f = lambda h: kernel.measure(model.coupling * h).mean
-    diffs = np.array([(f(h + fd_step) - 2.0 * f(h) + f(h - fd_step)) / fd_step**2
-                      for h in grid])
-    worst = float(diffs.max())
-    return GhsReport(grid, diffs, worst, worst <= tol)

@@ -1,51 +1,14 @@
-"""Divergence estimators: relative entropy and 1D transport."""
+"""1D transport: quantile functions of grid densities and the W_p cost between them."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, NonFinite
 from .numerics import FINE_POINTS, GridDensity, cumulative_trapezoid
 
 __all__ = [
-    "DivergenceEstimate",
-    "kl_plug_in",
     "wasserstein_1d",
     "quantile_from_density",
 ]
-
-
-@dataclass(frozen=True)
-class DivergenceEstimate:
-    value: float
-    standard_error: float
-    method: str
-
-    def __post_init__(self) -> None:
-        if self.standard_error < 0:
-            raise ValueError("standard_error must be non-negative")
-
-
-def kl_plug_in(samples: np.ndarray, log_p, log_q) -> DivergenceEstimate:
-    """MC relative entropy with both densities known: mean of log p - log q.
-
-    Samples must come from p, at least two of them.  Standard error by
-    leave-one-out jackknife (coincides with the usual sigma/sqrt(n) for a
-    plain mean).
-    """
-    samples = np.asarray(samples, dtype=float)
-    vals = np.asarray(log_p(samples), dtype=float) - np.asarray(log_q(samples), dtype=float)
-    vals = vals.reshape(-1)
-    n = vals.size
-    if n < 2:
-        raise DegenerateInput("need at least 2 samples for a standard error")
-    if not np.all(np.isfinite(vals)):
-        raise NonFinite("log-density non-finite at a sample point")
-    total = vals.sum()
-    loo = (total - vals) / (n - 1)
-    se = float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
-    return DivergenceEstimate(float(vals.mean()), se, "plug-in-exact")
 
 
 def wasserstein_1d(quantile_p, quantile_q, order: int = 2) -> float:

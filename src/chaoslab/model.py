@@ -12,8 +12,6 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import NonFinite
-
 __all__ = [
     "MAX_PARTICLES",
     "QuarticConfinement",
@@ -23,10 +21,7 @@ __all__ = [
     "ModelSpec",
     "curie_weiss_model",
     "gaussian_model",
-    "energy_per_particle",
     "gibbs_target",
-    "gibbs_log_density_unnormalized",
-    "reduced_kernel_force",
 ]
 
 # Largest particle count N of the exact quantities (mixture, entropy levels,
@@ -236,26 +231,3 @@ def gibbs_target(model: ModelSpec, n: int):
 
     return rank_one_target
 
-
-def gibbs_log_density_unnormalized(model: ModelSpec, config) -> float:
-    """Exponent of the N-particle Gibbs density: -sum V - (1/2N) sum W."""
-    x = np.asarray(config, dtype=float).reshape(-1)
-    value = gibbs_target(model, x.size)(x)[0]
-    if not math.isfinite(value):
-        raise NonFinite("Gibbs exponent overflowed")
-    return value
-
-
-def energy_per_particle(model: ModelSpec, config) -> float:
-    """Potential free energy per particle, diagonal terms included.
-
-    (1/N) sum_i V(x_i) + (1/2N^2) sum_{i,j} W(x_i, x_j), minus the Gibbs
-    exponent over N.
-    """
-    x = np.asarray(config, dtype=float).reshape(-1)
-    return -gibbs_log_density_unnormalized(model, x) / x.size
-
-
-def reduced_kernel_force(model: ModelSpec, mstar_mean_force, x, y):
-    """Force of the reduced kernel: grad1 W(x, y) - <grad1 W(x, .), m_*>."""
-    return model.kernel_force(x, y) - mstar_mean_force(x)

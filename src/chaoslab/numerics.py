@@ -361,7 +361,9 @@ def log_mgf(ts, nodes, log_probs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridDensity:
-    """A probability density sampled on a uniform grid over [lo, hi]."""
+    """A probability density sampled on a uniform grid over [lo, hi], scaled to
+    unit trapezoid mass.  ``NonFinite`` for a NaN or infinite value;
+    ``ValueError`` for a negative value, no mass or a malformed grid."""
 
     lo: float
     hi: float
@@ -376,6 +378,8 @@ class GridDensity:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.n_points,):
             raise ValueError("values length must equal n_points")
+        if not np.isfinite(vals).all():
+            raise NonFinite("density values must be finite")
         if np.any(vals < 0):
             raise ValueError("density values must be non-negative")
         mass = np.trapezoid(vals, dx=self.dx)
@@ -395,13 +399,6 @@ class GridDensity:
     def from_callable(cls, f, lo: float, hi: float, n_points: int) -> "GridDensity":
         xs = np.linspace(lo, hi, n_points)
         return cls(lo, hi, n_points, np.maximum(np.asarray(f(xs), dtype=float), 0.0))
-
-    def mean(self) -> float:
-        return float(np.trapezoid(self.xs * self.values, dx=self.dx))
-
-    def variance(self) -> float:
-        m = self.mean()
-        return float(np.trapezoid((self.xs - m) ** 2 * self.values, dx=self.dx))
 
 
 def _check_edges(vals: np.ndarray) -> None:

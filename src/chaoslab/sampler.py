@@ -18,7 +18,9 @@ depends on the block size.
 
 The target, y -> (log-density, gradient), is ``model.gibbs_target``,
 built once per chain.  Only ``model`` decides how a model family splits
-the Gibbs exponent; the chain never looks at the model's parts.
+the Gibbs exponent; the chain never looks at the model's parts.  MALA
+rejects a proposal whose target is not finite, where ULA raises
+``NonFinite``; an energy above ``energy_ceiling`` raises ``DivergentChain``.
 
 A sample file is a 16-byte header (magic, format version, N) and the kept
 draws as row-major little-endian float64, with a JSON sidecar.  It is
@@ -37,16 +39,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergentChain, NonConvergent, NonFinite
-from .model import MAX_PARTICLES, GeneralKernel, ModelSpec, gibbs_target
+from .errors import DivergentChain, NonFinite
+from .model import MAX_PARTICLES, ModelSpec, gibbs_target
 from .numerics import _chunk_rows
 
 __all__ = [
     "ChainConfig",
     "SampleBatch",
     "run_chain",
-    "tune_step_size",
-    "regularized_coulomb_kernel",
     "save_batch",
     "load_batch",
 ]
@@ -210,80 +210,6 @@ def _run(model: ModelSpec, cfg: ChainConfig, buf: np.ndarray, flush) -> float | 
         flush(buf[:filled])
 
     return accepted / n_steps if mala else None
-
-
-def tune_step_size(model: ModelSpec, cfg: ChainConfig,
-                   target_acceptance: float = 0.574,
-                   pilot_steps: int = 2000, rounds: int = 30) -> float:
-    """Dual-averaging step-size search for a MALA acceptance target.
-
-    Round t runs a pilot chain at seed (cfg.seed + t) mod 2**128, and the
-    tuned step is checked on one more chain at the next seed; each keeps
-    one row of draws at a time, since only its acceptance rate is read.
-    """
-    if cfg.algorithm == "ula":
-        return cfg.step_size
-    if not 0.3 < target_acceptance < 0.8:
-        raise ValueError("target_acceptance must lie in (0.3, 0.8)")
-
-    log_eps = np.log(cfg.step_size)
-    mu = log_eps + np.log(10.0)
-    log_eps_bar = log_eps
-    h_bar = 0.0
-    gamma, t0, kappa = 0.05, 10.0, 0.75
-    for t in range(1, rounds + 1):
-        pilot = ChainConfig(cfg.n_particles, float(np.exp(log_eps)), pilot_steps,
-                            burn_in=pilot_steps // 4, thinning=1,
-                            seed=(cfg.seed + t) % 2**128, algorithm="mala",
-                            energy_ceiling=cfg.energy_ceiling)
-        rate = _acceptance_rate(model, pilot)
-        h_bar = (1 - 1 / (t + t0)) * h_bar + (target_acceptance - rate) / (t + t0)
-        log_eps = mu - np.sqrt(t) / gamma * h_bar
-        eta = t ** (-kappa)
-        log_eps_bar = eta * log_eps + (1 - eta) * log_eps_bar
-
-    step = float(np.exp(log_eps_bar))
-    check = ChainConfig(cfg.n_particles, step, 4 * pilot_steps,
-                        burn_in=pilot_steps, thinning=1,
-                        seed=(cfg.seed + rounds + 1) % 2**128, algorithm="mala",
-                        energy_ceiling=cfg.energy_ceiling)
-    rate = _acceptance_rate(model, check)
-    if abs(rate - target_acceptance) > 0.05:
-        raise NonConvergent(
-            f"tuned step {step:.3e} achieves acceptance {rate:.3f}, "
-            f"target {target_acceptance:.3f} +- 0.05")
-    return step
-
-
-def _acceptance_rate(model: ModelSpec, cfg: ChainConfig) -> float:
-    """``run_chain(model, cfg).acceptance_rate``, holding one row of draws."""
-    return _run(model, cfg, np.empty((1, cfg.n_particles)), lambda rows: None)
-
-
-def regularized_coulomb_kernel(epsilon: float) -> GeneralKernel:
-    """Smoothed attractive 1D Coulomb kernel W_eps(x, y) ~ -|x - y|.
-
-    |r| is mollified by a centered Gaussian of variance 2*eps, giving
-    w(r) = -(r erf(r/(2 sqrt(eps))) + 2 sqrt(eps/pi) exp(-r^2/(4 eps)))
-    whose r-derivative is -erf(r / (2 sqrt(eps))).
-    """
-    # Imported here: scipy.special is the one scipy module the library
-    # uses, and only this kernel needs it.
-    from scipy.special import erf
-
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    c = 2.0 * np.sqrt(epsilon)
-
-    def w(x, y):
-        r = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return -(r * erf(r / c) + (c / np.sqrt(np.pi)) * np.exp(-(r / c) ** 2))
-
-    def grad1_w(x, y):
-        r = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return -erf(r / c)
-
-    return GeneralKernel(w=w, grad1_w=grad1_w)
 
 
 @contextmanager

@@ -18,23 +18,32 @@ grid (``tilted_measure_per_tilt``), the reference of the tilted measures read
 from one ``LogPartition``; the T1 scan with each tilt on its own grids
 (``t1_ratio_scan_per_tilt``), the reference of the one-grid scan; the
 log-MGF summed in long double (``longdouble_jw_log_mgf``); the
-nearest-neighbor KL estimator, which needs only samples; and the Langevin
-chain loop as first written, one step at a time with nothing cached between
-steps.
+relative entropy from samples, with both densities known (``kl_plug_in``)
+or from samples alone (``kl_knn``); the Langevin chain loop as first
+written, one step at a time with nothing cached between steps; the GHS
+concavity f'' <= 0 of the magnetization map on positive tilts
+(``ghs_concavity_check``), which ``meanfield.subcritical_reference``
+assumes for a quartic V; and the smoothed Coulomb kernel
+(``regularized_coulomb_kernel``), the general-kernel fixture of the sampler
+tests.
 """
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import fft as _fft
 from scipy import integrate as _sciint
 from scipy.integrate import simpson
 from scipy.spatial import cKDTree
+from scipy.special import erf
 
-from chaoslab.errors import (ChaosLabError, DivergentChain, GridResolution,
-                             NonConvergent, NonFinite)
+from chaoslab.errors import (ChaosLabError, DegenerateInput, DivergentChain,
+                             GridResolution, NonConvergent, NonFinite)
 from chaoslab.bounds import t1_particle_constant
 from chaoslab.marginals import (_LEVEL_POINTS, _log_gk, _phi, marginal_grid_density,
                                 marginal_log_density_batch)
-from chaoslab.meanfield import TiltedMeasure, _trapezoid_grid, tilt_window
-from chaoslab.metrics import DivergenceEstimate, quantile_from_density, wasserstein_1d
+from chaoslab.meanfield import LogPartition, TiltedMeasure, _trapezoid_grid, tilt_window
+from chaoslab.metrics import quantile_from_density, wasserstein_1d
+from chaoslab.model import GeneralKernel
 from chaoslab.numerics import (EXP_UNDERFLOW, FINE_POINTS, LOG_CUT, GridDensity,
                                log_trapezoid)
 from chaoslab.sampler import SampleBatch
@@ -363,6 +372,38 @@ def node_row_entropy_levels(law, k_max: int) -> np.ndarray:
     return levels
 
 
+@dataclass(frozen=True)
+class DivergenceEstimate:
+    value: float
+    standard_error: float
+    method: str
+
+    def __post_init__(self) -> None:
+        if self.standard_error < 0:
+            raise ValueError("standard_error must be non-negative")
+
+
+def kl_plug_in(samples: np.ndarray, log_p, log_q) -> DivergenceEstimate:
+    """MC relative entropy with both densities known: mean of log p - log q.
+
+    Samples must come from p, at least two of them.  Standard error by
+    leave-one-out jackknife (coincides with the usual sigma/sqrt(n) for a
+    plain mean).
+    """
+    samples = np.asarray(samples, dtype=float)
+    vals = np.asarray(log_p(samples), dtype=float) - np.asarray(log_q(samples), dtype=float)
+    vals = vals.reshape(-1)
+    n = vals.size
+    if n < 2:
+        raise DegenerateInput("need at least 2 samples for a standard error")
+    if not np.all(np.isfinite(vals)):
+        raise NonFinite("log-density non-finite at a sample point")
+    total = vals.sum()
+    loo = (total - vals) / (n - 1)
+    se = float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
+    return DivergenceEstimate(float(vals.mean()), se, "plug-in-exact")
+
+
 class DegenerateSample(ChaosLabError):
     """A sample set contains duplicate points that break the kNN estimator."""
 
@@ -581,3 +622,48 @@ def reference_run_chain(model, cfg):
     rate = accepted / proposed if mala else None
     return SampleBatch(draws=draws[:kept], acceptance_rate=rate,
                        seed=cfg.seed, model_fingerprint=model.fingerprint())
+
+
+@dataclass(frozen=True)
+class GhsReport:
+    grid: np.ndarray
+    second_differences: np.ndarray
+    max_second_difference: float
+    passed: bool
+
+
+def ghs_concavity_check(model, h_grid, fd_step: float = 1e-2,
+                        tol: float = 1e-6) -> GhsReport:
+    """Scan f'' <= 0 on a grid of positive tilts via second central differences,
+    every f(h) read from one kernel."""
+    grid = np.asarray(h_grid, dtype=float)
+    if np.any(grid <= fd_step):
+        raise ValueError("grid points must exceed the finite-difference step")
+    kernel = LogPartition(model)
+    f = lambda h: kernel.measure(model.coupling * h).mean
+    diffs = np.array([(f(h + fd_step) - 2.0 * f(h) + f(h - fd_step)) / fd_step**2
+                      for h in grid])
+    worst = float(diffs.max())
+    return GhsReport(grid, diffs, worst, worst <= tol)
+
+
+def regularized_coulomb_kernel(epsilon: float) -> GeneralKernel:
+    """Smoothed attractive 1D Coulomb kernel W_eps(x, y) ~ -|x - y|.
+
+    |r| is mollified by a centered Gaussian of variance 2*eps, giving
+    w(r) = -(r erf(r/(2 sqrt(eps))) + 2 sqrt(eps/pi) exp(-r^2/(4 eps)))
+    whose r-derivative is -erf(r / (2 sqrt(eps))).
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    c = 2.0 * np.sqrt(epsilon)
+
+    def w(x, y):
+        r = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+        return -(r * erf(r / c) + (c / np.sqrt(np.pi)) * np.exp(-(r / c) ** 2))
+
+    def grad1_w(x, y):
+        r = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+        return -erf(r / c)
+
+    return GeneralKernel(w=w, grad1_w=grad1_w)

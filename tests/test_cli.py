@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import chaoslab
-from chaoslab.cli import fit_scaling, load_config, main, parse_config, run
+from chaoslab.cli import fit_scaling, main, parse_config, run
 from chaoslab.errors import ConfigError, DegenerateInput
 from chaoslab.meanfield import magnetization
 from chaoslab.model import curie_weiss_model
@@ -52,18 +52,19 @@ class TestConfigParsing:
             parse_config(_cfg(tmp_path, n_grid=n_grid))
         assert err.value.field == "n_grid"
 
-    def test_malformed_json_file(self, tmp_path):
+    def test_malformed_json_file(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
-        with pytest.raises(ConfigError):
-            load_config(p)
+        assert main(["--config", str(p)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
 
     def test_dimension_other_than_one_rejected(self, tmp_path):
         doc = _cfg(tmp_path)
-        doc["model"]["dimension"] = 2
-        with pytest.raises(ConfigError) as err:
-            parse_config(doc)
-        assert err.value.field == "model.dimension"
+        for dimension in (2, True):  # True == 1, but it is no integer
+            doc["model"]["dimension"] = dimension
+            with pytest.raises(ConfigError) as err:
+                parse_config(doc)
+            assert err.value.field == "model.dimension"
         doc["model"]["dimension"] = 1
         assert parse_config(doc).model.is_quartic
 
@@ -357,46 +358,46 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, command, n_grid):
     assert outputs[0] and outputs[0] == outputs[1]
 
 
-def test_cli_import_leaves_heavy_scipy_modules_out():
-    # scipy.signal (and the scipy.stats it pulls in) cost about 0.8 s of a
-    # fresh `import chaoslab.cli`; nothing in the package needs them.
+def _fresh_import(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this checkout."""
     src = str(Path(chaoslab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = ("import sys, chaoslab.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout.strip()
+
+
+def test_cli_import_leaves_heavy_scipy_modules_out():
+    # scipy.signal (and the scipy.stats it pulls in) cost about 0.8 s of a
+    # fresh `import chaoslab.cli`; nothing in the package needs them.
+    assert _fresh_import(
+        "import sys, chaoslab.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    ) == "[]"
 
 
 def test_numerics_import_leaves_scipy_integrate_out():
     # The library's integrals are log-trapezoids; adaptive quadrature lives
     # only in the test oracles.
-    src = str(Path(chaoslab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import sys, chaoslab.numerics; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert _fresh_import(
+        "import sys, chaoslab.numerics; print('scipy.integrate' in sys.modules)") == "False"
+
+
+_MODULES = ("bounds", "cli", "errors", "marginals", "meanfield", "metrics", "model",
+            "numerics", "sampler", "verify")
 
 
 def test_cli_import_loads_no_scipy_module():
-    # numerics carries its own Brent, FFT length and cumulative trapezoid;
-    # scipy.special is imported only inside regularized_coulomb_kernel.
-    src = str(Path(chaoslab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import sys, chaoslab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    # numpy is the library's only runtime dependency: importing every module
+    # loads no scipy module (scipy is for the tests and perfbench).
+    imports = "; ".join(f"import chaoslab.{m}" for m in _MODULES)
+    assert _fresh_import(
+        f"import sys; {imports}; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))") == "[]"
 
 
 @pytest.mark.parametrize("name", ["chaoslab"] + [
-    f"chaoslab.{m}" for m in ("bounds", "cli", "marginals", "meanfield", "metrics", "model",
-                              "numerics", "sampler", "verify")])
+    f"chaoslab.{m}" for m in _MODULES if m != "errors"])
 def test_every_public_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from chaoslab.errors import GridResolution, Supercritical
-from chaoslab.meanfield import (LogPartition, critical_coupling,
-                                ghs_concavity_check, magnetization,
-                                magnetization_derivative, solve_fixed_point,
-                                subcritical_reference, tilted_measure)
+from chaoslab.meanfield import (LogPartition, critical_coupling, magnetization,
+                                solve_fixed_point, subcritical_reference,
+                                tilted_measure)
 from chaoslab.model import curie_weiss_model, gaussian_model
 from conftest import F_AT_1, H_STAR_SUPER, J_CRIT, X2_MOMENT, counting_quartic
-from oracles import integrate, log_integrate_exp, tilted_measure_per_tilt
+from oracles import (ghs_concavity_check, integrate, log_integrate_exp,
+                     tilted_measure_per_tilt)
 
 
 class TestMoments:
@@ -223,34 +223,39 @@ class TestMagnetization:
             res.h_star, abs=1e-9)
 
 
+def _f_prime(model, h):
+    """f'(h) = J Var(pi[J h]), as ``solve_fixed_point`` forms it."""
+    J = model.coupling
+    return J * tilted_measure(model, J * h).variance
+
+
 class TestMagnetizationDerivative:
     def test_value_at_zero(self, quartic_model, quartic_jc):
         expected = quartic_model.coupling / quartic_jc
-        assert magnetization_derivative(quartic_model, 0.0) == pytest.approx(
-            expected, abs=1e-10)
+        assert _f_prime(quartic_model, 0.0) == pytest.approx(expected, abs=1e-10)
 
     def test_matches_finite_difference(self, quartic_model):
         h, step = 0.7, 1e-5
         fd = (magnetization(quartic_model, h + step)
               - magnetization(quartic_model, h - step)) / (2 * step)
-        assert magnetization_derivative(quartic_model, h) == pytest.approx(fd, rel=1e-6)
+        assert _f_prime(quartic_model, h) == pytest.approx(fd, rel=1e-6)
 
     def test_positive_on_grid(self, quartic_model):
         for h in np.linspace(-5, 5, 11):
-            assert magnetization_derivative(quartic_model, h) > 0
+            assert _f_prime(quartic_model, h) > 0
 
     def test_one_grid_per_tilt(self):
         # log Z, the mean and the variance all come from one 4097-node grid:
         # the tilt's window is the window of z = 0, so growing the kernel to
         # it evaluates V on no second grid.
         model, sizes = counting_quartic(0.5 * J_CRIT)
-        magnetization_derivative(model, 0.7)
+        _f_prime(model, 0.7)
         assert sizes.count(4097) == 1
 
     def test_maximal_at_zero(self, quartic_model):
-        f0 = magnetization_derivative(quartic_model, 0.0)
-        for h in np.linspace(0.2, 4, 8):
-            assert magnetization_derivative(quartic_model, h) <= f0 + 1e-8
+        # Non-increasing on h >= 0, so largest at h = 0.
+        values = [_f_prime(quartic_model, h) for h in np.linspace(0.0, 4, 9)]
+        assert np.all(np.diff(values) <= 1e-8)
 
 
 class TestCriticalCoupling:
@@ -361,8 +366,13 @@ class TestFixedPoint:
 
 
 class TestGhsConcavity:
-    def test_subcritical_quartic(self, quartic_model):
-        rep = ghs_concavity_check(quartic_model, np.linspace(0.1, 5, 12))
+    """f'' <= 0 for h > 0, which ``subcritical_reference`` assumes of a quartic V."""
+
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, 1.0])
+    def test_subcritical_quartic(self, sigma):
+        j_c = critical_coupling(curie_weiss_model(1.0, sigma, 1.0))
+        rep = ghs_concavity_check(curie_weiss_model(1.0, sigma, 0.5 * j_c),
+                                  np.linspace(0.1, 5, 12))
         assert rep.passed
 
     def test_double_well(self):

@@ -4,16 +4,18 @@ import pytest
 from chaoslab.errors import DegenerateInput, NonFinite
 from chaoslab.marginals import build_mixture, marginal_log_density_batch, relative_entropy_levels, sample_marginal
 from chaoslab.meanfield import tilted_measure
-from chaoslab.metrics import (DivergenceEstimate, kl_plug_in, quantile_from_density,
-                              wasserstein_1d)
+from chaoslab.metrics import quantile_from_density, wasserstein_1d
 from chaoslab.numerics import FINE_POINTS, GridDensity
-from oracles import DegenerateSample, fisher_information_1d, kl_knn
+from oracles import (DegenerateSample, DivergenceEstimate, fisher_information_1d, kl_knn,
+                     kl_plug_in)
 
 
 def _gauss_log(mu):
     return lambda x: -0.5 * (np.asarray(x) - mu) ** 2 - 0.5 * np.log(2 * np.pi)
 
 
+# Self-tests of the plug-in KL oracle in ``oracles``; the last checks
+# ``sample_marginal`` against the exact H_1 with it.
 class TestKlPlugIn:
     def test_identical_densities(self, rng):
         s = rng.normal(size=1000)

@@ -4,9 +4,7 @@ import pytest
 
 from chaoslab.model import (GeneralKernel, GeneralPotential, ModelSpec,
                             QuarticConfinement, RankOneInteraction,
-                            curie_weiss_model, energy_per_particle,
-                            gaussian_model, gibbs_log_density_unnormalized,
-                            reduced_kernel_force)
+                            curie_weiss_model, gaussian_model, gibbs_target)
 
 
 @pytest.fixture
@@ -20,75 +18,67 @@ _PAIR_KERNEL = ModelSpec(QuarticConfinement(1.0, 1.0),
                                        grad1_w=lambda x, y: x - y))
 
 
+def _energy(model, x):
+    """Potential energy per particle, diagonal terms included: minus the Gibbs
+    exponent over N."""
+    x = np.asarray(x, dtype=float)
+    return -gibbs_target(model, x.size)(x)[0] / x.size
+
+
+def _log_density(model, x):
+    x = np.asarray(x, dtype=float)
+    return gibbs_target(model, x.size)(x)[0]
+
+
 class TestEnergyPerParticle:
     def test_origin(self, cw):
-        assert energy_per_particle(cw, np.zeros(2)) == 0.0
+        assert _energy(cw, np.zeros(2)) == 0.0
 
     def test_two_ones(self, cw):
         # V(1) - J/2 = (1/4 + 1/2) - 1/2 = 0.25.
-        assert energy_per_particle(cw, np.ones(2)) == pytest.approx(0.25, abs=1e-14)
+        assert _energy(cw, np.ones(2)) == pytest.approx(0.25, abs=1e-14)
 
     def test_matches_naive_double_loop(self, cw, rng):
         x = rng.normal(size=5)
         naive = sum(cw.potential(xi) for xi in x) / 5
         naive += sum(cw.kernel(xi, xj) for xi in x for xj in x) / (2 * 25)
-        assert energy_per_particle(cw, x) == pytest.approx(naive, abs=1e-12)
+        assert _energy(cw, x) == pytest.approx(naive, abs=1e-12)
 
     def test_kernel_matches_naive_double_loop(self, rng):
         x = rng.normal(size=5)
         naive = sum(_PAIR_KERNEL.potential(xi) for xi in x) / 5
         naive += sum(_PAIR_KERNEL.kernel(xi, xj) for xi in x for xj in x) / (2 * 25)
-        assert energy_per_particle(_PAIR_KERNEL, x) == pytest.approx(naive, abs=1e-12)
+        assert _energy(_PAIR_KERNEL, x) == pytest.approx(naive, abs=1e-12)
 
 
 class TestGibbsLogDensity:
     def test_origin(self, cw):
-        assert gibbs_log_density_unnormalized(cw, np.zeros(4)) == 0.0
+        assert _log_density(cw, np.zeros(4)) == 0.0
 
     def test_single_particle(self, cw):
         x = 0.7
         expected = -cw.potential(x) + cw.coupling * x**2 / 2
-        assert gibbs_log_density_unnormalized(cw, [x]) == pytest.approx(expected, abs=1e-14)
+        assert _log_density(cw, [x]) == pytest.approx(expected, abs=1e-14)
 
     def test_consistency_with_energy(self, cw, rng):
+        # The rank-one field J s^2 / 2N against the same W = -J x y as a
+        # general kernel, whose exponent is the N x N energy double sum.
         x = rng.normal(size=7)
-        assert gibbs_log_density_unnormalized(cw, x) == pytest.approx(
-            -7 * energy_per_particle(cw, x), abs=1e-12)
+        kernel = ModelSpec(cw.confinement,
+                           GeneralKernel(w=cw.kernel, grad1_w=cw.kernel_force))
+        assert _log_density(cw, x) == pytest.approx(_log_density(kernel, x), abs=1e-12)
 
     def test_permutation_invariance(self, cw, rng):
         x = rng.normal(size=6)
-        base = gibbs_log_density_unnormalized(cw, x)
+        base = _log_density(cw, x)
         for _ in range(5):
             perm = rng.permutation(x)
-            assert gibbs_log_density_unnormalized(cw, perm) == pytest.approx(base, abs=1e-12)
+            assert _log_density(cw, perm) == pytest.approx(base, abs=1e-12)
 
     def test_rank_one_identity(self, cw, rng):
         x = rng.normal(size=8)
         expected = -cw.potential(x).sum() + cw.coupling * x.sum() ** 2 / 16
-        assert gibbs_log_density_unnormalized(cw, x) == pytest.approx(expected, abs=1e-12)
-
-
-class TestReducedKernelForce:
-    def test_centered_y_zero(self, cw):
-        assert reduced_kernel_force(cw, lambda x: 0.0, 0.3, 0.0) == 0.0
-
-    def test_rank_one_value(self):
-        m = curie_weiss_model(1.0, 1.0, 2.0)
-        # For centered m_* the reduction leaves -J*y.
-        assert reduced_kernel_force(m, lambda x: 0.0, 0.1, 3.0) == pytest.approx(-6.0)
-
-    def test_general_kernel_vs_quadrature(self):
-        from oracles import integrate
-        kern = GeneralKernel(w=lambda x, y: np.cos(x) * np.sin(y),
-                             grad1_w=lambda x, y: -np.sin(x) * np.sin(y))
-        m = ModelSpec(QuarticConfinement(1.0, 1.0), kern)
-        z = integrate(lambda t: np.exp(-t**4 / 4 - t**2 / 2))
-        def mean_force(x):
-            return integrate(
-                lambda y: kern.grad1_w(x, y) * np.exp(-y**4 / 4 - y**2 / 2)) / z
-        got = reduced_kernel_force(m, mean_force, 0.4, 1.1)
-        direct = kern.grad1_w(0.4, 1.1) - mean_force(0.4)
-        assert got == pytest.approx(direct, abs=1e-10)
+        assert _log_density(cw, x) == pytest.approx(expected, abs=1e-12)
 
 
 class TestGradients:
@@ -236,17 +226,9 @@ class TestFusedSumAndGradient:
 
 
 class TestEmptyConfiguration:
-    """Zero particles is a ValueError; a 0-d configuration is one particle."""
+    """Zero particles is a ValueError."""
 
     @pytest.mark.parametrize("kernel", [False, True], ids=["rank-one", "kernel"])
-    @pytest.mark.parametrize("f", [energy_per_particle, gibbs_log_density_unnormalized])
-    def test_zero_particles_raise(self, cw, kernel, f):
+    def test_zero_particles_raise(self, cw, kernel):
         with pytest.raises(ValueError, match="at least one particle"):
-            f(_PAIR_KERNEL if kernel else cw, [])
-
-    @pytest.mark.parametrize("kernel", [False, True], ids=["rank-one", "kernel"])
-    def test_scalar_is_one_particle(self, cw, kernel):
-        model = _PAIR_KERNEL if kernel else cw
-        assert (gibbs_log_density_unnormalized(model, 0.7)
-                == gibbs_log_density_unnormalized(model, [0.7]))
-        assert energy_per_particle(model, 0.7) == energy_per_particle(model, [0.7])
+            gibbs_target(_PAIR_KERNEL if kernel else cw, 0)

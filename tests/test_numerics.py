@@ -263,6 +263,10 @@ class TestLogMgf:
         assert got.shape == (3, 4) and log_mgf(0.5, self.NODES, self.log_probs()).shape == ()
 
 
+def _mean(g):
+    return float(np.trapezoid(g.xs * g.values, dx=g.dx))
+
+
 class TestGridDensity:
     def test_normalization(self):
         g = GridDensity.from_callable(lambda x: np.exp(-x**2 / 2), -10, 10, 2001)
@@ -272,11 +276,19 @@ class TestGridDensity:
         with pytest.raises(ValueError):
             GridDensity(0.0, 1.0, 3, np.array([1.0, -0.5, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN or inf would otherwise normalize to NaN values, which no
+        # later check of W_2 or the T1 scan catches.
+        with pytest.raises(NonFinite):
+            GridDensity(0.0, 1.0, 3, np.array([1.0, bad, 1.0]))
+
     def test_moments(self):
         g = GridDensity.from_callable(
             lambda x: np.exp(-(x - 2) ** 2 / 2), -10, 14, 4097)
-        assert g.mean() == pytest.approx(2.0, abs=1e-8)
-        assert g.variance() == pytest.approx(1.0, abs=1e-8)
+        assert _mean(g) == pytest.approx(2.0, abs=1e-8)
+        assert np.trapezoid((g.xs - 2.0) ** 2 * g.values, dx=g.dx) == pytest.approx(
+            1.0, abs=1e-8)
 
 
 class TestConvolve:
@@ -318,7 +330,7 @@ class TestConvolve:
         q = GridDensity.from_callable(lambda x: np.exp(-(x + 2) ** 2 / 3), -10, 10, n)
         pq, qp = convolve(p, q), convolve(q, p)
         assert np.allclose(pq.values, qp.values, atol=1e-10)
-        assert pq.mean() == pytest.approx(p.mean() + q.mean(), abs=1e-6)
+        assert _mean(pq) == pytest.approx(_mean(p) + _mean(q), abs=1e-6)
 
 
 def _node_rows(model, n_points=1024):

@@ -1,4 +1,3 @@
-import contextlib
 import hashlib
 import json
 import math
@@ -14,17 +13,16 @@ from scipy.stats import ks_2samp
 
 import chaoslab
 from chaoslab import sampler
-from chaoslab.errors import DivergentChain, NonConvergent, NonFinite
+from chaoslab.errors import DivergentChain, NonFinite
 from chaoslab.marginals import build_mixture, marginal_moment
 from chaoslab.model import (MAX_PARTICLES, GeneralPotential, ModelSpec,
                             QuarticConfinement, RankOneInteraction, curie_weiss_model,
                             gaussian_model, gibbs_target)
 from chaoslab.numerics import _chunk_rows
-from chaoslab.sampler import (ChainConfig, SampleBatch, load_batch,
-                              regularized_coulomb_kernel, run_chain, save_batch,
-                              tune_step_size)
+from chaoslab.sampler import ChainConfig, SampleBatch, load_batch, run_chain, save_batch
 from conftest import J_CRIT
-from oracles import _reference_log_target_and_grad, reference_run_chain
+from oracles import (_reference_log_target_and_grad, reference_run_chain,
+                     regularized_coulomb_kernel)
 
 WALL = 1.5
 
@@ -467,60 +465,7 @@ class TestBlockDraws:
         assert digest_and_rate("blocked.bin") == default
 
 
-class TestTuneStepSize:
-    def test_quadratic_model_hits_target(self, gauss_model):
-        cfg = ChainConfig(8, 0.5, 1000, burn_in=100, seed=11)
-        step = tune_step_size(gauss_model, cfg, target_acceptance=0.574)
-        check = ChainConfig(8, step, 8000, burn_in=2000, seed=99)
-        rate = run_chain(gauss_model, check).acceptance_rate
-        assert abs(rate - 0.574) < 0.08
-
-    def test_ula_noop(self, gauss_model):
-        cfg = ChainConfig(8, 0.123, 1000, burn_in=10, algorithm="ula")
-        assert tune_step_size(gauss_model, cfg) == 0.123
-
-    def test_step_decreases_with_n(self, gauss_model):
-        cfg8 = ChainConfig(8, 0.5, 1000, burn_in=100, seed=1)
-        cfg64 = ChainConfig(64, 0.5, 1000, burn_in=100, seed=1)
-        s8 = tune_step_size(gauss_model, cfg8)
-        s64 = tune_step_size(gauss_model, cfg64)
-        assert s64 < s8
-
-    def test_largest_seed(self):
-        # The pilot and check seeds wrap past 2**128 - 1 to 0, 1 and 2.
-        cfg = ChainConfig(4, 0.1, 100, seed=2**128 - 1)
-        try:
-            step = tune_step_size(curie_weiss_model(1.0, 1.0, 1.0), cfg,
-                                  pilot_steps=40, rounds=2)
-        except NonConvergent:
-            return
-        assert math.isfinite(step) and step > 0
-
-    def test_rates_are_run_chain_rates(self, gauss_model, monkeypatch):
-        calls = []
-        run = sampler._run
-
-        def spy(model, cfg, buf, flush):
-            rate = run(model, cfg, buf, flush)
-            calls.append((cfg, buf.shape, rate))
-            return rate
-
-        monkeypatch.setattr(sampler, "_run", spy)
-        with contextlib.suppress(NonConvergent):
-            tune_step_size(gauss_model, ChainConfig(8, 0.5, 1000, seed=3),
-                           pilot_steps=200, rounds=3)
-        monkeypatch.undo()
-        assert len(calls) == 4
-        for cfg, shape, rate in calls:
-            assert shape == (1, 8)
-            assert run_chain(gauss_model, cfg).acceptance_rate == rate
-
-    def test_invalid_target(self, gauss_model):
-        cfg = ChainConfig(8, 0.5, 1000, burn_in=100)
-        with pytest.raises(ValueError):
-            tune_step_size(gauss_model, cfg, target_acceptance=0.9)
-
-
+# Self-tests of the Coulomb kernel fixture in ``oracles``.
 class TestCoulombKernel:
     def test_gradient_matches_finite_difference(self):
         kern = regularized_coulomb_kernel(0.05)
