@@ -81,8 +81,20 @@ def _object(value, path: str) -> dict:
     return value
 
 
+def _known_keys(block: dict, keys, path: str) -> None:
+    """A ConfigError naming the first key of ``block`` not in ``keys``: a
+    misspelt field would otherwise run silently with its default."""
+    for key in block:
+        if key not in keys:
+            name = f"{path}.{key}" if path else str(key)
+            raise ConfigError(name, f"unknown key; expected one of {tuple(keys)}")
+
+
 _CHAIN_FIELDS = (("n_particles", _integer), ("step_size", _finite), ("n_steps", _integer),
                  ("burn_in", _integer), ("thinning", _integer))
+_CHAIN_KEYS = tuple(name for name, _ in _CHAIN_FIELDS) + ("algorithm",)
+_MODEL_KEYS = ("theta", "sigma", "J", "dimension")
+_TOP_KEYS = ("command", "model", "n_grid", "k_max", "seed", "output_dir", "chain")
 
 
 def _chain_config(block: dict, seed: int) -> ChainConfig:
@@ -104,10 +116,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Check a whole config and build what its command runs on: every
     ConfigError is raised here, before ``run`` touches the disk."""
     _object(doc, "<document>")
+    if "tolerances" in doc:
+        raise ConfigError("tolerances",
+                          "not supported: the library has no quadrature tolerance")
+    _known_keys(doc, _TOP_KEYS, "")
     command = _require(doc, "command", "")
     if command not in _RUNNERS:
         raise ConfigError("command", f"must be one of {tuple(_RUNNERS)}")
     model = _object(_require(doc, "model", ""), "model")
+    _known_keys(model, _MODEL_KEYS, "model")
     theta, sigma, J = (_finite(_require(model, key, "model"), f"model.{key}")
                        for key in ("theta", "sigma", "J"))
     if theta < 0:
@@ -119,9 +136,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if _integer(model.get("dimension", 1), "model.dimension") != 1:
         raise ConfigError("model.dimension",
                           "must be 1: every command computes one-dimensional quantities")
-    if "tolerances" in doc:
-        raise ConfigError("tolerances",
-                          "not supported: the library has no quadrature tolerance")
     n_grid = doc.get("n_grid", [])
     if not isinstance(n_grid, (list, tuple)):
         raise ConfigError("n_grid", f"must be a list of integers, got {n_grid!r}")
@@ -139,6 +153,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("k_max",
                           f"chaos-scan needs k_max <= min({MAX_LEVEL}, min(n_grid))")
     chain = _object(doc.get("chain", {}), "chain")
+    _known_keys(chain, _CHAIN_KEYS, "chain")
     output_dir = doc.get("output_dir", ".")
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir", f"must be a string, got {output_dir!r}")

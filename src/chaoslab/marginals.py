@@ -19,7 +19,7 @@ from functools import cache, partial
 import numpy as np
 
 from .errors import GridResolution, NonPositiveDefinite, Supercritical
-from .meanfield import LogPartition, TiltedMeasure, subcritical_reference, tilt_window
+from .meanfield import LogPartition, TiltedMeasure, subcritical_reference, tilt_windows
 from .metrics import quantile_from_density, wasserstein_1d
 from .model import MAX_PARTICLES, ModelSpec
 from .numerics import (EXP_UNDERFLOW, FINE_POINTS, LOG_CUT, GridDensity, _check_edges,
@@ -151,8 +151,7 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
     # The node densities are sized on the tilt windows of the end nodes, not
     # on the kernel's window: that one can end a doubling wider, and a wider
     # sizing pass coarsens the node grid.
-    wlo = tilt_window(model, float(z_nodes[0]))
-    whi = tilt_window(model, float(z_nodes[-1]))
+    ends = tilt_windows(model, z_nodes[[0, -1]])
     law = MixtureLaw(
         model=model,
         n_particles=N,
@@ -160,7 +159,7 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
         z_log_weights=log_weights,
         log_z0=float(kernel(0.0)),
         node_log_z1=log_z1,
-        x_window=(min(wlo[0], whi[0]), max(wlo[1], whi[1])),
+        x_window=(float(ends[:, 0].min()), float(ends[:, 1].max())),
     )
     return replace(law, x_window=_node_density_window(law))
 

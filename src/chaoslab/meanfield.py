@@ -12,15 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergent, RegimeViolation, Supercritical
+from .errors import NonConvergent, NonFinite, RegimeViolation, Supercritical
 from .model import ModelSpec
 from .numerics import (log_laplace, log_laplace_grid, log_mgf, log_trapezoid,
-                       newton_root, trapezoid_log_weights, window_search)
+                       newton_root, tilted_windows, trapezoid_log_weights)
 
 __all__ = [
     "TiltedMeasure",
     "LogPartition",
-    "tilt_window",
+    "tilt_windows",
     "FixedPointResult",
     "tilted_measure",
     "magnetization",
@@ -56,10 +56,12 @@ class TiltedMeasure:
 _GRID_POINTS = 4097
 
 
-def tilt_window(model: ModelSpec, tilt: float):
-    """``window_search`` for the effective support of exp(-V(x) + tilt*x)."""
-    xs = window_search(lambda x: -model.potential(x) + tilt * x)[0]
-    return float(xs[0]), float(xs[-1])
+def tilt_windows(model: ModelSpec, tilts) -> np.ndarray:
+    """The effective support of exp(-V(x) + t x) for each t in ``tilts``, as
+    an (n, 2) array of window ends: ``numerics.window_search`` on each,
+    with V evaluated once per block of doubling levels
+    (``numerics.tilted_windows``)."""
+    return tilted_windows(lambda x: -model.potential(x), tilts)
 
 
 def _trapezoid_grid(model: ModelSpec, window):
@@ -77,11 +79,12 @@ class LogPartition:
     (``numerics.log_laplace_grid`` for uniform tilts, ``linspace``).
     The grid starts on the window of z = 0 and grows: whenever a query has
     |z| beyond the covered range z_max, the window becomes the union of the
-    current one and ``tilt_window`` at +-|z|, rebuilt only if that is wider.
+    current one and ``tilt_windows`` at +-|z|, rebuilt only if that is wider.
     Each growth runs the halving check at z = 0 and +-z_max and raises
     ``GridResolution`` if the full and the every-other-node trapezoid differ
     by more than ``numerics._RESOLUTION_TOL`` (``numerics.log_trapezoid``).
-    Its values depend on the queries that grew it: it serves one call.
+    A NaN tilt raises ``NonFinite``.  Its values depend on the queries that
+    grew it: it serves one call.
     """
 
     def __init__(self, model: ModelSpec):
@@ -90,19 +93,22 @@ class LogPartition:
         self._grow(0.0)
 
     def _grow(self, z_max: float) -> None:
-        lo, hi = self.window
-        for tilt in {-z_max, z_max}:  # one search when z_max = 0
-            wlo, whi = tilt_window(self.model, tilt)
-            lo, hi = min(lo, wlo), max(hi, whi)
+        tilts = [-z_max, z_max] if z_max else [0.0]
+        ends = tilt_windows(self.model, tilts)
+        lo = min(self.window[0], float(ends[:, 0].min()))
+        hi = max(self.window[1], float(ends[:, 1].max()))
         xs, logw = ((self.xs, self._logw) if (lo, hi) == self.window
                     else _trapezoid_grid(self.model, (lo, hi)))
-        log_trapezoid([0.0, -z_max, z_max], xs, logw)
+        log_trapezoid([0.0, *tilts] if z_max else tilts, xs, logw)
         # Commit only a checked grid, so a failed growth leaves the kernel as
         # it was and the same query raises again.
         self.window, self.z_max = (lo, hi), z_max
         self.xs, self._logw = xs, logw
 
     def _cover(self, zs) -> None:
+        zs = np.asarray(zs, dtype=float)
+        if np.isnan(zs).any():
+            raise NonFinite("log Z_1 queried at a NaN tilt")
         z_max = float(np.abs(zs).max(initial=0.0))
         if z_max > self.z_max:
             self._grow(z_max)
@@ -131,17 +137,26 @@ class LogPartition:
         self._cover(zs)
         return log_mgf(zs, self.xs, self._logw - self(0.0))
 
-    def measure(self, tilt: float) -> TiltedMeasure:
-        """pi[tilt] on the grid grown as ``__call__`` grows it, with the halving
-        check at ``tilt`` (``GridResolution`` above 1e-12); the
-        moments are sums sum_i exp(log w_i + tilt x_i - log_z) x_i^p on it.
+    def measure(self, tilts):
+        """pi[t] at a tilt, or the list of pi[t] over a 1-D array of tilts, on
+        the grid grown as ``__call__`` grows it, with the halving
+        check at every tilt (``GridResolution`` above 1e-12); the moments
+        are sums sum_i exp(log w_i + t x_i - log_z) x_i^p on it.
+
+        All tilts share one ``log_trapezoid`` and one block of weights, and
+        each row is summed on its own, so every pi[t] of an array is the one
+        a call with t alone gives on the same grid, bit for bit.
         """
-        tilt = float(tilt)
-        self._cover(tilt)
-        log_z = float(log_trapezoid(tilt, self.xs, self._logw))
-        weights = np.exp(tilt * self.xs + self._logw - log_z)
-        return TiltedMeasure(self.model, tilt, log_z, float(np.sum(weights * self.xs)),
-                             float(np.sum(weights * self.xs**2)))
+        ts = np.asarray(tilts, dtype=float)
+        self._cover(ts)
+        flat = ts.reshape(-1)
+        log_z = log_trapezoid(flat, self.xs, self._logw)
+        weights = np.exp(flat[:, None] * self.xs + self._logw - log_z[:, None])
+        means = (weights * self.xs).sum(axis=1)
+        second_moments = (weights * self.xs**2).sum(axis=1)
+        family = [TiltedMeasure(self.model, float(t), float(z), float(m), float(s))
+                  for t, z, m, s in zip(flat, log_z, means, second_moments)]
+        return family[0] if ts.ndim == 0 else family
 
 
 def tilted_measure(model: ModelSpec, tilt: float) -> TiltedMeasure:
@@ -166,8 +181,9 @@ def critical_coupling(model: ModelSpec | TiltedMeasure) -> float:
     return 1.0 / mstar.second_moment
 
 
-def subcritical_reference(model: ModelSpec) -> TiltedMeasure:
-    """m_* = pi[0], built once, for a model inside the sub-critical regime.
+def subcritical_reference(model: ModelSpec | LogPartition) -> TiltedMeasure:
+    """m_* = pi[0], built once, for a model inside the sub-critical regime;
+    ``model`` may be the ``LogPartition`` to read pi[0] from.
 
     Every quantity taken against m_* = pi[0] (the entropy levels, the
     Curie-Weiss constants, the log-MGF) needs pi[0] to be the mean-field
@@ -177,7 +193,9 @@ def subcritical_reference(model: ModelSpec) -> TiltedMeasure:
     |mean| > 1e-10 sd: the fixed point is then not h = 0.  (Quartic
     confinements are even, so the mean is not checked for them.)
     """
-    mstar = tilted_measure(model, 0.0)
+    kernel = model if isinstance(model, LogPartition) else LogPartition(model)
+    model = kernel.model
+    mstar = kernel.measure(0.0)
     if not model.is_quartic:
         mean = mstar.mean
         if abs(mean) > 1e-10 * np.sqrt(mstar.variance):

@@ -1,14 +1,17 @@
 """Deterministic 1D numerical kernels.
 
 The one doubling window search and the one checked log-trapezoid behind
-every integral of the library, the chord-bounded scan of a concave
+every integral of the library, the search for a family of tilts with one
+evaluation per block of levels (``tilted_windows``) and the coarse-to-fine
+read of a trapezoid (``nested_log_trapezoid``), the chord-bounded scan of a concave
 quadratic plus a convex function (``_ChordScan``: the doubling searches of
 the field read log Z_1 only where it decides their stops), the chunked
 log-Laplace reduction behind every field/grid sum, its separable form on a
 uniform grid of points (``log_laplace_grid``: one matrix product, few exps)
 and its expm1 form for a log moment generating function (``log_mgf``), the
 k-fold self-convolutions of one density row in one spectral pass, the
-cumulative trapezoid, and safeguarded Newton root finding.  There is no adaptive
+cumulative trapezoid, and safeguarded Newton root finding, for one
+equation or many in lockstep.  There is no adaptive
 quadrature: the integrands are analytic and decay fast, so the uniform
 trapezoid converges exponentially, and halving its node count checks it.
 Nothing here imports scipy: the FFT is numpy's, and the cumulative
@@ -29,8 +32,10 @@ __all__ = [
     "FINE_POINTS",
     "LOG_CUT",
     "window_search",
+    "tilted_windows",
     "trapezoid_log_weights",
     "log_trapezoid",
+    "nested_log_trapezoid",
     "log_laplace",
     "log_laplace_grid",
     "log_mgf",
@@ -58,6 +63,8 @@ EXP_UNDERFLOW = -745.2
 LOG_CUT = 45.0
 _SCAN_POINTS = 257
 _MAX_DOUBLINGS = 40
+# Doubling levels that ``tilted_windows`` evaluates its log_f on in one call.
+_LEVEL_BLOCK = 8
 # Largest change of a log-trapezoid allowed when its node count is halved.
 _RESOLUTION_TOL = 1e-12
 # Largest |t x| of the expm1 form of ``log_mgf``: expm1 overflows above 709.78.
@@ -175,6 +182,39 @@ def window_search(log_f, convex=None, fill: bool = True):
     raise NonConvergent("doubling search did not find a decaying window")
 
 
+def tilted_windows(log_f, tilts) -> np.ndarray:
+    """The window of ``window_search`` on log_f(x) + t x for each t in ``tilts``,
+    as an (n, 2) array of their ends.
+
+    ``log_f`` is evaluated once per ``_LEVEL_BLOCK`` doubling levels, on all
+    of their scans in one call, and every tilt reads those values: each
+    search stops at the level ``window_search`` stops at on its own, with
+    the same scan values.  ``NonFinite`` is raised for a NaN or +inf value
+    only at a level a tilt's search reaches, as ``window_search`` raises it
+    there, and ``NonConvergent`` after ``_MAX_DOUBLINGS`` doublings.
+    """
+    tilts = np.asarray(tilts, dtype=float).reshape(-1)
+    ends = np.empty((tilts.size, 2))
+    live = np.arange(tilts.size)
+    for first in range(0, _MAX_DOUBLINGS, _LEVEL_BLOCK):
+        half = 2.0 ** np.arange(first, min(first + _LEVEL_BLOCK, _MAX_DOUBLINGS))
+        xs = np.linspace(-1.0, 1.0, _SCAN_POINTS) * half[:, None]  # exact
+        vals = np.asarray(log_f(xs.reshape(-1)), dtype=float).reshape(xs.shape)
+        vals = vals + tilts[live, None, None] * xs
+        bad = (np.isnan(vals) | (vals == np.inf)).any(axis=2)
+        stop = np.maximum(vals[..., 0], vals[..., -1]) < vals.max(axis=2) - LOG_CUT
+        level = (bad | stop).argmax(axis=1)
+        rows = np.arange(live.size)
+        for i in np.flatnonzero(bad[rows, level]):
+            _checked(xs[level[i]], vals[i, level[i]])
+        done = stop[rows, level]
+        ends[live[done]] = xs[level[done]][:, [0, -1]]
+        live = live[~done]
+        if not live.size:
+            return ends
+    raise NonConvergent("doubling search did not find a decaying window")
+
+
 def trapezoid_log_weights(xs) -> np.ndarray:
     """log of the trapezoid weights on the uniform grid ``xs``."""
     logw = np.full(xs.size, np.log(xs[1] - xs[0]))
@@ -195,6 +235,17 @@ def log_trapezoid(ts, nodes, log_weights):
     the change of log Z without the rounding of log Z itself, which is
     about eps |log Z| and would exceed the tolerance once |log Z| ~ 1e4.
     """
+    full, err = _halved_log_trapezoid(ts, nodes, log_weights)
+    if not err <= _RESOLUTION_TOL:
+        raise GridResolution(
+            f"log-trapezoid on [{nodes[0]}, {nodes[-1]}] changes by {err:.3e} "
+            f"when the node count is halved")
+    return full
+
+
+def _halved_log_trapezoid(ts, nodes, log_weights):
+    """The values of ``log_trapezoid`` and the largest change of its halving
+    check, unchecked."""
     ts = np.asarray(ts, dtype=float)
     flat = ts.reshape(-1)
     full = np.empty(flat.shape)
@@ -206,12 +257,44 @@ def log_trapezoid(ts, nodes, log_weights):
             np.log(total, out=full[part])
             full[part] += shift
             change[part] = np.log1p((half - total) / total)
-    err = float(np.max(np.abs(change)))
-    if not err <= _RESOLUTION_TOL:
-        raise GridResolution(
-            f"log-trapezoid on [{nodes[0]}, {nodes[-1]}] changes by {err:.3e} "
-            f"when the node count is halved")
-    return full.reshape(ts.shape)
+    return full.reshape(ts.shape), float(np.max(np.abs(change)))
+
+
+# Node strides of the coarse-to-fine reads of ``nested_log_trapezoid``.
+_NESTED_STRIDES = (8, 4, 2)
+
+
+def nested_log_trapezoid(nodes, values, read) -> float:
+    """log of the trapezoid integral of exp(f) on the uniform ``nodes``, read
+    coarse to fine until its halving check passes.
+
+    ``values`` holds log f at ``nodes`` where it is known and NaN elsewhere,
+    and ``read(idx)`` returns log f at ``nodes[idx]``.  The node count is
+    8 k + 1.  The trapezoid runs on every 8th node, then every 4th, 2nd and
+    1st, each set holding the one before, and reads only the values still
+    missing; it returns the first whose halving change (``log_trapezoid``)
+    is at most ``_RESOLUTION_TOL``.  On every node it is
+    ``log_trapezoid(0, nodes, trapezoid_log_weights(nodes) + log f)``, which
+    raises ``GridResolution``.  ``NonFinite`` for a NaN or +inf value read.
+
+    A coarse check passes where the coarse sets alias an oscillation alike:
+    exp(-t^2/2) (2 + cos 22 t) on 257 nodes over [-16, 16] passes on every
+    2nd node and fails on every node.  It is meant for a smooth unimodal
+    integrand, such as the t-integrand of ``verify.jw_log_mgf``.
+    """
+    values = np.array(values, dtype=float)
+    for stride in _NESTED_STRIDES + (1,):
+        idx = np.arange(0, nodes.size, stride)
+        missing = idx[np.isnan(values[idx])]
+        if missing.size:
+            values[missing] = _checked(nodes[missing], read(missing))
+        sub = nodes[idx]
+        log_weights = trapezoid_log_weights(sub) + values[idx]
+        if stride == 1:
+            return float(log_trapezoid(0.0, sub, log_weights))
+        full, err = _halved_log_trapezoid(0.0, sub, log_weights)
+        if err <= _RESOLUTION_TOL:
+            return float(full)
 
 
 # Workspace of one chunk of rows in log_laplace and in the node-density
@@ -470,7 +553,7 @@ def cumulative_trapezoid(y, dx: float) -> np.ndarray:
 _NEWTON_MAX_EVALS = 100
 
 
-def newton_root(gd, x0: float, tol: float) -> float:
+def newton_root(gd, x0, tol):
     """Root of g by safeguarded Newton (``rtsafe``, Press et al., Numerical
     Recipes, 3rd ed., 2007), for a g negative far left and positive far right.
 
@@ -483,24 +566,47 @@ def newton_root(gd, x0: float, tol: float) -> float:
     a converged start costs one evaluation and comes back bit for bit.
     Raises ``NonConvergent`` for a NaN g or g', or after
     ``_NEWTON_MAX_EVALS`` evaluations.
+
+    A 1-D array ``x0`` starts independent equations, solved in lockstep
+    with a bracket, a cap and a stop test each, and the roots come back as
+    an array: ``gd(x, which)`` takes the points ``x`` of the equations
+    ``which`` (the indices into ``x0`` of those not yet converged, in
+    order) and returns the arrays of g and g' there.  Each root is the one
+    a solve of its equation alone returns, bit for bit, when ``gd`` is
+    pointwise.  A float ``x0`` is one equation: ``gd(x)`` takes and returns
+    floats.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    x = float(x0)
-    lo, hi = -math.inf, math.inf
-    cap = max(1.0, abs(x))
+    scalar = np.ndim(x0) == 0
+    x = np.array(x0, dtype=float).reshape(-1)
+    lo, hi = np.full(x.size, -math.inf), np.full(x.size, math.inf)
+    cap = np.maximum(1.0, np.abs(x))
+    live = np.arange(x.size)
     for _ in range(_NEWTON_MAX_EVALS):
-        g, dg = map(float, gd(x))
-        if math.isnan(g) or math.isnan(dg):
-            raise NonConvergent(f"g({x}) = {g}, g'({x}) = {dg}: NaN")
-        if abs(g) <= tol * abs(dg):
-            return x
-        if g < 0.0:
-            lo = x
-        else:
-            hi = x
-        a, b = max(lo, x - cap), min(hi, x + cap)
-        cap *= 2.0
-        step = x - g / dg if dg != 0.0 else math.nan
-        x = step if a < step < b else 0.5 * (a + b)
+        xl = x[live]
+        g, dg = gd(float(xl[0])) if scalar else gd(xl, live)
+        g, dg = np.asarray(g, dtype=float).reshape(-1), np.asarray(dg, dtype=float).reshape(-1)
+        nan = np.isnan(g) | np.isnan(dg)
+        if nan.any():
+            i = nan.argmax()
+            raise NonConvergent(f"g({xl[i]}) = {g[i]}, g'({xl[i]}) = {dg[i]}: NaN")
+        moving = np.abs(g) > tol * np.abs(dg)
+        if not moving.all():
+            live, xl, g, dg = live[moving], xl[moving], g[moving], dg[moving]
+            if not live.size:
+                return float(x[0]) if scalar else x
+        below = g < 0.0
+        lo_l = np.where(below, xl, lo[live])
+        hi_l = np.where(below, hi[live], xl)
+        lo[live], hi[live] = lo_l, hi_l
+        # max(lo, x - cap) and min(hi, x + cap), each keeping lo or hi on a
+        # tie, as Python's max and min do.
+        c = cap[live]
+        a = np.where(xl - c > lo_l, xl - c, lo_l)
+        b = np.where(xl + c < hi_l, xl + c, hi_l)
+        cap[live] = 2.0 * c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(dg != 0.0, xl - g / dg, math.nan)
+        x[live] = np.where((a < step) & (step < b), step, 0.5 * (a + b))
     raise NonConvergent(f"no root within {_NEWTON_MAX_EVALS} evaluations")

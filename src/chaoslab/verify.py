@@ -19,8 +19,8 @@ from .meanfield import (LogPartition, TiltedMeasure, critical_coupling,
                         subcritical_reference)
 from .metrics import quantile_from_density, wasserstein_1d
 from .model import MAX_PARTICLES, ModelSpec
-from .numerics import (FINE_POINTS, GridDensity, log_trapezoid, newton_root,
-                       trapezoid_log_weights, window_search)
+from .numerics import (FINE_POINTS, GridDensity, nested_log_trapezoid, newton_root,
+                       window_search)
 
 __all__ = [
     "ScanReport",
@@ -72,7 +72,7 @@ def _tilted_family(model: ModelSpec, tilt_grid):
     grid = np.asarray(tilt_grid, dtype=float)
     kernel = LogPartition(model)
     mstar = kernel.measure(0.0)
-    family = [kernel.measure(J * ell) for ell in grid]
+    family = kernel.measure(J * grid)
     return J, grid, family, [_entropy_between_tilts(mu, mstar) for mu in family]
 
 
@@ -97,19 +97,25 @@ def linear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> Sca
     return _report(grid, [2.0 * bundle.rho0 * h for h in entropy], (J * grid) ** 2)
 
 
-def magnetization_inverse(model: ModelSpec | LogPartition, h: float,
-                          tol: float = 1e-12) -> float:
+def magnetization_inverse(model: ModelSpec | LogPartition, h, tol: float = 1e-12):
     """l = f^{-1}(h): the root of f(l) - h, whose derivative f'(l) =
     J Var(pi[J l]) is positive, by ``numerics.newton_root`` from l = h.
-    ``model`` may be the ``LogPartition`` to read every f(l) from."""
+    ``model`` may be the ``LogPartition`` to read every f(l) from.  For a
+    1-D array ``h`` the roots are solved in lockstep, every step reading
+    its f(l) in one ``LogPartition.measure``, and come back as an array;
+    each is the root of its h alone, bit for bit."""
     kernel = model if isinstance(model, LogPartition) else LogPartition(model)
     J = kernel.model.coupling
+    hs = np.asarray(h, dtype=float)
+    targets = hs.reshape(-1)
 
-    def gd(ell):
-        mu = kernel.measure(J * ell)
-        return mu.mean - h, J * mu.variance
+    def gd(ell, which):
+        family = kernel.measure(J * ell)
+        return (np.array([mu.mean for mu in family]) - targets[which],
+                J * np.array([mu.variance for mu in family]))
 
-    return newton_root(gd, h, tol)
+    roots = newton_root(gd, targets, tol)
+    return float(roots[0]) if hs.ndim == 0 else roots
 
 
 def phi_positivity_scan(model: ModelSpec, eps_override: float | None,
@@ -127,17 +133,15 @@ def phi_positivity_scan(model: ModelSpec, eps_override: float | None,
     j_c = critical_coupling(mstar)
     eps = (1.0 - J / j_c) ** 2 if eps_override is None else eps_override
     grid = np.asarray(h_grid, dtype=float)
-    phi = np.empty_like(grid)
-    # Largest |h| first: its solve grows the kernel to the largest tilt of the
-    # scan once.  Sub-critically, for an even V, every later solve stays
-    # between h and f^{-1}(h), inside that range, and grows it no further.
-    for i in np.argsort(-np.abs(grid), kind="stable"):
-        h = grid[i]
-        ell = magnetization_inverse(kernel, h)
-        log_z_ell = kernel.measure(J * ell).log_z
-        log_z_h = kernel.measure(J * h).log_z
-        phi[i] = ((1.0 - eps) * J * ell * h - (1.0 - eps) * log_z_ell
-                  - J * h * h + log_z_h - eps * mstar.log_z)
+    # One lockstep solve for every h: each step reads the f(l) of all the
+    # equations still open in one measure, which grows the kernel to that
+    # step's largest tilt.  The solve starts at l = h and ends on evaluated
+    # points, so the two log Z reads after it grow the kernel no further.
+    ell = magnetization_inverse(kernel, grid)
+    log_z_ell = np.array([mu.log_z for mu in kernel.measure(J * ell)])
+    log_z_h = np.array([mu.log_z for mu in kernel.measure(J * grid)])
+    phi = ((1.0 - eps) * J * ell * grid - (1.0 - eps) * log_z_ell
+           - J * grid * grid + log_z_h - eps * mstar.log_z)
     return _report(grid, np.zeros_like(grid), phi)
 
 
@@ -172,12 +176,17 @@ def psi_positivity_scan(model: ModelSpec, alpha: float, m0_mean: float,
     h_star = solve_interpolated_fixed_point(kernel, alpha, m0_mean)
     star = kernel.measure(J * h_star)  # its mean is f(h_*)
     grid = np.asarray(ell_grid, dtype=float)
-    psi = np.empty_like(grid)
-    for i, ell in enumerate(grid):
-        mu = kernel.measure(J * ell)
-        psi[i] = (-(j_c / 2.0) * (mu.mean - star.mean) ** 2
-                  + J * (ell - h_star) * mu.mean - mu.log_z + star.log_z)
+    family = kernel.measure(J * grid)
+    mean = np.array([mu.mean for mu in family])
+    log_z = np.array([mu.log_z for mu in family])
+    psi = (-(j_c / 2.0) * (mean - star.mean) ** 2
+           + J * (grid - h_star) * mean - log_z + star.log_z)
     return _report(grid, np.zeros_like(grid), psi)
+
+
+# The t-integrand of ``jw_log_mgf`` is read at t = _JW_T_START * v, so its
+# doubling search starts at |t| = 16.
+_JW_T_START = 16.0
 
 
 def jw_log_mgf(model: ModelSpec, N: int) -> float:
@@ -186,40 +195,52 @@ def jw_log_mgf(model: ModelSpec, N: int) -> float:
     Gaussian linearization of the square gives
     log sqrt(N/2 pi J) + log int exp(-N z^2/2J + N (log Z_1(z) - log Z_0)) dz.
 
-    The outer integral over t = z sqrt(N/J) is the log-trapezoid
-    (``numerics.log_trapezoid``, halving check at 1e-12) on the final scan
-    of ``window_search`` on the t-integrand.  Each scan point takes
-    g = log Z_1(z) - log Z_0 from ``LogPartition.cgf`` of one fresh kernel,
-    whose rounding vanishes with z, so N g keeps its digits up to N = 2^20.
-    The model must pass ``meanfield.subcritical_reference``: for J >= J_c
-    the log-MGF diverges (``Supercritical``).
+    The outer integral over t = z sqrt(N/J), whose quadratic part is
+    -t^2/2, is the log-trapezoid on the final scan of ``window_search`` on
+    the t-integrand, read coarse to fine until its halving check passes at
+    1e-12 (``numerics.nested_log_trapezoid``).  Each scan point takes
+    g = log Z_1(z) - log Z_0 from ``LogPartition.cgf`` of one kernel, whose
+    rounding vanishes with z, so N g keeps its digits up to N = 2^20.  The
+    model must pass ``meanfield.subcritical_reference`` on that kernel's
+    pi[0]: for J >= J_c the log-MGF diverges (``Supercritical``).
+
+    The search runs in v = t / 16, so its first scan spans |t| <= 16.  The
+    scans it skips, |t| <= 1, 2, 4 and 8, cannot stop when the t-integrand
+    peaks at t = 0, as it does for every sub-critical quartic by the GHS
+    property that ``subcritical_reference`` assumes: each holds t = 0, where
+    the log-integrand is 0, and its ends lie at or above -t^2/2 >= -32
+    (N g >= 0 by Jensen, pi[0] having mean 0), less than ``LOG_CUT`` below
+    it.  For any other
+    model the search still returns a scan that meets its stop rule.
 
     The t-integrand is -t^2/2 + N g with g convex, so the scans before the
     last read g only where it decides their stops (``window_search`` with
-    ``convex``); the final scan, which is integrated, is read in full, and
-    its values are those of full scans bit for bit.  A NaN or +inf value
-    read raises ``NonFinite``; the points skipped need no check, since a
-    convex g that is finite at both ends of a gap is finite inside it.
+    ``convex``), and the final scan only as far as its integral needs;
+    every value read is that of full scans bit for bit.  A NaN or +inf
+    value read raises ``NonFinite``; the points skipped need no check,
+    since a convex g that is finite at both ends of a gap is finite inside
+    it.
     """
     J = model.coupling
     if J <= 0:
         raise ValueError("requires J > 0")
     if not 1 <= N <= MAX_PARTICLES:
         raise ValueError(f"N must satisfy 1 <= N <= {MAX_PARTICLES}")
-    subcritical_reference(model)
     log_z1 = LogPartition(model)
-
-    # Substitute z = sqrt(J/N) t so the quadratic part is -t^2/2 and the
-    # integrand width stays O(1) uniformly in J and N.
+    subcritical_reference(log_z1)
+    # z = sqrt(J/N) t; t = 16 v is exact, so every t read is a point of the
+    # scans in t of the same width.
     scale = np.sqrt(J / N)
 
-    def profile(t):
-        g = log_z1.cgf(scale * t)
-        return -t**2 / 2.0 + N * g, g
+    def profile(vs):
+        ts = _JW_T_START * vs
+        g = log_z1.cgf(scale * ts)
+        return -ts**2 / 2.0 + N * g, g
 
-    ts, log_f = window_search(profile, convex=(0.5, N))
-    log_int = log_trapezoid(0.0, ts, trapezoid_log_weights(ts) + log_f)
-    return -0.5 * np.log(2.0 * np.pi) + float(log_int)
+    vs, log_f = window_search(profile, convex=(_JW_T_START**2 / 2.0, N), fill=False)
+    log_int = nested_log_trapezoid(_JW_T_START * vs, log_f,
+                                   lambda idx: profile(vs[idx])[0])
+    return -0.5 * np.log(2.0 * np.pi) + log_int
 
 
 def bolley_villani_moment_check(mu_quantile, rho: float) -> float:
@@ -263,7 +284,7 @@ def marginal_t1_ratio_scan(model: ModelSpec, N: int, bundle: ConstantsBundle,
     J = model.coupling
     grid = np.asarray(tilt_grid, dtype=float)
     kernel = LogPartition(model)
-    tilts = [kernel.measure(J * ell) for ell in grid]
+    tilts = kernel.measure(J * grid)
     lo, hi = min(law.x_window[0], kernel.window[0]), max(law.x_window[1], kernel.window[1])
     xs, log_m1 = marginal_log_grid(law, lo, hi, FINE_POINTS)
     qm = quantile_from_density(GridDensity(lo, hi, FINE_POINTS, np.exp(log_m1)))

@@ -13,11 +13,14 @@ densities as one full (points, nodes) matrix (``node_grid_densities``,
 (``node_density_window_by_trapezoid``), the field-support refinement and the
 doubling window search that scan every point (``refine_support_by_full_scans``,
 ``window_search_by_full_scans``), the bitwise references of the kernels that
-compute only what they keep; each tilted measure on its own window and
-grid (``tilted_measure_per_tilt``), the reference of the tilted measures read
+compute only what they keep; each tilt's window by its own window search
+(``tilt_window``), the reference of ``meanfield.tilt_windows``; each
+tilted measure on its own window and grid (``tilted_measure_per_tilt``),
+the reference of the tilted measures read
 from one ``LogPartition``; the T1 scan with each tilt on its own grids
 (``t1_ratio_scan_per_tilt``), the reference of the one-grid scan; the
-log-MGF summed in long double (``longdouble_jw_log_mgf``); the
+log-MGF summed in long double (``longdouble_jw_log_mgf``) and read in
+full from |t| = 1 (``full_read_jw_log_mgf``); the
 relative entropy from samples, with both densities known (``kl_plug_in``)
 or from samples alone (``kl_knn``); the Langevin chain loop as first
 written, one step at a time with nothing cached between steps; the GHS
@@ -41,11 +44,12 @@ from chaoslab.errors import (ChaosLabError, DegenerateInput, DivergentChain,
 from chaoslab.bounds import t1_particle_constant
 from chaoslab.marginals import (_LEVEL_POINTS, _log_gk, _phi, marginal_grid_density,
                                 marginal_log_density_batch)
-from chaoslab.meanfield import LogPartition, TiltedMeasure, _trapezoid_grid, tilt_window
+from chaoslab.meanfield import (LogPartition, TiltedMeasure, _trapezoid_grid,
+                                subcritical_reference)
 from chaoslab.metrics import quantile_from_density, wasserstein_1d
 from chaoslab.model import GeneralKernel
 from chaoslab.numerics import (EXP_UNDERFLOW, FINE_POINTS, LOG_CUT, GridDensity,
-                               log_trapezoid)
+                               log_trapezoid, trapezoid_log_weights, window_search)
 from chaoslab.sampler import SampleBatch
 
 # Adaptive quadrature tolerances and window truncation of integrate and
@@ -281,6 +285,13 @@ def window_search_by_full_scans(log_f, convex=None, fill=True):
         lo *= 2.0
         hi *= 2.0
     raise NonConvergent("doubling search did not find a decaying window")
+
+
+def tilt_window(model, tilt):
+    """The window of ``meanfield.tilt_windows`` at one tilt as first
+    written: its own ``numerics.window_search`` on -V(x) + tilt x."""
+    xs = window_search(lambda x: -model.potential(x) + tilt * x)[0]
+    return float(xs[0]), float(xs[-1])
 
 
 def tilted_measure_per_tilt(model, tilt):
@@ -523,6 +534,20 @@ def nested_quad_jw_log_mgf(model, N):
         return out if np.ndim(t) else float(out[0])
 
     return -0.5 * np.log(2.0 * np.pi) + log_integrate_exp(log_f)
+
+
+def full_read_jw_log_mgf(model, N):
+    """``verify.jw_log_mgf`` as first written: the doubling search in t from
+    |t| <= 1 with every point of every scan read
+    (``window_search_by_full_scans``), and the log-trapezoid on every point
+    of the final scan."""
+    subcritical_reference(model)
+    kernel = LogPartition(model)
+    scale = np.sqrt(model.coupling / N)
+    ts, log_f = window_search_by_full_scans(
+        lambda ts: -ts**2 / 2.0 + N * kernel.cgf(scale * ts))
+    log_int = log_trapezoid(0.0, ts, trapezoid_log_weights(ts) + log_f)
+    return -0.5 * np.log(2.0 * np.pi) + float(log_int)
 
 
 def longdouble_jw_log_mgf(model, N):

@@ -75,6 +75,29 @@ class TestConfigParsing:
             parse_config(doc)
         assert err.value.field == "tolerances"
 
+    @pytest.mark.parametrize("command, block, key, field", [
+        ("chaos-scan", None, "k_mx", "k_mx"),
+        ("sample", None, "sead", "sead"),
+        ("chaos-scan", "model", "dimesnion", "model.dimesnion"),
+        ("sample", "chain", "thining", "chain.thining"),
+        ("fixed-point", "chain", "n_step", "chain.n_step"),
+    ], ids=["top-level", "top-level-sample", "model", "chain", "chain-unread"])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, command, block, key,
+                                         field):
+        # A misspelt field ran with its default: "k_mx": 4 scanned k = 1 only.
+        doc = _cfg(tmp_path, command=command,
+                   chain={"n_particles": 4, "step_size": 0.3, "n_steps": 200})
+        (doc if block is None else doc[block])[key] = 4
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.field == field
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        assert main(["--config", str(p)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "ConfigError" and f"'{field}'" in out["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_sample_requires_chain_block(self, tmp_path):
         doc = _cfg(tmp_path, command="sample")
         with pytest.raises(ConfigError) as err:

@@ -91,7 +91,8 @@ class TestBuildMixture:
                           RankOneInteraction(0.5 * J_CRIT))
         build_mixture(model, n)
         assert 1 <= sizes.count(4097) <= grids
-        assert set(sizes) <= {257, 513, 4097}
+        # The tilt windows read V on the first 8 doubling levels in one call.
+        assert set(sizes) <= {257, 513, 8 * 257, 4097}
 
     def test_node_grid_spans_x_window(self, quartic_model):
         law = build_mixture(quartic_model, 32)
@@ -180,7 +181,9 @@ class TestMixtureKernels:
         module = marginals if search == "build_mixture" else verify
         monkeypatch.setattr(module, "window_search", window_search_by_full_scans)
         run()
-        assert got == grown and len(got) >= 3
+        # The jw search at N = 2 stops on its first scan, |t| <= 16, so its
+        # kernel grows once past pi[0]'s grid.
+        assert got == grown and len(got) >= (2 if (search, n) == ("jw_log_mgf", 2) else 3)
 
     def test_log_z1_work(self, monkeypatch):
         # Full scans read 3432 log Z_1 rows here: 2403 in the refinement, 771

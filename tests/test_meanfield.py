@@ -3,13 +3,15 @@ from functools import partial
 import numpy as np
 import pytest
 
-from chaoslab.errors import GridResolution, Supercritical
-from chaoslab.meanfield import (LogPartition, critical_coupling, magnetization,
-                                solve_fixed_point, subcritical_reference,
-                                tilted_measure)
-from chaoslab.model import curie_weiss_model, gaussian_model
+from chaoslab import meanfield
+from chaoslab.errors import GridResolution, NonConvergent, NonFinite, Supercritical
+from chaoslab.meanfield import (LogPartition, TiltedMeasure, critical_coupling,
+                                magnetization, solve_fixed_point, subcritical_reference,
+                                tilt_windows, tilted_measure)
+from chaoslab.model import (GeneralPotential, ModelSpec, RankOneInteraction,
+                            curie_weiss_model, gaussian_model)
 from conftest import F_AT_1, H_STAR_SUPER, J_CRIT, X2_MOMENT, counting_quartic
-from oracles import (ghs_concavity_check, integrate, log_integrate_exp,
+from oracles import (ghs_concavity_check, integrate, log_integrate_exp, tilt_window,
                      tilted_measure_per_tilt)
 
 
@@ -98,6 +100,28 @@ class TestLogPartition:
         assert kernel.z_max == 2.0 and kernel.window == window == (-4.0, 4.0)
         assert sizes.count(4097) == 1
 
+    @pytest.mark.parametrize("read", [
+        lambda k: k(np.nan), lambda k: k.cgf([0.5, np.nan]),
+        lambda k: k.linspace(0.0, np.nan, 9), lambda k: k.measure(np.nan),
+        lambda k: k.measure(np.array([0.5, np.nan]))],
+        ids=["call", "cgf", "linspace", "measure", "measure-array"])
+    def test_nan_tilt_is_non_finite(self, quartic_model, read):
+        # A NaN tilt read NaN (log Z, cgf) or failed the halving check with a
+        # change of nan (measure).
+        with pytest.raises(NonFinite):
+            read(LogPartition(quartic_model))
+
+    def test_first_growth_checks_one_row(self, monkeypatch):
+        # The grid of z = 0 is checked at z = 0 once, not on three equal rows.
+        rows = []
+        check = meanfield.log_trapezoid
+        monkeypatch.setattr(meanfield, "log_trapezoid",
+                            lambda ts, *grid: rows.append(np.size(ts)) or check(ts, *grid))
+        kernel = LogPartition(curie_weiss_model(1.0, 1.0, 1.0))
+        assert rows == [1]
+        kernel(3.0)
+        assert rows == [1, 3]
+
     def test_failed_growth_keeps_raising(self):
         # sd 0.01: resolved on the z = 0 window, not once z = 1e5 widens it.
         kernel = LogPartition(gaussian_model(1e4, 1.0))
@@ -151,6 +175,31 @@ class TestMeasure:
             assert abs(got.mean - want.mean) <= tol * max(abs(want.mean), sd)
             assert abs(got.second_moment - want.second_moment) <= tol * want.second_moment
 
+    @pytest.mark.parametrize("name", list(MEASURE_MODELS))
+    def test_array_is_per_tilt_calls(self, name):
+        # One measure of an array of tilts gives, row by row, the bits of a
+        # call with each tilt alone on the same grid.
+        model = MEASURE_MODELS[name]
+        J = model.coupling
+        kernel = LogPartition(model)
+        kernel(np.array([-60.0 * J, 60.0 * J]))
+        tilts = J * MEASURE_ELLS
+        family = kernel.measure(tilts)
+        assert family == [kernel.measure(t) for t in tilts]
+        assert isinstance(kernel.measure(tilts[0]), TiltedMeasure)
+        assert kernel.measure(tilts[:1]) == family[:1]
+
+    def test_array_grows_once_to_its_largest_tilt(self):
+        # Read in one call, an ascending family grows the kernel once, and
+        # its measures are those of a kernel grown to the largest tilt first.
+        model = curie_weiss_model(1.0, 1.0, 1.0)
+        tilts = np.geomspace(0.01, 40.0, 9)
+        one = LogPartition(model)
+        family = one.measure(tilts)
+        grown = LogPartition(model)
+        grown(tilts[-1])
+        assert family == [grown.measure(t) for t in tilts]
+
     @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, 1.0),
                                        gaussian_model(100.0, 50.0),
                                        gaussian_model(1e4, 1.0)],
@@ -192,6 +241,62 @@ class TestMeasure:
         # the measure on its own grid.
         want, _ = tilted_measure_per_tilt(quartic_model, 0.0)
         assert LogPartition(quartic_model).measure(0.0) == want
+
+
+def _potential(v):
+    return ModelSpec(GeneralPotential(v=v, grad_v=lambda x: 0.0 * x), RankOneInteraction(0.5))
+
+
+# Tilts of the window sweep: each model's measure sweep and, for the
+# narrow Gaussian, means out to 1e6, past the first block of 8 doubling levels.
+WINDOW_TILTS = {name: model.coupling * MEASURE_ELLS for name, model in MEASURE_MODELS.items()}
+WINDOW_TILTS["gauss-1e-3"] = np.concatenate([WINDOW_TILTS["gauss-1e-3"],
+                                             np.geomspace(-1e3, -1e-3, 13),
+                                             np.geomspace(1e-3, 1e3, 13)])
+
+
+class TestTiltWindows:
+    @pytest.mark.parametrize("name", list(MEASURE_MODELS))
+    def test_matches_per_tilt_window_search(self, name):
+        model = MEASURE_MODELS[name]
+        tilts = WINDOW_TILTS[name]
+        want = np.array([tilt_window(model, t) for t in tilts])
+        assert np.array_equal(tilt_windows(model, tilts), want)
+
+    def test_non_finite_beyond_the_stop_is_not_read(self):
+        # V is NaN past |x| = 100.  The search at t = 0 stops at [-16, 16] and
+        # never reaches it; at t = 150 the mean is 150 and the search does.
+        model = _potential(lambda x: np.where(np.abs(x) > 100.0, np.nan, x**2 / 2))
+        assert np.array_equal(tilt_windows(model, [0.0, -3.0]),
+                              [tilt_window(model, 0.0), tilt_window(model, -3.0)])
+        with pytest.raises(NonFinite):
+            tilt_window(model, 150.0)
+        with pytest.raises(NonFinite):
+            tilt_windows(model, [0.0, 150.0])
+
+    def test_infinite_exponent_raises(self):
+        # V = -inf at x = 0.5, a point of the first scan.
+        model = _potential(lambda x: np.where(x == 0.5, -np.inf, x**2 / 2))
+        with pytest.raises(NonFinite):
+            tilt_window(model, 1.0)
+        with pytest.raises(NonFinite):
+            tilt_windows(model, [1.0])
+
+    def test_no_decaying_window_raises(self):
+        # exp(-V) = 1 never decays: every search runs out of doublings.
+        model = _potential(lambda x: 0.0 * x)
+        with pytest.raises(NonConvergent):
+            tilt_window(model, 0.0)
+        with pytest.raises(NonConvergent):
+            tilt_windows(model, [0.0, 0.0])
+
+    def test_one_evaluation_of_v_per_block(self):
+        # Both end windows of a growth, [-4, 4] and [-8, 8] here, come from one
+        # evaluation of V on the first 8 doubling levels.
+        model, sizes = counting_quartic(0.5 * J_CRIT)
+        ends = tilt_windows(model, [-30.0, 2.0])
+        assert np.array_equal(ends, [[-8.0, 8.0], [-4.0, 4.0]])
+        assert sizes == [8 * 257]
 
 
 class TestMagnetization:

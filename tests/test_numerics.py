@@ -18,7 +18,8 @@ from chaoslab.meanfield import tilted_measure
 from chaoslab.model import GeneralPotential, ModelSpec, RankOneInteraction
 from chaoslab.numerics import (LOG_CUT, GridDensity, _chunk_rows,
                                _next_fast_len, convolution_powers, cumulative_trapezoid,
-                               log_laplace, log_laplace_grid, log_mgf, newton_root,
+                               log_laplace, log_laplace_grid, log_mgf, log_trapezoid,
+                               nested_log_trapezoid, newton_root, trapezoid_log_weights,
                                window_search)
 from conftest import LOG_QUARTIC_GAUSS, QUARTIC_NORM, TANH_ROOT
 from oracles import (convolve, integrate, log_integrate_exp, mixed_convolution_powers,
@@ -581,6 +582,118 @@ class TestFindRoot:
         step = lambda x: (-1.0 if x < 1 / 3 else 1.0, 0.0)
         with pytest.raises(NonConvergent):
             newton_root(step, 0.0, 1e-300)
+
+
+# Equations of the lockstep tests: (gd, x0) pairs, each solved alone by the
+# scalar path, including a start that is already converged.
+LOCKSTEP = [
+    (lambda x: (math.atan(x - 5), 1 / (1 + (x - 5) ** 2)), 0.0),
+    (_tanh_gd, 0.3),
+    (_tanh_gd, -0.3),
+    (_tanh_gd, 3.0),
+    (lambda x: (1e-9 * (x - 1000.0), 1e-9), 0.0),
+    (lambda x: (x - 0.3, 1.0), 0.1 + 0.2),
+    (lambda x: (x**3 - 2.0, 3 * x**2), -4.0),
+]
+
+
+def _lockstep_gd(equations, seen):
+    """The vector gd of ``equations``, recording each (equation, x) read."""
+    def gd(x, which):
+        seen.extend(zip(which.tolist(), x.tolist()))
+        out = [equations[i][0](xi) for i, xi in zip(which, x.tolist())]
+        return np.array([g for g, _ in out]), np.array([dg for _, dg in out])
+
+    return gd
+
+
+class TestLockstepNewton:
+    def test_each_root_is_its_scalar_solve(self):
+        seen = []
+        roots = newton_root(_lockstep_gd(LOCKSTEP, seen), np.array([x0 for _, x0 in LOCKSTEP]),
+                            1e-12)
+        for i, (gd, x0) in enumerate(LOCKSTEP):
+            alone = []
+            root = newton_root(lambda x: alone.append(x) or gd(x), x0, 1e-12)
+            assert roots[i] == root
+            assert [x for j, x in seen if j == i] == alone
+
+    def test_one_equation_is_the_scalar_solve(self):
+        gd, x0 = LOCKSTEP[0]
+        got = newton_root(_lockstep_gd(LOCKSTEP[:1], []), np.array([x0]), 1e-12)
+        assert got.tolist() == [newton_root(gd, x0, 1e-12)]
+
+    @pytest.mark.parametrize("nan_at", [0, 2])
+    def test_nan_raises(self, nan_at):
+        calls = []
+        gd = _lockstep_gd(LOCKSTEP, [])
+
+        def broken(x, which):
+            calls.append(which)
+            g, dg = gd(x, which)
+            if len(calls) > nan_at:
+                g[which == 3] = math.nan
+            return g, dg
+
+        with pytest.raises(NonConvergent):
+            newton_root(broken, np.array([x0 for _, x0 in LOCKSTEP]), 1e-12)
+        assert len(calls) == nan_at + 1
+
+    def test_iteration_cap_raises(self):
+        # The step equation of the scalar test never converges; the others do.
+        step = (lambda x: (-1.0 if x < 1 / 3 else 1.0, 0.0), 0.0)
+        equations = LOCKSTEP[:2] + [step]
+        with pytest.raises(NonConvergent):
+            newton_root(_lockstep_gd(equations, []), np.array([x0 for _, x0 in equations]),
+                        1e-300)
+
+
+def _wavy_log_f(k):
+    """log of exp(-t^2/2) (2 + cos(k t)): on 257 nodes over [-16, 16] its
+    halving check first passes on every node for k = 8, and on none for
+    k = 18."""
+    return lambda ts: -ts**2 / 2 + np.log(2 + np.cos(k * ts))
+
+
+class TestNestedLogTrapezoid:
+    @pytest.mark.parametrize("log_f, stride", [
+        (lambda ts: -ts**2 / 4, 4), (lambda ts: -ts**2 / 2, 2), (_wavy_log_f(8), 1)],
+        ids=["wide", "gaussian", "wavy"])
+    def test_reads_coarse_to_fine(self, log_f, stride):
+        # The first values come from a scan's every 16th point, as the chord
+        # scan of ``window_search`` reads them; each missing value is read
+        # once, and the result is the trapezoid on the first set of nodes
+        # whose halving check passes.
+        ts = np.linspace(-16.0, 16.0, 257)
+        values = np.full(ts.size, np.nan)
+        values[::16] = log_f(ts[::16])
+        reads = []
+        got = nested_log_trapezoid(ts, values, lambda idx: reads.append(idx) or log_f(ts[idx]))
+        read = np.concatenate(reads)
+        assert np.unique(read).size == read.size and np.isnan(values[read]).all()
+        assert np.array_equal(np.union1d(read, np.arange(0, 257, 16)),
+                              np.arange(0, 257, stride))
+        sub = ts[::stride]
+        assert got == log_trapezoid(0.0, sub, trapezoid_log_weights(sub) + log_f(sub))
+
+    def test_full_read_is_log_trapezoid(self):
+        ts = np.linspace(-16.0, 16.0, 257)
+        log_f = _wavy_log_f(8)(ts)
+        got = nested_log_trapezoid(ts, log_f, lambda idx: pytest.fail("read"))
+        assert got == log_trapezoid(0.0, ts, trapezoid_log_weights(ts) + log_f)
+
+    def test_unresolved_raises(self):
+        ts = np.linspace(-16.0, 16.0, 257)
+        log_f = _wavy_log_f(18)
+        with pytest.raises(GridResolution):
+            nested_log_trapezoid(ts, np.full(ts.size, np.nan), lambda idx: log_f(ts[idx]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_read_raises(self, bad):
+        ts = np.linspace(-16.0, 16.0, 257)
+        log_f = lambda t: np.where(t == 1.0, bad, -t**2 / 2)
+        with pytest.raises(NonFinite):
+            nested_log_trapezoid(ts, np.full(ts.size, np.nan), lambda idx: log_f(ts[idx]))
 
 
 def test_next_fast_len_is_scipys():

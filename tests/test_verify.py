@@ -4,7 +4,9 @@ import pytest
 import chaoslab.marginals as marginals
 import chaoslab.verify as verify
 from chaoslab.bounds import curie_weiss_constants, jw_rhs
-from chaoslab.errors import DivergentIntegral, GridResolution, Supercritical
+from chaoslab.cli import parse_config, run
+from chaoslab.errors import (DivergentIntegral, GridResolution, RegimeViolation,
+                             Supercritical)
 from chaoslab.marginals import build_mixture
 from chaoslab.meanfield import (LogPartition, critical_coupling, magnetization,
                                 solve_fixed_point, tilted_measure)
@@ -17,7 +19,7 @@ from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf,
                              phi_positivity_scan, psi_positivity_scan,
                              solve_interpolated_fixed_point)
 from conftest import J_CRIT, counting_quartic
-from oracles import (fisher_information_1d, longdouble_jw_log_mgf,
+from oracles import (fisher_information_1d, full_read_jw_log_mgf, longdouble_jw_log_mgf,
                      nested_quad_jw_log_mgf, t1_ratio_scan_per_tilt,
                      window_search_by_full_scans)
 
@@ -87,6 +89,15 @@ class TestMagnetizationInverse:
                       RankOneInteraction(0.5))
         assert magnetization(m, 0.0) == pytest.approx(0.2314, abs=1e-4)
         assert magnetization(m, magnetization_inverse(m, h)) == pytest.approx(h, abs=1e-10)
+
+    def test_array_is_per_h_solves(self, quartic_model):
+        # On a kernel grown past every tilt the solves read, the lockstep
+        # roots are those of one solve per h, bit for bit.
+        hs = np.array([0.01, 0.4, -1.2, 2.5, 0.0])
+        kernel = LogPartition(quartic_model)
+        kernel(np.array([-40.0, 40.0]))
+        roots = magnetization_inverse(kernel, hs)
+        assert roots.tolist() == [magnetization_inverse(kernel, h) for h in hs]
 
     @pytest.mark.parametrize("h", [0.01, 2.5, -3.0])
     def test_builds_pi_zero_at_most_once(self, quartic_model, monkeypatch, h):
@@ -201,6 +212,38 @@ class TestJwLogMgf:
         monkeypatch.setattr(verify, "window_search", window_search_by_full_scans)
         assert got == jw_log_mgf(model, n)
 
+    @pytest.mark.parametrize("n", [1, 16, 1024, MAX_PARTICLES])
+    @pytest.mark.parametrize("model", [gaussian_model(1.0, f) for f in (0.1, 0.5, 0.9, 0.99)]
+                             + [curie_weiss_model(1.0, 1.0, f * J_CRIT)
+                                for f in (0.1, 0.5, 0.9, 0.99)],
+                             ids=[f"gaussian-{f}" for f in (0.1, 0.5, 0.9, 0.99)]
+                             + [f"quartic-{f}Jc" for f in (0.1, 0.5, 0.9, 0.99)])
+    def test_matches_the_full_read(self, model, n):
+        # The search from |t| = 16 ends on the scan that the search from
+        # |t| = 1 ends on, and the coarse-to-fine read stops within 1e-12 of
+        # the trapezoid on every point of it.
+        assert jw_log_mgf(model, n) == pytest.approx(full_read_jw_log_mgf(model, n),
+                                                     rel=0.0, abs=1e-12)
+
+    def test_one_kernel(self, monkeypatch):
+        # The sub-critical check reads pi[0] of the kernel the integrand uses.
+        kernels = []
+        init = LogPartition.__init__
+        monkeypatch.setattr(LogPartition, "__init__",
+                            lambda self, model: kernels.append(model) or init(self, model))
+        model = curie_weiss_model(1.0, 1.0, 0.9 * J_CRIT)
+        jw_log_mgf(model, 1024)
+        assert kernels == [model]
+
+    def test_asymmetric_confinement_raises(self):
+        # pi[0] of V = x^4/4 + x^2/2 - x/2 has mean 0.2314: m_* = pi[0] is not
+        # the mean-field limit.
+        m = ModelSpec(GeneralPotential(v=lambda x: x**4 / 4 + x**2 / 2 - x / 2,
+                                       grad_v=lambda x: x**3 + x - 0.5),
+                      RankOneInteraction(0.5))
+        with pytest.raises(RegimeViolation):
+            jw_log_mgf(m, 16)
+
     @pytest.mark.parametrize("n", [2**p for p in range(14, 21)])
     @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
     def test_quartic_large_n_matches_long_double(self, frac, n):
@@ -218,7 +261,8 @@ class TestJwLogMgf:
 
     def test_log_z1_work(self, monkeypatch):
         # Full scans read 1548 log Z_1 rows here: six scans of 257 points,
-        # each with the row of log Z_1(0).
+        # each with the row of log Z_1(0).  The search from |t| = 16 stops on its
+        # second scan, whose integral is read on 65 of its points: 86 rows.
         rows = []
         cgf = LogPartition.cgf
 
@@ -228,7 +272,7 @@ class TestJwLogMgf:
 
         monkeypatch.setattr(LogPartition, "cgf", counted)
         jw_log_mgf(curie_weiss_model(1.0, 1.0, 0.9 * J_CRIT), 1024)
-        assert sum(rows) <= 400
+        assert sum(rows) <= 120
 
     def test_bound_holds(self, quartic_model):
         J = quartic_model.coupling
@@ -367,3 +411,16 @@ class TestOneKernelPerScan:
             assert rep.min_margin == other.min_margin, name
             for field in ("grid", "lhs", "rhs"):
                 assert np.array_equal(getattr(rep, field), getattr(other, field)), name
+
+    def test_verify_command_measures_whole_families(self, tmp_path, monkeypatch):
+        # Each scan reads its tilts in one measure of an array, and the phi
+        # scan's eight solves step in lockstep: the command at 0.9 J_c makes
+        # 7 scalar measure calls, where it made 104 reading one tilt at a time.
+        scalar = []
+        measure = LogPartition.measure
+        monkeypatch.setattr(LogPartition, "measure", lambda self, tilts: (
+            np.ndim(tilts) == 0 and scalar.append(tilts)) or measure(self, tilts))
+        doc = {"command": "verify", "n_grid": [1024], "output_dir": str(tmp_path),
+               "model": {"theta": 1.0, "sigma": 1.0, "J": 0.9 * J_CRIT}}
+        assert run(parse_config(doc))["passed"]
+        assert len(scalar) <= 10
