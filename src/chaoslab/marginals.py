@@ -111,8 +111,9 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
     number would have been usable, never a wrong number.
 
     The doubling search reads log Z_1 only where it decides its stops
-    (``numerics.window_search`` with ``convex``), and each refinement pass
-    reads all of its points in one grid sum (``LogPartition.linspace``).
+    (``numerics.window_search``: the log weight is -N z^2 / 2J plus N times
+    the convex log Z_1), and each refinement pass reads all of its points in
+    one grid sum (``LogPartition.linspace``).
     Both raise ``NonFinite`` where a value they read is NaN or +inf.  The
     points the search skips need no check: log Z_1 is convex, and a convex
     function that is finite at both ends of a gap is finite inside it.
@@ -132,10 +133,9 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
     log_weight_profile = partial(_log_weight_profile, kernel, N, J)
 
     # Locate the effective support of the mixing weight by the doubling
-    # search, then shrink it with the refinement passes.  log Z_1 is convex,
-    # so the search reads only what decides its stops (``window_search``
-    # with ``convex``), and only its final window is kept.
-    zs = window_search(log_weight_profile, convex=(N / (2.0 * J), N), fill=False)[0]
+    # search, then shrink it with the refinement passes.  Only the search's
+    # final window is kept.
+    zs = window_search(log_weight_profile, N / (2.0 * J), N)[0]
     zlo, zhi = _refine_support(kernel, N, J, float(zs[0]), float(zs[-1]))
 
     # Gauss-Legendre nodes on the discovered support.

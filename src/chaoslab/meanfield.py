@@ -33,7 +33,9 @@ __all__ = [
 @dataclass(frozen=True)
 class TiltedMeasure:
     """1D measure with density exp(-V(x) + tilt*x - log_z), and its first two
-    raw moments, summed on the grid of the ``LogPartition`` that normalized it."""
+    raw moments, summed on the grid of the ``LogPartition`` that normalized it.
+    A family of them has arrays of one shape for its fields, one entry per
+    tilt; the density methods take one measure."""
 
     model: ModelSpec
     tilt: float
@@ -58,8 +60,8 @@ _GRID_POINTS = 4097
 
 def tilt_windows(model: ModelSpec, tilts) -> np.ndarray:
     """The effective support of exp(-V(x) + t x) for each t in ``tilts``, as
-    an (n, 2) array of window ends: ``numerics.window_search`` on each,
-    with V evaluated once per block of doubling levels
+    an (n, 2) array of window ends: the doubling search on each, with V
+    evaluated once per block of doubling levels
     (``numerics.tilted_windows``)."""
     return tilted_windows(lambda x: -model.potential(x), tilts)
 
@@ -138,25 +140,26 @@ class LogPartition:
         return log_mgf(zs, self.xs, self._logw - self(0.0))
 
     def measure(self, tilts):
-        """pi[t] at a tilt, or the list of pi[t] over a 1-D array of tilts, on
-        the grid grown as ``__call__`` grows it, with the halving
+        """pi[t] on the grid grown as ``__call__`` grows it, with the halving
         check at every tilt (``GridResolution`` above 1e-12); the moments
-        are sums sum_i exp(log w_i + t x_i - log_z) x_i^p on it.
+        are sums sum_i exp(log w_i + t x_i - log_z) x_i^p on it.  A float
+        tilt gives float fields; an array of tilts gives the family, one
+        ``TiltedMeasure`` whose fields are arrays in the tilts' shape.
 
         All tilts share one ``log_trapezoid`` and one block of weights, and
-        each row is summed on its own, so every pi[t] of an array is the one
-        a call with t alone gives on the same grid, bit for bit.
+        each row is summed on its own, so each entry of a family is the one
+        a call with its tilt alone gives on the same grid, bit for bit.
         """
-        ts = np.asarray(tilts, dtype=float)
+        ts = np.array(tilts, dtype=float)
         self._cover(ts)
         flat = ts.reshape(-1)
         log_z = log_trapezoid(flat, self.xs, self._logw)
         weights = np.exp(flat[:, None] * self.xs + self._logw - log_z[:, None])
-        means = (weights * self.xs).sum(axis=1)
-        second_moments = (weights * self.xs**2).sum(axis=1)
-        family = [TiltedMeasure(self.model, float(t), float(z), float(m), float(s))
-                  for t, z, m, s in zip(flat, log_z, means, second_moments)]
-        return family[0] if ts.ndim == 0 else family
+        fields = (flat, log_z, (weights * self.xs).sum(axis=1),
+                  (weights * self.xs**2).sum(axis=1))
+        if ts.ndim == 0:
+            return TiltedMeasure(self.model, *(float(f[0]) for f in fields))
+        return TiltedMeasure(self.model, *(f.reshape(ts.shape) for f in fields))
 
 
 def tilted_measure(model: ModelSpec, tilt: float) -> TiltedMeasure:

@@ -1,14 +1,14 @@
 """Deterministic 1D numerical kernels.
 
 The one doubling window search and the one checked log-trapezoid behind
-every integral of the library, the search for a family of tilts with one
-evaluation per block of levels (``tilted_windows``) and the coarse-to-fine
-read of a trapezoid (``nested_log_trapezoid``), the chord-bounded scan of a concave
-quadratic plus a convex function (``_ChordScan``: the doubling searches of
-the field read log Z_1 only where it decides their stops), the chunked
-log-Laplace reduction behind every field/grid sum, its separable form on a
-uniform grid of points (``log_laplace_grid``: one matrix product, few exps)
-and its expm1 form for a log moment generating function (``log_mgf``), the
+every integral of the library: the search on a concave quadratic plus a
+convex function, which reads it only where it decides a stop
+(``window_search``), the search for a family of tilts with one evaluation
+per block of levels (``tilted_windows``) and the coarse-to-fine read of a
+trapezoid (``nested_log_trapezoid``).  Then the chunked log-Laplace
+reduction behind every field/grid sum, its separable form on a uniform
+grid of points (``log_laplace_grid``: one matrix product, few exps) and
+its expm1 form for a log moment generating function (``log_mgf``), the
 k-fold self-convolutions of one density row in one spectral pass, the
 cumulative trapezoid, and safeguarded Newton root finding, for one
 equation or many in lockstep.  There is no adaptive
@@ -69,9 +69,9 @@ _LEVEL_BLOCK = 8
 _RESOLUTION_TOL = 1e-12
 # Largest |t x| of the expm1 form of ``log_mgf``: expm1 overflows above 709.78.
 _EXPM1_MAX = 700.0
-# A ``_ChordScan`` reads every _CHORD_STRIDE-th point and the last, and bounds
-# each gap between two of those with a rounding margin of _CHORD_MARGIN
-# relative.
+# A scan of ``window_search`` first reads every _CHORD_STRIDE-th point, the
+# last among them (_SCAN_POINTS - 1 is a multiple of it), and bounds each gap
+# between two of those with a rounding margin of _CHORD_MARGIN relative.
 _CHORD_STRIDE = 16
 _CHORD_MARGIN = 1e-9
 
@@ -85,113 +85,71 @@ def _checked(xs, vals) -> np.ndarray:
     return vals
 
 
-class _ChordScan:
-    """A profile log f(u) = -c u^2 + n g(u), g convex, on the uniform points
-    ``us``, read only where a question about it needs the values.
+def window_search(profile, c: float, n: float):
+    """Doubling search for a window outside which f is negligible, for a
+    profile log f(u) = -c u^2 + n g(u) with g convex.
 
     ``profile(us)`` returns log f and g at ``us``, point by point, so a
-    value does not depend on which other points are read with it.  The scan
-    first reads every ``_CHORD_STRIDE``-th point and the last in one call,
-    the two ends among them, so a kernel that grows with the largest |u| it
+    value does not depend on which other points are read with it.  The
+    search scans ``_SCAN_POINTS`` uniform points over [-1, 1], then [-2, 2],
+    [-4, 4], ..., and stops at the first scan whose two end values both lie
+    more than ``LOG_CUT`` below that scan's peak.  Returns the scan's points
+    and values, NaN where a value was not needed.
+
+    Each scan first reads every ``_CHORD_STRIDE``-th point, the two ends
+    among them, in one call, so a kernel that grows with the largest |u| it
     is asked for grows as on a read of all points.  On each gap between two
     read points g lies below its chord, so log f lies below a concave
-    quadratic; ``bound`` holds that quadratic's maximum on the gap plus a
-    rounding margin of ``_CHORD_MARGIN`` times n (1 + |g|) + c u^2 at the
-    gap's ends.  A gap's inner points are read (``fill``) only where its
-    bound can change an answer, and every value read is the one a read of
-    all points gives, bit for bit.  ``values`` is NaN where nothing was
-    read.
+    quadratic: the gap's bound is that quadratic's maximum on the gap plus
+    a rounding margin of ``_CHORD_MARGIN`` times n (1 + |g|) + c u^2 at the
+    gap's ends.  If the read points do not stop the scan, the inner points
+    of every gap whose bound lies more than ``LOG_CUT`` above both ends are
+    read, in one call; no other gap can stop it.  The stops, the window and
+    every value read are those of scans that read all their points, bit
+    for bit.
 
-    ``NonFinite`` is raised for a NaN or +inf log f at a point read.  The
-    points of a gap left unread need no check: a convex g that is finite at
-    both ends of a gap is finite inside it (it lies below its chord), and
-    so is -c u^2.
+    Raises ``NonFinite`` for a NaN or +inf log f at a point read, and
+    ``NonConvergent`` after ``_MAX_DOUBLINGS`` doublings.  The points left
+    unread need no check: a convex g that is finite at both ends of a gap
+    is finite inside it, and so is -c u^2.
     """
-
-    def __init__(self, profile, us: np.ndarray, c: float, n: float):
-        self.us = us
-        self._profile = profile
-        self.values = np.full(us.size, np.nan)
-        g = np.full(us.size, np.nan)
-        read = np.r_[np.arange(0, us.size - 1, _CHORD_STRIDE), us.size - 1]
-        self.values[read], g[read] = self._read(read)
-        a, b = read[:-1], read[1:]
-        slope = (g[b] - g[a]) / (us[b] - us[a])
-        top = np.clip(n * slope / (2.0 * c), us[a], us[b])
-        margin = _CHORD_MARGIN * (
-            n * (1.0 + np.maximum(np.abs(g[a]), np.abs(g[b])))
-            + c * np.maximum(us[a] ** 2, us[b] ** 2))
-        bound = -c * top**2 + n * (g[a] + slope * (top - us[a])) + margin
-        bound[np.isnan(bound)] = np.inf
-        self.bound = bound
-        self._gaps = a, b
-        self._filled = np.zeros(a.size, dtype=bool)
-
-    def _read(self, idx):
-        vals, g = self._profile(self.us[idx])
-        return _checked(self.us[idx], vals), g
-
-    def fill(self, gaps) -> None:
-        """Read the inner points of ``gaps`` (indices or a mask), in one call."""
-        a, b = self._gaps
-        gaps = np.arange(a.size)[gaps]
-        gaps = gaps[~self._filled[gaps]]
-        if gaps.size:
-            inner = np.concatenate([np.arange(a[i] + 1, b[i]) for i in gaps])
-            self.values[inner] = self._read(inner)[0]
-            self._filled[gaps] = True
-
-
-def window_search(log_f, convex=None, fill: bool = True):
-    """Doubling search for a window outside which exp(log_f) is negligible.
-
-    Scans ``log_f`` on ``_SCAN_POINTS`` uniform points over [-1, 1], then
-    [-2, 2], [-4, 4], ..., and stops at the first scan whose two end values
-    both lie more than ``LOG_CUT`` below that scan's peak.  Returns the
-    scan's points and values.  Raises ``NonFinite`` for a NaN or +inf scan
-    value (no window can be read from it), and ``NonConvergent`` after
-    ``_MAX_DOUBLINGS`` doublings.
-
-    ``convex=(c, n)`` declares log_f(u) = -c u^2 + n g(u) with g convex;
-    ``log_f`` then returns log f and g, and each scan is a ``_ChordScan``
-    that reads the rest of its points only where a gap's bound could lift
-    the peak LOG_CUT above both ends.  The stops, the window and every value
-    read are those of full scans, bit for bit.  With ``fill=False`` the
-    final scan is not completed: its values are NaN where they were not
-    needed.
-    """
-    lo, hi = -1.0, 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        xs = np.linspace(lo, hi, _SCAN_POINTS)
-        if convex is None:
-            vals = _checked(xs, log_f(xs))
-        else:
-            scan = _ChordScan(log_f, xs, *convex)
-            vals = scan.values
-            ends = max(vals[0], vals[-1])
-            if not ends < np.nanmax(vals) - LOG_CUT:
-                # x - LOG_CUT is monotone in x, so a gap whose bound minus
-                # LOG_CUT does not clear the ends cannot stop the search.
-                scan.fill(scan.bound - LOG_CUT > ends)
-        if max(vals[0], vals[-1]) < np.nanmax(vals) - LOG_CUT:
-            if convex is not None and fill:
-                scan.fill(slice(None))
-            return xs, vals
-        lo *= 2.0
-        hi *= 2.0
+    read = np.arange(0, _SCAN_POINTS, _CHORD_STRIDE)
+    a, b = read[:-1], read[1:]
+    for level in range(_MAX_DOUBLINGS):
+        us = np.linspace(-1.0, 1.0, _SCAN_POINTS) * 2.0**level  # exact
+        vals, g = np.full(us.size, np.nan), np.full(us.size, np.nan)
+        vals[read], g[read] = profile(us[read])
+        _checked(us[read], vals[read])
+        ends = max(vals[0], vals[-1])
+        if not ends < np.nanmax(vals) - LOG_CUT:
+            slope = (g[b] - g[a]) / (us[b] - us[a])
+            top = np.clip(n * slope / (2.0 * c), us[a], us[b])
+            margin = _CHORD_MARGIN * (
+                n * (1.0 + np.maximum(np.abs(g[a]), np.abs(g[b])))
+                + c * np.maximum(us[a] ** 2, us[b] ** 2))
+            bound = -c * top**2 + n * (g[a] + slope * (top - us[a])) + margin
+            # A gap whose bound minus LOG_CUT does not clear the ends cannot
+            # stop the search; a NaN bound bounds nothing.
+            gaps = a[np.isnan(bound) | (bound - LOG_CUT > ends)]
+            if gaps.size:
+                inner = (gaps[:, None] + np.arange(1, _CHORD_STRIDE)).reshape(-1)
+                vals[inner] = _checked(us[inner], profile(us[inner])[0])
+        if ends < np.nanmax(vals) - LOG_CUT:
+            return us, vals
     raise NonConvergent("doubling search did not find a decaying window")
 
 
 def tilted_windows(log_f, tilts) -> np.ndarray:
-    """The window of ``window_search`` on log_f(x) + t x for each t in ``tilts``,
-    as an (n, 2) array of their ends.
+    """The window of the doubling search on log_f(x) + t x for each t in
+    ``tilts``, as an (n, 2) array of their ends: the scans and stop rule of
+    ``window_search``, with every point of a scan read.
 
     ``log_f`` is evaluated once per ``_LEVEL_BLOCK`` doubling levels, on all
     of their scans in one call, and every tilt reads those values: each
-    search stops at the level ``window_search`` stops at on its own, with
-    the same scan values.  ``NonFinite`` is raised for a NaN or +inf value
-    only at a level a tilt's search reaches, as ``window_search`` raises it
-    there, and ``NonConvergent`` after ``_MAX_DOUBLINGS`` doublings.
+    search stops at the level a search of its own stops at, with the same
+    scan values.  ``NonFinite`` is raised for a NaN or +inf value only at a
+    level a tilt's search reaches, and ``NonConvergent`` after
+    ``_MAX_DOUBLINGS`` doublings.
     """
     tilts = np.asarray(tilts, dtype=float).reshape(-1)
     ends = np.empty((tilts.size, 2))
@@ -257,7 +215,7 @@ def _halved_log_trapezoid(ts, nodes, log_weights):
             np.log(total, out=full[part])
             full[part] += shift
             change[part] = np.log1p((half - total) / total)
-    return full.reshape(ts.shape), float(np.max(np.abs(change)))
+    return full.reshape(ts.shape), float(np.max(np.abs(change), initial=0.0))
 
 
 # Node strides of the coarse-to-fine reads of ``nested_log_trapezoid``.
@@ -573,7 +531,8 @@ def newton_root(gd, x0, tol):
     ``which`` (the indices into ``x0`` of those not yet converged, in
     order) and returns the arrays of g and g' there.  Each root is the one
     a solve of its equation alone returns, bit for bit, when ``gd`` is
-    pointwise.  A float ``x0`` is one equation: ``gd(x)`` takes and returns
+    pointwise.  An empty ``x0`` returns an empty array and never calls
+    ``gd``.  A float ``x0`` is one equation: ``gd(x)`` takes and returns
     floats.
     """
     if not tol > 0:
@@ -583,6 +542,8 @@ def newton_root(gd, x0, tol):
     lo, hi = np.full(x.size, -math.inf), np.full(x.size, math.inf)
     cap = np.maximum(1.0, np.abs(x))
     live = np.arange(x.size)
+    if not live.size:
+        return x
     for _ in range(_NEWTON_MAX_EVALS):
         xl = x[live]
         g, dg = gd(float(xl[0])) if scalar else gd(xl, live)

@@ -60,20 +60,22 @@ def _report(grid, lhs, rhs, tol: float = _TOL) -> ScanReport:
     return ScanReport(grid, lhs, rhs, margin, margin >= -tol)
 
 
-def _entropy_between_tilts(mu: TiltedMeasure, nu: TiltedMeasure) -> float:
-    """H(mu | nu) for two tilted measures: exact via means and normalizers."""
+def _entropy_between_tilts(mu: TiltedMeasure, nu: TiltedMeasure):
+    """H(mu | nu) for tilted measures: exact via means and normalizers; an
+    array for a family ``mu``."""
     return (mu.tilt - nu.tilt) * mu.mean - mu.log_z + nu.log_z
 
 
 def _tilted_family(model: ModelSpec, tilt_grid):
-    """(J, grid, [pi[J l] for l in grid], [H(pi[J l] | m_*) for l in grid]),
-    every measure from one ``LogPartition``; the mean of pi[J l] is f(l)."""
+    """(J, grid, the family pi[J l] over l in grid, H(pi[J l] | m_*) over the
+    grid), every measure from one ``LogPartition``; the mean of pi[J l] is
+    f(l)."""
     J = model.coupling
     grid = np.asarray(tilt_grid, dtype=float)
     kernel = LogPartition(model)
     mstar = kernel.measure(0.0)
     family = kernel.measure(J * grid)
-    return J, grid, family, [_entropy_between_tilts(mu, mstar) for mu in family]
+    return J, grid, family, _entropy_between_tilts(family, mstar)
 
 
 def nonlinear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> ScanReport:
@@ -83,8 +85,7 @@ def nonlinear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> 
     J(l - f(l)), so the non-linear Fisher information is J^2 (l - f(l))^2.
     """
     J, grid, family, entropy = _tilted_family(model, tilt_grid)
-    lhs = [2.0 * bundle.rho * h for h in entropy]
-    return _report(grid, lhs, J**2 * (grid - [mu.mean for mu in family]) ** 2)
+    return _report(grid, 2.0 * bundle.rho * entropy, J**2 * (grid - family.mean) ** 2)
 
 
 def linear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> ScanReport:
@@ -94,7 +95,7 @@ def linear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> Sca
     every confinement V, so the Fisher side is exactly (J l)^2.
     """
     J, grid, _, entropy = _tilted_family(model, tilt_grid)
-    return _report(grid, [2.0 * bundle.rho0 * h for h in entropy], (J * grid) ** 2)
+    return _report(grid, 2.0 * bundle.rho0 * entropy, (J * grid) ** 2)
 
 
 def magnetization_inverse(model: ModelSpec | LogPartition, h, tol: float = 1e-12):
@@ -111,8 +112,7 @@ def magnetization_inverse(model: ModelSpec | LogPartition, h, tol: float = 1e-12
 
     def gd(ell, which):
         family = kernel.measure(J * ell)
-        return (np.array([mu.mean for mu in family]) - targets[which],
-                J * np.array([mu.variance for mu in family]))
+        return family.mean - targets[which], J * family.variance
 
     roots = newton_root(gd, targets, tol)
     return float(roots[0]) if hs.ndim == 0 else roots
@@ -138,8 +138,8 @@ def phi_positivity_scan(model: ModelSpec, eps_override: float | None,
     # step's largest tilt.  The solve starts at l = h and ends on evaluated
     # points, so the two log Z reads after it grow the kernel no further.
     ell = magnetization_inverse(kernel, grid)
-    log_z_ell = np.array([mu.log_z for mu in kernel.measure(J * ell)])
-    log_z_h = np.array([mu.log_z for mu in kernel.measure(J * grid)])
+    log_z_ell = kernel.measure(J * ell).log_z
+    log_z_h = kernel.measure(J * grid).log_z
     phi = ((1.0 - eps) * J * ell * grid - (1.0 - eps) * log_z_ell
            - J * grid * grid + log_z_h - eps * mstar.log_z)
     return _report(grid, np.zeros_like(grid), phi)
@@ -177,10 +177,8 @@ def psi_positivity_scan(model: ModelSpec, alpha: float, m0_mean: float,
     star = kernel.measure(J * h_star)  # its mean is f(h_*)
     grid = np.asarray(ell_grid, dtype=float)
     family = kernel.measure(J * grid)
-    mean = np.array([mu.mean for mu in family])
-    log_z = np.array([mu.log_z for mu in family])
-    psi = (-(j_c / 2.0) * (mean - star.mean) ** 2
-           + J * (grid - h_star) * mean - log_z + star.log_z)
+    psi = (-(j_c / 2.0) * (family.mean - star.mean) ** 2
+           + J * (grid - h_star) * family.mean - family.log_z + star.log_z)
     return _report(grid, np.zeros_like(grid), psi)
 
 
@@ -213,13 +211,12 @@ def jw_log_mgf(model: ModelSpec, N: int) -> float:
     it.  For any other
     model the search still returns a scan that meets its stop rule.
 
-    The t-integrand is -t^2/2 + N g with g convex, so the scans before the
-    last read g only where it decides their stops (``window_search`` with
-    ``convex``), and the final scan only as far as its integral needs;
-    every value read is that of full scans bit for bit.  A NaN or +inf
-    value read raises ``NonFinite``; the points skipped need no check,
-    since a convex g that is finite at both ends of a gap is finite inside
-    it.
+    The t-integrand is -t^2/2 + N g with g convex, so the scans read g only
+    where it decides their stops (``window_search``), and the final scan
+    only as far as its integral needs; every value read is that of full
+    scans bit for bit.  A NaN or +inf value read raises ``NonFinite``; the
+    points skipped need no check, since a convex g that is finite at both
+    ends of a gap is finite inside it.
     """
     J = model.coupling
     if J <= 0:
@@ -237,7 +234,7 @@ def jw_log_mgf(model: ModelSpec, N: int) -> float:
         g = log_z1.cgf(scale * ts)
         return -ts**2 / 2.0 + N * g, g
 
-    vs, log_f = window_search(profile, convex=(_JW_T_START**2 / 2.0, N), fill=False)
+    vs, log_f = window_search(profile, _JW_T_START**2 / 2.0, N)
     log_int = nested_log_trapezoid(_JW_T_START * vs, log_f,
                                    lambda idx: profile(vs[idx])[0])
     return -0.5 * np.log(2.0 * np.pi) + log_int
@@ -284,14 +281,15 @@ def marginal_t1_ratio_scan(model: ModelSpec, N: int, bundle: ConstantsBundle,
     J = model.coupling
     grid = np.asarray(tilt_grid, dtype=float)
     kernel = LogPartition(model)
-    tilts = kernel.measure(J * grid)
+    family = kernel.measure(J * grid)
     lo, hi = min(law.x_window[0], kernel.window[0]), max(law.x_window[1], kernel.window[1])
     xs, log_m1 = marginal_log_grid(law, lo, hi, FINE_POINTS)
     qm = quantile_from_density(GridDensity(lo, hi, FINE_POINTS, np.exp(log_m1)))
     lhs = np.empty_like(grid)
     rhs = np.empty_like(grid)
-    for i, mu in enumerate(tilts):
-        log_mu = mu.log_density(xs)
+    log_v = -model.potential(xs)
+    for i, (tilt, log_z) in enumerate(zip(family.tilt, family.log_z)):
+        log_mu = log_v + tilt * xs - log_z
         p = np.exp(log_mu)
         w1 = wasserstein_1d(quantile_from_density(GridDensity(lo, hi, FINE_POINTS, p)),
                             qm, order=1)

@@ -49,7 +49,7 @@ from chaoslab.meanfield import (LogPartition, TiltedMeasure, _trapezoid_grid,
 from chaoslab.metrics import quantile_from_density, wasserstein_1d
 from chaoslab.model import GeneralKernel
 from chaoslab.numerics import (EXP_UNDERFLOW, FINE_POINTS, LOG_CUT, GridDensity,
-                               log_trapezoid, trapezoid_log_weights, window_search)
+                               log_trapezoid, trapezoid_log_weights)
 from chaoslab.sampler import SampleBatch
 
 # Adaptive quadrature tolerances and window truncation of integrate and
@@ -267,14 +267,15 @@ def refine_support_by_full_scans(kernel, N, J, zlo, zhi):
     return zlo, zhi
 
 
-def window_search_by_full_scans(log_f, convex=None, fill=True):
+def window_search_by_full_scans(log_f, *convex):
     """``numerics.window_search`` as first written: every scan reads all 257
-    of its points.  With ``convex`` given, ``log_f`` returns the profile and
-    g, and only the profile is kept; ``fill`` has nothing left to do."""
+    of its points.  Called as ``window_search`` is, with ``convex`` = (c, n),
+    ``log_f`` returns the profile and g, and only the profile is kept;
+    called with ``log_f`` alone, it is the plain search on log_f."""
     lo, hi = -1.0, 1.0
     for _ in range(40):
         xs = np.linspace(lo, hi, 257)
-        vals = log_f(xs) if convex is None else log_f(xs)[0]
+        vals = log_f(xs)[0] if convex else log_f(xs)
         vals = np.asarray(vals, dtype=float)
         bad = np.isnan(vals) | (vals == np.inf)
         if bad.any():
@@ -289,8 +290,9 @@ def window_search_by_full_scans(log_f, convex=None, fill=True):
 
 def tilt_window(model, tilt):
     """The window of ``meanfield.tilt_windows`` at one tilt as first
-    written: its own ``numerics.window_search`` on -V(x) + tilt x."""
-    xs = window_search(lambda x: -model.potential(x) + tilt * x)[0]
+    written: its own doubling search on -V(x) + tilt x, every scan read
+    whole (``window_search_by_full_scans``)."""
+    xs = window_search_by_full_scans(lambda x: -model.potential(x) + tilt * x)[0]
     return float(xs[0]), float(xs[-1])
 
 

@@ -151,7 +151,7 @@ class TestMixtureKernels:
         # by one step; the refinement reads such points again one by one.
         J = model.coupling
         profile = partial(marginals._log_weight_profile, LogPartition(model), n, J)
-        zs = numerics.window_search(profile, convex=(n / (2.0 * J), n))[0]
+        zs = numerics.window_search(profile, n / (2.0 * J), n)[0]
         logw = profile(np.linspace(zs[0], zs[-1], marginals._REFINE_POINTS))[0]
         assert (logw == logw.max() - numerics.LOG_CUT).any()
         got = build_mixture(model, n)

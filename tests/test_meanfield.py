@@ -5,9 +5,9 @@ import pytest
 
 from chaoslab import meanfield
 from chaoslab.errors import GridResolution, NonConvergent, NonFinite, Supercritical
-from chaoslab.meanfield import (LogPartition, TiltedMeasure, critical_coupling,
-                                magnetization, solve_fixed_point, subcritical_reference,
-                                tilt_windows, tilted_measure)
+from chaoslab.meanfield import (LogPartition, critical_coupling, magnetization,
+                                solve_fixed_point, subcritical_reference, tilt_windows,
+                                tilted_measure)
 from chaoslab.model import (GeneralPotential, ModelSpec, RankOneInteraction,
                             curie_weiss_model, gaussian_model)
 from conftest import F_AT_1, H_STAR_SUPER, J_CRIT, X2_MOMENT, counting_quartic
@@ -146,6 +146,20 @@ MEASURE_ELLS = np.concatenate([-np.geomspace(0.01, 60.0, 25)[::-1], [0.0],
                                np.geomspace(0.01, 60.0, 25)])
 
 
+MEASURE_FIELDS = ("tilt", "log_z", "mean", "second_moment")
+
+
+def _family_fields(family):
+    """Each field of a family as the bytes of its values, to compare bit for bit."""
+    return [np.asarray(getattr(family, f), dtype=float).tobytes() for f in MEASURE_FIELDS]
+
+
+def _fields_per_tilt(kernel, tilts):
+    """``_family_fields`` of the measures of ``kernel`` at each tilt alone."""
+    alone = [kernel.measure(t) for t in tilts]
+    return [np.array([getattr(mu, f) for mu in alone]).tobytes() for f in MEASURE_FIELDS]
+
+
 class TestMeasure:
     @pytest.mark.parametrize("name", list(MEASURE_MODELS))
     def test_grown_kernel_matches_per_tilt_grids(self, name):
@@ -177,17 +191,34 @@ class TestMeasure:
 
     @pytest.mark.parametrize("name", list(MEASURE_MODELS))
     def test_array_is_per_tilt_calls(self, name):
-        # One measure of an array of tilts gives, row by row, the bits of a
-        # call with each tilt alone on the same grid.
+        # One measure of an array of tilts is one family whose fields give,
+        # entry by entry, the bits of a call with each tilt alone on the
+        # same grid; a scalar tilt gives float fields.
         model = MEASURE_MODELS[name]
         J = model.coupling
         kernel = LogPartition(model)
         kernel(np.array([-60.0 * J, 60.0 * J]))
         tilts = J * MEASURE_ELLS
         family = kernel.measure(tilts)
-        assert family == [kernel.measure(t) for t in tilts]
-        assert isinstance(kernel.measure(tilts[0]), TiltedMeasure)
-        assert kernel.measure(tilts[:1]) == family[:1]
+        assert _family_fields(family) == _fields_per_tilt(kernel, tilts)
+        one = kernel.measure(tilts[0])
+        assert all(type(getattr(one, f)) is float for f in MEASURE_FIELDS)
+        assert _family_fields(kernel.measure(tilts[:1])) == _fields_per_tilt(kernel, tilts[:1])
+
+    def test_2d_tilts_keep_their_shape(self):
+        model = curie_weiss_model(1.0, 1.0, 1.0)
+        kernel = LogPartition(model)
+        tilts = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        family = kernel.measure(tilts)
+        flat = kernel.measure(tilts.reshape(-1))
+        for f in MEASURE_FIELDS:
+            assert getattr(family, f).shape == (3, 4)
+            assert np.array_equal(getattr(family, f), getattr(flat, f).reshape(3, 4))
+
+    def test_empty_family_is_empty(self):
+        # No tilt: an empty family, not an error of the halving check.
+        family = LogPartition(curie_weiss_model(1.0, 1.0, 1.0)).measure(np.array([]))
+        assert all(getattr(family, f).shape == (0,) for f in MEASURE_FIELDS)
 
     def test_array_grows_once_to_its_largest_tilt(self):
         # Read in one call, an ascending family grows the kernel once, and
@@ -198,7 +229,7 @@ class TestMeasure:
         family = one.measure(tilts)
         grown = LogPartition(model)
         grown(tilts[-1])
-        assert family == [grown.measure(t) for t in tilts]
+        assert _family_fields(family) == _fields_per_tilt(grown, tilts)
 
     @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, 1.0),
                                        gaussian_model(100.0, 50.0),

@@ -19,8 +19,8 @@ from chaoslab.model import GeneralPotential, ModelSpec, RankOneInteraction
 from chaoslab.numerics import (LOG_CUT, GridDensity, _chunk_rows,
                                _next_fast_len, convolution_powers, cumulative_trapezoid,
                                log_laplace, log_laplace_grid, log_mgf, log_trapezoid,
-                               nested_log_trapezoid, newton_root, trapezoid_log_weights,
-                               window_search)
+                               nested_log_trapezoid, newton_root, tilted_windows,
+                               trapezoid_log_weights, window_search)
 from conftest import LOG_QUARTIC_GAUSS, QUARTIC_NORM, TANH_ROOT
 from oracles import (convolve, integrate, log_integrate_exp, mixed_convolution_powers,
                      node_grid_densities, unit_mass_rows)
@@ -433,10 +433,10 @@ class TestConvolutionPowers:
 
 
 class TestWindowSearch:
+    """The plain doubling search, as ``tilted_windows`` runs it at tilt 0."""
+
     def test_gaussian_window(self):
-        xs, vals = window_search(lambda x: -x**2 / 2)
-        assert -xs[0] == xs[-1] == 16.0
-        assert vals.max() == 0.0
+        assert tilted_windows(lambda x: -x**2 / 2, [0.0]).tolist() == [[-16.0, 16.0]]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_scan_value_raises(self, bad):
@@ -446,11 +446,11 @@ class TestWindowSearch:
             return out
 
         with pytest.raises(NonFinite):
-            window_search(log_f)
+            tilted_windows(log_f, [0.0])
 
     def test_minus_inf_is_a_zero_integrand(self):
-        xs, _ = window_search(lambda x: np.where(np.abs(x) < 3, -x**2, -np.inf))
-        assert xs[-1] == 4.0
+        ends = tilted_windows(lambda x: np.where(np.abs(x) < 3, -x**2, -np.inf), [0.0])
+        assert ends[0, 1] == 4.0
 
     def test_nan_potential_raises_non_finite(self):
         # V = x^3 / (2x) is x^2 / 2 with 0/0 at the scan point x = 0.  Its
@@ -480,11 +480,9 @@ class TestChordScan:
                                              (1e-3, 1.0, -40.0), (2.0, 8.0, 0.7)])
     def test_window_search_matches_full_scans(self, c, n, shift):
         profile, asked = _convex_profile(c, n, shift)
-        want = oracles.window_search_by_full_scans(profile, convex=(c, n))
-        xs, vals = window_search(profile, convex=(c, n))
-        assert np.array_equal(xs, want[0]) and np.array_equal(vals, want[1])
+        want = oracles.window_search_by_full_scans(profile, c, n)
         asked.clear()
-        xs, vals = window_search(profile, convex=(c, n), fill=False)
+        xs, vals = window_search(profile, c, n)
         assert np.array_equal(xs, want[0])
         read = ~np.isnan(vals)
         assert np.array_equal(vals[read], want[1][read])
@@ -501,7 +499,7 @@ class TestChordScan:
             g = c / n * (2 * p * us - p * p + np.maximum(0.0, (us - p) ** 2 - r * r))
             return -c * np.minimum((us - p) ** 2, r * r), g
 
-        xs, vals = window_search(profile, convex=(c, n), fill=False)
+        xs, vals = window_search(profile, c, n)
         assert (xs[0], xs[-1]) == (-1.0, 1.0)
         assert np.nanmax(vals) > vals[0] + LOG_CUT
 
@@ -515,7 +513,7 @@ class TestChordScan:
 
         # u = 0 is the 128th point of every scan, which is read.
         with pytest.raises(NonFinite):
-            window_search(broken, convex=(0.5, 1.0))
+            window_search(broken, 0.5, 1.0)
 
 
 def _tanh_gd(x):
@@ -638,6 +636,13 @@ class TestLockstepNewton:
         with pytest.raises(NonConvergent):
             newton_root(broken, np.array([x0 for _, x0 in LOCKSTEP]), 1e-12)
         assert len(calls) == nan_at + 1
+
+    def test_no_equations_are_no_roots(self):
+        # No equation to solve: no evaluation, and an empty array of roots.
+        calls = []
+        roots = newton_root(lambda x, which: calls.append(which) or (x, 1.0 + 0.0 * x),
+                            np.array([]), 1e-12)
+        assert roots.shape == (0,) and not calls
 
     def test_iteration_cap_raises(self):
         # The step equation of the scalar test never converges; the others do.

@@ -99,6 +99,10 @@ class TestMagnetizationInverse:
         roots = magnetization_inverse(kernel, hs)
         assert roots.tolist() == [magnetization_inverse(kernel, h) for h in hs]
 
+    def test_no_targets_are_no_roots(self, quartic_model):
+        # No target: no measure is read, and no root comes back.
+        assert magnetization_inverse(quartic_model, np.array([])).shape == (0,)
+
     @pytest.mark.parametrize("h", [0.01, 2.5, -3.0])
     def test_builds_pi_zero_at_most_once(self, quartic_model, monkeypatch, h):
         # Every f(l) is read from the one kernel of the call, whose first
