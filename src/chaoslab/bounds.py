@@ -208,6 +208,9 @@ def curie_weiss_constants(model: ModelSpec, N: int) -> ConstantsBundle:
 
 @dataclass(frozen=True)
 class CoefficientReport:
+    """``lemma51_coefficient_check`` at (N, alpha): the A-sum and its upper
+    bound, the B-sum and its lower bound, and whether both hold."""
+
     n_particles: int
     alpha: float
     a_sum: float
@@ -247,6 +250,10 @@ def lemma51_coefficient_check(N: int, alpha: float) -> CoefficientReport:
 
 @dataclass(frozen=True)
 class UpperSolutionReport:
+    """``verify_upper_solution`` at (rho, gamma, M, N): the least margin of
+    the crude and of the refined sequence over k; ``passed`` is True, since a
+    failure raises ``AssertionFailure``."""
+
     rho: float
     gamma: float
     big_m: float

@@ -21,7 +21,8 @@ from . import verify as _verify
 from .errors import ChaosLabError, ConfigError, DegenerateInput, RegimeViolation
 from .marginals import (MAX_LEVEL, build_mixture, conditional_entropy_level,
                         relative_entropy_levels, wasserstein2_marginal)
-from .meanfield import critical_coupling, solve_fixed_point, subcritical_reference
+from .meanfield import (LogPartition, critical_coupling, solve_fixed_point,
+                        subcritical_reference)
 from .model import MAX_PARTICLES, ModelSpec, curie_weiss_model, gaussian_model
 from .sampler import ChainConfig, run_chain
 
@@ -194,6 +195,8 @@ def _write_json(path: Path, payload: dict, config_hash: str) -> None:
 
 @dataclass(frozen=True)
 class ScalingFit:
+    """A least-squares line log H = slope log N + intercept, and its R^2."""
+
     slope: float
     intercept: float
     r_squared: float
@@ -225,7 +228,7 @@ def _run_constants(cfg: ExperimentConfig, outdir: Path, chash: str) -> dict:
 
 
 def _run_fixed_point(cfg: ExperimentConfig, outdir: Path, chash: str) -> dict:
-    res = solve_fixed_point(cfg.model)
+    res = solve_fixed_point(LogPartition(cfg.model))
     _write_json(outdir / "fixed_point.json",
                 {"h_star": res.h_star, "iterations": res.iterations,
                  "residual": res.residual}, chash)
@@ -288,15 +291,16 @@ def _run_verify(cfg: ExperimentConfig, outdir: Path, chash: str) -> dict:
     bundle = _bounds.curie_weiss_constants(model, N)
     grid = np.concatenate([-np.geomspace(0.01, 3.0, 8)[::-1],
                            np.geomspace(0.01, 3.0, 8)])
+    nonlinear_lsi, linear_lsi = _verify.lsi_scans(model, bundle, grid)
     reports = {
-        "nonlinear_lsi": _verify.nonlinear_lsi_scan(model, bundle, grid),
-        "linear_lsi": _verify.linear_lsi_scan(model, bundle, grid),
+        "nonlinear_lsi": nonlinear_lsi,
+        "linear_lsi": linear_lsi,
         "phi_positivity": _verify.phi_positivity_scan(
             model, None, np.geomspace(0.01, 3.0, 8)),
         "psi_positivity": _verify.psi_positivity_scan(
             model, 0.0, 0.0, np.geomspace(0.01, 3.0, 8)),
         "marginal_t1": _verify.marginal_t1_ratio_scan(
-            model, N, bundle, np.linspace(-0.5, 0.5, 5)),
+            build_mixture(model, N), bundle, np.linspace(-0.5, 0.5, 5)),
     }
     payload = {}
     all_pass = True
@@ -345,6 +349,9 @@ def run(config: ExperimentConfig) -> dict:
 
 
 def main(argv=None) -> int:
+    """The ``chaoslab`` command: run the config at ``--config`` and print its
+    summary as one JSON line.  Returns 0 when the summary passed, 1 when it
+    did not, and 2 on a ``ChaosLabError``, printed as a JSON error line."""
     parser = argparse.ArgumentParser(
         prog="chaoslab",
         description="Mean-field Gibbs measure laboratory: constants, "

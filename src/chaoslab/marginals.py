@@ -533,6 +533,7 @@ def marginal_grid_density(law: MixtureLaw) -> GridDensity:
 
 
 def marginal_moment(law: MixtureLaw, power: int) -> float:
+    """E[x^power] under m^{N,1}: the trapezoid on ``marginal_grid_density``."""
     g = marginal_grid_density(law)
     return float(np.trapezoid(g.xs**power * g.values, dx=g.dx))
 

@@ -4,7 +4,8 @@ Tilted measures pi[h] with density proportional to exp(-V(x) + t x), each
 normalized by ``LogPartition.measure``, the magnetization map f = p o pi,
 the critical coupling, the one sub-critical guard on
 m_* = pi[0] and the safeguarded Newton solver for the mean-field fixed point
-h = f(h).
+h = f(h) and its interpolation h = f(alpha h0 + (1 - alpha) h), which the
+psi scan of ``verify`` reads.
 """
 from __future__ import annotations
 
@@ -172,15 +173,13 @@ def magnetization(model: ModelSpec, h: float) -> float:
     return tilted_measure(model, model.coupling * h).mean
 
 
-def critical_coupling(model: ModelSpec | TiltedMeasure) -> float:
-    """J_c = int exp(-V) / int x^2 exp(-V) = 1 / <x^2> under pi[0].
+def critical_coupling(mstar: TiltedMeasure) -> float:
+    """J_c = int exp(-V) / int x^2 exp(-V) = 1 / <x^2> under pi[0], read off
+    ``mstar``, the model's pi[0] (a TiltedMeasure at tilt 0).
 
-    ``model`` is a ModelSpec, or its pi[0] (a TiltedMeasure at tilt 0),
-    which is then not built again.  This is 1 / Var(pi[0]) only when pi[0]
-    has mean zero (an even V); for an asymmetric confinement it is not the
-    critical coupling.
+    This is 1 / Var(pi[0]) only when pi[0] has mean zero (an even V); for an
+    asymmetric confinement it is not the critical coupling.
     """
-    mstar = model if isinstance(model, TiltedMeasure) else tilted_measure(model, 0.0)
     return 1.0 / mstar.second_moment
 
 
@@ -191,7 +190,7 @@ def subcritical_reference(model: ModelSpec | LogPartition) -> TiltedMeasure:
     Every quantity taken against m_* = pi[0] (the entropy levels, the
     Curie-Weiss constants, the log-MGF) needs pi[0] to be the mean-field
     limit, which holds for an even confinement below the critical coupling.
-    Raises ``Supercritical`` for J >= ``critical_coupling(model)``, and
+    Raises ``Supercritical`` for J >= ``critical_coupling(mstar)``, and
     ``RegimeViolation`` for a non-quartic confinement whose pi[0] has
     |mean| > 1e-10 sd: the fixed point is then not h = 0.  (Quartic
     confinements are even, so the mean is not checked for them.)
@@ -214,38 +213,44 @@ def subcritical_reference(model: ModelSpec | LogPartition) -> TiltedMeasure:
 
 @dataclass(frozen=True)
 class FixedPointResult:
+    """A solve of h = f(alpha h0 + (1 - alpha) h): the root ``h_star``, the
+    measure pi[J t] read at its last step, t = alpha h0 + (1 - alpha) h_star
+    (pi[J h_star] for alpha = 0), the number of measures read, and the
+    residual h_star - f(t)."""
+
     h_star: float
     m_star: TiltedMeasure
     iterations: int
     residual: float
 
 
-def solve_fixed_point(model: ModelSpec, tol: float = 1e-10,
-                      h0: float = 0.0) -> FixedPointResult:
-    """Solve h = f(h) from ``h0`` by ``numerics.newton_root`` on
-    g(h) = h - f(h), g'(h) = 1 - J Var(pi[J h]), every pi[J h] read from one
-    kernel; ``iterations`` counts them.
+def solve_fixed_point(kernel: LogPartition, tol: float = 1e-10, h0: float = 0.0,
+                      alpha: float = 0.0) -> FixedPointResult:
+    """Solve h = f(alpha h0 + (1 - alpha) h) from ``h0`` by
+    ``numerics.newton_root`` on g(h) = h - f(t), g'(h) = 1 - (1 - alpha) J
+    Var(pi[J t]) with t = alpha h0 + (1 - alpha) h, every pi[J t] read from
+    ``kernel``; ``iterations`` counts them.  alpha = 0 is the mean-field fixed
+    point h = f(h).
 
     Sub-critically g is increasing, so the solve converges from any start.
-    A root with f'(h) > 1 (as h = 0 above J_c for an even V) is unstable:
-    the solve restarts one standard deviation of pi[J h] up, towards the
-    stable h_*, and raises ``NonConvergent`` if it comes back no higher.
+    A root with (1 - alpha) f'(t) > 1 (as h = 0 above J_c for an even V and
+    alpha = 0) is unstable: the solve restarts one standard deviation of
+    pi[J t] up, towards the stable root, and raises ``NonConvergent`` if it
+    comes back no higher.
     """
-    kernel = LogPartition(model)
-    J = model.coupling
+    J = kernel.model.coupling
     measured = []
 
     def gd(h):
-        mu = kernel.measure(J * h)
+        mu = kernel.measure(J * (alpha * h0 + (1.0 - alpha) * h))
         measured.append(mu)
-        return h - mu.mean, 1.0 - J * mu.variance
+        return h - mu.mean, 1.0 - (1.0 - alpha) * J * mu.variance
 
     h, unstable = newton_root(gd, h0, tol), -np.inf
-    while J * measured[-1].variance > 1.0:
+    while (1.0 - alpha) * J * measured[-1].variance > 1.0:
         if not h > unstable:
             raise NonConvergent(f"fixed-point solver came back to the unstable h = {h}")
         unstable = h
         h = newton_root(gd, h + np.sqrt(measured[-1].variance), tol)
     mu = measured[-1]
     return FixedPointResult(h, mu, len(measured), h - mu.mean)
-

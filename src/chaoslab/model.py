@@ -102,6 +102,9 @@ class RankOneInteraction:
 
 @dataclass(frozen=True)
 class GeneralPotential:
+    """A confinement V given by its values ``v`` and its derivative
+    ``grad_v``, both elementwise on arrays."""
+
     v: Callable[[np.ndarray], np.ndarray]
     grad_v: Callable[[np.ndarray], np.ndarray]
 

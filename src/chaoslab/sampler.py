@@ -20,13 +20,14 @@ The target, y -> (log-density, gradient), is ``model.gibbs_target``,
 built once per chain.  Only ``model`` decides how a model family splits
 the Gibbs exponent; the chain never looks at the model's parts.  MALA
 rejects a proposal whose target is not finite, where ULA raises
-``NonFinite``; an energy above ``energy_ceiling`` raises ``DivergentChain``.
+``NonFinite``; an energy above ``_ENERGY_CEILING`` = 1e10 raises
+``DivergentChain``.
 
 A sample file is a 16-byte header (magic, format version, N) and the kept
 draws as row-major little-endian float64, with a JSON sidecar.  It is
 written through one buffer of about 1 MB of rows (``run_chain`` with a
-path, ``save_batch``) and read as a copy-on-write memory map
-(``load_batch``), so neither side holds the draws in memory.
+path) and read as a copy-on-write memory map (``load_batch``), so neither
+side holds the draws in memory.
 """
 from __future__ import annotations
 
@@ -47,7 +48,6 @@ __all__ = [
     "ChainConfig",
     "SampleBatch",
     "run_chain",
-    "save_batch",
     "load_batch",
 ]
 
@@ -59,10 +59,17 @@ _FORMAT_VERSION = 1
 # streamed to a file.  The cap keeps a block's per-step lists small at N < 8.
 _BLOCK_DRAWS = 8192
 _BLOCK_STEPS = 1024
+# A chain whose energy -log p exceeds this has diverged (``DivergentChain``).
+_ENERGY_CEILING = 1e10
 
 
 @dataclass(frozen=True)
 class ChainConfig:
+    """A checked chain: ``n_steps`` Langevin steps of ``step_size`` on
+    ``n_particles``, of which every ``thinning``-th after ``burn_in`` is
+    kept, by ``algorithm`` ("mala" or "ula") from the streams of ``seed``.
+    A bad field raises ``ValueError`` with a message starting with its name."""
+
     n_particles: int
     step_size: float
     n_steps: int
@@ -70,7 +77,6 @@ class ChainConfig:
     thinning: int = 1
     seed: int = 0
     algorithm: str = "mala"
-    energy_ceiling: float = 1e10
 
     def __post_init__(self) -> None:
         # Each message starts with the offending field's name, which
@@ -89,9 +95,6 @@ class ChainConfig:
             ("seed", 0 <= self.seed < 2**128, "must be in [0, 2**128)"),
             ("algorithm", self.algorithm in ("mala", "ula"),
              "must be 'mala' or 'ula'"),
-            ("energy_ceiling",
-             math.isfinite(self.energy_ceiling) and self.energy_ceiling > 0,
-             "must be positive and finite"),
         )
         for name, ok, rule in checks:
             if not ok:
@@ -104,6 +107,9 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class SampleBatch:
+    """The kept draws of a chain, one row of N per draw, with its MALA
+    acceptance rate (None for ULA), its seed and its model's fingerprint."""
+
     draws: np.ndarray = field(repr=False)
     acceptance_rate: float | None
     seed: int
@@ -115,9 +121,8 @@ def run_chain(model: ModelSpec, cfg: ChainConfig, path=None) -> SampleBatch:
 
     Without ``path`` the kept draws are returned in memory, as one
     (n_kept, N) array.  With ``path`` they are streamed to a sample file
-    there (``save_batch``'s bytes) through one buffer of about 1 MB, and the
-    batch returned is ``load_batch(path)``; a chain that raises leaves no
-    file behind.
+    there through one buffer of about 1 MB, and the batch returned is
+    ``load_batch(path)``; a chain that raises leaves no file behind.
     """
     n = cfg.n_particles
     if path is None:
@@ -155,7 +160,7 @@ def _run(model: ModelSpec, cfg: ChainConfig, buf: np.ndarray, flush) -> float | 
     mean = x + eps * grad
 
     n_steps, n_kept, thinning = cfg.n_steps, cfg.n_kept, cfg.thinning
-    ceiling = cfg.energy_ceiling
+    ceiling = _ENERGY_CEILING
     rows = buf.shape[0]
     kept = filled = 0
     next_kept = cfg.burn_in
@@ -255,22 +260,6 @@ def _write_sidecar(path, cfg: ChainConfig, n_kept: int, acceptance_rate,
     path = Path(path)
     path.with_suffix(path.suffix + ".json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-
-
-def save_batch(batch: SampleBatch, cfg: ChainConfig, path) -> None:
-    """Binary dump: 16-byte header, row-major float64 LE, JSON sidecar.
-
-    The draws go out about 1 MB of rows at a time, each block through a
-    memoryview (no copy when the draws already are C-ordered little-endian
-    float64).  The file replaces ``path`` atomically, so saving a batch
-    that ``load_batch`` mapped from ``path`` back to ``path`` is safe.
-    """
-    n_kept, n = batch.draws.shape
-    with _sample_file(path, n) as write:
-        rows = _chunk_rows(n)
-        for start in range(0, n_kept, rows):
-            write(batch.draws[start:start + rows])
-    _write_sidecar(path, cfg, n_kept, batch.acceptance_rate, batch.model_fingerprint)
 
 
 def load_batch(path) -> SampleBatch:

@@ -3,8 +3,10 @@
 Every scan uses the tilted measures pi[l] as the test family: the
 variational arguments behind the sub-critical constants show these are
 the extremizers of the entropy-constrained problems, so they are the
-sharpest cheap probes.  Constants always come in verbatim from the
-bounds module; a scan failure is a build-stopping event.
+sharpest cheap probes.  Each scan reads its family from one
+``LogPartition`` of its own (both LSIs share one, ``lsi_scans``), and an
+empty grid raises ``ValueError`` before any is built.  Constants always come
+in verbatim from the bounds module; a scan failure is a build-stopping event.
 """
 from __future__ import annotations
 
@@ -14,9 +16,9 @@ import numpy as np
 
 from .bounds import ConstantsBundle, t1_particle_constant
 from .errors import DivergentIntegral
-from .marginals import MixtureLaw, build_mixture, marginal_log_grid
+from .marginals import MixtureLaw, marginal_log_grid
 from .meanfield import (LogPartition, TiltedMeasure, critical_coupling,
-                        subcritical_reference)
+                        solve_fixed_point, subcritical_reference)
 from .metrics import quantile_from_density, wasserstein_1d
 from .model import MAX_PARTICLES, ModelSpec
 from .numerics import (FINE_POINTS, GridDensity, nested_log_trapezoid, newton_root,
@@ -24,8 +26,7 @@ from .numerics import (FINE_POINTS, GridDensity, nested_log_trapezoid, newton_ro
 
 __all__ = [
     "ScanReport",
-    "nonlinear_lsi_scan",
-    "linear_lsi_scan",
+    "lsi_scans",
     "phi_positivity_scan",
     "psi_positivity_scan",
     "jw_log_mgf",
@@ -52,8 +53,16 @@ class ScanReport:
             raise ValueError("grid, lhs and rhs must have equal length")
 
 
+def _scan_grid(points, name: str) -> np.ndarray:
+    """``points`` as a float array; a ``ValueError`` naming the grid if it is
+    empty, raised before a scan builds its kernel."""
+    grid = np.asarray(points, dtype=float)
+    if grid.size == 0:
+        raise ValueError(f"{name} is empty: a scan needs at least one point")
+    return grid
+
+
 def _report(grid, lhs, rhs, tol: float = _TOL) -> ScanReport:
-    grid = np.asarray(grid, dtype=float)
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     margin = float(np.min(rhs - lhs))
@@ -66,46 +75,37 @@ def _entropy_between_tilts(mu: TiltedMeasure, nu: TiltedMeasure):
     return (mu.tilt - nu.tilt) * mu.mean - mu.log_z + nu.log_z
 
 
-def _tilted_family(model: ModelSpec, tilt_grid):
-    """(J, grid, the family pi[J l] over l in grid, H(pi[J l] | m_*) over the
-    grid), every measure from one ``LogPartition``; the mean of pi[J l] is
-    f(l)."""
+def lsi_scans(model: ModelSpec, bundle: ConstantsBundle,
+              tilt_grid) -> tuple[ScanReport, ScanReport]:
+    """The non-linear and the linear LSI on one family pi[J l] over l in
+    ``tilt_grid``, every measure read from one ``LogPartition``; returns
+    their reports in that order.
+
+    Non-linear: 2 rho H(pi[l] | m_*) <= I(pi[l] | Pi[pi[l]]).  The score gap
+    between pi[l] and Pi[pi[l]] = pi[f(l)] is the constant J(l - f(l)), so
+    the Fisher side is J^2 (l - f(l))^2, the mean of pi[J l] being f(l).
+
+    Linear: 2 rho0 H(pi[l] | m_*) <= I(pi[l] | m_*).  The score gap between
+    pi[l] and m_* = pi[0] is the constant J l for every confinement V, so
+    the Fisher side is exactly (J l)^2.
+    """
+    grid = _scan_grid(tilt_grid, "tilt_grid")
     J = model.coupling
-    grid = np.asarray(tilt_grid, dtype=float)
     kernel = LogPartition(model)
     mstar = kernel.measure(0.0)
     family = kernel.measure(J * grid)
-    return J, grid, family, _entropy_between_tilts(family, mstar)
+    entropy = _entropy_between_tilts(family, mstar)
+    return (_report(grid, 2.0 * bundle.rho * entropy, J**2 * (grid - family.mean) ** 2),
+            _report(grid, 2.0 * bundle.rho0 * entropy, (J * grid) ** 2))
 
 
-def nonlinear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> ScanReport:
-    """Check 2 rho H(pi[l] | m_*) <= I(pi[l] | Pi[pi[l]]) on a tilt grid.
-
-    The score gap between pi[l] and Pi[pi[l]] = pi[f(l)] is the constant
-    J(l - f(l)), so the non-linear Fisher information is J^2 (l - f(l))^2.
-    """
-    J, grid, family, entropy = _tilted_family(model, tilt_grid)
-    return _report(grid, 2.0 * bundle.rho * entropy, J**2 * (grid - family.mean) ** 2)
-
-
-def linear_lsi_scan(model: ModelSpec, bundle: ConstantsBundle, tilt_grid) -> ScanReport:
-    """Check 2 rho0 H(pi[l] | m_*) <= I(pi[l] | m_*).
-
-    The score gap between pi[l] and m_* = pi[0] is the constant J l for
-    every confinement V, so the Fisher side is exactly (J l)^2.
-    """
-    J, grid, _, entropy = _tilted_family(model, tilt_grid)
-    return _report(grid, 2.0 * bundle.rho0 * entropy, (J * grid) ** 2)
-
-
-def magnetization_inverse(model: ModelSpec | LogPartition, h, tol: float = 1e-12):
+def magnetization_inverse(kernel: LogPartition, h):
     """l = f^{-1}(h): the root of f(l) - h, whose derivative f'(l) =
-    J Var(pi[J l]) is positive, by ``numerics.newton_root`` from l = h.
-    ``model`` may be the ``LogPartition`` to read every f(l) from.  For a
-    1-D array ``h`` the roots are solved in lockstep, every step reading
-    its f(l) in one ``LogPartition.measure``, and come back as an array;
-    each is the root of its h alone, bit for bit."""
-    kernel = model if isinstance(model, LogPartition) else LogPartition(model)
+    J Var(pi[J l]) is positive, by ``numerics.newton_root`` from l = h to
+    1e-12, every f(l) read from ``kernel``.  For a 1-D array ``h`` the roots
+    are solved in lockstep, every step reading its f(l) in one
+    ``LogPartition.measure``, and come back as an array; each is the root of
+    its h alone, bit for bit."""
     J = kernel.model.coupling
     hs = np.asarray(h, dtype=float)
     targets = hs.reshape(-1)
@@ -114,7 +114,7 @@ def magnetization_inverse(model: ModelSpec | LogPartition, h, tol: float = 1e-12
         family = kernel.measure(J * ell)
         return family.mean - targets[which], J * family.variance
 
-    roots = newton_root(gd, targets, tol)
+    roots = newton_root(gd, targets, 1e-12)
     return float(roots[0]) if hs.ndim == 0 else roots
 
 
@@ -127,12 +127,12 @@ def phi_positivity_scan(model: ModelSpec, eps_override: float | None,
     with the sub-critical choice eps = (1 - J/J_c)^2 unless overridden.
     The report's lhs is 0, rhs is phi, so margin = min phi.
     """
+    grid = _scan_grid(h_grid, "h_grid")
     J = model.coupling
     kernel = LogPartition(model)
     mstar = kernel.measure(0.0)
     j_c = critical_coupling(mstar)
     eps = (1.0 - J / j_c) ** 2 if eps_override is None else eps_override
-    grid = np.asarray(h_grid, dtype=float)
     # One lockstep solve for every h: each step reads the f(l) of all the
     # equations still open in one measure, which grows the kernel to that
     # step's largest tilt.  The solve starts at l = h and ends on evaluated
@@ -145,37 +145,22 @@ def phi_positivity_scan(model: ModelSpec, eps_override: float | None,
     return _report(grid, np.zeros_like(grid), phi)
 
 
-def solve_interpolated_fixed_point(model: ModelSpec | LogPartition, alpha: float,
-                                   h0: float, tol: float = 1e-12) -> float:
-    """h_* solving h = f(alpha h0 + (1 - alpha) h), by ``numerics.newton_root``
-    from h0 on g(h) = h - f(t), g'(h) = 1 - (1 - alpha) J Var(pi[J t]) with
-    t = alpha h0 + (1 - alpha) h, every f read from one kernel (``model`` may
-    be that ``LogPartition``)."""
-    kernel = model if isinstance(model, LogPartition) else LogPartition(model)
-    J = kernel.model.coupling
-
-    def gd(h):
-        mu = kernel.measure(J * (alpha * h0 + (1.0 - alpha) * h))
-        return h - mu.mean, 1.0 - (1.0 - alpha) * J * mu.variance
-
-    return newton_root(gd, h0, tol)
-
-
 def psi_positivity_scan(model: ModelSpec, alpha: float, m0_mean: float,
                         ell_grid) -> ScanReport:
     """Positivity of psi around the interpolated fixed point h_*.
 
     psi(l) = -(J_c/2)(f(l) - f(h_*))^2 + J (l - h_*) f(l)
-             - log Z(J l) + log Z(J h_*),  with h_* = f(alpha h0 + (1-alpha) h_*).
+             - log Z(J l) + log Z(J h_*),  with h_* = f(alpha h0 + (1-alpha) h_*)
+    solved from h0 = ``m0_mean`` to 1e-12 (``meanfield.solve_fixed_point``).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
+    grid = _scan_grid(ell_grid, "ell_grid")
     J = model.coupling
     kernel = LogPartition(model)
     j_c = critical_coupling(kernel.measure(0.0))
-    h_star = solve_interpolated_fixed_point(kernel, alpha, m0_mean)
+    h_star = solve_fixed_point(kernel, 1e-12, m0_mean, alpha).h_star
     star = kernel.measure(J * h_star)  # its mean is f(h_*)
-    grid = np.asarray(ell_grid, dtype=float)
     family = kernel.measure(J * grid)
     psi = (-(j_c / 2.0) * (family.mean - star.mean) ** 2
            + J * (grid - h_star) * family.mean - family.log_z + star.log_z)
@@ -264,9 +249,10 @@ def bolley_villani_moment_check(mu_quantile, rho: float) -> float:
     return float(np.trapezoid(vals, us))
 
 
-def marginal_t1_ratio_scan(model: ModelSpec, N: int, bundle: ConstantsBundle,
-                           tilt_grid, law: MixtureLaw | None = None) -> ScanReport:
-    """W_1^2(pi[l], m^{N,1}) <= 64 (1+delta_N)^2 / lambda_N * H(pi[l] | m^{N,1}).
+def marginal_t1_ratio_scan(law: MixtureLaw, bundle: ConstantsBundle,
+                           tilt_grid) -> ScanReport:
+    """W_1^2(pi[l], m^{N,1}) <= 64 (1+delta_N)^2 / lambda_N * H(pi[l] | m^{N,1}),
+    for the model and N of ``law``.
 
     Every pi[l] comes from one ``LogPartition``, and every tilt uses one
     grid of ``FINE_POINTS`` points over the union of ``law.x_window`` and
@@ -275,13 +261,11 @@ def marginal_t1_ratio_scan(model: ModelSpec, N: int, bundle: ConstantsBundle,
     of m^{N,1} and the log-ratio in H.  Each pi[l] is evaluated on it once,
     for its quantile function and for H.
     """
-    if law is None:
-        law = build_mixture(model, N)
+    grid = _scan_grid(tilt_grid, "tilt_grid")
+    model = law.model
     const = t1_particle_constant(bundle.lambda_n, bundle.delta_n)
-    J = model.coupling
-    grid = np.asarray(tilt_grid, dtype=float)
     kernel = LogPartition(model)
-    family = kernel.measure(J * grid)
+    family = kernel.measure(model.coupling * grid)
     lo, hi = min(law.x_window[0], kernel.window[0]), max(law.x_window[1], kernel.window[1])
     xs, log_m1 = marginal_log_grid(law, lo, hi, FINE_POINTS)
     qm = quantile_from_density(GridDensity(lo, hi, FINE_POINTS, np.exp(log_m1)))

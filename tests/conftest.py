@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chaoslab.meanfield import critical_coupling
+from chaoslab.meanfield import critical_coupling, tilted_measure
 from chaoslab.model import (GeneralPotential, ModelSpec, RankOneInteraction,
                             curie_weiss_model, gaussian_model)
 
@@ -39,9 +39,14 @@ def quartic_model():
     return curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT)
 
 
+def critical_coupling_of(model):
+    """J_c of ``model``, read off its pi[0]."""
+    return critical_coupling(tilted_measure(model, 0.0))
+
+
 @pytest.fixture(scope="session")
 def quartic_jc(quartic_model):
-    return critical_coupling(quartic_model)
+    return critical_coupling_of(quartic_model)
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,11 @@ the reference of the tilted measures read
 from one ``LogPartition``; the T1 scan with each tilt on its own grids
 (``t1_ratio_scan_per_tilt``), the reference of the one-grid scan; the
 log-MGF summed in long double (``longdouble_jw_log_mgf``) and read in
-full from |t| = 1 (``full_read_jw_log_mgf``); the
+full from |t| = 1 (``full_read_jw_log_mgf``); the interpolated fixed point
+h = f(alpha h0 + (1 - alpha) h) by the Newton solve of its own that
+``verify`` once kept (``solve_interpolated_fixed_point``), the reference of
+``meanfield.solve_fixed_point``; a sample file written from a batch in
+memory (``save_batch``), the byte reference of ``run_chain`` with a path; the
 relative entropy from samples, with both densities known (``kl_plug_in``)
 or from samples alone (``kl_knn``); the Langevin chain loop as first
 written, one step at a time with nothing cached between steps; the GHS
@@ -49,8 +53,10 @@ from chaoslab.meanfield import (LogPartition, TiltedMeasure, _trapezoid_grid,
 from chaoslab.metrics import quantile_from_density, wasserstein_1d
 from chaoslab.model import GeneralKernel
 from chaoslab.numerics import (EXP_UNDERFLOW, FINE_POINTS, LOG_CUT, GridDensity,
-                               log_trapezoid, trapezoid_log_weights)
-from chaoslab.sampler import SampleBatch
+                               _chunk_rows, log_trapezoid, newton_root,
+                               trapezoid_log_weights)
+from chaoslab.sampler import (_ENERGY_CEILING, SampleBatch, _sample_file,
+                              _write_sidecar)
 
 # Adaptive quadrature tolerances and window truncation of integrate and
 # log_integrate_exp.
@@ -640,7 +646,7 @@ def reference_run_chain(model, cfg):
             if not np.isfinite(logp_y) or not np.all(np.isfinite(grad_y)):
                 raise NonFinite(f"ULA left the finite-energy region at step {step}")
             x, logp, grad = y, logp_y, grad_y
-        if -logp > cfg.energy_ceiling:
+        if -logp > _ENERGY_CEILING:
             raise DivergentChain(f"energy {-logp:.3e} exceeded ceiling at step {step}")
         if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thinning == 0:
             draws[kept] = x
@@ -649,6 +655,34 @@ def reference_run_chain(model, cfg):
     rate = accepted / proposed if mala else None
     return SampleBatch(draws=draws[:kept], acceptance_rate=rate,
                        seed=cfg.seed, model_fingerprint=model.fingerprint())
+
+
+def save_batch(batch, cfg, path) -> None:
+    """Write ``batch`` as a sample file at ``path``: the 16-byte header, the
+    draws as row-major little-endian float64, about 1 MB of rows at a time,
+    and the JSON sidecar of ``cfg``.  The file replaces ``path`` atomically,
+    so saving a batch that ``load_batch`` mapped from ``path`` back to
+    ``path`` is safe."""
+    n_kept, n = batch.draws.shape
+    with _sample_file(path, n) as write:
+        rows = _chunk_rows(n)
+        for start in range(0, n_kept, rows):
+            write(batch.draws[start:start + rows])
+    _write_sidecar(path, cfg, n_kept, batch.acceptance_rate, batch.model_fingerprint)
+
+
+def solve_interpolated_fixed_point(kernel, alpha, h0, tol=1e-12):
+    """h_* solving h = f(alpha h0 + (1 - alpha) h), by ``numerics.newton_root``
+    from h0 on g(h) = h - f(t), g'(h) = 1 - (1 - alpha) J Var(pi[J t]) with
+    t = alpha h0 + (1 - alpha) h, every f read from ``kernel``, with no
+    restart away from an unstable root."""
+    J = kernel.model.coupling
+
+    def gd(h):
+        mu = kernel.measure(J * (alpha * h0 + (1.0 - alpha) * h))
+        return h - mu.mean, 1.0 - (1.0 - alpha) * J * mu.variance
+
+    return newton_root(gd, h0, tol)
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,8 @@ from chaoslab.meanfield import tilted_measure
 from chaoslab.metrics import quantile_from_density
 from chaoslab.model import curie_weiss_model, gaussian_model
 from chaoslab.sampler import ChainConfig, run_chain
-from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf,
-                             linear_lsi_scan, marginal_t1_ratio_scan,
-                             nonlinear_lsi_scan, phi_positivity_scan,
+from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf, lsi_scans,
+                             marginal_t1_ratio_scan, phi_positivity_scan,
                              psi_positivity_scan)
 from conftest import J_CRIT
 from oracles import (brute_marginal_log_density_n2,
@@ -185,15 +184,15 @@ def test_inequality_scans_across_couplings():
         model = curie_weiss_model(1.0, 1.0, frac * J_CRIT)
         bundle = curie_weiss_constants(model, n)
         law = build_mixture(model, n)
+        nlsi, llsi = lsi_scans(model, bundle, tilt_grid)
         scans = {
-            "nlsi": nonlinear_lsi_scan(model, bundle, tilt_grid).passed,
-            "llsi": linear_lsi_scan(model, bundle, tilt_grid).passed,
+            "nlsi": nlsi.passed,
+            "llsi": llsi.passed,
             "phi": phi_positivity_scan(
                 model, None, np.geomspace(0.01, 3.0, 8)).passed,
             "psi": psi_positivity_scan(
                 model, 0.0, 0.0, np.geomspace(0.01, 3.0, 8)).passed,
-            "t1": marginal_t1_ratio_scan(
-                model, n, bundle, np.linspace(-0.5, 0.5, 5), law=law).passed,
+            "t1": marginal_t1_ratio_scan(law, bundle, np.linspace(-0.5, 0.5, 5)).passed,
         }
         g = marginal_grid_density(law)
         q = quantile_from_density(g)

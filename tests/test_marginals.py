@@ -16,12 +16,13 @@ from chaoslab.marginals import (MixtureLaw, build_mixture,
                                 marginal_log_density_batch, marginal_moment,
                                 relative_entropy_levels, sample_marginal,
                                 wasserstein2_marginal)
-from chaoslab.meanfield import LogPartition, critical_coupling, tilted_measure
+from chaoslab.meanfield import LogPartition, tilted_measure
 from chaoslab.model import (MAX_PARTICLES, GeneralPotential, ModelSpec,
                             RankOneInteraction, curie_weiss_model, gaussian_model)
 from chaoslab.numerics import EXP_UNDERFLOW, FINE_POINTS, GridDensity
 from chaoslab.verify import jw_log_mgf
-from conftest import GAUSS_JOINT_KL, J_CRIT, N2_KL_LIMIT_SAMPLE, W2_N32
+from conftest import (GAUSS_JOINT_KL, J_CRIT, N2_KL_LIMIT_SAMPLE, W2_N32,
+                      critical_coupling_of)
 from oracles import (brute_marginal_log_density_n2, brute_marginal_log_density_n3,
                      integrate, node_density_window_by_trapezoid, node_grid_densities,
                      node_row_entropy_levels, node_rows_per_row,
@@ -114,7 +115,7 @@ def _broken_log_z1(method, beyond, bad):
 
 
 def _refinement_cases():
-    j_c = critical_coupling(curie_weiss_model(1.0, 1.0, 1.0))
+    j_c = critical_coupling_of(curie_weiss_model(1.0, 1.0, 1.0))
     cases = [(f"quartic-{frac}Jc", curie_weiss_model(1.0, 1.0, frac * j_c), n)
              for frac in (0.1, 0.5, 0.9, 0.99, 1.5) for n in (2, 32, 1024, 2**16, 2**20)]
     cases += [("double-well", curie_weiss_model(1.0, -1.0, 1.0), n) for n in (8, 64)]
@@ -499,7 +500,7 @@ class TestEntropyLevels:
     def test_quartic_level_n_closed_form_family(self, theta, sigma, frac, n):
         # Single and double wells, a stiff quartic and the pure quartic, up to
         # 0.9 J_c.  The node-row route met these only to 1.4e-12.
-        j_c = critical_coupling(curie_weiss_model(theta, sigma, 1.0))
+        j_c = critical_coupling_of(curie_weiss_model(theta, sigma, 1.0))
         law = build_mixture(curie_weiss_model(theta, sigma, frac * j_c), n)
         got = relative_entropy_levels(law, n).levels[n]
         assert got == pytest.approx(_level_n_closed_form(law), rel=1e-12, abs=0.0)
@@ -521,7 +522,7 @@ class TestEntropyLevels:
     def test_more_reference_rows_agree(self, model, n, k_max, monkeypatch):
         model = {"quartic": curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
                  "double-well": curie_weiss_model(
-                     1.0, -1.0, 0.9 * critical_coupling(curie_weiss_model(1.0, -1.0, 1.0))),
+                     1.0, -1.0, 0.9 * critical_coupling_of(curie_weiss_model(1.0, -1.0, 1.0))),
                  "gaussian": gaussian_model(1.0, 0.5)}[model]
         law = build_mixture(model, n)
         used = []

@@ -10,9 +10,10 @@ from chaoslab.meanfield import (LogPartition, critical_coupling, magnetization,
                                 tilted_measure)
 from chaoslab.model import (GeneralPotential, ModelSpec, RankOneInteraction,
                             curie_weiss_model, gaussian_model)
-from conftest import F_AT_1, H_STAR_SUPER, J_CRIT, X2_MOMENT, counting_quartic
-from oracles import (ghs_concavity_check, integrate, log_integrate_exp, tilt_window,
-                     tilted_measure_per_tilt)
+from conftest import (F_AT_1, H_STAR_SUPER, J_CRIT, X2_MOMENT, counting_quartic,
+                      critical_coupling_of)
+from oracles import (ghs_concavity_check, integrate, log_integrate_exp,
+                     solve_interpolated_fixed_point, tilt_window, tilted_measure_per_tilt)
 
 
 class TestMoments:
@@ -354,7 +355,7 @@ class TestMagnetization:
         assert np.all(np.diff(vals) > 0)
 
     def test_idempotent_at_fixed_point(self, quartic_model):
-        res = solve_fixed_point(quartic_model, tol=1e-10)
+        res = solve_fixed_point(LogPartition(quartic_model), tol=1e-10)
         assert magnetization(quartic_model, res.h_star) == pytest.approx(
             res.h_star, abs=1e-9)
 
@@ -396,20 +397,20 @@ class TestMagnetizationDerivative:
 
 class TestCriticalCoupling:
     def test_pure_gaussian_unit(self):
-        assert critical_coupling(gaussian_model(1.0, 0.1)) == pytest.approx(1.0, abs=1e-9)
+        assert critical_coupling_of(gaussian_model(1.0, 0.1)) == pytest.approx(1.0, abs=1e-9)
 
     def test_pure_gaussian_scaled(self):
-        assert critical_coupling(gaussian_model(2.5, 0.1)) == pytest.approx(2.5, abs=1e-8)
+        assert critical_coupling_of(gaussian_model(2.5, 0.1)) == pytest.approx(2.5, abs=1e-8)
 
     def test_narrow_gaussian(self):
-        assert critical_coupling(gaussian_model(1e5, 1.0)) == pytest.approx(1e5, rel=1e-12)
+        assert critical_coupling_of(gaussian_model(1e5, 1.0)) == pytest.approx(1e5, rel=1e-12)
 
     def test_quartic_regression(self, quartic_model):
-        assert critical_coupling(quartic_model) == pytest.approx(J_CRIT, abs=1e-9)
+        assert critical_coupling_of(quartic_model) == pytest.approx(J_CRIT, abs=1e-9)
 
     def test_reads_a_built_reference(self, quartic_model):
         mstar = tilted_measure(quartic_model, 0.0)
-        assert critical_coupling(mstar) == critical_coupling(quartic_model)
+        assert critical_coupling(mstar) == 1.0 / mstar.second_moment
 
 
 class TestSubcriticalReference:
@@ -440,50 +441,51 @@ class TestSubcriticalReference:
 
 class TestFixedPoint:
     def test_subcritical_is_centered(self, quartic_model):
-        res = solve_fixed_point(quartic_model, tol=1e-10)
+        res = solve_fixed_point(LogPartition(quartic_model), tol=1e-10)
         assert abs(res.h_star) <= 1e-9
         assert abs(res.residual) <= 1e-10
 
     def test_zero_coupling(self):
         m = curie_weiss_model(1.0, 1.0, 0.0)
-        res = solve_fixed_point(m, tol=1e-10)
+        res = solve_fixed_point(LogPartition(m), tol=1e-10)
         assert res.h_star == pytest.approx(0.0, abs=1e-12)
         assert res.iterations == 1
 
     def test_supercritical_branch(self):
         m = curie_weiss_model(1.0, 1.0, 1.5 * J_CRIT)
-        res = solve_fixed_point(m, tol=1e-10, h0=1.0)
+        res = solve_fixed_point(LogPartition(m), tol=1e-10, h0=1.0)
         assert res.h_star == pytest.approx(H_STAR_SUPER, abs=1e-8)
 
     def test_supercritical_start_at_zero_leaves_it(self):
         # h = 0 solves h = f(h) above J_c too, but f'(0) = J/J_c > 1 there:
         # the solver must not stop on it.
         m = curie_weiss_model(1.0, 1.0, 1.5 * J_CRIT)
-        res = solve_fixed_point(m, tol=1e-10)
+        res = solve_fixed_point(LogPartition(m), tol=1e-10)
         assert res.h_star == pytest.approx(H_STAR_SUPER, abs=1e-8)
         assert abs(res.residual) <= 1e-10
 
     def test_subcritical_start_at_zero_is_unchanged(self, quartic_model):
-        res = solve_fixed_point(quartic_model, tol=1e-10)
+        res = solve_fixed_point(LogPartition(quartic_model), tol=1e-10)
         mstar = tilted_measure(quartic_model, 0.0)
         assert (res.h_star, res.iterations, res.residual) == (0.0, 1, -mstar.mean)
         assert res.m_star == mstar
 
     def test_one_grid(self):
         model, sizes = counting_quartic(0.5 * J_CRIT)
-        solve_fixed_point(model, tol=1e-10, h0=1.0)
+        solve_fixed_point(LogPartition(model), tol=1e-10, h0=1.0)
         assert sizes.count(4097) <= 1
 
     def test_supercritical_root_to_1e10(self):
         m = curie_weiss_model(1.0, 1.0, 1.5 * J_CRIT)
-        assert solve_fixed_point(m, tol=1e-10).h_star == pytest.approx(
+        assert solve_fixed_point(LogPartition(m), tol=1e-10).h_star == pytest.approx(
             H_STAR_SUPER, abs=1e-10)
 
     @pytest.mark.parametrize("ratio", [1.01, 1.05, 1.1, 1.5])
     def test_supercritical_start_at_zero_finds_positive_root(self, ratio):
         # From the unstable h = 0 the solver steps up, so the root it reports
         # is the stable h_* > 0 at every J above J_c, not -h_*.
-        res = solve_fixed_point(curie_weiss_model(1.0, 1.0, ratio * J_CRIT), tol=1e-10)
+        res = solve_fixed_point(LogPartition(curie_weiss_model(1.0, 1.0, ratio * J_CRIT)),
+                                tol=1e-10)
         assert res.h_star > 0
         assert abs(res.residual) <= 1e-10
 
@@ -495,10 +497,44 @@ class TestFixedPoint:
         measure = LogPartition.measure
         monkeypatch.setattr(LogPartition, "measure",
                             lambda self, tilt: calls.append(tilt) or measure(self, tilt))
-        res = solve_fixed_point(curie_weiss_model(1.0, 1.0, ratio * J_CRIT),
+        res = solve_fixed_point(LogPartition(curie_weiss_model(1.0, 1.0, ratio * J_CRIT)),
                                 tol=1e-10, h0=h0)
         assert res.iterations == len(calls) <= budget
         assert abs(res.residual) <= 1e-10
+
+
+_DOUBLE_WELL_JC = critical_coupling_of(curie_weiss_model(1.0, -1.0, 1.0))
+_SUBCRITICAL = {
+    **{f"quartic-{frac}Jc": curie_weiss_model(1.0, 1.0, frac * J_CRIT)
+       for frac in (0.1, 0.5, 0.9, 0.99)},
+    "double-well": curie_weiss_model(1.0, -1.0, 0.5 * _DOUBLE_WELL_JC),
+    "gaussian": gaussian_model(1.0, 0.5),
+}
+
+
+class TestInterpolatedFixedPoint:
+    """h = f(alpha h0 + (1 - alpha) h), the fixed point of the psi scan."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("name", list(_SUBCRITICAL))
+    def test_matches_the_interpolated_solver(self, name, alpha):
+        # Below J_c no root is unstable, so the solve takes the Newton steps
+        # of the solver ``verify`` kept for it, bit for bit.
+        model = _SUBCRITICAL[name]
+        for h0 in (0.0, 0.3, 1.0, -0.7):
+            got = solve_fixed_point(LogPartition(model), 1e-12, h0, alpha).h_star
+            want = solve_interpolated_fixed_point(LogPartition(model), alpha, h0)
+            assert got == want, h0
+
+    def test_supercritical_start_at_zero_is_the_stable_root(self):
+        # At 1.2 J_c from h0 = 0 the interpolated solver stopped on the
+        # unstable h = 0; the restart reaches the stable root.
+        model = curie_weiss_model(1.0, 1.0, 1.2 * J_CRIT)
+        assert solve_interpolated_fixed_point(LogPartition(model), 0.0, 0.0) == 0.0
+        res = solve_fixed_point(LogPartition(model), 1e-12, 0.0, 0.0)
+        assert res.h_star > 0
+        assert model.coupling * res.m_star.variance < 1.0
+        assert abs(res.residual) <= 1e-12
 
 
 class TestGhsConcavity:
@@ -506,7 +542,7 @@ class TestGhsConcavity:
 
     @pytest.mark.parametrize("sigma", [-1.0, 0.0, 1.0])
     def test_subcritical_quartic(self, sigma):
-        j_c = critical_coupling(curie_weiss_model(1.0, sigma, 1.0))
+        j_c = critical_coupling_of(curie_weiss_model(1.0, sigma, 1.0))
         rep = ghs_concavity_check(curie_weiss_model(1.0, sigma, 0.5 * j_c),
                                   np.linspace(0.1, 5, 12))
         assert rep.passed

@@ -13,15 +13,23 @@ from chaoslab.meanfield import (LogPartition, critical_coupling, magnetization,
 from chaoslab.metrics import quantile_from_density
 from chaoslab.model import (MAX_PARTICLES, GeneralPotential, ModelSpec,
                             RankOneInteraction, curie_weiss_model, gaussian_model)
-from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf,
-                             linear_lsi_scan, magnetization_inverse,
-                             marginal_t1_ratio_scan, nonlinear_lsi_scan,
-                             phi_positivity_scan, psi_positivity_scan,
-                             solve_interpolated_fixed_point)
+from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf, lsi_scans,
+                             magnetization_inverse, marginal_t1_ratio_scan,
+                             phi_positivity_scan, psi_positivity_scan)
 from conftest import J_CRIT, counting_quartic
 from oracles import (fisher_information_1d, full_read_jw_log_mgf, longdouble_jw_log_mgf,
-                     nested_quad_jw_log_mgf, t1_ratio_scan_per_tilt,
-                     window_search_by_full_scans)
+                     nested_quad_jw_log_mgf, solve_interpolated_fixed_point,
+                     t1_ratio_scan_per_tilt, window_search_by_full_scans)
+
+def nonlinear_lsi_scan(model, bundle, tilt_grid):
+    """The non-linear LSI report of ``lsi_scans``."""
+    return lsi_scans(model, bundle, tilt_grid)[0]
+
+
+def linear_lsi_scan(model, bundle, tilt_grid):
+    """The linear LSI report of ``lsi_scans``."""
+    return lsi_scans(model, bundle, tilt_grid)[1]
+
 
 GRID = np.concatenate([-np.geomspace(0.01, 5.0, 6)[::-1],
                        np.geomspace(0.01, 5.0, 6)])
@@ -50,7 +58,7 @@ class TestNonlinearLsi:
 
 class TestLinearLsi:
     def test_gaussian_ratio_exact(self, gauss_model):
-        b = type("B", (), {"rho0": 1.0})
+        b = type("B", (), {"rho": 1.0, "rho0": 1.0})
         rep = linear_lsi_scan(gauss_model, b, [0.5, 1.0, 2.0])
         # Gaussian translates achieve equality in the LSI: I = 2 rho0 H.
         assert np.allclose(rep.lhs, rep.rhs, atol=1e-8)
@@ -64,7 +72,7 @@ class TestLinearLsi:
                                        gaussian_model(1.0, 0.5)],
                              ids=["quartic", "double-well", "gaussian"])
     def test_fisher_side_matches_quadrature(self, model):
-        b = type("B", (), {"rho0": 1.0})
+        b = type("B", (), {"rho": 1.0, "rho0": 1.0})
         rep = linear_lsi_scan(model, b, GRID)
         for ell, rhs in zip(GRID, rep.rhs):
             mu = tilted_measure(model, model.coupling * ell)
@@ -77,7 +85,7 @@ class TestLinearLsi:
 class TestMagnetizationInverse:
     def test_roundtrip(self, quartic_model):
         for h in (0.0, 0.4, -1.2, 2.5):
-            ell = magnetization_inverse(quartic_model, h)
+            ell = magnetization_inverse(LogPartition(quartic_model), h)
             assert magnetization(quartic_model, ell) == pytest.approx(h, abs=1e-10)
 
     @pytest.mark.parametrize("h", [0.0, 0.1, -0.5])
@@ -88,7 +96,8 @@ class TestMagnetizationInverse:
                                        grad_v=lambda x: x**3 + x - 0.5),
                       RankOneInteraction(0.5))
         assert magnetization(m, 0.0) == pytest.approx(0.2314, abs=1e-4)
-        assert magnetization(m, magnetization_inverse(m, h)) == pytest.approx(h, abs=1e-10)
+        ell = magnetization_inverse(LogPartition(m), h)
+        assert magnetization(m, ell) == pytest.approx(h, abs=1e-10)
 
     def test_array_is_per_h_solves(self, quartic_model):
         # On a kernel grown past every tilt the solves read, the lockstep
@@ -101,7 +110,8 @@ class TestMagnetizationInverse:
 
     def test_no_targets_are_no_roots(self, quartic_model):
         # No target: no measure is read, and no root comes back.
-        assert magnetization_inverse(quartic_model, np.array([])).shape == (0,)
+        assert magnetization_inverse(LogPartition(quartic_model),
+                                     np.array([])).shape == (0,)
 
     @pytest.mark.parametrize("h", [0.01, 2.5, -3.0])
     def test_builds_pi_zero_at_most_once(self, quartic_model, monkeypatch, h):
@@ -115,7 +125,7 @@ class TestMagnetizationInverse:
             init(self, model)
 
         monkeypatch.setattr(LogPartition, "__init__", counting)
-        magnetization_inverse(quartic_model, h)
+        magnetization_inverse(LogPartition(quartic_model), h)
         assert kernels == [quartic_model]
 
 
@@ -138,7 +148,7 @@ class TestPhiPositivity:
 class TestPsiPositivity:
     def test_anchor_zero(self, quartic_model):
         m = curie_weiss_model(1.0, 1.0, 0.8 * J_CRIT)
-        h_star = solve_interpolated_fixed_point(m, 0.0, 0.0)
+        h_star = solve_fixed_point(LogPartition(m), 1e-12).h_star
         rep = psi_positivity_scan(m, 0.0, 0.0, [h_star])
         assert abs(rep.rhs[0]) < 1e-10
 
@@ -153,7 +163,7 @@ class TestPsiPositivity:
         # h = f(h) has the one root h = 0 below J_c, where f'(0) = J/J_c
         # approaches 1.
         m = curie_weiss_model(1.0, 1.0, ratio * J_CRIT)
-        assert abs(solve_interpolated_fixed_point(m, 0.0, 1.0)) <= 1e-12
+        assert abs(solve_fixed_point(LogPartition(m), 1e-12, 1.0).h_star) <= 1e-12
         assert psi_positivity_scan(m, 0.0, 1.0, np.geomspace(0.01, 3, 8)).passed
 
     def test_alpha_half_passes(self):
@@ -316,7 +326,7 @@ class TestBolleyVillani:
 
 class TestMarginalT1:
     def test_passes_and_margin_scale(self, quartic_model, bundle128):
-        rep = marginal_t1_ratio_scan(quartic_model, 128, bundle128,
+        rep = marginal_t1_ratio_scan(build_mixture(quartic_model, 128), bundle128,
                                      np.linspace(-0.5, 0.5, 5))
         assert rep.passed
         # Shrinking the constant below the measured min ratio must fail.
@@ -327,7 +337,7 @@ class TestMarginalT1:
         assert np.min(scaled - rep.lhs) < -1e-9
 
     def test_single_point_grid(self, quartic_model, bundle128):
-        rep = marginal_t1_ratio_scan(quartic_model, 128, bundle128, [0.0])
+        rep = marginal_t1_ratio_scan(build_mixture(quartic_model, 128), bundle128, [0.0])
         assert len(rep.grid) == 1
         assert rep.passed
 
@@ -342,7 +352,7 @@ class TestMarginalT1:
         bundle = type("B", (), {"lambda_n": 1.0, "delta_n": 0.0})
         law = build_mixture(model, n)
         grid = np.linspace(-0.5, 0.5, 5)
-        rep = marginal_t1_ratio_scan(model, n, bundle, grid, law=law)
+        rep = marginal_t1_ratio_scan(law, bundle, grid)
         lhs, rhs = t1_ratio_scan_per_tilt(model, bundle, grid, law)
         np.testing.assert_allclose(rep.lhs, lhs, rtol=1e-9, atol=1e-13)
         np.testing.assert_allclose(rep.rhs, rhs, rtol=1e-9, atol=1e-13)
@@ -362,15 +372,14 @@ class TestMarginalT1:
             for module in (marginals, verify):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
-        marginal_t1_ratio_scan(quartic_model, 128, bundle128,
-                               np.linspace(-0.5, 0.5, 5), law=law)
+        marginal_t1_ratio_scan(law, bundle128, np.linspace(-0.5, 0.5, 5))
         assert calls == {"marginal_log_grid": 1, "marginal_grid_density": 0}
 
 
 class TestOneKernelPerScan:
     @staticmethod
     def scans(model, bundle, law, h_max):
-        """The five scans of the CLI ``verify`` command, by name, with the
+        """The five reports of the CLI ``verify`` command, by name, with the
         phi scan's magnetizations up to ``h_max``."""
         grid = np.concatenate([-np.geomspace(0.01, 3.0, 8)[::-1],
                                np.geomspace(0.01, 3.0, 8)])
@@ -382,7 +391,7 @@ class TestOneKernelPerScan:
             "psi_positivity": lambda: psi_positivity_scan(
                 model, 0.0, 0.0, np.geomspace(0.01, 3.0, 4)),
             "marginal_t1": lambda: marginal_t1_ratio_scan(
-                model, law.n_particles, bundle, np.linspace(-0.5, 0.5, 5), law=law),
+                law, bundle, np.linspace(-0.5, 0.5, 5)),
         }
 
     def test_at_most_one_grid_per_scan(self):
@@ -397,7 +406,7 @@ class TestOneKernelPerScan:
             scan()
             assert sizes.count(4097) <= 1, name
         sizes.clear()
-        solve_fixed_point(model, tol=1e-10, h0=1.0)
+        solve_fixed_point(LogPartition(model), tol=1e-10, h0=1.0)
         assert sizes.count(4097) <= 1
 
     def test_scan_order_does_not_matter(self, bundle128):
@@ -428,3 +437,35 @@ class TestOneKernelPerScan:
                "model": {"theta": 1.0, "sigma": 1.0, "J": 0.9 * J_CRIT}}
         assert run(parse_config(doc))["passed"]
         assert len(scalar) <= 10
+
+    def test_verify_command_builds_six_kernels(self, tmp_path, monkeypatch):
+        # One kernel each for the constants' pi[0], the two LSI reports, the
+        # phi scan, the psi scan, the mixture and the T1 scan's family.
+        kernels = []
+        init = LogPartition.__init__
+        monkeypatch.setattr(LogPartition, "__init__",
+                            lambda self, model: kernels.append(model) or init(self, model))
+        doc = {"command": "verify", "n_grid": [128], "output_dir": str(tmp_path),
+               "model": {"theta": 1.0, "sigma": 1.0, "J": 0.5 * J_CRIT}}
+        assert run(parse_config(doc))["passed"]
+        assert len(kernels) == 6
+
+
+class TestEmptyGrid:
+    @pytest.mark.parametrize("scan, name", [
+        (lambda m, b, law: lsi_scans(m, b, []), "tilt_grid"),
+        (lambda m, b, law: phi_positivity_scan(m, None, []), "h_grid"),
+        (lambda m, b, law: psi_positivity_scan(m, 0.0, 0.0, np.array([])), "ell_grid"),
+        (lambda m, b, law: marginal_t1_ratio_scan(law, b, []), "tilt_grid"),
+    ], ids=["lsi", "phi", "psi", "t1"])
+    def test_raises_naming_the_grid_before_a_kernel(self, scan, name, monkeypatch):
+        model = curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT)
+        law = build_mixture(model, 32)
+        bundle = type("B", (), {"rho": 0.1, "rho0": 1.0, "lambda_n": 1.0, "delta_n": 0.0})
+        kernels = []
+        init = LogPartition.__init__
+        monkeypatch.setattr(LogPartition, "__init__",
+                            lambda self, model: kernels.append(model) or init(self, model))
+        with pytest.raises(ValueError, match=f"^{name} is empty"):
+            scan(model, bundle, law)
+        assert kernels == []
