@@ -33,7 +33,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConstantsBundle:
-    """The constants (rho, gamma, M, ...) governing the chaos bounds."""
+    """The constants (rho, gamma, M, ...) governing the chaos bounds, and the
+    coupling J and particle number N they were built for (NaN and None where
+    a regime has none), which ``verify``'s scans check against their model."""
 
     rho: float
     gamma: float
@@ -44,6 +46,8 @@ class ConstantsBundle:
     j_c: float
     var_mstar: float
     regime: str
+    coupling: float = math.nan
+    n_particles: int | None = None
 
     def __post_init__(self) -> None:
         if self.gamma < 0 or self.big_m < 0:
@@ -138,7 +142,7 @@ def prop25_constants(regime: str, *, rho0: float = 0.0,
             raise RegimeViolation("flat-bounded requires M^-_W < sqrt(rho0)/2")
         rho = rho0 * (1.0 - 2.0 * m_minus / math.sqrt(rho0))
         return ConstantsBundle(rho, 2.0 * m_w, 4.0 * m_w * m_w, rho0,
-                               nan, nan, nan, d / rho0, regime)
+                               nan, nan, nan, d / rho0, regime, n_particles=N)
     if regime == "flat-lipschitz":
         if rho0 <= 0:
             raise RegimeViolation("flat-lipschitz requires rho0 > 0")
@@ -156,7 +160,7 @@ def prop25_constants(regime: str, *, rho0: float = 0.0,
         gamma = 64.0 * (1.0 + delta_n) ** 2 * lip * lip / lambda_n
         big_m = 4.0 * lip * lip * (delta_n / (lambda_n * N) + d / rho0)
         return ConstantsBundle(rho, gamma, big_m, rho0, lambda_n, delta_n,
-                               nan, d / rho0, regime)
+                               nan, d / rho0, regime, n_particles=N)
     if regime == "displacement":
         if kappa_v <= 0:
             raise RegimeViolation("displacement requires kappa_V > 0")
@@ -165,7 +169,7 @@ def prop25_constants(regime: str, *, rho0: float = 0.0,
         finite_n = 0.0 if N is None else l_w * l_w / (kappa_v**2 * N)
         big_m = 4.0 * l_w * l_w * (1.0 + finite_n) * d / kappa_v
         return ConstantsBundle(rho, gamma, big_m, kappa_v, nan, nan, nan,
-                               d / kappa_v, regime)
+                               d / kappa_v, regime, n_particles=N)
     raise ValueError(f"unknown regime {regime!r}")
 
 
@@ -203,7 +207,7 @@ def curie_weiss_constants(model: ModelSpec, N: int) -> ConstantsBundle:
     gamma = 64.0 * (1.0 + delta_n) ** 2 * J * J / lambda_n
     big_m = 4.0 * J * J * (delta_n / (lambda_n * N) + 1.0 / rho0)
     return ConstantsBundle(rho, gamma, big_m, rho0, lambda_n, delta_n,
-                           j_c, var_mstar, "curie-weiss")
+                           j_c, var_mstar, "curie-weiss", J, N)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,11 @@ the extremizers of the entropy-constrained problems, so they are the
 sharpest cheap probes.  Each scan reads its family from one
 ``LogPartition`` of its own (both LSIs share one, ``lsi_scans``), and an
 empty grid raises ``ValueError`` before any is built.  Constants always come
-in verbatim from the bounds module; a scan failure is a build-stopping event.
+in verbatim from the bounds module, and a ``ConstantsBundle`` built for
+another coupling (or, in the T1 scan, another N) raises ``ValueError``; a
+scan failure is a build-stopping event.  The 1D transport quantities, W_1 of
+the T1 scan and the Bolley-Villani moment, are integrals of densities and
+CDFs on a uniform grid, with no quantile function.
 """
 from __future__ import annotations
 
@@ -19,10 +23,9 @@ from .errors import DivergentIntegral
 from .marginals import MixtureLaw, marginal_log_grid
 from .meanfield import (LogPartition, TiltedMeasure, critical_coupling,
                         solve_fixed_point, subcritical_reference)
-from .metrics import quantile_from_density, wasserstein_1d
 from .model import MAX_PARTICLES, ModelSpec
-from .numerics import (FINE_POINTS, GridDensity, nested_log_trapezoid, newton_root,
-                       window_search)
+from .numerics import (FINE_POINTS, GridDensity, cumulative_trapezoid,
+                       nested_log_trapezoid, newton_root, window_search)
 
 __all__ = [
     "ScanReport",
@@ -69,6 +72,14 @@ def _report(grid, lhs, rhs, tol: float = _TOL) -> ScanReport:
     return ScanReport(grid, lhs, rhs, margin, margin >= -tol)
 
 
+def _check_bundle(bundle: ConstantsBundle, coupling: float, n_particles=None) -> None:
+    """``ValueError`` unless ``bundle`` was built for this coupling (and N)."""
+    if bundle.coupling != coupling:
+        raise ValueError(f"bundle is for J = {bundle.coupling}, not J = {coupling}")
+    if n_particles is not None and bundle.n_particles != n_particles:
+        raise ValueError(f"bundle is for N = {bundle.n_particles}, not N = {n_particles}")
+
+
 def _entropy_between_tilts(mu: TiltedMeasure, nu: TiltedMeasure):
     """H(mu | nu) for tilted measures: exact via means and normalizers; an
     array for a family ``mu``."""
@@ -88,9 +99,12 @@ def lsi_scans(model: ModelSpec, bundle: ConstantsBundle,
     Linear: 2 rho0 H(pi[l] | m_*) <= I(pi[l] | m_*).  The score gap between
     pi[l] and m_* = pi[0] is the constant J l for every confinement V, so
     the Fisher side is exactly (J l)^2.
+
+    ``ValueError`` unless ``bundle`` was built for the model's coupling.
     """
     grid = _scan_grid(tilt_grid, "tilt_grid")
     J = model.coupling
+    _check_bundle(bundle, J)
     kernel = LogPartition(model)
     mstar = kernel.measure(0.0)
     family = kernel.measure(J * grid)
@@ -225,58 +239,55 @@ def jw_log_mgf(model: ModelSpec, N: int) -> float:
     return -0.5 * np.log(2.0 * np.pi) + log_int
 
 
-def bolley_villani_moment_check(mu_quantile, rho: float) -> float:
-    """int exp(rho (x - mean)^2 / 4) dmu via the quantile representation.
+def bolley_villani_moment_check(density: GridDensity, rho: float) -> float:
+    """int exp(rho (x - mean)^2 / 4) dmu for the grid density mu: the
+    trapezoid on its own grid, the mean read the same way.
 
     The caller compares the return value against sqrt(2) exp(delta), with
-    the delta of its own bound.
+    the delta of its own bound.  A grid on which the exponent exceeds 700,
+    or an integrand that is not finite, raises ``DivergentIntegral``: mu's
+    tail is then too heavy for ``rho`` on the grid's span.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    # Graded grid clustering at both endpoints: the integrand can have an
-    # integrable (1-u)^{-1/2}-type singularity in the boundary-equality case.
-    s = np.linspace(-1.0, 1.0, FINE_POINTS)
-    us = 0.5 + 0.5 * np.sign(s) * (1.0 - (1.0 - np.abs(s)) ** 4)
-    us = np.clip(us, 1e-12, 1.0 - 1e-12)
-    q = np.asarray(mu_quantile(us), dtype=float)
-    mean = float(np.trapezoid(q, us))
-    exponent = rho * (q - mean) ** 2 / 4.0
+    xs = density.xs
+    mean = float(np.trapezoid(xs * density.values, dx=density.dx))
+    exponent = rho * (xs - mean) ** 2 / 4.0
     if exponent.max() > 700.0:
         raise DivergentIntegral("tail of mu too heavy for the supplied rho")
-    vals = np.exp(exponent)
+    vals = np.exp(exponent) * density.values
     if not np.all(np.isfinite(vals)):
         raise DivergentIntegral("moment integrand overflowed")
-    return float(np.trapezoid(vals, us))
+    return float(np.trapezoid(vals, dx=density.dx))
 
 
 def marginal_t1_ratio_scan(law: MixtureLaw, bundle: ConstantsBundle,
                            tilt_grid) -> ScanReport:
     """W_1^2(pi[l], m^{N,1}) <= 64 (1+delta_N)^2 / lambda_N * H(pi[l] | m^{N,1}),
-    for the model and N of ``law``.
+    for the model and N of ``law``, which must be those of ``bundle``
+    (``ValueError``).
 
     Every pi[l] comes from one ``LogPartition``, and every tilt uses one
     grid of ``FINE_POINTS`` points over the union of ``law.x_window`` and
     that kernel's window.  log m^{N,1} is evaluated on it once, exactly
-    (``marginal_log_grid``), and gives both the quantile function
-    of m^{N,1} and the log-ratio in H.  Each pi[l] is evaluated on it once,
-    for its quantile function and for H.
+    (``marginal_log_grid``), and the family as one (tilts x points) array.
+    W_1 is int |F_mu - F_m| dx, each CDF the ``cumulative_trapezoid`` of its
+    density scaled to end at 1, and H the trapezoid of p log(p / m^{N,1}),
+    both on that grid.
     """
     grid = _scan_grid(tilt_grid, "tilt_grid")
     model = law.model
+    _check_bundle(bundle, model.coupling, law.n_particles)
     const = t1_particle_constant(bundle.lambda_n, bundle.delta_n)
     kernel = LogPartition(model)
     family = kernel.measure(model.coupling * grid)
     lo, hi = min(law.x_window[0], kernel.window[0]), max(law.x_window[1], kernel.window[1])
     xs, log_m1 = marginal_log_grid(law, lo, hi, FINE_POINTS)
-    qm = quantile_from_density(GridDensity(lo, hi, FINE_POINTS, np.exp(log_m1)))
-    lhs = np.empty_like(grid)
-    rhs = np.empty_like(grid)
-    log_v = -model.potential(xs)
-    for i, (tilt, log_z) in enumerate(zip(family.tilt, family.log_z)):
-        log_mu = log_v + tilt * xs - log_z
-        p = np.exp(log_mu)
-        w1 = wasserstein_1d(quantile_from_density(GridDensity(lo, hi, FINE_POINTS, p)),
-                            qm, order=1)
-        lhs[i] = w1 * w1
-        rhs[i] = const * float(np.trapezoid(p * (log_mu - log_m1), xs))
-    return _report(grid, lhs, rhs)
+    dx = (hi - lo) / (FINE_POINTS - 1)
+    log_mu = -model.potential(xs) + family.tilt[:, None] * xs - family.log_z[:, None]
+    p = np.exp(log_mu)
+    cdf_mu = cumulative_trapezoid(p, dx)
+    cdf_m = cumulative_trapezoid(np.exp(log_m1), dx)
+    gap = np.abs(cdf_mu / cdf_mu[:, -1:] - cdf_m / cdf_m[-1])
+    w1 = np.trapezoid(gap, dx=dx, axis=-1)
+    return _report(grid, w1 * w1, const * np.trapezoid(p * (log_mu - log_m1), xs, axis=-1))

@@ -46,11 +46,9 @@ from scipy.special import erf
 from chaoslab.errors import (ChaosLabError, DegenerateInput, DivergentChain,
                              GridResolution, NonConvergent, NonFinite)
 from chaoslab.bounds import t1_particle_constant
-from chaoslab.marginals import (_LEVEL_POINTS, _log_gk, _phi, marginal_grid_density,
-                                marginal_log_density_batch)
+from chaoslab.marginals import _LEVEL_POINTS, _log_gk, _phi, marginal_log_density_batch
 from chaoslab.meanfield import (LogPartition, TiltedMeasure, _trapezoid_grid,
                                 subcritical_reference)
-from chaoslab.metrics import quantile_from_density, wasserstein_1d
 from chaoslab.model import GeneralKernel
 from chaoslab.numerics import (EXP_UNDERFLOW, FINE_POINTS, LOG_CUT, GridDensity,
                                _chunk_rows, log_trapezoid, newton_root,
@@ -317,22 +315,24 @@ def tilted_measure_per_tilt(model, tilt):
 
 
 def t1_ratio_scan_per_tilt(model, bundle, tilt_grid, law):
-    """(lhs, rhs) of ``verify.marginal_t1_ratio_scan`` as first written: each
-    tilt on its own grids.  m^{N,1} is ``marginal_grid_density`` on its node
-    window; W_1 takes pi[l] on the union of that window and pi[l]'s, and H
+    """(lhs, rhs) of ``verify.marginal_t1_ratio_scan`` with each tilt on its
+    own grids.  W_1 is int |F - G| dx on ``FINE_POINTS`` points over the union
+    of ``law.x_window`` and pi[l]'s window, with m^{N,1} evaluated there point
+    by point and each CDF scipy's cumulative trapezoid scaled to end at 1; H
     evaluates log m^{N,1} afresh on ``FINE_POINTS`` points of pi[l]'s window."""
     const = t1_particle_constant(bundle.lambda_n, bundle.delta_n)
-    m1 = marginal_grid_density(law)
-    qm = quantile_from_density(m1)
     grid = np.asarray(tilt_grid, dtype=float)
     lhs = np.empty_like(grid)
     rhs = np.empty_like(grid)
     for i, ell in enumerate(grid):
         mu, window = tilted_measure_per_tilt(model, model.coupling * ell)
-        lo, hi = min(window[0], m1.lo), max(window[1], m1.hi)
-        qn = quantile_from_density(GridDensity.from_callable(mu.density, lo, hi,
-                                                             FINE_POINTS))
-        w1 = wasserstein_1d(qn, qm, order=1)
+        xs = np.linspace(min(window[0], law.x_window[0]), max(window[1], law.x_window[1]),
+                         FINE_POINTS)
+        cdfs = _sciint.cumulative_trapezoid(
+            [mu.density(xs), np.exp(marginal_log_density_batch(law, xs[:, None]))],
+            xs, initial=0.0)
+        cdfs /= cdfs[:, -1:]
+        w1 = np.trapezoid(np.abs(cdfs[0] - cdfs[1]), xs)
         lhs[i] = w1 * w1
         xs = np.linspace(window[0], window[1], FINE_POINTS)
         log_mu = mu.log_density(xs)

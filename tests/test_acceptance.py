@@ -21,7 +21,6 @@ from chaoslab.marginals import (build_mixture, conditional_entropy_level,
                                 marginal_log_density_batch, marginal_moment,
                                 relative_entropy_levels, sample_marginal)
 from chaoslab.meanfield import tilted_measure
-from chaoslab.metrics import quantile_from_density
 from chaoslab.model import curie_weiss_model, gaussian_model
 from chaoslab.sampler import ChainConfig, run_chain
 from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf, lsi_scans,
@@ -194,9 +193,7 @@ def test_inequality_scans_across_couplings():
                 model, 0.0, 0.0, np.geomspace(0.01, 3.0, 8)).passed,
             "t1": marginal_t1_ratio_scan(law, bundle, np.linspace(-0.5, 0.5, 5)).passed,
         }
-        g = marginal_grid_density(law)
-        q = quantile_from_density(g)
-        val = bolley_villani_moment_check(q, bundle.lambda_n / 2.0)
+        val = bolley_villani_moment_check(marginal_grid_density(law), bundle.lambda_n / 2.0)
         scans["bv"] = val <= np.sqrt(2.0) * np.exp(2.0 * bundle.delta_n)
         ok &= all(scans.values())
         detail.append(f"{frac:.1f}Jc:" + ("ok" if all(scans.values()) else

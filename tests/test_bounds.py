@@ -152,12 +152,25 @@ class TestProp25:
         with pytest.raises(ValueError):
             prop25_constants("nope")
 
+    @pytest.mark.parametrize("regime, kwargs", [
+        ("flat-bounded", {"rho0": 4.0, "m_w": 1.0}),
+        ("flat-lipschitz", {"rho0": 10.0, "l_plus": 1.0}),
+        ("displacement", {"kappa_v": 1.0, "l_w": 1.0}),
+    ])
+    def test_bundle_has_no_coupling_and_its_n(self, regime, kwargs):
+        b = prop25_constants(regime, N=100, **kwargs)
+        assert math.isnan(b.coupling) and b.n_particles == 100
+
 
 class TestCurieWeissConstants:
     def test_sigma_one_branch(self, quartic_model):
         b = curie_weiss_constants(quartic_model, 128)
         assert b.rho0 == 1.0
         assert b.regime == "curie-weiss"
+
+    def test_bundle_carries_its_model(self, quartic_model):
+        b = curie_weiss_constants(quartic_model, 128)
+        assert (b.coupling, b.n_particles) == (quartic_model.coupling, 128)
 
     def test_small_sigma_branch(self):
         b = curie_weiss_constants(curie_weiss_model(7.0 / 36.0, 0.0, 0.05), 4096)

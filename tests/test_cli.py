@@ -141,6 +141,7 @@ class TestRun:
         doc = json.loads((tmp_path / "out" / "constants.json").read_text())
         assert doc["regime"] == "curie-weiss"
         assert doc["rho"] == pytest.approx(0.25)
+        assert doc["coupling"] == MODEL["J"] and doc["n_particles"] == 128
 
     def test_fixed_point_command(self, tmp_path):
         cfg = parse_config(_cfg(tmp_path, command="fixed-point"))
@@ -351,6 +352,22 @@ class TestMain:
         for row in rows:
             assert row.split(",")[5:8] == ["nan", "nan", "nan"]
 
+    def test_level_above_a_tiny_bound_fails(self, tmp_path, capsys):
+        # At J = 1e-12 the bounds are near 1e-28, and the levels have lost
+        # their digits (H_1 reads 3.75e-28 against a bound of 1.37e-28 at
+        # N = 1024): an absolute slack of 1e-12 passed both rows.
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_cfg(tmp_path, model=dict(MODEL, J=1e-12),
+                                     n_grid=[1024, 2048, 4096], k_max=1)))
+        assert main(["--config", str(p)]) == 1
+        assert json.loads(capsys.readouterr().out)["passed"] is False
+        rows = [row.split(",") for row in
+                (tmp_path / "out" / "chaos_scan.csv").read_text().splitlines()[1:-1]]
+        fails = {int(row[0]): row for row in rows if row[-1] == "0"}
+        assert set(fails) >= {1024, 4096}
+        for row in fails.values():
+            assert float(row[2]) > float(row[5])
+
     @pytest.mark.parametrize("command", ["constants", "verify"])
     def test_gaussian_sigma_below_one_is_typed_error(self, tmp_path, capsys, command):
         p = tmp_path / "cfg.json"
@@ -406,8 +423,8 @@ def test_numerics_import_leaves_scipy_integrate_out():
         "import sys, chaoslab.numerics; print('scipy.integrate' in sys.modules)") == "False"
 
 
-_MODULES = ("bounds", "cli", "errors", "marginals", "meanfield", "metrics", "model",
-            "numerics", "sampler", "verify")
+_MODULES = ("bounds", "cli", "errors", "marginals", "meanfield", "model", "numerics",
+            "sampler", "verify")
 
 
 def test_cli_import_loads_no_scipy_module():

@@ -12,7 +12,6 @@ from chaoslab.errors import (GridResolution, NonFinite, NonPositiveDefinite,
 from chaoslab.marginals import (MixtureLaw, build_mixture,
                                 conditional_entropy_level,
                                 gaussian_entropy_oracle, marginal_grid_density,
-                                marginal_log_density,
                                 marginal_log_density_batch, marginal_moment,
                                 relative_entropy_levels, sample_marginal,
                                 wasserstein2_marginal)
@@ -371,15 +370,15 @@ class TestMarginalLogDensity:
     def test_evenness(self, quartic_model):
         law = build_mixture(quartic_model, 8)
         for x in (0.3, 1.1, 2.0):
-            assert marginal_log_density(law, 1, [x]) == pytest.approx(
-                marginal_log_density(law, 1, [-x]), abs=1e-9)
+            assert marginal_log_density_batch(law, [x])[0] == pytest.approx(
+                marginal_log_density_batch(law, [-x])[0], abs=1e-9)
 
     def test_exchangeability(self, quartic_model, rng):
         law = build_mixture(quartic_model, 8)
         pt = rng.normal(size=3)
-        base = marginal_log_density(law, 3, pt)
+        base = marginal_log_density_batch(law, pt[None])[0]
         for _ in range(4):
-            assert marginal_log_density(law, 3, rng.permutation(pt)) == pytest.approx(
+            assert marginal_log_density_batch(law, rng.permutation(pt)[None])[0] == pytest.approx(
                 base, abs=1e-12)
 
     def test_n2_brute_force(self, quartic_model, rng):
@@ -400,19 +399,12 @@ class TestMarginalLogDensity:
                            brute_marginal_log_density_n3(quartic_model, pts),
                            atol=1e-6)
 
-    def test_k_bounds(self, quartic_model):
-        law = build_mixture(quartic_model, 4)
-        with pytest.raises(ValueError):
-            marginal_log_density(law, 2, [0.0])
-
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_batch_k_outside_one_to_n_raises(self, k):
         # m^{2,k} exists for k = 1, 2 only; k = 5 read -3.858 and k = 0 read 0.0.
         law = build_mixture(curie_weiss_model(1.0, 1.0, 1.0), 2)
         with pytest.raises(ValueError):
             marginal_log_density_batch(law, np.zeros((1, k)))
-        with pytest.raises(ValueError):
-            marginal_log_density(law, k, np.zeros(k))
 
 
 class TestEntropyLevels:

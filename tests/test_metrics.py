@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from chaoslab.errors import DegenerateInput, NonFinite
-from chaoslab.marginals import build_mixture, marginal_log_density_batch, relative_entropy_levels, sample_marginal
+from chaoslab.marginals import (_quantile_cost2, _quantile_from_density, build_mixture,
+                                marginal_log_density_batch, relative_entropy_levels,
+                                sample_marginal)
 from chaoslab.meanfield import tilted_measure
-from chaoslab.metrics import quantile_from_density, wasserstein_1d
 from chaoslab.numerics import FINE_POINTS, GridDensity
 from oracles import (DegenerateSample, DivergenceEstimate, fisher_information_1d, kl_knn,
                      kl_plug_in)
@@ -124,24 +125,24 @@ class TestFisherInformation:
         assert got == pytest.approx(J**2 * (ell - f_ell) ** 2, abs=1e-10)
 
 
+# The quantile cost behind ``marginals.wasserstein2_marginal``.
 class TestWasserstein1d:
     def test_identical(self):
         q = lambda u: np.sqrt(2) * np.asarray(u)
-        assert wasserstein_1d(q, q, order=2) == 0.0
+        assert _quantile_cost2(q, q) == 0.0
 
     def test_point_masses(self):
         qa = lambda u: np.full_like(np.asarray(u, dtype=float), 1.0)
         qb = lambda u: np.full_like(np.asarray(u, dtype=float), 4.0)
         # Quantile clipping to [1e-8, 1 - 1e-8] costs O(1e-8) of mass.
-        assert wasserstein_1d(qa, qb, order=1) == pytest.approx(3.0, abs=1e-6)
-        assert wasserstein_1d(qa, qb, order=2) == pytest.approx(9.0, abs=1e-6)
+        assert _quantile_cost2(qa, qb) == pytest.approx(9.0, abs=1e-6)
 
     def test_translated_gaussian(self):
         from scipy.stats import norm
         mu = 0.7
         qa = lambda u: norm.ppf(u)
         qb = lambda u: norm.ppf(u) + mu
-        assert wasserstein_1d(qa, qb, order=2) == pytest.approx(mu**2, abs=1e-8)
+        assert _quantile_cost2(qa, qb) == pytest.approx(mu**2, abs=1e-8)
 
     def test_triangle_inequality(self, quartic_model, rng):
         J = quartic_model.coupling
@@ -149,16 +150,10 @@ class TestWasserstein1d:
         qs = []
         for t in tilts:
             mu = tilted_measure(quartic_model, J * t)
-            qs.append(quantile_from_density(
+            qs.append(_quantile_from_density(
                 GridDensity.from_callable(mu.density, -6, 6, FINE_POINTS)))
-        w = lambda a, b: wasserstein_1d(qs[a], qs[b], order=1)
-        assert w(0, 2) <= w(0, 1) + w(1, 2) + 1e-8
-        w2 = lambda a, b: np.sqrt(wasserstein_1d(qs[a], qs[b], order=2))
+        w2 = lambda a, b: np.sqrt(_quantile_cost2(qs[a], qs[b]))
         assert w2(0, 2) <= w2(0, 1) + w2(1, 2) + 1e-8
-
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            wasserstein_1d(lambda u: u, lambda u: u, order=3)
 
 
 class TestDivergenceEstimate:

@@ -12,8 +12,7 @@ from scipy.special import logsumexp
 import oracles
 from chaoslab import numerics
 from chaoslab.errors import GridResolution, NonConvergent, NonFinite
-from chaoslab.marginals import (build_mixture, marginal_log_density,
-                                marginal_log_density_batch)
+from chaoslab.marginals import build_mixture, marginal_log_density_batch
 from chaoslab.meanfield import tilted_measure
 from chaoslab.model import GeneralPotential, ModelSpec, RankOneInteraction
 from chaoslab.numerics import (LOG_CUT, GridDensity, _chunk_rows,
@@ -138,7 +137,7 @@ class TestLogLaplace:
         chunk = _chunk_rows(law.z_nodes.size)
         rows = sorted({0, chunk - 1, chunk, chunk + 1, 65_535, 65_536, n - 1}
                       | set(range(0, n, 997)))
-        single = [marginal_log_density(law, 2, pts[i]) for i in rows]
+        single = [marginal_log_density_batch(law, pts[i:i + 1])[0] for i in rows]
         np.testing.assert_allclose(batch[rows], single, rtol=1e-14, atol=0.0)
 
 

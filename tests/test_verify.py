@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,9 @@ from chaoslab.errors import (DivergentIntegral, GridResolution, RegimeViolation,
 from chaoslab.marginals import build_mixture
 from chaoslab.meanfield import (LogPartition, critical_coupling, magnetization,
                                 solve_fixed_point, tilted_measure)
-from chaoslab.metrics import quantile_from_density
 from chaoslab.model import (MAX_PARTICLES, GeneralPotential, ModelSpec,
                             RankOneInteraction, curie_weiss_model, gaussian_model)
+from chaoslab.numerics import FINE_POINTS, GridDensity
 from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf, lsi_scans,
                              magnetization_inverse, marginal_t1_ratio_scan,
                              phi_positivity_scan, psi_positivity_scan)
@@ -20,6 +22,12 @@ from conftest import J_CRIT, counting_quartic
 from oracles import (fisher_information_1d, full_read_jw_log_mgf, longdouble_jw_log_mgf,
                      nested_quad_jw_log_mgf, solve_interpolated_fixed_point,
                      t1_ratio_scan_per_tilt, window_search_by_full_scans)
+
+
+def stand_in_bundle(model, n=None, **constants):
+    """A bundle with only ``constants``, built for ``model``'s coupling and N = n."""
+    return type("B", (), dict(constants, coupling=model.coupling, n_particles=n))
+
 
 def nonlinear_lsi_scan(model, bundle, tilt_grid):
     """The non-linear LSI report of ``lsi_scans``."""
@@ -49,7 +57,6 @@ class TestNonlinearLsi:
         assert nonlinear_lsi_scan(quartic_model, bundle128, GRID).passed
 
     def test_inflated_rho_fails(self, quartic_model, bundle128):
-        import dataclasses
         inflated = dataclasses.replace(bundle128, rho=100.0 * bundle128.rho)
         rep = nonlinear_lsi_scan(quartic_model, inflated,
                                  np.geomspace(0.001, 0.1, 8))
@@ -58,7 +65,7 @@ class TestNonlinearLsi:
 
 class TestLinearLsi:
     def test_gaussian_ratio_exact(self, gauss_model):
-        b = type("B", (), {"rho": 1.0, "rho0": 1.0})
+        b = stand_in_bundle(gauss_model, rho=1.0, rho0=1.0)
         rep = linear_lsi_scan(gauss_model, b, [0.5, 1.0, 2.0])
         # Gaussian translates achieve equality in the LSI: I = 2 rho0 H.
         assert np.allclose(rep.lhs, rep.rhs, atol=1e-8)
@@ -72,7 +79,7 @@ class TestLinearLsi:
                                        gaussian_model(1.0, 0.5)],
                              ids=["quartic", "double-well", "gaussian"])
     def test_fisher_side_matches_quadrature(self, model):
-        b = type("B", (), {"rho": 1.0, "rho0": 1.0})
+        b = stand_in_bundle(model, rho=1.0, rho0=1.0)
         rep = linear_lsi_scan(model, b, GRID)
         for ell, rhs in zip(GRID, rep.rhs):
             mu = tilted_measure(model, model.coupling * ell)
@@ -296,32 +303,36 @@ class TestJwLogMgf:
 
 
 class TestBolleyVillani:
+    @staticmethod
+    def normal(var, half_width=20.0):
+        """N(0, var) as a grid density on [-half_width, half_width]."""
+        return GridDensity.from_callable(
+            lambda x: np.exp(-x * x / (2.0 * var)), -half_width, half_width, FINE_POINTS)
+
     def test_gaussian_boundary_equality(self):
-        from scipy.stats import norm
+        # Under N(0, 1/rho0) the integrand is a Gaussian of twice the
+        # variance, with integral sqrt(2).
         rho0 = 1.7
-        q = lambda u: norm.ppf(u, scale=1.0 / np.sqrt(rho0))
-        val = bolley_villani_moment_check(q, rho0)
-        assert val == pytest.approx(np.sqrt(2), abs=5e-4)
-        assert val <= np.sqrt(2) * 1.0 + 5e-4
+        val = bolley_villani_moment_check(self.normal(1.0 / rho0), rho0)
+        assert val == pytest.approx(np.sqrt(2), abs=1e-12)
 
     def test_smaller_variance_strictly_below(self):
-        from scipy.stats import norm
         rho = 1.0
-        q = lambda u: norm.ppf(u, scale=np.sqrt(1.0 / (2 * rho)))
-        assert bolley_villani_moment_check(q, rho) < np.sqrt(2) - 0.1
+        assert bolley_villani_moment_check(self.normal(1.0 / (2 * rho)), rho) < np.sqrt(2) - 0.1
 
     def test_marginal_with_pipeline_constants(self, quartic_model, bundle128):
         from chaoslab.marginals import build_mixture, marginal_grid_density
         law = build_mixture(quartic_model, 32)
-        g = marginal_grid_density(law)
-        q = quantile_from_density(g)
-        val = bolley_villani_moment_check(q, bundle128.lambda_n / 2.0)
+        val = bolley_villani_moment_check(marginal_grid_density(law),
+                                          bundle128.lambda_n / 2.0)
         assert val <= np.sqrt(2) * np.exp(2.0 * bundle128.delta_n)
 
     def test_heavy_tail_rejected(self):
-        q = lambda u: np.tan(np.pi * (np.asarray(u) - 0.5))  # Cauchy
+        # Cauchy on a grid wide enough to show its tail.
+        cauchy = GridDensity.from_callable(lambda x: 1.0 / (1.0 + x * x),
+                                           -1000.0, 1000.0, FINE_POINTS)
         with pytest.raises(DivergentIntegral):
-            bolley_villani_moment_check(q, 4.0)
+            bolley_villani_moment_check(cauchy, 4.0)
 
 
 class TestMarginalT1:
@@ -341,6 +352,28 @@ class TestMarginalT1:
         assert len(rep.grid) == 1
         assert rep.passed
 
+    @pytest.mark.parametrize("n", [128, 1024, 2**16])
+    def test_gaussian_w1_matches_mpmath(self, gauss_model, n):
+        # pi[J l] = N(J l, 1) and m^{N,1} = N(0, s^2), s^2 = 1 + J / (N (1 - J)),
+        # so W_1 = int |Phi(x - J l) - Phi(x / s)| dx, whose integrand changes
+        # sign at x = 0 for l = 0 and at x = J l s / (s - 1) otherwise.  The
+        # quantile form read 2.1e-4 too low at l = 0.
+        import mpmath
+        J = gauss_model.coupling
+        grid = np.linspace(-0.5, 0.5, 5)
+        rep = marginal_t1_ratio_scan(build_mixture(gauss_model, n),
+                                     stand_in_bundle(gauss_model, n, lambda_n=1.0,
+                                                     delta_n=0.0), grid)
+        with mpmath.workdps(30):
+            s = mpmath.sqrt(1 + mpmath.mpf(J) / (n * (1 - mpmath.mpf(J))))
+            for ell, lhs in zip(grid, rep.lhs):
+                a = mpmath.mpf(J * ell)
+                cross = a * s / (s - 1)
+                cuts = sorted({mpmath.mpf(0), a, cross})
+                exact = mpmath.quad(lambda x: abs(mpmath.ncdf(x - a) - mpmath.ncdf(x / s)),
+                                    [-mpmath.inf, *cuts, mpmath.inf])
+                assert np.sqrt(lhs) == pytest.approx(float(exact), rel=2e-6), ell
+
     @pytest.mark.parametrize("n", [128, 512, 1024, 2**16])
     @pytest.mark.parametrize("frac", [0.1, 0.5, 0.75, 0.9])
     def test_one_grid_matches_per_tilt_grids(self, frac, n):
@@ -349,7 +382,7 @@ class TestMarginalT1:
         # scales rhs by up to 5e4: H at l = 0 is about 1e-11 there, and its
         # rounding noise, about 5e-18, would then exceed atol.
         model = curie_weiss_model(1.0, 1.0, frac * J_CRIT)
-        bundle = type("B", (), {"lambda_n": 1.0, "delta_n": 0.0})
+        bundle = stand_in_bundle(model, n, lambda_n=1.0, delta_n=0.0)
         law = build_mixture(model, n)
         grid = np.linspace(-0.5, 0.5, 5)
         rep = marginal_t1_ratio_scan(law, bundle, grid)
@@ -376,6 +409,35 @@ class TestMarginalT1:
         assert calls == {"marginal_log_grid": 1, "marginal_grid_density": 0}
 
 
+class TestBundleMismatch:
+    # A bundle for 0.1 J_c and N = 4096 at 0.5 J_c, N = 128 turned the T1
+    # margin from 0.876 into 0.019 and the non-linear LSI margin from 1.5e-5
+    # into -0.093, with no error.
+    @pytest.fixture(scope="class")
+    def other(self):
+        return curie_weiss_constants(curie_weiss_model(1.0, 1.0, 0.1 * J_CRIT), 4096)
+
+    def test_lsi_scans_reject_another_coupling(self, quartic_model, other):
+        with pytest.raises(ValueError, match="bundle is for J"):
+            lsi_scans(quartic_model, other, GRID)
+
+    def test_t1_scan_rejects_another_coupling(self, quartic_model, other):
+        with pytest.raises(ValueError, match="bundle is for J"):
+            marginal_t1_ratio_scan(build_mixture(quartic_model, 128), other, [0.0])
+
+    def test_t1_scan_rejects_another_n(self, quartic_model):
+        bundle = curie_weiss_constants(quartic_model, 4096)
+        with pytest.raises(ValueError, match="bundle is for N = 4096, not N = 128"):
+            marginal_t1_ratio_scan(build_mixture(quartic_model, 128), bundle, [0.0])
+
+    def test_lsi_scans_take_a_bundle_of_any_n(self, quartic_model, bundle128):
+        # The LSI constants do not depend on N.
+        bundle = curie_weiss_constants(quartic_model, 4096)
+        for rep, ref in zip(lsi_scans(quartic_model, bundle, GRID),
+                            lsi_scans(quartic_model, bundle128, GRID)):
+            assert np.array_equal(rep.rhs, ref.rhs) and np.array_equal(rep.lhs, ref.lhs)
+
+
 class TestOneKernelPerScan:
     @staticmethod
     def scans(model, bundle, law, h_max):
@@ -399,7 +461,7 @@ class TestOneKernelPerScan:
         # widens its window beyond that of z = 0, so a scan evaluates V on
         # one 4097-node grid (one per tilt before, each on its own window).
         model, sizes = counting_quartic(0.5 * J_CRIT)
-        bundle = type("B", (), {"rho": 0.1, "rho0": 1.0, "lambda_n": 1.0, "delta_n": 0.0})
+        bundle = stand_in_bundle(model, 128, rho=0.1, rho0=1.0, lambda_n=1.0, delta_n=0.0)
         law = build_mixture(model, 128)
         for name, scan in self.scans(model, bundle, law, 1.0).items():
             sizes.clear()
@@ -413,10 +475,13 @@ class TestOneKernelPerScan:
         # No kernel outlives its scan: the five scans in reverse order give
         # the same reports, bit for bit.  The phi scan's kernel grows from
         # [-4, 4] to [-8, 8] (f^-1(3) is a tilt near 30), so a kernel shared
-        # between runs would change the bits of a later scan.
+        # between runs would change the bits of a later scan.  The verbatim
+        # lambda_N is negative at 0.9 J_c, N = 128, so the scans take the
+        # constants of 0.5 J_c.
         model = curie_weiss_model(1.0, 1.0, 0.9 * J_CRIT)
         law = build_mixture(model, 128)
-        scans = self.scans(model, bundle128, law, 3.0)
+        bundle = dataclasses.replace(bundle128, coupling=model.coupling)
+        scans = self.scans(model, bundle, law, 3.0)
         forward = {name: scan() for name, scan in scans.items()}
         backward = {name: scan() for name, scan in reversed(scans.items())}
         for name, rep in forward.items():
@@ -461,7 +526,7 @@ class TestEmptyGrid:
     def test_raises_naming_the_grid_before_a_kernel(self, scan, name, monkeypatch):
         model = curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT)
         law = build_mixture(model, 32)
-        bundle = type("B", (), {"rho": 0.1, "rho0": 1.0, "lambda_n": 1.0, "delta_n": 0.0})
+        bundle = stand_in_bundle(model, 32, rho=0.1, rho0=1.0, lambda_n=1.0, delta_n=0.0)
         kernels = []
         init = LogPartition.__init__
         monkeypatch.setattr(LogPartition, "__init__",
