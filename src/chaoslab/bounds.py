@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssertionFailure, InvalidConstants, RegimeViolation
-from .meanfield import critical_coupling, subcritical_reference
-from .model import ModelSpec
+from .meanfield import TiltedMeasure, critical_coupling, subcritical_reference
 
 __all__ = [
     "ConstantsBundle",
@@ -173,20 +172,20 @@ def prop25_constants(regime: str, *, rho0: float = 0.0,
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def curie_weiss_constants(model: ModelSpec, N: int) -> ConstantsBundle:
+def curie_weiss_constants(reference: TiltedMeasure, N: int) -> ConstantsBundle:
     """Full constant bundle for the sub-critical quartic rank-one model.
 
-    theta, sigma and J are read off ``model``, which must pass
-    ``meanfield.subcritical_reference`` (``Supercritical`` for J >= J_c).
+    J_c and Var(m_*) are read off ``reference``, the model's pi[0], which must
+    pass ``meanfield.subcritical_reference``; theta, sigma and J off its model.
     The small-sigma rho0 = exp(-7 (1 - sigma)^2 / (36 theta)) tends to 0 as
     theta -> 0+, and rho0 = 0 gives lambda_N < 0, so the Gaussian model
     with sigma < 1 raises ``RegimeViolation``, like every lambda_N <= 0.
     """
+    model = reference.model
     if not model.is_quartic:
         raise RegimeViolation("the Curie-Weiss bundle needs a quartic confinement")
-    mstar = subcritical_reference(model)
-    var_mstar = mstar.second_moment
-    j_c = critical_coupling(mstar)
+    var_mstar = subcritical_reference(reference).second_moment
+    j_c = critical_coupling(reference)
     theta, sigma, J = model.confinement.theta, model.confinement.sigma, model.coupling
     if J <= 0:
         raise RegimeViolation("bundle requires 0 < J < J_c")

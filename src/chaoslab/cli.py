@@ -129,7 +129,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("model.theta", "must be >= 0")
     if theta == 0 and sigma <= 0:
         raise ConfigError("model.sigma", "must be > 0 when theta = 0")
-    if command in ("chaos-scan", "jw") and J <= 0:
+    if command in ("chaos-scan", "verify", "jw") and J <= 0:
         raise ConfigError("model.J", "must be > 0: the auxiliary field needs J > 0")
     if _integer(model.get("dimension", 1), "model.dimension") != 1:
         raise ConfigError("model.dimension",
@@ -219,7 +219,8 @@ def fit_scaling(points) -> ScalingFit:
 # outdir and returns the command's summary.
 
 def _run_constants(cfg: ExperimentConfig, outdir: Path, chash: str) -> dict:
-    bundle = _bounds.curie_weiss_constants(cfg.model, cfg.n_grid[-1])
+    bundle = _bounds.curie_weiss_constants(LogPartition(cfg.model).reference,
+                                           cfg.n_grid[-1])
     _write_json(outdir / "constants.json", asdict(bundle), chash)
     return {"command": "constants", "passed": True}
 
@@ -237,15 +238,13 @@ def _run_chaos_scan(cfg: ExperimentConfig, outdir: Path, chash: str) -> dict:
     header = ["N", "k", "H_exact", "H_se", "W2_sq", "bound_marginal",
               "bound_conditional_sum", "lambda_n", "pass"]
     rows = []
-    all_pass = True
     k1_points = []
-    mstar = subcritical_reference(model)
     for N in cfg.n_grid:
         law = build_mixture(model, int(N))
         levels = relative_entropy_levels(law, cfg.k_max)
-        w2 = wasserstein2_marginal(law, mstar)
+        w2 = wasserstein2_marginal(law)
         try:
-            bundle = _bounds.curie_weiss_constants(model, N)
+            bundle = _bounds.curie_weiss_constants(law.reference, N)
         except RegimeViolation:
             bundle = None
         cond_sum = 0.0
@@ -261,70 +260,59 @@ def _run_chaos_scan(cfg: ExperimentConfig, outdir: Path, chash: str) -> dict:
                 # bounds far below it, such as the 1e-28 of a tiny J.
                 ok = h <= bm * (1.0 + 1e-12) and cond <= bc * (1.0 + 1e-12)
             else:
-                bm = float("nan")
-                cond_sum = float("nan")
-                lam = float("nan")
+                bm = cond_sum = lam = float("nan")
                 ok = True
-            all_pass &= ok
             rows.append([int(N), k, h, 0.0,
                          w2 * w2 if k == 1 else float("nan"),
                          bm, cond_sum, lam, int(ok)])
             if k == 1:
                 k1_points.append((float(N), h))
     _write_csv(outdir / "chaos_scan.csv", header, rows, chash)
-    summary = {"command": "chaos-scan", "passed": bool(all_pass),
+    summary = {"command": "chaos-scan", "passed": all(row[-1] for row in rows),
                "rows": len(rows)}
     if len(k1_points) >= 3:
         fit = fit_scaling(k1_points)
         _write_json(outdir / "scaling.json",
                     {"slope": fit.slope, "intercept": fit.intercept,
                      "r_squared": fit.r_squared}, chash)
-        summary["slope"] = fit.slope
-        summary["r_squared"] = fit.r_squared
+        summary.update(slope=fit.slope, r_squared=fit.r_squared)
     return summary
 
 
 def _run_verify(cfg: ExperimentConfig, outdir: Path, chash: str) -> dict:
     model = cfg.model
     N = cfg.n_grid[-1] if cfg.n_grid else 64
-    bundle = _bounds.curie_weiss_constants(model, N)
-    grid = np.concatenate([-np.geomspace(0.01, 3.0, 8)[::-1],
-                           np.geomspace(0.01, 3.0, 8)])
-    nonlinear_lsi, linear_lsi = _verify.lsi_scans(model, bundle, grid)
+    law = build_mixture(model, N)
+    bundle = _bounds.curie_weiss_constants(law.reference, N)
+    ells = np.geomspace(0.01, 3.0, 8)
+    nonlinear_lsi, linear_lsi = _verify.lsi_scans(model, bundle,
+                                                  np.concatenate([-ells[::-1], ells]))
     reports = {
         "nonlinear_lsi": nonlinear_lsi,
         "linear_lsi": linear_lsi,
-        "phi_positivity": _verify.phi_positivity_scan(
-            model, None, np.geomspace(0.01, 3.0, 8)),
-        "psi_positivity": _verify.psi_positivity_scan(
-            model, 0.0, 0.0, np.geomspace(0.01, 3.0, 8)),
+        "phi_positivity": _verify.phi_positivity_scan(model, None, ells),
+        "psi_positivity": _verify.psi_positivity_scan(model, 0.0, 0.0, ells),
         "marginal_t1": _verify.marginal_t1_ratio_scan(
-            build_mixture(model, N), bundle, np.linspace(-0.5, 0.5, 5)),
+            law, bundle, np.linspace(-0.5, 0.5, 5)),
     }
-    payload = {}
-    all_pass = True
-    for name, rep in reports.items():
-        payload[name] = {"min_margin": rep.min_margin, "passed": bool(rep.passed)}
-        all_pass &= rep.passed
+    payload = {name: {"min_margin": rep.min_margin, "passed": bool(rep.passed)}
+               for name, rep in reports.items()}
     _write_json(outdir / "verify.json", payload, chash)
-    return {"command": "verify", "passed": bool(all_pass), **{
-        k: v["passed"] for k, v in payload.items()}}
+    passed = {name: v["passed"] for name, v in payload.items()}
+    return {"command": "verify", "passed": all(passed.values()), **passed}
 
 
 def _run_jw(cfg: ExperimentConfig, outdir: Path, chash: str) -> dict:
     rows = []
-    all_pass = True
     J = cfg.model.coupling
-    mstar = subcritical_reference(cfg.model)
+    mstar = subcritical_reference(LogPartition(cfg.model).reference)
     rhs = _bounds.jw_rhs(min(critical_coupling(mstar) / J - 1.0, 1.0) / 2.0, J,
                          mstar.second_moment)
     for N in cfg.n_grid:
-        lhs = _verify.jw_log_mgf(cfg.model, int(N))
-        ok = lhs <= rhs + 1e-9
-        all_pass &= ok
-        rows.append([int(N), float(lhs), float(rhs), int(ok)])
+        lhs = _verify.jw_log_mgf(cfg.model, N)
+        rows.append([N, float(lhs), float(rhs), int(lhs <= rhs + 1e-9)])
     _write_csv(outdir / "jw.csv", ["N", "log_mgf", "rhs", "pass"], rows, chash)
-    return {"command": "jw", "passed": bool(all_pass)}
+    return {"command": "jw", "passed": all(row[-1] for row in rows)}
 
 
 def _run_sample(cfg: ExperimentConfig, outdir: Path, chash: str) -> dict:

@@ -86,13 +86,16 @@ def _gauss_legendre():
 class MixtureLaw:
     """Auxiliary-field mixture representation of m^{N,k} for all k <= N.
 
-    ``x_window`` carries every node density (``_node_density_window``).
+    ``reference`` is m_* = pi[0], its kernel's ``LogPartition.reference``;
+    ``log_z0`` is log Z_1(0) on that kernel grown by the field search, whose
+    bits the levels keep.  ``x_window`` carries every node density.
     """
 
     model: ModelSpec
     n_particles: int
     z_nodes: np.ndarray = field(repr=False)
     z_log_weights: np.ndarray = field(repr=False)
+    reference: TiltedMeasure = field(repr=False)
     log_z0: float = 0.0
     node_log_z1: np.ndarray = field(default=None, repr=False)
     x_window: tuple = (0.0, 0.0)
@@ -107,9 +110,9 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
     normalizable.
 
     Every log Z_1 (field search, Gauss-Legendre nodes, and log Z_1(0), the
-    normalizer of m_*) comes from one growing ``LogPartition``, the kernel
-    ``verify.jw_log_mgf`` uses: each growth runs the halving check at z = 0
-    and +-z_max and raises ``GridResolution`` above 1e-12.  The check is
+    normalizer of m_*) and m_* itself come from one growing ``LogPartition``,
+    the kernel ``verify.jw_log_mgf`` uses: each growth runs the halving check
+    at z = 0 and +-z_max and raises ``GridResolution`` above 1e-12.  The check is
     conservative: the Gaussian model with sigma = 1e6 raises although its
     entropy levels are right to about 2e-9 relative, a typed error where a
     number would have been usable, never a wrong number.
@@ -161,6 +164,7 @@ def build_mixture(model: ModelSpec, N: int) -> MixtureLaw:
         n_particles=N,
         z_nodes=z_nodes,
         z_log_weights=log_weights,
+        reference=kernel.reference,
         log_z0=float(kernel(0.0)),
         node_log_z1=log_z1,
         x_window=(float(ends[:, 0].min()), float(ends[:, 1].max())),
@@ -349,14 +353,14 @@ def relative_entropy_levels(law: MixtureLaw, k_max: int) -> EntropyLevels:
     k-fold grid convolution, untilted from a few tilted reference rows
     (``_entropy_exact``).
 
-    It takes m_* = pi[0], the untilted measure, so the model must pass
-    ``meanfield.subcritical_reference``: ``RegimeViolation`` for a
+    It takes m_* = pi[0], the untilted measure, so ``law.reference`` must
+    pass ``meanfield.subcritical_reference``: ``RegimeViolation`` for a
     non-quartic confinement whose pi[0] has a non-zero mean (the levels
     would tend to a positive constant), ``Supercritical`` for J >= J_c.
     """
     if not 1 <= k_max <= min(law.n_particles, MAX_LEVEL):
         raise ValueError(f"k_max must satisfy 1 <= k_max <= min(N, {MAX_LEVEL})")
-    subcritical_reference(law.model)
+    subcritical_reference(law.reference)
     return _entropy_exact(law, k_max)
 
 
@@ -552,16 +556,16 @@ def _quantile_cost2(quantile_p, quantile_q) -> float:
     return float(np.trapezoid(diff**2, us))
 
 
-def wasserstein2_marginal(law: MixtureLaw, k1_reference: TiltedMeasure) -> float:
-    """W_2(m^{N,1}, reference) by inverse-CDF coupling: the root of
-    ``_quantile_cost2`` between the quantile functions of the two grid
-    densities on ``marginal_grid_density``'s grid.
+def wasserstein2_marginal(law: MixtureLaw) -> float:
+    """W_2(m^{N,1}, m_*), m_* = ``law.reference``, by inverse-CDF coupling: the
+    root of ``_quantile_cost2`` between the quantile functions of the two
+    grid densities on ``marginal_grid_density``'s grid.
 
     Not exact: the cost is a trapezoid in u on [1e-8, 1 - 1e-8], which puts
     W_2^2 about 1.8e-3 (relative) above the Gaussian closed form.
     """
     gm = marginal_grid_density(law)
-    ref = GridDensity.from_callable(k1_reference.density, gm.lo, gm.hi, FINE_POINTS)
+    ref = GridDensity.from_callable(law.reference.density, gm.lo, gm.hi, FINE_POINTS)
     return float(np.sqrt(_quantile_cost2(_quantile_from_density(gm),
                                          _quantile_from_density(ref))))
 

@@ -2,10 +2,10 @@
 
 Tilted measures pi[h] with density proportional to exp(-V(x) + t x), each
 normalized by ``LogPartition.measure``, the magnetization map f = p o pi,
-the critical coupling, the one sub-critical guard on
-m_* = pi[0] and the safeguarded Newton solver for the mean-field fixed point
-h = f(h) and its interpolation h = f(alpha h0 + (1 - alpha) h), which the
-psi scan of ``verify`` reads.
+the critical coupling, the one sub-critical guard on m_* = pi[0] (measured
+once per kernel, ``LogPartition.reference``) and the safeguarded Newton
+solver for the mean-field fixed point h = f(h) and its interpolation
+h = f(alpha h0 + (1 - alpha) h), which the psi scan of ``verify`` reads.
 """
 from __future__ import annotations
 
@@ -75,7 +75,8 @@ def _trapezoid_grid(model: ModelSpec, window):
 
 class LogPartition:
     """log Z_1(z) = log int exp(-V(x) + z x) dx for arrays of tilts z, and the
-    tilted measures pi[z] (``measure``).
+    tilted measures pi[z] (``measure``); pi[0] is measured once, on the first
+    grid (``reference``).
 
     One log-trapezoid over a uniform grid of ``_GRID_POINTS`` nodes on an
     x-window, evaluated for all queried tilts by ``numerics.log_laplace``
@@ -93,20 +94,27 @@ class LogPartition:
     def __init__(self, model: ModelSpec):
         self.model = model
         self.window = (np.inf, -np.inf)
-        self._grow(0.0)
+        self._reference = self._tilted(np.array(0.0), self._grow(0.0))
 
-    def _grow(self, z_max: float) -> None:
+    @property
+    def reference(self) -> TiltedMeasure:
+        """m_* = pi[0] on the first grid: bitwise a fresh kernel's ``measure(0.0)``."""
+        return self._reference
+
+    def _grow(self, z_max: float) -> np.ndarray:
+        """Cover +-``z_max``; log Z_1 at the tilts it checked, z = 0 first."""
         tilts = [-z_max, z_max] if z_max else [0.0]
         ends = tilt_windows(self.model, tilts)
         lo = min(self.window[0], float(ends[:, 0].min()))
         hi = max(self.window[1], float(ends[:, 1].max()))
         xs, logw = ((self.xs, self._logw) if (lo, hi) == self.window
                     else _trapezoid_grid(self.model, (lo, hi)))
-        log_trapezoid([0.0, *tilts] if z_max else tilts, xs, logw)
+        log_z = log_trapezoid([0.0, *tilts] if z_max else tilts, xs, logw)
         # Commit only a checked grid, so a failed growth leaves the kernel as
         # it was and the same query raises again.
         self.window, self.z_max = (lo, hi), z_max
         self.xs, self._logw = xs, logw
+        return log_z
 
     def _cover(self, zs) -> None:
         zs = np.asarray(zs, dtype=float)
@@ -153,8 +161,11 @@ class LogPartition:
         """
         ts = np.array(tilts, dtype=float)
         self._cover(ts)
+        return self._tilted(ts, log_trapezoid(ts.reshape(-1), self.xs, self._logw))
+
+    def _tilted(self, ts: np.ndarray, log_z: np.ndarray):
+        """``measure``'s result at the tilts ``ts``, given their flat log Z_1."""
         flat = ts.reshape(-1)
-        log_z = log_trapezoid(flat, self.xs, self._logw)
         weights = np.exp(flat[:, None] * self.xs + self._logw - log_z[:, None])
         fields = (flat, log_z, (weights * self.xs).sum(axis=1),
                   (weights * self.xs**2).sum(axis=1))
@@ -183,9 +194,9 @@ def critical_coupling(mstar: TiltedMeasure) -> float:
     return 1.0 / mstar.second_moment
 
 
-def subcritical_reference(model: ModelSpec | LogPartition) -> TiltedMeasure:
-    """m_* = pi[0], built once, for a model inside the sub-critical regime;
-    ``model`` may be the ``LogPartition`` to read pi[0] from.
+def subcritical_reference(mstar: TiltedMeasure) -> TiltedMeasure:
+    """``mstar``, the model's pi[0] (a TiltedMeasure at tilt 0, such as
+    ``LogPartition.reference``), once it is checked to be m_*.
 
     Every quantity taken against m_* = pi[0] (the entropy levels, the
     Curie-Weiss constants, the log-MGF) needs pi[0] to be the mean-field
@@ -195,9 +206,7 @@ def subcritical_reference(model: ModelSpec | LogPartition) -> TiltedMeasure:
     |mean| > 1e-10 sd: the fixed point is then not h = 0.  (Quartic
     confinements are even, so the mean is not checked for them.)
     """
-    kernel = model if isinstance(model, LogPartition) else LogPartition(model)
-    model = kernel.model
-    mstar = kernel.measure(0.0)
+    model = mstar.model
     if not model.is_quartic:
         mean = mstar.mean
         if abs(mean) > 1e-10 * np.sqrt(mstar.variance):

@@ -3,14 +3,15 @@
 Every scan uses the tilted measures pi[l] as the test family: the
 variational arguments behind the sub-critical constants show these are
 the extremizers of the entropy-constrained problems, so they are the
-sharpest cheap probes.  Each scan reads its family from one
-``LogPartition`` of its own (both LSIs share one, ``lsi_scans``), and an
-empty grid raises ``ValueError`` before any is built.  Constants always come
-in verbatim from the bounds module, and a ``ConstantsBundle`` built for
-another coupling (or, in the T1 scan, another N) raises ``ValueError``; a
-scan failure is a build-stopping event.  The 1D transport quantities, W_1 of
-the T1 scan and the Bolley-Villani moment, are integrals of densities and
-CDFs on a uniform grid, with no quantile function.
+sharpest cheap probes.  Each scan reads its family, and m_* = pi[0] as
+``LogPartition.reference``, from one ``LogPartition`` of its own (both LSIs
+share one, ``lsi_scans``), and an empty grid raises ``ValueError`` before
+any is built.  Constants always come in verbatim from the bounds module,
+and a ``ConstantsBundle`` built for another coupling (or, in the T1 scan,
+another N) raises ``ValueError``; a scan failure is a build-stopping event.
+The 1D transport quantities, W_1 of the T1 scan and the Bolley-Villani
+moment, are integrals of densities and CDFs on a uniform grid, with no
+quantile function.
 """
 from __future__ import annotations
 
@@ -106,9 +107,8 @@ def lsi_scans(model: ModelSpec, bundle: ConstantsBundle,
     J = model.coupling
     _check_bundle(bundle, J)
     kernel = LogPartition(model)
-    mstar = kernel.measure(0.0)
     family = kernel.measure(J * grid)
-    entropy = _entropy_between_tilts(family, mstar)
+    entropy = _entropy_between_tilts(family, kernel.reference)
     return (_report(grid, 2.0 * bundle.rho * entropy, J**2 * (grid - family.mean) ** 2),
             _report(grid, 2.0 * bundle.rho0 * entropy, (J * grid) ** 2))
 
@@ -144,8 +144,7 @@ def phi_positivity_scan(model: ModelSpec, eps_override: float | None,
     grid = _scan_grid(h_grid, "h_grid")
     J = model.coupling
     kernel = LogPartition(model)
-    mstar = kernel.measure(0.0)
-    j_c = critical_coupling(mstar)
+    j_c = critical_coupling(kernel.reference)
     eps = (1.0 - J / j_c) ** 2 if eps_override is None else eps_override
     # One lockstep solve for every h: each step reads the f(l) of all the
     # equations still open in one measure, which grows the kernel to that
@@ -155,7 +154,7 @@ def phi_positivity_scan(model: ModelSpec, eps_override: float | None,
     log_z_ell = kernel.measure(J * ell).log_z
     log_z_h = kernel.measure(J * grid).log_z
     phi = ((1.0 - eps) * J * ell * grid - (1.0 - eps) * log_z_ell
-           - J * grid * grid + log_z_h - eps * mstar.log_z)
+           - J * grid * grid + log_z_h - eps * kernel.reference.log_z)
     return _report(grid, np.zeros_like(grid), phi)
 
 
@@ -172,7 +171,7 @@ def psi_positivity_scan(model: ModelSpec, alpha: float, m0_mean: float,
     grid = _scan_grid(ell_grid, "ell_grid")
     J = model.coupling
     kernel = LogPartition(model)
-    j_c = critical_coupling(kernel.measure(0.0))
+    j_c = critical_coupling(kernel.reference)
     h_star = solve_fixed_point(kernel, 1e-12, m0_mean, alpha).h_star
     star = kernel.measure(J * h_star)  # its mean is f(h_*)
     family = kernel.measure(J * grid)
@@ -197,9 +196,9 @@ def jw_log_mgf(model: ModelSpec, N: int) -> float:
     the t-integrand, read coarse to fine until its halving check passes at
     1e-12 (``numerics.nested_log_trapezoid``).  Each scan point takes
     g = log Z_1(z) - log Z_0 from ``LogPartition.cgf`` of one kernel, whose
-    rounding vanishes with z, so N g keeps its digits up to N = 2^20.  The
-    model must pass ``meanfield.subcritical_reference`` on that kernel's
-    pi[0]: for J >= J_c the log-MGF diverges (``Supercritical``).
+    rounding vanishes with z, so N g keeps its digits up to N = 2^20.  Its
+    ``LogPartition.reference`` must pass ``meanfield.subcritical_reference``:
+    for J >= J_c the log-MGF diverges (``Supercritical``).
 
     The search runs in v = t / 16, so its first scan spans |t| <= 16.  The
     scans it skips, |t| <= 1, 2, 4 and 8, cannot stop when the t-integrand
@@ -223,7 +222,7 @@ def jw_log_mgf(model: ModelSpec, N: int) -> float:
     if not 1 <= N <= MAX_PARTICLES:
         raise ValueError(f"N must satisfy 1 <= N <= {MAX_PARTICLES}")
     log_z1 = LogPartition(model)
-    subcritical_reference(log_z1)
+    subcritical_reference(log_z1.reference)
     # z = sqrt(J/N) t; t = 16 v is exact, so every t read is a point of the
     # scans in t of the same width.
     scale = np.sqrt(J / N)
@@ -243,21 +242,21 @@ def bolley_villani_moment_check(density: GridDensity, rho: float) -> float:
     """int exp(rho (x - mean)^2 / 4) dmu for the grid density mu: the
     trapezoid on its own grid, the mean read the same way.
 
-    The caller compares the return value against sqrt(2) exp(delta), with
-    the delta of its own bound.  A grid on which the exponent exceeds 700,
-    or an integrand that is not finite, raises ``DivergentIntegral``: mu's
+    The exponent is added to log mu, so a point where mu is 0.0 adds 0
+    however large the exponent is there.  The caller compares the return
+    value against sqrt(2) exp(delta), with the delta of its own bound.  An
+    integrand that leaves the float range raises ``DivergentIntegral``: mu's
     tail is then too heavy for ``rho`` on the grid's span.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     xs = density.xs
     mean = float(np.trapezoid(xs * density.values, dx=density.dx))
-    exponent = rho * (xs - mean) ** 2 / 4.0
-    if exponent.max() > 700.0:
-        raise DivergentIntegral("tail of mu too heavy for the supplied rho")
-    vals = np.exp(exponent) * density.values
+    with np.errstate(over="ignore", divide="ignore"):
+        vals = np.exp(rho * (xs - mean) ** 2 / 4.0 + np.log(density.values))
     if not np.all(np.isfinite(vals)):
-        raise DivergentIntegral("moment integrand overflowed")
+        raise DivergentIntegral("moment integrand overflowed: the tail of mu is too "
+                                "heavy for the supplied rho")
     return float(np.trapezoid(vals, dx=density.dx))
 
 

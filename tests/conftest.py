@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chaoslab.meanfield import critical_coupling, tilted_measure
+from chaoslab.bounds import curie_weiss_constants
+from chaoslab.meanfield import LogPartition, critical_coupling, tilted_measure
 from chaoslab.model import (GeneralPotential, ModelSpec, RankOneInteraction,
                             curie_weiss_model, gaussian_model)
 
@@ -42,6 +43,11 @@ def quartic_model():
 def critical_coupling_of(model):
     """J_c of ``model``, read off its pi[0]."""
     return critical_coupling(tilted_measure(model, 0.0))
+
+
+def constants_of(model, N):
+    """The Curie-Weiss bundle of ``model`` at N, read off a kernel's pi[0]."""
+    return curie_weiss_constants(LogPartition(model).reference, N)
 
 
 @pytest.fixture(scope="session")

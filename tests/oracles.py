@@ -17,15 +17,20 @@ compute only what they keep; each tilt's window by its own window search
 (``tilt_window``), the reference of ``meanfield.tilt_windows``; each
 tilted measure on its own window and grid (``tilted_measure_per_tilt``),
 the reference of the tilted measures read
-from one ``LogPartition``; the T1 scan with each tilt on its own grids
+from one ``LogPartition``; pi[0] as a fresh kernel's ``measure(0.0)``
+(``fresh_kernel_pi_zero``), the reference of ``LogPartition.reference``;
+the T1 scan with each tilt on its own grids
 (``t1_ratio_scan_per_tilt``), the reference of the one-grid scan; the
 log-MGF summed in long double (``longdouble_jw_log_mgf``) and read in
 full from |t| = 1 (``full_read_jw_log_mgf``); the interpolated fixed point
 h = f(alpha h0 + (1 - alpha) h) by the Newton solve of its own that
 ``verify`` once kept (``solve_interpolated_fixed_point``), the reference of
 ``meanfield.solve_fixed_point``; a sample file written from a batch in
-memory (``save_batch``), the byte reference of ``run_chain`` with a path; the
-relative entropy from samples, with both densities known (``kl_plug_in``)
+memory (``save_batch``), the byte reference of ``run_chain`` with a path;
+the marginals of m^3 by 3D tensor quadrature and, with no auxiliary field,
+by direct-sum self-convolutions of exp(-V)
+(``brute_marginal_log_density_n3``, ``field_free_marginal_log_density_n3``);
+the relative entropy from samples, with both densities known (``kl_plug_in``)
 or from samples alone (``kl_knn``); the Langevin chain loop as first
 written, one step at a time with nothing cached between steps; the GHS
 concavity f'' <= 0 of the magnetization map on positive tilts
@@ -314,6 +319,12 @@ def tilted_measure_per_tilt(model, tilt):
                          float(np.sum(weights * xs**2))), window
 
 
+def fresh_kernel_pi_zero(model):
+    """pi[0] by the route ``meanfield.subcritical_reference`` once took: the
+    ``measure(0.0)`` of a fresh kernel, before any query has grown it."""
+    return LogPartition(model).measure(0.0)
+
+
 def t1_ratio_scan_per_tilt(model, bundle, tilt_grid, law):
     """(lhs, rhs) of ``verify.marginal_t1_ratio_scan`` with each tilt on its
     own grids.  W_1 is int |F - G| dx on ``FINE_POINTS`` points over the union
@@ -520,6 +531,33 @@ def brute_marginal_log_density_n3(model, points, lo=-8.0, hi=8.0, n=801):
     return np.array(out)
 
 
+def field_free_marginal_log_density_n3(model, points, lo=-8.0, hi=8.0, n=801):
+    """log m^{3,k} for k = 1 or 2 with no auxiliary field and no tensor grid.
+
+    With q_j the j-fold self-convolution of exp(-V), by direct sums on the
+    uniform grid over [lo, hi] (q_j lives on j lo + i dx), and s the sum of
+    the k coordinates, m^{3,k}(x) = exp(-sum V(x_i)) int q_{3-k}(u)
+    exp(J (s + u)^2 / 6) du / z_3, with z_3 = sum_s q_3(s) exp(J s^2 / 6) ds.
+    """
+    J = model.coupling
+    xs = np.linspace(lo, hi, n)
+    dx = xs[1] - xs[0]
+    q = [None, np.exp(-model.potential(xs))]
+    q.append(np.convolve(q[1], q[1]) * dx)
+    q.append(np.convolve(q[2], q[1]) * dx)
+
+    def support(j):
+        return j * lo + dx * np.arange(q[j].size)
+
+    log_z3 = np.log(np.sum(q[3] * np.exp(J * support(3) ** 2 / 6.0)) * dx)
+    out = []
+    for pt in np.atleast_2d(points):
+        u = support(3 - len(pt))
+        val = simpson(q[3 - len(pt)] * np.exp(J * (sum(pt) + u) ** 2 / 6.0), x=u)
+        out.append(np.log(val) - model.potential(np.asarray(pt)).sum() - log_z3)
+    return np.array(out)
+
+
 def nested_quad_jw_log_mgf(model, N):
     """log E[exp(J S_N^2 / 2N)] under exp(-V)^{otimes N} / Z_0^N.
 
@@ -549,8 +587,8 @@ def full_read_jw_log_mgf(model, N):
     |t| <= 1 with every point of every scan read
     (``window_search_by_full_scans``), and the log-trapezoid on every point
     of the final scan."""
-    subcritical_reference(model)
     kernel = LogPartition(model)
+    subcritical_reference(kernel.reference)
     scale = np.sqrt(model.coupling / N)
     ts, log_f = window_search_by_full_scans(
         lambda ts: -ts**2 / 2.0 + N * kernel.cgf(scale * ts))

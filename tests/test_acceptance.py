@@ -51,7 +51,7 @@ def chaos_scan(quartic_model):
         law = build_mixture(quartic_model, n)
         levels = relative_entropy_levels(law, 4)
         try:
-            bundle = curie_weiss_constants(quartic_model, n)
+            bundle = curie_weiss_constants(law.reference, n)
         except RegimeViolation:
             bundle = None
         out[n] = (law, levels, bundle)
@@ -181,8 +181,8 @@ def test_inequality_scans_across_couplings():
     detail = []
     for frac, n in ((0.3, 128), (0.6, 128), (0.9, 1024)):
         model = curie_weiss_model(1.0, 1.0, frac * J_CRIT)
-        bundle = curie_weiss_constants(model, n)
         law = build_mixture(model, n)
+        bundle = curie_weiss_constants(law.reference, n)
         nlsi, llsi = lsi_scans(model, bundle, tilt_grid)
         scans = {
             "nlsi": nlsi.passed,

@@ -12,9 +12,10 @@ from chaoslab.bounds import (ConstantsBundle, chaos_bound_conditional,
                              t1_particle_constant, t1_tightening_constant,
                              verify_upper_solution)
 from chaoslab.errors import InvalidConstants, RegimeViolation, Supercritical
+from chaoslab.meanfield import LogPartition, critical_coupling
 from chaoslab.model import (GeneralPotential, ModelSpec, RankOneInteraction,
                             curie_weiss_model, gaussian_model)
-from conftest import J_CRIT
+from conftest import J_CRIT, constants_of
 
 log_uniform = st.floats(math.log(1e-2), math.log(1e2)).map(math.exp)
 
@@ -164,20 +165,20 @@ class TestProp25:
 
 class TestCurieWeissConstants:
     def test_sigma_one_branch(self, quartic_model):
-        b = curie_weiss_constants(quartic_model, 128)
+        b = constants_of(quartic_model, 128)
         assert b.rho0 == 1.0
         assert b.regime == "curie-weiss"
 
     def test_bundle_carries_its_model(self, quartic_model):
-        b = curie_weiss_constants(quartic_model, 128)
+        b = constants_of(quartic_model, 128)
         assert (b.coupling, b.n_particles) == (quartic_model.coupling, 128)
 
     def test_small_sigma_branch(self):
-        b = curie_weiss_constants(curie_weiss_model(7.0 / 36.0, 0.0, 0.05), 4096)
+        b = constants_of(curie_weiss_model(7.0 / 36.0, 0.0, 0.05), 4096)
         assert b.rho0 == pytest.approx(math.exp(-1.0))
 
     def test_frozen_bundle(self, quartic_model):
-        b = curie_weiss_constants(quartic_model, 128)
+        b = constants_of(quartic_model, 128)
         assert b.j_c == pytest.approx(J_CRIT, abs=1e-9)
         assert b.rho == pytest.approx(0.25)
         assert b.lambda_n == pytest.approx(0.14982260147597404, abs=1e-12)
@@ -186,25 +187,34 @@ class TestCurieWeissConstants:
 
     def test_supercritical_rejected(self):
         with pytest.raises(Supercritical):
-            curie_weiss_constants(curie_weiss_model(1.0, 1.0, 1.1 * J_CRIT), 64)
+            constants_of(curie_weiss_model(1.0, 1.0, 1.1 * J_CRIT), 64)
 
     def test_small_n_regime_violation(self, quartic_model):
         with pytest.raises(RegimeViolation):
-            curie_weiss_constants(quartic_model, 8)
+            constants_of(quartic_model, 8)
 
     def test_gaussian_small_sigma_regime_violation(self):
         # rho0 = exp(-7 (1 - sigma)^2 / (36 theta)) -> 0 as theta -> 0+.
         with pytest.raises(RegimeViolation):
-            curie_weiss_constants(gaussian_model(0.5, 0.25), 128)
+            constants_of(gaussian_model(0.5, 0.25), 128)
 
     def test_gaussian_sigma_one_branch(self):
-        b = curie_weiss_constants(gaussian_model(2.0, 0.25), 128)
+        b = constants_of(gaussian_model(2.0, 0.25), 128)
         assert b.rho0 == 2.0 and b.j_c == pytest.approx(2.0, rel=1e-12)
+
+    def test_reads_its_reference_and_builds_no_kernel(self, quartic_model, monkeypatch):
+        # J_c and Var(m_*) are read off the pi[0] it is given.
+        reference = LogPartition(quartic_model).reference
+        monkeypatch.setattr(LogPartition, "__init__",
+                            lambda self, model: pytest.fail("built a kernel"))
+        b = curie_weiss_constants(reference, 128)
+        assert b.j_c == critical_coupling(reference)
+        assert b.var_mstar == reference.second_moment
 
     def test_non_quartic_regime_violation(self):
         v = GeneralPotential(v=lambda x: x**4 / 4 + x**2 / 2, grad_v=lambda x: x**3 + x)
         with pytest.raises(RegimeViolation):
-            curie_weiss_constants(ModelSpec(v, RankOneInteraction(0.5)), 128)
+            constants_of(ModelSpec(v, RankOneInteraction(0.5)), 128)
 
 
 class TestLemma51:

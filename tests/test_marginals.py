@@ -23,7 +23,8 @@ from chaoslab.verify import jw_log_mgf
 from conftest import (GAUSS_JOINT_KL, J_CRIT, N2_KL_LIMIT_SAMPLE, W2_N32,
                       critical_coupling_of)
 from oracles import (brute_marginal_log_density_n2, brute_marginal_log_density_n3,
-                     integrate, node_density_window_by_trapezoid, node_grid_densities,
+                     field_free_marginal_log_density_n3, fresh_kernel_pi_zero, integrate,
+                     node_density_window_by_trapezoid, node_grid_densities,
                      node_row_entropy_levels, node_rows_per_row,
                      refine_support_by_full_scans, unit_mass_rows,
                      window_search_by_full_scans)
@@ -40,6 +41,18 @@ class TestBuildMixture:
         # exp(-N z^2 (1/J - 1/sigma) / 2) is not normalizable there.
         with pytest.raises(Supercritical):
             build_mixture(gaussian_model(1.0, J), 16)
+
+    @pytest.mark.parametrize("n", [1, 32, 2**16])
+    @pytest.mark.parametrize("model", [
+        curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT), gaussian_model(1.0, 0.5),
+        curie_weiss_model(1.0, -1.0, 0.5)], ids=["quartic", "gaussian", "double-well"])
+    def test_reference_is_pi_zero_of_a_fresh_kernel(self, model, n):
+        # m_* is measured on the mixture kernel's first grid, before the
+        # field search grows it: bit for bit a fresh kernel's pi[0].
+        got, want = build_mixture(model, n).reference, fresh_kernel_pi_zero(model)
+        assert got.model is model
+        for name in ("tilt", "log_z", "mean", "second_moment"):
+            assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex(), name
 
     def test_rejects_n_above_range(self, quartic_model):
         # Above 2^20 the levels drift with no typed error (N^2 H_1 reads 5.11
@@ -168,8 +181,9 @@ class TestMixtureKernels:
         grow = LogPartition._grow
 
         def recorded(self, z_max):
-            grow(self, z_max)
+            log_z = grow(self, z_max)
             grown.append((z_max, self.window))
+            return log_z
 
         monkeypatch.setattr(LogPartition, "_grow", recorded)
         quartic = curie_weiss_model(1.0, 1.0, 0.9 * J_CRIT)
@@ -396,8 +410,20 @@ class TestMarginalLogDensity:
         law = build_mixture(quartic_model, 3)
         pts = rng.uniform(-1.5, 1.5, size=(6, 2))
         assert np.allclose(marginal_log_density_batch(law, pts),
-                           brute_marginal_log_density_n3(quartic_model, pts),
+                           field_free_marginal_log_density_n3(quartic_model, pts),
                            atol=1e-6)
+
+    @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, 1.0),
+                                       curie_weiss_model(1.0, -1.0, 1.0)],
+                             ids=["quartic", "double-well"])
+    def test_n3_field_free_oracle_is_the_tensor_one(self, model, rng):
+        # On a coarse grid the direct-sum convolutions and the 3D tensor
+        # quadrature give the same m^{3,1} and m^{3,2}.
+        for k in (1, 2):
+            pts = rng.uniform(-1.5, 1.5, size=(4, k))
+            assert np.allclose(field_free_marginal_log_density_n3(model, pts, n=201),
+                               brute_marginal_log_density_n3(model, pts, n=201),
+                               rtol=0.0, atol=1e-6)
 
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_batch_k_outside_one_to_n_raises(self, k):
@@ -609,8 +635,7 @@ class TestGaussianOracle:
 class TestWasserstein2:
     def test_frozen_value_and_talagrand_direction(self, quartic_model):
         law = build_mixture(quartic_model, 32)
-        mstar = tilted_measure(quartic_model, 0.0)
-        w2 = wasserstein2_marginal(law, mstar)
+        w2 = wasserstein2_marginal(law)
         assert w2 == pytest.approx(W2_N32, abs=1e-9)
         h1 = relative_entropy_levels(law, 1).levels[1]
         rho0 = 1.0  # sigma = 1 branch
@@ -619,7 +644,7 @@ class TestWasserstein2:
     def test_near_zero_for_weak_coupling(self):
         m = gaussian_model(1.0, 1e-6)
         law = build_mixture(m, 16)
-        w2 = wasserstein2_marginal(law, tilted_measure(m, 0.0))
+        w2 = wasserstein2_marginal(law)
         assert w2 < 1e-4
 
 

@@ -12,8 +12,9 @@ from chaoslab.model import (GeneralPotential, ModelSpec, RankOneInteraction,
                             curie_weiss_model, gaussian_model)
 from conftest import (F_AT_1, H_STAR_SUPER, J_CRIT, X2_MOMENT, counting_quartic,
                       critical_coupling_of)
-from oracles import (ghs_concavity_check, integrate, log_integrate_exp,
-                     solve_interpolated_fixed_point, tilt_window, tilted_measure_per_tilt)
+from oracles import (fresh_kernel_pi_zero, ghs_concavity_check, integrate,
+                     log_integrate_exp, solve_interpolated_fixed_point, tilt_window,
+                     tilted_measure_per_tilt)
 
 
 class TestMoments:
@@ -414,29 +415,36 @@ class TestCriticalCoupling:
 
 
 class TestSubcriticalReference:
-    def test_is_pi_zero_built_once(self, quartic_model, monkeypatch):
-        kernels, measured = [], []
-        init, measure = LogPartition.__init__, LogPartition.measure
-
-        def counting_init(self, model):
-            kernels.append(model)
-            init(self, model)
-
-        def counting_measure(self, tilt):
-            measured.append(tilt)
-            return measure(self, tilt)
-
-        monkeypatch.setattr(LogPartition, "__init__", counting_init)
-        monkeypatch.setattr(LogPartition, "measure", counting_measure)
-        mstar = subcritical_reference(quartic_model)
-        assert kernels == [quartic_model] and measured == [0.0]
-        assert mstar == tilted_measure(quartic_model, 0.0)
+    def test_returns_the_measure_it_checks(self, quartic_model, monkeypatch):
+        # It takes pi[0] and builds no kernel of its own.
+        mstar = LogPartition(quartic_model).reference
+        monkeypatch.setattr(LogPartition, "__init__",
+                            lambda self, model: pytest.fail("built a kernel"))
+        assert subcritical_reference(mstar) is mstar
 
     @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, J_CRIT),
                                        gaussian_model(1.0, 1.5)])
     def test_at_or_above_critical_raises(self, model):
         with pytest.raises(Supercritical):
-            subcritical_reference(model)
+            subcritical_reference(LogPartition(model).reference)
+
+
+class TestReference:
+    @pytest.mark.parametrize("name", list(MEASURE_MODELS))
+    def test_is_pi_zero_of_a_fresh_kernel(self, name):
+        # pi[0] comes from the first growth's halving check, on the first
+        # grid: bit for bit what a fresh kernel's measure(0.0) gives.
+        got = LogPartition(MEASURE_MODELS[name]).reference
+        want = fresh_kernel_pi_zero(MEASURE_MODELS[name])
+        assert got.model is want.model
+        assert ([float(getattr(got, f)).hex() for f in MEASURE_FIELDS]
+                == [float(getattr(want, f)).hex() for f in MEASURE_FIELDS])
+
+    def test_is_kept_as_the_kernel_grows(self, quartic_model):
+        kernel = LogPartition(quartic_model)
+        first = kernel.reference
+        kernel(np.array([-30.0, 30.0]))
+        assert kernel.reference is first
 
 
 class TestFixedPoint:

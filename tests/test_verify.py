@@ -5,7 +5,7 @@ import pytest
 
 import chaoslab.marginals as marginals
 import chaoslab.verify as verify
-from chaoslab.bounds import curie_weiss_constants, jw_rhs
+from chaoslab.bounds import jw_rhs
 from chaoslab.cli import parse_config, run
 from chaoslab.errors import (DivergentIntegral, GridResolution, RegimeViolation,
                              Supercritical)
@@ -18,7 +18,7 @@ from chaoslab.numerics import FINE_POINTS, GridDensity
 from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf, lsi_scans,
                              magnetization_inverse, marginal_t1_ratio_scan,
                              phi_positivity_scan, psi_positivity_scan)
-from conftest import J_CRIT, counting_quartic
+from conftest import J_CRIT, constants_of, counting_quartic
 from oracles import (fisher_information_1d, full_read_jw_log_mgf, longdouble_jw_log_mgf,
                      nested_quad_jw_log_mgf, solve_interpolated_fixed_point,
                      t1_ratio_scan_per_tilt, window_search_by_full_scans)
@@ -45,7 +45,7 @@ GRID = np.concatenate([-np.geomspace(0.01, 5.0, 6)[::-1],
 
 @pytest.fixture(scope="module")
 def bundle128(quartic_model):
-    return curie_weiss_constants(quartic_model, 128)
+    return constants_of(quartic_model, 128)
 
 
 class TestNonlinearLsi:
@@ -316,6 +316,14 @@ class TestBolleyVillani:
         val = bolley_villani_moment_check(self.normal(1.0 / rho0), rho0)
         assert val == pytest.approx(np.sqrt(2), abs=1e-12)
 
+    @pytest.mark.parametrize("half_width", [40.0, 41.0, 50.0])
+    def test_wide_grid_is_not_divergent(self, half_width):
+        # The exponent passes 700 beyond |x| = 40.6, where the density is
+        # already 0.0: those points add 0, where they once raised
+        # DivergentIntegral on [-41, 41] and [-50, 50].
+        val = bolley_villani_moment_check(self.normal(1.0 / 1.7, half_width), 1.7)
+        assert val == pytest.approx(np.sqrt(2), abs=1e-12)
+
     def test_smaller_variance_strictly_below(self):
         rho = 1.0
         assert bolley_villani_moment_check(self.normal(1.0 / (2 * rho)), rho) < np.sqrt(2) - 0.1
@@ -415,7 +423,7 @@ class TestBundleMismatch:
     # into -0.093, with no error.
     @pytest.fixture(scope="class")
     def other(self):
-        return curie_weiss_constants(curie_weiss_model(1.0, 1.0, 0.1 * J_CRIT), 4096)
+        return constants_of(curie_weiss_model(1.0, 1.0, 0.1 * J_CRIT), 4096)
 
     def test_lsi_scans_reject_another_coupling(self, quartic_model, other):
         with pytest.raises(ValueError, match="bundle is for J"):
@@ -426,13 +434,13 @@ class TestBundleMismatch:
             marginal_t1_ratio_scan(build_mixture(quartic_model, 128), other, [0.0])
 
     def test_t1_scan_rejects_another_n(self, quartic_model):
-        bundle = curie_weiss_constants(quartic_model, 4096)
+        bundle = constants_of(quartic_model, 4096)
         with pytest.raises(ValueError, match="bundle is for N = 4096, not N = 128"):
             marginal_t1_ratio_scan(build_mixture(quartic_model, 128), bundle, [0.0])
 
     def test_lsi_scans_take_a_bundle_of_any_n(self, quartic_model, bundle128):
         # The LSI constants do not depend on N.
-        bundle = curie_weiss_constants(quartic_model, 4096)
+        bundle = constants_of(quartic_model, 4096)
         for rep, ref in zip(lsi_scans(quartic_model, bundle, GRID),
                             lsi_scans(quartic_model, bundle128, GRID)):
             assert np.array_equal(rep.rhs, ref.rhs) and np.array_equal(rep.lhs, ref.lhs)
@@ -503,9 +511,10 @@ class TestOneKernelPerScan:
         assert run(parse_config(doc))["passed"]
         assert len(scalar) <= 10
 
-    def test_verify_command_builds_six_kernels(self, tmp_path, monkeypatch):
-        # One kernel each for the constants' pi[0], the two LSI reports, the
-        # phi scan, the psi scan, the mixture and the T1 scan's family.
+    def test_verify_command_builds_five_kernels(self, tmp_path, monkeypatch):
+        # One kernel each for the mixture, whose pi[0] the constants read,
+        # the two LSI reports, the phi scan, the psi scan and the T1 scan's
+        # family.
         kernels = []
         init = LogPartition.__init__
         monkeypatch.setattr(LogPartition, "__init__",
@@ -513,7 +522,7 @@ class TestOneKernelPerScan:
         doc = {"command": "verify", "n_grid": [128], "output_dir": str(tmp_path),
                "model": {"theta": 1.0, "sigma": 1.0, "J": 0.5 * J_CRIT}}
         assert run(parse_config(doc))["passed"]
-        assert len(kernels) == 6
+        assert len(kernels) == 5
 
 
 class TestEmptyGrid:
