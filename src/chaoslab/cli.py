@@ -290,7 +290,8 @@ def _run_verify(cfg: ExperimentConfig, outdir: Path, chash: str) -> dict:
     reports = {
         "nonlinear_lsi": nonlinear_lsi,
         "linear_lsi": linear_lsi,
-        "phi_positivity": _verify.phi_positivity_scan(model, None, ells),
+        "phi_positivity": _verify.phi_positivity_scan(model, None,
+                                                      np.geomspace(0.003, 50.0, 8)),
         "psi_positivity": _verify.psi_positivity_scan(model, 0.0, 0.0, ells),
         "marginal_t1": _verify.marginal_t1_ratio_scan(
             law, bundle, np.linspace(-0.5, 0.5, 5)),

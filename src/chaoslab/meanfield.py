@@ -113,7 +113,7 @@ class LogPartition:
         # Commit only a checked grid, so a failed growth leaves the kernel as
         # it was and the same query raises again.
         self.window, self.z_max = (lo, hi), z_max
-        self.xs, self._logw = xs, logw
+        self.xs, self._logw, self._log_z0 = xs, logw, log_z[0]
         return log_z
 
     def _cover(self, zs) -> None:
@@ -143,10 +143,12 @@ class LogPartition:
 
         It is ``numerics.log_mgf`` of pi[0]'s grid weights, whose rounding
         vanishes as z -> 0; that of log Z_1(z) - log Z_1(0) does not, and
-        ``verify.jw_log_mgf`` multiplies it by N.
+        ``verify.jw_log_mgf`` multiplies it by N.  log Z_1(0) is the value
+        the last growth's halving check read at z = 0 on the current grid:
+        bitwise ``self(0.0)``, the same shifted exps summed by row.
         """
         self._cover(zs)
-        return log_mgf(zs, self.xs, self._logw - self(0.0))
+        return log_mgf(zs, self.xs, self._logw - self._log_z0)
 
     def measure(self, tilts):
         """pi[t] on the grid grown as ``__call__`` grows it, with the halving

@@ -10,10 +10,10 @@ reduction behind every field/grid sum, its separable form on a uniform
 grid of points (``log_laplace_grid``: one matrix product, few exps) and
 its expm1 form for a log moment generating function (``log_mgf``), the
 k-fold self-convolutions of one density row in one spectral pass, the
-cumulative trapezoid, and safeguarded Newton root finding, for one
-equation or many in lockstep.  There is no adaptive
-quadrature: the integrands are analytic and decay fast, so the uniform
-trapezoid converges exponentially, and halving its node count checks it.
+cumulative trapezoid, and safeguarded Newton root finding for one
+equation.  There is no adaptive quadrature: the integrands are analytic
+and decay fast, so the uniform trapezoid converges exponentially, and
+halving its node count checks it.
 Nothing here imports scipy: the FFT is numpy's, and the cumulative
 trapezoid is a port that gives scipy's bits.
 Everything here is pure and reentrant.
@@ -511,7 +511,7 @@ def cumulative_trapezoid(y, dx: float) -> np.ndarray:
 _NEWTON_MAX_EVALS = 100
 
 
-def newton_root(gd, x0, tol):
+def newton_root(gd, x0: float, tol: float) -> float:
     """Root of g by safeguarded Newton (``rtsafe``, Press et al., Numerical
     Recipes, 3rd ed., 2007), for a g negative far left and positive far right.
 
@@ -524,50 +524,24 @@ def newton_root(gd, x0, tol):
     a converged start costs one evaluation and comes back bit for bit.
     Raises ``NonConvergent`` for a NaN g or g', or after
     ``_NEWTON_MAX_EVALS`` evaluations.
-
-    A 1-D array ``x0`` starts independent equations, solved in lockstep
-    with a bracket, a cap and a stop test each, and the roots come back as
-    an array: ``gd(x, which)`` takes the points ``x`` of the equations
-    ``which`` (the indices into ``x0`` of those not yet converged, in
-    order) and returns the arrays of g and g' there.  Each root is the one
-    a solve of its equation alone returns, bit for bit, when ``gd`` is
-    pointwise.  An empty ``x0`` returns an empty array and never calls
-    ``gd``.  A float ``x0`` is one equation: ``gd(x)`` takes and returns
-    floats.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    scalar = np.ndim(x0) == 0
-    x = np.array(x0, dtype=float).reshape(-1)
-    lo, hi = np.full(x.size, -math.inf), np.full(x.size, math.inf)
-    cap = np.maximum(1.0, np.abs(x))
-    live = np.arange(x.size)
-    if not live.size:
-        return x
+    x = float(x0)
+    lo, hi = -math.inf, math.inf
+    cap = max(1.0, abs(x))
     for _ in range(_NEWTON_MAX_EVALS):
-        xl = x[live]
-        g, dg = gd(float(xl[0])) if scalar else gd(xl, live)
-        g, dg = np.asarray(g, dtype=float).reshape(-1), np.asarray(dg, dtype=float).reshape(-1)
-        nan = np.isnan(g) | np.isnan(dg)
-        if nan.any():
-            i = nan.argmax()
-            raise NonConvergent(f"g({xl[i]}) = {g[i]}, g'({xl[i]}) = {dg[i]}: NaN")
-        moving = np.abs(g) > tol * np.abs(dg)
-        if not moving.all():
-            live, xl, g, dg = live[moving], xl[moving], g[moving], dg[moving]
-            if not live.size:
-                return float(x[0]) if scalar else x
-        below = g < 0.0
-        lo_l = np.where(below, xl, lo[live])
-        hi_l = np.where(below, hi[live], xl)
-        lo[live], hi[live] = lo_l, hi_l
-        # max(lo, x - cap) and min(hi, x + cap), each keeping lo or hi on a
-        # tie, as Python's max and min do.
-        c = cap[live]
-        a = np.where(xl - c > lo_l, xl - c, lo_l)
-        b = np.where(xl + c < hi_l, xl + c, hi_l)
-        cap[live] = 2.0 * c
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(dg != 0.0, xl - g / dg, math.nan)
-        x[live] = np.where((a < step) & (step < b), step, 0.5 * (a + b))
+        g, dg = map(float, gd(x))
+        if math.isnan(g) or math.isnan(dg):
+            raise NonConvergent(f"g({x}) = {g}, g'({x}) = {dg}: NaN")
+        if abs(g) <= tol * abs(dg):
+            return x
+        if g < 0.0:
+            lo = x
+        else:
+            hi = x
+        a, b = max(lo, x - cap), min(hi, x + cap)
+        cap *= 2.0
+        step = x - g / dg if dg != 0.0 else math.nan
+        x = step if a < step < b else 0.5 * (a + b)
     raise NonConvergent(f"no root within {_NEWTON_MAX_EVALS} evaluations")

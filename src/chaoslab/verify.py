@@ -3,7 +3,8 @@
 Every scan uses the tilted measures pi[l] as the test family: the
 variational arguments behind the sub-critical constants show these are
 the extremizers of the entropy-constrained problems, so they are the
-sharpest cheap probes.  Each scan reads its family, and m_* = pi[0] as
+sharpest cheap probes; the phi scan reads phi at the magnetizations f(l)
+of its family.  Each scan reads its family, and m_* = pi[0] as
 ``LogPartition.reference``, from one ``LogPartition`` of its own (both LSIs
 share one, ``lsi_scans``), and an empty grid raises ``ValueError`` before
 any is built.  Constants always come in verbatim from the bounds module,
@@ -26,7 +27,7 @@ from .meanfield import (LogPartition, TiltedMeasure, critical_coupling,
                         solve_fixed_point, subcritical_reference)
 from .model import MAX_PARTICLES, ModelSpec
 from .numerics import (FINE_POINTS, GridDensity, cumulative_trapezoid,
-                       nested_log_trapezoid, newton_root, window_search)
+                       nested_log_trapezoid, window_search)
 
 __all__ = [
     "ScanReport",
@@ -36,7 +37,6 @@ __all__ = [
     "jw_log_mgf",
     "bolley_villani_moment_check",
     "marginal_t1_ratio_scan",
-    "magnetization_inverse",
 ]
 
 _TOL = 1e-9
@@ -113,48 +113,31 @@ def lsi_scans(model: ModelSpec, bundle: ConstantsBundle,
             _report(grid, 2.0 * bundle.rho0 * entropy, (J * grid) ** 2))
 
 
-def magnetization_inverse(kernel: LogPartition, h):
-    """l = f^{-1}(h): the root of f(l) - h, whose derivative f'(l) =
-    J Var(pi[J l]) is positive, by ``numerics.newton_root`` from l = h to
-    1e-12, every f(l) read from ``kernel``.  For a 1-D array ``h`` the roots
-    are solved in lockstep, every step reading its f(l) in one
-    ``LogPartition.measure``, and come back as an array; each is the root of
-    its h alone, bit for bit."""
-    J = kernel.model.coupling
-    hs = np.asarray(h, dtype=float)
-    targets = hs.reshape(-1)
-
-    def gd(ell, which):
-        family = kernel.measure(J * ell)
-        return family.mean - targets[which], J * family.variance
-
-    roots = newton_root(gd, targets, 1e-12)
-    return float(roots[0]) if hs.ndim == 0 else roots
-
-
 def phi_positivity_scan(model: ModelSpec, eps_override: float | None,
-                        h_grid) -> ScanReport:
-    """Positivity of the interpolation functional phi on a magnetization grid.
+                        ell_grid) -> ScanReport:
+    """Positivity of the interpolation functional phi at the magnetizations
+    h = f(l) of the family pi[J l] over l in ``ell_grid``.
 
     phi(h) = (1-eps) J l h - (1-eps) log Z(J l) - J h^2 + log Z(J h)
-             - eps log Z(0),  l = f^{-1}(h),
+             - eps log Z(0),  h = f(l),
     with the sub-critical choice eps = (1 - J/J_c)^2 unless overridden.
-    The report's lhs is 0, rhs is phi, so margin = min phi.
+    One ``LogPartition.measure`` at the tilts J l gives f(l) and log Z(J l),
+    and a second at J f(l) gives log Z(J h): no inverse f^{-1} is solved.
+    Where |f(l)| < |l|, as for an even quartic V below J_c, the second read
+    does not grow the kernel.
+    The report's grid is the tilt grid, its lhs is 0 and its rhs is phi,
+    so margin = min phi.
     """
-    grid = _scan_grid(h_grid, "h_grid")
+    grid = _scan_grid(ell_grid, "ell_grid")
     J = model.coupling
     kernel = LogPartition(model)
     j_c = critical_coupling(kernel.reference)
     eps = (1.0 - J / j_c) ** 2 if eps_override is None else eps_override
-    # One lockstep solve for every h: each step reads the f(l) of all the
-    # equations still open in one measure, which grows the kernel to that
-    # step's largest tilt.  The solve starts at l = h and ends on evaluated
-    # points, so the two log Z reads after it grow the kernel no further.
-    ell = magnetization_inverse(kernel, grid)
-    log_z_ell = kernel.measure(J * ell).log_z
-    log_z_h = kernel.measure(J * grid).log_z
-    phi = ((1.0 - eps) * J * ell * grid - (1.0 - eps) * log_z_ell
-           - J * grid * grid + log_z_h - eps * kernel.reference.log_z)
+    family = kernel.measure(J * grid)
+    h = family.mean
+    log_z_h = kernel.measure(J * h).log_z
+    phi = ((1.0 - eps) * J * grid * h - (1.0 - eps) * family.log_z
+           - J * h * h + log_z_h - eps * kernel.reference.log_z)
     return _report(grid, np.zeros_like(grid), phi)
 
 

@@ -723,6 +723,38 @@ def solve_interpolated_fixed_point(kernel, alpha, h0, tol=1e-12):
     return newton_root(gd, h0, tol)
 
 
+def magnetization_inverse(kernel, h):
+    """l = f^{-1}(h): the root of f(l) - h, whose derivative f'(l) =
+    J Var(pi[J l]) is positive, by ``numerics.newton_root`` from l = h to
+    1e-12, every f(l) read from ``kernel``."""
+    J = kernel.model.coupling
+
+    def gd(ell):
+        mu = kernel.measure(J * ell)
+        return mu.mean - h, J * mu.variance
+
+    return newton_root(gd, h, 1e-12)
+
+
+def phi_at_magnetizations(model, eps_override, h_grid):
+    """(l, phi) at each magnetization h of ``h_grid`` by the inverse route:
+    l = f^{-1}(h) solved for each h alone (``magnetization_inverse``), then
+    phi(h) = (1-eps) J l h - (1-eps) log Z(J l) - J h^2 + log Z(J h)
+    - eps log Z(0), with eps = (1 - J/J_c)^2 unless overridden, every
+    measure read from one kernel."""
+    hs = np.asarray(h_grid, dtype=float)
+    J = model.coupling
+    kernel = LogPartition(model)
+    j_c = 1.0 / kernel.reference.second_moment
+    eps = (1.0 - J / j_c) ** 2 if eps_override is None else eps_override
+    ell = np.array([magnetization_inverse(kernel, h) for h in hs])
+    log_z_ell = kernel.measure(J * ell).log_z
+    log_z_h = kernel.measure(J * hs).log_z
+    phi = ((1.0 - eps) * J * ell * hs - (1.0 - eps) * log_z_ell
+           - J * hs * hs + log_z_h - eps * kernel.reference.log_z)
+    return ell, phi
+
+
 @dataclass(frozen=True)
 class GhsReport:
     grid: np.ndarray

@@ -177,6 +177,8 @@ def test_inequality_scans_across_couplings():
     t0 = time.perf_counter()
     tilt_grid = np.concatenate([-np.geomspace(0.01, 3.0, 6)[::-1],
                                 np.geomspace(0.01, 3.0, 6)])
+    # The phi scan's tilts, whose magnetizations f(l) must cover [0.01, 3].
+    phi_grid = np.geomspace(0.003, 50.0, 8)
     ok = True
     detail = []
     for frac, n in ((0.3, 128), (0.6, 128), (0.9, 1024)):
@@ -184,11 +186,12 @@ def test_inequality_scans_across_couplings():
         law = build_mixture(model, n)
         bundle = curie_weiss_constants(law.reference, n)
         nlsi, llsi = lsi_scans(model, bundle, tilt_grid)
+        h = tilted_measure(model, model.coupling * phi_grid).mean
         scans = {
             "nlsi": nlsi.passed,
             "llsi": llsi.passed,
-            "phi": phi_positivity_scan(
-                model, None, np.geomspace(0.01, 3.0, 8)).passed,
+            "phi": phi_positivity_scan(model, None, phi_grid).passed,
+            "phi_span": h[0] <= 0.01 and h[-1] >= 3.0,
             "psi": psi_positivity_scan(
                 model, 0.0, 0.0, np.geomspace(0.01, 3.0, 8)).passed,
             "t1": marginal_t1_ratio_scan(law, bundle, np.linspace(-0.5, 0.5, 5)).passed,

@@ -581,77 +581,6 @@ class TestFindRoot:
             newton_root(step, 0.0, 1e-300)
 
 
-# Equations of the lockstep tests: (gd, x0) pairs, each solved alone by the
-# scalar path, including a start that is already converged.
-LOCKSTEP = [
-    (lambda x: (math.atan(x - 5), 1 / (1 + (x - 5) ** 2)), 0.0),
-    (_tanh_gd, 0.3),
-    (_tanh_gd, -0.3),
-    (_tanh_gd, 3.0),
-    (lambda x: (1e-9 * (x - 1000.0), 1e-9), 0.0),
-    (lambda x: (x - 0.3, 1.0), 0.1 + 0.2),
-    (lambda x: (x**3 - 2.0, 3 * x**2), -4.0),
-]
-
-
-def _lockstep_gd(equations, seen):
-    """The vector gd of ``equations``, recording each (equation, x) read."""
-    def gd(x, which):
-        seen.extend(zip(which.tolist(), x.tolist()))
-        out = [equations[i][0](xi) for i, xi in zip(which, x.tolist())]
-        return np.array([g for g, _ in out]), np.array([dg for _, dg in out])
-
-    return gd
-
-
-class TestLockstepNewton:
-    def test_each_root_is_its_scalar_solve(self):
-        seen = []
-        roots = newton_root(_lockstep_gd(LOCKSTEP, seen), np.array([x0 for _, x0 in LOCKSTEP]),
-                            1e-12)
-        for i, (gd, x0) in enumerate(LOCKSTEP):
-            alone = []
-            root = newton_root(lambda x: alone.append(x) or gd(x), x0, 1e-12)
-            assert roots[i] == root
-            assert [x for j, x in seen if j == i] == alone
-
-    def test_one_equation_is_the_scalar_solve(self):
-        gd, x0 = LOCKSTEP[0]
-        got = newton_root(_lockstep_gd(LOCKSTEP[:1], []), np.array([x0]), 1e-12)
-        assert got.tolist() == [newton_root(gd, x0, 1e-12)]
-
-    @pytest.mark.parametrize("nan_at", [0, 2])
-    def test_nan_raises(self, nan_at):
-        calls = []
-        gd = _lockstep_gd(LOCKSTEP, [])
-
-        def broken(x, which):
-            calls.append(which)
-            g, dg = gd(x, which)
-            if len(calls) > nan_at:
-                g[which == 3] = math.nan
-            return g, dg
-
-        with pytest.raises(NonConvergent):
-            newton_root(broken, np.array([x0 for _, x0 in LOCKSTEP]), 1e-12)
-        assert len(calls) == nan_at + 1
-
-    def test_no_equations_are_no_roots(self):
-        # No equation to solve: no evaluation, and an empty array of roots.
-        calls = []
-        roots = newton_root(lambda x, which: calls.append(which) or (x, 1.0 + 0.0 * x),
-                            np.array([]), 1e-12)
-        assert roots.shape == (0,) and not calls
-
-    def test_iteration_cap_raises(self):
-        # The step equation of the scalar test never converges; the others do.
-        step = (lambda x: (-1.0 if x < 1 / 3 else 1.0, 0.0), 0.0)
-        equations = LOCKSTEP[:2] + [step]
-        with pytest.raises(NonConvergent):
-            newton_root(_lockstep_gd(equations, []), np.array([x0 for _, x0 in equations]),
-                        1e-300)
-
-
 def _wavy_log_f(k):
     """log of exp(-t^2/2) (2 + cos(k t)): on 257 nodes over [-16, 16] its
     halving check first passes on every node for k = 8, and on none for

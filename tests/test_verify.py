@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import chaoslab.marginals as marginals
+import chaoslab.meanfield as meanfield
+import chaoslab.numerics as numerics
 import chaoslab.verify as verify
 from chaoslab.bounds import jw_rhs
 from chaoslab.cli import parse_config, run
@@ -16,12 +18,13 @@ from chaoslab.model import (MAX_PARTICLES, GeneralPotential, ModelSpec,
                             RankOneInteraction, curie_weiss_model, gaussian_model)
 from chaoslab.numerics import FINE_POINTS, GridDensity
 from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf, lsi_scans,
-                             magnetization_inverse, marginal_t1_ratio_scan,
-                             phi_positivity_scan, psi_positivity_scan)
+                             marginal_t1_ratio_scan, phi_positivity_scan,
+                             psi_positivity_scan)
 from conftest import J_CRIT, constants_of, counting_quartic
 from oracles import (fisher_information_1d, full_read_jw_log_mgf, longdouble_jw_log_mgf,
-                     nested_quad_jw_log_mgf, solve_interpolated_fixed_point,
-                     t1_ratio_scan_per_tilt, window_search_by_full_scans)
+                     magnetization_inverse, nested_quad_jw_log_mgf, phi_at_magnetizations,
+                     solve_interpolated_fixed_point, t1_ratio_scan_per_tilt,
+                     window_search_by_full_scans)
 
 
 def stand_in_bundle(model, n=None, **constants):
@@ -90,6 +93,7 @@ class TestLinearLsi:
 
 
 class TestMagnetizationInverse:
+    # The inverse route of ``oracles.phi_at_magnetizations``.
     def test_roundtrip(self, quartic_model):
         for h in (0.0, 0.4, -1.2, 2.5):
             ell = magnetization_inverse(LogPartition(quartic_model), h)
@@ -105,20 +109,6 @@ class TestMagnetizationInverse:
         assert magnetization(m, 0.0) == pytest.approx(0.2314, abs=1e-4)
         ell = magnetization_inverse(LogPartition(m), h)
         assert magnetization(m, ell) == pytest.approx(h, abs=1e-10)
-
-    def test_array_is_per_h_solves(self, quartic_model):
-        # On a kernel grown past every tilt the solves read, the lockstep
-        # roots are those of one solve per h, bit for bit.
-        hs = np.array([0.01, 0.4, -1.2, 2.5, 0.0])
-        kernel = LogPartition(quartic_model)
-        kernel(np.array([-40.0, 40.0]))
-        roots = magnetization_inverse(kernel, hs)
-        assert roots.tolist() == [magnetization_inverse(kernel, h) for h in hs]
-
-    def test_no_targets_are_no_roots(self, quartic_model):
-        # No target: no measure is read, and no root comes back.
-        assert magnetization_inverse(LogPartition(quartic_model),
-                                     np.array([])).shape == (0,)
 
     @pytest.mark.parametrize("h", [0.01, 2.5, -3.0])
     def test_builds_pi_zero_at_most_once(self, quartic_model, monkeypatch, h):
@@ -136,6 +126,17 @@ class TestMagnetizationInverse:
         assert kernels == [quartic_model]
 
 
+# The tilt grid of the phi scan in the CLI's ``verify`` and the acceptance
+# gate: its magnetizations cover [0.01, 3] from 0.3 J_c to 0.9 J_c.
+PHI_GRID = np.geomspace(0.003, 50.0, 8)
+PHI_MODELS = {
+    "quartic-0.5Jc": curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
+    "quartic-0.9Jc": curie_weiss_model(1.0, 1.0, 0.9 * J_CRIT),
+    "double-well": curie_weiss_model(1.0, -1.0, 0.3),
+    "gaussian": gaussian_model(1.0, 0.5),
+}
+
+
 class TestPhiPositivity:
     def test_anchor_zero(self, quartic_model):
         rep = phi_positivity_scan(quartic_model, None, [1e-12])
@@ -143,13 +144,67 @@ class TestPhiPositivity:
 
     def test_passes_near_critical(self):
         m = curie_weiss_model(1.0, 1.0, 0.9 * J_CRIT)
-        rep = phi_positivity_scan(m, None, np.geomspace(0.01, 3.0, 8))
+        rep = phi_positivity_scan(m, None, PHI_GRID)
         assert rep.passed
 
     def test_eps_one_fails_near_critical(self):
         m = curie_weiss_model(1.0, 1.0, 0.9 * J_CRIT)
         rep = phi_positivity_scan(m, 1.0, np.geomspace(0.01, 3.0, 12))
         assert not rep.passed
+
+    @pytest.mark.parametrize("eps", [None, 1.0], ids=["default-eps", "eps-one"])
+    @pytest.mark.parametrize("name", list(PHI_MODELS))
+    def test_matches_the_inverse_route(self, name, eps):
+        # At l = f^{-1}(h), phi read on the tilt family is phi at h of the
+        # route that solves the inverse for each h.
+        model = PHI_MODELS[name]
+        ell, want = phi_at_magnetizations(model, eps, np.geomspace(0.01, 3.0, 8))
+        rep = phi_positivity_scan(model, eps, ell)
+        np.testing.assert_allclose(rep.rhs, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("eps, grid", [
+        (None, PHI_GRID), (None, np.geomspace(0.02, 6.0, 8)),
+        (1.0, np.geomspace(0.02, 6.0, 8))],
+        ids=["default-eps", "default-eps-h-to-3", "eps-one-h-to-3"])
+    def test_gaussian_closed_form(self, eps, grid):
+        # V = sigma x^2 / 2: f(l) = J l / sigma, and phi(f(l)) = h^2 ((1 - eps)
+        # sigma / 2 - J + J^2 / (2 sigma)), which is 0 at the default
+        # eps = (1 - J / sigma)^2.  The h-to-3 grids hold h = f(l) in
+        # [0.01, 3].  With eps = 1 at l = 50 (h = 25, phi = -234) the scan
+        # reads 5e-12 off: log Z(J h) = 79 is resolved to 1e-12 relative.
+        sigma, J = 1.0, 0.5
+        rep = phi_positivity_scan(gaussian_model(sigma, J), eps, grid)
+        e = (1.0 - J / sigma) ** 2 if eps is None else eps
+        h = J * grid / sigma
+        exact = h * h * ((1.0 - e) * sigma / 2.0 - J + J * J / (2.0 * sigma))
+        np.testing.assert_allclose(rep.rhs, exact, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, f * J_CRIT)
+                                       for f in (0.3, 0.6, 0.9)]
+                             + [PHI_MODELS["double-well"], PHI_MODELS["gaussian"]],
+                             ids=["quartic-0.3Jc", "quartic-0.6Jc", "quartic-0.9Jc",
+                                  "double-well", "gaussian"])
+    def test_one_kernel_two_measures_no_newton(self, model, monkeypatch):
+        # One kernel, whose construction grows it to z = 0; one measure of the
+        # family, which may grow it once; one measure at J f(l), which grows
+        # nothing since |f(l)| < |l|; and no Newton solve.
+        calls = []
+        init, measure, grow = LogPartition.__init__, LogPartition.measure, LogPartition._grow
+        monkeypatch.setattr(LogPartition, "__init__",
+                            lambda self, m: calls.append("init") or init(self, m))
+        monkeypatch.setattr(LogPartition, "measure",
+                            lambda self, t: calls.append("measure") or measure(self, t))
+        monkeypatch.setattr(LogPartition, "_grow",
+                            lambda self, z: calls.append("grow") or grow(self, z))
+
+        def no_newton(*args):
+            raise AssertionError("the phi scan solved an equation")
+
+        for module in (numerics, meanfield):
+            monkeypatch.setattr(module, "newton_root", no_newton)
+        phi_positivity_scan(model, None, PHI_GRID)
+        assert calls in (["init", "grow", "measure", "measure"],
+                         ["init", "grow", "measure", "grow", "measure"])
 
 
 class TestPsiPositivity:
@@ -279,6 +334,27 @@ class TestJwLogMgf:
         for frac, want in ((0.1, 0.0526802570), (0.5, 0.3465735223), (0.9, 1.1512870443)):
             m = curie_weiss_model(1.0, 1.0, frac * J_CRIT)
             assert jw_log_mgf(m, MAX_PARTICLES) == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("model", [gaussian_model(1.0, 0.5)]
+                             + [curie_weiss_model(1.0, 1.0, f * J_CRIT)
+                                for f in (0.5, 0.9, 0.99)],
+                             ids=["gaussian", "quartic-0.5Jc", "quartic-0.9Jc",
+                                  "quartic-0.99Jc"])
+    def test_cgf_keeps_log_z1_at_zero_of_each_grid(self, model, monkeypatch):
+        # After every growth, the log Z_1(0) that cgf subtracts is the one a
+        # read of z = 0 gives on the grid, bit for bit.
+        kept = []
+        grow = LogPartition._grow
+
+        def recorded(self, z_max):
+            out = grow(self, z_max)
+            kept.append((float(self._log_z0).hex(), float(self(0.0)).hex()))
+            return out
+
+        monkeypatch.setattr(LogPartition, "_grow", recorded)
+        jw_log_mgf(model, 1024)
+        assert len(kept) >= 2
+        assert all(a == b for a, b in kept)
 
     def test_log_z1_work(self, monkeypatch):
         # Full scans read 1548 log Z_1 rows here: six scans of 257 points,
@@ -448,16 +524,16 @@ class TestBundleMismatch:
 
 class TestOneKernelPerScan:
     @staticmethod
-    def scans(model, bundle, law, h_max):
+    def scans(model, bundle, law, ell_max):
         """The five reports of the CLI ``verify`` command, by name, with the
-        phi scan's magnetizations up to ``h_max``."""
+        phi scan's tilts up to ``ell_max``."""
         grid = np.concatenate([-np.geomspace(0.01, 3.0, 8)[::-1],
                                np.geomspace(0.01, 3.0, 8)])
         return {
             "nonlinear_lsi": lambda: nonlinear_lsi_scan(model, bundle, grid),
             "linear_lsi": lambda: linear_lsi_scan(model, bundle, grid),
             "phi_positivity": lambda: phi_positivity_scan(
-                model, None, np.geomspace(0.01, h_max, 4)),
+                model, None, np.geomspace(0.01, ell_max, 4)),
             "psi_positivity": lambda: psi_positivity_scan(
                 model, 0.0, 0.0, np.geomspace(0.01, 3.0, 4)),
             "marginal_t1": lambda: marginal_t1_ratio_scan(
@@ -482,14 +558,14 @@ class TestOneKernelPerScan:
     def test_scan_order_does_not_matter(self, bundle128):
         # No kernel outlives its scan: the five scans in reverse order give
         # the same reports, bit for bit.  The phi scan's kernel grows from
-        # [-4, 4] to [-8, 8] (f^-1(3) is a tilt near 30), so a kernel shared
+        # [-4, 4] to [-8, 8] (its top tilt is J l = 96), so a kernel shared
         # between runs would change the bits of a later scan.  The verbatim
         # lambda_N is negative at 0.9 J_c, N = 128, so the scans take the
         # constants of 0.5 J_c.
         model = curie_weiss_model(1.0, 1.0, 0.9 * J_CRIT)
         law = build_mixture(model, 128)
         bundle = dataclasses.replace(bundle128, coupling=model.coupling)
-        scans = self.scans(model, bundle, law, 3.0)
+        scans = self.scans(model, bundle, law, 50.0)
         forward = {name: scan() for name, scan in scans.items()}
         backward = {name: scan() for name, scan in reversed(scans.items())}
         for name, rep in forward.items():
@@ -499,9 +575,9 @@ class TestOneKernelPerScan:
                 assert np.array_equal(getattr(rep, field), getattr(other, field)), name
 
     def test_verify_command_measures_whole_families(self, tmp_path, monkeypatch):
-        # Each scan reads its tilts in one measure of an array, and the phi
-        # scan's eight solves step in lockstep: the command at 0.9 J_c makes
-        # 7 scalar measure calls, where it made 104 reading one tilt at a time.
+        # Each scan reads its tilts in one measure of an array: the command
+        # at 0.9 J_c makes 2 scalar measure calls, both in the psi scan's
+        # fixed point, where it made 104 reading one tilt at a time.
         scalar = []
         measure = LogPartition.measure
         monkeypatch.setattr(LogPartition, "measure", lambda self, tilts: (
@@ -528,7 +604,7 @@ class TestOneKernelPerScan:
 class TestEmptyGrid:
     @pytest.mark.parametrize("scan, name", [
         (lambda m, b, law: lsi_scans(m, b, []), "tilt_grid"),
-        (lambda m, b, law: phi_positivity_scan(m, None, []), "h_grid"),
+        (lambda m, b, law: phi_positivity_scan(m, None, []), "ell_grid"),
         (lambda m, b, law: psi_positivity_scan(m, 0.0, 0.0, np.array([])), "ell_grid"),
         (lambda m, b, law: marginal_t1_ratio_scan(law, b, []), "tilt_grid"),
     ], ids=["lsi", "phi", "psi", "t1"])
