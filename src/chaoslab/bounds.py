@@ -17,7 +17,6 @@ __all__ = [
     "ConstantsBundle",
     "chaos_bound_marginal",
     "chaos_bound_conditional",
-    "t1_tightening_constant",
     "defective_t2_constants",
     "t1_particle_constant",
     "jw_rhs",
@@ -55,33 +54,32 @@ class ConstantsBundle:
             raise ValueError("delta_n must be non-negative")
 
 
-def chaos_bound_marginal(c: ConstantsBundle, N: int, k: int) -> float:
-    """Entropy bound for the k-particle marginal: O(k^2/N^2) with constants."""
+def _check_bound_args(c: ConstantsBundle, N: int, k: int) -> None:
+    """The guard both chaos bounds share: rho > 0 and 1 <= k <= N."""
     if c.rho <= 0:
         raise InvalidConstants("rho must be positive to evaluate the bound")
     if not 1 <= k <= N:
         raise ValueError("need 1 <= k <= N")
+
+
+def _conditional_bound(rho, gamma, big_m, N: int, k):
+    """36 (1+g)^3 M / (rho N^2) (k + 3g), g = gamma/rho, for a scalar or an
+    array k: the refined upper solution of the entropy recursion."""
+    g = gamma / rho
+    return 36.0 * (1.0 + g) ** 3 * big_m / (rho * N * N) * (k + 3.0 * g)
+
+
+def chaos_bound_marginal(c: ConstantsBundle, N: int, k: int) -> float:
+    """Entropy bound for the k-particle marginal: O(k^2/N^2) with constants."""
+    _check_bound_args(c, N, k)
     g = c.gamma / c.rho
     return 18.0 * (1.0 + g) ** 3 * c.big_m / (c.rho * N * N) * (k * k + (1.0 + 6.0 * g) * k)
 
 
 def chaos_bound_conditional(c: ConstantsBundle, N: int, k: int) -> float:
     """Bound on the k-th conditional entropy level: O(k/N^2)."""
-    if c.rho <= 0:
-        raise InvalidConstants("rho must be positive to evaluate the bound")
-    if not 1 <= k <= N:
-        raise ValueError("need 1 <= k <= N")
-    g = c.gamma / c.rho
-    return 36.0 * (1.0 + g) ** 3 * c.big_m / (c.rho * N * N) * (k + 3.0 * g)
-
-
-def t1_tightening_constant(rho: float, delta: float) -> float:
-    """Multiplier 8(2+delta)^2/rho turning a defective T1 into a tight one."""
-    if rho <= 0:
-        raise InvalidConstants("rho must be positive")
-    if delta < 0:
-        raise InvalidConstants("delta must be non-negative")
-    return 8.0 * (2.0 + delta) ** 2 / rho
+    _check_bound_args(c, N, k)
+    return _conditional_bound(c.rho, c.gamma, c.big_m, N, k)
 
 
 def defective_t2_constants(lam: float, eps: float, l_minus: float,
@@ -266,12 +264,29 @@ class UpperSolutionReport:
     passed: bool
 
 
+def _recursion_margin(name: str, rho, gamma, h, source, boundary) -> float:
+    """Least margin 2 rho h_k - source_k - 3 gamma (h_{k+1} - h_k) over
+    k < N; ``AssertionFailure`` naming the sequence if a margin is below
+    -1e-12 relative, or if h_N falls short of ``boundary``."""
+    tol = 1e-12
+    lhs = 2.0 * rho * h[:-1]
+    margin = lhs - (source + 3.0 * gamma * (h[1:] - h[:-1]))
+    bad = np.nonzero(margin < -tol * np.maximum(np.abs(lhs), 1.0))[0]
+    if bad.size:
+        raise AssertionFailure(f"{name} recursion violated at k = {int(bad[0]) + 1}")
+    if h[-1] < boundary * (1.0 - tol):
+        raise AssertionFailure(f"{name} boundary condition violated at k = N")
+    return float(margin.min())
+
+
 def verify_upper_solution(rho: float, gamma: float, big_m: float,
                           N: int) -> UpperSolutionReport:
     """Machine check that the two candidate sequences dominate the entropy
     difference recursion 2 rho h_k >= (source at k) + 3 gamma (h_{k+1} - h_k)
-    with the matching boundary conditions.  A failure would refute the
-    transcription, never the algebra, hence AssertionFailure.
+    with the matching boundary conditions.  The refined sequence is
+    ``chaos_bound_conditional`` at k = 1..N, the bound ``chaos-scan`` prints.
+    A failure would refute the transcription, never the algebra, hence
+    AssertionFailure.
     """
     if rho <= 0:
         raise InvalidConstants("rho must be positive")
@@ -280,36 +295,20 @@ def verify_upper_solution(rho: float, gamma: float, big_m: float,
     g = gamma / rho
     k = np.arange(1, N + 1, dtype=float)
 
-    tol = 1e-12
-
     # Crude sequence: quadratic in k with gamma-dependent offsets.
     pref = 3.0 * big_m * (1.0 + g / 2.0) / (rho * N * N)
     h = pref * (k**2 + 6.0 * g * k + 18.0 * g**2 + 3.0 * g)
-    source = 3.0 * big_m * (1.0 + g / 2.0) * k[:-1] ** 2 / (N * N)
-    lhs = 2.0 * rho * h[:-1]
-    rhs = source + 3.0 * gamma * (h[1:] - h[:-1])
-    margin_crude = lhs - rhs
-    scale = np.maximum(np.abs(lhs), 1.0)
-    bad = np.nonzero(margin_crude < -tol * scale)[0]
-    if bad.size:
-        raise AssertionFailure(f"crude recursion violated at k = {int(bad[0]) + 1}")
-    if h[-1] < big_m / (2.0 * rho) * (1.0 - tol):
-        raise AssertionFailure("crude boundary condition violated at k = N")
+    margin_crude = _recursion_margin(
+        "crude", rho, gamma, h,
+        3.0 * big_m * (1.0 + g / 2.0) * k[:-1] ** 2 / (N * N),
+        big_m / (2.0 * rho))
 
     # Refined sequence: linear in k, sharper constant.
-    pref_r = 36.0 * (1.0 + g) ** 3 * big_m / (rho * N * N)
-    hr = pref_r * (k + 3.0 * g)
-    source_r = 36.0 * (1.0 + g) ** 3 * big_m * k[:-1] / (N * N)
-    lhs_r = 2.0 * rho * hr[:-1]
-    rhs_r = source_r + 3.0 * gamma * (hr[1:] - hr[:-1])
-    margin_refined = lhs_r - rhs_r
-    scale_r = np.maximum(np.abs(lhs_r), 1.0)
-    bad_r = np.nonzero(margin_refined < -tol * scale_r)[0]
-    if bad_r.size:
-        raise AssertionFailure(f"refined recursion violated at k = {int(bad_r[0]) + 1}")
-    if hr[-1] < 6.0 * (1.0 + g) ** 2 * big_m / (rho * N) * (1.0 - tol):
-        raise AssertionFailure("refined boundary condition violated at k = N")
+    margin_refined = _recursion_margin(
+        "refined", rho, gamma, _conditional_bound(rho, gamma, big_m, N, k),
+        36.0 * (1.0 + g) ** 3 * big_m * k[:-1] / (N * N),
+        6.0 * (1.0 + g) ** 2 * big_m / (rho * N))
 
-    return UpperSolutionReport(rho, gamma, big_m, N,
-                               float(margin_crude.min()),
-                               float(margin_refined.min()), True)
+    return UpperSolutionReport(rho, gamma, big_m, N, margin_crude,
+                               margin_refined, True)
+

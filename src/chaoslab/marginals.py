@@ -503,8 +503,6 @@ def gaussian_entropy_oracle(sigma: float, J: float, N: int, k: int) -> float:
     if sigma - J <= 0:
         raise NonPositiveDefinite("precision sigma*I - (J/N) ones is not PD")
     u = k * J / (N * (sigma - J))
-    if 1.0 + u <= 0:
-        raise NonPositiveDefinite("marginal covariance not PD")
     if abs(u) < _SERIES_U:
         # Horner in -u for sum_{n>=2} (-u)^(n-2) / n; at |u| < 1/4 the
         # terms past n = _SERIES_TERMS are below 2^-56 of the first.
@@ -515,12 +513,12 @@ def gaussian_entropy_oracle(sigma: float, J: float, N: int, k: int) -> float:
     return 0.5 * (u - np.log1p(u))
 
 
-def marginal_log_grid(law: MixtureLaw, lo: float, hi: float, n_points: int):
-    """The points np.linspace(lo, hi, n_points) and log m^{N,1} there:
+def marginal_log_grid(law: MixtureLaw, lo: float, hi: float):
+    """The points np.linspace(lo, hi, FINE_POINTS) and log m^{N,1} there:
     -V(x) + log sum_j w_j exp(z_j x - log Z_1(z_j)), the sum by
     ``numerics.log_laplace_grid``."""
-    xs = np.linspace(lo, hi, n_points)
-    log_mix = log_laplace_grid(lo, (hi - lo) / (n_points - 1), n_points,
+    xs = np.linspace(lo, hi, FINE_POINTS)
+    log_mix = log_laplace_grid(lo, (hi - lo) / (FINE_POINTS - 1), FINE_POINTS,
                                law.z_nodes, law.z_log_weights - law.node_log_z1)
     return xs, log_mix - law.model.potential(xs)
 
@@ -528,7 +526,7 @@ def marginal_log_grid(law: MixtureLaw, lo: float, hi: float, n_points: int):
 def marginal_grid_density(law: MixtureLaw) -> GridDensity:
     """The one-particle marginal density m^{N,1} on ``FINE_POINTS`` points over
     ``law.x_window``, exp of ``marginal_log_grid``."""
-    xs, log_m = marginal_log_grid(law, *law.x_window, FINE_POINTS)
+    xs, log_m = marginal_log_grid(law, *law.x_window)
     return GridDensity(float(xs[0]), float(xs[-1]), FINE_POINTS, np.exp(log_m))
 
 

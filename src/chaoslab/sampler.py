@@ -35,7 +35,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -245,18 +245,8 @@ def _sample_file(path, n: int):
 
 def _write_sidecar(path, cfg: ChainConfig, n_kept: int, acceptance_rate,
                    model_fingerprint) -> None:
-    sidecar = {
-        "n_particles": cfg.n_particles,
-        "step_size": cfg.step_size,
-        "n_steps": cfg.n_steps,
-        "burn_in": cfg.burn_in,
-        "thinning": cfg.thinning,
-        "seed": cfg.seed,
-        "algorithm": cfg.algorithm,
-        "n_kept": n_kept,
-        "acceptance_rate": acceptance_rate,
-        "model_fingerprint": model_fingerprint,
-    }
+    sidecar = dict(asdict(cfg), n_kept=n_kept, acceptance_rate=acceptance_rate,
+                   model_fingerprint=model_fingerprint)
     path = Path(path)
     path.with_suffix(path.suffix + ".json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n")

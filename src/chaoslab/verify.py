@@ -66,11 +66,11 @@ def _scan_grid(points, name: str) -> np.ndarray:
     return grid
 
 
-def _report(grid, lhs, rhs, tol: float = _TOL) -> ScanReport:
+def _report(grid, lhs, rhs) -> ScanReport:
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     margin = float(np.min(rhs - lhs))
-    return ScanReport(grid, lhs, rhs, margin, margin >= -tol)
+    return ScanReport(grid, lhs, rhs, margin, margin >= -_TOL)
 
 
 def _check_bundle(bundle: ConstantsBundle, coupling: float, n_particles=None) -> None:
@@ -264,7 +264,7 @@ def marginal_t1_ratio_scan(law: MixtureLaw, bundle: ConstantsBundle,
     kernel = LogPartition(model)
     family = kernel.measure(model.coupling * grid)
     lo, hi = min(law.x_window[0], kernel.window[0]), max(law.x_window[1], kernel.window[1])
-    xs, log_m1 = marginal_log_grid(law, lo, hi, FINE_POINTS)
+    xs, log_m1 = marginal_log_grid(law, lo, hi)
     dx = (hi - lo) / (FINE_POINTS - 1)
     log_mu = -model.potential(xs) + family.tilt[:, None] * xs - family.log_z[:, None]
     p = np.exp(log_mu)

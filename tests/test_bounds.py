@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaoslab import bounds
 from chaoslab.bounds import (ConstantsBundle, chaos_bound_conditional,
                              chaos_bound_marginal, curie_weiss_constants,
                              defective_t2_constants, jw_rhs,
                              lemma51_coefficient_check, prop25_constants,
-                             t1_particle_constant, t1_tightening_constant,
-                             verify_upper_solution)
-from chaoslab.errors import InvalidConstants, RegimeViolation, Supercritical
+                             t1_particle_constant, verify_upper_solution)
+from chaoslab.errors import (AssertionFailure, InvalidConstants, RegimeViolation,
+                             Supercritical)
 from chaoslab.meanfield import LogPartition, critical_coupling
 from chaoslab.model import (GeneralPotential, ModelSpec, RankOneInteraction,
                             curie_weiss_model, gaussian_model)
@@ -50,11 +51,18 @@ class TestChaosBounds:
                 k * k + (1 + 6 * g) * k)
             assert 2 * chaos_bound_marginal(c, n, k) == pytest.approx(rhs, rel=1e-14)
 
-    def test_requires_positive_rho(self):
+    @pytest.mark.parametrize("bound", [chaos_bound_marginal, chaos_bound_conditional])
+    def test_requires_positive_rho(self, bound):
         c = ConstantsBundle(-1.0, 0.0, 1.0, 1.0, float("nan"), float("nan"),
                             float("nan"), 1.0, "test")
         with pytest.raises(InvalidConstants):
-            chaos_bound_marginal(c, 10, 1)
+            bound(c, 10, 1)
+
+    @pytest.mark.parametrize("bound", [chaos_bound_marginal, chaos_bound_conditional])
+    @pytest.mark.parametrize("k", [0, 11])
+    def test_requires_k_in_range(self, bound, k):
+        with pytest.raises(ValueError):
+            bound(_bundle(), 10, k)
 
     @given(m1=log_uniform, m2=log_uniform)
     @settings(max_examples=25, deadline=None)
@@ -65,13 +73,20 @@ class TestChaosBounds:
         assert chaos_bound_marginal(c_hi, 32, 2) <= chaos_bound_marginal(c_hi, 16, 2)
         assert chaos_bound_marginal(c_hi, 16, 2) <= chaos_bound_marginal(c_hi, 16, 3)
 
+    @given(rho=log_uniform, gamma=log_uniform, big_m=log_uniform,
+           n=st.sampled_from([2, 10, 100, 1000]))
+    @settings(max_examples=100, deadline=None)
+    def test_marginal_is_sum_of_conditionals(self, rho, gamma, big_m, n):
+        # chaos-scan prints both sums, in the bound_conditional_sum and
+        # bound_marginal columns.
+        c = _bundle(rho, gamma, big_m)
+        total = 0.0
+        for k in range(1, min(n, 20) + 1):
+            total += chaos_bound_conditional(c, n, k)
+            assert total == pytest.approx(chaos_bound_marginal(c, n, k), rel=1e-13)
+
 
 class TestT1Constants:
-    def test_tightening_examples(self):
-        assert t1_tightening_constant(1.0, 0.0) == 32.0
-        assert t1_tightening_constant(4.0, 1.0) == 18.0
-        assert t1_tightening_constant(2.0, 2.0) == 64.0
-
     def test_particle_examples(self):
         assert t1_particle_constant(1.0, 0.0) == 64.0
         assert t1_particle_constant(2.0, 1.0) == 128.0
@@ -248,3 +263,42 @@ class TestUpperSolution:
     @settings(max_examples=200, deadline=None)
     def test_random_triples(self, rho, gamma, big_m):
         assert verify_upper_solution(rho, gamma, big_m, 50).passed
+
+    def test_refined_sequence_is_the_printed_bound(self, monkeypatch):
+        # On the acceptance gate's triples, the sequence the certificate
+        # checks is, bit for bit, the conditional bound chaos-scan prints.
+        checked = {}
+        real = bounds._recursion_margin
+
+        def recorded(name, rho, gamma, h, source, boundary):
+            checked[name] = h
+            return real(name, rho, gamma, h, source, boundary)
+
+        monkeypatch.setattr(bounds, "_recursion_margin", recorded)
+        rng = np.random.default_rng(7)
+        triples = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=(1000, 3)))
+        for rho, gamma, big_m in triples:
+            c = _bundle(rho, gamma, big_m)
+            for n in (10, 100):
+                verify_upper_solution(rho, gamma, big_m, n)
+                printed = [chaos_bound_conditional(c, n, k) for k in range(1, n + 1)]
+                assert checked["refined"].tolist() == printed
+
+    def test_broken_refined_sequence_raises(self, monkeypatch):
+        # At gamma = 0 the refined source is rho h_k, so 0.4 h has the
+        # margin -0.2 rho h_k, negative from k = 1.
+        real = bounds._conditional_bound
+        monkeypatch.setattr(bounds, "_conditional_bound",
+                            lambda *args: 0.4 * real(*args))
+        with pytest.raises(AssertionFailure, match="refined recursion violated at k = 1"):
+            verify_upper_solution(1.0, 0.0, 1.0, 20)
+
+    def test_hand_built_sequence_raises(self):
+        # 2 rho h_k = 2 and 3 at k = 1, 2; 3 gamma (h_{k+1} - h_k) = 1.5 and 28.5.
+        h = np.array([1.0, 1.5, 11.0])
+        with pytest.raises(AssertionFailure, match="crude recursion violated at k = 2"):
+            bounds._recursion_margin("crude", 1.0, 1.0, h, np.zeros(2), 0.0)
+        with pytest.raises(AssertionFailure, match="refined boundary condition violated"):
+            bounds._recursion_margin("refined", 1.0, 1.0, np.ones(3), np.zeros(2), 2.0)
+        assert bounds._recursion_margin("crude", 1.0, 1.0, np.ones(3), np.zeros(2),
+                                        1.0) == 2.0
