@@ -27,9 +27,10 @@ h = f(alpha h0 + (1 - alpha) h) by the Newton solve of its own that
 ``verify`` once kept (``solve_interpolated_fixed_point``), the reference of
 ``meanfield.solve_fixed_point``; a sample file written from a batch in
 memory (``save_batch``), the byte reference of ``run_chain`` with a path;
-the marginals of m^3 by 3D tensor quadrature and, with no auxiliary field,
-by direct-sum self-convolutions of exp(-V)
-(``brute_marginal_log_density_n3``, ``field_free_marginal_log_density_n3``);
+the marginals and entropy levels of m^N at small N by the composite-Simpson
+tensor rule on [lo, hi]^N, with no auxiliary field, summed by convolution
+powers of the weighted exp(-V) (``tensor_marginal_log_density``,
+``tensor_entropy_levels``);
 the relative entropy from samples, with both densities known (``kl_plug_in``)
 or from samples alone (``kl_knn``); the Langevin chain loop as first
 written, one step at a time with nothing cached between steps; the GHS
@@ -44,9 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as _fft
 from scipy import integrate as _sciint
-from scipy.integrate import simpson
 from scipy.spatial import cKDTree
-from scipy.special import erf
+from scipy.special import erf, xlogy
 
 from chaoslab.errors import (ChaosLabError, DegenerateInput, DivergentChain,
                              GridResolution, NonConvergent, NonFinite)
@@ -476,86 +476,83 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray,
     return DivergenceEstimate(value, se, "knn")
 
 
-def brute_marginal_log_density_n2(model, points, lo=-8.0, hi=8.0, n=2001):
-    """log m^{2,k} for k = 1 or 2 via direct 2D tensor quadrature."""
-    J = model.coupling
-    xs = np.linspace(lo, hi, n)
-    ex = np.exp(-model.potential(xs))
-    # Z_2 = int int exp(-V1 - V2 + J (x1+x2)^2 / 4)
-    mat = np.exp(J * (xs[:, None] + xs[None, :]) ** 2 / 4.0)
-    inner = simpson(ex[None, :] * mat, x=xs, axis=1)
-    z2 = simpson(ex * inner, x=xs)
-    out = []
-    for pt in np.atleast_2d(points):
-        if len(pt) == 1:
-            x1 = pt[0]
-            row = np.exp(-model.potential(xs) + J * (x1 + xs) ** 2 / 4.0)
-            val = np.exp(-model.potential(np.array([x1]))[0]) * simpson(row, x=xs)
-        else:
-            x1, x2 = pt
-            val = np.exp(-model.potential(np.array([x1]))[0]
-                         - model.potential(np.array([x2]))[0]
-                         + J * (x1 + x2) ** 2 / 4.0)
-        out.append(np.log(val) - np.log(z2))
-    return np.array(out)
+def _tensor_sums(model, N, lo, hi, n):
+    """The composite-Simpson rule for the N-particle Gibbs measure on the
+    tensor grid of [lo, hi]^N, summed by convolution, with no auxiliary field.
 
-
-def brute_marginal_log_density_n3(model, points, lo=-8.0, hi=8.0, n=801):
-    """log m^{3,k} for k = 1 or 2 via direct 3D tensor quadrature.
-
-    The x1 direction is looped to keep memory at one (n, n) slice.
+    With p = w exp(-V) / Z_0 on the grid (w the Simpson weights, Z_0 = sum
+    w exp(-V)), c_j is the j-fold ``np.convolve`` power of p: the rule's
+    law of x_1 + ... + x_j, on the points j lo + m dx.  The joint weight is
+    p^{otimes N} exp(J s^2 / 2N), so every sum over the grid is a sum over
+    the N-fold grid of E(u) = exp(J u^2 / 2N).  Returns (Z_0, [c_0, ..., c_N],
+    E, Z_N) with Z_N = sum c_N E.  ``NonFinite`` on an exp that overflows,
+    ``GridResolution`` where the rule's law of one coordinate weighs more
+    than 1e-16 of its peak at an end of [lo, hi].
     """
+    if n < 3 or n % 2 == 0:
+        raise ValueError("composite Simpson needs an odd n >= 3")
     J = model.coupling
     xs = np.linspace(lo, hi, n)
-    v = model.potential(xs)
-    pair = xs[:, None] + xs[None, :]
-    slice_z = np.empty(n)
-    for i, x1 in enumerate(xs):
-        mat = np.exp(-v[:, None] - v[None, :] + J * (x1 + pair) ** 2 / 6.0)
-        slice_z[i] = simpson(simpson(mat, x=xs, axis=1), x=xs)
-    z3 = simpson(np.exp(-v) * slice_z, x=xs)
-
-    out = []
-    for pt in np.atleast_2d(points):
-        if len(pt) == 1:
-            x1 = pt[0]
-            mat = np.exp(-v[:, None] - v[None, :] + J * (x1 + pair) ** 2 / 6.0)
-            val = np.exp(-model.potential(np.array([x1]))[0]) * simpson(
-                simpson(mat, x=xs, axis=1), x=xs)
-        else:
-            x1, x2 = pt
-            row = np.exp(-v + J * (x1 + x2 + xs) ** 2 / 6.0)
-            val = np.exp(-model.potential(np.array([x1]))[0]
-                         - model.potential(np.array([x2]))[0]) * simpson(row, x=xs)
-        out.append(np.log(val) - np.log(z3))
-    return np.array(out)
+    dx = (hi - lo) / (n - 1)
+    w = np.where(np.arange(n) % 2 == 1, 4.0, 2.0)
+    w[0] = w[-1] = 1.0
+    with np.errstate(over="ignore"):
+        a = w * dx / 3.0 * np.exp(-model.potential(xs))
+        u = N * lo + dx * np.arange(N * (n - 1) + 1)
+        e = np.exp(J * u**2 / (2.0 * N))
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(e))):
+        raise NonFinite(f"an exp overflows on [{lo}, {hi}] at N = {N}")
+    z0 = a.sum()
+    p = a / z0
+    c = [np.ones(1)]
+    for _ in range(N):
+        c.append(np.convolve(c[-1], p))
+    z_n = float(c[N] @ e)
+    one = p * np.correlate(e, c[N - 1], mode="valid")
+    if max(one[0], one[-1]) > 1e-16 * one.max():
+        raise GridResolution(f"the rule on [{lo}, {hi}] is truncated at N = {N}")
+    return z0, c, e, z_n
 
 
-def field_free_marginal_log_density_n3(model, points, lo=-8.0, hi=8.0, n=801):
-    """log m^{3,k} for k = 1 or 2 with no auxiliary field and no tensor grid.
+def tensor_marginal_log_density(model, N, points, lo, hi, n):
+    """log m^{N,k} at an (n_points, k) array of points, by the composite-Simpson
+    tensor rule on [lo, hi]^N with n points a side (``_tensor_sums``).
 
-    With q_j the j-fold self-convolution of exp(-V), by direct sums on the
-    uniform grid over [lo, hi] (q_j lives on j lo + i dx), and s the sum of
-    the k coordinates, m^{3,k}(x) = exp(-sum V(x_i)) int q_{3-k}(u)
-    exp(J (s + u)^2 / 6) du / z_3, with z_3 = sum_s q_3(s) exp(J s^2 / 6) ds.
+    With s the sum of a point's coordinates, m^{N,k}(x) = exp(-sum V(x_i))
+    sum_m c_{N-k}[m] exp(J (s + u_m)^2 / 2N) / (Z_0^k Z_N), u_m = (N - k) lo
+    + m dx: the tensor rule over the other N - k coordinates.
     """
-    J = model.coupling
-    xs = np.linspace(lo, hi, n)
-    dx = xs[1] - xs[0]
-    q = [None, np.exp(-model.potential(xs))]
-    q.append(np.convolve(q[1], q[1]) * dx)
-    q.append(np.convolve(q[2], q[1]) * dx)
+    z0, c, _, z_n = _tensor_sums(model, N, lo, hi, n)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    k = pts.shape[1]
+    if not 1 <= k <= N:
+        raise ValueError(f"m^{{N,k}} needs 1 <= k <= N = {N}, got k = {k}")
+    dx = (hi - lo) / (n - 1)
+    u = (N - k) * lo + dx * np.arange(c[N - k].size)
+    with np.errstate(over="ignore"):
+        e = np.exp(model.coupling * (pts.sum(axis=1)[:, None] + u) ** 2 / (2.0 * N))
+    if not np.all(np.isfinite(e)):
+        raise NonFinite(f"an exp overflows at a point's sum at N = {N}")
+    return (np.log(e @ c[N - k]) - model.potential(pts).sum(axis=1)
+            - k * np.log(z0) - np.log(z_n))
 
-    def support(j):
-        return j * lo + dx * np.arange(q[j].size)
 
-    log_z3 = np.log(np.sum(q[3] * np.exp(J * support(3) ** 2 / 6.0)) * dx)
-    out = []
-    for pt in np.atleast_2d(points):
-        u = support(3 - len(pt))
-        val = simpson(q[3 - len(pt)] * np.exp(J * (sum(pt) + u) ** 2 / 6.0), x=u)
-        out.append(np.log(val) - model.potential(np.asarray(pt)).sum() - log_z3)
-    return np.array(out)
+def tensor_entropy_levels(model, N, k_max, lo, hi, n):
+    """H(m^{N,k} | m_*^{otimes k}) for k = 0..k_max (level 0 is 0), with
+    m_* = exp(-V) / Z_0 (the mean-field limit of an even V below J_c), by
+    the tensor rule of ``_tensor_sums``.
+
+    On the k-fold grid the ratio m^{N,k} / m_*^{otimes k} depends on the sum
+    s only: R_k = (c_{N-k} correlated with E) / Z_N.  Level k is
+    sum c_k (R log R - R + 1); the added terms sum to zero in the rule and
+    make every term non-negative.
+    """
+    _, c, e, z_n = _tensor_sums(model, N, lo, hi, n)
+    levels = np.zeros(k_max + 1)
+    for k in range(1, k_max + 1):
+        r = np.correlate(e, c[N - k], mode="valid") / z_n
+        levels[k] = c[k] @ (xlogy(r, r) - r + 1.0)
+    return levels
 
 
 def nested_quad_jw_log_mgf(model, N):

@@ -27,8 +27,7 @@ from chaoslab.verify import (bolley_villani_moment_check, jw_log_mgf, lsi_scans,
                              marginal_t1_ratio_scan, phi_positivity_scan,
                              psi_positivity_scan)
 from conftest import J_CRIT
-from oracles import (brute_marginal_log_density_n2,
-                     brute_marginal_log_density_n3, kl_knn)
+from oracles import kl_knn, tensor_marginal_log_density
 
 SCAN_NS = (8, 16, 32, 64, 128)
 
@@ -93,13 +92,12 @@ def test_small_system_matches_brute_force(quartic_model):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20240824)
     worst = 0.0
-    for n, oracle in ((2, brute_marginal_log_density_n2),
-                      (3, brute_marginal_log_density_n3)):
+    for n, n_grid in ((2, 2001), (3, 801)):
         law = build_mixture(quartic_model, n)
         for k in (1, 2):
             pts = rng.uniform(-2.5, 2.5, size=(20, k))
             got = marginal_log_density_batch(law, pts)
-            want = oracle(quartic_model, pts)
+            want = tensor_marginal_log_density(quartic_model, n, pts, -8.0, 8.0, n_grid)
             worst = max(worst, float(np.max(np.abs(got - want))))
     _report("brute-force-small-systems", worst <= 1e-6,
             time.perf_counter() - t0, 60.0, f"max abs err {worst:.2e}")

@@ -1,15 +1,15 @@
 from dataclasses import replace
-from functools import partial
+from functools import partial, reduce
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, simpson
 
 from chaoslab import marginals, numerics, verify
 from chaoslab.errors import (GridResolution, NonFinite, NonPositiveDefinite,
                              RegimeViolation, Supercritical)
-from chaoslab.marginals import (MixtureLaw, build_mixture,
+from chaoslab.marginals import (MAX_LEVEL, MixtureLaw, build_mixture,
                                 conditional_entropy_level,
                                 gaussian_entropy_oracle, marginal_grid_density,
                                 marginal_log_density_batch, marginal_moment,
@@ -22,12 +22,15 @@ from chaoslab.numerics import EXP_UNDERFLOW, FINE_POINTS, GridDensity
 from chaoslab.verify import jw_log_mgf
 from conftest import (GAUSS_JOINT_KL, J_CRIT, N2_KL_LIMIT_SAMPLE, W2_N32,
                       critical_coupling_of)
-from oracles import (brute_marginal_log_density_n2, brute_marginal_log_density_n3,
-                     field_free_marginal_log_density_n3, fresh_kernel_pi_zero, integrate,
-                     node_density_window_by_trapezoid, node_grid_densities,
-                     node_row_entropy_levels, node_rows_per_row,
-                     refine_support_by_full_scans, unit_mass_rows,
+from oracles import (fresh_kernel_pi_zero, integrate, node_density_window_by_trapezoid,
+                     node_grid_densities, node_row_entropy_levels, node_rows_per_row,
+                     refine_support_by_full_scans, tensor_entropy_levels,
+                     tensor_marginal_log_density, unit_mass_rows,
                      window_search_by_full_scans)
+
+# theta = 1 models of the tensor-oracle gates: (sigma, fraction of J_c).
+TENSOR_GATE_MODELS = [(1.0, 0.5), (1.0, 0.9), (-1.0, 0.5)]
+TENSOR_GATE_IDS = ["quartic-0.5", "quartic-0.9", "double-well-0.5"]
 
 
 class TestBuildMixture:
@@ -400,30 +403,32 @@ class TestMarginalLogDensity:
         pts1 = rng.uniform(-1.5, 1.5, size=(10, 1))
         pts2 = rng.uniform(-1.5, 1.5, size=(10, 2))
         assert np.allclose(marginal_log_density_batch(law, pts1),
-                           brute_marginal_log_density_n2(quartic_model, pts1),
+                           tensor_marginal_log_density(quartic_model, 2, pts1, -8.0, 8.0, 2001),
                            atol=1e-7)
         assert np.allclose(marginal_log_density_batch(law, pts2),
-                           brute_marginal_log_density_n2(quartic_model, pts2),
+                           tensor_marginal_log_density(quartic_model, 2, pts2, -8.0, 8.0, 2001),
                            atol=1e-7)
 
     def test_n3_brute_force(self, quartic_model, rng):
         law = build_mixture(quartic_model, 3)
         pts = rng.uniform(-1.5, 1.5, size=(6, 2))
         assert np.allclose(marginal_log_density_batch(law, pts),
-                           field_free_marginal_log_density_n3(quartic_model, pts),
+                           tensor_marginal_log_density(quartic_model, 3, pts, -8.0, 8.0, 801),
                            atol=1e-6)
 
-    @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, 1.0),
-                                       curie_weiss_model(1.0, -1.0, 1.0)],
-                             ids=["quartic", "double-well"])
-    def test_n3_field_free_oracle_is_the_tensor_one(self, model, rng):
-        # On a coarse grid the direct-sum convolutions and the 3D tensor
-        # quadrature give the same m^{3,1} and m^{3,2}.
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("sigma, frac", TENSOR_GATE_MODELS, ids=TENSOR_GATE_IDS)
+    def test_matches_tensor_oracle(self, sigma, frac, n, rng):
+        # On +-6 with 601 points a side the tensor rule met the mixture to
+        # 3.6e-15 in log at every case.
+        model = _subcritical_model(sigma, frac)
+        law = build_mixture(model, n)
         for k in (1, 2):
-            pts = rng.uniform(-1.5, 1.5, size=(4, k))
-            assert np.allclose(field_free_marginal_log_density_n3(model, pts, n=201),
-                               brute_marginal_log_density_n3(model, pts, n=201),
-                               rtol=0.0, atol=1e-6)
+            pts = rng.uniform(-2.5, 2.5, size=(10, k))
+            np.testing.assert_allclose(
+                marginal_log_density_batch(law, pts),
+                tensor_marginal_log_density(model, n, pts, -6.0, 6.0, 601),
+                rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_batch_k_outside_one_to_n_raises(self, k):
@@ -572,6 +577,74 @@ class TestEntropyLevels:
             relative_entropy_levels(build_mixture(quartic_model, 4), 5)
         with pytest.raises(ValueError):  # above MAX_LEVEL = 8
             relative_entropy_levels(build_mixture(quartic_model, 16), 9)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("sigma, frac", TENSOR_GATE_MODELS, ids=TENSOR_GATE_IDS)
+    def test_matches_tensor_oracle(self, sigma, frac, n):
+        # Every quartic level k <= min(N, 8) off the mixture.  On +-6 with
+        # 601 points a side the tensor rule met it to 1.6e-14 relative, and
+        # doubling the points moved the rule by at most 1.4e-14.
+        model = _subcritical_model(sigma, frac)
+        k_max = min(n, MAX_LEVEL)
+        got = relative_entropy_levels(build_mixture(model, n), k_max).levels
+        want = tensor_entropy_levels(model, n, k_max, -6.0, 6.0, 601)
+        np.testing.assert_allclose(got[1:], want[1:], rtol=1e-9, atol=0.0)
+
+
+class TestTensorOracle:
+    @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, 1.0),
+                                       curie_weiss_model(1.0, -1.0, 1.0)],
+                             ids=["quartic", "double-well"])
+    def test_is_the_tensor_grid_sum(self, model, rng):
+        # The convolution powers only reorder the composite-Simpson tensor
+        # sum: on a coarse grid, summing every grid point of [lo, hi]^N one
+        # term at a time gives the same m^{N,1} and m^{N,2}.
+        xs = np.linspace(-8.0, 8.0, 201)
+        a = simpson(np.eye(xs.size), x=xs) * np.exp(-model.potential(xs))
+        J = model.coupling
+
+        def tensor_sum(s, n, r):
+            # sum over the r-dim grid of prod a(x_i) exp(J (s + sum x_i)^2 / 2n)
+            weight = reduce(np.multiply, np.ix_(*[a] * r), 1.0)
+            return np.sum(weight * np.exp(J * (s + sum(np.ix_(*[xs] * r))) ** 2 / (2 * n)))
+
+        for n in (2, 3):
+            log_z = np.log(sum(ai * tensor_sum(x, n, n - 1) for x, ai in zip(xs, a)))
+            for k in (1, 2):
+                pts = rng.uniform(-1.5, 1.5, size=(4, k))
+                want = [np.log(tensor_sum(pt.sum(), n, n - k)) - model.potential(pt).sum() - log_z
+                        for pt in pts]
+                np.testing.assert_allclose(
+                    tensor_marginal_log_density(model, n, pts, -8.0, 8.0, 201), want,
+                    rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_gaussian_levels_match_closed_form(self, gauss_model, n):
+        # On +-16 the rule holds every coordinate's tail and met the closed
+        # form to 2.8e-17 (on +-8 it read H_1 1.5e-8 high at N = 2).
+        got = tensor_entropy_levels(gauss_model, n, n, -16.0, 16.0, 1201)
+        want = [gaussian_entropy_oracle(1.0, 0.5, n, k) for k in range(1, n + 1)]
+        np.testing.assert_allclose(got[1:], want, rtol=0.0, atol=1e-12)
+
+    def test_truncated_window_raises(self, gauss_model):
+        # At N = 2 one coordinate's law (variance 3/2) weighs exp(-64/3) =
+        # 5.4e-10 of its peak at x = 8.
+        with pytest.raises(GridResolution):
+            tensor_entropy_levels(gauss_model, 2, 1, -8.0, 8.0, 801)
+        with pytest.raises(GridResolution):
+            tensor_marginal_log_density(gauss_model, 2, np.zeros((1, 1)), -8.0, 8.0, 801)
+
+    def test_overflowing_exp_raises(self):
+        # exp(J N L^2 / 2) at N = 16, L = 8 and 0.9 J_c is exp(985).
+        model = curie_weiss_model(1.0, 1.0, 0.9 * J_CRIT)
+        with pytest.raises(NonFinite):
+            tensor_entropy_levels(model, 16, 1, -8.0, 8.0, 801)
+
+
+def _subcritical_model(sigma: float, frac: float):
+    """The theta = 1 quartic model at ``frac`` of its critical coupling."""
+    return curie_weiss_model(
+        1.0, sigma, frac * critical_coupling_of(curie_weiss_model(1.0, sigma, 1.0)))
 
 
 def _level_n_closed_form(law: MixtureLaw) -> float:
