@@ -27,10 +27,9 @@ import numpy as np
 from .errors import GridResolution, NonPositiveDefinite, Supercritical
 from .meanfield import LogPartition, TiltedMeasure, subcritical_reference, tilt_windows
 from .model import MAX_PARTICLES, ModelSpec
-from .numerics import (EXP_UNDERFLOW, FINE_POINTS, LOG_CUT, GridDensity, _check_edges,
-                       _checked, _chunk_rows, convolution_powers,
-                       cumulative_trapezoid, log_laplace, log_laplace_grid,
-                       window_search)
+from .numerics import (FINE_POINTS, LOG_CUT, GridDensity, _check_edges, _checked,
+                       convolution_powers, cumulative_trapezoid, log_laplace,
+                       log_laplace_grid, window_search)
 
 __all__ = [
     "MixtureLaw",
@@ -290,48 +289,13 @@ def _node_grid(law: MixtureLaw, n_points: int) -> np.ndarray:
     return np.linspace(law.x_window[0], law.x_window[1], n_points)
 
 
-def _node_rows(law: MixtureLaw, nodes, xs: np.ndarray, neg_v: np.ndarray,
-               out=None) -> np.ndarray:
+def _node_rows(law: MixtureLaw, nodes, xs: np.ndarray, neg_v: np.ndarray) -> np.ndarray:
     """rho_{z_j}(xs) = exp(z_j x - V(x) - log Z_1(z_j)) for the nodes ``nodes``,
-    one C-ordered row each (in ``out`` if given); ``neg_v`` is -V(xs).
-
-    exp runs only on the exponents at or above ``EXP_UNDERFLOW``, and NaN (exp
-    keeps it); the others are set to 0.0, which is what exp returns there.
-    So the rows are exp of the whole rows, bit for bit, without the cost of
-    exp's underflow path.
-    """
-    rows = np.multiply.outer(law.z_nodes[nodes], xs, out=out)
+    one C-ordered row each; ``neg_v`` is -V(xs)."""
+    rows = np.multiply.outer(law.z_nodes[nodes], xs)
     rows += neg_v
     rows -= law.node_log_z1[nodes, None]
-    dead = rows < EXP_UNDERFLOW
-    np.exp(rows, out=rows, where=~dead)
-    np.copyto(rows, 0.0, where=dead)
-    return rows
-
-
-def _level_one_density(law: MixtureLaw, xs: np.ndarray, dx: float) -> np.ndarray:
-    """p_1 = weights @ rows, the rows ``_node_rows`` scaled to unit trapezoid mass.
-
-    The rows are built in chunks of about ``numerics._CHUNK_BYTES``, each
-    edge-checked and scaled to its trapezoid mass on its own, with the
-    trapezoid terms in one buffer all chunks reuse (``_trapezoid_rows``);
-    each row's sums run as ``GridDensity``'s on one 1D array, so p_1 is the
-    mix of the rows' ``GridDensity`` values.  Raises ``GridResolution`` for
-    mass at a row's edge and ``ValueError`` for a row with no mass.
-    """
-    neg_v = -law.model.potential(xs)
-    rows = np.empty((law.z_nodes.size, xs.size))
-    step = _chunk_rows(xs.size)
-    terms = np.empty((min(step, rows.shape[0]), xs.size - 1))
-    for start in range(0, rows.shape[0], step):
-        block = rows[start:start + step]
-        _node_rows(law, slice(start, start + step), xs, neg_v, out=block)
-        _check_edges(block)
-        mass = _trapezoid_rows(block, dx, terms[:block.shape[0]])
-        if not np.all(mass > 0.0):
-            raise ValueError("density has zero mass")
-        block /= mass[:, None]
-    return np.exp(law.z_log_weights) @ rows
+    return np.exp(rows, out=rows)
 
 
 def _gk_log_weights(law: MixtureLaw, k: int) -> np.ndarray:
@@ -348,20 +312,29 @@ def _log_gk(law: MixtureLaw, k: int, s: np.ndarray) -> np.ndarray:
 def relative_entropy_levels(law: MixtureLaw, k_max: int) -> EntropyLevels:
     """Entropy levels H(m^{N,k}|m_*^{otimes k}) for k = 1..k_max, k_max <= MAX_LEVEL.
 
-    Deterministic: the level-k entropy is a double integral over the
-    auxiliary field and the sum s = x_1 + ... + x_k, whose density is a
-    k-fold grid convolution, untilted from a few tilted reference rows
+    Deterministic: level k is an integral over the sum s = x_1 + ... + x_k
+    of the mixed density p_k = q_k g_k, with q_k = pi[0]^{*k} (closed form
+    at k = 1, a k-fold grid convolution of a few tilted reference rows
+    above) and g_k the exact density ratio summed over the field nodes
     (``_entropy_exact``).
 
     It takes m_* = pi[0], the untilted measure, so ``law.reference`` must
     pass ``meanfield.subcritical_reference``: ``RegimeViolation`` for a
     non-quartic confinement whose pi[0] has a non-zero mean (the levels
     would tend to a positive constant), ``Supercritical`` for J >= J_c.
+    J > 0 makes every level positive, so a level that reads <= 0 (all its
+    digits lost, as at J = 1e-30) raises ``GridResolution``.
     """
     if not 1 <= k_max <= min(law.n_particles, MAX_LEVEL):
         raise ValueError(f"k_max must satisfy 1 <= k_max <= min(N, {MAX_LEVEL})")
     subcritical_reference(law.reference)
-    return _entropy_exact(law, k_max)
+    out = _entropy_exact(law, k_max)
+    zero = np.flatnonzero(out.levels[1:] <= 0.0)
+    if zero.size:
+        k = int(zero[0]) + 1
+        raise GridResolution(f"level {k} reads {out.levels[k]} <= 0 at J > 0: "
+                             f"the level grids lost every digit")
+    return out
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
@@ -375,39 +348,36 @@ def _phi(x: np.ndarray) -> np.ndarray:
 def _entropy_exact(law: MixtureLaw, k_max: int) -> EntropyLevels:
     """Level k is int p log g ds, with p = sum_j w_j rho_j^{*k} the mixed
     density of s = x_1 + ... + x_k and g = p / q its ratio to the reference
-    density q.
+    density q = pi[0]^{*k}.
 
     Adding int q - int p = 0 turns the integrand into p * phi(log g) with
     phi(x) = x + expm1(-x) >= 0, so nothing cancels and the level keeps its
     relative accuracy as H -> 0.  The plain per-node form
     sum_j w_j int rho_j^{*k} log g cancels terms far larger than H.
 
-    Level 1 mixes the node densities (``_level_one_density``) and reads
-    log g_1 only on the span where that mix is nonzero: outside it the
-    integrand is exactly 0.0 either way.
-    Every level k >= 2 is p = q * g, the exact Esscher tilt identity
-    rho_j^{*k}(s) = q(s) exp(z_j s - k Lambda(z_j)): q = pi[0]^{*k} comes
-    from a few tilted rows (``_log_reference_powers``) and log g is the
-    exact ratio on the uniform s-points where q was kept, summed by
-    ``numerics.log_laplace_grid``.
+    Every level is p = q * g, the exact Esscher tilt identity
+    rho_j^{*k}(s) = q(s) exp(z_j s - k Lambda(z_j)).  At k = 1, q is
+    pi[0] = exp(-V - log Z_1(0)) in closed form and log g_1 is read point by
+    point on the x-grid; p_1 is edge-checked (``GridResolution`` for mass at
+    an end of ``law.x_window``).  At k >= 2, q comes from a few tilted rows
+    (``_log_reference_powers``) and log g is the exact ratio on the uniform
+    s-points where q was kept, summed by ``numerics.log_laplace_grid``; p_k
+    is scaled to unit trapezoid mass.
     """
     xs = _node_grid(law, _LEVEL_POINTS)
     lo, hi = float(xs[0]), float(xs[-1])
-    # GridDensity's spacing, not xs[1] - xs[0]: level 1 keeps its last bits.
+    # GridDensity's spacing, not xs[1] - xs[0]: level 1's last bits were
+    # measured with it.
     dx = (hi - lo) / (_LEVEL_POINTS - 1)
 
     levels = np.zeros(k_max + 1)
-    # Level 1 keeps its per-point exps and its gemv: the Gaussian H_1
-    # accuracy probes read its last bits, and those bits sit at the rounding
-    # floor of the probes' own reference, so they may move only once an
-    # exact reference for H at large N can tell a better sum from noise.
-    p_1 = _level_one_density(law, xs, dx)
-    # Where p_1 is 0.0, so is p_1 phi(log g_1): log g_1 is read on p_1's span.
-    live = np.flatnonzero(p_1)
-    span = slice(int(live[0]), int(live[-1]) + 1)
-    integrand = np.zeros_like(p_1)
-    integrand[span] = p_1[span] * _phi(_log_gk(law, 1, xs[span]))
-    levels[1] = float(np.trapezoid(integrand, dx=dx))
+    # Level 1 reads log g_1 point by point and keeps p_1 = pi[0] g_1 as it
+    # is: a grid read of log g_1, or p_1 scaled to unit mass, puts the
+    # Gaussian H_1 further from its closed form.
+    log_g = _log_gk(law, 1, xs)
+    p_1 = np.exp(log_g - law.model.potential(xs) - law.log_z0)
+    _check_edges(p_1)
+    levels[1] = float(np.trapezoid(p_1 * _phi(log_g), dx=dx))
     for k, log_q in _log_reference_powers(law, xs, dx, k_max):
         live = np.flatnonzero(log_q > -np.inf)
         first, last = int(live[0]), int(live[-1]) + 1

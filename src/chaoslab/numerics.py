@@ -39,7 +39,6 @@ __all__ = [
     "log_laplace",
     "log_laplace_grid",
     "log_mgf",
-    "EXP_UNDERFLOW",
     "convolution_powers",
     "cumulative_trapezoid",
     "newton_root",
@@ -53,11 +52,6 @@ FINE_POINTS = 8192
 
 # A grid density whose edge value exceeds this fraction of its peak is cut off.
 _EDGE_FRACTION = 1e-6
-
-# exp(x) is exactly 0.0 in float64 for every x below this: it rounds to 0
-# below -745.1332 (half the smallest subnormal), and its underflow path costs
-# about 20 times a normal exp.
-EXP_UNDERFLOW = -745.2
 
 # A window ends where its log-integrand lies LOG_CUT nats below the peak.
 LOG_CUT = 45.0
@@ -255,8 +249,8 @@ def nested_log_trapezoid(nodes, values, read) -> float:
             return float(full)
 
 
-# Workspace of one chunk of rows in log_laplace and in the node-density
-# kernels of ``marginals``: about 1 MB of float64 values.
+# Workspace of one chunk of rows in log_laplace and log_mgf, and of the
+# sampler's block of kept states: about 1 MB of float64 values.
 _CHUNK_BYTES = 1 << 20
 
 

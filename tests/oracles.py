@@ -55,9 +55,8 @@ from chaoslab.marginals import _LEVEL_POINTS, _log_gk, _phi, marginal_log_densit
 from chaoslab.meanfield import (LogPartition, TiltedMeasure, _trapezoid_grid,
                                 subcritical_reference)
 from chaoslab.model import GeneralKernel
-from chaoslab.numerics import (EXP_UNDERFLOW, FINE_POINTS, LOG_CUT, GridDensity,
-                               _chunk_rows, log_trapezoid, newton_root,
-                               trapezoid_log_weights)
+from chaoslab.numerics import (FINE_POINTS, LOG_CUT, GridDensity, _chunk_rows,
+                               log_trapezoid, newton_root, trapezoid_log_weights)
 from chaoslab.sampler import (_ENERGY_CEILING, SampleBatch, _sample_file,
                               _write_sidecar)
 
@@ -67,6 +66,9 @@ _ABS_TOL = 1e-12
 _REL_TOL = 1e-10
 _MAX_SUBDIVISIONS = 60
 _LOG_TRUNCATION = np.log(1e-12)
+# exp(x) is exactly 0.0 in float64 for every x below this: it rounds to 0
+# below -745.1332, half the smallest subnormal.
+EXP_UNDERFLOW = -745.2
 
 _MAX_DOUBLINGS = 40
 _SCAN_POINTS = 129
@@ -206,7 +208,8 @@ def unit_mass_rows(rows, dx: float) -> np.ndarray:
 
     In C order each row's sum runs in the same order as ``GridDensity``'s on
     a 1D array, so ``weights @ unit_mass_rows(rows, dx)`` is the mix of the
-    rows' ``GridDensity`` values: the reference of the level-1 density.
+    rows' ``GridDensity`` values, as ``mixed_convolution_powers`` mixes them
+    at k = 1.
     """
     base = np.maximum(np.asarray(rows, dtype=float), 0.0, order="C")
     base /= _row_masses(base, dx)[:, None]
@@ -386,10 +389,11 @@ def mixed_convolution_powers(rows, dx: float, weights, k_max: int) -> list:
 def node_row_entropy_levels(law, k_max: int) -> np.ndarray:
     """Levels 0..k_max with every node's k-fold sum density convolved.
 
-    The route that the tilted reference rows of ``marginals._entropy_exact``
-    replace: all node densities on the 4096-point level grid go through
-    ``mixed_convolution_powers``, and level k is int p * phi(log g) over the
-    whole s-grid.  Its Gaussian-oracle error is about 2e-10.
+    The route that ``marginals._entropy_exact`` replaced, pi[0] g_1 at k = 1
+    and the tilted reference rows above: all node densities on the
+    4096-point level grid go through ``mixed_convolution_powers``, and level
+    k is int p * phi(log g) over the whole s-grid.  Its Gaussian-oracle error
+    is about 2e-10.
     """
     xs, dens = node_grid_densities(law, _LEVEL_POINTS)
     lo, hi = float(xs[0]), float(xs[-1])

@@ -21,7 +21,7 @@ GAUSS_NARROW = {"theta": 0.0, "sigma": 0.5, "J": 0.25}
 # whose bits its h1_relerr_* metrics read against the closed form.  Level 1
 # is frozen until an exact reference can tell a better sum from noise, so a
 # change that moves these bits updates this pin and says why in CHANGES.md.
-GAUSSIAN_PROBE_H1 = {1024: 2.3826347227054678e-07, 65536: 5.8207068801059502e-11}
+GAUSSIAN_PROBE_H1 = {1024: 2.3826347227054668e-07, 65536: 5.820706880105949e-11}
 
 
 def _cfg(tmp_path, **over):
@@ -405,6 +405,16 @@ class TestMain:
         assert set(fails) >= {1024, 4096}
         for row in fails.values():
             assert float(row[2]) > float(row[5])
+
+    def test_zero_entropy_level_is_typed_error(self, tmp_path, capsys):
+        # At J = 1e-30 level 1 reads 0.0: the scan stops before it writes
+        # rows with H = 0 that would pass every bound.
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_cfg(tmp_path, model=dict(MODEL, J=1e-30),
+                                     n_grid=[1024, 2048, 4096], k_max=1)))
+        assert main(["--config", str(p)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "GridResolution"
+        assert not (tmp_path / "out" / "chaos_scan.csv").exists()
 
     @pytest.mark.parametrize("command", ["constants", "verify"])
     def test_gaussian_sigma_below_one_is_typed_error(self, tmp_path, capsys, command):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from functools import partial, reduce
 
@@ -18,15 +19,15 @@ from chaoslab.marginals import (MAX_LEVEL, MixtureLaw, build_mixture,
 from chaoslab.meanfield import LogPartition, tilted_measure
 from chaoslab.model import (MAX_PARTICLES, GeneralPotential, ModelSpec,
                             RankOneInteraction, curie_weiss_model, gaussian_model)
-from chaoslab.numerics import EXP_UNDERFLOW, FINE_POINTS, GridDensity
+from chaoslab.numerics import FINE_POINTS, GridDensity
 from chaoslab.verify import jw_log_mgf
 from conftest import (GAUSS_JOINT_KL, J_CRIT, N2_KL_LIMIT_SAMPLE, W2_N32,
                       critical_coupling_of)
-from oracles import (fresh_kernel_pi_zero, integrate, node_density_window_by_trapezoid,
-                     node_grid_densities, node_row_entropy_levels, node_rows_per_row,
+from oracles import (EXP_UNDERFLOW, fresh_kernel_pi_zero, integrate,
+                     node_density_window_by_trapezoid, node_grid_densities,
+                     node_row_entropy_levels, node_rows_per_row,
                      refine_support_by_full_scans, tensor_entropy_levels,
-                     tensor_marginal_log_density, unit_mass_rows,
-                     window_search_by_full_scans)
+                     tensor_marginal_log_density, window_search_by_full_scans)
 
 # theta = 1 models of the tensor-oracle gates: (sigma, fraction of J_c).
 TENSOR_GATE_MODELS = [(1.0, 0.5), (1.0, 0.9), (-1.0, 0.5)]
@@ -266,24 +267,6 @@ class TestMixtureKernels:
         assert np.exp(EXP_UNDERFLOW) == 0.0
         assert np.exp(np.full(9, EXP_UNDERFLOW)).max() == 0.0
 
-    @pytest.mark.parametrize("n_points, chunk_rows",
-                             [(marginals._LEVEL_POINTS, None), (1001, 7), (4097, 40)])
-    @pytest.mark.parametrize("n", [8, 1024])
-    def test_level_one_density_matches_full_rows(self, n, n_points, chunk_rows,
-                                                 quartic_model, monkeypatch):
-        law = build_mixture(quartic_model, n)
-        xs, dens = node_grid_densities(law, n_points)
-        dx = (xs[-1] - xs[0]) / (n_points - 1)
-        # The quartic's node densities underflow in their tails.
-        exponents = np.multiply.outer(xs, law.z_nodes) - quartic_model.potential(xs)[:, None]
-        assert np.any(exponents - law.node_log_z1 < EXP_UNDERFLOW)
-        want = np.exp(law.z_log_weights) @ unit_mass_rows(dens, dx)
-        if chunk_rows is not None:
-            monkeypatch.setattr(numerics, "_CHUNK_BYTES", 8 * n_points * chunk_rows)
-            assert 257 % chunk_rows
-        got = marginals._level_one_density(law, xs, dx)
-        assert np.array_equal(got, want)
-
     @pytest.mark.parametrize("block", ["quartic-tails", "all-dead-row",
                                        "dead-inside-span", "nan-row"])
     def test_node_rows_match_per_row_loop(self, block, quartic_model):
@@ -326,21 +309,6 @@ class TestMixtureKernels:
         build_mixture(model, n)
         (law, got), = calls
         assert got == node_density_window_by_trapezoid(law)
-
-    @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
-                                       gaussian_model(1.0, 0.5)],
-                             ids=["quartic", "gaussian"])
-    def test_level_one_on_live_span_matches_full_grid(self, model):
-        # Outside p_1's nonzero span p_1 phi(log g_1) is exactly 0.0, so
-        # reading log g_1 on the span only leaves level 1 unchanged.
-        law = build_mixture(model, 1024)
-        xs = marginals._node_grid(law, marginals._LEVEL_POINTS)
-        dx = (xs[-1] - xs[0]) / (marginals._LEVEL_POINTS - 1)
-        p_1 = marginals._level_one_density(law, xs, dx)
-        if not model.is_gaussian:
-            assert p_1[0] == p_1[-1] == 0.0
-        full = np.trapezoid(p_1 * marginals._phi(marginals._log_gk(law, 1, xs)), dx=dx)
-        assert relative_entropy_levels(law, 1).levels[1] == float(full)
 
     @staticmethod
     def assert_grid_density_matches_full_matrix(law, n_points):
@@ -466,6 +434,27 @@ class TestEntropyLevels:
         total = sum(conditional_entropy_level(lv, k) for k in range(1, 5))
         assert total == pytest.approx(float(lv.levels[4]), abs=1e-14)
 
+    def test_level_one_memory(self, quartic_model):
+        # Level 1 is pi[0] g_1 on the 4096-point grid, with g_1 summed in
+        # chunks: no (nodes, points) buffer, which alone was 8.4 MB.
+        law = build_mixture(quartic_model, 1024)
+        relative_entropy_levels(law, 1)
+        tracemalloc.start()
+        try:
+            relative_entropy_levels(law, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
+    def test_zero_level_raises(self):
+        # At J = 1e-30, H_1 is of order (J/N)^2: every digit is lost and
+        # level 1 reads 0.0.  J > 0 makes every level positive, so that is
+        # an error.
+        law = build_mixture(curie_weiss_model(1.0, 1.0, 1e-30), 1024)
+        with pytest.raises(GridResolution):
+            relative_entropy_levels(law, 1)
+
     def test_supercritical_raises(self):
         # m_* = pi[0] is the wrong limit above J_c: unguarded, H_1 reads 1.565.
         law = build_mixture(curie_weiss_model(1.0, 1.0, 1.5 * J_CRIT), 64)
@@ -532,11 +521,12 @@ class TestEntropyLevels:
                              [(0.5, 32, 3), (0.5, 128, 3), (0.5, 512, 3), (0.9, 1024, 8)])
     def test_matches_node_row_oracle(self, frac, n, k_max):
         # Every node's k-fold density convolved: the oracle is itself within
-        # about 2e-10 of the Gaussian closed form.  Level 1 is the same sum.
+        # about 2e-10 of the Gaussian closed form.  Its level 1 mixes the
+        # unit-mass node rows, which pi[0] g_1 replaced.
         law = build_mixture(curie_weiss_model(1.0, 1.0, frac * J_CRIT), n)
         got = relative_entropy_levels(law, k_max).levels
         want = node_row_entropy_levels(law, k_max)
-        assert got[1] == want[1]
+        assert got[1] == pytest.approx(want[1], rel=1e-14, abs=0.0)
         np.testing.assert_allclose(got[2:], want[2:], rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("model, n, k_max",
