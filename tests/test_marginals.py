@@ -27,7 +27,8 @@ from oracles import (EXP_UNDERFLOW, fresh_kernel_pi_zero, integrate,
                      node_density_window_by_trapezoid, node_grid_densities,
                      node_row_entropy_levels, node_rows_per_row,
                      refine_support_by_full_scans, tensor_entropy_levels,
-                     tensor_marginal_log_density, window_search_by_full_scans)
+                     tensor_marginal_log_density, unit_mass_rows,
+                     window_search_by_full_scans)
 
 # theta = 1 models of the tensor-oracle gates: (sigma, fraction of J_c).
 TENSOR_GATE_MODELS = [(1.0, 0.5), (1.0, 0.9), (-1.0, 0.5)]
@@ -267,6 +268,24 @@ class TestMixtureKernels:
         assert np.exp(EXP_UNDERFLOW) == 0.0
         assert np.exp(np.full(9, EXP_UNDERFLOW)).max() == 0.0
 
+    @pytest.mark.parametrize("n_points, chunk_rows",
+                             [(marginals._LEVEL_POINTS, None), (1001, 6), (4097, 40)])
+    @pytest.mark.parametrize("n", [8, 1024])
+    def test_level_one_density_is_node_row_mix(self, n, n_points, chunk_rows,
+                                               quartic_model, monkeypatch):
+        # Level 1's p_1 = pi[0] g_1 is the Esscher form of the mix of the
+        # unit-mass node rows, with g_1 summed in chunks of points.
+        law = build_mixture(quartic_model, n)
+        xs, dens = node_grid_densities(law, n_points)
+        dx = (xs[-1] - xs[0]) / (n_points - 1)
+        want = np.exp(law.z_log_weights) @ unit_mass_rows(dens, dx)
+        if chunk_rows is not None:
+            monkeypatch.setattr(numerics, "_CHUNK_BYTES", 8 * law.z_nodes.size * chunk_rows)
+            assert n_points % chunk_rows
+        log_g = marginals._log_gk(law, 1, xs)
+        got = np.exp(log_g - quartic_model.potential(xs) - law.log_z0)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=4e-15 * want.max())
+
     @pytest.mark.parametrize("block", ["quartic-tails", "all-dead-row",
                                        "dead-inside-span", "nan-row"])
     def test_node_rows_match_per_row_loop(self, block, quartic_model):
@@ -446,6 +465,17 @@ class TestEntropyLevels:
         finally:
             tracemalloc.stop()
         assert peak < 3e6
+
+    @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
+                                       gaussian_model(1.0, 0.5)],
+                             ids=["quartic", "gaussian"])
+    def test_level_one_bits_do_not_depend_on_chunking(self, model, monkeypatch):
+        # Each point's log g_1 is its own Laplace sum, so the chunk size that
+        # bounds level 1's memory leaves its bits, and the Tier-1 pin, alone.
+        law = build_mixture(model, 1024)
+        want = relative_entropy_levels(law, 1).levels[1]
+        monkeypatch.setattr(numerics, "_CHUNK_BYTES", 8 * law.z_nodes.size * 7)
+        assert relative_entropy_levels(law, 1).levels[1] == want
 
     def test_zero_level_raises(self):
         # At J = 1e-30, H_1 is of order (J/N)^2: every digit is lost and
