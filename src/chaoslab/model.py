@@ -55,37 +55,6 @@ class QuarticConfinement:
         x = np.asarray(x, dtype=float)
         return x * (self.theta * (x * x) + self.sigma)
 
-    def fused_v_and_grad_v(self):
-        """The function x -> (sum_i V(x_i), grad V(x)) of a float array x,
-        built once to be called many times; it forms x*x once.
-
-        The gradient is bitwise ``grad_v(x)``.  The sum is two dot products,
-        (theta x^2).x^2 / 4 + sigma/2 x.x; it differs from
-        ``np.add.reduce(v(x))`` by a few ulp of sum_i |theta/4 x_i^4| +
-        |sigma/2 x_i^2|.
-        theta x^2 is exactly 0 for theta = 0 wherever x^2 is finite, so
-        theta = 0 stays sigma/2 x.x, never 0 * inf.  A sum that is not
-        finite is recomputed from the terms of ``v``: theta x^4 overflows
-        before theta/4 x^4 does, and inf - inf would be NaN where ``v``
-        gives inf.  The coefficients are 0-d arrays, which a ufunc takes
-        faster than Python floats.
-        """
-        theta, sigma = np.array(self.theta), np.array(self.sigma)
-        half_sigma = 0.5 * self.sigma
-        isfinite = math.isfinite
-
-        def sum_v_and_grad_v(x):
-            x2 = x * x
-            grad = x2 * theta
-            total = 0.25 * float(grad.dot(x2)) + half_sigma * float(x.dot(x))
-            grad += sigma
-            grad *= x
-            if not isfinite(total):
-                total = float(np.add.reduce(self.v(x)))
-            return total, grad
-
-        return sum_v_and_grad_v
-
 
 @dataclass(frozen=True)
 class RankOneInteraction:
@@ -193,24 +162,64 @@ def gaussian_model(sigma: float, J: float) -> ModelSpec:
     return ModelSpec(QuarticConfinement(0.0, sigma), RankOneInteraction(J))
 
 
-def gibbs_target(model: ModelSpec, n: int):
-    """x -> (log p(x), grad log p(x)) for a float array x of n particles,
-    log p = -sum_i V(x_i) - (1/2n) sum_{i,j} W(x_i, x_j); built once, called
-    many times.  The one place that splits the exponent by model family.
+def gibbs_target(model: ModelSpec, n: int, step_size: float):
+    """y -> (log p(y), y + eps grad log p(y)) for a float array y of n
+    particles and eps = ``step_size``: the Gibbs exponent
+    log p = -sum_i V(y_i) - (1/2n) sum_{i,j} W(y_i, y_j) and the mean of
+    the Langevin proposal from y.  Built once, called many times; the one
+    place that splits the exponent by model family.
 
-    A rank-one W adds the field J s^2 / 2n and J s / n, s = sum_i x_i, to
-    -sum V and -grad V, which a quartic V takes from one x*x
-    (``fused_v_and_grad_v``) and any other V from ``potential`` and then
-    ``grad_potential``.  Any other W forms the n x n matrices of ``kernel``
-    and ``kernel_force``.  The exponent is a Python float and the gradient
-    a fresh array: the one ``grad_potential`` returns is never written to,
-    because a general handle may return its argument or an array it keeps.
+    A quartic rank-one model with theta > 0 makes one pass over y: with
+    y2 = y*y and s = y.1, the mean is y (alpha - beta y2) + eps J s / n,
+    alpha = 1 - eps sigma and beta = eps theta, and
+    log p = J s^2 / 2n - (theta/4 y2.y2 + sigma/2 y.y).  A sum of V that
+    is not finite is recomputed from the terms of ``v``: y2.y2 overflows
+    before theta/4 y^4 does, and inf - inf would be NaN where ``v``
+    gives inf.
+
+    Every other model forms grad log p and then the mean eps*grad + y.  A
+    rank-one W adds the field J s^2 / 2n and J s / n to -sum V, from
+    ``potential``, and -grad V, from ``grad_potential``; any other W
+    forms the n x n matrices of ``kernel`` and ``kernel_force``.  The
+    exponent is a Python float and the mean a fresh array: the one
+    ``grad_potential`` returns is never written to, because a general
+    handle may return its argument or an array it keeps.
     """
     if n < 1:
         raise ValueError("the Gibbs measure needs at least one particle")
+    if model.is_rank_one and model.is_quartic and not model.is_gaussian:
+        conf, j = model.confinement, model.coupling
+        quarter_theta, half_sigma = conf.theta / 4.0, conf.sigma / 2.0
+        alpha = np.array(1.0 - step_size * conf.sigma)
+        neg_beta = np.array(-step_size * conf.theta)
+        field, half_j = step_size * j / n, j / (2.0 * n)
+        ones = np.ones(n)
+        isfinite = math.isfinite
+
+        def quartic_target(y):
+            y2 = y * y
+            s = float(y.dot(ones))
+            sum_v = quarter_theta * float(y2.dot(y2)) + half_sigma * float(y.dot(y))
+            if not isfinite(sum_v):
+                sum_v = float(np.add.reduce(conf.v(y)))
+            y2 *= neg_beta
+            y2 += alpha
+            y2 *= y
+            y2 += field * s
+            return half_j * s * s - sum_v, y2
+
+        return quartic_target
     add_reduce = np.add.reduce
-    if not model.is_rank_one:
-        def kernel_target(x):
+    eps = np.array(step_size)  # a ufunc takes a 0-d array faster than a float
+    if model.is_rank_one:
+        j = model.coupling
+
+        def log_target(x):
+            s = float(add_reduce(x))
+            return (j * s * s / (2.0 * n) - float(add_reduce(model.potential(x))),
+                    j * s / n - model.grad_potential(x))
+    else:
+        def log_target(x):
             v, gv = model.potential(x), model.grad_potential(x)
             wmat = model.kernel(x[:, None], x[None, :])
             logp = (-float(add_reduce(v))
@@ -219,18 +228,11 @@ def gibbs_target(model: ModelSpec, n: int):
             grad += gv
             return logp, np.negative(grad, out=grad)
 
-        return kernel_target
-    if model.is_quartic:
-        sum_v_and_grad_v = model.confinement.fused_v_and_grad_v()
-    else:
-        def sum_v_and_grad_v(x):
-            return float(add_reduce(model.potential(x))), model.grad_potential(x)
-    j = model.coupling
+    def target(x):
+        logp, mean = log_target(x)
+        mean *= eps
+        mean += x
+        return logp, mean
 
-    def rank_one_target(x):
-        sum_v, grad_v = sum_v_and_grad_v(x)
-        s = float(add_reduce(x))
-        return j * s * s / (2.0 * n) - sum_v, j * s / n - grad_v
-
-    return rank_one_target
+    return target
 

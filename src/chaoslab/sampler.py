@@ -16,12 +16,12 @@ min(1024, max(1, 8192 // N)) steps at a time, outside the step loop; a
 block of b steps holds the same draws as b single calls, so no draw
 depends on the block size.
 
-The target, y -> (log-density, gradient), is ``model.gibbs_target``,
-built once per chain.  Only ``model`` decides how a model family splits
-the Gibbs exponent; the chain never looks at the model's parts.  MALA
-rejects a proposal whose target is not finite, where ULA raises
-``NonFinite``; an energy above ``_ENERGY_CEILING`` = 1e10 raises
-``DivergentChain``.
+The target, y -> (log-density, proposal mean y + step_size * gradient),
+is ``model.gibbs_target``, built once per chain.  Only ``model`` decides
+how a model family splits the Gibbs exponent; the chain never looks at
+the model's parts.  MALA rejects a proposal whose target is not finite,
+where ULA raises ``NonFinite``; an energy above ``_ENERGY_CEILING`` =
+1e10 raises ``DivergentChain``.
 
 A sample file is a 16-byte header (magic, format version, N) and the kept
 draws as row-major little-endian float64, with a JSON sidecar.  It is
@@ -142,22 +142,21 @@ def _run(model: ModelSpec, cfg: ChainConfig, buf: np.ndarray, flush) -> float | 
     rows that are left; returns the MALA acceptance rate (None for ULA).
 
     The state x carries the mean x + eps grad(x) of its Langevin proposal,
-    so a step evaluates the target once, at the proposal y.  The noise and
-    the accept uniforms are drawn a block of steps at a time, before the
-    steps that use them.
+    which the target returns with log p, so a step evaluates the target
+    once, at the proposal y.  The noise and the accept uniforms are drawn
+    a block of steps at a time, before the steps that use them.
     """
     key = np.random.Philox(key=cfg.seed)
     uniform = np.random.Generator(key.jumped()).random
     noise = np.random.Generator(key).standard_normal
     n = cfg.n_particles
     eps = cfg.step_size
-    target = gibbs_target(model, n)
+    target = gibbs_target(model, n, eps)
     x = noise(n) * 0.1
 
-    logp, grad = target(x)
-    if not (math.isfinite(logp) and np.isfinite(grad).all()):
+    logp, mean = target(x)
+    if not (math.isfinite(logp) and np.isfinite(mean).all()):
         raise NonFinite("non-finite target at the initial state")
-    mean = x + eps * grad
 
     n_steps, n_kept, thinning = cfg.n_steps, cfg.n_kept, cfg.thinning
     ceiling = _ENERGY_CEILING
@@ -166,7 +165,7 @@ def _run(model: ModelSpec, cfg: ChainConfig, buf: np.ndarray, flush) -> float | 
     next_kept = cfg.burn_in
     accepted = 0
     mala = cfg.algorithm == "mala"
-    sqrt2e, eps_array = math.sqrt(2.0 * eps), np.array(eps)
+    sqrt2e = math.sqrt(2.0 * eps)
     four_eps = 4.0 * eps
     isfinite = math.isfinite
     block = min(_BLOCK_STEPS, max(1, _BLOCK_DRAWS // n))
@@ -182,22 +181,20 @@ def _run(model: ModelSpec, cfg: ChainConfig, buf: np.ndarray, flush) -> float | 
         for step, xi, half_xi2_t, log_u_t in zip(range(start, n_steps), xis,
                                                  half_xi2, log_u):
             y = mean + xi
-            logp_y, grad_y = target(y)
-            mean_y = eps_array * grad_y
-            mean_y += y
+            logp_y, mean_y = target(y)
             if mala:
                 # log q(x | y) - log q(y | x) for the Langevin proposal.  The
                 # forward residual y - mean is sqrt(2 eps) xi; the backward
-                # one is x - mean_y.  A finite |x - mean_y|^2 implies a finite
-                # gradient at y, so the element-wise test runs only after it
-                # overflows.
+                # one is x - mean_y.  A mean that is not finite makes
+                # |x - mean_y|^2 inf or NaN, and so the test False even at
+                # log u = -inf: only log p needs its own check.
                 bwd = x - mean_y
                 bwd2 = float(bwd.dot(bwd))
-                if isfinite(logp_y) and (isfinite(bwd2) or np.isfinite(grad_y).all()):
-                    if log_u_t < logp_y - logp + half_xi2_t - bwd2 / four_eps:
-                        x, mean, logp = y, mean_y, logp_y
-                        accepted += 1
-            elif isfinite(logp_y) and np.isfinite(grad_y).all():
+                if (isfinite(logp_y)
+                        and log_u_t < logp_y - logp + half_xi2_t - bwd2 / four_eps):
+                    x, mean, logp = y, mean_y, logp_y
+                    accepted += 1
+            elif isfinite(logp_y) and np.isfinite(mean_y).all():
                 x, mean, logp = y, mean_y, logp_y
             else:
                 raise NonFinite(f"ULA left the finite-energy region at step {step}")

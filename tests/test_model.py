@@ -5,6 +5,7 @@ import pytest
 from chaoslab.model import (GeneralKernel, GeneralPotential, ModelSpec,
                             QuarticConfinement, RankOneInteraction,
                             curie_weiss_model, gaussian_model, gibbs_target)
+from oracles import _reference_log_target_and_grad
 
 
 @pytest.fixture
@@ -22,12 +23,12 @@ def _energy(model, x):
     """Potential energy per particle, diagonal terms included: minus the Gibbs
     exponent over N."""
     x = np.asarray(x, dtype=float)
-    return -gibbs_target(model, x.size)(x)[0] / x.size
+    return -gibbs_target(model, x.size, 0.1)(x)[0] / x.size
 
 
 def _log_density(model, x):
     x = np.asarray(x, dtype=float)
-    return gibbs_target(model, x.size)(x)[0]
+    return gibbs_target(model, x.size, 0.1)(x)[0]
 
 
 class TestEnergyPerParticle:
@@ -196,33 +197,42 @@ def _fused_states(n):
     return states
 
 
-class TestFusedSumAndGradient:
-    """``fused_v_and_grad_v`` against ``np.add.reduce(v(x))`` and ``grad_v(x)``.
+class TestQuarticTarget:
+    """``gibbs_target`` of a quartic rank-one model with theta > 0 against
+    ``oracles._reference_log_target_and_grad`` and the mean y + eps grad.
 
-    The gradient must be bitwise; the sum is two dot products, so it may
-    differ from the pairwise sum of ``v`` by a few ulp of sum |terms|, the
-    sum of |theta/4 x^4| and |sigma/2 x^2| over the particles, and it must
-    be finite exactly where the sum of ``v`` is.
+    log p is two dot products and the field, so it may differ from the
+    oracle by a few ulp of sum |terms|, the sum of |theta/4 y^4|,
+    |sigma/2 y^2| and J s^2 / 2n.  The mean y (alpha - beta y^2) + eps J s/n
+    may differ in each entry by a few ulp of |y| + eps |y| (theta y^2 +
+    |sigma|) + eps J sum |y| / n.  Both must be finite exactly where the
+    oracle's are.
     """
 
-    @pytest.mark.parametrize("theta, sigma", [(0.0, 1.0), (1.0, 1.0), (1.0, -1.0)])
+    @pytest.mark.parametrize("theta", [1.0, 0.01, 100.0])
+    @pytest.mark.parametrize("sigma", [1.0, -1.0])
+    @pytest.mark.parametrize("eps", [1e-3, 0.12, 0.5])
     @pytest.mark.parametrize("n", [1, 3, 32, 512])
-    def test_matches_v_and_grad_v(self, theta, sigma, n):
-        conf = QuarticConfinement(theta, sigma)
-        fused = conf.fused_v_and_grad_v()
+    def test_matches_reference(self, theta, sigma, eps, n):
+        j = 0.7
+        model = curie_weiss_model(theta, sigma, j)
+        target = gibbs_target(model, n, eps)
         with np.errstate(over="ignore", invalid="ignore"):
-            for x in _fused_states(n):
-                total, grad = fused(x)
-                ref_total = float(np.add.reduce(conf.v(x)))
-                ref_grad = conf.grad_v(x)
-                assert grad.tobytes() == ref_grad.tobytes()
-                assert np.isfinite(total) == np.isfinite(ref_total), x
-                if np.isfinite(total):
-                    x2 = x * x
-                    terms = float(np.add.reduce(theta / 4 * x2 * x2 + abs(sigma) / 2 * x2))
-                    assert abs(total - ref_total) <= 4 * np.spacing(terms), x
-                else:
-                    assert total == ref_total or (np.isnan(total) and np.isnan(ref_total))
+            for y in _fused_states(n):
+                logp, mean = target(y)
+                ref_logp, ref_grad = _reference_log_target_and_grad(model, y)
+                ref_mean = y + eps * ref_grad
+                finite = np.isfinite(logp) and np.isfinite(mean).all()
+                assert finite == (np.isfinite(ref_logp) and np.isfinite(ref_mean).all()), y
+                if not finite:
+                    continue
+                y2, abs_y = y * y, np.abs(y)
+                terms = float(np.add.reduce(theta / 4 * y2 * y2 + abs(sigma) / 2 * y2)
+                              + j * float(np.add.reduce(y)) ** 2 / (2 * n))
+                assert abs(logp - ref_logp) <= 8 * np.spacing(terms), y
+                scale = (abs_y + eps * abs_y * (theta * y2 + abs(sigma))
+                         + eps * j * float(np.add.reduce(abs_y)) / n)
+                assert np.all(np.abs(mean - ref_mean) <= 8 * np.spacing(scale)), y
 
 
 class TestEmptyConfiguration:
@@ -231,4 +241,4 @@ class TestEmptyConfiguration:
     @pytest.mark.parametrize("kernel", [False, True], ids=["rank-one", "kernel"])
     def test_zero_particles_raise(self, cw, kernel):
         with pytest.raises(ValueError, match="at least one particle"):
-            gibbs_target(_PAIR_KERNEL if kernel else cw, 0)
+            gibbs_target(_PAIR_KERNEL if kernel else cw, 0, 0.1)

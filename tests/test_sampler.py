@@ -28,11 +28,14 @@ WALL = 1.5
 
 
 def _walled_model(where):
-    """x^2/2 inside |x| <= WALL; outside, V (where="v") or V' (where="grad") is inf."""
+    """x^2/2 inside |x| <= WALL; outside, V (where="v") or V' (where="grad") is
+    inf, or V is -inf (where="-v"), which makes log p +inf."""
     def v(x):
         x = np.asarray(x, dtype=float)
         out = 0.5 * x * x
-        return np.where(np.abs(x) > WALL, np.inf, out) if where == "v" else out
+        if where == "grad":
+            return out
+        return np.where(np.abs(x) > WALL, np.inf if where == "v" else -np.inf, out)
 
     def grad_v(x):
         x = np.asarray(x, dtype=float)
@@ -182,23 +185,25 @@ class TestStreamPins:
     chain, all at seed 1.
 
     They pin what a seed reproduces: the draws to the bit, not only to the
-    1e-12 of ``TestAgainstReferenceLoop``.  The ULA digest dates from commit
-    682f54a, with the loop that called ``_log_target_and_grad`` at every
-    step; it still holds, so the noise stream is the same.  The four MALA
-    digests and rates were recomputed when the accept uniforms moved to
-    their own stream (the key jumped), one per step whether or not the
-    proposal is finite, where they had been drawn from the noise stream
-    after each finite proposal's noise.
+    1e-12 of ``TestAgainstReferenceLoop``.  The MALA digests and rates were
+    recomputed when the accept uniforms moved to their own stream (the key
+    jumped), one per step whether or not the proposal is finite, where they
+    had been drawn from the noise stream after each finite proposal's
+    noise.  The three quartic digests were recomputed again, with their
+    rates unchanged, when the quartic target began to form the proposal
+    mean y (alpha - beta y^2) + eps J s / n itself: their draws moved by
+    at most 8.9e-16.  The Gaussian and Coulomb chains form the mean as
+    eps grad + y, as before, and keep their digests.
     """
 
     @pytest.mark.parametrize("model, cfg, digest, rate", [
         pytest.param(curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
                      ChainConfig(32, 0.12, 4000, burn_in=500, seed=1),
-                     "5891c41599e7816af335132fea86a3de4f97e71cd11103142fffb3032f4d4ec7",
+                     "1ef0be2f9da75e409d6e12f66b061b0532b404c7b876fe4ea8cea3a739d1c43e",
                      0.5885, id="quartic-n32"),
         pytest.param(curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
                      ChainConfig(512, 0.04, 2000, burn_in=200, seed=1),
-                     "c000ce0c5fa1432565f81c2641a0af2bc6dc86d51061b7f7c1c4855970a23400",
+                     "615d8e7678b059ae87e235382e82e488954003a0e09f8b265d3588f4a63416c0",
                      0.606, id="quartic-n512"),
         pytest.param(gaussian_model(1.0, 0.5),
                      ChainConfig(32, 0.3, 4000, burn_in=500, seed=1),
@@ -206,7 +211,7 @@ class TestStreamPins:
                      0.757, id="gaussian-n32"),
         pytest.param(curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
                      ChainConfig(32, 0.05, 3000, burn_in=500, seed=1, algorithm="ula"),
-                     "a74b856786f0dae4440f6cd43fc3391d1a33cb1eb6b57dc719ed99092ea354c3",
+                     "c9077a3d35d3e9d6db413faf417be44561dd68f8ac582aebbf60af0b71f27dcd",
                      None, id="quartic-ula-n32"),
         pytest.param(_COULOMB, ChainConfig(16, 0.1, 1500, burn_in=200, seed=1),
                      "988da21574542300017baeb04ee48e724b993c9c27bed057597cb2469ac666b9",
@@ -220,54 +225,62 @@ class TestStreamPins:
 
 
 class TestTarget:
-    """``gibbs_target`` against the chain's oracle,
-    ``oracles._reference_log_target_and_grad``.  A quartic rank-one model
-    takes sum V as two dot products: its gradient is bitwise the oracle's
-    and its log-density within a few ulp of its terms.  Every other model
-    evaluates the oracle's expressions: both outputs are bitwise."""
+    """``gibbs_target`` against the chain's oracle: the log-density of
+    ``oracles._reference_log_target_and_grad`` and the proposal mean
+    y + eps grad from its gradient.  A quartic rank-one model with
+    theta > 0 forms both in one pass: its log-density is within a few ulp
+    of its terms and its mean within a few ulp of
+    |y| + eps |y| (theta y^2 + |sigma|) + eps J sum |y| / n in each entry.
+    Every other model evaluates the oracle's expressions and then
+    eps*grad + y: both outputs are bitwise."""
 
     @pytest.mark.parametrize("model", [curie_weiss_model(1.0, 1.0, 0.5 * J_CRIT),
-                                       curie_weiss_model(1.0, -1.0, 0.5),
-                                       gaussian_model(1.0, 0.5)],
-                             ids=["quartic", "double-well", "gaussian"])
+                                       curie_weiss_model(1.0, -1.0, 0.5)],
+                             ids=["quartic", "double-well"])
     @pytest.mark.parametrize("n", [1, 32, 512])
-    def test_matches_log_target_and_grad(self, model, n, rng):
-        target = gibbs_target(model, n)
+    @pytest.mark.parametrize("eps", [1e-3, 0.12, 0.5])
+    def test_quartic_matches_reference(self, model, n, eps, rng):
+        target = gibbs_target(model, n, eps)
+        sigma, j = abs(model.confinement.sigma), model.coupling
         for scale in (0.1, 1.0, 5.0):
             y = scale * rng.normal(size=n)
-            logp, grad = target(y)
+            logp, mean = target(y)
             ref_logp, ref_grad = _reference_log_target_and_grad(model, y)
-            assert grad.tobytes() == ref_grad.tobytes()
-            x2 = y * y
+            x2, abs_y = y * y, np.abs(y)
             terms = (float(np.add.reduce(x2 * x2)) + float(np.add.reduce(x2))
-                     + model.coupling * float(np.add.reduce(y)) ** 2 / n)
+                     + j * float(np.add.reduce(y)) ** 2 / n)
             assert abs(logp - ref_logp) <= 8 * np.spacing(terms)
+            bound = 8 * np.spacing(abs_y + eps * abs_y * (x2 + sigma)
+                                   + eps * j * float(np.add.reduce(abs_y)) / n)
+            assert np.all(np.abs(mean - (y + eps * ref_grad)) <= bound)
 
     @pytest.mark.parametrize("model", [
+        gaussian_model(1.0, 0.5),
         _COULOMB,
         ModelSpec(GeneralPotential(v=np.cosh, grad_v=np.sinh), RankOneInteraction(0.7)),
-    ], ids=["coulomb-kernel", "general-rank-one"])
+    ], ids=["gaussian", "coulomb-kernel", "general-rank-one"])
     @pytest.mark.parametrize("n", [1, 16, 64])
     def test_other_models_are_bitwise(self, model, n, rng):
-        target = gibbs_target(model, n)
+        eps = 0.12
+        target = gibbs_target(model, n, eps)
         for scale in (0.1, 1.0, 5.0):
             y = scale * rng.normal(size=n)
-            logp, grad = target(y)
+            logp, mean = target(y)
             ref_logp, ref_grad = _reference_log_target_and_grad(model, y)
             assert type(logp) is float
             assert np.float64(logp).tobytes() == np.float64(ref_logp).tobytes()
-            assert grad.tobytes() == ref_grad.tobytes()
+            assert mean.tobytes() == (eps * ref_grad + y).tobytes()
 
     def test_gaussian_far_out_is_finite(self):
         # y^4 overflows at |y| = 1e100 but y^2 does not: the theta = 0 target
         # is finite there, as -sum V from the terms of v is.
         model = gaussian_model(1.0, 0.5)
         y = np.full(32, 1e100)
-        logp, grad = gibbs_target(model, 32)(y)
+        logp, mean = gibbs_target(model, 32, 0.12)(y)
         ref_logp, ref_grad = _reference_log_target_and_grad(model, y)
         assert logp == pytest.approx(ref_logp, rel=1e-15)
         assert logp == pytest.approx(-8e200, rel=1e-15)
-        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(mean, 0.12 * ref_grad + y)
 
 
 class TestErrorPaths:
@@ -278,7 +291,7 @@ class TestErrorPaths:
         with pytest.raises(NonFinite, match="initial state"):
             run_chain(model, ChainConfig(4, 0.1, 10))
 
-    @pytest.mark.parametrize("where", ["v", "grad"])
+    @pytest.mark.parametrize("where", ["v", "grad", "-v"])
     def test_mala_never_accepts_a_non_finite_proposal(self, where):
         batch = run_chain(_walled_model(where), ChainConfig(8, 0.5, 5000, seed=9))
         assert 0.0 < batch.acceptance_rate < 1.0
@@ -287,10 +300,17 @@ class TestErrorPaths:
         # The wall is reached: without it the chain would leave |x| <= 1.5.
         assert np.max(np.abs(batch.draws)) > 0.5 * WALL
 
-    def test_ula_raises_when_it_leaves_the_finite_region(self):
-        cfg = ChainConfig(8, 0.5, 5000, algorithm="ula", seed=9)
-        with pytest.raises(NonFinite, match="ULA left"):
-            run_chain(_walled_model("v"), cfg)
+    @pytest.mark.parametrize("where", ["v", "grad"])
+    def test_ula_raises_when_it_leaves_the_finite_region(self, where):
+        # An infinite V' gives an infinite proposal mean: ULA raises at the
+        # step where the reference loop finds the gradient not finite, step
+        # 43 of this chain.
+        cfg = ChainConfig(8, 0.01, 5000, algorithm="ula", seed=9)
+        with pytest.raises(NonFinite, match="ULA left") as ref:
+            reference_run_chain(_walled_model(where), cfg)
+        with pytest.raises(NonFinite, match="ULA left") as got:
+            run_chain(_walled_model(where), cfg)
+        assert str(got.value) == str(ref.value)
 
     def test_energy_ceiling_raises_divergent_chain(self):
         # V shifted by 1e11 puts the energy of 32 particles above the
