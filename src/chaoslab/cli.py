@@ -311,7 +311,7 @@ def _run_jw(cfg: ExperimentConfig, outdir: Path, chash: str) -> dict:
                          mstar.second_moment)
     for N in cfg.n_grid:
         lhs = _verify.jw_log_mgf(cfg.model, N)
-        rows.append([N, float(lhs), float(rhs), int(lhs <= rhs + 1e-9)])
+        rows.append([N, float(lhs), float(rhs), int(lhs <= rhs * (1.0 + 1e-12))])
     _write_csv(outdir / "jw.csv", ["N", "log_mgf", "rhs", "pass"], rows, chash)
     return {"command": "jw", "passed": all(row[-1] for row in rows)}
 

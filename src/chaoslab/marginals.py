@@ -246,42 +246,34 @@ _SIZING_POINTS = 513
 def _node_density_window(law: MixtureLaw):
     """+-12 std of the widest node around the node means, and ``law.x_window``.
 
-    The means and std come from a coarse ``_SIZING_POINTS`` pass on it.  Its
-    node densities are the transpose of one (points, nodes) buffer.  The
-    weighted densities and their trapezoid terms go to two raw buffers,
-    viewed F-ordered for the means and C-ordered for the variances: the
-    layouts of the temporaries ``np.trapezoid`` made for them, so each sum
-    runs in the order that fixed the bits of every ``x_window``, and so of
-    every node-density grid.
+    The means and std are the ``_row_moments`` of the node densities on
+    ``_SIZING_POINTS`` points over ``law.x_window``.  Where the +-12 std lie
+    inside that window, as for the Gaussian sigma = 1, J = 0.5, it is kept
+    to the bit, whatever order the moments are summed in.
     """
-    xlo, xhi = law.x_window
-    xs = np.linspace(xlo, xhi, _SIZING_POINTS)
-    dens = np.multiply.outer(xs, law.z_nodes)
-    dens += -law.model.potential(xs)[:, None]
-    dens -= law.node_log_z1
-    dens = np.exp(dens, out=dens).T
-    dx = xs[1] - xs[0]
-    n_nodes, n_points = dens.shape
-    weighted, terms = np.empty(n_nodes * n_points), np.empty(n_nodes * (n_points - 1))
-    moment = np.multiply(xs, dens, out=weighted.reshape(dens.shape, order="F"))
-    means = _trapezoid_rows(moment, dx, terms.reshape((n_nodes, -1), order="F"))
-    moment = np.subtract(xs, means[:, None], out=weighted.reshape(dens.shape))
-    np.square(moment, out=moment)
-    moment *= dens
-    variances = _trapezoid_rows(moment, dx, terms.reshape((n_nodes, -1)))
+    xs = _node_grid(law, _SIZING_POINTS)
+    rows = _node_rows(law, slice(None), xs, -law.model.potential(xs))
+    _, means, variances = _row_moments(rows, xs)
     sig = float(np.sqrt(variances.max()))
-    return (min(float(means.min()) - 12.0 * sig, xlo),
-            max(float(means.max()) + 12.0 * sig, xhi))
+    return (min(float(means.min()) - 12.0 * sig, law.x_window[0]),
+            max(float(means.max()) + 12.0 * sig, law.x_window[1]))
 
 
-def _trapezoid_rows(rows: np.ndarray, dx: float, terms: np.ndarray) -> np.ndarray:
-    """np.trapezoid(rows, dx=dx, axis=1) bit for bit, its terms
-    dx * (a + b) / 2.0 in ``terms``: each row's sum runs in the order that
-    ``terms``' layout gives it."""
-    np.add(rows[:, 1:], rows[:, :-1], out=terms)
-    terms *= dx
-    terms /= 2.0
-    return terms.sum(axis=1)
+def _row_moments(rows: np.ndarray, xs: np.ndarray):
+    """Trapezoid mass, mean and variance of each row of ``rows`` on the
+    uniform grid ``xs``.
+
+    One ``np.einsum`` per moment: it sums in its own loop, with no BLAS
+    product, so no thread count can move a bit.
+    """
+    weights = np.full(xs.size, xs[1] - xs[0])
+    weights[[0, -1]] /= 2.0
+    mass = np.einsum("ij,j->i", rows, weights)
+    means = np.einsum("ij,j->i", rows, weights * xs) / mass
+    squares = xs - means[:, None]
+    squares *= squares
+    variances = np.einsum("ij,ij,j->i", rows, squares, weights) / mass
+    return mass, means, variances
 
 
 def _node_grid(law: MixtureLaw, n_points: int) -> np.ndarray:
@@ -402,15 +394,14 @@ def _tilted_rows(law: MixtureLaw, xs: np.ndarray, n_rows: int):
 def _reference_tilts(law: MixtureLaw, xs: np.ndarray, k_max: int):
     """``_tilted_rows`` with M rows, M doubled nested (3, 5, 9, 17, ...) until
     the k_max-fold sums of adjacent rows have means within ``_ROW_SPACING``
-    standard deviations.  A model that needs more than ``_MAX_ROWS`` rows
-    raises ``GridResolution``.
+    standard deviations, each row's mean and variance its ``_row_moments``.
+    A model that needs more than ``_MAX_ROWS`` rows raises ``GridResolution``.
     """
     n_rows = 3
     while n_rows <= _MAX_ROWS:
         zs, rows, shifts = _tilted_rows(law, xs, n_rows)
-        mass = rows.sum(axis=1)
-        means = rows @ xs / mass
-        sds = np.sqrt(((xs - means[:, None]) ** 2 * rows).sum(axis=1) / mass)
+        _, means, variances = _row_moments(rows, xs)
+        sds = np.sqrt(variances)
         gaps = np.sqrt(k_max) * np.diff(means)
         if np.all(gaps <= _ROW_SPACING * np.minimum(sds[:-1], sds[1:])):
             return zs, rows, shifts

@@ -9,15 +9,15 @@ entropy levels by the route the library's tilted reference rows replaced,
 every node density convolved (``node_row_entropy_levels``); the node
 densities as one full (points, nodes) matrix (``node_grid_densities``,
 ``unit_mass_rows``), each node row's exp taken one row at a time
-(``node_rows_per_row``), the sizing pass by ``np.trapezoid``
-(``node_density_window_by_trapezoid``), the field-support refinement and the
+(``node_rows_per_row``), the field-support refinement and the
 doubling window search that scan every point (``refine_support_by_full_scans``,
 ``window_search_by_full_scans``), the bitwise references of the kernels that
-compute only what they keep; each tilt's window by its own window search
-(``tilt_window``), the reference of ``meanfield.tilt_windows``; each
-tilted measure on its own window and grid (``tilted_measure_per_tilt``),
-the reference of the tilted measures read
-from one ``LogPartition``; pi[0] as a fresh kernel's ``measure(0.0)``
+compute only what they keep; the sizing pass by ``np.trapezoid``
+(``node_density_window_by_trapezoid``), the reference of its moments; each
+tilt's window by its own window search (``tilt_window``), the reference of
+``meanfield.tilt_windows``; each tilted measure on its own window and grid
+(``tilted_measure_per_tilt``), the reference of the tilted measures read from
+one ``LogPartition``; pi[0] as a fresh kernel's ``measure(0.0)``
 (``fresh_kernel_pi_zero``), the reference of ``LogPartition.reference``;
 the T1 scan with each tilt on its own grids
 (``t1_ratio_scan_per_tilt``), the reference of the one-grid scan; the
@@ -251,8 +251,7 @@ def node_rows_per_row(law, nodes, xs: np.ndarray, neg_v: np.ndarray) -> np.ndarr
 def node_density_window_by_trapezoid(law):
     """``marginals._node_density_window`` as first written: the node means and
     variances of the 513-point sizing pass by ``np.trapezoid`` on the
-    transposed (points, nodes) buffer, whose temporaries set the order of
-    each sum."""
+    transposed (points, nodes) buffer, the means not divided by the mass."""
     xlo, xhi = law.x_window
     xs = np.linspace(xlo, xhi, 513)
     dens = np.multiply.outer(xs, law.z_nodes)

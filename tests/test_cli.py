@@ -406,6 +406,19 @@ class TestMain:
         for row in fails.values():
             assert float(row[2]) > float(row[5])
 
+    def test_log_mgf_above_a_tiny_bound_fails(self, tmp_path, capsys, monkeypatch):
+        # At J = 1e-12 the bound is about 5.6e-12: a log-MGF ten times above
+        # it must fail, where an absolute slack of 1e-9 passed it.
+        monkeypatch.setattr(chaoslab.verify, "jw_log_mgf", lambda model, N: 5.6e-11)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_cfg(tmp_path, command="jw", model=dict(MODEL, J=1e-12),
+                                     n_grid=[16])))
+        assert main(["--config", str(p)]) == 1
+        assert json.loads(capsys.readouterr().out)["passed"] is False
+        (row,) = (tmp_path / "out" / "jw.csv").read_text().splitlines()[1:-1]
+        N, lhs, rhs, passed = row.split(",")
+        assert passed == "0" and 5.0 * float(rhs) < float(lhs) < 20.0 * float(rhs)
+
     def test_zero_entropy_level_is_typed_error(self, tmp_path, capsys):
         # At J = 1e-30 level 1 reads 0.0: the scan stops before it writes
         # rows with H = 0 that would pass every bound.

@@ -16,7 +16,7 @@ from chaoslab.marginals import (MAX_LEVEL, MixtureLaw, build_mixture,
                                 marginal_log_density_batch, marginal_moment,
                                 relative_entropy_levels, sample_marginal,
                                 wasserstein2_marginal)
-from chaoslab.meanfield import LogPartition, tilted_measure
+from chaoslab.meanfield import LogPartition, tilt_windows, tilted_measure
 from chaoslab.model import (MAX_PARTICLES, GeneralPotential, ModelSpec,
                             RankOneInteraction, curie_weiss_model, gaussian_model)
 from chaoslab.numerics import FINE_POINTS, GridDensity
@@ -144,7 +144,8 @@ def _refinement_cases():
 
 class TestMixtureKernels:
     """The mixture kernels that compute only what they keep, against the full
-    computations in ``oracles``, bit for bit."""
+    computations in ``oracles``, bit for bit where a test does not say
+    otherwise."""
 
     @pytest.mark.parametrize("model, n", _refinement_cases())
     def test_refinement_matches_full_scans(self, model, n, monkeypatch):
@@ -315,8 +316,10 @@ class TestMixtureKernels:
 
     @pytest.mark.parametrize("model, n", _refinement_cases())
     def test_node_density_window_matches_trapezoid(self, model, n, monkeypatch):
-        # The sizing pass's sums in raw buffers against np.trapezoid's
-        # temporaries, on the window build_mixture hands it.
+        # The sizing pass's moments against np.trapezoid's, on the window
+        # build_mixture hands it: bit for bit where that window (the end
+        # nodes' tilt windows) holds every node, as on every Gaussian case,
+        # and within 16 ulp per end where the +-12 std reach past it.
         calls = []
         window = marginals._node_density_window
 
@@ -327,7 +330,31 @@ class TestMixtureKernels:
         monkeypatch.setattr(marginals, "_node_density_window", recorded)
         build_mixture(model, n)
         (law, got), = calls
-        assert got == node_density_window_by_trapezoid(law)
+        want = node_density_window_by_trapezoid(law)
+        if want == law.x_window:
+            assert got == want
+        else:
+            np.testing.assert_array_max_ulp(np.array(got), np.array(want), maxulp=16)
+
+    @pytest.mark.parametrize("n", [1024, 2**16])
+    def test_gaussian_probe_window_is_the_end_tilt_windows(self, n):
+        # The window of the Gaussian h1_relerr_* probes: the end nodes' tilt
+        # windows, which the sizing pass's +-12 std (about +-12.3) lie inside,
+        # so no change of that pass's sums can move a bit of its levels.
+        law = build_mixture(gaussian_model(1.0, 0.5), n)
+        ends = tilt_windows(law.model, law.z_nodes[[0, -1]])
+        assert law.x_window == (-16.0, 16.0)
+        assert law.x_window == (ends[:, 0].min(), ends[:, 1].max())
+
+    def test_row_moments_match_gaussian_closed_form(self):
+        # Rows of peak 1, so the means and variances are read per unit mass.
+        xs = np.linspace(-16.0, 16.0, 513)
+        mu, sd = np.array([-3.0, 0.0, 0.7, 2.5]), np.array([0.25, 0.5, 1.0, 1.0])
+        rows = np.exp(-0.5 * ((xs - mu[:, None]) / sd[:, None]) ** 2)
+        mass, means, variances = marginals._row_moments(rows, xs)
+        np.testing.assert_allclose(mass, np.sqrt(2.0 * np.pi) * sd, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(means, mu, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(variances, sd**2, rtol=0.0, atol=1e-13)
 
     @staticmethod
     def assert_grid_density_matches_full_matrix(law, n_points):
