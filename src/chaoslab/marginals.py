@@ -7,9 +7,9 @@ IID tilted products:
     m^{N,k}(x^{[k]}) = sum_j w_j prod_{i<=k} rho_{z_j}(x_i),
 
 with rho_z the tilted density exp(-V(x) + z x)/Z_1(z) and mixing weights
-w(z) proportional to exp(-N z^2 / 2J) Z_1(z)^N.  Relative entropies then
-reduce to 1D integrals because the density ratio against the product
-reference depends on the point only through s = sum x_i.
+w(z) proportional to exp(-N z^2 / 2J) Z_1(z)^N.  The ratio g_k of m^{N,k}
+to m_*^{otimes k}, m_* = pi[0], depends on x only through s = sum x_i, so
+entropies are 1D integrals and every density is read as pi[0]^{otimes k} g_k.
 
 W_2(m^{N,1}, m_*) is the library's one quantity read through quantile
 functions: the inverse trapezoid CDFs of the two grid densities, and the
@@ -215,17 +215,15 @@ def _check_level(law: MixtureLaw, k: int) -> None:
 
 
 def marginal_log_density_batch(law: MixtureLaw, points: np.ndarray) -> np.ndarray:
-    """log m^{N,k} for an (n, k) array of points; ``ValueError`` unless
-    1 <= k <= N, since m^{N,k} exists for those k only."""
+    """log m^{N,k} = log g_k(s) - sum V(x_i) - k log Z_1(0), s = sum x_i, at
+    the rows of an (n, k) array; ``ValueError`` unless 1 <= k <= N."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     k = pts.shape[1]
     _check_level(law, k)
-    # sum_i log rho_z(x_i) = -sum V(x_i) + z * s - k log Z_1(z)
-    s = pts.sum(axis=1)
     vsum = law.model.potential(pts).sum(axis=1)
-    return -vsum + log_laplace(s, law.z_nodes, law.z_log_weights - k * law.node_log_z1)
+    return _log_gk(law, k, pts.sum(axis=1)) - vsum - k * law.log_z0
 
 
 @dataclass(frozen=True)
@@ -476,12 +474,13 @@ def gaussian_entropy_oracle(sigma: float, J: float, N: int, k: int) -> float:
 
 def marginal_log_grid(law: MixtureLaw, lo: float, hi: float):
     """The points np.linspace(lo, hi, FINE_POINTS) and log m^{N,1} there:
-    -V(x) + log sum_j w_j exp(z_j x - log Z_1(z_j)), the sum by
-    ``numerics.log_laplace_grid``."""
+    log g_1(x) - V(x) - log Z_1(0), log g_1 by ``numerics.log_laplace_grid``."""
     xs = np.linspace(lo, hi, FINE_POINTS)
-    log_mix = log_laplace_grid(lo, (hi - lo) / (FINE_POINTS - 1), FINE_POINTS,
-                               law.z_nodes, law.z_log_weights - law.node_log_z1)
-    return xs, log_mix - law.model.potential(xs)
+    log_m = log_laplace_grid(lo, (hi - lo) / (FINE_POINTS - 1), FINE_POINTS,
+                             law.z_nodes, _gk_log_weights(law, 1))
+    log_m -= law.model.potential(xs)
+    log_m -= law.log_z0
+    return xs, log_m
 
 
 def marginal_grid_density(law: MixtureLaw) -> GridDensity:

@@ -169,13 +169,13 @@ def gibbs_target(model: ModelSpec, n: int, step_size: float):
     the Langevin proposal from y.  Built once, called many times; the one
     place that splits the exponent by model family.
 
-    A quartic rank-one model with theta > 0 makes one pass over y: with
-    y2 = y*y and s = y.1, the mean is y (alpha - beta y2) + eps J s / n,
-    alpha = 1 - eps sigma and beta = eps theta, and
-    log p = J s^2 / 2n - (theta/4 y2.y2 + sigma/2 y.y).  A sum of V that
-    is not finite is recomputed from the terms of ``v``: y2.y2 overflows
-    before theta/4 y^4 does, and inf - inf would be NaN where ``v``
-    gives inf.
+    A quartic rank-one model, theta = 0 included, makes one pass over y:
+    with y2 = y*y and s = y.1, the mean is y (alpha - beta y2) + eps J s / n,
+    alpha = 1 - eps sigma, beta = eps theta, and log p = J s^2 / 2n -
+    (theta/4 y2.y2 + sigma/2 y.y).  A sum of V that is not finite is taken
+    from the terms of ``v``: y2.y2 overflows before theta/4 y^4 does, and
+    inf - inf or 0 * inf is NaN.  At theta = 0 the mean is finite while y2
+    is (|y| < 1.3e154), far past any state below the 1e10 energy ceiling.
 
     Every other model forms grad log p and then the mean eps*grad + y.  A
     rank-one W adds the field J s^2 / 2n and J s / n to -sum V, from
@@ -187,7 +187,7 @@ def gibbs_target(model: ModelSpec, n: int, step_size: float):
     """
     if n < 1:
         raise ValueError("the Gibbs measure needs at least one particle")
-    if model.is_rank_one and model.is_quartic and not model.is_gaussian:
+    if model.is_rank_one and model.is_quartic:
         conf, j = model.confinement, model.coupling
         quarter_theta, half_sigma = conf.theta / 4.0, conf.sigma / 2.0
         alpha = np.array(1.0 - step_size * conf.sigma)

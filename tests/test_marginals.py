@@ -444,6 +444,16 @@ class TestMarginalLogDensity:
                 tensor_marginal_log_density(model, n, pts, -6.0, 6.0, 601),
                 rtol=0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("model_name, n", [("quartic_model", 32), ("gauss_model", 1024)],
+                             ids=["quartic-n32", "gaussian-n1024"])
+    def test_level_one_density_is_the_marginal_density(self, model_name, n, request):
+        # One density ratio: the batch reads pi[0] g_1 as level 1 does, bit
+        # for bit on the level grid.
+        law = build_mixture(request.getfixturevalue(model_name), n)
+        xs = marginals._node_grid(law, marginals._LEVEL_POINTS)
+        level_one = marginals._log_gk(law, 1, xs) - law.model.potential(xs) - law.log_z0
+        assert marginal_log_density_batch(law, xs[:, None]).tobytes() == level_one.tobytes()
+
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_batch_k_outside_one_to_n_raises(self, k):
         # m^{2,k} exists for k = 1, 2 only; k = 5 read -3.858 and k = 0 read 0.0.
